@@ -8,8 +8,8 @@ Two benches live here:
   transmitted for a node", Gini < 0.15, delivery "overall 4 seconds in
   maximum", ~500 blocks at the 60 s target interval.
 
-* :func:`test_scale_sweep_headline` pushes the *node count* an order of
-  magnitude past the paper's 10–50 sweep (up to 400 nodes) on the
+* :func:`test_scale_sweep_headline` pushes the *node count* past the
+  paper's 10–50 sweep (up to 1000 nodes, 20× its ceiling) on the
   fast-path configuration (``placement_solver="incremental"``, batched
   deliveries — digest-identical to the slow path, see DESIGN.md §13) and
   merges the measured cells into ``BENCH_headline.json`` under a
@@ -41,10 +41,13 @@ from repro.sim.scenarios import data_amount_scenario
 NODES = 30
 RATE = 2.0  # items/minute — the middle of the paper's 1–3 sweep
 
-#: The scale sweep: an order of magnitude past the paper's 50-node ceiling.
-SCALE_NODE_COUNTS = (100, 400)
+#: The scale sweep: up to 20× the paper's 50-node ceiling.
+SCALE_NODE_COUNTS = (100, 400, 1000)
+#: The cell the profiler reruns (the repo benchmark's ``scale_n400`` shape).
+PROFILE_NODE_COUNT = 400
 SCALE_RATE = 2.0
-SCALE_DURATION_MINUTES = 5.0
+#: Long enough for requests to fall due: a 5-minute cell delivers nothing.
+SCALE_DURATION_MINUTES = 15.0
 SCALE_BLOCK_INTERVAL = 30.0
 
 
@@ -90,21 +93,26 @@ def test_full_scale_fig4_cell(benchmark, bench_seed):
     assert metrics.failed_requests <= max(1, 0.01 * served)
 
 
-def _scale_cell(node_count: int, seed: int) -> dict:
-    """One seeded scale cell on the fast-path configuration."""
+def _scale_spec(node_count: int, seed: int) -> ExperimentSpec:
+    """One seeded scale cell's spec on the fast-path configuration."""
     config = replace(
         PAPER_CONFIG,
         data_items_per_minute=SCALE_RATE,
         expected_block_interval=SCALE_BLOCK_INTERVAL,
         placement_solver="incremental",
     )
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         node_count=node_count,
         config=config,
         seed=seed,
         duration_minutes=SCALE_DURATION_MINUTES,
         mobility_epoch_minutes=10.0,
     )
+
+
+def _scale_cell(node_count: int, seed: int) -> dict:
+    """Run one scale cell; set-up is inside ``wall_seconds``."""
+    spec = _scale_spec(node_count, seed)
     start = time.perf_counter()
     result = run_experiment(spec)
     wall_seconds = time.perf_counter() - start
@@ -118,6 +126,7 @@ def _scale_cell(node_count: int, seed: int) -> dict:
         "wall_seconds": round(wall_seconds, 1),
         "data_items_produced": metrics.data_items_produced,
         "chain_height": metrics.chain_height(),
+        "deliveries": len(metrics.delivery_times),
         "mean_delivery_seconds": round(metrics.average_delivery_time(), 3),
         "storage_gini": round(metrics.storage_gini(), 4),
         "failed_requests": metrics.failed_requests,
@@ -130,11 +139,12 @@ def test_scale_sweep_headline(headline_sink, bench_seed):
         for node_count in SCALE_NODE_COUNTS
     }
     for key, cell in cells.items():
-        # The protocol must stay healthy at 8× the paper's largest sweep
+        # The protocol must stay healthy at 20× the paper's largest sweep
         # point: the chain advances, placements keep storage balanced,
-        # and nothing fails to deliver.
+        # requests are served and nothing fails to deliver.
         assert cell["chain_height"] >= 3, f"{key}: chain stalled"
         assert cell["data_items_produced"] > 0, f"{key}: no workload"
+        assert cell["deliveries"] > 0, f"{key}: no request fell due"
         assert cell["storage_gini"] < 0.15, f"{key}: unfair placement"
         assert cell["failed_requests"] == 0, f"{key}: lost deliveries"
     print(headline_sink({"scale": cells}))
@@ -142,21 +152,9 @@ def test_scale_sweep_headline(headline_sink, bench_seed):
 
 @pytest.mark.profile
 def test_scale_profile_headline(headline_sink, bench_seed):
-    """Profile the largest scale cell and pin its hot spots to the record."""
-    node_count = SCALE_NODE_COUNTS[-1]
-    config = replace(
-        PAPER_CONFIG,
-        data_items_per_minute=SCALE_RATE,
-        expected_block_interval=SCALE_BLOCK_INTERVAL,
-        placement_solver="incremental",
-    )
-    spec = ExperimentSpec(
-        node_count=node_count,
-        config=config,
-        seed=bench_seed,
-        duration_minutes=SCALE_DURATION_MINUTES,
-        mobility_epoch_minutes=10.0,
-    )
+    """Profile the n=400 scale cell and pin its hot spots to the record."""
+    node_count = PROFILE_NODE_COUNT
+    spec = _scale_spec(node_count, bench_seed)
     start = time.perf_counter()
     with SamplingProfiler(hz=199.0) as profiler:
         result = run_experiment(spec)

@@ -78,7 +78,7 @@ class AllocationEngine:
             return solve_lp_rounding(problem)
         if solver == "incremental":
             if self._incremental is None:
-                self._incremental = IncrementalUFLSolver(base="greedy")
+                self._incremental = IncrementalUFLSolver()
             return self._incremental.solve(problem)
         if solver == "random":
             # Replica-matched baseline: random placement with the replica
@@ -134,10 +134,11 @@ class AllocationEngine:
                     _obs.observe("facility.place_cost", decision.total_cost)
             return decision
         # Fallback: any node with capacity, preferring the least loaded.
+        excluded = set(exclude_nodes or ())
         candidates = [
             (used / total, node)
             for node, (used, total) in enumerate(zip(used_slots, total_slots))
-            if used < total and not (exclude_nodes and node in set(exclude_nodes))
+            if used < total and node not in excluded
         ]
         if not candidates:
             raise AllocationError("no node has a free storage slot")

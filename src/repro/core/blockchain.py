@@ -148,10 +148,24 @@ class ChainState:
         return self.tokens(node) * self.stored_items(node, now)
 
     def mean_u(self, now: float) -> float:
-        """Ū = (1/n) Σ U_i."""
-        return sum(
-            self.stake_storage_product(node, now) for node in self.node_ids
-        ) / len(self.node_ids)
+        """Ū = (1/n) Σ U_i.
+
+        One flat loop instead of ``stake_storage_product`` per node (four
+        Python frames per account, the hottest path of a large cluster's
+        block apply).  ``_ledger`` iterates in ``node_ids`` order and each
+        term is the same ``S_i · Q_i``, so the sum is bit-identical.
+        """
+        total = 0
+        for ledger in self._ledger.values():
+            expiries = ledger.data_expiries
+            total += ledger.tokens * (
+                1
+                + len(expiries)
+                - bisect.bisect_right(expiries, now)
+                + ledger.blocks_stored
+                + len(ledger.recent_cache)
+            )
+        return total / len(self.node_ids)
 
     def amendment(self, now: float) -> float:
         """The B in force for the next race (Eq. 14).

@@ -9,9 +9,16 @@ epochs) must run at least 5× faster through
 :class:`~repro.facility.incremental.IncrementalUFLSolver` than through
 200 from-scratch :func:`~repro.facility.greedy.solve_greedy` calls.
 
-The assertion is a *ratio* of wall-clock times on the same machine in
-the same process, so it is robust to absolute machine speed; set
-``REPRO_SKIP_PERF=1`` to skip it outright on noisy shared runners.
+That replay is dominated by the greedy's first round (30 nodes, a star
+or two per solve).  The second guard is the large-cluster shape, where
+the later rounds are the cost: a 200-node hop-count instance built by
+the real cost builder, 10–30 replicas and 150–200 greedy rounds per
+solve, replayed with the loads bumped where each placement landed.  There the
+incremental solver must be at least 20× faster per solve.
+
+The assertions are *ratios* of wall-clock times on the same machine in
+the same process, so they are robust to absolute machine speed; set
+``REPRO_SKIP_PERF=1`` to skip them outright on noisy shared runners.
 """
 
 from __future__ import annotations
@@ -22,11 +29,19 @@ import time
 import numpy as np
 import pytest
 
+from repro.facility.costs import build_storage_ufl
 from repro.facility.greedy import solve_greedy
 from repro.facility.incremental import IncrementalUFLSolver
 from repro.facility.problem import UFLProblem
+from repro.simnet.topology import Topology, connected_random_positions
 
-pytestmark = pytest.mark.fastpath
+pytestmark = [
+    pytest.mark.fastpath,
+    pytest.mark.skipif(
+        os.environ.get("REPRO_SKIP_PERF") == "1",
+        reason="REPRO_SKIP_PERF=1: perf-regression guards disabled",
+    ),
+]
 
 #: Replay length and problem size: 200 placements over a 30-node cluster,
 #: matching the dominant shape of a long steady-state simulation window.
@@ -60,10 +75,6 @@ def _timed(solver, problems):
     return time.perf_counter() - start, solutions
 
 
-@pytest.mark.skipif(
-    os.environ.get("REPRO_SKIP_PERF") == "1",
-    reason="REPRO_SKIP_PERF=1: perf-regression guards disabled",
-)
 def test_incremental_replay_is_5x_faster_than_greedy():
     problems = _replay_problems()
     # Warm-up pass keeps import/JIT-ish one-time numpy costs out of the
@@ -71,7 +82,7 @@ def test_incremental_replay_is_5x_faster_than_greedy():
     solve_greedy(problems[0])
     greedy_time, greedy_solutions = _timed(solve_greedy, problems)
 
-    incremental = IncrementalUFLSolver(base="greedy")
+    incremental = IncrementalUFLSolver()
     incremental.solve(problems[0])  # warm the epoch caches once
     fast_time, fast_solutions = _timed(incremental.solve, problems)
 
@@ -90,3 +101,56 @@ def test_incremental_replay_is_5x_faster_than_greedy():
     # structural-change fallback.
     assert incremental.fallbacks <= 1
     assert incremental.fast_solves >= REPLAY_STEPS - incremental.fallbacks - 1
+
+
+#: The later-rounds replay: cluster size, placements, and the floor.  The
+#: lazy rounds measure 80–115× here (re-sorting every round: ≈7×).
+LARGE_SIZE = 200
+LARGE_STEPS = 12
+LARGE_MIN_SPEEDUP = 20.0
+
+
+def _large_replay_problems():
+    """12 placements on a 200-node geometric cluster, loads following them."""
+    rng = np.random.default_rng(7)
+    hops = Topology(connected_random_positions(LARGE_SIZE, rng)).hop_matrix()
+    total = np.full(LARGE_SIZE, 250.0)
+    # A sixth of the nodes lightly loaded enough to be worth a replica.
+    used = rng.integers(0, 90, size=LARGE_SIZE).astype(float)
+    placer = IncrementalUFLSolver()
+    problems = []
+    for _ in range(LARGE_STEPS):
+        problem = build_storage_ufl(used, total, hops, [30.0] * LARGE_SIZE)
+        problems.append(problem)
+        for node in placer.solve(problem).open_facilities:
+            used[node] += 1.0
+    return problems
+
+
+def test_incremental_later_rounds_are_20x_faster_than_greedy():
+    problems = _large_replay_problems()
+    incremental = IncrementalUFLSolver()
+    incremental.solve(problems[0])  # build the epoch caches once
+    fast_time, fast_solutions = _timed(incremental.solve, problems[1:])
+    # One from-scratch solve costs over a second here, so the reference
+    # is timed on every fourth instance and compared per solve.
+    sampled = range(1, LARGE_STEPS, 4)
+    greedy_time, greedy_solutions = _timed(
+        solve_greedy, [problems[index] for index in sampled]
+    )
+
+    for index, slow in zip(sampled, greedy_solutions):
+        fast = fast_solutions[index - 1]
+        assert slow.open_facilities == fast.open_facilities
+        assert slow.assignment == fast.assignment
+    assert 10 <= min(s.replica_count for s in fast_solutions)
+
+    speedup = (greedy_time / len(sampled)) / (fast_time / len(fast_solutions))
+    assert speedup >= LARGE_MIN_SPEEDUP, (
+        f"incremental later rounds only {speedup:.1f}x faster per solve than "
+        f"greedy ({fast_time / len(fast_solutions) * 1000:.0f} ms vs "
+        f"{greedy_time / len(sampled) * 1000:.0f} ms); "
+        f"regression floor is {LARGE_MIN_SPEEDUP}x"
+    )
+    assert incremental.fallbacks == 1
+    assert incremental.fast_solves == LARGE_STEPS

@@ -40,8 +40,9 @@ from repro.core.pos import (
     mining_delay,
     mining_delays,
 )
+from repro.facility.costs import build_storage_ufl
 from repro.facility.greedy import solve_greedy
-from repro.facility.incremental import IncrementalUFLSolver
+from repro.facility.incremental import IncrementalUFLSolver, _scan_best
 from repro.facility.problem import UFLProblem
 from repro.sim.runner import ChurnSpec
 from repro.simnet.channel import ChannelModel
@@ -58,7 +59,7 @@ pytestmark = pytest.mark.fastpath
 
 
 @st.composite
-def ufl_replay_sequences(draw):
+def ufl_replay_sequences(draw, max_size=8):
     """A per-item replay: one connection epoch, drifting facility costs.
 
     Mirrors what the allocator sees between mobility epochs — the RDC
@@ -67,8 +68,8 @@ def ufl_replay_sequences(draw):
     to exercise the structural-change fallback.
     """
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    num_f = draw(st.integers(min_value=2, max_value=8))
-    num_c = draw(st.integers(min_value=1, max_value=8))
+    num_f = draw(st.integers(min_value=2, max_value=max_size))
+    num_c = draw(st.integers(min_value=1, max_value=max_size))
     steps = draw(st.integers(min_value=2, max_value=10))
     epoch_changes = draw(st.integers(min_value=0, max_value=2))
     return seed, num_f, num_c, steps, epoch_changes
@@ -79,6 +80,30 @@ def _random_instance(rng, num_f, num_c):
     connection[rng.random((num_f, num_c)) < 0.1] = np.inf
     facility_costs = rng.uniform(0.0, 2000.0, size=num_f)
     return facility_costs, connection
+
+
+def _hop_count_instance(rng, num_f, num_c):
+    """Integer costs as the real RDC has them: ties everywhere, >=30 % of
+    the pairs unreachable, and some facilities full (``inf`` to open)."""
+    connection = rng.integers(0, 6, size=(num_f, num_c)).astype(float)
+    connection[rng.random((num_f, num_c)) < rng.uniform(0.3, 0.6)] = np.inf
+    facility_costs = rng.integers(0, 8, size=num_f) * rng.choice([0.5, 1.0, 100.0])
+    facility_costs[rng.random(num_f) < 0.2] = np.inf
+    return facility_costs, connection
+
+
+def _assert_same_solution(actual, expected):
+    assert actual.open_facilities == expected.open_facilities
+    assert actual.assignment == expected.assignment
+
+
+def _sequential_scan(ratio):
+    """The reference greedy's facility scan, verbatim."""
+    best_ratio, best = math.inf, -1
+    for index, value in enumerate(ratio):
+        if value < best_ratio - 1e-12:
+            best_ratio, best = value, index
+    return best
 
 
 class TestIncrementalUFLEquivalence:
@@ -109,6 +134,110 @@ class TestIncrementalUFLEquivalence:
             actual = solver.solve(problem)
             assert actual.open_facilities == expected.open_facilities
             assert actual.assignment == expected.assignment
+
+    @settings(max_examples=60, deadline=None)
+    @given(ufl_replay_sequences(max_size=40))
+    def test_tie_heavy_replay_matches_greedy_exactly(self, sequence):
+        # Where a lazy round could silently diverge: equal ratios (the
+        # first-minimum and 1e-12 tie-breaks decide), rows that run out
+        # of finite clients mid-solve, facilities that fill up or free up
+        # between solves.
+        seed, num_f, num_c, steps, epoch_changes = sequence
+        rng = np.random.default_rng(seed)
+        solver = IncrementalUFLSolver()
+        facility_costs, connection = _hop_count_instance(rng, num_f, num_c)
+        change_at = set(rng.integers(1, steps, size=epoch_changes).tolist())
+        for step in range(steps):
+            if step in change_at:
+                _, connection = _hop_count_instance(rng, num_f, num_c)
+            facility_costs = facility_costs.copy()
+            bump = rng.integers(0, num_f)
+            if np.isfinite(facility_costs[bump]):
+                facility_costs[bump] += rng.integers(0, 3)
+            else:
+                facility_costs[bump] = rng.choice([0.0, 3.0, np.inf])
+            problem = UFLProblem(
+                facility_costs=facility_costs.copy(),
+                connection_costs=connection.copy(),
+            )
+            if not problem.is_feasible():
+                continue
+            _assert_same_solution(solver.solve(problem), solve_greedy(problem))
+
+    def test_geometric_120_node_replay_matches_greedy(self):
+        # The production shape: RDC from a random geometric topology via
+        # the real cost builder, loads bumped at the nodes each placement
+        # opened, a few nodes full.
+        rng = np.random.default_rng(20190707)
+        n = 120
+        hops = Topology(random_positions(n, rng)).hop_matrix()
+        total = np.full(n, 250.0)
+        used = rng.integers(0, 60, size=n).astype(float)
+        used[rng.choice(n, size=6, replace=False)] = 250.0
+        solver = IncrementalUFLSolver()
+        for _ in range(20):
+            problem = build_storage_ufl(used, total, hops, [30.0] * n)
+            solution = solver.solve(problem)
+            _assert_same_solution(solution, solve_greedy(problem))
+            for node in solution.open_facilities:
+                used[node] += 1.0
+        assert solver.fallbacks == 1 and solver.fast_solves == 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.none(), st.integers(min_value=-12, max_value=12)),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_record_scan_equals_sequential_scan(self, steps):
+        # Ratios 0.4e-12 apart: several sit inside one 1e-12 tolerance
+        # band, so which one wins depends on the scan order.
+        ratio = np.array(
+            [np.inf if step is None else 1.0 + 0.4e-12 * step for step in steps]
+        )
+        assert _scan_best(ratio) == _sequential_scan(ratio)
+
+    @pytest.mark.parametrize(
+        "ratio",
+        [
+            1.0 - 0.4e-12 * np.arange(400),  # descending: every index a record
+            np.where(np.arange(400) % 2, 7.0, 1.0 - 0.4e-12 * np.arange(400)),
+            np.where(np.arange(400) % 3, 1.0 - 0.4e-12 * np.arange(400), np.inf),
+            (1.0 - 0.4e-12 * np.arange(400))[::-1].copy(),
+            np.full(5, np.inf),
+        ],
+        ids=["descending", "interleaved", "inf-interleaved", "ascending", "all-inf"],
+    )
+    def test_record_scan_on_adversarial_ratios(self, ratio):
+        assert _scan_best(ratio) == _sequential_scan(ratio)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_star_survives_unless_it_lost_a_client(self, seed):
+        # What lets a round skip work: removing clients never lowers a
+        # facility's ratio, and leaves (ratio, kpos) bitwise alone when
+        # none of them sat at or before the star's last position.
+        rng = np.random.default_rng(seed)
+        num_f, num_c = int(rng.integers(2, 30)), int(rng.integers(2, 30))
+        facility_costs, connection = _hop_count_instance(rng, num_f, num_c)
+        problem = UFLProblem(
+            facility_costs=facility_costs, connection_costs=connection
+        )
+        solver = IncrementalUFLSolver()
+        solver._reset_epoch(problem, b"epoch")
+        everyone = np.arange(num_f)
+        unassigned = rng.random(num_c) < 0.8
+        ratio, kpos = solver._stars(everyone, unassigned, facility_costs)
+        removed = np.flatnonzero(unassigned & (rng.random(num_c) < 0.3))
+        unassigned[removed] = False
+        new_ratio, new_kpos = solver._stars(everyone, unassigned, facility_costs)
+        assert (new_ratio >= ratio).all()
+        kept = ~(solver._pos_t[removed] <= kpos).any(axis=0)
+        kept &= np.isfinite(ratio)
+        assert (new_ratio[kept] == ratio[kept]).all()
+        assert (new_kpos[kept] == kpos[kept]).all()
 
     def test_memo_returns_identical_solution_object_results(self):
         rng = np.random.default_rng(3)

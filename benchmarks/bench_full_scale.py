@@ -10,10 +10,8 @@ Two benches live here:
 
 * :func:`test_scale_sweep_headline` pushes the *node count* past the
   paper's 10–50 sweep (up to 1000 nodes, 20× its ceiling) on the
-  fast-path configuration (``placement_solver="incremental"``, batched
-  deliveries — digest-identical to the slow path, see DESIGN.md §13) and
-  merges the measured cells into ``BENCH_headline.json`` under a
-  ``"scale"`` key.
+  default configuration and merges the measured cells into
+  ``BENCH_headline.json`` under a ``"scale"`` key.
 
 * :func:`test_scale_profile_headline` reruns the n=400 cell under the
   continuous sampling profiler (DESIGN.md §14) and merges the top-10
@@ -94,12 +92,11 @@ def test_full_scale_fig4_cell(benchmark, bench_seed):
 
 
 def _scale_spec(node_count: int, seed: int) -> ExperimentSpec:
-    """One seeded scale cell's spec on the fast-path configuration."""
+    """One seeded scale cell's spec."""
     config = replace(
         PAPER_CONFIG,
         data_items_per_minute=SCALE_RATE,
         expected_block_interval=SCALE_BLOCK_INTERVAL,
-        placement_solver="incremental",
     )
     return ExperimentSpec(
         node_count=node_count,
@@ -122,7 +119,6 @@ def _scale_cell(node_count: int, seed: int) -> dict:
         "seed": seed,
         "sim_minutes": SCALE_DURATION_MINUTES,
         "items_per_minute": SCALE_RATE,
-        "placement_solver": "incremental",
         "wall_seconds": round(wall_seconds, 1),
         "data_items_produced": metrics.data_items_produced,
         "chain_height": metrics.chain_height(),

@@ -1477,7 +1477,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--rate", type=float, default=1.0, help="data items per minute")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--solver", default="greedy",
-                     choices=["greedy", "local_search", "lp_rounding", "random"])
+                     choices=["greedy", "random"])
     run.add_argument("--block-interval", type=float, default=60.0)
     _lifecycle_flags(run)
     run.add_argument("--json", help="write metrics record to this JSON file")
@@ -1605,7 +1605,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--rate", type=float, default=1.0, help="data items per minute"
         )
         p.add_argument("--solver", default="greedy",
-                       choices=["greedy", "local_search", "lp_rounding", "random"])
+                       choices=["greedy", "random"])
         p.add_argument("--block-interval", type=float, default=60.0)
         p.add_argument(
             "--time-scale", type=float, default=0.02,

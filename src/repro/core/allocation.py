@@ -21,10 +21,7 @@ import numpy as np
 from repro.core.config import SystemConfig
 from repro.core.errors import AllocationError
 from repro.facility.costs import build_storage_ufl
-from repro.facility.greedy import solve_greedy
-from repro.facility.incremental import IncrementalUFLSolver
-from repro.facility.local_search import solve_local_search
-from repro.facility.lp_rounding import solve_lp_rounding
+from repro.facility.greedy import GreedySolver
 from repro.facility.problem import UFLProblem, UFLSolution
 from repro.facility.random_baseline import solve_random
 from repro.obs import runtime as _obs
@@ -47,8 +44,8 @@ class AllocationEngine:
         self._rng = rng if rng is not None else np.random.default_rng(0)
         #: Count of placements that needed the least-loaded fallback.
         self.fallback_placements = 0
-        #: Warm-started solver state, shared across this cluster's solves.
-        self._incremental: Optional[IncrementalUFLSolver] = None
+        #: Solver caches, shared across this cluster's solves.
+        self._solver = GreedySolver()
 
     def build_problem(
         self,
@@ -69,25 +66,17 @@ class AllocationEngine:
         )
 
     def _solve(self, problem: UFLProblem) -> UFLSolution:
-        solver = self.config.placement_solver
-        if solver == "greedy":
-            return solve_greedy(problem)
-        if solver == "local_search":
-            return solve_local_search(problem)
-        if solver == "lp_rounding":
-            return solve_lp_rounding(problem)
-        if solver == "incremental":
-            if self._incremental is None:
-                self._incremental = IncrementalUFLSolver()
-            return self._incremental.solve(problem)
-        if solver == "random":
-            # Replica-matched baseline: random placement with the replica
-            # count the optimal (greedy) solution would have chosen.
-            optimal = solve_greedy(problem)
-            replicas = self.config.random_replicas or optimal.replica_count
-            replicas = min(replicas, len(problem.openable_facilities()))
-            return solve_random(problem, replicas, self._rng)
-        raise AllocationError(f"unknown placement solver: {solver}")
+        if self.config.placement_solver == "greedy":
+            return self._solver.solve(problem)
+        # "random", the only other value the config admits: random
+        # placement with the replica count the optimal (greedy) solution
+        # would have chosen, unless the config fixes one.
+        replicas = (
+            self.config.random_replicas
+            or self._solver.solve(problem).replica_count
+        )
+        replicas = min(replicas, len(problem.openable_facilities()))
+        return solve_random(problem, replicas, self._rng)
 
     def place_item(
         self,

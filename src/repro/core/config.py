@@ -68,14 +68,9 @@ class SystemConfig:
 
     # --- allocation ---
     fdc_weight: float = 1000.0
-    #: UFL solver for placement: "greedy", "local_search", "lp_rounding",
-    #: "incremental" (warm-started greedy, digest-identical to "greedy"),
+    #: Placement: "greedy" (the UFL solve, verifiable by any validator)
     #: or "random" (the Fig. 5 baseline).
     placement_solver: str = "greedy"
-    #: Coalesce same-time message deliveries into one event-queue pop.
-    #: Digest-identical to per-delivery scheduling; off retains the slow
-    #: path for the differential harness.
-    batch_deliveries: bool = True
     #: Replica count the random baseline copies from the optimal solution;
     #: None means "match the optimal solver's choice per item".
     random_replicas: Optional[int] = None
@@ -150,13 +145,7 @@ class SystemConfig:
             raise ValueError("hit modulus must be at least 2")
         if not (0.0 <= self.requester_fraction <= 1.0):
             raise ValueError("requester fraction must be in [0, 1]")
-        if self.placement_solver not in (
-            "greedy",
-            "local_search",
-            "lp_rounding",
-            "incremental",
-            "random",
-        ):
+        if self.placement_solver not in ("greedy", "random"):
             raise ValueError(f"unknown placement solver: {self.placement_solver}")
         if not (0 < self.token_rescale_ratio <= 1):
             raise ValueError("token rescale ratio must be in (0, 1]")

@@ -29,12 +29,9 @@ and by the test that proves the two agree).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterator, Optional, Tuple
 
 from repro.crypto.hashing import hash_items, hash_to_int
 from repro.obs import runtime as _obs
@@ -134,8 +131,8 @@ def mining_delay(hit: int, stake: float, stored: float, amendment: float) -> Opt
 
     Exact integer arithmetic throughout: float division of a >2^53 hit
     can be off by many ULPs, which would return a second at which Eq. 9
-    does not hold (``tests/property`` pins this against the Fraction
-    reference, :func:`_mining_delay_reference`).
+    does not hold (``tests/property/test_fastpath_equivalence.py`` pins
+    this against a Fraction oracle).
     """
     rate = stake * stored * amendment
     if rate <= 0:
@@ -150,115 +147,6 @@ def mining_delay(hit: int, stake: float, stored: float, amendment: float) -> Opt
         _obs.add("pos.delays_computed")
         _obs.observe("pos.mining_delay_seconds", delay)
     return delay
-
-
-def _mining_delay_reference(
-    hit: int, stake: float, stored: float, amendment: float
-) -> Optional[int]:
-    """The original Fraction-based :func:`mining_delay` (differential oracle)."""
-    rate = stake * stored * amendment
-    if rate <= 0:
-        return None
-    if hit <= 0:
-        return 1
-    exact_rate = Fraction(stake) * Fraction(stored) * Fraction(amendment)
-    return max(1, math.ceil(Fraction(hit) / exact_rate))
-
-
-def compute_hits(
-    previous_pos_hash_hex: str, addresses: "Sequence[str]", modulus: int
-) -> "List[int]":
-    """The whole lottery's hits in one call (Eq. 7 across accounts).
-
-    Element-for-element identical to calling :func:`compute_hit` per
-    address (hashing is inherently per-account; the batch saves the
-    per-call guard/observability overhead and gives callers one place to
-    draw a cluster's lottery).
-    """
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2")
-    hits = [
-        hash_to_int(
-            bytes.fromhex(compute_pos_hash(previous_pos_hash_hex, address))
-        )
-        % modulus
-        for address in addresses
-    ]
-    if _obs.is_enabled():
-        _obs.add("pos.hits_computed", len(hits))
-        for hit in hits:
-            _obs.observe("pos.hit_value", hit)
-    return hits
-
-
-def mining_delays(
-    hits: "Sequence[int]",
-    stakes: "Sequence[float]",
-    storeds: "Sequence[float]",
-    amendment: float,
-) -> "List[Optional[int]]":
-    """Vectorised :func:`mining_delay` across accounts.
-
-    The float rate test (mineable at all?) and the ``hit ≤ 0`` screen run
-    as numpy array operations; only the mineable accounts with positive
-    hits pay the exact integer ceiling division.  Per-element results are
-    identical to the scalar function's (same branch structure, same exact
-    arithmetic), which the differential suite asserts.
-    """
-    hits_list = [int(h) for h in hits]
-    stakes_arr = np.asarray(stakes, dtype=float)
-    storeds_arr = np.asarray(storeds, dtype=float)
-    if not (len(hits_list) == stakes_arr.shape[0] == storeds_arr.shape[0]):
-        raise ValueError("hits, stakes, and storeds must have equal lengths")
-    rates = stakes_arr * storeds_arr * amendment
-    # ``~(rate <= 0)`` (not ``rate > 0``) so NaN rates fall through to the
-    # exact-arithmetic branch and raise exactly as the scalar path does.
-    mineable = ~(rates <= 0)
-    delays: "List[Optional[int]]" = []
-    for index, hit in enumerate(hits_list):
-        if not mineable[index]:
-            delays.append(None)
-        elif hit <= 0:
-            delays.append(1)
-        else:
-            delays.append(
-                max(
-                    1,
-                    _exact_ceil_quotient(
-                        hit,
-                        float(stakes_arr[index]),
-                        float(storeds_arr[index]),
-                        amendment,
-                    ),
-                )
-            )
-    if _obs.is_enabled():
-        computed = [d for d in delays if d is not None]
-        if len(computed) < len(delays):
-            _obs.add("pos.unmineable", len(delays) - len(computed))
-        if computed:
-            _obs.add("pos.delays_computed", len(computed))
-        for delay in computed:
-            _obs.observe("pos.mining_delay_seconds", delay)
-    return delays
-
-
-def lottery_delays(
-    previous_pos_hash_hex: str,
-    addresses: "Sequence[str]",
-    stakes: "Sequence[float]",
-    storeds: "Sequence[float]",
-    amendment: float,
-    modulus: int,
-) -> "List[Tuple[int, Optional[int]]]":
-    """One full mining race: each account's ``(hit, delay)`` pair.
-
-    Convenience composition of :func:`compute_hits` and
-    :func:`mining_delays` — what every node computes per tip, batched
-    across the cluster.
-    """
-    hits = compute_hits(previous_pos_hash_hex, addresses, modulus)
-    return list(zip(hits, mining_delays(hits, stakes, storeds, amendment)))
 
 
 def per_second_mining_loop(

@@ -25,9 +25,8 @@ from repro.core.blockchain import ChainState
 from repro.core.errors import AllocationError
 from repro.core.recent_blocks import select_recent_cache_nodes
 
-#: Solvers whose decisions a validator can reproduce exactly.  The
-#: incremental solver qualifies because it is digest-identical to greedy.
-DETERMINISTIC_SOLVERS = ("greedy", "local_search", "lp_rounding", "incremental")
+#: Solvers whose decisions a validator can reproduce exactly.
+DETERMINISTIC_SOLVERS = ("greedy",)
 
 
 def allocations_verifiable(solver: str) -> bool:

@@ -120,9 +120,7 @@ def build_cluster(
         field_size=config.field_size,
     )
     channel = ChannelModel(hop_delay=config.hop_delay, bandwidth=config.bandwidth)
-    network = Network(
-        engine, topology, channel, batch_deliveries=config.batch_deliveries
-    )
+    network = Network(engine, topology, channel)
     allocator = AllocationEngine(config, rng=rng)
 
     accounts = {

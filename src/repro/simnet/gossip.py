@@ -41,16 +41,11 @@ class GossipFabric:
         topology: Topology,
         channel: Optional[ChannelModel] = None,
         trace: Optional[TransmissionTrace] = None,
-        batch_deliveries: bool = True,
     ):
         self.engine = engine
         self.topology = topology
         self.channel = channel if channel is not None else ChannelModel()
         self.trace = trace if trace is not None else TransmissionTrace()
-        #: One queue pop per forwarding fan-out instead of one per neighbour
-        #: (all of a hop's receptions share the same latency).  Loss draws
-        #: stay per-neighbour in the same RNG order either way.
-        self.batch_deliveries = batch_deliveries
         self._seen: Dict[int, Set[int]] = {}
         self._handler: Optional[GossipHandler] = None
         self._next_id = 0
@@ -100,10 +95,9 @@ class GossipFabric:
                 self.trace.record_hop(node, neighbor, message.size_bytes, message.category)
                 continue
             self.trace.record_hop(node, neighbor, message.size_bytes, message.category)
-            if self.batch_deliveries:
-                pending.append((self._receive, (neighbor, node, message)))
-            else:
-                self.engine.schedule(latency, self._receive, neighbor, node, message)
+            pending.append((self._receive, (neighbor, node, message)))
+        # One queue pop per fan-out: all of a hop's receptions share the
+        # same latency, and loss was drawn per neighbour above.
         if pending:
             self.engine.call_at_batch(self.engine.now + latency, pending)
 

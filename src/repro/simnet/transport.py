@@ -50,16 +50,11 @@ class Network:
         topology: Topology,
         channel: Optional[ChannelModel] = None,
         trace: Optional[TransmissionTrace] = None,
-        batch_deliveries: bool = True,
     ):
         self.engine = engine
         self.topology = topology
         self.channel = channel if channel is not None else ChannelModel()
         self.trace = trace if trace is not None else TransmissionTrace()
-        #: Coalesce same-instant broadcast deliveries into one queue pop.
-        #: Execution order is provably unchanged (see ``call_at_batch``);
-        #: the flag exists so the differential harness can run both paths.
-        self.batch_deliveries = batch_deliveries
         self._handlers: Dict[int, MessageHandler] = {}
         self._offline: Set[int] = set()
         #: Monotone counter of dispatched messages (unicast + broadcast).
@@ -190,22 +185,19 @@ class Network:
         reached = 0
         # Deliveries arrive in BFS order; depths (and with them latencies)
         # are non-decreasing, so nodes sharing an arrival instant form
-        # contiguous runs.  Batching coalesces each run into one queue pop
-        # without reordering anything (see ``EventEngine.call_at_batch``).
+        # contiguous runs.  Each run is one queue pop, which reorders
+        # nothing (see ``EventEngine.call_at_batch``).
         pending: List[tuple] = []
         pending_latency = 0.0
         for node in ordered[1:]:
             parent = parents[node]
             self.trace.record_hop(parent, node, size_bytes, category)
             latency = self.channel.path_latency(size_bytes, depth[node])
-            if self.batch_deliveries:
-                if pending and latency != pending_latency:
-                    self.engine.call_at_batch(self.engine.now + pending_latency, pending)
-                    pending = []
-                pending.append((self._deliver, (node, source, payload, category)))
-                pending_latency = latency
-            else:
-                self.engine.schedule(latency, self._deliver, node, source, payload, category)
+            if pending and latency != pending_latency:
+                self.engine.call_at_batch(self.engine.now + pending_latency, pending)
+                pending = []
+            pending.append((self._deliver, (node, source, payload, category)))
+            pending_latency = latency
             reached += 1
         if pending:
             self.engine.call_at_batch(self.engine.now + pending_latency, pending)

@@ -14,7 +14,9 @@ is the single home for that boilerplate:
 * :func:`fixed_seed_run` — a full seeded experiment, memoised per
   ``cache_scope`` so a module's tests can share one multi-second run the
   way module-scoped fixtures used to, without re-declaring the fixture
-  everywhere.
+  everywhere;
+* :func:`reference_greedy` — the textbook greedy loop, the differential
+  oracle for :mod:`repro.facility.greedy`.
 
 The ``make_cluster`` / ``fixed_seed_run`` conftest fixtures re-export
 these for tests that prefer fixture injection over imports.
@@ -22,11 +24,15 @@ these for tests that prefer fixture injection over imports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.core.config import PAPER_CONFIG, SystemConfig
 from repro.core.pow import pow_difficulty_for
+from repro.facility.problem import UFLProblem, UFLSolution, assign_to_open
 from repro.raft.cluster import RaftCluster
 from repro.sim.cluster import EdgeCluster, build_cluster
 from repro.sim.runner import (
@@ -135,13 +141,12 @@ def digest_run(
 ) -> Tuple[str, str, Optional[dict]]:
     """One seeded run's full fingerprint: chain digest, ledger digest, verdict.
 
-    The differential fast-path harness runs the same scenario through two
-    configurations (e.g. ``placement_solver="greedy"`` vs
-    ``"incremental"``, ``batch_deliveries`` on vs off) and asserts the
-    triples are equal — digest equality pins every block, placement, and
-    balance; verdict equality pins the sampled protocol timeline the
-    monitors watched.  Observability is enabled around the run (it is
-    non-perturbing; the overhead guard proves that separately).
+    ``tests/property/test_fastpath_equivalence.py`` holds the triple to
+    the values recorded in ``tests/data/scenario_digests.json`` — digest
+    equality pins every block, placement, and balance; verdict equality
+    pins the sampled protocol timeline the monitors watched.
+    Observability is enabled around the run (it is non-perturbing; the
+    overhead guard proves that separately).
     """
     from repro import obs  # local import: obs state is process-global
 
@@ -210,3 +215,68 @@ def fixed_seed_run(
     if key not in _RUN_CACHE:
         _RUN_CACHE[key] = run_experiment(spec)
     return _RUN_CACHE[key]
+
+
+def reference_greedy(problem: UFLProblem) -> UFLSolution:
+    """The textbook greedy loop: differential oracle for ``solve_greedy``.
+
+    This is ``repro.facility.greedy.solve_greedy`` as it stood before the
+    lazy solver replaced it, kept verbatim: every round re-sorts every
+    facility's unassigned clients and scans for the cheapest star.  The
+    production solver must return bit-identical solutions.
+
+    Raises
+    ------
+    ValueError
+        If the instance is infeasible (some client cannot reach any
+        openable facility with finite cost).
+    """
+    if not problem.is_feasible():
+        raise ValueError("infeasible UFL instance: a client has no reachable facility")
+
+    num_facilities = problem.num_facilities
+    num_clients = problem.num_clients
+    facility_costs = problem.facility_costs.copy()
+    connection = problem.connection_costs
+
+    unassigned: Set[int] = set(range(num_clients))
+    open_set: List[int] = []
+    opened = np.zeros(num_facilities, dtype=bool)
+
+    while unassigned:
+        best_ratio = math.inf
+        best_choice: Optional[Tuple[int, List[int]]] = None
+        unassigned_list = sorted(unassigned)
+        for facility in range(num_facilities):
+            opening_cost = 0.0 if opened[facility] else facility_costs[facility]
+            if not math.isfinite(opening_cost):
+                continue
+            costs = connection[facility, unassigned_list]
+            finite_mask = np.isfinite(costs)
+            if not finite_mask.any():
+                continue
+            finite_clients = [
+                unassigned_list[idx] for idx in np.flatnonzero(finite_mask)
+            ]
+            finite_costs = costs[finite_mask]
+            order = np.argsort(finite_costs, kind="stable")
+            sorted_costs = finite_costs[order]
+            prefix = np.cumsum(sorted_costs)
+            counts = np.arange(1, len(sorted_costs) + 1)
+            ratios = (opening_cost + prefix) / counts
+            k = int(np.argmin(ratios))
+            ratio = float(ratios[k])
+            if ratio < best_ratio - 1e-12:
+                star_clients = [finite_clients[idx] for idx in order[: k + 1]]
+                best_ratio = ratio
+                best_choice = (facility, star_clients)
+        if best_choice is None:
+            raise ValueError("greedy could not serve all clients (infeasible)")
+        facility, star_clients = best_choice
+        opened[facility] = True
+        if facility not in open_set:
+            open_set.append(facility)
+        unassigned.difference_update(star_clients)
+
+    # Final improvement: every client connects to its cheapest open facility.
+    return assign_to_open(problem, open_set)

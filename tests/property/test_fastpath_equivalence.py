@@ -1,30 +1,37 @@
-"""Differential harness: every fast path is bit-identical to its slow path.
+"""Differential harness: the one path is bit-identical to its oracles.
 
-The fast-path simulation core (incremental UFL, cached routing, batched
-delivery, vectorised PoS) buys speed only — never different results.  This
-suite is the enforcement: each optimisation is driven side by side with
-the implementation it replaces, from Hypothesis-generated component
-instances up to full seeded experiments whose ``chain_digest`` /
-``ledger_digest`` / monitor verdict must match exactly.
+Each fast implementation once shipped beside the slow one it replaced,
+behind a knob; the knobs are gone and the slow implementations live on
+here (and in ``tests/helpers.py``) as oracles.  This suite drives the
+production code side by side with them, from Hypothesis-generated
+component instances up to full seeded experiments whose ``chain_digest``
+/ ``ledger_digest`` / monitor verdict are pinned.
 
 Layers:
 
-* **UFL** — :class:`IncrementalUFLSolver` vs :func:`solve_greedy` over
-  random replay sequences (facility-cost drift between solves, occasional
-  connection-matrix changes exercising the structural-change fallback).
+* **UFL** — :class:`GreedySolver` vs the textbook loop
+  (:func:`tests.helpers.reference_greedy`) over random replay sequences
+  (facility-cost drift between solves, occasional connection-matrix
+  changes exercising the epoch rebuild).
 * **Routing** — vectorised unit-disk edges and the cached BFS hop matrix
   vs the nested-loop + networkx reference, across mobility and churn.
-* **Delivery** — batched vs per-event scheduling: identical execution
-  order, identical RNG stream, identical traffic accounting.
-* **PoS** — exact-integer ``mining_delay`` vs the Fraction reference, and
-  the batched lottery vs scalar loops, including >2⁵³ hits.
+* **Delivery** — batched vs per-event scheduling (a test-local shim
+  un-batches the engine): identical execution order, identical RNG
+  stream, identical traffic accounting.
+* **PoS** — exact-integer ``mining_delay`` vs a Fraction oracle,
+  including >2⁵³ hits.
 * **End to end** — seeded scenarios (steady state, fast mobility, churn)
-  run with every fast path on vs every fast path off.
+  against the digests recorded from the reference greedy + un-batched
+  delivery run, at the last commit that still had both.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -32,17 +39,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pos import (
-    _mining_delay_reference,
-    compute_hit,
-    compute_hits,
-    lottery_delays,
-    mining_delay,
-    mining_delays,
-)
+from repro.core.pos import mining_delay
 from repro.facility.costs import build_storage_ufl
-from repro.facility.greedy import solve_greedy
-from repro.facility.incremental import IncrementalUFLSolver, _scan_best
+from repro.facility.greedy import GreedySolver, _scan_best
 from repro.facility.problem import UFLProblem
 from repro.sim.runner import ChurnSpec
 from repro.simnet.channel import ChannelModel
@@ -50,12 +49,12 @@ from repro.simnet.engine import EventEngine
 from repro.simnet.gossip import GossipFabric
 from repro.simnet.topology import Position, Topology, random_positions
 from repro.simnet.transport import Network
-from tests.helpers import digest_run
+from tests.helpers import digest_run, reference_greedy
 
 pytestmark = pytest.mark.fastpath
 
 
-# -- UFL: incremental vs from-scratch greedy ------------------------------------------
+# -- UFL: the solver vs the textbook loop ------------------------------------------------
 
 
 @st.composite
@@ -65,7 +64,7 @@ def ufl_replay_sequences(draw, max_size=8):
     Mirrors what the allocator sees between mobility epochs — the RDC
     matrix is fixed while the FDC vector moves a little after every
     placement; occasionally the matrix itself changes (a mobility epoch)
-    to exercise the structural-change fallback.
+    to exercise the epoch rebuild.
     """
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     num_f = draw(st.integers(min_value=2, max_value=max_size))
@@ -98,7 +97,7 @@ def _assert_same_solution(actual, expected):
 
 
 def _sequential_scan(ratio):
-    """The reference greedy's facility scan, verbatim."""
+    """The textbook loop's facility scan, verbatim."""
     best_ratio, best = math.inf, -1
     for index, value in enumerate(ratio):
         if value < best_ratio - 1e-12:
@@ -112,7 +111,7 @@ class TestIncrementalUFLEquivalence:
     def test_replay_matches_greedy_exactly(self, sequence):
         seed, num_f, num_c, steps, epoch_changes = sequence
         rng = np.random.default_rng(seed)
-        solver = IncrementalUFLSolver()
+        solver = GreedySolver()
         facility_costs, connection = _random_instance(rng, num_f, num_c)
         change_at = set(
             rng.integers(1, steps, size=epoch_changes).tolist()
@@ -130,7 +129,7 @@ class TestIncrementalUFLEquivalence:
             )
             if not problem.is_feasible():
                 continue
-            expected = solve_greedy(problem)
+            expected = reference_greedy(problem)
             actual = solver.solve(problem)
             assert actual.open_facilities == expected.open_facilities
             assert actual.assignment == expected.assignment
@@ -144,7 +143,7 @@ class TestIncrementalUFLEquivalence:
         # between solves.
         seed, num_f, num_c, steps, epoch_changes = sequence
         rng = np.random.default_rng(seed)
-        solver = IncrementalUFLSolver()
+        solver = GreedySolver()
         facility_costs, connection = _hop_count_instance(rng, num_f, num_c)
         change_at = set(rng.integers(1, steps, size=epoch_changes).tolist())
         for step in range(steps):
@@ -162,7 +161,7 @@ class TestIncrementalUFLEquivalence:
             )
             if not problem.is_feasible():
                 continue
-            _assert_same_solution(solver.solve(problem), solve_greedy(problem))
+            _assert_same_solution(solver.solve(problem), reference_greedy(problem))
 
     def test_geometric_120_node_replay_matches_greedy(self):
         # The production shape: RDC from a random geometric topology via
@@ -174,14 +173,14 @@ class TestIncrementalUFLEquivalence:
         total = np.full(n, 250.0)
         used = rng.integers(0, 60, size=n).astype(float)
         used[rng.choice(n, size=6, replace=False)] = 250.0
-        solver = IncrementalUFLSolver()
+        solver = GreedySolver()
         for _ in range(20):
             problem = build_storage_ufl(used, total, hops, [30.0] * n)
             solution = solver.solve(problem)
-            _assert_same_solution(solution, solve_greedy(problem))
+            _assert_same_solution(solution, reference_greedy(problem))
             for node in solution.open_facilities:
                 used[node] += 1.0
-        assert solver.fallbacks == 1 and solver.fast_solves == 20
+        assert solver.epoch_rebuilds == 1
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -225,7 +224,7 @@ class TestIncrementalUFLEquivalence:
         problem = UFLProblem(
             facility_costs=facility_costs, connection_costs=connection
         )
-        solver = IncrementalUFLSolver()
+        solver = GreedySolver()
         solver._reset_epoch(problem, b"epoch")
         everyone = np.arange(num_f)
         unassigned = rng.random(num_c) < 0.8
@@ -239,22 +238,10 @@ class TestIncrementalUFLEquivalence:
         assert (new_ratio[kept] == ratio[kept]).all()
         assert (new_kpos[kept] == kpos[kept]).all()
 
-    def test_memo_returns_identical_solution_object_results(self):
-        rng = np.random.default_rng(3)
-        solver = IncrementalUFLSolver()
-        facility_costs, connection = _random_instance(rng, 5, 6)
-        problem = UFLProblem(
-            facility_costs=facility_costs, connection_costs=connection
-        )
-        first = solver.solve(problem)
-        again = solver.solve(problem)
-        assert again.open_facilities == first.open_facilities
-        assert solver.reuse_hits >= 1
-
     def test_structural_change_falls_back_and_recovers(self):
         rng = np.random.default_rng(9)
-        solver = IncrementalUFLSolver()
-        for _ in range(3):  # three epochs: each first solve is a fallback
+        solver = GreedySolver()
+        for _ in range(3):  # three epochs: each first solve rebuilds
             facility_costs, connection = _random_instance(rng, 6, 6)
             for _ in range(4):
                 facility_costs = facility_costs.copy()
@@ -265,10 +252,9 @@ class TestIncrementalUFLEquivalence:
                 )
                 assert (
                     solver.solve(problem).open_facilities
-                    == solve_greedy(problem).open_facilities
+                    == reference_greedy(problem).open_facilities
                 )
-        assert solver.fallbacks == 3
-        assert solver.fast_solves > 0
+        assert solver.epoch_rebuilds == 3
 
 
 # -- Routing: vectorised edges + cached hop matrix vs reference ------------------------
@@ -372,6 +358,20 @@ class TestRoutingCacheEquivalence:
 # -- Delivery batching: engine + transport + gossip ------------------------------------
 
 
+def _unbatch(engine):
+    """Make ``engine`` schedule every batched call as its own event.
+
+    What transport and gossip did per delivery before they batched: the
+    un-batched side of the differential tests below.
+    """
+
+    def call_at_batch(when, calls):
+        for callback, args in calls:
+            engine.call_at(when, callback, *args)
+
+    engine.call_at_batch = call_at_batch
+
+
 class TestBatchedDeliveryEquivalence:
     def test_batched_calls_execute_in_scheduled_order(self):
         engine = EventEngine(seed=0)
@@ -402,14 +402,11 @@ class TestBatchedDeliveryEquivalence:
         outcomes = []
         for batched in (False, True):
             engine = EventEngine(seed=seed)
+            if not batched:
+                _unbatch(engine)
             positions = random_positions(n, engine.np_rng)
             topology = Topology(positions)
-            network = Network(
-                engine,
-                topology,
-                ChannelModel(loss_probability=0.05),
-                batch_deliveries=batched,
-            )
+            network = Network(engine, topology, ChannelModel(loss_probability=0.05))
             deliveries = []
             for node in range(n):
                 network.register(
@@ -436,14 +433,11 @@ class TestBatchedDeliveryEquivalence:
         outcomes = []
         for batched in (False, True):
             engine = EventEngine(seed=seed)
+            if not batched:
+                _unbatch(engine)
             positions = random_positions(n, engine.np_rng)
             topology = Topology(positions)
-            fabric = GossipFabric(
-                engine,
-                topology,
-                ChannelModel(loss_probability=0.1),
-                batch_deliveries=batched,
-            )
+            fabric = GossipFabric(engine, topology, ChannelModel(loss_probability=0.1))
             receipts = []
             fabric.on_receive(
                 lambda node, origin, payload: receipts.append((engine.now, node))
@@ -461,12 +455,23 @@ class TestBatchedDeliveryEquivalence:
         assert outcomes[0] == outcomes[1]
 
 
-# -- PoS: exact-integer + batched lottery vs references --------------------------------
+# -- PoS: exact-integer mining delay vs the Fraction oracle -----------------------------
 
 
 positive_floats = st.floats(
     min_value=1e-12, max_value=1e12, allow_nan=False, allow_infinity=False
 )
+
+
+def _mining_delay_reference(hit, stake, stored, amendment):
+    """The original Fraction-based ``mining_delay`` (differential oracle)."""
+    rate = stake * stored * amendment
+    if rate <= 0:
+        return None
+    if hit <= 0:
+        return 1
+    exact_rate = Fraction(stake) * Fraction(stored) * Fraction(amendment)
+    return max(1, math.ceil(Fraction(hit) / exact_rate))
 
 
 class TestVectorisedPosEquivalence:
@@ -484,31 +489,6 @@ class TestVectorisedPosEquivalence:
             _mining_delay_reference(hit, stake, float(stored), amendment)
         )
 
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=30))
-    def test_batched_lottery_matches_scalar_loop(self, seed, n):
-        rng = np.random.default_rng(seed)
-        prev_hash = "ab" * 32
-        addresses = [f"addr-{seed}-{i}" for i in range(n)]
-        stakes = rng.uniform(0.0, 10.0, size=n)
-        stakes[rng.random(n) < 0.2] = 0.0  # some unmineable accounts
-        storeds = rng.integers(0, 40, size=n).astype(float)
-        amendment = float(rng.uniform(1e6, 1e14))
-        modulus = 2**64
-
-        hits = compute_hits(prev_hash, addresses, modulus)
-        assert hits == [
-            compute_hit(prev_hash, address, modulus) for address in addresses
-        ]
-        delays = mining_delays(hits, stakes, storeds, amendment)
-        assert delays == [
-            mining_delay(h, float(s), float(q), amendment)
-            for h, s, q in zip(hits, stakes, storeds)
-        ]
-        assert lottery_delays(
-            prev_hash, addresses, stakes, storeds, amendment, modulus
-        ) == list(zip(hits, delays))
-
     def test_huge_hit_stays_exact(self):
         # >2^53 hit: float division would be ulps off; the integer path
         # must return the true earliest satisfying second (Eq. 9 holds at
@@ -516,14 +496,12 @@ class TestVectorisedPosEquivalence:
         hit, stake, stored, amendment = 2**64 - 1, 3.0, 7.0, 1.25e-15
         delay = mining_delay(hit, stake, stored, amendment)
         assert delay == _mining_delay_reference(hit, stake, stored, amendment)
-        from fractions import Fraction
-
         rate = Fraction(stake) * Fraction(stored) * Fraction(amendment)
         assert Fraction(hit) <= rate * delay
         assert delay == 1 or Fraction(hit) > rate * (delay - 1)
 
 
-# -- End to end: all fast paths on vs all fast paths off -------------------------------
+# -- End to end: the single path vs the recorded reference run --------------------------
 
 
 #: Three seeded scenarios: steady state, fast mobility, churn under load.
@@ -542,17 +520,21 @@ SCENARIOS = {
     ),
 }
 
+#: Each scenario's fingerprint, recorded from the textbook greedy with
+#: un-batched delivery at the last commit that had those as run modes.
+PINNED = json.loads(
+    (Path(__file__).resolve().parent.parent / "data" / "scenario_digests.json").read_text()
+)
+
 
 class TestEndToEndDigestEquivalence:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_fastpath_run_is_digest_identical(self, name):
-        spec = SCENARIOS[name]
-        slow = digest_run(
-            placement_solver="greedy", batch_deliveries=False, **spec
-        )
-        fast = digest_run(
-            placement_solver="incremental", batch_deliveries=True, **spec
-        )
-        assert fast[0] == slow[0], f"{name}: chain digests diverged"
-        assert fast[1] == slow[1], f"{name}: ledger digests diverged"
-        assert fast[2] == slow[2], f"{name}: monitor verdicts diverged"
+        chain_digest, ledger_digest, verdict = digest_run(**SCENARIOS[name])
+        pinned = PINNED[name]
+        assert chain_digest == pinned["chain_digest"], f"{name}: chain diverged"
+        assert ledger_digest == pinned["ledger_digest"], f"{name}: ledger diverged"
+        verdict_sha256 = hashlib.sha256(
+            json.dumps(verdict, sort_keys=True).encode()
+        ).hexdigest()
+        assert verdict_sha256 == pinned["verdict_sha256"], f"{name}: verdict diverged"

@@ -1,5 +1,7 @@
 """Unit tests for SystemConfig validation and protocol message sizing."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.block import make_genesis
@@ -46,6 +48,11 @@ class TestSystemConfig:
             {"hit_modulus": 1},
             {"requester_fraction": 1.5},
             {"placement_solver": "quantum"},
+            # Retired run modes: bench/workloads.fast_solver_config relies
+            # on exactly this failure to fall back to the default.
+            {"placement_solver": "incremental"},
+            {"placement_solver": "local_search"},
+            {"placement_solver": "lp_rounding"},
             {"token_rescale_ratio": 0.0},
             {"token_rescale_interval": 0},
             {"initial_tokens": 0.5},
@@ -55,6 +62,10 @@ class TestSystemConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SystemConfig(**kwargs)
+
+    def test_batch_deliveries_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            dataclasses.replace(PAPER_CONFIG, batch_deliveries=False)
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

@@ -22,6 +22,10 @@ class TestVerifiability:
     def test_random_not_verifiable(self):
         assert not allocations_verifiable("random")
 
+    @pytest.mark.parametrize("solver", ["incremental", "local_search", "lp_rounding"])
+    def test_retired_run_modes_not_verifiable(self, solver):
+        assert not allocations_verifiable(solver)
+
 
 class TestVerifyGenesisLike:
     def make_world(self):

@@ -2,7 +2,8 @@
 
 Not paper figures — these keep the simulator's hot paths honest: event
 throughput, broadcast dissemination, hop-matrix computation, PoS hit
-derivation, and block validation, all at the paper's 50-node scale.
+derivation, and block validation, all at the paper's 50-node scale, plus
+the ECDSA layer (keygen / sign / verify) one operation at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from repro.core.blockchain import Blockchain
 from repro.core.config import SystemConfig
 from repro.core.pos import compute_hit, compute_pos_hash, mining_delay
 from repro.core.block import Block
+from repro.crypto.keys import generate_keypair
+from repro.crypto.signature import sign, verify
 from repro.simnet.channel import ChannelModel
 from repro.simnet.engine import EventEngine
 from repro.simnet.topology import Topology, connected_random_positions
@@ -96,3 +99,24 @@ def test_bench_block_validation(benchmark):
     )
 
     benchmark(lambda: chain.validate_child(block))
+
+
+def test_bench_ecdsa_keygen(benchmark):
+    """One seeded keypair: a hash plus one fixed-base multiplication."""
+    _, public = benchmark(lambda: generate_keypair(seed=("bench-ecdsa", 0)))
+    assert len(public.encode()) == 33
+
+
+def test_bench_ecdsa_sign(benchmark):
+    private, public = generate_keypair(seed=("bench-ecdsa", 0))
+    message = b"metadata item: producer 7, sequence 42"
+    signature = benchmark(lambda: sign(private, message))
+    assert verify(public, message, signature)
+
+
+def test_bench_ecdsa_verify(benchmark):
+    """``u1·G + u2·Q``: a 256-bit ladder, the table walk, one inversion."""
+    private, public = generate_keypair(seed=("bench-ecdsa", 0))
+    message = b"metadata item: producer 7, sequence 42"
+    signature = sign(private, message)
+    assert benchmark(lambda: verify(public, message, signature))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.hashing import hash_items, sha256
-from repro.crypto.keys import GENERATOR, N, PrivateKey, PublicKey, _inverse_mod
+from repro.crypto.keys import GENERATOR, N, PrivateKey, PublicKey, _generator_combination
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def sign(private: PrivateKey, message: bytes) -> Signature:
         if r == 0:
             attempt += 1
             continue
-        s = (_inverse_mod(k, N) * (z + r * private.secret)) % N
+        s = (pow(k, -1, N) * (z + r * private.secret)) % N
         if s == 0:
             attempt += 1
             continue
@@ -91,13 +91,10 @@ def sign(private: PrivateKey, message: bytes) -> Signature:
 def verify(public: PublicKey, message: bytes, signature: Signature) -> bool:
     """Return True iff ``signature`` is valid for ``message`` under ``public``."""
     z = _message_scalar(message)
-    try:
-        w = _inverse_mod(signature.s, N)
-    except ZeroDivisionError:
-        return False
+    w = pow(signature.s, -1, N)  # Signature guarantees 1 <= s < N, N prime
     u1 = (z * w) % N
     u2 = (signature.r * w) % N
-    point = GENERATOR * u1 + public.point * u2
+    point = _generator_combination(u1, u2, public.point)
     if point.is_infinity:
         return False
     assert point.x is not None

@@ -16,7 +16,9 @@ is the single home for that boilerplate:
   way module-scoped fixtures used to, without re-declaring the fixture
   everywhere;
 * :func:`reference_greedy` — the textbook greedy loop, the differential
-  oracle for :mod:`repro.facility.greedy`.
+  oracle for :mod:`repro.facility.greedy`;
+* :func:`reference_scalar_mult` — affine double-and-add, the differential
+  oracle for the Jacobian kernel in :mod:`repro.crypto.keys`.
 
 The ``make_cluster`` / ``fixed_seed_run`` conftest fixtures re-export
 these for tests that prefer fixture injection over imports.
@@ -32,6 +34,7 @@ import numpy as np
 
 from repro.core.config import PAPER_CONFIG, SystemConfig
 from repro.core.pow import pow_difficulty_for
+from repro.crypto.keys import INFINITY, CurvePoint, N
 from repro.facility.problem import UFLProblem, UFLSolution, assign_to_open
 from repro.raft.cluster import RaftCluster
 from repro.sim.cluster import EdgeCluster, build_cluster
@@ -280,3 +283,26 @@ def reference_greedy(problem: UFLProblem) -> UFLSolution:
 
     # Final improvement: every client connects to its cheapest open facility.
     return assign_to_open(problem, open_set)
+
+
+def reference_scalar_mult(point: CurvePoint, scalar: int) -> CurvePoint:
+    """Affine double-and-add: differential oracle for ``CurvePoint.__mul__``.
+
+    This is ``CurvePoint.__mul__`` as it stood before the Jacobian kernel
+    replaced it, kept verbatim (``self`` spelled ``point``): ~380 affine
+    ``__add__`` calls, each with its own modular inversion and on-curve
+    check.  The production kernel must return the same point.
+    """
+    if scalar % N == 0 or point.is_infinity:
+        return INFINITY
+    if scalar < 0:
+        return reference_scalar_mult(-point, -scalar)
+    result = INFINITY
+    addend = point
+    k = scalar
+    while k:
+        if k & 1:
+            result = result + addend
+        addend = addend + addend
+        k >>= 1
+    return result

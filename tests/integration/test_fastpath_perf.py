@@ -1,4 +1,4 @@
-"""Perf-regression guard for the greedy UFL solver.
+"""Perf-regression guards for the greedy UFL solver and the curve kernel.
 
 The equivalence suite (``tests/property/test_fastpath_equivalence.py``)
 proves :class:`~repro.facility.greedy.GreedySolver` returns solutions
@@ -17,6 +17,11 @@ the real cost builder, 10–30 replicas and 150–200 greedy rounds per
 solve, replayed with the loads bumped where each placement landed.  There the
 solver must be at least 20× faster per solve.
 
+The third guard is the secp256k1 kernel: ``sign`` (one fixed-base
+multiplication through the Jacobian kernel, a single inversion) must be
+at least 10× faster than the same ECDSA arithmetic with the affine
+double-and-add of :func:`tests.helpers.reference_scalar_mult`.
+
 The assertions are *ratios* of wall-clock times on the same machine in
 the same process, so they are robust to absolute machine speed; set
 ``REPRO_SKIP_PERF=1`` to skip them outright on noisy shared runners.
@@ -30,11 +35,13 @@ import time
 import numpy as np
 import pytest
 
+from repro.crypto.keys import GENERATOR, N, PrivateKey
+from repro.crypto.signature import Signature, _deterministic_nonce, _message_scalar, sign
 from repro.facility.costs import build_storage_ufl
 from repro.facility.greedy import GreedySolver
 from repro.facility.problem import UFLProblem
 from repro.simnet.topology import Topology, connected_random_positions
-from tests.helpers import reference_greedy
+from tests.helpers import reference_greedy, reference_scalar_mult
 
 pytestmark = [
     pytest.mark.fastpath,
@@ -153,3 +160,35 @@ def test_incremental_later_rounds_are_20x_faster_than_greedy():
         f"regression floor is {LARGE_MIN_SPEEDUP}x"
     )
     assert solver.epoch_rebuilds == 1
+
+
+#: Messages signed per contender, and the floor.  The kernel measures
+#: 20–25× here (0.4 ms vs 10 ms per signature).
+SIGN_MESSAGES = 24
+SIGN_MIN_SPEEDUP = 10.0
+
+
+def _reference_sign(private: PrivateKey, message: bytes) -> Signature:
+    """``sign`` with ``k·G`` taken through the affine oracle (no retry arm)."""
+    k = _deterministic_nonce(private, message, 0)
+    r = reference_scalar_mult(GENERATOR, k).x % N
+    s = pow(k, -1, N) * (_message_scalar(message) + r * private.secret) % N
+    return Signature(r, min(s, N - s))
+
+
+def test_sign_is_10x_faster_than_affine_double_and_add():
+    private = PrivateKey.from_seed("perf-guard", 0)
+    messages = [f"metadata item {index}".encode() for index in range(SIGN_MESSAGES)]
+    sign(private, b"warm-up")  # builds the generator table outside the timed region
+
+    fast_time, fast = _timed(lambda message: sign(private, message), messages)
+    slow_time, slow = _timed(lambda message: _reference_sign(private, message), messages)
+
+    assert fast == slow
+    speedup = slow_time / fast_time
+    assert speedup >= SIGN_MIN_SPEEDUP, (
+        f"sign only {speedup:.1f}x faster than affine double-and-add "
+        f"({fast_time / SIGN_MESSAGES * 1000:.2f} ms vs "
+        f"{slow_time / SIGN_MESSAGES * 1000:.2f} ms per signature); "
+        f"regression floor is {SIGN_MIN_SPEEDUP}x"
+    )

@@ -18,7 +18,7 @@ Per Fig. 2 of the paper, a block carries, beyond the usual chain plumbing
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import Any, Dict, Tuple
 
 from repro.core.metadata import MetadataItem
 from repro.crypto.hashing import hash_items
@@ -67,25 +67,44 @@ class Block:
         return merkle_root(leaves)
 
     def compute_hash(self) -> str:
-        """The block hash: SHA-256 over header fields and the content root."""
-        return hash_items(
-            "block",
-            self.index,
-            str(self.timestamp),
-            self.previous_hash,
-            self.pos_hash,
-            self.miner,
-            self.miner_address,
-            self.hit,
-            str(self.target_b),
-            self.content_root(),
-            ",".join(map(str, self.storing_nodes)),
-            ",".join(map(str, self.previous_storing_nodes)),
-            ",".join(map(str, self.recent_cache_nodes)),
-        ).hex()
+        """The block hash: SHA-256 over header fields and the content root.
+
+        Memoised on the instance: the fields are frozen, so the digest is
+        a pure function of the object, and the simulator hands one
+        ``Block`` by reference to every node of a cluster.  The memo is
+        not a dataclass field — ``replace``, ``pickle``, ``deepcopy`` and
+        the wire/JSON codecs all build a new object without it, so
+        whatever crossed a trust boundary is hashed again from its own
+        fields.
+        """
+        memo = self.__dict__.get("_hash_memo")
+        if memo is None:
+            memo = hash_items(
+                "block",
+                self.index,
+                str(self.timestamp),
+                self.previous_hash,
+                self.pos_hash,
+                self.miner,
+                self.miner_address,
+                self.hit,
+                str(self.target_b),
+                self.content_root(),
+                ",".join(map(str, self.storing_nodes)),
+                ",".join(map(str, self.previous_storing_nodes)),
+                ",".join(map(str, self.recent_cache_nodes)),
+            ).hex()
+            object.__setattr__(self, "_hash_memo", memo)
+        return memo
 
     def hash_is_valid(self) -> bool:
         return self.current_hash == self.compute_hash()
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle/copy state: the declared fields only, never the hash memo."""
+        state = dict(self.__dict__)
+        state.pop("_hash_memo", None)
+        return state
 
     # -- properties --------------------------------------------------------------------
 

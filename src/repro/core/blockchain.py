@@ -12,6 +12,11 @@ Two classes:
 * :class:`Blockchain` — an append-only validated chain with longest-chain
   fork choice and gap detection (the input signal for the missing-block
   recovery protocol of Section IV-D).
+
+Every node derives the same state from the same blocks, so the chains of
+one process derive it *once*: the state after a validated block is a
+shared, persistent value (see ``_SHARED`` and DESIGN.md "Shared derived
+state"), not one private mutable ledger per node.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -44,6 +50,18 @@ from repro.core.pos import (
 
 #: Relative tolerance when validating a block's recorded B amendment.
 _B_TOLERANCE = 1e-9
+
+#: What the chains of this process have already derived, held weakly:
+#: ``(block hash, node_ids, config)`` → the :class:`ChainState` after that
+#: block, and ``("genesis", node_ids, config)`` → the default genesis
+#: :class:`Block`.  A block hash commits to the block's whole ancestor
+#: chain, so with the roster ids and the config it identifies one chain
+#: prefix; a state is registered only after ``validate_child`` accepted
+#: the block on top of its parent state, which makes both that verdict and
+#: the state pure functions of the key.  The rule that keeps sharing safe:
+#: a state reachable from here is never passed to ``apply_block`` again.
+#: Entries vanish with the last chain that holds them.
+_SHARED: "weakref.WeakValueDictionary[tuple, object]" = weakref.WeakValueDictionary()
 
 
 @dataclass
@@ -150,10 +168,11 @@ class ChainState:
     def mean_u(self, now: float) -> float:
         """Ū = (1/n) Σ U_i.
 
-        One flat loop instead of ``stake_storage_product`` per node (four
-        Python frames per account, the hottest path of a large cluster's
-        block apply).  ``_ledger`` iterates in ``node_ids`` order and each
-        term is the same ``S_i · Q_i``, so the sum is bit-identical.
+        An O(n) scan in ``node_ids`` order.  The order is part of the
+        consensus: the float sum feeds ``target_b``, which every block
+        records and hashes, so a running ``Σ S·Q`` maintained by
+        ``apply_block`` would change digests.  It runs once per tip
+        instead — the state is shared and :meth:`amendment` memoises it.
         """
         total = 0
         for ledger in self._ledger.values():
@@ -170,12 +189,12 @@ class ChainState:
     def amendment(self, now: float) -> float:
         """The B in force for the next race (Eq. 14).
 
-        Memoised on ``(blocks_applied, now)``: within one ChainState the
-        ledger only changes when a block is applied, and every node on
-        the same tip asks for B at the parent's timestamp — without the
-        memo the Ū scan makes each block O(n²) in cluster size.  The
-        ``getattr`` guard keeps snapshots pickled before this cache
-        existed loadable.
+        Memoised on ``(blocks_applied, now)``: every chain on one tip
+        holds this same state and asks for B at the tip's timestamp, so
+        the whole cluster pays for one Ū scan per tip.  Writing the memo
+        is the one mutation a shared state sees besides pruning; it
+        caches a pure function of the ledger.  The ``getattr`` guard
+        keeps snapshots pickled before this cache existed loadable.
         """
         key = (self.blocks_applied, now)
         cached = getattr(self, "_amendment_cache", None)
@@ -196,11 +215,14 @@ class ChainState:
     # -- lifecycle -------------------------------------------------------------------
 
     def clone(self) -> "ChainState":
-        """Independent copy (the pruning anchor / fork-replay baseline).
+        """Independent copy: the only way to a state ``apply_block`` may touch.
 
-        Deep enough that applying blocks to the copy never mutates the
-        original: ledgers are rebuilt, block objects and metadata items
-        are shared (both immutable).
+        A state some chain holds may be held by every other chain on that
+        tip, so it is never folded further; ``append_block`` builds the
+        successor on a clone, and ``_replica_at`` replays on a clone of
+        the pruning anchor.  Deep enough that applying blocks to the copy
+        never mutates the original: ledgers are rebuilt, block objects
+        and metadata items are shared (both immutable).
         """
         other = ChainState.__new__(ChainState)
         other.config = self.config
@@ -228,6 +250,13 @@ class ChainState:
         digest-neutral by construction.  The per-node ledgers (which DO
         feed the digest) are never touched.  Returns the number of
         entries dropped.
+
+        Runs in place on a state every chain on this tip may hold.  Sound
+        because all of them prune it alike: the horizon is a function of
+        ``(config, height)``, capped by a ``prune_floor_limit`` a durable
+        run sets on every node at once, and each chain prunes in the same
+        event that moved its tip — so a holder never sees entries go that
+        it would have kept (DESIGN.md, "Shared derived state").
         """
         stale_blocks = [index for index in self.block_storing if index < horizon]
         for index in stale_blocks:
@@ -268,6 +297,41 @@ class ChainState:
         return {node: self.used_slots(node, now) for node in self.node_ids}
 
 
+def _default_genesis(node_ids: Tuple[int, ...], config: SystemConfig) -> Block:
+    """The genesis block of a cluster, built once per process."""
+    key = ("genesis", node_ids, config)
+    genesis = _SHARED.get(key)
+    if genesis is None:
+        initial_b = compute_amendment(
+            config.hit_modulus,
+            len(node_ids),
+            config.expected_block_interval,
+            mean_u=config.initial_tokens * 1.0,
+        )
+        genesis = _SHARED[key] = make_genesis(node_ids, initial_b)
+    return genesis
+
+
+def _state_after_genesis(
+    genesis: Block, node_ids: Tuple[int, ...], config: SystemConfig
+) -> ChainState:
+    """The ledger after ``genesis`` alone, shared when its hash verifies.
+
+    A genesis handed in by a peer is not validated by the constructor; one
+    whose hash does not commit to its fields gets a private state, so it
+    can neither read nor poison the entry of the block it imitates.
+    """
+    verified = genesis.hash_is_valid()
+    key = (genesis.current_hash, node_ids, config)
+    state = _SHARED.get(key) if verified else None
+    if state is None:
+        state = ChainState(node_ids, config)
+        state.apply_block(genesis)
+        if verified:
+            _SHARED[key] = state
+    return state
+
+
 class BlockOutcome(enum.Enum):
     """Result of offering a block to :meth:`Blockchain.consider_block`."""
 
@@ -291,17 +355,11 @@ class Blockchain:
         self.node_ids = tuple(sorted(node_ids))
         self.address_of = dict(address_of)
         if genesis is None:
-            initial_b = compute_amendment(
-                config.hit_modulus,
-                len(self.node_ids),
-                config.expected_block_interval,
-                mean_u=config.initial_tokens * 1.0,
-            )
-            genesis = make_genesis(self.node_ids, initial_b)
+            genesis = _default_genesis(self.node_ids, config)
         if not genesis.is_genesis:
             raise ValueError("genesis block must have index 0")
-        self.blocks: List[Block] = []
-        self.state = ChainState(self.node_ids, config)
+        self.blocks: List[Block] = [genesis]
+        self.state = _state_after_genesis(genesis, self.node_ids, config)
         #: Index of the oldest retained body (0 until the chain prunes).
         self._first_retained: int = 0
         #: Replay state as of block ``_first_retained`` (None until pruned).
@@ -311,7 +369,6 @@ class Blockchain:
         #: External floor on pruning (e.g. the journaled height of a
         #: durable run): ``maybe_prune`` never drops bodies above it.
         self.prune_floor_limit: Optional[int] = None
-        self._append_unchecked(genesis)
 
     @classmethod
     def _bare(
@@ -443,14 +500,8 @@ class Blockchain:
 
     # -- validation ------------------------------------------------------------------
 
-    def validate_child(self, block: Block) -> None:
-        """Validate ``block`` as the next block after the current tip.
-
-        Checks chain linkage, the block hash, and the full PoS claim
-        (re-derived hit, recorded B, and Eq. 9 at the block's timestamp).
-        Raises a :class:`~repro.core.errors.ValidationError` subclass on
-        the first violation.
-        """
+    def _check_extends_tip(self, block: Block) -> None:
+        """The checks that depend on *this* chain: linkage, hash, roster."""
         parent = self.tip
         if not block.links_to(parent):
             raise ChainLinkError(
@@ -463,6 +514,17 @@ class Blockchain:
             raise ConsensusError(
                 f"block {block.index} miner address does not match node {block.miner}"
             )
+
+    def validate_child(self, block: Block) -> None:
+        """Validate ``block`` as the next block after the current tip.
+
+        Checks chain linkage, the block hash, and the full PoS claim
+        (re-derived hit, recorded B, and Eq. 9 at the block's timestamp).
+        Raises a :class:`~repro.core.errors.ValidationError` subclass on
+        the first violation.
+        """
+        self._check_extends_tip(block)
+        parent = self.tip
         if self.config.consensus == "pow":
             # The PoW baseline's proof is the brute-forced hash itself; the
             # simulation samples attempt counts instead of grinding, so
@@ -504,9 +566,27 @@ class Blockchain:
         self.state.apply_block(block)
 
     def append_block(self, block: Block) -> None:
-        """Validate and append a tip-extending block."""
-        self.validate_child(block)
-        self._append_unchecked(block)
+        """Validate and append a tip-extending block.
+
+        Linkage to *this* tip, the block hash and the miner's address in
+        *this* roster are checked on every chain.  The PoS re-derivation
+        and the fold into the ledger run once per process and chain
+        prefix: the first chain to accept the block registers the state
+        after it in ``_SHARED`` and every later chain adopts that object.
+        The successor is built on a copy, so the state this chain held
+        before — which other chains at the old tip still hold — is
+        untouched.
+        """
+        self._check_extends_tip(block)
+        key = (block.current_hash, self.node_ids, self.config)
+        state = _SHARED.get(key)
+        if state is None:
+            self.validate_child(block)
+            state = self.state.clone()
+            state.apply_block(block)
+            _SHARED[key] = state
+        self.blocks.append(block)
+        self.state = state
 
     def consider_block(self, block: Block) -> BlockOutcome:
         """Classify an incoming block and append it when it extends the tip.

@@ -18,7 +18,11 @@ is the single home for that boilerplate:
 * :func:`reference_greedy` — the textbook greedy loop, the differential
   oracle for :mod:`repro.facility.greedy`;
 * :func:`reference_scalar_mult` — affine double-and-add, the differential
-  oracle for the Jacobian kernel in :mod:`repro.crypto.keys`.
+  oracle for the Jacobian kernel in :mod:`repro.crypto.keys`;
+* :class:`PrivateChain` / :func:`private_replay` / :func:`private_chains`
+  — one private, in-place-mutated ledger per chain, the differential
+  oracle for the shared derived state of :mod:`repro.core.blockchain`;
+* :func:`mine_next` — a valid PoS child block for any chain.
 
 The ``make_cluster`` / ``fixed_seed_run`` conftest fixtures re-export
 these for tests that prefer fixture injection over imports.
@@ -26,13 +30,18 @@ these for tests that prefer fixture injection over imports.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from dataclasses import replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.block import Block
+from repro.core.blockchain import Blockchain
 from repro.core.config import PAPER_CONFIG, SystemConfig
+from repro.core.pos import compute_hit, compute_pos_hash, mining_delay
 from repro.core.pow import pow_difficulty_for
 from repro.crypto.keys import INFINITY, CurvePoint, N
 from repro.facility.problem import UFLProblem, UFLSolution, assign_to_open
@@ -306,3 +315,85 @@ def reference_scalar_mult(point: CurvePoint, scalar: int) -> CurvePoint:
         addend = addend + addend
         k >>= 1
     return result
+
+
+def mine_next(chain, accounts, miner, metadata_items=(), storing=(0,),
+              recent=(), timestamp=None):
+    """Construct a valid child block for ``miner``."""
+    parent = chain.tip
+    address = accounts[miner].address
+    state = chain.state
+    hit = compute_hit(parent.pos_hash, address, chain.config.hit_modulus)
+    amendment = state.amendment(parent.timestamp)
+    stake = state.tokens(miner)
+    stored = state.stored_items(miner, parent.timestamp)
+    delay = mining_delay(hit, stake, stored, amendment)
+    return Block(
+        index=parent.index + 1,
+        timestamp=parent.timestamp + delay if timestamp is None else timestamp,
+        previous_hash=parent.current_hash,
+        pos_hash=compute_pos_hash(parent.pos_hash, address),
+        miner=miner,
+        miner_address=address,
+        hit=hit,
+        target_b=amendment,
+        metadata_items=tuple(metadata_items),
+        storing_nodes=tuple(storing),
+        previous_storing_nodes=tuple(state.block_storing.get(parent.index, ())),
+        recent_cache_nodes=tuple(recent),
+    )
+
+
+class PrivateChain(Blockchain):
+    """One private ledger per chain: differential oracle for shared state.
+
+    This is ``Blockchain`` as it stood before chains shared their derived
+    state: every chain owns its :class:`ChainState`, re-runs the full
+    ``validate_child`` for every block and folds it into that state in
+    place.  Production chains must answer every query exactly as this one
+    does.
+    """
+
+    def __init__(self, node_ids, config, address_of, genesis=None):
+        super().__init__(node_ids, config, address_of, genesis=genesis)
+        self.state = self.state.clone()
+
+    def append_block(self, block: Block) -> None:
+        self.validate_child(block)
+        self._append_unchecked(block)
+
+
+def private_replay(
+    blocks: Sequence[Block],
+    node_ids: Sequence[int],
+    config: SystemConfig,
+    address_of: Dict[int, str],
+) -> PrivateChain:
+    """Replay ``blocks`` (genesis first) on a chain that shares nothing."""
+    chain = PrivateChain(node_ids, config, address_of, genesis=blocks[0])
+    for block in blocks[1:]:
+        chain.append_block(block)
+    return chain
+
+
+@contextlib.contextmanager
+def private_chains() -> Iterator[None]:
+    """Run the enclosed code with every chain a :class:`PrivateChain`.
+
+    Rebinds the name ``Blockchain`` in every loaded ``repro`` module
+    (``consider_chain`` and the allocation replay build their candidate
+    chains through it), so a whole cluster built inside the block is the
+    per-node-ledger world end to end.
+    """
+    patched = [
+        module
+        for name, module in list(sys.modules.items())
+        if name.startswith("repro.") and getattr(module, "Blockchain", None) is Blockchain
+    ]
+    for module in patched:
+        module.Blockchain = PrivateChain
+    try:
+        yield
+    finally:
+        for module in patched:
+            module.Blockchain = Blockchain

@@ -1,4 +1,5 @@
-"""Perf-regression guards for the greedy UFL solver and the curve kernel.
+"""Perf-regression guards for the greedy UFL solver, the curve kernel and
+the shared derived ledger.
 
 The equivalence suite (``tests/property/test_fastpath_equivalence.py``)
 proves :class:`~repro.facility.greedy.GreedySolver` returns solutions
@@ -25,6 +26,12 @@ double-and-add of :func:`tests.helpers.reference_scalar_mult`.
 The assertions are *ratios* of wall-clock times on the same machine in
 the same process, so they are robust to absolute machine speed; set
 ``REPRO_SKIP_PERF=1`` to skip them outright on noisy shared runners.
+
+The fourth guard needs no clock and is never skipped: on a 120-node
+cluster the ledger fold (``ChainState.apply_block``) and the O(n) ``Ū``
+scan (``ChainState.mean_u``) must run once per chain prefix — per
+distinct block, plus the blocks a chain adoption replays — not once per
+node per block, which is two orders of magnitude more.
 """
 
 from __future__ import annotations
@@ -35,21 +42,23 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.blockchain import Blockchain, ChainState
 from repro.crypto.keys import GENERATOR, N, PrivateKey
 from repro.crypto.signature import Signature, _deterministic_nonce, _message_scalar, sign
 from repro.facility.costs import build_storage_ufl
 from repro.facility.greedy import GreedySolver
 from repro.facility.problem import UFLProblem
+from repro.sim.runner import ChurnSpec, ExperimentSpec, run_experiment
 from repro.simnet.topology import Topology, connected_random_positions
-from tests.helpers import reference_greedy, reference_scalar_mult
+from tests.helpers import make_config, reference_greedy, reference_scalar_mult
 
-pytestmark = [
-    pytest.mark.fastpath,
-    pytest.mark.skipif(
-        os.environ.get("REPRO_SKIP_PERF") == "1",
-        reason="REPRO_SKIP_PERF=1: perf-regression guards disabled",
-    ),
-]
+pytestmark = pytest.mark.fastpath
+
+#: The wall-clock ratio guards; the count guard at the bottom needs none.
+timing_guard = pytest.mark.skipif(
+    os.environ.get("REPRO_SKIP_PERF") == "1",
+    reason="REPRO_SKIP_PERF=1: perf-regression guards disabled",
+)
 
 #: Replay length and problem size: 200 placements over a 30-node cluster,
 #: matching the dominant shape of a long steady-state simulation window.
@@ -83,6 +92,7 @@ def _timed(solver, problems):
     return time.perf_counter() - start, solutions
 
 
+@timing_guard
 def test_incremental_replay_is_5x_faster_than_greedy():
     problems = _replay_problems()
     # Warm-up pass keeps import/JIT-ish one-time numpy costs out of the
@@ -134,6 +144,7 @@ def _large_replay_problems():
     return problems
 
 
+@timing_guard
 def test_incremental_later_rounds_are_20x_faster_than_greedy():
     problems = _large_replay_problems()
     solver = GreedySolver()
@@ -176,6 +187,7 @@ def _reference_sign(private: PrivateKey, message: bytes) -> Signature:
     return Signature(r, min(s, N - s))
 
 
+@timing_guard
 def test_sign_is_10x_faster_than_affine_double_and_add():
     private = PrivateKey.from_seed("perf-guard", 0)
     messages = [f"metadata item {index}".encode() for index in range(SIGN_MESSAGES)]
@@ -191,4 +203,60 @@ def test_sign_is_10x_faster_than_affine_double_and_add():
         f"({fast_time / SIGN_MESSAGES * 1000:.2f} ms vs "
         f"{slow_time / SIGN_MESSAGES * 1000:.2f} ms per signature); "
         f"regression floor is {SIGN_MIN_SPEEDUP}x"
+    )
+
+
+#: The count guard's cluster: 120 nodes, 10 simulated minutes, a tenth of
+#: the nodes dropping out once (so some come back behind and adopt a chain).
+SHARED_NODES = 120
+SHARED_MINUTES = 10.0
+
+
+def test_ledger_is_derived_per_chain_prefix_not_per_node(monkeypatch):
+    applies, scans, replayed = [], [], []
+    apply_block, mean_u = ChainState.apply_block, ChainState.mean_u
+    consider_chain = Blockchain.consider_chain
+
+    def counted_apply(self, block):
+        applies.append(block.current_hash)
+        return apply_block(self, block)
+
+    def counted_mean_u(self, now):
+        scans.append(now)
+        return mean_u(self, now)
+
+    def counted_consider_chain(self, blocks):
+        adopted = consider_chain(self, blocks)
+        if adopted:
+            replayed.append(len(blocks))
+        return adopted
+
+    monkeypatch.setattr(ChainState, "apply_block", counted_apply)
+    monkeypatch.setattr(ChainState, "mean_u", counted_mean_u)
+    monkeypatch.setattr(Blockchain, "consider_chain", counted_consider_chain)
+    result = run_experiment(
+        ExperimentSpec(
+            node_count=SHARED_NODES,
+            config=make_config(),
+            seed=3,
+            duration_minutes=SHARED_MINUTES,
+            churn=ChurnSpec(
+                node_fraction=0.1, events_per_node=1.0, mean_downtime_seconds=45.0
+            ),
+        )
+    )
+    distinct = len(set(applies))
+    assert result.cluster.longest_chain_node().chain.height >= 15
+    assert replayed, "no node adopted a chain: the scenario lost its replay arm"
+    # An adoption replays its candidate through states no chain holds any
+    # more, so those folds and scans are owed once per adoption.
+    budget = 2 * (distinct + sum(replayed))
+    assert len(applies) <= budget, (
+        f"{len(applies)} ledger folds for {distinct} distinct blocks and "
+        f"{sum(replayed)} replayed by adoptions (one per node per block "
+        f"would be ≈{SHARED_NODES * distinct})"
+    )
+    assert len(scans) <= budget, (
+        f"{len(scans)} mean-U scans for {distinct} distinct tips and "
+        f"{sum(replayed)} replayed by adoptions"
     )

@@ -39,6 +39,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import LifecycleSpec
 from repro.core.pos import mining_delay
 from repro.facility.costs import build_storage_ufl
 from repro.facility.greedy import GreedySolver, _scan_best
@@ -504,7 +505,9 @@ class TestVectorisedPosEquivalence:
 # -- End to end: the single path vs the recorded reference run --------------------------
 
 
-#: Three seeded scenarios: steady state, fast mobility, churn under load.
+#: Four seeded scenarios: steady state, fast mobility, churn under load,
+#: and a churning cluster that prunes (144 blocks, horizon moving to 80,
+#: items expiring below it, anchored chain adoption).
 SCENARIOS = {
     "steady": dict(node_count=8, seed=5, duration_minutes=4.0),
     "mobile": dict(
@@ -518,10 +521,24 @@ SCENARIOS = {
             node_fraction=0.25, events_per_node=1.0, mean_downtime_seconds=30.0
         ),
     ),
+    "lifecycle": dict(
+        node_count=10,
+        seed=7,
+        duration_minutes=25.0,
+        churn=ChurnSpec(
+            node_fraction=0.3, events_per_node=2.0, mean_downtime_seconds=60.0
+        ),
+        expected_block_interval=10.0,
+        checkpoint_interval=8,
+        checkpoint_lag=8,
+        lifecycle=LifecycleSpec(retain_blocks=64),
+        default_valid_time_minutes=5.0,
+    ),
 }
 
 #: Each scenario's fingerprint, recorded from the textbook greedy with
-#: un-batched delivery at the last commit that had those as run modes.
+#: un-batched delivery at the last commit that had those as run modes
+#: (``lifecycle``: at the last commit with one private ledger per node).
 PINNED = json.loads(
     (Path(__file__).resolve().parent.parent / "data" / "scenario_digests.json").read_text()
 )

@@ -13,6 +13,7 @@ from repro.core.storage import NodeStorage
 from repro.core.block import Block
 from repro.core.errors import StorageError
 from repro.core.metadata import create_metadata
+from tests.helpers import private_replay
 
 _ACCOUNT = Account.for_node(1234, 0)
 
@@ -125,11 +126,7 @@ class TestChainStateInvariants:
         chain = Blockchain(list(range(4)), config, address_of)
         for miner in miners:
             chain.append_block(_mine(chain, accounts, miner))
-        replica = Blockchain(
-            list(range(4)), config, address_of, genesis=chain.blocks[0]
-        )
-        for block in chain.blocks[1:]:
-            replica.append_block(block)
+        replica = private_replay(chain.blocks, list(range(4)), config, address_of)
         now = chain.tip.timestamp
         for node in range(4):
             assert replica.state.tokens(node) == chain.state.tokens(node)

@@ -1,0 +1,349 @@
+"""Shared derived state vs one private ledger per chain.
+
+Production chains adopt the :class:`ChainState` another chain of the
+process already derived for the same block
+(``repro.core.blockchain._SHARED``); :class:`tests.helpers.PrivateChain`
+is the chain as it stood before — own state, full ``validate_child`` and
+an in-place ``apply_block`` per chain.  Everything a chain can be asked
+must read the same in both worlds:
+
+* **Differential** — Hypothesis scripts of blocks with one-block forks,
+  followers that fall behind and adopt through ``consider_chain`` (from
+  genesis and, once pruned, anchored through ``_replica_at``) and a late
+  joiner, every chain compared with a private replay of its own history.
+* **Aliasing** — siblings on one parent, a state held at an old tip while
+  other chains move on, and the weak table draining with its chains.
+* **Snapshot** — a pickled runtime holds one copy of a state all chains
+  hold (so it cannot grow), and the restored run continues identically.
+* **Lifecycle** — a pruning, churning cluster stepped in lock-step with
+  its private-chain twin: ``prune_below`` mutates a shared state in
+  place, which is only sound if no chain ever sees another chain's prune.
+"""
+
+from __future__ import annotations
+
+import gc
+import pickle
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import blockchain as blockchain_module
+from repro.core.account import Account
+from repro.core.blockchain import Blockchain
+from repro.core.config import LifecycleSpec, SystemConfig
+from repro.core.errors import ChainLinkError, ValidationError
+from repro.core.metadata import create_metadata
+from repro.sim.runner import ExperimentSpec, build_runtime
+from tests.helpers import (
+    PrivateChain,
+    make_config,
+    mine_next,
+    private_chains,
+    private_replay,
+)
+from tests.property.test_fastpath_equivalence import SCENARIOS
+
+pytestmark = pytest.mark.fastpath
+
+NODES = 5
+NODE_IDS = list(range(NODES))
+ACCOUNTS = {i: Account.for_node(23, i) for i in NODE_IDS}
+ADDRESS_OF = {i: account.address for i, account in ACCOUNTS.items()}
+
+#: Rescaling every 4 blocks and a 2-deep recent cache so short scripts
+#: reach both; items live 2 minutes so some expire inside a script.
+CONFIG = SystemConfig(
+    expected_block_interval=10.0,
+    recent_cache_capacity=2,
+    token_rescale_interval=4,
+    default_valid_time_minutes=2.0,
+)
+#: The same with pruning, horizon moving every second block.
+PRUNING_CONFIG = replace(
+    CONFIG,
+    checkpoint_interval=2,
+    checkpoint_lag=1,
+    lifecycle=LifecycleSpec(retain_blocks=3),
+)
+
+
+def assert_same_answers(chain: Blockchain, oracle: Blockchain) -> None:
+    """Every query the protocol makes of a chain, on both."""
+    assert chain.chain_digest() == oracle.chain_digest()
+    assert chain.state.ledger_digest() == oracle.state.ledger_digest()
+    assert chain.first_retained_index == oracle.first_retained_index
+    now = chain.tip.timestamp
+    assert chain.state.amendment(now) == oracle.state.amendment(now)
+    for node in chain.node_ids:
+        assert chain.state.stored_items(node, now) == oracle.state.stored_items(node, now)
+        assert chain.state.tokens(node) == oracle.state.tokens(node)
+    assert chain.state.metadata_index == oracle.state.metadata_index
+    assert chain.state.block_storing == oracle.state.block_storing
+
+
+node_sets = st.lists(st.sampled_from(NODE_IDS), max_size=3, unique=True).map(tuple)
+
+#: One script step: the miner and what its block assigns; whether a rival
+#: block is mined on the same parent; which followers hear of the block.
+steps = st.fixed_dictionaries(
+    dict(
+        miner=st.sampled_from(NODE_IDS),
+        storing=node_sets,
+        recent=node_sets,
+        item_storers=st.one_of(st.none(), node_sets),
+        rival=st.one_of(st.none(), st.sampled_from(NODE_IDS)),
+        heard_by=st.lists(st.booleans(), min_size=3, max_size=3),
+    )
+)
+
+
+class _Follower:
+    """A production chain plus the full history a private replay needs."""
+
+    def __init__(self, config):
+        self.chain = Blockchain(NODE_IDS, config, ADDRESS_OF)
+        self.history = list(self.chain.blocks)
+
+    def offer(self, block) -> None:
+        """What a node does with an announced block (forks wait for sync)."""
+        try:
+            self.chain.consider_block(block)
+        except ChainLinkError:
+            return
+        if self.chain.tip is block:
+            self.history.append(block)
+            self.chain.maybe_prune()
+
+    def sync(self, leader: "_Follower") -> None:
+        """Longest-chain adoption of whatever bodies the leader retains."""
+        try:
+            adopted = self.chain.consider_chain(list(leader.chain.blocks))
+        except ValidationError:
+            return  # e.g. our fork sits below a checkpoint: stay on it
+        if adopted:
+            self.history = list(leader.history)
+            self.chain.maybe_prune()
+
+    def oracle(self) -> PrivateChain:
+        oracle = PrivateChain(
+            NODE_IDS, self.chain.config, ADDRESS_OF, genesis=self.history[0]
+        )
+        for block in self.history[1:]:
+            oracle.append_block(block)
+            oracle.maybe_prune()
+        return oracle
+
+
+def _run_script(config, script):
+    leader = _Follower(config)
+    followers = [_Follower(config) for _ in range(3)]
+    sequence = 0
+    for step in script:
+        items = ()
+        if step["item_storers"] is not None:
+            sequence += 1
+            items = (
+                create_metadata(
+                    ACCOUNTS[step["miner"]],
+                    step["miner"],
+                    sequence,
+                    created_at=leader.chain.tip.timestamp,
+                    valid_time_minutes=config.default_valid_time_minutes,
+                ).with_storing_nodes(step["item_storers"]),
+            )
+        block = mine_next(
+            leader.chain,
+            ACCOUNTS,
+            step["miner"],
+            metadata_items=items,
+            storing=step["storing"],
+            recent=step["recent"],
+        )
+        rival = None
+        if step["rival"] is not None and step["rival"] != step["miner"]:
+            rival = mine_next(leader.chain, ACCOUNTS, step["rival"], storing=(0,))
+        leader.offer(block)
+        assert leader.chain.tip is block
+        for index, (follower, heard) in enumerate(zip(followers, step["heard_by"])):
+            if heard:
+                # The last follower hears the rival first: a one-block fork
+                # it can only leave through consider_chain.
+                if rival is not None and index == len(followers) - 1:
+                    follower.offer(rival)
+                follower.offer(block)
+            elif follower.chain.height + 3 <= leader.chain.height:
+                follower.sync(leader)
+    return leader, followers
+
+
+class TestDifferentialAgainstPrivateReplay:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(steps, min_size=1, max_size=14))
+    def test_forks_and_adoption_from_genesis(self, script):
+        leader, followers = _run_script(CONFIG, script)
+        joiner = _Follower(CONFIG)
+        joiner.sync(leader)
+        for party in [leader, joiner, *followers]:
+            assert_same_answers(party.chain, party.oracle())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(steps, min_size=6, max_size=18))
+    def test_pruned_chains_and_anchored_adoption(self, script):
+        leader, followers = _run_script(PRUNING_CONFIG, script)
+        for follower in followers:
+            if 0 < follower.chain.first_retained_index and (
+                follower.chain.height < leader.chain.height
+            ):
+                follower.sync(leader)  # anchored: replays from _replica_at
+        for party in [leader, *followers]:
+            assert_same_answers(party.chain, party.oracle())
+
+    def test_anchored_adoption_is_reached(self):
+        """The script shape above does drive ``_replica_at`` (not vacuous)."""
+        leader = _Follower(PRUNING_CONFIG)
+        follower = _Follower(PRUNING_CONFIG)
+        for step in range(12):
+            block = mine_next(leader.chain, ACCOUNTS, step % NODES, storing=(1,))
+            leader.offer(block)
+            if step < 8:
+                follower.offer(block)
+        assert 0 < follower.chain.first_retained_index < leader.chain.first_retained_index
+        follower.sync(leader)
+        assert follower.chain.height == leader.chain.height
+        assert follower.chain.state is leader.chain.state
+        assert_same_answers(follower.chain, follower.oracle())
+
+
+class TestAliasing:
+    def test_siblings_never_see_each_others_credits(self):
+        left = Blockchain(NODE_IDS, CONFIG, ADDRESS_OF)
+        right = Blockchain(NODE_IDS, CONFIG, ADDRESS_OF)
+        parent = mine_next(left, ACCOUNTS, 0, storing=(1,))
+        left.append_block(parent)
+        right.append_block(parent)
+        assert left.state is right.state  # one derived ledger per chain prefix
+        before = left.state.ledger_digest()
+        a = mine_next(left, ACCOUNTS, 1, storing=(2,), recent=(2,))
+        b = mine_next(right, ACCOUNTS, 3, storing=(4,), recent=(4,))
+        held = left.state
+        left.append_block(a)
+        right.append_block(b)
+        assert held.ledger_digest() == before
+        assert left.state is not right.state
+        assert_same_answers(left, private_replay(left.blocks, NODE_IDS, CONFIG, ADDRESS_OF))
+        assert_same_answers(right, private_replay(right.blocks, NODE_IDS, CONFIG, ADDRESS_OF))
+        assert left.state.tokens(4) == CONFIG.initial_tokens
+        assert right.state.tokens(2) == CONFIG.initial_tokens
+
+    def test_state_at_an_old_tip_survives_fifty_chains_moving_on(self):
+        laggard = Blockchain(NODE_IDS, CONFIG, ADDRESS_OF)
+        others = [Blockchain(NODE_IDS, CONFIG, ADDRESS_OF) for _ in range(50)]
+        first = mine_next(laggard, ACCOUNTS, 2, storing=(0, 3), recent=(1,))
+        for chain in [laggard, *others]:
+            chain.append_block(first)
+        before = laggard.state.ledger_digest()
+        amendment = laggard.state.amendment(first.timestamp)
+        for step in range(9):  # past two rescales
+            block = mine_next(others[0], ACCOUNTS, step % NODES, storing=(step % NODES,))
+            for chain in others:
+                chain.append_block(block)
+        assert laggard.height == 1
+        assert laggard.state.ledger_digest() == before
+        assert laggard.state.amendment(first.timestamp) == amendment
+        assert_same_answers(
+            laggard, private_replay(laggard.blocks, NODE_IDS, CONFIG, ADDRESS_OF)
+        )
+
+    def test_weak_table_empties_with_its_chains(self):
+        # A config no other test uses, so only these chains own the entries.
+        config = replace(CONFIG, storage_capacity=61)
+
+        def entries():
+            gc.collect()
+            return [key for key in blockchain_module._SHARED.keys() if key[2] == config]
+
+        chains = [Blockchain(NODE_IDS, config, ADDRESS_OF) for _ in range(4)]
+        for step in range(6):
+            block = mine_next(chains[0], ACCOUNTS, step % NODES)
+            for chain in chains:
+                chain.append_block(block)
+        # The tip state and the genesis block are held; states of tips
+        # every chain has left are already gone.
+        assert len(entries()) == 2
+        del chains, chain, block
+        assert entries() == []
+
+
+class TestSnapshotOfSharedState:
+    def test_snapshot_holds_one_copy_and_resumes_identically(self):
+        """Pickle keeps identity: a state n chains hold is written once."""
+        spec = ExperimentSpec(
+            node_count=12, config=make_config(), seed=5, duration_minutes=4.0
+        )
+        shared = build_runtime(spec)
+        shared.engine.run_until(150.0)
+        with private_chains():
+            private = build_runtime(spec)
+            private.engine.run_until(150.0)
+        blob = pickle.dumps(shared, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(blob) < len(pickle.dumps(private, protocol=pickle.HIGHEST_PROTOCOL))
+        restored = pickle.loads(blob)
+        shared.engine.run_until(spec.duration_seconds)
+        restored.engine.run_until(spec.duration_seconds)
+        for node_id, node in shared.cluster.nodes.items():
+            twin = restored.cluster.nodes[node_id]
+            assert node.chain.chain_digest() == twin.chain.chain_digest()
+        assert shared.cluster.longest_chain_node().chain.height >= 5
+
+
+class TestLifecycleOnSharedState:
+    """``prune_below`` runs in place on states other chains hold.
+
+    Sound because what a chain at tip ``T`` has pruned is a function of
+    ``(config, T)``: ``retention_horizon`` is, and every node prunes in
+    the event that moved its tip.  The twin run below holds it to that:
+    a node that ever saw a peer's prune would answer differently from the
+    same node with a private ledger.
+    """
+
+    @pytest.mark.lifecycle
+    def test_pruning_cluster_matches_its_private_twin_at_every_tip(self):
+        scenario = dict(SCENARIOS["lifecycle"])
+        spec = ExperimentSpec(
+            node_count=scenario.pop("node_count"),
+            seed=scenario.pop("seed"),
+            duration_minutes=scenario.pop("duration_minutes"),
+            churn=scenario.pop("churn"),
+            mobility_epoch_minutes=10.0,
+            config=make_config(**scenario),
+        )
+        shared = build_runtime(spec)
+        with private_chains():
+            private = build_runtime(spec)
+        tips_seen = set()
+        when = 0.0
+        while when < spec.duration_seconds:
+            when += 5.0
+            shared.engine.run_until(when)
+            with private_chains():
+                private.engine.run_until(when)
+            by_tip = {}
+            for node_id, node in shared.cluster.nodes.items():
+                twin = private.cluster.nodes[node_id]
+                assert isinstance(twin.chain, PrivateChain)
+                assert node.chain.tip.current_hash == twin.chain.tip.current_hash
+                assert node.chain.first_retained_index == twin.chain.first_retained_index
+                assert node.chain.state.block_storing == twin.chain.state.block_storing
+                assert node.chain.state.metadata_index == twin.chain.state.metadata_index
+                peer = by_tip.setdefault(node.chain.tip.current_hash, node)
+                assert node.chain.state.block_storing == peer.chain.state.block_storing
+                assert node.chain.state.metadata_index == peer.chain.state.metadata_index
+            tips_seen.update(by_tip)
+        reference = shared.cluster.longest_chain_node().chain
+        twin = private.cluster.longest_chain_node().chain
+        assert reference.chain_digest() == twin.chain_digest()
+        assert reference.height >= 120 and len(tips_seen) >= 120
+        assert reference.first_retained_index >= 64  # the horizon did move

@@ -104,6 +104,16 @@ class TestBlockAdmissible:
         block = dataclasses.replace(_block(accounts), current_hash="00" * 32)
         assert block_admissible(block, address_of) == BAD_HASH
 
+    def test_tampered_copy_of_an_admitted_block_rejected(self, accounts, address_of):
+        # The admitted object's hash is memoised; a copy with one field
+        # changed under the old hash must not inherit that verdict.
+        honest = _block(accounts)
+        assert block_admissible(honest, address_of) is None
+        forged = dataclasses.replace(honest, hit=honest.hit + 1)
+        assert forged.current_hash == honest.current_hash
+        assert block_admissible(forged, address_of) == BAD_HASH
+        assert block_admissible(honest, address_of) is None
+
 
 class TestMetadataAdmissible:
     def test_honest_item_passes(self, accounts, address_of):

@@ -1,11 +1,15 @@
 """Unit tests for blocks."""
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
+from repro.core import block as block_module
 from repro.core.block import GENESIS_PREVIOUS_HASH, Block, make_genesis
 from repro.core.metadata import create_metadata
+from repro.core.serialization import block_from_dict, block_to_dict
 
 
 @pytest.fixture
@@ -82,6 +86,68 @@ class TestBlockHash:
     def test_hash_covers_recent_cache_nodes(self, child):
         other = dataclasses.replace(child, recent_cache_nodes=(2,), current_hash="")
         assert other.current_hash != child.current_hash
+
+
+@pytest.fixture
+def block_hashes(monkeypatch):
+    """How many times a block's fields were actually hashed."""
+    calls = []
+
+    def counting(*items):
+        if items[0] == "block":
+            calls.append(items[1])
+        return real(*items)
+
+    real = block_module.hash_items
+    monkeypatch.setattr(block_module, "hash_items", counting)
+    return calls
+
+
+class TestHashMemo:
+    """One object is hashed once; whatever was copied or decoded, again."""
+
+    def test_one_object_is_hashed_once(self, child, block_hashes):
+        assert child.hash_is_valid() and child.hash_is_valid()
+        assert child.compute_hash() == child.current_hash
+        assert block_hashes == []  # construction already hashed it
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [
+            lambda block: dataclasses.replace(block, hit=block.hit),
+            lambda block: pickle.loads(pickle.dumps(block)),
+            copy.deepcopy,
+            copy.copy,
+            lambda block: block_from_dict(block_to_dict(block), verify_hash=False),
+        ],
+        ids=["replace", "pickle", "deepcopy", "copy", "wire"],
+    )
+    def test_memo_does_not_travel(self, child, block_hashes, duplicate):
+        twin = duplicate(child)
+        assert twin is not child and twin == child
+        assert block_hashes == []
+        assert twin.hash_is_valid()
+        assert block_hashes == [child.index]  # re-hashed from its own fields
+        assert twin.hash_is_valid()
+        assert len(block_hashes) == 1
+
+    def test_memo_is_invisible(self, child):
+        # Same fields, hash handed in: nothing was computed, no memo yet.
+        cold = Block(
+            **{f.name: getattr(child, f.name) for f in dataclasses.fields(child)}
+        )
+        assert vars(cold).keys() == {f.name for f in dataclasses.fields(child)}
+        assert vars(child).keys() != vars(cold).keys()
+        assert cold == child and hash(cold) == hash(child)
+        assert repr(cold) == repr(child)
+        assert pickle.dumps(cold) == pickle.dumps(child)
+
+    def test_stale_hash_on_a_copy_of_a_warm_block(self, child):
+        assert child.hash_is_valid()
+        tampered = dataclasses.replace(child, hit=child.hit + 1)
+        assert tampered.current_hash == child.current_hash
+        assert not tampered.hash_is_valid()
+        assert not tampered.hash_is_valid()  # its own memo is of its own fields
 
 
 class TestLinkage:

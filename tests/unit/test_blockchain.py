@@ -5,12 +5,11 @@ import dataclasses
 import pytest
 
 from repro.core.account import Account
-from repro.core.block import Block
 from repro.core.blockchain import Blockchain, BlockOutcome, ChainState
 from repro.core.config import SystemConfig
 from repro.core.errors import ChainLinkError, ConsensusError, ValidationError
 from repro.core.metadata import create_metadata
-from repro.core.pos import compute_hit, compute_pos_hash, mining_delay
+from tests.helpers import mine_next
 
 
 @pytest.fixture
@@ -31,33 +30,6 @@ def world(config):
     address_of = {i: a.address for i, a in accounts.items()}
     chain = Blockchain(list(range(4)), config, address_of)
     return accounts, address_of, chain
-
-
-def mine_next(chain, accounts, miner, metadata_items=(), storing=(0,),
-              recent=(), timestamp=None):
-    """Construct a valid child block for ``miner``."""
-    parent = chain.tip
-    address = accounts[miner].address
-    state = chain.state
-    hit = compute_hit(parent.pos_hash, address, chain.config.hit_modulus)
-    amendment = state.amendment(parent.timestamp)
-    stake = state.tokens(miner)
-    stored = state.stored_items(miner, parent.timestamp)
-    delay = mining_delay(hit, stake, stored, amendment)
-    return Block(
-        index=parent.index + 1,
-        timestamp=parent.timestamp + delay if timestamp is None else timestamp,
-        previous_hash=parent.current_hash,
-        pos_hash=compute_pos_hash(parent.pos_hash, address),
-        miner=miner,
-        miner_address=address,
-        hit=hit,
-        target_b=amendment,
-        metadata_items=tuple(metadata_items),
-        storing_nodes=tuple(storing),
-        previous_storing_nodes=tuple(state.block_storing.get(parent.index, ())),
-        recent_cache_nodes=tuple(recent),
-    )
 
 
 class TestGenesisState:
@@ -198,6 +170,72 @@ class TestValidation:
         forged = dataclasses.replace(block, miner=99, current_hash="")
         with pytest.raises(ConsensusError):
             chain.append_block(forged)
+
+
+class TestKnownBlockOnAnotherChain:
+    """A block some chain already validated is re-checked where it matters.
+
+    The state after a validated block is shared through
+    ``repro.core.blockchain._SHARED``; linkage, hash and roster are still
+    checked by every chain, and the key holds whatever else the verdict
+    depends on.
+    """
+
+    @pytest.fixture
+    def known(self, world):
+        accounts, _, chain = world
+        block = mine_next(chain, accounts, miner=2, storing=(1,))
+        chain.append_block(block)
+        return block
+
+    def test_same_cluster_adopts_the_derived_state(self, world, config, known, monkeypatch):
+        _, address_of, chain = world
+        other = Blockchain(list(range(4)), config, address_of)
+        monkeypatch.setattr(
+            Blockchain, "validate_child", lambda self, block: pytest.fail("re-derived")
+        )
+        other.append_block(known)
+        assert other.state is chain.state
+
+    def test_different_roster_still_rejects(self, config, known):
+        strangers = {i: Account.for_node(8, i).address for i in range(4)}
+        other = Blockchain(list(range(4)), config, strangers)
+        assert other.tip.current_hash == known.previous_hash  # same genesis
+        with pytest.raises(ConsensusError, match="miner address does not match"):
+            other.append_block(known)
+
+    def test_different_hit_modulus_still_rejects(self, world, config, known):
+        _, address_of, chain = world
+        other = Blockchain(
+            list(range(4)),
+            dataclasses.replace(config, hit_modulus=2**32),
+            address_of,
+            genesis=chain.blocks[0],
+        )
+        with pytest.raises(ConsensusError, match="hit mismatch"):
+            other.append_block(known)
+
+    def test_forged_twin_under_the_known_hash_rejected(self, world, config, known):
+        _, address_of, chain = world
+        forged = dataclasses.replace(known, storing_nodes=(0, 1, 2))
+        assert forged.current_hash == known.current_hash
+        other = Blockchain(list(range(4)), config, address_of)
+        with pytest.raises(ValidationError, match="hash mismatch"):
+            other.append_block(forged)
+        other.append_block(known)
+        assert other.state is chain.state
+        assert other.state.block_storing[1] == (1,)
+
+    def test_forged_genesis_under_the_real_hash_stays_private(self, world, config):
+        _, address_of, chain = world
+        forged = dataclasses.replace(chain.blocks[0], storing_nodes=(0,))
+        assert forged.current_hash == chain.blocks[0].current_hash
+        other = Blockchain(list(range(4)), config, address_of, genesis=forged)
+        assert other.state is not chain.state
+        assert other.state.block_storing[0] == (0,)
+        fresh = Blockchain(list(range(4)), config, address_of)
+        assert fresh.state is chain.state
+        assert fresh.state.block_storing[0] == (0, 1, 2, 3)
 
 
 class TestConsiderBlock:

@@ -100,10 +100,30 @@ class Block:
     def hash_is_valid(self) -> bool:
         return self.current_hash == self.compute_hash()
 
+    def _placement_digest(self) -> bytes:
+        """Digest of the one thing a ledger reads that the hash leaves out.
+
+        The content root is built from ``signing_payload()``, which
+        excludes each item's ``storing_nodes`` (the miner fills them in
+        after the producer signed), yet ``ChainState.apply_block``
+        credits exactly those nodes.  Two blocks with one ``current_hash``
+        can therefore derive two ledgers; together with the hash this
+        digest tells them apart.  Memoised like :meth:`compute_hash`.
+        """
+        memo = self.__dict__.get("_placement_memo")
+        if memo is None:
+            memo = hash_items(
+                "placement",
+                *(",".join(map(str, item.storing_nodes)) for item in self.metadata_items),
+            )
+            object.__setattr__(self, "_placement_memo", memo)
+        return memo
+
     def __getstate__(self) -> Dict[str, Any]:
-        """Pickle/copy state: the declared fields only, never the hash memo."""
+        """Pickle/copy state: the declared fields only, never a memo."""
         state = dict(self.__dict__)
         state.pop("_hash_memo", None)
+        state.pop("_placement_memo", None)
         return state
 
     # -- properties --------------------------------------------------------------------

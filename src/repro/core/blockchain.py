@@ -13,16 +13,18 @@ Two classes:
   fork choice and gap detection (the input signal for the missing-block
   recovery protocol of Section IV-D).
 
-Every node derives the same state from the same blocks, so the chains of
-one process derive it *once*: the state after a validated block is a
-shared, persistent value (see ``_SHARED`` and DESIGN.md "Shared derived
-state"), not one private mutable ledger per node.
+Every node derives the same ledgers from the same blocks, so the chains of
+one process derive them *once*: the per-node ledgers after a validated
+block are an immutable value every chain on that prefix holds (see
+``_SHARED`` and DESIGN.md "Shared derived state").  What a chain may prune
+— its metadata index and block-storing map — stays its own.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import math
 import weakref
 from collections import deque
@@ -39,7 +41,7 @@ from repro.core.errors import (
     ValidationError,
 )
 from repro.core.metadata import MetadataItem
-from repro.crypto.hashing import hash_items
+from repro.crypto.hashing import hash_items, sha256
 from repro.lifecycle.checkpoint import CheckpointRecord
 from repro.core.pos import (
     compute_amendment,
@@ -52,19 +54,19 @@ from repro.core.pos import (
 _B_TOLERANCE = 1e-9
 
 #: What the chains of this process have already derived, held weakly:
-#: ``(block hash, node_ids, config)`` → the :class:`ChainState` after that
-#: block, and ``("genesis", node_ids, config)`` → the default genesis
-#: :class:`Block`.  A block hash commits to the block's whole ancestor
-#: chain, so with the roster ids and the config it identifies one chain
-#: prefix; a state is registered only after ``validate_child`` accepted
-#: the block on top of its parent state, which makes both that verdict and
-#: the state pure functions of the key.  The rule that keeps sharing safe:
-#: a state reachable from here is never passed to ``apply_block`` again.
-#: Entries vanish with the last chain that holds them.
+#: ``(parent prefix id, block hash, block placement digest, node_ids,
+#: config)`` → the :class:`_Ledgers` after that block, and ``("genesis",
+#: node_ids, config)`` → the default genesis :class:`Block`.  The first
+#: three fields commit to everything ``_Ledgers.after`` reads (see
+#: ``_Ledgers.prefix_id``), so the value is a pure function of the key; an
+#: entry is written only after ``validate_child`` accepted the block on
+#: that prefix, so the verdict is too (a genesis is folded unchecked, under
+#: the all-zero parent id no later block can have).  Entries vanish with
+#: the last chain that holds them.
 _SHARED: "weakref.WeakValueDictionary[tuple, object]" = weakref.WeakValueDictionary()
 
 
-@dataclass
+@dataclass(slots=True)
 class _NodeLedger:
     """Chain-derived per-node ledger entry."""
 
@@ -78,15 +80,110 @@ class _NodeLedger:
         return len(self.data_expiries) - bisect.bisect_right(self.data_expiries, now)
 
 
+class _Ledgers:
+    """Every node's ledger after one chain prefix, as an immutable value.
+
+    Any number of :class:`ChainState` objects hold one instance, so
+    nothing here is written after construction — :meth:`after` builds the
+    successor beside it — except ``amendment_memo``, which caches a pure
+    function of ``entries``.
+    """
+
+    __slots__ = ("entries", "prefix_id", "amendment_memo", "__weakref__")
+
+    def __init__(self, entries: Dict[int, _NodeLedger], prefix_id: bytes):
+        #: node id → ledger, in ``node_ids`` order.
+        self.entries = entries
+        #: Commits to every block folded in so far: the digest of (parent
+        #: ``prefix_id``, block hash, block placement digest).  The block
+        #: hash covers every header field :meth:`after` reads and each
+        #: item's expiry; the placement digest covers the items' storing
+        #: nodes, which the hash leaves out.  Equal ids, equal ledgers.
+        self.prefix_id = prefix_id
+        #: ``(now, B)`` of the last :meth:`ChainState.amendment` call.
+        self.amendment_memo: Optional[Tuple[float, float]] = None
+
+    def after(self, block: Block, config: SystemConfig) -> "_Ledgers":
+        """The ledgers with ``block`` folded in; ``self`` is untouched.
+
+        Copy-on-write: the nodes the block credits get a private copy of
+        their ledger, every other entry is shared with ``self``.
+        """
+        entries = dict(self.entries)
+        if not block.is_genesis:
+            if block.index % config.token_rescale_interval == 0:
+                credited = entries.keys()
+            else:
+                credited = {block.miner, *block.storing_nodes, *block.recent_cache_nodes}
+                for item in block.metadata_items:
+                    credited.update(item.storing_nodes)
+            for node in credited:
+                ledger = entries.get(node)
+                if ledger is not None:
+                    entries[node] = _NodeLedger(
+                        ledger.tokens,
+                        list(ledger.data_expiries),
+                        ledger.blocks_stored,
+                        deque(ledger.recent_cache),
+                    )
+            miner = entries.get(block.miner)
+            if miner is not None:
+                miner.tokens += config.mining_incentive
+            for item in block.metadata_items:
+                for node in item.storing_nodes:
+                    ledger = entries.get(node)
+                    if ledger is None:
+                        continue
+                    bisect.insort(ledger.data_expiries, item.expires_at)
+                    ledger.tokens += config.storage_incentive
+            for node in block.storing_nodes:
+                ledger = entries.get(node)
+                if ledger is None:
+                    continue
+                ledger.blocks_stored += 1
+                ledger.tokens += config.storage_incentive
+            for node in block.recent_cache_nodes:
+                ledger = entries.get(node)
+                if ledger is None:
+                    continue
+                ledger.recent_cache.append(block.index)
+                while len(ledger.recent_cache) > config.recent_cache_capacity:
+                    ledger.recent_cache.popleft()  # FIFO (Section IV-C)
+                ledger.tokens += config.storage_incentive
+            # Periodic S-rescaling keeps B numerically sane (Section V-B).
+            if block.index % config.token_rescale_interval == 0:
+                for ledger in entries.values():
+                    ledger.tokens *= config.token_rescale_ratio
+        # Fixed-width fields (32-byte digests, 64 hex characters), so plain
+        # concatenation frames them unambiguously.
+        prefix_id = sha256(
+            self.prefix_id + block.compute_hash().encode() + block._placement_digest()
+        )
+        return _Ledgers(entries, prefix_id)
+
+
+@functools.lru_cache(maxsize=8)
+def _initial_ledgers(node_ids: Tuple[int, ...], config: SystemConfig) -> _Ledgers:
+    """Everyone at ``initial_tokens``: where each chain of a cluster starts."""
+    return _Ledgers(
+        {node: _NodeLedger(tokens=config.initial_tokens) for node in node_ids},
+        prefix_id=bytes(32),
+    )
+
+
 class ChainState:
-    """The ledger a node derives from its chain (deterministic replay)."""
+    """The ledger a node derives from its chain (deterministic replay).
+
+    Two parts.  The per-node ledgers (``_ledgers``) are a function of the
+    blocks alone, immutable, and shared by every state on the same chain
+    prefix.  ``metadata_index`` and ``block_storing`` are this state's
+    own: each chain prunes them on its own schedule.
+    """
 
     def __init__(self, node_ids: Sequence[int], config: SystemConfig):
         self.config = config
         self.node_ids: Tuple[int, ...] = tuple(sorted(node_ids))
-        self._ledger: Dict[int, _NodeLedger] = {
-            node: _NodeLedger(tokens=config.initial_tokens) for node in self.node_ids
-        }
+        self._ledgers = _initial_ledgers(self.node_ids, config)
         #: data_id → metadata item (latest packed copy, with storing nodes).
         self.metadata_index: Dict[str, MetadataItem] = {}
         #: block index → nodes persisting that block.
@@ -97,6 +194,10 @@ class ChainState:
 
     def apply_block(self, block: Block) -> None:
         """Fold one block into the ledger (must be called in chain order)."""
+        self._advance(block, self._ledgers.after(block, self.config))
+
+    def _advance(self, block: Block, ledgers: _Ledgers) -> None:
+        """Move past ``block``, whose successor ledgers are ``ledgers``."""
         if block.index != self.blocks_applied:
             raise ValueError(
                 f"blocks must be applied in order (expected {self.blocks_applied}, "
@@ -104,42 +205,16 @@ class ChainState:
             )
         self.block_storing[block.index] = block.storing_nodes
         if not block.is_genesis:
-            miner = self._ledger.get(block.miner)
-            if miner is not None:
-                miner.tokens += self.config.mining_incentive
             for item in block.metadata_items:
                 self.metadata_index[item.data_id] = item
-                for node in item.storing_nodes:
-                    ledger = self._ledger.get(node)
-                    if ledger is None:
-                        continue
-                    bisect.insort(ledger.data_expiries, item.expires_at)
-                    ledger.tokens += self.config.storage_incentive
-            for node in block.storing_nodes:
-                ledger = self._ledger.get(node)
-                if ledger is None:
-                    continue
-                ledger.blocks_stored += 1
-                ledger.tokens += self.config.storage_incentive
-            for node in block.recent_cache_nodes:
-                ledger = self._ledger.get(node)
-                if ledger is None:
-                    continue
-                ledger.recent_cache.append(block.index)
-                while len(ledger.recent_cache) > self.config.recent_cache_capacity:
-                    ledger.recent_cache.popleft()  # FIFO (Section IV-C)
-                ledger.tokens += self.config.storage_incentive
-            # Periodic S-rescaling keeps B numerically sane (Section V-B).
-            if block.index % self.config.token_rescale_interval == 0:
-                for ledger in self._ledger.values():
-                    ledger.tokens *= self.config.token_rescale_ratio
+        self._ledgers = ledgers
         self.blocks_applied += 1
 
     # -- PoS inputs -------------------------------------------------------------------
 
     def tokens(self, node: int) -> float:
         """S_i — the node's token balance."""
-        return self._ledger[node].tokens
+        return self._ledgers.entries[node].tokens
 
     def stored_items(self, node: int, now: float) -> int:
         """Q_i — chain-assigned items the node holds at ``now``.
@@ -149,7 +224,7 @@ class ChainState:
         in a new node is also one"), unexpired data assignments, permanent
         block assignments, and the recent-block FIFO cache.
         """
-        ledger = self._ledger[node]
+        ledger = self._ledgers.entries[node]
         return (
             1
             + ledger.unexpired_data(now)
@@ -172,10 +247,11 @@ class ChainState:
         consensus: the float sum feeds ``target_b``, which every block
         records and hashes, so a running ``Σ S·Q`` maintained by
         ``apply_block`` would change digests.  It runs once per tip
-        instead — the state is shared and :meth:`amendment` memoises it.
+        instead — the ledgers are shared and :meth:`amendment` memoises
+        it on them.
         """
         total = 0
-        for ledger in self._ledger.values():
+        for ledger in self._ledgers.entries.values():
             expiries = ledger.data_expiries
             total += ledger.tokens * (
                 1
@@ -189,53 +265,39 @@ class ChainState:
     def amendment(self, now: float) -> float:
         """The B in force for the next race (Eq. 14).
 
-        Memoised on ``(blocks_applied, now)``: every chain on one tip
-        holds this same state and asks for B at the tip's timestamp, so
-        the whole cluster pays for one Ū scan per tip.  Writing the memo
-        is the one mutation a shared state sees besides pruning; it
-        caches a pure function of the ledger.  The ``getattr`` guard
-        keeps snapshots pickled before this cache existed loadable.
+        Memoised per ``now`` on the shared ledgers: every chain on one tip
+        asks for B at the tip's timestamp, so the whole cluster pays for
+        one Ū scan per tip.
         """
-        key = (self.blocks_applied, now)
-        cached = getattr(self, "_amendment_cache", None)
-        if cached is not None and cached[0] == key:
-            return cached[1]
+        ledgers = self._ledgers
+        memo = ledgers.amendment_memo
+        if memo is not None and memo[0] == now:
+            return memo[1]
         value = compute_amendment(
             self.config.hit_modulus,
             len(self.node_ids),
             self.config.expected_block_interval,
             self.mean_u(now),
         )
-        self._amendment_cache = (key, value)
+        ledgers.amendment_memo = (now, value)
         return value
 
     def recent_cache_of(self, node: int) -> Tuple[int, ...]:
-        return tuple(self._ledger[node].recent_cache)
+        return tuple(self._ledgers.entries[node].recent_cache)
 
     # -- lifecycle -------------------------------------------------------------------
 
     def clone(self) -> "ChainState":
-        """Independent copy: the only way to a state ``apply_block`` may touch.
+        """Independent copy: applying to or pruning one never shows in the other.
 
-        A state some chain holds may be held by every other chain on that
-        tip, so it is never folded further; ``append_block`` builds the
-        successor on a clone, and ``_replica_at`` replays on a clone of
-        the pruning anchor.  Deep enough that applying blocks to the copy
-        never mutates the original: ledgers are rebuilt, block objects
-        and metadata items are shared (both immutable).
+        The ledgers are immutable and simply shared; the two prunable
+        maps are copied (their block-storing tuples and metadata items
+        are immutable too).
         """
-        other = ChainState.__new__(ChainState)
+        other = ChainState.__new__(type(self))
         other.config = self.config
         other.node_ids = self.node_ids
-        other._ledger = {
-            node: _NodeLedger(
-                tokens=ledger.tokens,
-                data_expiries=list(ledger.data_expiries),
-                blocks_stored=ledger.blocks_stored,
-                recent_cache=deque(ledger.recent_cache),
-            )
-            for node, ledger in self._ledger.items()
-        }
+        other._ledgers = self._ledgers
         other.metadata_index = dict(self.metadata_index)
         other.block_storing = dict(self.block_storing)
         other.blocks_applied = self.blocks_applied
@@ -248,15 +310,9 @@ class ChainState:
         items that expired at or before ``cutoff`` (the horizon block's
         timestamp) — neither feeds :meth:`ledger_digest`, so pruning is
         digest-neutral by construction.  The per-node ledgers (which DO
-        feed the digest) are never touched.  Returns the number of
-        entries dropped.
-
-        Runs in place on a state every chain on this tip may hold.  Sound
-        because all of them prune it alike: the horizon is a function of
-        ``(config, height)``, capped by a ``prune_floor_limit`` a durable
-        run sets on every node at once, and each chain prunes in the same
-        event that moved its tip — so a holder never sees entries go that
-        it would have kept (DESIGN.md, "Shared derived state").
+        feed the digest) are never touched, which is also why pruning in
+        place is safe: the two maps belong to this state alone.  Returns
+        the number of entries dropped.
         """
         stale_blocks = [index for index in self.block_storing if index < horizon]
         for index in stale_blocks:
@@ -279,8 +335,9 @@ class ChainState:
         float token balances bit-exact.
         """
         fields: List[object] = ["ledger-digest", self.blocks_applied]
+        entries = self._ledgers.entries
         for node in self.node_ids:
-            ledger = self._ledger[node]
+            ledger = entries[node]
             fields.extend(
                 (
                     node,
@@ -312,26 +369,6 @@ def _default_genesis(node_ids: Tuple[int, ...], config: SystemConfig) -> Block:
     return genesis
 
 
-def _state_after_genesis(
-    genesis: Block, node_ids: Tuple[int, ...], config: SystemConfig
-) -> ChainState:
-    """The ledger after ``genesis`` alone, shared when its hash verifies.
-
-    A genesis handed in by a peer is not validated by the constructor; one
-    whose hash does not commit to its fields gets a private state, so it
-    can neither read nor poison the entry of the block it imitates.
-    """
-    verified = genesis.hash_is_valid()
-    key = (genesis.current_hash, node_ids, config)
-    state = _SHARED.get(key) if verified else None
-    if state is None:
-        state = ChainState(node_ids, config)
-        state.apply_block(genesis)
-        if verified:
-            _SHARED[key] = state
-    return state
-
-
 class BlockOutcome(enum.Enum):
     """Result of offering a block to :meth:`Blockchain.consider_block`."""
 
@@ -358,8 +395,10 @@ class Blockchain:
             genesis = _default_genesis(self.node_ids, config)
         if not genesis.is_genesis:
             raise ValueError("genesis block must have index 0")
-        self.blocks: List[Block] = [genesis]
-        self.state = _state_after_genesis(genesis, self.node_ids, config)
+        self.blocks: List[Block] = []
+        self.state = ChainState(self.node_ids, config)
+        key = self._ledgers_key(genesis)
+        self._extend(genesis, key, _SHARED.get(key))
         #: Index of the oldest retained body (0 until the chain prunes).
         self._first_retained: int = 0
         #: Replay state as of block ``_first_retained`` (None until pruned).
@@ -565,28 +604,49 @@ class Blockchain:
         self.blocks.append(block)
         self.state.apply_block(block)
 
+    def _ledgers_key(self, block: Block) -> tuple:
+        """Where ``_SHARED`` holds the ledgers after ``block`` on this prefix.
+
+        Names this state's chain prefix and everything the fold reads
+        from ``block`` — by its real hash, not the one it claims — so the
+        entry is the value ``apply_block`` would build.
+        """
+        return (
+            self.state._ledgers.prefix_id,
+            block.compute_hash(),
+            block._placement_digest(),
+            self.node_ids,
+            self.config,
+        )
+
+    def _extend(self, block: Block, key: tuple, ledgers: Optional[_Ledgers]) -> None:
+        """Append ``block``; ``ledgers`` is what ``_SHARED`` held under ``key``."""
+        if ledgers is None:
+            self.state.apply_block(block)
+            _SHARED[key] = self.state._ledgers
+        else:
+            self.state._advance(block, ledgers)
+        self.blocks.append(block)
+
     def append_block(self, block: Block) -> None:
         """Validate and append a tip-extending block.
 
         Linkage to *this* tip, the block hash and the miner's address in
         *this* roster are checked on every chain.  The PoS re-derivation
-        and the fold into the ledger run once per process and chain
-        prefix: the first chain to accept the block registers the state
-        after it in ``_SHARED`` and every later chain adopts that object.
-        The successor is built on a copy, so the state this chain held
-        before — which other chains at the old tip still hold — is
-        untouched.
+        and the fold into the per-node ledgers run once per process and
+        chain prefix: the first chain to accept the block registers the
+        ledgers after it in ``_SHARED``, and for every later chain on
+        that prefix the entry stands for both the verdict and the value.
+        This chain's own metadata index and block-storing map are updated
+        either way.
         """
-        self._check_extends_tip(block)
-        key = (block.current_hash, self.node_ids, self.config)
-        state = _SHARED.get(key)
-        if state is None:
+        key = self._ledgers_key(block)
+        ledgers = _SHARED.get(key)
+        if ledgers is None:
             self.validate_child(block)
-            state = self.state.clone()
-            state.apply_block(block)
-            _SHARED[key] = state
-        self.blocks.append(block)
-        self.state = state
+        else:
+            self._check_extends_tip(block)
+        self._extend(block, key, ledgers)
 
     def consider_block(self, block: Block) -> BlockOutcome:
         """Classify an incoming block and append it when it extends the tip.

@@ -19,9 +19,10 @@ is the single home for that boilerplate:
   oracle for :mod:`repro.facility.greedy`;
 * :func:`reference_scalar_mult` — affine double-and-add, the differential
   oracle for the Jacobian kernel in :mod:`repro.crypto.keys`;
-* :class:`PrivateChain` / :func:`private_replay` / :func:`private_chains`
-  — one private, in-place-mutated ledger per chain, the differential
-  oracle for the shared derived state of :mod:`repro.core.blockchain`;
+* :class:`PrivateChain` (on a :class:`PrivateState`) /
+  :func:`private_replay` / :func:`private_chains` — one private,
+  in-place-mutated ledger per chain, the differential oracle for the
+  shared ledgers of :mod:`repro.core.blockchain`;
 * :func:`mine_next` — a valid PoS child block for any chain.
 
 The ``make_cluster`` / ``fixed_seed_run`` conftest fixtures re-export
@@ -30,16 +31,18 @@ these for tests that prefer fixture injection over imports.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 import sys
+from collections import deque
 from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.block import Block
-from repro.core.blockchain import Blockchain
+from repro.core.blockchain import Blockchain, ChainState, _Ledgers, _NodeLedger
 from repro.core.config import PAPER_CONFIG, SystemConfig
 from repro.core.pos import compute_hit, compute_pos_hash, mining_delay
 from repro.core.pow import pow_difficulty_for
@@ -344,19 +347,94 @@ def mine_next(chain, accounts, miner, metadata_items=(), storing=(0,),
     )
 
 
-class PrivateChain(Blockchain):
-    """One private ledger per chain: differential oracle for shared state.
+class PrivateState(ChainState):
+    """A ledger mutated in place: differential oracle for ``_Ledgers.after``.
 
-    This is ``Blockchain`` as it stood before chains shared their derived
-    state: every chain owns its :class:`ChainState`, re-runs the full
-    ``validate_child`` for every block and folds it into that state in
-    place.  Production chains must answer every query exactly as this one
-    does.
+    ``apply_block`` is ``ChainState.apply_block`` as it stood before the
+    per-node ledgers became a shared immutable value — kept verbatim on a
+    set of ledgers this state alone holds.  The copy-on-write fold in
+    production must leave every node with the same balances.
+    """
+
+    def __init__(self, node_ids, config):
+        super().__init__(node_ids, config)
+        self._own(self._ledgers)
+
+    def _own(self, ledgers) -> None:
+        self._ledgers = _Ledgers(
+            {
+                node: _NodeLedger(
+                    tokens=ledger.tokens,
+                    data_expiries=list(ledger.data_expiries),
+                    blocks_stored=ledger.blocks_stored,
+                    recent_cache=deque(ledger.recent_cache),
+                )
+                for node, ledger in ledgers.entries.items()
+            },
+            b"private",
+        )
+
+    def clone(self) -> "PrivateState":
+        other = super().clone()
+        other._own(self._ledgers)
+        return other
+
+    def apply_block(self, block: Block) -> None:
+        if block.index != self.blocks_applied:
+            raise ValueError(
+                f"blocks must be applied in order (expected {self.blocks_applied}, "
+                f"got {block.index})"
+            )
+        _ledger = self._ledgers.entries
+        self._ledgers.amendment_memo = None
+        self.block_storing[block.index] = block.storing_nodes
+        if not block.is_genesis:
+            miner = _ledger.get(block.miner)
+            if miner is not None:
+                miner.tokens += self.config.mining_incentive
+            for item in block.metadata_items:
+                self.metadata_index[item.data_id] = item
+                for node in item.storing_nodes:
+                    ledger = _ledger.get(node)
+                    if ledger is None:
+                        continue
+                    bisect.insort(ledger.data_expiries, item.expires_at)
+                    ledger.tokens += self.config.storage_incentive
+            for node in block.storing_nodes:
+                ledger = _ledger.get(node)
+                if ledger is None:
+                    continue
+                ledger.blocks_stored += 1
+                ledger.tokens += self.config.storage_incentive
+            for node in block.recent_cache_nodes:
+                ledger = _ledger.get(node)
+                if ledger is None:
+                    continue
+                ledger.recent_cache.append(block.index)
+                while len(ledger.recent_cache) > self.config.recent_cache_capacity:
+                    ledger.recent_cache.popleft()  # FIFO (Section IV-C)
+                ledger.tokens += self.config.storage_incentive
+            # Periodic S-rescaling keeps B numerically sane (Section V-B).
+            if block.index % self.config.token_rescale_interval == 0:
+                for ledger in _ledger.values():
+                    ledger.tokens *= self.config.token_rescale_ratio
+        self.blocks_applied += 1
+
+
+class PrivateChain(Blockchain):
+    """One private ledger per chain: differential oracle for shared ledgers.
+
+    This is ``Blockchain`` as it stood before chains shared what they
+    derive: every chain owns its ledgers (a :class:`PrivateState`),
+    re-runs the full ``validate_child`` for every block and folds it in
+    place.  Production chains must answer every query exactly as this
+    one does.
     """
 
     def __init__(self, node_ids, config, address_of, genesis=None):
         super().__init__(node_ids, config, address_of, genesis=genesis)
-        self.state = self.state.clone()
+        self.state = PrivateState(self.node_ids, config)
+        self.state.apply_block(self.blocks[0])
 
     def append_block(self, block: Block) -> None:
         self.validate_child(block)

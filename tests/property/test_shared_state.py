@@ -1,23 +1,25 @@
-"""Shared derived state vs one private ledger per chain.
+"""Shared derived ledgers vs one private ledger per chain.
 
-Production chains adopt the :class:`ChainState` another chain of the
-process already derived for the same block
+Production chains take the per-node ledgers another chain of the process
+already derived for the same block on the same prefix
 (``repro.core.blockchain._SHARED``); :class:`tests.helpers.PrivateChain`
-is the chain as it stood before — own state, full ``validate_child`` and
-an in-place ``apply_block`` per chain.  Everything a chain can be asked
-must read the same in both worlds:
+is the chain as it stood before — own ledgers, full ``validate_child``
+and an in-place ``apply_block`` per chain.  Everything a chain can be
+asked must read the same in both worlds:
 
 * **Differential** — Hypothesis scripts of blocks with one-block forks,
   followers that fall behind and adopt through ``consider_chain`` (from
   genesis and, once pruned, anchored through ``_replica_at``) and a late
   joiner, every chain compared with a private replay of its own history.
-* **Aliasing** — siblings on one parent, a state held at an old tip while
-  other chains move on, and the weak table draining with its chains.
-* **Snapshot** — a pickled runtime holds one copy of a state all chains
-  hold (so it cannot grow), and the restored run continues identically.
-* **Lifecycle** — a pruning, churning cluster stepped in lock-step with
-  its private-chain twin: ``prune_below`` mutates a shared state in
-  place, which is only sound if no chain ever sees another chain's prune.
+* **Aliasing** — siblings on one parent, ledgers held at an old tip
+  while other chains move on, same-hash twins that place an item
+  elsewhere, and the weak table draining with its chains.
+* **Snapshot** — a pickled runtime holds one copy of the ledgers all
+  chains hold (so it cannot grow), and the restored run continues
+  identically.
+* **Lifecycle** — what a chain prunes is its own: chains on one tip with
+  different prune floors, and a pruning, churning cluster stepped in
+  lock-step with its private-chain twin.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.core import blockchain as blockchain_module
 from repro.core.account import Account
 from repro.core.blockchain import Blockchain
 from repro.core.config import LifecycleSpec, SystemConfig
-from repro.core.errors import ChainLinkError, ValidationError
+from repro.core.errors import ChainLinkError, ConsensusError, ValidationError
 from repro.core.metadata import create_metadata
 from repro.sim.runner import ExperimentSpec, build_runtime
 from tests.helpers import (
@@ -86,14 +88,17 @@ def assert_same_answers(chain: Blockchain, oracle: Blockchain) -> None:
 
 node_sets = st.lists(st.sampled_from(NODE_IDS), max_size=3, unique=True).map(tuple)
 
-#: One script step: the miner and what its block assigns; whether a rival
-#: block is mined on the same parent; which followers hear of the block.
+#: One script step: the miner and what its block assigns; whether the
+#: first follower is served a same-hash twin that places the item on other
+#: nodes; whether a rival block is mined on the same parent; which
+#: followers hear of the block.
 steps = st.fixed_dictionaries(
     dict(
         miner=st.sampled_from(NODE_IDS),
         storing=node_sets,
         recent=node_sets,
         item_storers=st.one_of(st.none(), node_sets),
+        twin_storers=st.one_of(st.none(), node_sets),
         rival=st.one_of(st.none(), st.sampled_from(NODE_IDS)),
         heard_by=st.lists(st.booleans(), min_size=3, max_size=3),
     )
@@ -111,8 +116,8 @@ class _Follower:
         """What a node does with an announced block (forks wait for sync)."""
         try:
             self.chain.consider_block(block)
-        except ChainLinkError:
-            return
+        except (ChainLinkError, ConsensusError):
+            return  # on a fork, or on a twin's ledgers where B moved
         if self.chain.tip is block:
             self.history.append(block)
             self.chain.maybe_prune()
@@ -165,10 +170,20 @@ def _run_script(config, script):
         rival = None
         if step["rival"] is not None and step["rival"] != step["miner"]:
             rival = mine_next(leader.chain, ACCOUNTS, step["rival"], storing=(0,))
+        twin = None
+        if items and step["twin_storers"] not in (None, step["item_storers"]):
+            # Placement is outside the hash: valid, yet another ledger.
+            twin = replace(
+                block,
+                metadata_items=(items[0].with_storing_nodes(step["twin_storers"]),),
+            )
+            assert twin.hash_is_valid() and twin.current_hash == block.current_hash
         leader.offer(block)
         assert leader.chain.tip is block
         for index, (follower, heard) in enumerate(zip(followers, step["heard_by"])):
-            if heard:
+            if heard and index == 0 and twin is not None:
+                follower.offer(twin)
+            elif heard:
                 # The last follower hears the rival first: a one-block fork
                 # it can only leave through consider_chain.
                 if rival is not None and index == len(followers) - 1:
@@ -213,7 +228,7 @@ class TestDifferentialAgainstPrivateReplay:
         assert 0 < follower.chain.first_retained_index < leader.chain.first_retained_index
         follower.sync(leader)
         assert follower.chain.height == leader.chain.height
-        assert follower.chain.state is leader.chain.state
+        assert follower.chain.state._ledgers is leader.chain.state._ledgers
         assert_same_answers(follower.chain, follower.oracle())
 
 
@@ -224,15 +239,15 @@ class TestAliasing:
         parent = mine_next(left, ACCOUNTS, 0, storing=(1,))
         left.append_block(parent)
         right.append_block(parent)
-        assert left.state is right.state  # one derived ledger per chain prefix
+        assert left.state._ledgers is right.state._ledgers  # derived once per prefix
         before = left.state.ledger_digest()
         a = mine_next(left, ACCOUNTS, 1, storing=(2,), recent=(2,))
         b = mine_next(right, ACCOUNTS, 3, storing=(4,), recent=(4,))
-        held = left.state
+        held = left.state.clone()  # a third holder of the parent's ledgers
         left.append_block(a)
         right.append_block(b)
         assert held.ledger_digest() == before
-        assert left.state is not right.state
+        assert left.state._ledgers is not right.state._ledgers
         assert_same_answers(left, private_replay(left.blocks, NODE_IDS, CONFIG, ADDRESS_OF))
         assert_same_answers(right, private_replay(right.blocks, NODE_IDS, CONFIG, ADDRESS_OF))
         assert left.state.tokens(4) == CONFIG.initial_tokens
@@ -263,15 +278,15 @@ class TestAliasing:
 
         def entries():
             gc.collect()
-            return [key for key in blockchain_module._SHARED.keys() if key[2] == config]
+            return [key for key in blockchain_module._SHARED.keys() if config in key]
 
         chains = [Blockchain(NODE_IDS, config, ADDRESS_OF) for _ in range(4)]
         for step in range(6):
             block = mine_next(chains[0], ACCOUNTS, step % NODES)
             for chain in chains:
                 chain.append_block(block)
-        # The tip state and the genesis block are held; states of tips
-        # every chain has left are already gone.
+        # The tip's ledgers and the genesis block are held; ledgers of
+        # tips every chain has left are already gone.
         assert len(entries()) == 2
         del chains, chain, block
         assert entries() == []
@@ -279,7 +294,7 @@ class TestAliasing:
 
 class TestSnapshotOfSharedState:
     def test_snapshot_holds_one_copy_and_resumes_identically(self):
-        """Pickle keeps identity: a state n chains hold is written once."""
+        """Pickle keeps identity: ledgers n chains hold are written once."""
         spec = ExperimentSpec(
             node_count=12, config=make_config(), seed=5, duration_minutes=4.0
         )
@@ -300,14 +315,50 @@ class TestSnapshotOfSharedState:
 
 
 class TestLifecycleOnSharedState:
-    """``prune_below`` runs in place on states other chains hold.
+    """Chains share ledgers, never what they prune.
 
-    Sound because what a chain at tip ``T`` has pruned is a function of
-    ``(config, T)``: ``retention_horizon`` is, and every node prunes in
-    the event that moved its tip.  The twin run below holds it to that:
-    a node that ever saw a peer's prune would answer differently from the
-    same node with a private ledger.
+    ``prune_below`` drops entries of ``metadata_index`` and
+    ``block_storing`` in place.  Those two maps belong to one
+    :class:`ChainState`, and every chain has its own, so a chain answers
+    ``metadata_of`` / ``block_storing`` by its own pruning history alone —
+    whatever floor a durable run's journal holds a peer at.
     """
+
+    def test_chains_on_one_tip_with_different_prune_floors(self):
+        """A binding ``prune_floor_limit`` on one chain is invisible to the rest.
+
+        ``run_persistent`` raises the limit on journal ticks, so between
+        two nodes' appends of one block the floor can differ; each chain
+        must keep exactly what its private twin keeps.
+        """
+        free = Blockchain(NODE_IDS, PRUNING_CONFIG, ADDRESS_OF)
+        held_back = Blockchain(NODE_IDS, PRUNING_CONFIG, ADDRESS_OF)
+        twins = [
+            PrivateChain(NODE_IDS, PRUNING_CONFIG, ADDRESS_OF) for _ in range(2)
+        ]
+        parties = [free, held_back, *twins]
+        for chain in (held_back, twins[1]):
+            chain.prune_floor_limit = 2
+        for step in range(12):
+            item = create_metadata(
+                ACCOUNTS[0], 0, step, created_at=free.tip.timestamp,
+                valid_time_minutes=0.5,
+            ).with_storing_nodes((step % NODES,))
+            block = mine_next(
+                free, ACCOUNTS, step % NODES, metadata_items=(item,), storing=(1,)
+            )
+            for chain in parties:
+                chain.append_block(block)
+                chain.maybe_prune()
+            if step == 7:  # the journal caught up: the floor moves
+                for chain in (held_back, twins[1]):
+                    chain.prune_floor_limit = 6
+            assert free.state._ledgers is held_back.state._ledgers
+            assert_same_answers(free, twins[0])
+            assert_same_answers(held_back, twins[1])
+        assert held_back.first_retained_index < free.first_retained_index
+        assert len(held_back.state.block_storing) > len(free.state.block_storing)
+        assert len(held_back.state.metadata_index) > len(free.state.metadata_index)
 
     @pytest.mark.lifecycle
     def test_pruning_cluster_matches_its_private_twin_at_every_tip(self):

@@ -142,6 +142,31 @@ class TestHashMemo:
         assert repr(cold) == repr(child)
         assert pickle.dumps(cold) == pickle.dumps(child)
 
+    def test_placement_digest_covers_what_the_hash_leaves_out(self, account, child):
+        """Same rules for the second memo: item placement, outside the hash."""
+        item = create_metadata(account, 1, 0, 10.0)
+        here = dataclasses.replace(
+            child, metadata_items=(item.with_storing_nodes((0, 1)),), current_hash=""
+        )
+        there = dataclasses.replace(
+            here, metadata_items=(item.with_storing_nodes((2,)),)
+        )
+        assert there.current_hash == here.current_hash and there.hash_is_valid()
+        assert here._placement_digest() != there._placement_digest()
+        assert "_placement_memo" in vars(here)
+        for twin in (pickle.loads(pickle.dumps(here)), copy.deepcopy(here),
+                     dataclasses.replace(here, hit=here.hit)):
+            assert "_placement_memo" not in vars(twin)
+            assert twin._placement_digest() == here._placement_digest()
+        cold = dataclasses.replace(here, hit=here.hit)
+        assert pickle.dumps(cold) == pickle.dumps(here)
+        # One item on (0, 1) is not two items on (0,) and (1,).
+        split = dataclasses.replace(
+            child,
+            metadata_items=(item.with_storing_nodes((0,)), item.with_storing_nodes((1,))),
+        )
+        assert split._placement_digest() != here._placement_digest()
+
     def test_stale_hash_on_a_copy_of_a_warm_block(self, child):
         assert child.hash_is_valid()
         tampered = dataclasses.replace(child, hit=child.hit + 1)

@@ -9,7 +9,7 @@ from repro.core.blockchain import Blockchain, BlockOutcome, ChainState
 from repro.core.config import SystemConfig
 from repro.core.errors import ChainLinkError, ConsensusError, ValidationError
 from repro.core.metadata import create_metadata
-from tests.helpers import mine_next
+from tests.helpers import mine_next, private_replay
 
 
 @pytest.fixture
@@ -175,10 +175,10 @@ class TestValidation:
 class TestKnownBlockOnAnotherChain:
     """A block some chain already validated is re-checked where it matters.
 
-    The state after a validated block is shared through
+    The per-node ledgers after a validated block are shared through
     ``repro.core.blockchain._SHARED``; linkage, hash and roster are still
     checked by every chain, and the key holds whatever else the verdict
-    depends on.
+    and the ledgers depend on.
     """
 
     @pytest.fixture
@@ -195,7 +195,8 @@ class TestKnownBlockOnAnotherChain:
             Blockchain, "validate_child", lambda self, block: pytest.fail("re-derived")
         )
         other.append_block(known)
-        assert other.state is chain.state
+        assert other.state._ledgers is chain.state._ledgers
+        assert other.state is not chain.state  # index and storing map are per chain
 
     def test_different_roster_still_rejects(self, config, known):
         strangers = {i: Account.for_node(8, i).address for i in range(4)}
@@ -223,18 +224,63 @@ class TestKnownBlockOnAnotherChain:
         with pytest.raises(ValidationError, match="hash mismatch"):
             other.append_block(forged)
         other.append_block(known)
-        assert other.state is chain.state
+        assert other.state._ledgers is chain.state._ledgers
         assert other.state.block_storing[1] == (1,)
+
+    def test_twin_with_another_placement_derives_its_own_ledger(self, world, config):
+        """Item placement is outside the block hash but inside the ledger.
+
+        ``content_root`` hashes ``signing_payload()``, which leaves
+        ``storing_nodes`` out, so a twin that moves an item to other nodes
+        keeps a valid ``current_hash``.  Nothing else rejects it
+        (``validate_allocations`` is off by default), so a chain that
+        receives it must credit *its* nodes — as a private replay does —
+        and the chains holding the original must not notice.
+        """
+        accounts, address_of, chain = world
+        roster = list(range(4))
+        item = create_metadata(accounts[0], 0, 0, created_at=0.0)
+        original = mine_next(
+            chain, accounts, miner=2, storing=(3,),
+            metadata_items=[item.with_storing_nodes((0,))],
+        )
+        twin = dataclasses.replace(
+            original, metadata_items=(item.with_storing_nodes((1,)),)
+        )
+        assert twin.current_hash == original.current_hash and twin.hash_is_valid()
+        chain.append_block(original)
+        other = Blockchain(roster, config, address_of)
+        other.append_block(twin)
+        assert other.state._ledgers is not chain.state._ledgers
+        assert chain.state.tokens(0) > chain.state.tokens(1)
+        assert other.state.tokens(1) > other.state.tokens(0)
+        # Nodes 0 and 1 were interchangeable, so B and the next miner's
+        # stake agree and one child is valid on both prefixes: the
+        # difference has to be carried forward, not merged by its hash.
+        child = mine_next(chain, accounts, miner=3)
+        chain.append_block(child)
+        other.append_block(child)
+        assert other.state._ledgers is not chain.state._ledgers
+        for party in (chain, other):
+            oracle = private_replay(party.blocks, roster, config, address_of)
+            assert party.chain_digest() == oracle.chain_digest()
+            assert party.metadata_of(item.data_id) == oracle.metadata_of(item.data_id)
+        assert chain.state.ledger_digest() != other.state.ledger_digest()
+        # A third chain that saw the twin joins the twin's ledgers.
+        third = Blockchain(roster, config, address_of)
+        third.append_block(twin)
+        third.append_block(child)
+        assert third.state._ledgers is other.state._ledgers
 
     def test_forged_genesis_under_the_real_hash_stays_private(self, world, config):
         _, address_of, chain = world
         forged = dataclasses.replace(chain.blocks[0], storing_nodes=(0,))
         assert forged.current_hash == chain.blocks[0].current_hash
         other = Blockchain(list(range(4)), config, address_of, genesis=forged)
-        assert other.state is not chain.state
+        assert other.state._ledgers is not chain.state._ledgers
         assert other.state.block_storing[0] == (0,)
         fresh = Blockchain(list(range(4)), config, address_of)
-        assert fresh.state is chain.state
+        assert fresh.state._ledgers is chain.state._ledgers
         assert fresh.state.block_storing[0] == (0, 1, 2, 3)
 
 

@@ -61,12 +61,12 @@ def hash_items(*fields: HashableField) -> bytes:
     4-byte big-endian length, so no concatenation of distinct field
     sequences can produce the same byte stream.
     """
-    hasher = hashlib.sha256()
+    parts = []
     for field in fields:
         encoded = _encode_field(field)
-        hasher.update(len(encoded).to_bytes(4, "big"))
-        hasher.update(encoded)
-    return hasher.digest()
+        parts.append(len(encoded).to_bytes(4, "big"))
+        parts.append(encoded)
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 def hash_items_hex(*fields: HashableField) -> str:

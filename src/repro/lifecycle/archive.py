@@ -3,31 +3,32 @@
 ``archive.jsonl`` sits next to the run's journal and chain store.  Every
 line is one archived block — a JSON object carrying the block index,
 its hash, the canonical block payload, an optional pinned checkpoint
-record, and a CRC-32 over the canonical encoding of everything else
-(the same framing discipline as the run journal).  Compaction appends
-blocks in strict index order, so the archive is a contiguous prefix
-``[0, archived_below)`` of the chain and a ranged fetch is a scan.
+record, and a CRC-32 over the rest of the line (the run journal's
+framing, :mod:`repro.lifecycle.framing`).  Compaction appends blocks in
+strict index order, so the archive is a contiguous prefix
+``[0, archived_below)`` of the chain and a ranged fetch is one seek and
+a sequential read.
 
-Crash tolerance mirrors the journal: a torn final line (the process died
-mid-append during compaction) is truncated away on open and the
-compactor simply re-archives from the surviving floor — archiving is
-idempotent because the chain store only deletes a row *after* the
-archive holds (and has fsynced) its copy.
+Flush policy: a compaction batch (:meth:`BlockArchive.append_many`) is
+written through one buffered handle and fsynced once, before it returns —
+and the chain store only deletes a row *after* that return.  Crash
+tolerance mirrors the journal: a torn final line (the process died
+mid-batch) is truncated away on open and the compactor simply
+re-archives from the surviving floor.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.block import Block
-from repro.core.errors import PersistError
+from repro.core.errors import PersistError, ValidationError
 from repro.core.serialization import block_from_dict, block_to_dict
 from repro.lifecycle.checkpoint import CheckpointRecord
+from repro.lifecycle.framing import _frame, _unframe
 from repro.obs import runtime as _obs
 
 PathLike = Union[str, Path]
@@ -39,14 +40,6 @@ ARCHIVE_NAME = "archive.jsonl"
 ARCHIVE_FORMAT_VERSION = 1
 
 __all__ = ["ARCHIVE_NAME", "ArchiveStats", "BlockArchive"]
-
-
-def _canonical(body: Dict[str, Any]) -> bytes:
-    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def _crc_of(body: Dict[str, Any]) -> str:
-    return format(zlib.crc32(_canonical(body)) & 0xFFFFFFFF, "08x")
 
 
 @dataclass(frozen=True)
@@ -68,9 +61,8 @@ class BlockArchive:
     """Append/scan handle for one cold-archive file.
 
     Opening scans the file once, truncates any torn tail, and builds an
-    in-memory ``index → byte offset`` map — cold reads are rare, so a
-    seek-per-fetch is fine, but integrity verification and ranged fetch
-    must not re-scan per block.
+    in-memory ``index → byte offset`` map, so a point fetch is one seek,
+    and a ranged fetch or an integrity walk opens the file once.
     """
 
     def __init__(self, path: PathLike):
@@ -128,17 +120,7 @@ class BlockArchive:
                 handle.truncate(self._length)
 
     def _decode(self, line: bytes, expected_index: int) -> Dict[str, Any]:
-        try:
-            body = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise PersistError(f"archive record is not valid JSON: {error}") from error
-        if not isinstance(body, dict):
-            raise PersistError("archive record is not an object")
-        crc = body.pop("crc", None)
-        if crc != _crc_of(body):
-            raise PersistError(
-                f"archive record CRC mismatch (idx {body.get('idx')})"
-            )
+        body = _unframe(line, "archive", "idx")
         if body.get("v") != ARCHIVE_FORMAT_VERSION:
             raise PersistError(f"unsupported archive format {body.get('v')!r}")
         if body.get("idx") != expected_index:
@@ -146,6 +128,8 @@ class BlockArchive:
                 f"archive index break: expected {expected_index}, "
                 f"got {body.get('idx')}"
             )
+        if not isinstance(body.get("block"), dict):
+            raise PersistError(f"archive record {expected_index} carries no block")
         return body
 
     # -- accessors --------------------------------------------------------------
@@ -178,39 +162,69 @@ class BlockArchive:
         self, block: Block, checkpoint: Optional[CheckpointRecord] = None
     ) -> None:
         """Archive one block (must be the next contiguous index)."""
-        if block.index != self.archived_below:
-            raise PersistError(
-                f"archive append out of order: expected {self.archived_below}, "
-                f"got {block.index}"
-            )
-        body: Dict[str, Any] = {
-            "v": ARCHIVE_FORMAT_VERSION,
-            "idx": block.index,
-            "hash": block.current_hash,
-            "block": block_to_dict(block),
-        }
-        if checkpoint is not None:
-            body["checkpoint"] = checkpoint.to_dict()
-        body["crc"] = _crc_of(body)
-        encoded = _canonical(body) + b"\n"
+        self.append_many([(block, checkpoint)])
+
+    def append_many(
+        self, records: Iterable[Tuple[Block, Optional[CheckpointRecord]]]
+    ) -> None:
+        """Archive a batch of ``(block, checkpoint)`` pairs with one fsync.
+
+        Blocks must continue the contiguous prefix.  Returns only after
+        the whole batch is flushed and fsynced; if ``records`` (or a
+        contiguity check) raises part-way, the blocks taken so far are
+        still complete, fsynced and accounted lines — what that many
+        single appends would have left.
+        """
+        blocks_before, length_before = self.archived_below, self._length
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "ab") as handle:
             if handle.tell() != self._length:
                 handle.truncate(self._length)
-            handle.write(encoded)
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._offsets[block.index] = self._length
-        if checkpoint is not None:
-            self._checkpoints[checkpoint.index] = checkpoint
-        self._length += len(encoded)
-        if _obs.is_enabled():
-            _obs.add("lifecycle.archived_blocks")
-            _obs.add("lifecycle.archive_bytes", len(encoded))
+            try:
+                for block, checkpoint in records:
+                    if block.index != self.archived_below:
+                        raise PersistError(
+                            f"archive append out of order: expected "
+                            f"{self.archived_below}, got {block.index}"
+                        )
+                    body: Dict[str, Any] = {
+                        "v": ARCHIVE_FORMAT_VERSION,
+                        "idx": block.index,
+                        "hash": block.current_hash,
+                        "block": block_to_dict(block),
+                    }
+                    if checkpoint is not None:
+                        body["checkpoint"] = checkpoint.to_dict()
+                    encoded = _frame(body)
+                    handle.write(encoded)
+                    self._offsets[block.index] = self._length
+                    if checkpoint is not None:
+                        self._checkpoints[checkpoint.index] = checkpoint
+                    self._length += len(encoded)
+            finally:
+                # Also on the way out of a failed batch: every line
+                # accounted for above must be on disk before anyone acts
+                # on ``archived_below``.
+                handle.flush()
+                os.fsync(handle.fileno())
+                if _obs.is_enabled():
+                    _obs.add(
+                        "lifecycle.archived_blocks", self.archived_below - blocks_before
+                    )
+                    _obs.add("lifecycle.archive_bytes", self._length - length_before)
 
     # -- fetching ---------------------------------------------------------------
 
-    def _record_at(self, index: int) -> Dict[str, Any]:
+    def _block_from(self, line: bytes, index: int, verify_hash: bool) -> Block:
+        """Decode the record line read for ``index`` into a verified block."""
+        body = self._decode(line.rstrip(b"\n"), index)
+        block = block_from_dict(body["block"], verify_hash=verify_hash)
+        if block.index != index or body.get("hash") != block.current_hash:
+            raise PersistError(f"archived block {index} fails verification")
+        return block
+
+    def fetch(self, index: int, verify_hash: bool = True) -> Block:
+        """Read one archived block, re-verifying its content hash."""
         offset = self._offsets.get(index)
         if offset is None:
             raise PersistError(
@@ -220,23 +234,20 @@ class BlockArchive:
         with open(self.path, "rb") as handle:
             handle.seek(offset)
             line = handle.readline()
-        return self._decode(line.rstrip(b"\n"), index)
-
-    def fetch(self, index: int, verify_hash: bool = True) -> Block:
-        """Read one archived block, re-verifying its content hash."""
-        body = self._record_at(index)
-        block = block_from_dict(body["block"], verify_hash=verify_hash)
-        if block.index != index or body.get("hash") != block.current_hash:
-            raise PersistError(f"archived block {index} fails verification")
-        return block
+        return self._block_from(line, index, verify_hash)
 
     def fetch_range(
         self, start: int, stop: int, verify_hashes: bool = True
     ) -> Iterator[Block]:
         """Yield archived blocks with ``start <= index < stop`` in order."""
-        stop = min(stop, self.archived_below)
-        for index in range(max(start, 0), stop):
-            yield self.fetch(index, verify_hash=verify_hashes)
+        start, stop = max(start, 0), min(stop, self.archived_below)
+        if start >= stop:
+            return
+        with open(self.path, "rb") as handle:
+            # Records are contiguous on disk: one seek, then read on.
+            handle.seek(self._offsets[start])
+            for index in range(start, stop):
+                yield self._block_from(handle.readline(), index, verify_hashes)
 
     # -- integrity ---------------------------------------------------------------
 
@@ -245,24 +256,37 @@ class BlockArchive:
 
         Re-hashes every archived body, re-checks parent linkage across
         the whole prefix, and re-derives every pinned checkpoint digest.
+        Seeks to each record's own offset, so one bad line is reported
+        and the walk continues with the next.
         """
         problems: List[str] = []
+        if not self._offsets:
+            return problems
         previous: Optional[Block] = None
-        for index in range(self.archived_below):
-            try:
-                block = self.fetch(index)
-            except Exception as error:  # noqa: BLE001 — report, don't raise
-                problems.append(f"block {index} unreadable: {error}")
-                previous = None
-                continue
-            if previous is not None and not block.links_to(previous):
-                problems.append(
-                    f"block {index} does not link to archived parent"
-                )
-            checkpoint = self._checkpoints.get(index)
-            if checkpoint is not None and checkpoint.block_hash != block.current_hash:
-                problems.append(
-                    f"checkpoint record at {index} pins a different block hash"
-                )
-            previous = block
+        try:
+            handle = open(self.path, "rb")
+        except OSError as error:
+            return [f"archive unreadable: {error}"]
+        with handle:
+            for index, offset in self._offsets.items():
+                try:
+                    handle.seek(offset)
+                    block = self._block_from(handle.readline(), index, True)
+                except (PersistError, ValidationError, OSError) as error:
+                    problems.append(f"block {index} unreadable: {error}")
+                    previous = None
+                    continue
+                if previous is not None and not block.links_to(previous):
+                    problems.append(
+                        f"block {index} does not link to archived parent"
+                    )
+                checkpoint = self._checkpoints.get(index)
+                if (
+                    checkpoint is not None
+                    and checkpoint.block_hash != block.current_hash
+                ):
+                    problems.append(
+                        f"checkpoint record at {index} pins a different block hash"
+                    )
+                previous = block
         return problems

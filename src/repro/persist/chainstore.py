@@ -334,11 +334,14 @@ class ChainStore:
     def compact(self, archive, up_to: int, checkpoints=None) -> int:
         """Migrate blocks below ``up_to`` into the cold archive, then reclaim.
 
-        Crash-safe by ordering: every block is appended (and fsynced) to
-        the archive *before* any hot row is deleted, the deletes and the
-        ``pruned_below`` floor bump commit in one transaction, and only
-        then does VACUUM return the pages to the filesystem.  A crash at
-        any point resumes idempotently — the archive append skips what it
+        Crash-safe by ordering: the whole range is appended to the
+        archive as one batch — every block decoded and re-hashed on its
+        way out of the store — and that batch is fsynced *before* any hot
+        row is deleted; the deletes and the ``pruned_below`` floor bump
+        commit in one transaction, and only then does VACUUM return the
+        pages to the filesystem.  A crash at any point resumes
+        idempotently — a torn batch is truncated to whole lines when the
+        archive is next opened, the append skips what the archive
         already holds (contiguous floor), and the deletes re-run
         harmlessly.  Metadata rows ride along with their block: cold
         queries go through ``repro archive fetch``.
@@ -356,13 +359,9 @@ class ChainStore:
                 f"cannot compact to {up_to}: store height is {self.height()}"
             )
         pinned = dict(checkpoints or {})
-        for index in range(archive.archived_below, up_to):
-            block = self.block_by_index(index, verify_hash=True)
-            if block is None:
-                raise PersistError(
-                    f"cannot compact: block {index} is missing from the store"
-                )
-            archive.append(block, checkpoint=pinned.get(index))
+        archive.append_many(
+            self._blocks_to_archive(archive.archived_below, up_to, pinned)
+        )
         with self._conn:
             self._conn.execute("DELETE FROM blocks WHERE idx < ?", (up_to,))
             self._conn.execute(
@@ -386,6 +385,16 @@ class ChainStore:
         if _obs.is_enabled():
             _obs.add("lifecycle.compacted_blocks", moved)
         return moved
+
+    def _blocks_to_archive(self, start: int, stop: int, pinned) -> Iterator:
+        """``(block, pinned checkpoint)`` for each hot index in ``[start, stop)``."""
+        for index in range(start, stop):
+            block = self.block_by_index(index, verify_hash=True)
+            if block is None:
+                raise PersistError(
+                    f"cannot compact: block {index} is missing from the store"
+                )
+            yield block, pinned.get(index)
 
     def footprint_bytes(self) -> int:
         """On-disk bytes of the hot store (main db + WAL + shared memory)."""

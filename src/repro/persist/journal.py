@@ -2,8 +2,9 @@
 
 Every durable run directory contains one ``journal.jsonl``: a sequence of
 newline-terminated JSON records, each carrying a sequence number, the
-simulation clock, a record type, a payload, and a CRC-32 over the
-canonical encoding of everything else.  The journal is *write-ahead*
+simulation clock, a record type, a payload, and a CRC-32 over the rest
+of the line (:mod:`repro.lifecycle.framing`, shared with the cold
+archive).  The journal is *write-ahead*
 relative to the SQLite chain store: a block is journaled (and the journal
 flushed) before the store row is written, so after a crash the store can
 always be caught up from the journal.
@@ -27,15 +28,14 @@ post-crash loss window.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.core.errors import PersistError
+from repro.lifecycle.framing import _frame, _unframe
 from repro.obs import runtime as _obs
 
 PathLike = Union[str, Path]
@@ -53,14 +53,6 @@ REC_CHECKPOINT = "checkpoint"
 REC_COMPLETE = "run_complete"
 
 
-def _canonical(body: Dict[str, Any]) -> bytes:
-    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def _crc_of(body: Dict[str, Any]) -> str:
-    return format(zlib.crc32(_canonical(body)) & 0xFFFFFFFF, "08x")
-
-
 @dataclass(frozen=True)
 class JournalRecord:
     """One decoded journal record."""
@@ -71,15 +63,15 @@ class JournalRecord:
     payload: Dict[str, Any]
 
     def encode(self) -> bytes:
-        body = {
-            "v": JOURNAL_FORMAT_VERSION,
-            "seq": self.seq,
-            "type": self.type,
-            "clock": self.clock,
-            "payload": self.payload,
-        }
-        body["crc"] = _crc_of(body)
-        return _canonical(body) + b"\n"
+        return _frame(
+            {
+                "v": JOURNAL_FORMAT_VERSION,
+                "seq": self.seq,
+                "type": self.type,
+                "clock": self.clock,
+                "payload": self.payload,
+            }
+        )
 
 
 @dataclass
@@ -104,15 +96,7 @@ class JournalRecovery:
 
 
 def _decode_line(line: bytes, expected_seq: int) -> JournalRecord:
-    try:
-        body = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise PersistError(f"journal record is not valid JSON: {error}") from error
-    if not isinstance(body, dict):
-        raise PersistError("journal record is not an object")
-    crc = body.pop("crc", None)
-    if crc != _crc_of(body):
-        raise PersistError(f"journal record CRC mismatch (seq {body.get('seq')})")
+    body = _unframe(line, "journal", "seq")
     if body.get("v") != JOURNAL_FORMAT_VERSION:
         raise PersistError(f"unsupported journal format {body.get('v')!r}")
     try:

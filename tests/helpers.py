@@ -23,7 +23,13 @@ is the single home for that boilerplate:
   :func:`private_replay` / :func:`private_chains` — one private,
   in-place-mutated ledger per chain, the differential oracle for the
   shared ledgers of :mod:`repro.core.blockchain`;
-* :func:`mine_next` — a valid PoS child block for any chain.
+* :func:`mine_next` — a valid PoS child block for any chain;
+* :func:`reference_frame` / :func:`reference_unframe` — the two-``dumps``
+  record encoder and the re-canonicalising CRC check the journal and the
+  archive used to run, the differential oracle for
+  :mod:`repro.lifecycle.framing`;
+* :func:`stored_chain` — a lifecycle-pruned chain written through a
+  :class:`~repro.persist.chainstore.ChainStore`, ready to compact.
 
 The ``make_cluster`` / ``fixed_seed_run`` conftest fixtures re-export
 these for tests that prefer fixture injection over imports.
@@ -33,21 +39,28 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import json
 import math
 import sys
+import zlib
 from collections import deque
 from dataclasses import replace
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from pathlib import Path
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.account import Account
 from repro.core.block import Block
 from repro.core.blockchain import Blockchain, ChainState, _Ledgers, _NodeLedger
-from repro.core.config import PAPER_CONFIG, SystemConfig
+from repro.core.config import PAPER_CONFIG, LifecycleSpec, SystemConfig
+from repro.core.errors import PersistError
+from repro.core.metadata import create_metadata
 from repro.core.pos import compute_hit, compute_pos_hash, mining_delay
 from repro.core.pow import pow_difficulty_for
 from repro.crypto.keys import INFINITY, CurvePoint, N
 from repro.facility.problem import UFLProblem, UFLSolution, assign_to_open
+from repro.persist.chainstore import ChainStore
 from repro.raft.cluster import RaftCluster
 from repro.sim.cluster import EdgeCluster, build_cluster
 from repro.sim.runner import (
@@ -475,3 +488,76 @@ def private_chains() -> Iterator[None]:
     finally:
         for module in patched:
             module.Blockchain = Blockchain
+
+
+# -- storage-plane oracles and builders ------------------------------------------------
+
+
+def _reference_canonical(body: Dict[str, Any]) -> bytes:
+    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _reference_crc_of(body: Dict[str, Any]) -> str:
+    return format(zlib.crc32(_reference_canonical(body)) & 0xFFFFFFFF, "08x")
+
+
+def reference_frame(body: Dict[str, Any]) -> bytes:
+    """One journal/archive record line, encoded as it was before the
+    writer composed it from its members: ``dumps`` the whole record for
+    the CRC, then ``dumps`` it again with the CRC in."""
+    body = dict(body)
+    body["crc"] = _reference_crc_of(body)
+    return _reference_canonical(body) + b"\n"
+
+
+def reference_unframe(line: bytes) -> Dict[str, Any]:
+    """The record a line (newline stripped) holds, CRC-checked as it was
+    before the reader checked the bytes it read: parse, re-canonicalise,
+    compare.  Raises :class:`PersistError` where that check did."""
+    try:
+        body = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise PersistError(f"record is not valid JSON: {error}") from error
+    if not isinstance(body, dict):
+        raise PersistError("record is not an object")
+    crc = body.pop("crc", None)
+    if crc != _reference_crc_of(body):
+        raise PersistError("record CRC mismatch")
+    return body
+
+
+def stored_chain(
+    store_path: Path, blocks: int, item_every: int = 0
+) -> Tuple[Blockchain, ChainStore]:
+    """A three-node lifecycle chain (checkpoint every 8, lag 8, retain 16)
+    and the open store it was written through.
+
+    Mints ``blocks`` PoS blocks through ``append_block`` → ``put_block`` →
+    ``maybe_prune`` (the write path of a durable lifecycle run, minus the
+    journal); nothing is compacted yet, so the store holds every block
+    and ``chain.first_retained_index`` is where compaction may go.  Every
+    ``item_every``-th block packs one signed metadata item."""
+    nodes = 3
+    config = SystemConfig(
+        expected_block_interval=10.0,
+        checkpoint_interval=8,
+        checkpoint_lag=8,
+        lifecycle=LifecycleSpec(retain_blocks=16),
+    )
+    accounts = {node: Account.for_node(55, node) for node in range(nodes)}
+    chain = Blockchain(
+        list(range(nodes)), config, {n: a.address for n, a in accounts.items()}
+    )
+    store = ChainStore(store_path)
+    store.put_block(chain.blocks[0])
+    for step in range(blocks):
+        miner = step % nodes
+        items = ()
+        if item_every and (step + 1) % item_every == 0:
+            created = create_metadata(accounts[miner], miner, step, chain.tip.timestamp)
+            items = (created.with_storing_nodes((miner,)),)
+        block = mine_next(chain, accounts, miner, metadata_items=items, storing=(miner,))
+        chain.append_block(block)
+        store.put_block(block)
+        chain.maybe_prune()
+    return chain, store

@@ -1,5 +1,5 @@
-"""Perf-regression guards for the greedy UFL solver, the curve kernel and
-the shared derived ledger.
+"""Perf-regression guards for the greedy UFL solver, the curve kernel, the
+shared derived ledger and the storage plane.
 
 The equivalence suite (``tests/property/test_fastpath_equivalence.py``)
 proves :class:`~repro.facility.greedy.GreedySolver` returns solutions
@@ -32,10 +32,18 @@ cluster the ledger fold (``ChainState.apply_block``) and the O(n) ``Ū``
 scan (``ChainState.mean_u``) must run once per chain prefix — per
 distinct block, plus the blocks a chain adoption replays — not once per
 node per block, which is two orders of magnitude more.
+
+The fifth guard is a count too: compacting 256 blocks into the cold
+archive opens the archive once, fsyncs it once and encodes each block
+dict once (one open, one fsync and two whole-record ``json.dumps`` *per
+block* before compaction became a batch), and a 64-block ranged fetch
+and a full integrity walk open it once each (once per block before).
 """
 
 from __future__ import annotations
 
+import builtins
+import json
 import os
 import time
 
@@ -48,13 +56,20 @@ from repro.crypto.signature import Signature, _deterministic_nonce, _message_sca
 from repro.facility.costs import build_storage_ufl
 from repro.facility.greedy import GreedySolver
 from repro.facility.problem import UFLProblem
+from repro.lifecycle import ARCHIVE_NAME, BlockArchive, framing
+from repro.persist.resume import STORE_NAME
 from repro.sim.runner import ChurnSpec, ExperimentSpec, run_experiment
 from repro.simnet.topology import Topology, connected_random_positions
-from tests.helpers import make_config, reference_greedy, reference_scalar_mult
+from tests.helpers import (
+    make_config,
+    reference_greedy,
+    reference_scalar_mult,
+    stored_chain,
+)
 
 pytestmark = pytest.mark.fastpath
 
-#: The wall-clock ratio guards; the count guard at the bottom needs none.
+#: The wall-clock ratio guards; the two count guards at the bottom need none.
 timing_guard = pytest.mark.skipif(
     os.environ.get("REPRO_SKIP_PERF") == "1",
     reason="REPRO_SKIP_PERF=1: perf-regression guards disabled",
@@ -260,3 +275,63 @@ def test_ledger_is_derived_per_chain_prefix_not_per_node(monkeypatch):
         f"{len(scans)} mean-U scans for {distinct} distinct tips and "
         f"{sum(replayed)} replayed by adoptions"
     )
+
+
+#: Blocks in the count guard's one compaction batch, and in its ranged fetch.
+BATCH_BLOCKS = 256
+RANGE_BLOCKS = 64
+
+
+def test_storage_plane_opens_syncs_and_encodes_once_per_batch(tmp_path, monkeypatch):
+    chain, store = stored_chain(tmp_path / STORE_NAME, BATCH_BLOCKS + 64)
+    assert chain.first_retained_index >= BATCH_BLOCKS
+    path = tmp_path / ARCHIVE_NAME
+    archive = BlockArchive(path)
+    opens, fsyncs, dumps, encoded = [], [], [], []
+    real_open, real_fsync, real_dumps = builtins.open, os.fsync, json.dumps
+    real_canonical = framing._canonical
+
+    def counted_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(path):
+            opens.append(args[0] if args else kwargs.get("mode", "r"))
+        return real_open(file, *args, **kwargs)
+
+    def counted_fsync(fd):
+        fsyncs.append(os.fstat(fd).st_ino)
+        return real_fsync(fd)
+
+    def counted_dumps(value, *args, **kwargs):
+        dumps.append(value)
+        return real_dumps(value, *args, **kwargs)
+
+    def counted_canonical(value):
+        if isinstance(value, dict):
+            encoded.append(value)
+        return real_canonical(value)
+
+    monkeypatch.setattr(builtins, "open", counted_open)
+    monkeypatch.setattr(os, "fsync", counted_fsync)
+    monkeypatch.setattr(json, "dumps", counted_dumps)
+    monkeypatch.setattr(framing, "_canonical", counted_canonical)
+
+    moved = store.compact(archive, BATCH_BLOCKS, chain.checkpoints)
+    assert moved == archive.archived_below == BATCH_BLOCKS
+    assert opens == ["ab"]
+    assert fsyncs == [path.stat().st_ino]
+    # One encode per block dict (and one per pinned checkpoint record);
+    # no record is encoded whole, let alone twice.
+    assert dumps == []
+    assert sum("current_hash" in value for value in encoded) == BATCH_BLOCKS
+    assert not any("idx" in value or "block" in value for value in encoded)
+    assert len(encoded) == BATCH_BLOCKS + len(archive.checkpoints())
+
+    del opens[:]
+    fetched = list(archive.fetch_range(0, RANGE_BLOCKS))
+    assert [block.index for block in fetched] == list(range(RANGE_BLOCKS))
+    assert opens == ["rb"]
+
+    del opens[:]
+    assert archive.verify_integrity() == []
+    assert opens == ["rb"]
+    assert len(fsyncs) == 1
+    store.close()

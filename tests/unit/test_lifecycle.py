@@ -2,6 +2,7 @@
 records, in-memory pruning, anchored adoption, and the cold archive."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.lifecycle import (
     lifecycle_enabled,
     retention_horizon,
 )
+from repro.lifecycle.framing import _frame
 from repro.lifecycle.spec import checkpoint_lag, last_checkpoint_for
 
 pytestmark = pytest.mark.lifecycle
@@ -317,6 +319,34 @@ class TestArchive:
         path.write_bytes(data)
         with pytest.raises(PersistError):
             BlockArchive(path)
+
+
+    def test_record_without_a_block_is_corrupt(self, tmp_path):
+        chain = self._grown()
+        path = tmp_path / ARCHIVE_NAME
+        BlockArchive(path).append(chain.block_at(0))
+        hollow = _frame({"v": 1, "idx": 0, "hash": chain.block_at(0).current_hash})
+        path.write_bytes(hollow + path.read_bytes())
+        with pytest.raises(PersistError, match="carries no block"):
+            BlockArchive(path)
+
+    def test_verify_reports_a_rehashed_body_and_walks_on(self, tmp_path):
+        """A body altered *and* re-framed passes the CRC; the content hash
+        catches it, as one problem, and the walk continues."""
+        chain = self._grown()
+        path = tmp_path / ARCHIVE_NAME
+        archive = BlockArchive(path)
+        archive.append_many((block, None) for block in chain.blocks[:4])
+        lines = path.read_bytes().splitlines(keepends=True)
+        body = json.loads(lines[1])
+        del body["crc"]
+        body["block"]["timestamp"] += 1.0
+        lines[1] = _frame(body)
+        path.write_bytes(b"".join(lines))
+        problems = BlockArchive(path).verify_integrity()
+        assert len(problems) == 1 and "block 1 unreadable" in problems[0]
+        with pytest.raises(ValidationError):
+            BlockArchive(path).fetch(1)
 
 
 class TestStorageSlots:

@@ -10,6 +10,7 @@ the mining hot path, so its latency matters).
 from __future__ import annotations
 
 import numpy as np
+import scipy.optimize  # noqa: F401 — loaded here so no timed round pays the solvers' first import
 
 from repro.facility.costs import build_storage_ufl
 from repro.facility.greedy import solve_greedy

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import List, Set, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from repro.facility.problem import UFLProblem, UFLSolution, assign_to_open
 from repro.obs.runtime import traced_solver
@@ -47,6 +45,10 @@ def solve_lp_relaxation(problem: UFLProblem) -> LPResult:
     Variables with infinite cost coefficients are fixed to zero rather than
     passed to the solver.
     """
+    # scipy loads with the first relaxation, not with ``repro.facility``.
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     if not problem.is_feasible():
         raise ValueError("infeasible UFL instance")
     num_f = problem.num_facilities

@@ -11,8 +11,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.facility.problem import UFLProblem, UFLSolution, assign_to_open
 from repro.obs.runtime import traced_solver
@@ -32,6 +30,10 @@ def solve_milp(problem: UFLProblem, max_variables: int = DEFAULT_MAX_VARIABLES) 
     RuntimeError
         If HiGHS fails unexpectedly.
     """
+    # scipy loads with the first exact solve, not with ``repro.facility``.
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     if not problem.is_feasible():
         raise ValueError("infeasible UFL instance")
     num_f = problem.num_facilities

@@ -182,18 +182,13 @@ class PartitionInjector:
         set_a, set_b = set(group_a), set(group_b)
         if set_a & set_b:
             raise ValueError("partition groups must be disjoint")
-        graph = self._network.topology.graph
+        topology = self._network.topology
         crossing = [
             (u, v)
-            for u, v in list(graph.edges())
+            for u, v in topology.edges()
             if (u in set_a and v in set_b) or (u in set_b and v in set_a)
         ]
-        for u, v in crossing:
-            graph.remove_edge(u, v)
-        # Invalidate topology caches the blunt way: removing edges directly
-        # bypasses Topology's own mutators.
-        self._network.topology._hops = None  # noqa: SLF001 — deliberate cache bust
-        self._network.topology._paths.clear()  # noqa: SLF001
+        topology.remove_edges(crossing)
         self._removed = crossing
         self._active = True
         return len(crossing)
@@ -202,10 +197,6 @@ class PartitionInjector:
         """Restore every edge removed by :meth:`partition`."""
         if not self._active:
             return
-        graph = self._network.topology.graph
-        for u, v in self._removed:
-            graph.add_edge(u, v)
-        self._network.topology._hops = None  # noqa: SLF001
-        self._network.topology._paths.clear()  # noqa: SLF001
+        self._network.topology.add_edges(self._removed)
         self._removed = []
         self._active = False

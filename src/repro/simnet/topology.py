@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.obs import runtime as _obs
@@ -101,6 +100,23 @@ def _sequential_connected_positions(
     return positions
 
 
+def _stitch(
+    pred: Dict[int, Optional[int]], succ: Dict[int, Optional[int]], meet: int
+) -> List[int]:
+    """The path source → ``meet`` → target out of the two search trees."""
+    path = []
+    node: Optional[int] = meet
+    while node is not None:
+        path.append(node)
+        node = pred[node]
+    path.reverse()
+    node = succ[meet]
+    while node is not None:
+        path.append(node)
+        node = succ[node]
+    return path
+
+
 class Topology:
     """Unit-disk connectivity graph with cached hop-count distances.
 
@@ -127,7 +143,11 @@ class Topology:
             raise ValueError("communication range must be positive")
         self.comm_range = comm_range
         self._positions: List[Position] = list(positions)
-        self._graph = nx.Graph()
+        #: One insertion-ordered neighbour dict per node.  The order is part
+        #: of the routing contract (see :meth:`shortest_path`); only
+        #: :meth:`_set_edges`, :meth:`remove_edges` and :meth:`add_edges`
+        #: write to it.
+        self._adj: List[Dict[int, None]] = []
         self._hop_cache: Optional[np.ndarray] = None
         self._paths: Dict[Tuple[int, int], List[int]] = {}
         #: Identity of the current position-derived (full) edge set; lets a
@@ -137,15 +157,15 @@ class Topology:
         #: graph differs from the full unit-disk graph, so mobility epochs
         #: must rebuild even when the full edge set is unchanged.
         self._stripped: set = set()
-        self._rebuild_graph()
+        self._set_edges(self._full_edges(self._coords()))
 
     # -- construction --------------------------------------------------------
 
     def _full_edges(self, coords: np.ndarray) -> np.ndarray:
         """All unit-disk edges for ``coords``, as an (m, 2) int array in
         row-major ``i < j`` order — the insertion order of the original
-        nested-loop construction (preserved so networkx adjacency order,
-        and with it every BFS tie-break, stays identical)."""
+        nested-loop construction (preserved so adjacency order, and with
+        it every BFS tie-break, stays identical)."""
         n = coords.shape[0]
         if n < 2:
             return np.empty((0, 2), dtype=np.int64)
@@ -170,12 +190,13 @@ class Topology:
     def _coords(self) -> np.ndarray:
         return np.array([(p.x, p.y) for p in self._positions], dtype=np.float64)
 
-    def _rebuild_graph(self) -> None:
-        edges = self._full_edges(self._coords())
-        graph = nx.Graph()
-        graph.add_nodes_from(range(len(self._positions)))
-        graph.add_edges_from(edges.tolist())
-        self._graph = graph
+    def _set_edges(self, edges: np.ndarray) -> None:
+        """Replace the graph by the full unit-disk edge set ``edges``."""
+        adj: List[Dict[int, None]] = [{} for _ in self._positions]
+        for i, j in edges.tolist():
+            adj[i][j] = None
+            adj[j][i] = None
+        self._adj = adj
         self._edge_key = edges.tobytes()
         self._stripped.clear()
         self._invalidate()
@@ -197,50 +218,53 @@ class Topology:
         if len(positions) != len(self._positions):
             raise ValueError("node count cannot change via update_positions")
         self._positions = list(positions)
-        if not self._stripped:
-            edges = self._full_edges(self._coords())
-            if edges.tobytes() == self._edge_key:
-                _obs.add("routing.cache_hit")
-                return
-            graph = nx.Graph()
-            graph.add_nodes_from(range(len(self._positions)))
-            graph.add_edges_from(edges.tolist())
-            self._graph = graph
-            self._edge_key = edges.tobytes()
-            self._invalidate()
-            _obs.add("routing.recompute")
+        edges = self._full_edges(self._coords())
+        if not self._stripped and edges.tobytes() == self._edge_key:
+            _obs.add("routing.cache_hit")
             return
         _obs.add("routing.recompute")
-        self._rebuild_graph()
+        self._set_edges(edges)
+
+    def remove_edges(self, pairs: Iterable[Tuple[int, int]]) -> None:
+        """Delete the undirected edges ``pairs``; every one must exist."""
+        self._invalidate()
+        for u, v in pairs:
+            del self._adj[u][v]
+            del self._adj[v][u]
+
+    def add_edges(self, pairs: Iterable[Tuple[int, int]]) -> None:
+        """Insert the undirected edges ``pairs``, each at the end of both
+        endpoints' adjacency; an edge already present keeps its place."""
+        self._invalidate()
+        for u, v in pairs:
+            self._adj[u][v] = None
+            self._adj[v][u] = None
 
     def remove_node(self, node: int) -> None:
         """Take a node offline (it keeps its index but loses all edges)."""
-        if node not in self._graph:
+        if not (0 <= node < len(self._positions)):
             raise KeyError(f"unknown node {node}")
-        edges = list(self._graph.edges(node))
+        edges = [(node, other) for other in self._adj[node]]
         if not edges:
             # Nothing to strip — the graph (and every cache) is unchanged.
             _obs.add("routing.cache_hit")
             return
-        self._graph.remove_edges_from(edges)
+        self.remove_edges(edges)
         self._stripped.add(node)
-        self._invalidate()
 
     def restore_node(self, node: int) -> None:
         """Bring a node back online, reconnecting edges from its position."""
         if not (0 <= node < len(self._positions)):
             raise KeyError(f"unknown node {node}")
-        added = False
-        for other in range(len(self._positions)):
-            if other == node:
-                continue
-            if self._positions[node].distance_to(self._positions[other]) <= self.comm_range:
-                if self._graph.degree(other) is not None:
-                    self._graph.add_edge(node, other)
-                    added = True
+        here = self._positions[node]
+        edges = [
+            (node, other)
+            for other, there in enumerate(self._positions)
+            if other != node and here.distance_to(there) <= self.comm_range
+        ]
         self._stripped.discard(node)
-        if added:
-            self._invalidate()
+        if edges:
+            self.add_edges(edges)
 
     # -- queries --------------------------------------------------------------
 
@@ -255,34 +279,48 @@ class Topology:
     def positions(self) -> List[Position]:
         return list(self._positions)
 
-    @property
-    def graph(self) -> nx.Graph:
-        return self._graph
+    def edges(self) -> List[Tuple[int, int]]:
+        """Every edge once as ``(u, v)`` with ``u < v``: node-major, each
+        node's neighbours in adjacency order."""
+        return [(u, v) for u, nbrs in enumerate(self._adj) for v in nbrs if u < v]
 
     def neighbors(self, node: int) -> List[int]:
         """Direct radio neighbours of ``node``, sorted for determinism."""
-        return sorted(self._graph.neighbors(node))
+        return sorted(self._adj[node])
+
+    def _reach(self, source: int, within: Optional[Set[int]] = None) -> Set[int]:
+        """Nodes a BFS from ``source`` reaches, staying inside ``within``
+        when given."""
+        seen = {source}
+        frontier = [source]
+        while frontier:
+            level, frontier = frontier, []
+            for node in level:
+                for neighbor in self._adj[node]:
+                    if neighbor not in seen and (within is None or neighbor in within):
+                        seen.add(neighbor)
+                        frontier.append(neighbor)
+        return seen
 
     def is_connected(self) -> bool:
         if self.node_count == 0:
             return True
-        return nx.is_connected(self._graph)
+        return len(self._reach(0)) == self.node_count
 
     def is_connected_subset(self, nodes: Sequence[int]) -> bool:
         """True when the induced subgraph over ``nodes`` is connected."""
-        node_list = list(nodes)
-        if len(node_list) <= 1:
+        within = set(nodes)
+        if len(within) <= 1:
             return True
-        subgraph = self._graph.subgraph(node_list)
-        return nx.is_connected(subgraph)
+        return len(self._reach(next(iter(within)), within)) == len(within)
 
     def _compute_hop_matrix(self) -> np.ndarray:
         """All-pairs BFS hop counts via frontier/adjacency products.
 
         Hop counts are small integers, so the float32 matrix products are
         exact (frontier sums never approach 2²⁴) and the result is the
-        same shortest-path-length matrix networkx's per-source BFS yields,
-        at a fraction of the Python-loop cost.
+        same shortest-path-length matrix a per-source BFS yields, at a
+        fraction of the Python-loop cost.
         """
         n = self.node_count
         matrix = np.full((n, n), UNREACHABLE, dtype=np.int64)
@@ -292,9 +330,8 @@ class Topology:
         if n == 1:
             return matrix
         adjacency = np.zeros((n, n), dtype=np.float32)
-        for i, j in self._graph.edges:
-            adjacency[i, j] = 1.0
-            adjacency[j, i] = 1.0
+        for i, neighbors in enumerate(self._adj):
+            adjacency[i, list(neighbors)] = 1.0
         reached = np.eye(n, dtype=bool)
         frontier = reached.copy()
         level = 0
@@ -335,18 +372,51 @@ class Topology:
     def shortest_path(self, source: int, target: int) -> Optional[List[int]]:
         """One shortest path (node list incl. endpoints), or None.
 
-        Paths are cached per topology epoch; ties are broken deterministically
-        by networkx's BFS order over sorted adjacency.
+        Paths are cached per topology epoch.  Among equal-length paths the
+        one returned goes through the first meeting node of a bidirectional
+        BFS over insertion-ordered adjacency, smaller fringe first (the
+        source's on a tie); an unknown node has no path.
         """
         key = (source, target)
         if key in self._paths:
             return list(self._paths[key])
-        try:
-            path = nx.shortest_path(self._graph, source, target)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        path = self._bidirectional_path(source, target)
+        if path is None:
             return None
-        self._paths[key] = list(path)
+        self._paths[key] = path
         return list(path)
+
+    def _bidirectional_path(self, source: int, target: int) -> Optional[List[int]]:
+        adj = self._adj
+        if not (0 <= source < len(adj) and 0 <= target < len(adj)):
+            return None
+        if source == target:
+            return [source]
+        # First discoverer wins: ``pred`` leads back to the source, ``succ``
+        # on to the target.
+        pred: Dict[int, Optional[int]] = {source: None}
+        succ: Dict[int, Optional[int]] = {target: None}
+        forward, reverse = [source], [target]
+        while forward and reverse:
+            if len(forward) <= len(reverse):
+                level, forward = forward, []
+                for node in level:
+                    for neighbor in adj[node]:
+                        if neighbor not in pred:
+                            forward.append(neighbor)
+                            pred[neighbor] = node
+                        if neighbor in succ:
+                            return _stitch(pred, succ, neighbor)
+            else:
+                level, reverse = reverse, []
+                for node in level:
+                    for neighbor in adj[node]:
+                        if neighbor not in succ:
+                            succ[neighbor] = node
+                            reverse.append(neighbor)
+                        if neighbor in pred:
+                            return _stitch(pred, succ, neighbor)
+        return None
 
     def bfs_tree(self, source: int) -> Dict[int, int]:
         """Parent map of a BFS spanning tree rooted at ``source``.
@@ -371,9 +441,15 @@ class Topology:
 
     def reachable_from(self, source: int) -> List[int]:
         """All nodes reachable from ``source`` (including itself), sorted."""
-        return sorted(nx.node_connected_component(self._graph, source))
+        return sorted(self._reach(source))
 
     def components(self) -> List[List[int]]:
         """Connected components, each sorted, largest first."""
-        comps = [sorted(c) for c in nx.connected_components(self._graph)]
+        seen: Set[int] = set()
+        comps = []
+        for node in range(self.node_count):
+            if node not in seen:
+                component = self._reach(node)
+                seen |= component
+                comps.append(sorted(component))
         return sorted(comps, key=lambda c: (-len(c), c))

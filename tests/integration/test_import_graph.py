@@ -1,0 +1,87 @@
+"""Import-graph guard: a run loads neither scipy nor networkx.
+
+A count, not a timing: each case starts a fresh interpreter, does one thing
+and reports which of the two heavy libraries ended up in ``sys.modules``.
+scipy may load only inside the two ablation solvers that call it; networkx
+is a test oracle and nothing under ``src/`` may import it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+pytestmark = pytest.mark.fastpath
+
+_SRC = Path(__file__).resolve().parents[2] / "src"
+
+_HEAVY = """
+import sys
+def heavy():
+    return sorted({name.split(".")[0] for name in sys.modules} & {"scipy", "networkx"})
+"""
+
+_SMALL_INSTANCE = """
+import numpy as np
+from repro.facility import UFLProblem, solve_lp_rounding, solve_milp
+problem = UFLProblem(
+    facility_costs=np.array([4.0, 3.0, 6.0]),
+    connection_costs=np.array([[1.0, 5.0, 9.0], [6.0, 2.0, 7.0], [8.0, 4.0, 1.5]]),
+)
+"""
+
+
+def _fresh_interpreter(body: str) -> dict:
+    """Run ``body`` (which must set ``report``) in a new process."""
+    code = _HEAVY + body + "\nimport json\nprint(json.dumps(report))\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (str(_SRC), env.get("PYTHONPATH")) if part
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "import repro",
+        "from repro.cli import build_parser\nbuild_parser()",
+        "from repro.core.config import PAPER_CONFIG\n"
+        "from repro.sim.runner import ExperimentSpec, run_experiment\n"
+        "result = run_experiment(ExperimentSpec(\n"
+        "    node_count=6, config=PAPER_CONFIG, seed=1, duration_minutes=2))\n"
+        "assert result.metrics.chain_height() >= 1",
+    ],
+    ids=["import_repro", "cli_parser", "six_node_run"],
+)
+def test_run_path_loads_neither_scipy_nor_networkx(body):
+    assert _fresh_interpreter(body + "\nreport = heavy()") == []
+
+
+@pytest.mark.parametrize("solver", ["solve_milp", "solve_lp_rounding"])
+def test_scipy_loads_with_the_first_ablation_solve(solver):
+    report = _fresh_interpreter(
+        _SMALL_INSTANCE
+        + "before = heavy()\n"
+        + f"solution = {solver}(problem)\n"
+        + "report = {'before': before, 'after': heavy(),\n"
+        + "          'open': solution.open_facilities, 'assignment': solution.assignment}"
+    )
+    assert report["before"] == []
+    assert report["after"] == ["scipy"]
+    # The optimum both solvers returned before the import moved.
+    assert report["open"] == [0, 2]
+    assert report["assignment"] == [0, 2, 2]

@@ -14,7 +14,10 @@ Layers:
   (facility-cost drift between solves, occasional connection-matrix
   changes exercising the epoch rebuild).
 * **Routing** — vectorised unit-disk edges and the cached BFS hop matrix
-  vs the nested-loop + networkx reference, across mobility and churn.
+  vs the nested-loop + networkx reference, across mobility and churn; and
+  every route ``Topology`` picks over its own adjacency vs
+  ``nx.shortest_path`` on a graph driven through the same edge edits
+  (networkx is this module's oracle; nothing under ``src/`` imports it).
 * **Delivery** — batched vs per-event scheduling (a test-local shim
   un-batches the engine): identical execution order, identical RNG
   stream, identical traffic accounting.
@@ -47,8 +50,9 @@ from repro.facility.problem import UFLProblem
 from repro.sim.runner import ChurnSpec
 from repro.simnet.channel import ChannelModel
 from repro.simnet.engine import EventEngine
+from repro.simnet.faults import PartitionInjector
 from repro.simnet.gossip import GossipFabric
-from repro.simnet.topology import Position, Topology, random_positions
+from repro.simnet.topology import UNREACHABLE, Position, Topology, random_positions
 from repro.simnet.transport import Network
 from tests.helpers import digest_run, reference_greedy
 
@@ -290,7 +294,7 @@ class TestRoutingCacheEquivalence:
         positions = random_positions(n, rng)
         topology = Topology(positions)
         reference = _reference_graph(positions, topology.comm_range)
-        assert list(topology.graph.edges) == list(reference.edges)
+        assert topology.edges() == list(reference.edges)
         assert (
             topology.hop_matrix() == _reference_hop_matrix(reference, n)
         ).all()
@@ -300,12 +304,12 @@ class TestRoutingCacheEquivalence:
         # ``<=`` definition; the banded vector path must agree.
         positions = [Position(0.0, 0.0), Position(70.0, 0.0), Position(200.0, 200.0)]
         topology = Topology(positions, comm_range=70.0)
-        assert (0, 1) in topology.graph.edges
+        assert (0, 1) in topology.edges()
         just_outside = [
             Position(0.0, 0.0),
             Position(float(np.nextafter(70.0, 71.0)), 0.0),
         ]
-        assert (0, 1) not in Topology(just_outside, comm_range=70.0).graph.edges
+        assert (0, 1) not in Topology(just_outside, comm_range=70.0).edges()
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -333,7 +337,7 @@ class TestRoutingCacheEquivalence:
                 topology.remove_node(node)
                 topology.restore_node(node)
             reference = _reference_graph(positions, topology.comm_range)
-            assert sorted(topology.graph.edges) == sorted(reference.edges)
+            assert sorted(topology.edges()) == sorted(reference.edges)
             assert (
                 topology.hop_matrix() == _reference_hop_matrix(reference, n)
             ).all()
@@ -353,7 +357,148 @@ class TestRoutingCacheEquivalence:
         topology.remove_node(0)
         topology.update_positions(positions)  # rebuild restores node 0
         reference = _reference_graph(positions, topology.comm_range)
-        assert sorted(topology.graph.edges) == sorted(reference.edges)
+        assert sorted(topology.edges()) == sorted(reference.edges)
+
+
+class _NetworkxTopology:
+    """The ``nx.Graph`` that ``Topology`` and ``PartitionInjector`` kept
+    before the topology owned its adjacency, edited by the same rules: the
+    oracle for which of several equally short routes is taken."""
+
+    def __init__(self, positions, comm_range):
+        self.comm_range = comm_range
+        self.stripped = set()
+        self.cut = []
+        self._build(positions)
+
+    def _build(self, positions):
+        self.positions = list(positions)
+        self.graph = _reference_graph(positions, self.comm_range)
+        self.full_edges = list(self.graph.edges)
+        self.stripped.clear()
+
+    def update_positions(self, positions):
+        full_edges = list(_reference_graph(positions, self.comm_range).edges)
+        if self.stripped or full_edges != self.full_edges:
+            self._build(positions)
+        else:
+            self.positions = list(positions)
+
+    def remove_node(self, node):
+        edges = list(self.graph.edges(node))
+        if edges:
+            self.graph.remove_edges_from(edges)
+            self.stripped.add(node)
+
+    def restore_node(self, node):
+        for other, position in enumerate(self.positions):
+            if other != node and (
+                self.positions[node].distance_to(position) <= self.comm_range
+            ):
+                self.graph.add_edge(node, other)
+        self.stripped.discard(node)
+
+    def partition(self, group_a, group_b):
+        set_a, set_b = set(group_a), set(group_b)
+        self.cut = [
+            (u, v)
+            for u, v in self.graph.edges
+            if (u in set_a and v in set_b) or (u in set_b and v in set_a)
+        ]
+        self.graph.remove_edges_from(self.cut)
+
+    def heal(self):
+        self.graph.add_edges_from(self.cut)
+        self.cut = []
+
+    def shortest_path(self, source, target):
+        try:
+            return nx.shortest_path(self.graph, source, target)
+        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            return None
+
+
+def _assert_routes_like_networkx(topology, reference, rng):
+    n = topology.node_count
+    graph = reference.graph
+    assert topology.edges() == list(graph.edges)
+    if n <= 10:
+        pairs = [(s, t) for s in range(n) for t in range(n)]
+    else:
+        pairs = [tuple(map(int, rng.integers(0, n, size=2))) for _ in range(40)]
+    hops = topology.hop_matrix()
+    for source, target in pairs:
+        path = topology.shortest_path(source, target)
+        assert path == reference.shortest_path(source, target)
+        assert hops[source, target] == (
+            UNREACHABLE if path is None else len(path) - 1
+        )
+    for stranger in (-1, n):
+        assert topology.shortest_path(stranger, 0) is None
+        assert topology.shortest_path(0, stranger) is None
+    components = [sorted(c) for c in nx.connected_components(graph)]
+    assert topology.components() == sorted(components, key=lambda c: (-len(c), c))
+    assert topology.is_connected() == nx.is_connected(graph)
+    source = int(rng.integers(0, n))
+    assert topology.reachable_from(source) == sorted(
+        nx.node_connected_component(graph, source)
+    )
+    subset = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False).tolist()
+    assert topology.is_connected_subset(subset) == nx.is_connected(
+        graph.subgraph(subset)
+    )
+
+
+class TestRoutesMatchNetworkx:
+    """Same ``List[int]`` as ``nx.shortest_path`` for every graph the
+    mutators can produce — not only the same length."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.integers(min_value=2, max_value=60),
+        st.sampled_from([120.0, 300.0, 700.0]),  # dense / the paper's / mostly disconnected
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_every_route_after_every_mutation(self, seed, n, field_size, steps):
+        rng = np.random.default_rng(seed)
+        positions = random_positions(n, rng, field_size)
+        topology = Topology(positions)
+        reference = _NetworkxTopology(positions, topology.comm_range)
+        injector = PartitionInjector(
+            Network(EventEngine(seed=seed), topology, ChannelModel(bandwidth=None))
+        )
+        _assert_routes_like_networkx(topology, reference, rng)
+        for _ in range(steps):
+            action = int(rng.integers(0, 6))
+            if action == 0:  # small jitter — often leaves the edge set alone
+                positions = [
+                    Position(p.x + float(rng.uniform(-1, 1)), p.y) for p in positions
+                ]
+                topology.update_positions(positions)
+                reference.update_positions(positions)
+            elif action == 1:  # full resample
+                positions = random_positions(n, rng, field_size)
+                topology.update_positions(positions)
+                reference.update_positions(positions)
+            elif action == 2:
+                node = int(rng.integers(0, n))
+                topology.remove_node(node)
+                reference.remove_node(node)
+            elif action == 3:  # also restores nodes that never left
+                node = int(rng.integers(0, n))
+                topology.restore_node(node)
+                reference.restore_node(node)
+            elif injector.active:
+                injector.heal()
+                reference.heal()
+            else:
+                west = rng.random(n) < 0.5
+                group_a = np.flatnonzero(west).tolist()
+                group_b = np.flatnonzero(~west).tolist()
+                injector.partition(group_a, group_b)
+                reference.partition(group_a, group_b)
+            _assert_routes_like_networkx(topology, reference, rng)
 
 
 # -- Delivery batching: engine + transport + gossip ------------------------------------

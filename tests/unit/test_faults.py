@@ -1,11 +1,17 @@
 """Unit tests for fault injection."""
 
+import numpy as np
 import pytest
 
 from repro.simnet.channel import ChannelModel
 from repro.simnet.engine import EventEngine
 from repro.simnet.faults import ChurnEvent, ChurnInjector, PartitionInjector
-from repro.simnet.topology import Position, Topology
+from repro.simnet.topology import (
+    UNREACHABLE,
+    Position,
+    Topology,
+    connected_random_positions,
+)
 from repro.simnet.transport import Network
 
 
@@ -105,6 +111,82 @@ class TestPartitionInjector:
     def test_heal_without_partition_is_noop(self, net):
         _, network = net
         PartitionInjector(network).heal()
+
+
+def _line_split():
+    positions = [Position(50.0 * i, 0.0) for i in range(6)]
+    return Topology(positions, comm_range=70.0), [0, 1, 2], [3, 4, 5]
+
+
+def _disk_split():
+    positions = connected_random_positions(30, np.random.default_rng(3))
+    west = [n for n, p in enumerate(positions) if p.x < 150.0]
+    east = [n for n, p in enumerate(positions) if p.x >= 150.0]
+    return Topology(positions), west, east
+
+
+def _injector_for(topology):
+    network = Network(EventEngine(seed=9), topology, ChannelModel(bandwidth=None))
+    return PartitionInjector(network)
+
+
+class TestPartitionRouting:
+    """The hop matrix, ``hop_count`` and ``shortest_path`` answer from one
+    graph: a partition that arrives after the matrix was cached shows in
+    all three, and ``heal`` puts every answer back."""
+
+    @pytest.mark.parametrize("build", [_line_split, _disk_split])
+    def test_routing_queries_agree_across_partition_and_heal(self, build):
+        topology, group_a, group_b = build()
+        injector = _injector_for(topology)
+        nodes = range(topology.node_count)
+        side = {n: 0 for n in group_a} | {n: 1 for n in group_b}
+        assert len(side) == topology.node_count
+
+        def assert_hops_match_paths():
+            for s in nodes:
+                for t in nodes:
+                    path = topology.shortest_path(s, t)
+                    hops = UNREACHABLE if path is None else len(path) - 1
+                    assert topology.hop_count(s, t) == hops
+                    assert topology.hop_matrix()[s, t] == hops
+                    if path is not None:
+                        assert all(
+                            b in topology.neighbors(a) for a, b in zip(path, path[1:])
+                        )
+
+        hops_before = topology.hop_matrix().copy()  # the matrix is now cached
+        assert_hops_match_paths()
+        edges_before = topology.edges()
+        crossing = [(u, v) for u, v in edges_before if side[u] != side[v]]
+        kept = [edge for edge in edges_before if edge not in crossing]
+        assert crossing and kept
+
+        assert injector.partition(group_a, group_b) == len(crossing)
+        assert topology.edges() == kept
+        for s in nodes:
+            for t in nodes:
+                if side[s] != side[t]:
+                    assert topology.hop_count(s, t) == UNREACHABLE
+                    assert topology.hop_matrix()[s, t] == UNREACHABLE
+                    assert topology.shortest_path(s, t) is None
+        assert_hops_match_paths()
+
+        injector.heal()
+        assert (topology.hop_matrix() == hops_before).all()
+        assert_hops_match_paths()
+        # Healed edges go to the end of each endpoint's adjacency, in
+        # removal order (a stable sort by first endpoint says exactly that).
+        assert topology.edges() == sorted(kept + crossing, key=lambda edge: edge[0])
+
+    def test_heal_on_a_line_restores_every_path(self):
+        topology, group_a, group_b = _line_split()
+        pairs = [(s, t) for s in range(6) for t in range(6)]
+        before = [topology.shortest_path(s, t) for s, t in pairs]
+        injector = _injector_for(topology)
+        injector.partition(group_a, group_b)
+        injector.heal()
+        assert [topology.shortest_path(s, t) for s, t in pairs] == before
 
 
 class TestChurnScheduleValidation:

@@ -14,17 +14,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.errors import AllocationError
-from repro.facility.costs import build_storage_ufl
+from repro.facility.costs import range_distance_costs, storage_ufl
 from repro.facility.greedy import GreedySolver
-from repro.facility.problem import UFLProblem, UFLSolution
+from repro.facility.problem import UFLProblem, UFLSolution, frozen
 from repro.facility.random_baseline import solve_random
 from repro.obs import runtime as _obs
+
+#: ``(hop matrix, ranges, RDC matrix)`` before the first placement: the
+#: empty hop matrix compares unequal to any a problem can be built from.
+_NO_EPOCH: Tuple[np.ndarray, np.ndarray, np.ndarray] = (
+    np.empty((0, 0)),
+    np.empty(0),
+    np.empty((0, 0)),
+)
 
 
 @dataclass(frozen=True)
@@ -46,6 +54,32 @@ class AllocationEngine:
         self.fallback_placements = 0
         #: Solver caches, shared across this cluster's solves.
         self._solver = GreedySolver()
+        #: The topology epoch's read-only RDC matrix with the hop matrix
+        #: and ranges it was built from.
+        self._epoch = _NO_EPOCH
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle without the epoch's matrices: they are a pure function
+        of the next placement's inputs, rebuilt once after a resume."""
+        return {**vars(self), "_epoch": _NO_EPOCH}
+
+    def _connection(
+        self, hop_matrix: np.ndarray, ranges: Sequence[float]
+    ) -> np.ndarray:
+        """The RDC matrix (Eq. 2) for ``hop_matrix`` and ``ranges``, built
+        once per topology epoch: reused while both compare equal to what
+        it was built from."""
+        held_hops, held_ranges, connection = self._epoch
+        range_arr = np.asarray(ranges, dtype=float)
+        if not (
+            np.array_equal(hop_matrix, held_hops)
+            and np.array_equal(range_arr, held_ranges)
+        ):
+            connection = range_distance_costs(hop_matrix, range_arr)
+            connection.flags.writeable = False
+            hops = frozen(np.asarray(hop_matrix))
+            self._epoch = (hops, frozen(range_arr), connection)
+        return connection
 
     def build_problem(
         self,
@@ -56,11 +90,10 @@ class AllocationEngine:
         exclude_nodes: Optional[Sequence[int]] = None,
     ) -> UFLProblem:
         """The Eq. 3 instance for the current network state."""
-        return build_storage_ufl(
-            used_storage=used_slots,
-            total_storage=total_slots,
-            hop_matrix=hop_matrix,
-            ranges=ranges,
+        return storage_ufl(
+            used_slots,
+            total_slots,
+            self._connection(hop_matrix, ranges),
             fdc_weight=self.config.fdc_weight,
             exclude_nodes=exclude_nodes,
         )

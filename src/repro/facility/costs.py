@@ -103,14 +103,33 @@ def build_storage_ufl(
     (potential accessor).  ``exclude_nodes`` marks nodes that must not store
     the item (e.g. offline nodes): their facility cost becomes ``inf``.
     """
+    return storage_ufl(
+        used_storage,
+        total_storage,
+        range_distance_costs(hop_matrix, ranges, hop_scale=hop_scale),
+        fdc_weight=fdc_weight,
+        exclude_nodes=exclude_nodes,
+    )
+
+
+def storage_ufl(
+    used_storage: Sequence[float],
+    total_storage: Sequence[float],
+    connection: np.ndarray,
+    fdc_weight: float = DEFAULT_FDC_WEIGHT,
+    exclude_nodes: Optional[Sequence[int]] = None,
+) -> UFLProblem:
+    """:func:`build_storage_ufl` over an RDC matrix built beforehand.
+
+    The RDC changes once per topology epoch and the FDC once per
+    placement, so a caller placing many items builds the first once.
+    """
     if fdc_weight < 0:
         raise ValueError("FDC weight must be non-negative")
     facility = fdc_weight * fairness_degree_costs(used_storage, total_storage)
-    connection = range_distance_costs(hop_matrix, ranges, hop_scale=hop_scale)
     if facility.shape[0] != connection.shape[0]:
         raise ValueError("storage vectors must match hop matrix size")
     if exclude_nodes:
-        facility = facility.copy()
         for node in exclude_nodes:
             facility[node] = math.inf
     return UFLProblem(facility_costs=facility, connection_costs=connection)

@@ -136,6 +136,21 @@ class UFLSolution:
                 )
 
 
+def frozen(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as an array nobody writes: itself when it is an owned
+    read-only array, else a read-only copy.
+
+    An epoch cache keeps the input it was built from and compares later
+    inputs against it; holding a caller's writable array would let one
+    in-place edit change both sides of that comparison.
+    """
+    if matrix.flags.owndata and not matrix.flags.writeable:
+        return matrix
+    held = np.array(matrix)
+    held.flags.writeable = False
+    return held
+
+
 def assign_to_open(problem: UFLProblem, open_facilities: Sequence[int]) -> UFLSolution:
     """Optimal assignment given a fixed open set (each client → cheapest).
 

@@ -38,11 +38,20 @@ archive opens the archive once, fsyncs it once and encodes each block
 dict once (one open, one fsync and two whole-record ``json.dumps`` *per
 block* before compaction became a batch), and a 64-block ranged fetch
 and a full integrity walk open it once each (once per block before).
+
+The last two are counts as well.  2 000 routes in one epoch of a
+400-node cluster walk each endpoint's adjacency at most once per BFS
+level their routes need, plus one walk per route to find where the two
+endpoints' trees meet (a bidirectional search per route walks both
+fringes every time).  50 placements in one topology epoch build the RDC
+matrix once and hash no matrix (one build and one blake2b of it per
+placement before).
 """
 
 from __future__ import annotations
 
 import builtins
+import hashlib
 import json
 import os
 import time
@@ -50,9 +59,12 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import allocation
+from repro.core.allocation import AllocationEngine
 from repro.core.blockchain import Blockchain, ChainState
 from repro.crypto.keys import GENERATOR, N, PrivateKey
 from repro.crypto.signature import Signature, _deterministic_nonce, _message_scalar, sign
+from repro.facility import costs
 from repro.facility.costs import build_storage_ufl
 from repro.facility.greedy import GreedySolver
 from repro.facility.problem import UFLProblem
@@ -69,7 +81,7 @@ from tests.helpers import (
 
 pytestmark = pytest.mark.fastpath
 
-#: The wall-clock ratio guards; the two count guards at the bottom need none.
+#: The wall-clock ratio guards; the count guards at the bottom need none.
 timing_guard = pytest.mark.skipif(
     os.environ.get("REPRO_SKIP_PERF") == "1",
     reason="REPRO_SKIP_PERF=1: perf-regression guards disabled",
@@ -335,3 +347,90 @@ def test_storage_plane_opens_syncs_and_encodes_once_per_batch(tmp_path, monkeypa
     assert opens == ["rb"]
     assert len(fsyncs) == 1
     store.close()
+
+
+#: The routing guard: routes in one epoch of a 400-node cluster at the
+#: paper's density, between this many endpoints (each in ≈100 routes).
+ROUTES = 2000
+ROUTE_ENDPOINTS = 40
+
+
+class _CountedAdjacency(dict):
+    """A node's neighbour dict that records every walk over it."""
+
+    def __init__(self, neighbours, walks, node):
+        super().__init__(neighbours)
+        self._walks, self._node = walks, node
+
+    def __iter__(self):
+        self._walks.append(self._node)
+        return super().__iter__()
+
+
+def test_routes_walk_each_endpoints_adjacency_once_per_level():
+    rng = np.random.default_rng(400)
+    topology = Topology(connected_random_positions(400, rng))
+    hops = topology.hop_matrix()
+    walks = []
+    topology._adj = [
+        _CountedAdjacency(neighbours, walks, node)
+        for node, neighbours in enumerate(topology._adj)
+    ]
+    endpoints = rng.choice(400, size=ROUTE_ENDPOINTS, replace=False)
+    pairs = rng.choice(endpoints, size=(ROUTES, 2)).tolist()
+    for source, target in pairs:
+        path = topology.shortest_path(source, target)
+        assert len(path) - 1 == hops[source, target]
+    # A route at d hops reads each endpoint's BFS levels up to d - 1, so
+    # its trees walk the adjacency of nodes at most d - 2 hops out — once
+    # per tree, however many routes share it — and the route walks one
+    # more adjacency to find where the two trees meet.
+    deepest = {}
+    for source, target in pairs:
+        for endpoint in (source, target):
+            deepest[endpoint] = max(deepest.get(endpoint, 0), hops[source, target])
+    budget = ROUTES + sum(
+        int(((hops[endpoint] >= 0) & (hops[endpoint] < depth - 1)).sum())
+        for endpoint, depth in deepest.items()
+    )
+    assert len(walks) <= budget, (
+        f"{len(walks)} adjacency walks for {ROUTES} routes; the trees of "
+        f"{len(deepest)} endpoints need at most {budget}"
+    )
+
+
+#: The placement guard: placements in one topology epoch.
+PLACEMENTS = 50
+
+
+def test_placements_build_the_rdc_once_per_epoch_and_hash_nothing(monkeypatch):
+    rng = np.random.default_rng(50)
+    hops = Topology(connected_random_positions(120, rng)).hop_matrix()
+    engine = AllocationEngine(make_config(), rng=np.random.default_rng(0))
+    builds, hashes = [], []
+    real_build = costs.range_distance_costs
+
+    def counted_build(*args, **kwargs):
+        builds.append(args)
+        return real_build(*args, **kwargs)
+
+    def counted(constructor):
+        real = getattr(hashlib, constructor)
+
+        def hasher(*args, **kwargs):
+            hashes.append(constructor)
+            return real(*args, **kwargs)
+
+        return hasher
+
+    monkeypatch.setattr(costs, "range_distance_costs", counted_build)
+    monkeypatch.setattr(allocation, "range_distance_costs", counted_build, raising=False)
+    for constructor in ("blake2b", "sha256", "md5", "new"):
+        monkeypatch.setattr(hashlib, constructor, counted(constructor))
+    used = rng.integers(0, 60, size=120).astype(float)
+    for _ in range(PLACEMENTS):
+        decision = engine.place_item(used, [250.0] * 120, hops, [30.0] * 120)
+        used[list(decision.storing_nodes)] += 1.0
+    assert len(builds) == 1
+    assert hashes == []
+    assert engine._solver.epoch_rebuilds == 1

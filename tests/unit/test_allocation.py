@@ -10,6 +10,7 @@ from repro.core.allocation import AllocationEngine
 from repro.core.config import SystemConfig
 from repro.core.errors import AllocationError
 from repro.core.recent_blocks import recent_block_coverage, select_recent_cache_nodes
+from repro.simnet.topology import Topology, connected_random_positions
 
 
 @pytest.fixture
@@ -96,6 +97,22 @@ class TestPlaceItem:
         matched.place_item(*state)
         assert matched._solver.epoch_rebuilds == 1
 
+    def test_rdc_matrix_is_built_once_per_epoch(self, engine, state):
+        used, total, hops, ranges = state
+        engine.place_item(*state)
+        connection = engine._epoch[2]
+        assert not connection.flags.writeable
+        # Equal content in other objects is the same epoch.
+        engine.place_item(used, total, hops.copy(), list(ranges))
+        assert engine._epoch[2] is connection
+        # The engine holds a copy of a writable hop matrix, so an in-place
+        # edit of the caller's array is a new epoch, not a stale match.
+        hops[0, 4] = hops[4, 0] = 1.0
+        engine.place_item(used, total, hops, ranges)
+        assert engine._epoch[2] is not connection
+        engine.place_item(used, total, hops, [31.0] * 5)
+        assert engine._solver.epoch_rebuilds == 3
+
     def test_all_solvers_produce_valid_decisions(self, state):
         for solver in ("greedy", "random"):
             config = SystemConfig(placement_solver=solver)
@@ -107,12 +124,26 @@ class TestPlaceItem:
 class TestSnapshotPickle:
     def test_solver_caches_stay_out_of_the_pickle(self, engine, state):
         # Snapshots pickle the whole runtime: the solver's per-epoch
-        # arrays (3 x n^2 x 8 B) must not ride along.
+        # arrays (3 x n^2 x 8 B), the allocator's RDC matrix with the hop
+        # matrix and ranges it was built from, and the topology's hop
+        # matrix and route trees must not ride along.
         cold = pickle.dumps(AllocationEngine(SystemConfig(), rng=np.random.default_rng(0)))
         engine.place_item(*state)
         assert engine._solver._order2d.size  # caches are warm
+        assert engine._epoch[2].size
         warm = pickle.dumps(engine)
         assert len(warm) == len(cold)
+
+        rng = np.random.default_rng(400)
+        topology = Topology(connected_random_positions(400, rng))
+        cold = pickle.dumps(topology)
+        for _ in range(200):
+            topology.shortest_path(*map(int, rng.integers(0, 400, size=2)))
+        assert topology._hop_cache is not None and topology._trees  # warm
+        assert len(pickle.dumps(topology)) == len(cold)
+        restored = pickle.loads(pickle.dumps(topology))
+        assert (restored.hop_matrix() == topology.hop_matrix()).all()
+        assert restored.shortest_path(0, 399) == topology.shortest_path(0, 399)
 
     def test_round_trip_solves_identically(self, engine, state):
         used, total, hops, ranges = state

@@ -114,6 +114,27 @@ class TestDataFlow:
         assert len(requester.delivery_times) == before + 1
         assert requester.counters.data_requests_failed == 0
 
+    @pytest.mark.parametrize("forged", [(999,), (-1,)])
+    def test_forged_placement_falls_back_to_producer(
+        self, world, monkeypatch, forged
+    ):
+        # Placements are outside the block hash, so a relay can name a
+        # node the cluster does not have; the requester must skip it.
+        world.start()
+        item = world.nodes[0].produce_data()
+        run_blocks(world, 2)
+        world.engine.run_until(world.engine.now + 10.0)
+        requester = world.nodes[4]
+        metadata = requester.chain.metadata_of(item.data_id).with_storing_nodes(forged)
+        monkeypatch.setattr(requester.chain, "metadata_of", lambda data_id: metadata)
+        monkeypatch.setattr(requester.storage, "can_serve", lambda data_id: False)
+        assert requester._candidates_for(metadata) == [forged[0], 0]
+        before = len(requester.delivery_times)
+        requester.request_data(item.data_id)
+        world.engine.run_until(world.engine.now + 10.0)
+        assert len(requester.delivery_times) == before + 1
+        assert requester.counters.data_requests_failed == 0
+
     def test_request_unknown_data_fails_fast(self, world):
         world.start()
         requester = world.nodes[1]

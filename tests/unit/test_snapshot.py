@@ -98,22 +98,35 @@ class TestRejection:
         with pytest.raises(PersistError, match="schema"):
             load_snapshot(path)
 
+    @staticmethod
+    def _assert_old_version_refused(tmp_path, runtime, version):
+        assert SNAPSHOT_SCHEMA_VERSION == 3
+        path = write_snapshot(tmp_path, runtime)
+        document = json.loads(path.read_text())
+        document["schema_version"] = version
+        document["blob"] = "not a v3 runtime"
+        path.write_text(json.dumps(document))
+        with pytest.raises(
+            PersistError, match=rf"schema v{version}, this build reads v3"
+        ):
+            load_snapshot(path)
+        runtime, info, skipped = load_latest_snapshot(tmp_path)
+        assert runtime is None and info is None
+        assert len(skipped) == 1 and f"schema v{version}" in skipped[0]
+
     def test_v1_snapshot_refused_by_version_not_by_unpickling(
         self, tmp_path, midrun_runtime
     ):
         # v1 pickled a Topology that held a networkx graph; v2's holds its
         # own adjacency.  The header check answers before the blob is read.
-        assert SNAPSHOT_SCHEMA_VERSION == 2
-        path = write_snapshot(tmp_path, midrun_runtime)
-        document = json.loads(path.read_text())
-        document["schema_version"] = 1
-        document["blob"] = "not a v2 runtime"
-        path.write_text(json.dumps(document))
-        with pytest.raises(PersistError, match=r"schema v1, this build reads v2"):
-            load_snapshot(path)
-        runtime, info, skipped = load_latest_snapshot(tmp_path)
-        assert runtime is None and info is None
-        assert len(skipped) == 1 and "schema v1" in skipped[0]
+        self._assert_old_version_refused(tmp_path, midrun_runtime, 1)
+
+    def test_v2_snapshot_refused_by_version_not_by_unpickling(
+        self, tmp_path, midrun_runtime
+    ):
+        # v2 pickled the topology's path cache and the solver's matrix
+        # token; v3 carries neither, nor any hop or RDC matrix.
+        self._assert_old_version_refused(tmp_path, midrun_runtime, 2)
 
     def test_blob_crc_mismatch_rejected(self, tmp_path, midrun_runtime):
         path = write_snapshot(tmp_path, midrun_runtime)

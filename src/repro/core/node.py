@@ -343,6 +343,7 @@ class EdgeNode:
         state = self.chain.state
         hop_matrix = self.topology.hop_matrix()
         node_ids = list(state.node_ids)
+        index_of = {node: index for index, node in enumerate(node_ids)}
         capacity = float(self.config.storage_capacity)
         # Clamp: a chain carrying forged assignments can credit a node with
         # more slots than physically exist; for placement it is just full.
@@ -363,13 +364,13 @@ class EdgeNode:
             )
             packed.append(item.with_storing_nodes(decision.storing_nodes))
             for node in decision.storing_nodes:
-                used[node_ids.index(node)] += 1.0
+                used[index_of[node]] += 1.0
 
         block_decision = self.allocator.place_item(
             used, total, hop_matrix, self.mobility_ranges
         )
         for node in block_decision.storing_nodes:
-            used[node_ids.index(node)] += 1.0
+            used[index_of[node]] += 1.0
 
         recent_nodes = select_recent_cache_nodes(
             self.allocator,

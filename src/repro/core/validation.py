@@ -54,6 +54,7 @@ def verify_block_allocations(
     violations: List[str] = []
     now = block.timestamp
     node_ids = list(state.node_ids)
+    index_of = {node: index for index, node in enumerate(node_ids)}
     capacity = float(storage_capacity)
     used = [
         min(float(state.used_slots(node, now)), capacity) for node in node_ids
@@ -78,8 +79,8 @@ def verify_block_allocations(
         # divergence does not cascade into spurious reports.  Clamp at
         # capacity: a forged block can claim physically impossible fills.
         for node in item.storing_nodes:
-            if node in node_ids:
-                index = node_ids.index(node)
+            index = index_of.get(node)
+            if index is not None:
                 used[index] = min(used[index] + 1.0, total[index])
 
     decision = place()
@@ -90,8 +91,8 @@ def verify_block_allocations(
             f"solver derives {sorted(expected_block)}"
         )
     for node in block.storing_nodes:
-        if node in node_ids:
-            index = node_ids.index(node)
+        index = index_of.get(node)
+        if index is not None:
             used[index] = min(used[index] + 1.0, total[index])
 
     expected_recent = select_recent_cache_nodes(

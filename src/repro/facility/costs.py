@@ -42,15 +42,25 @@ def fairness_degree_cost(used: float, total: float) -> float:
 def fairness_degree_costs(
     used: Sequence[float], total: Sequence[float]
 ) -> np.ndarray:
-    """Vectorised FDC over all nodes."""
+    """Vectorised FDC over all nodes: :func:`fairness_degree_cost` per node.
+
+    IEEE division is the same operation elementwise as on one double, so
+    every cost is bitwise the scalar's; an invalid node raises the
+    scalar's error for the first such node.
+    """
     used_arr = np.asarray(used, dtype=float)
     total_arr = np.asarray(total, dtype=float)
     if used_arr.shape != total_arr.shape:
         raise ValueError("used and total must have the same shape")
-    return np.array(
-        [fairness_degree_cost(u, t) for u, t in zip(used_arr, total_arr)],
-        dtype=float,
-    )
+    invalid = (total_arr <= 0) | (used_arr < 0) | (used_arr > total_arr)
+    if invalid.any():
+        first = int(np.argmax(invalid))
+        fairness_degree_cost(used_arr[first], total_arr[first])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        remaining = total_arr - used_arr
+        costs = used_arr / remaining
+    costs[remaining == 0] = math.inf
+    return costs
 
 
 def range_distance_costs(

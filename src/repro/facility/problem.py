@@ -166,7 +166,7 @@ def assign_to_open(problem: UFLProblem, open_facilities: Sequence[int]) -> UFLSo
     if not np.all(np.isfinite(best_costs)):
         unreachable = np.flatnonzero(~np.isfinite(best_costs)).tolist()
         raise ValueError(f"clients {unreachable} cannot reach the open set")
-    assignment = tuple(int(open_list[row]) for row in best_rows)
+    assignment = tuple(np.asarray(open_list)[best_rows].tolist())
     return UFLSolution(open_facilities=tuple(open_list), assignment=assignment)
 
 

@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import tests.helpers as _helpers
 from repro.core.account import Account
 from repro.core.config import SystemConfig
 from repro.simnet.engine import EventEngine
 from repro.simnet.topology import Position, Topology, connected_random_positions
+
+#: ``--hypothesis-profile=ci``: a failing example also prints the blob
+#: that replays it (``@reproduce_failure``), so a CI log is enough to
+#: reproduce a differential failure locally.
+settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture

@@ -14,8 +14,10 @@ one long-lived solver than through 200
 That replay is dominated by the greedy's first round (30 nodes, a star
 or two per solve).  The second guard is the large-cluster shape, where
 the later rounds are the cost: a 200-node hop-count instance built by
-the real cost builder, 10–30 replicas and 150–200 greedy rounds per
-solve, replayed with the loads bumped where each placement landed.  There the
+the real cost builder, 10–30 replicas and 155–200 textbook greedy rounds
+per solve (the solver takes 139–172: one batch of one-client stars,
+then mostly rounds that hand one more client to an open replica),
+replayed with the loads bumped where each placement landed.  There the
 solver must be at least 20× faster per solve.
 
 The third guard is the secp256k1 kernel: ``sign`` (one fixed-base
@@ -46,6 +48,12 @@ endpoints' trees meet (a bidirectional search per route walks both
 fringes every time).  50 placements in one topology epoch build the RDC
 matrix once and hash no matrix (one build and one blake2b of it per
 placement before).
+
+The greedy's rounds are counted too (``GreedySolver.rounds``).  A fresh
+400-node cluster, where a node alone is every node's best star, opens
+all 400 nodes in at most 3 rounds (400 before the singleton batch); a
+30-node two-hub instance stops at its second and last opening (10
+rounds before the tail exit).  Both still equal the textbook loop.
 """
 
 from __future__ import annotations
@@ -434,3 +442,63 @@ def test_placements_build_the_rdc_once_per_epoch_and_hash_nothing(monkeypatch):
     assert len(builds) == 1
     assert hashes == []
     assert engine._solver.epoch_rebuilds == 1
+
+
+#: The all-open guard's cluster: every node's weighted FDC below the RDC
+#: of a one-hop neighbour (1 hop + two 30 m ranges = 61), which holds
+#: below 15 used slots of 250 — the first placements of a fresh cluster.
+ALL_OPEN_SIZE = 400
+ONE_HOP_RDC = 61.0
+
+
+def test_fresh_cluster_opens_every_node_in_at_most_three_rounds():
+    rng = np.random.default_rng(61)
+    hops = Topology(connected_random_positions(ALL_OPEN_SIZE, rng)).hop_matrix()
+    used = rng.integers(0, 15, size=ALL_OPEN_SIZE).astype(float)
+    problem = build_storage_ufl(
+        used, np.full(ALL_OPEN_SIZE, 250.0), hops, [30.0] * ALL_OPEN_SIZE
+    )
+    assert problem.facility_costs.max() < ONE_HOP_RDC
+    solver = GreedySolver()
+    solution = solver.solve(problem)
+    # A star of a node alone beats any star with a neighbour in it, so
+    # the textbook loop opens all 400, one round each.
+    assert solution.replica_count == ALL_OPEN_SIZE
+    assert solver.rounds <= 3, f"{solver.rounds} rounds to open every node"
+    expected = reference_greedy(problem)
+    assert solution.open_facilities == expected.open_facilities
+    assert solution.assignment == expected.assignment
+
+
+def _two_hub_problem():
+    """Two groups of 15: each hub reaches 10 of its group at 1 and the
+    last 4 at 3, every other pair in a group costs 2, across groups 100.
+    The hubs open for 5, the rest for 1000."""
+    size, group = 30, 15
+    connection = np.full((size, size), 100.0)
+    facility_costs = np.full(size, 1000.0)
+    for hub in (0, group):
+        members = np.arange(hub, hub + group)
+        connection[np.ix_(members, members)] = 2.0
+        connection[hub, members] = connection[members, hub] = 1.0
+        connection[hub, members[11:]] = connection[members[11:], hub] = 3.0
+        facility_costs[hub] = 5.0
+    np.fill_diagonal(connection, 0.0)
+    return UFLProblem(facility_costs=facility_costs, connection_costs=connection)
+
+
+def test_solve_stops_at_the_last_opening():
+    # The textbook loop opens hub 0 (itself and 10 clients at 1: ratio
+    # 15/11), then hub 15, then spends 8 more rounds handing the 3-cost
+    # clients to their hubs one by one.  No other node can open for less
+    # than 1000/30, so those rounds cannot change the open set.
+    problem = _two_hub_problem()
+    solver = GreedySolver()
+    solution = solver.solve(problem)
+    assert solution.open_facilities == (0, 15)
+    assert solver.rounds == 2
+    assert solver.tail_exits == 1
+    expected = reference_greedy(problem)
+    assert solution.assignment == expected.assignment
+    assert solution.open_facilities == expected.open_facilities
+

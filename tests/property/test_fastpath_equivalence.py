@@ -268,12 +268,17 @@ class TestIncrementalUFLEquivalence:
         if not rows.size:
             rows = np.arange(num_f)
         opening = facility_costs[rows]
-        ratio, kpos = solver._stars(rows, unassigned, opening)
+        ratio, kpos, size = solver._stars(rows, unassigned, opening)
         expected_ratio, expected_kpos = _full_width_stars(
             solver, rows, unassigned, opening
         )
         assert ratio.tobytes() == expected_ratio.tobytes()
         assert kpos.tolist() == expected_kpos.tolist()
+        # The star's size is the unassigned clients up to kpos.
+        kept = unassigned[solver._order2d[rows]]
+        served = np.cumsum(kept, axis=1)[np.arange(rows.size), kpos]
+        finite = np.isfinite(ratio)
+        assert size[finite].tolist() == served[finite].tolist()
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -291,15 +296,18 @@ class TestIncrementalUFLEquivalence:
         solver._reset_epoch(problem)
         everyone = np.arange(num_f)
         unassigned = rng.random(num_c) < 0.8
-        ratio, kpos = solver._stars(everyone, unassigned, facility_costs)
+        ratio, kpos, size = solver._stars(everyone, unassigned, facility_costs)
         removed = np.flatnonzero(unassigned & (rng.random(num_c) < 0.3))
         unassigned[removed] = False
-        new_ratio, new_kpos = solver._stars(everyone, unassigned, facility_costs)
+        new_ratio, new_kpos, new_size = solver._stars(
+            everyone, unassigned, facility_costs
+        )
         assert (new_ratio >= ratio).all()
         kept = ~(solver._pos_t[removed] <= kpos).any(axis=0)
         kept &= np.isfinite(ratio)
         assert (new_ratio[kept] == ratio[kept]).all()
         assert (new_kpos[kept] == kpos[kept]).all()
+        assert (new_size[kept] == size[kept]).all()
 
     def test_structural_change_falls_back_and_recovers(self):
         rng = np.random.default_rng(9)
@@ -318,6 +326,241 @@ class TestIncrementalUFLEquivalence:
                     == reference_greedy(problem).open_facilities
                 )
         assert solver.epoch_rebuilds == 3
+
+
+# -- UFL: the rounds the solver takes at once ----------------------------------------
+
+
+@st.composite
+def certain_round_instances(draw, max_size=24):
+    """Seed, size and a drift length for one family of the class below."""
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    size = draw(st.integers(min_value=3, max_value=max_size))
+    steps = draw(st.integers(min_value=1, max_value=4))
+    return seed, size, steps
+
+
+def _cheapest_pair(rng, facility_costs):
+    """Two distinct facilities made the strict two cheapest: a run of one-client
+    stars the batch rule must take (their own clients, all else dearer)."""
+    first, second = rng.choice(facility_costs.size, size=2, replace=False)
+    facility_costs[second] = 0.25 * facility_costs.min()
+    facility_costs[first] = 0.0
+    return first, second
+
+
+def _boundary_singletons(rng, n):
+    """One-client stars whose ratios sit 0.4e-12 apart on both sides of the
+    batch boundary: openings near ``1 - 1e-12`` against next costs near 1."""
+    connection = 1.0 + 0.4e-12 * rng.integers(-3, 4, size=(n, n))
+    np.fill_diagonal(connection, 0.0)
+    facility_costs = 1.0 - 1e-12 + 0.4e-12 * rng.integers(-3, 4, size=n)
+    facility_costs[rng.choice(n, size=2, replace=False)] = [0.5, 0.5 + 0.4e-12]
+    return facility_costs, connection
+
+
+def _shared_singletons(rng, n):
+    """Facilities whose one-client star is the same client, at zero
+    off-diagonal cost: the batch must stop at the second claim on a client."""
+    connection = 10.0 + rng.integers(0, 3, size=(n, n)).astype(float)
+    targets = rng.integers(0, max(2, n // 3), size=n)
+    connection[np.arange(n), targets] = 0.0
+    facility_costs = 0.5 * rng.integers(1, 5, size=n)
+    first, second = _cheapest_pair(rng, facility_costs)
+    targets[second] = (targets[first] + 1) % n
+    connection[second] = 10.0
+    connection[second, targets[second]] = 0.0
+    return facility_costs, connection
+
+
+def _short_rows(rng, n):
+    """Rows that run out of finite clients: a row's next cost after its
+    star is often ``inf``, so its post-opening bound is too."""
+    connection = rng.integers(5, 8, size=(n, n)).astype(float)
+    connection[rng.random((n, n)) < rng.uniform(0.7, 1.0)] = np.inf
+    np.fill_diagonal(connection, 0.0)
+    facility_costs = 0.5 * rng.integers(1, 5, size=n)
+    _cheapest_pair(rng, facility_costs)
+    return facility_costs, connection
+
+
+def _zero_diagonal(rng, n):
+    """Hop-count costs with ``c_ii = 0``, as the real RDC has them: most
+    stars are one client, and later rounds batch beside stale facilities."""
+    connection = rng.integers(1, 6, size=(n, n)).astype(float)
+    connection[rng.random((n, n)) < 0.3] = np.inf
+    np.fill_diagonal(connection, 0.0)
+    facility_costs = rng.integers(1, 8, size=n) * rng.choice([0.5, 1.0])
+    _cheapest_pair(rng, facility_costs)
+    return facility_costs, connection
+
+
+def _stale_beside_the_run(rng, n):
+    """A stale facility whose bound ties the cheapest one-client star.
+
+    Round 1 opens ``p`` with client ``y`` — facility ``q``'s star lost
+    ``y`` and keeps its old ratio 2 as a bound.  Round 2's cheapest star
+    is ``s1`` alone at 2, before ``q``; ``q`` really costs 3 now, for
+    itself and ``s2``, whose own star is 3.5.  The textbook loop opens
+    ``s1``, then ``q`` — taking ``s2``'s client — so ``s2`` never opens:
+    the stale bound must stop ``s1``'s batch.  Two free facilities batch
+    in round 1; the rest never open.
+    """
+    n = max(n, 7)
+    free_a, free_b, s1, q, p, y, s2 = range(7)
+    connection = np.full((n, n), 50.0)
+    np.fill_diagonal(connection, 0.0)
+    connection[p, y] = connection[q, y] = 0.0
+    connection[q, s2] = 2.0
+    facility_costs = np.full(n, 100.0)
+    facility_costs[[free_a, free_b, s1, q, p, s2]] = [0.0, 0.1, 2.0, 4.0, 1.0, 3.5]
+    order = rng.permutation(n)
+    first, second = np.flatnonzero(order == s1)[0], np.flatnonzero(order == q)[0]
+    if first > second:  # s1 must come before q in the scan
+        order[first], order[second] = q, s1
+    scale = 2.0 ** rng.integers(-3, 4)
+    return scale * facility_costs[order], scale * connection[np.ix_(order, order)]
+
+
+def _cut_inside_the_band(rng, n):
+    """The facility that ends the run ties its last star within 1e-12.
+
+    ``s`` (free) and ``y`` (ratio 1) are one-client stars; ``x`` comes
+    before ``y`` and its two-client star — itself and ``y`` — averages
+    1 + 0.4e-12.  The textbook loop opens ``s``, then ``x``, whose star
+    takes ``y``'s client, so ``y`` never opens: the next exact ratio
+    must stop ``s``'s batch before ``y``.
+    """
+    n = max(n, 4)
+    s, x, y = range(3)
+    connection = np.full((n, n), 50.0)
+    np.fill_diagonal(connection, 0.0)
+    connection[x, y] = 0.5
+    facility_costs = np.full(n, 100.0)
+    facility_costs[[s, x, y]] = [0.0, 1.5 + 0.8e-12, 1.0]
+    order = rng.permutation(n)
+    first, second = np.flatnonzero(order == x)[0], np.flatnonzero(order == y)[0]
+    if first > second:  # x must come before y in the scan
+        order[first], order[second] = y, x
+    scale = 2.0 ** rng.integers(-3, 1)  # up to 1: the band is absolute
+    return scale * facility_costs[order], scale * connection[np.ix_(order, order)]
+
+
+def _rounded_down_average(rng, n):
+    """Equal, non-representable costs whose float average rounds below them.
+
+    Facility ``a`` opens alone and then reaches n - 2 clients at ``c``; the
+    float average of those costs falls under ``c``.  One of them, ``b``,
+    opens alone for a price between that average and ``c - 1e-12``, so
+    the textbook loop hands ``b`` to ``a`` before ``b`` can open: only the
+    ``(n+2)·2⁻⁵²`` margin of ``a``'s post-opening bound keeps ``b`` out
+    of ``a``'s batch.
+    """
+    n = max(n, 12)
+    count = np.arange(1, n - 1)
+    while True:
+        c = rng.uniform(1e4, 1e8)
+        average = (np.cumsum(np.full(n - 2, c)) / count).min()
+        price = (average + c) / 2
+        if average < price - 1e-12 and price < c - 1e-12:
+            break
+    connection = np.full((n, n), 1e12)
+    np.fill_diagonal(connection, 0.0)
+    connection[0, 1:] = c
+    facility_costs = np.full(n, 1e12)
+    facility_costs[0], facility_costs[1] = 0.0, price
+    order = rng.permutation(n)
+    return facility_costs[order], connection[np.ix_(order, order)]
+
+
+class TestCertainRoundsEquivalence:
+    """The rounds taken at once (a run of one-client stars; the tail once no
+    closed facility can win) stay bit-identical to the textbook loop.
+
+    Each family builds instances that make its rule fire — the solver's
+    counter proves it did — around the edge the rule's argument rests on.
+    """
+
+    @staticmethod
+    def _replay(build, seed, size, steps):
+        rng = np.random.default_rng(seed)
+        facility_costs, connection = build(rng, size)
+        solver = GreedySolver()
+        for _ in range(steps):
+            problem = UFLProblem(
+                facility_costs=facility_costs.copy(),
+                connection_costs=connection.copy(),
+            )
+            _assert_same_solution(solver.solve(problem), reference_greedy(problem))
+            # Drift one opening cost by a tie-sized step, as the allocator's
+            # loads do between placements.
+            facility_costs = facility_costs.copy()
+            facility_costs[rng.integers(0, size)] += 0.4e-12 * rng.integers(-2, 3)
+            np.maximum(facility_costs, 0.0, out=facility_costs)
+        return solver
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _boundary_singletons,
+            _shared_singletons,
+            _short_rows,
+            _zero_diagonal,
+            _stale_beside_the_run,
+            _cut_inside_the_band,
+            _rounded_down_average,
+        ],
+        ids=[
+            "boundary-0.4e-12",
+            "shared-client",
+            "rows-run-out",
+            "zero-diagonal",
+            "stale-beside-the-run",
+            "cut-inside-the-band",
+            "rounded-down-average",
+        ],
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(certain_round_instances())
+    def test_singleton_batches_match_greedy_exactly(self, build, instance):
+        solver = self._replay(build, *instance)
+        assert solver.batches > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        certain_round_instances(),
+        st.sampled_from([1.0, 3.0, 61.0, 1000.1, 4096.3, 10000.1, 12345.678]),
+        st.integers(min_value=-2, max_value=2),
+    )
+    def test_tail_exit_at_the_tie_band_matches_greedy_exactly(
+        self, instance, reuse_cost, ulps
+    ):
+        # Facility ``a`` opens on its own clients and reaches every other
+        # client at ``reuse_cost``; closed facility ``b``'s one-client star
+        # costs ``reuse_cost + 1e-12`` give or take a few ulps — exactly
+        # the edge of the tail exit — and then a clear 1.0 above it.
+        seed, size, _ = instance
+        rng = np.random.default_rng(seed)
+        a, b = rng.choice(size, size=2, replace=False)
+        own = rng.choice(size, size=int(rng.integers(1, size - 1)), replace=False)
+        lone = rng.choice(np.setdiff1d(np.arange(size), own))
+        connection = np.full((size, size), np.inf)
+        connection[a] = reuse_cost
+        connection[a, own] = 0.0
+        connection[b] = 1e9
+        connection[b, lone] = 0.0
+        edge = reuse_cost + 1e-12
+        for _ in range(abs(ulps)):
+            edge = np.nextafter(edge, np.inf if ulps > 0 else -np.inf)
+        solver = GreedySolver()
+        for b_cost in (edge, reuse_cost + 1.0):
+            facility_costs = np.full(size, np.inf)
+            facility_costs[a], facility_costs[b] = 0.5, b_cost
+            problem = UFLProblem(
+                facility_costs=facility_costs, connection_costs=connection
+            )
+            _assert_same_solution(solver.solve(problem), reference_greedy(problem))
+        assert solver.tail_exits > 0
 
 
 # -- Routing: vectorised edges + cached hop matrix vs reference ------------------------

@@ -10,6 +10,7 @@ from repro.core.allocation import AllocationEngine
 from repro.core.config import SystemConfig
 from repro.core.errors import AllocationError
 from repro.core.recent_blocks import recent_block_coverage, select_recent_cache_nodes
+from repro.facility.greedy import GreedySolver
 from repro.simnet.topology import Topology, connected_random_positions
 
 
@@ -154,6 +155,21 @@ class TestSnapshotPickle:
             used[bump] += 7.0
             expected = engine.place_item(used, total, hops, ranges)
             assert restored.place_item(used, total, hops, ranges) == expected
+        assert vars(restored._solver)["rounds"] == engine._solver.rounds > 0
+
+    def test_solver_pickled_before_the_round_counters_still_solves(self, state):
+        # A solver pickled before ``rounds`` / ``batches`` / ``tail_exits``
+        # (and the size cache) existed carries only ``epoch_rebuilds``;
+        # unpickling it starts the others at 0.
+        older = {**vars(GreedySolver()), "epoch_rebuilds": 4}
+        for name in ("rounds", "batches", "tail_exits", "_round1_size"):
+            del older[name]
+        restored = GreedySolver.__new__(GreedySolver)
+        restored.__setstate__(older)
+        assert (restored.epoch_rebuilds, restored.rounds) == (4, 0)
+        problem = AllocationEngine(SystemConfig()).build_problem(*state)
+        assert restored.solve(problem) == GreedySolver().solve(problem)
+        assert restored.rounds > 0
 
 
 class TestRecentCacheSelection:

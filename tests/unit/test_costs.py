@@ -1,9 +1,12 @@
 """Unit tests for the FDC (Eq. 1) and RDC (Eq. 2) cost builders."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.facility.costs import (
     DEFAULT_FDC_WEIGHT,
@@ -51,6 +54,35 @@ class TestFairnessDegreeCost:
     def test_vectorised_shape_mismatch(self):
         with pytest.raises(ValueError):
             fairness_degree_costs([1, 2], [10])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats(min_value=-1.0, max_value=300.0),
+                    st.sampled_from([0.0, -0.0, 0.1, 249.9, 250.0, math.inf]),
+                ),
+                st.one_of(
+                    st.floats(min_value=-1.0, max_value=300.0),
+                    st.sampled_from([0.0, 0.1, 250.0, math.inf]),
+                ),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_vectorised_equals_the_scalar_bitwise(self, nodes):
+        used, total = (list(column) for column in zip(*nodes))
+        try:
+            expected = [fairness_degree_cost(u, t) for u, t in zip(used, total)]
+        except ValueError as error:
+            # The first invalid node raises, with the scalar's message.
+            with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+                fairness_degree_costs(used, total)
+            return
+        costs = fairness_degree_costs(used, total)
+        assert costs.tobytes() == np.array(expected, dtype=float).tobytes()
 
 
 class TestRangeDistanceCost:

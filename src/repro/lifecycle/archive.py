@@ -22,13 +22,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.block import Block
 from repro.core.errors import PersistError, ValidationError
 from repro.core.serialization import block_from_dict, block_to_dict
 from repro.lifecycle.checkpoint import CheckpointRecord
-from repro.lifecycle.framing import _frame, _unframe
+from repro.lifecycle.framing import _frame, _scan, _unframe
 from repro.obs import runtime as _obs
 
 PathLike = Union[str, Path]
@@ -57,80 +57,79 @@ class ArchiveStats:
     torn_tail_bytes: int
 
 
+def _decode_record(line: bytes, expected_index: int) -> Dict[str, Any]:
+    """Check one archive line (newline stripped) as the record of block
+    ``expected_index``; returns its body."""
+    body = _unframe(line, "archive", "idx")
+    if body.get("v") != ARCHIVE_FORMAT_VERSION:
+        raise PersistError(f"unsupported archive format {body.get('v')!r}")
+    if body.get("idx") != expected_index:
+        raise PersistError(
+            f"archive index break: expected {expected_index}, got {body.get('idx')}"
+        )
+    if not isinstance(body.get("block"), dict):
+        raise PersistError(f"archive record {expected_index} carries no block")
+    return body
+
+
+def _checkpoint_of(body: Dict[str, Any], position: int, path: Path) -> CheckpointRecord:
+    """The checkpoint record pinned in the archive record at ``position``."""
+    try:
+        return CheckpointRecord.from_dict(body["checkpoint"])
+    except (KeyError, TypeError, ValueError) as error:
+        raise PersistError(
+            f"archive {path} checkpoint record at {position} is invalid: {error}"
+        ) from error
+
+
+def _block_of(body: Dict[str, Any], index: int, verify_hash: bool) -> Block:
+    """The verified block an archive record body for ``index`` carries."""
+    block = block_from_dict(body["block"], verify_hash=verify_hash)
+    if block.index != index or body.get("hash") != block.current_hash:
+        raise PersistError(f"archived block {index} fails verification")
+    return block
+
+
 class BlockArchive:
     """Append/scan handle for one cold-archive file.
 
-    Opening scans the file once, truncates any torn tail, and builds an
-    in-memory ``index → byte offset`` map, so a point fetch is one seek,
-    and a ranged fetch or an integrity walk opens the file once.
+    Opening is one streaming pass (:func:`~repro.lifecycle.framing._scan`)
+    that truncates any torn tail and keeps a positional array of record
+    offsets, plus the record position of every pinned checkpoint — never
+    the records.  A point fetch is one seek; a ranged fetch, an integrity
+    walk or :meth:`checkpoints` opens the file once.
     """
 
     def __init__(self, path: PathLike):
         self.path = Path(path)
-        self._offsets: Dict[int, int] = {}
-        self._checkpoints: Dict[int, CheckpointRecord] = {}
-        self._length = 0
-        self.torn_tail_bytes = 0
         self._load()
 
     # -- scanning ---------------------------------------------------------------
 
     def _load(self) -> None:
-        self._offsets.clear()
-        self._checkpoints.clear()
-        self._length = 0
-        self.torn_tail_bytes = 0
-        if not self.path.exists():
-            return
-        raw = self.path.read_bytes()
-        offset = 0
-        expected = 0
-        while offset < len(raw):
-            newline = raw.find(b"\n", offset)
-            if newline < 0:
-                self.torn_tail_bytes = len(raw) - offset
-                break
-            line = raw[offset:newline]
-            try:
-                body = self._decode(line, expected)
-            except PersistError as error:
-                if newline + 1 >= len(raw):
-                    # Terminated-but-invalid final record: a torn append.
-                    self.torn_tail_bytes = len(raw) - offset
-                    break
-                raise PersistError(
-                    f"archive {self.path} is corrupt mid-file: {error}"
-                ) from error
-            self._offsets[expected] = offset
-            checkpoint = body.get("checkpoint")
-            if checkpoint is not None:
-                try:
-                    record = CheckpointRecord.from_dict(checkpoint)
-                except (KeyError, TypeError, ValueError) as error:
-                    raise PersistError(
-                        f"archive {self.path} checkpoint record at "
-                        f"{expected} is invalid: {error}"
-                    ) from error
-                self._checkpoints[record.index] = record
-            expected += 1
-            offset = newline + 1
-            self._length = offset
+        #: Pinned checkpoint index → position of the record carrying it.
+        self._checkpoints: Dict[int, int] = {}
+
+        def keep(position: int, body: Dict[str, Any]) -> None:
+            if body.get("checkpoint") is not None:
+                record = _checkpoint_of(body, position, self.path)
+                self._checkpoints[record.index] = position
+
+        scan = _scan(self.path, _decode_record, keep)
+        if scan.corrupt:
+            raise PersistError(
+                f"archive {self.path} is corrupt mid-file: {scan.error}"
+            ) from scan.error
+        self._offsets = scan.offsets
+        self._length = scan.valid_bytes
+        self.torn_tail_bytes = scan.torn_tail_bytes
         if self.torn_tail_bytes:
             with open(self.path, "ab") as handle:
                 handle.truncate(self._length)
 
-    def _decode(self, line: bytes, expected_index: int) -> Dict[str, Any]:
-        body = _unframe(line, "archive", "idx")
-        if body.get("v") != ARCHIVE_FORMAT_VERSION:
-            raise PersistError(f"unsupported archive format {body.get('v')!r}")
-        if body.get("idx") != expected_index:
-            raise PersistError(
-                f"archive index break: expected {expected_index}, "
-                f"got {body.get('idx')}"
-            )
-        if not isinstance(body.get("block"), dict):
-            raise PersistError(f"archive record {expected_index} carries no block")
-        return body
+    def _body_at(self, handle: BinaryIO, position: int) -> Dict[str, Any]:
+        handle.seek(self._offsets[position])
+        return _decode_record(handle.readline().rstrip(b"\n"), position)
 
     # -- accessors --------------------------------------------------------------
 
@@ -144,7 +143,14 @@ class BlockArchive:
         return self._length
 
     def checkpoints(self) -> Dict[int, CheckpointRecord]:
-        return dict(self._checkpoints)
+        """Pinned checkpoint records by index, read back from the file."""
+        if not self._checkpoints:
+            return {}
+        with open(self.path, "rb") as handle:
+            return {
+                index: _checkpoint_of(self._body_at(handle, position), position, self.path)
+                for index, position in self._checkpoints.items()
+            }
 
     def stats(self) -> ArchiveStats:
         return ArchiveStats(
@@ -197,9 +203,9 @@ class BlockArchive:
                         body["checkpoint"] = checkpoint.to_dict()
                     encoded = _frame(body)
                     handle.write(encoded)
-                    self._offsets[block.index] = self._length
+                    self._offsets.append(self._length)
                     if checkpoint is not None:
-                        self._checkpoints[checkpoint.index] = checkpoint
+                        self._checkpoints[checkpoint.index] = block.index
                     self._length += len(encoded)
             finally:
                 # Also on the way out of a failed batch: every line
@@ -215,26 +221,15 @@ class BlockArchive:
 
     # -- fetching ---------------------------------------------------------------
 
-    def _block_from(self, line: bytes, index: int, verify_hash: bool) -> Block:
-        """Decode the record line read for ``index`` into a verified block."""
-        body = self._decode(line.rstrip(b"\n"), index)
-        block = block_from_dict(body["block"], verify_hash=verify_hash)
-        if block.index != index or body.get("hash") != block.current_hash:
-            raise PersistError(f"archived block {index} fails verification")
-        return block
-
     def fetch(self, index: int, verify_hash: bool = True) -> Block:
         """Read one archived block, re-verifying its content hash."""
-        offset = self._offsets.get(index)
-        if offset is None:
+        if not 0 <= index < self.archived_below:
             raise PersistError(
                 f"block {index} is not in the archive "
                 f"(holds [0, {self.archived_below}))"
             )
         with open(self.path, "rb") as handle:
-            handle.seek(offset)
-            line = handle.readline()
-        return self._block_from(line, index, verify_hash)
+            return _block_of(self._body_at(handle, index), index, verify_hash)
 
     def fetch_range(
         self, start: int, stop: int, verify_hashes: bool = True
@@ -247,7 +242,8 @@ class BlockArchive:
             # Records are contiguous on disk: one seek, then read on.
             handle.seek(self._offsets[start])
             for index in range(start, stop):
-                yield self._block_from(handle.readline(), index, verify_hashes)
+                body = _decode_record(handle.readline().rstrip(b"\n"), index)
+                yield _block_of(body, index, verify_hashes)
 
     # -- integrity ---------------------------------------------------------------
 
@@ -268,10 +264,10 @@ class BlockArchive:
         except OSError as error:
             return [f"archive unreadable: {error}"]
         with handle:
-            for index, offset in self._offsets.items():
+            for index in range(len(self._offsets)):
                 try:
-                    handle.seek(offset)
-                    block = self._block_from(handle.readline(), index, True)
+                    body = self._body_at(handle, index)
+                    block = _block_of(body, index, True)
                 except (PersistError, ValidationError, OSError) as error:
                     problems.append(f"block {index} unreadable: {error}")
                     previous = None
@@ -280,13 +276,18 @@ class BlockArchive:
                     problems.append(
                         f"block {index} does not link to archived parent"
                     )
-                checkpoint = self._checkpoints.get(index)
-                if (
-                    checkpoint is not None
-                    and checkpoint.block_hash != block.current_hash
-                ):
-                    problems.append(
-                        f"checkpoint record at {index} pins a different block hash"
-                    )
+                position = self._checkpoints.get(index)
+                if position is not None:
+                    try:
+                        if position != index:
+                            body = self._body_at(handle, position)
+                        checkpoint = _checkpoint_of(body, position, self.path)
+                    except (PersistError, OSError) as error:
+                        problems.append(f"checkpoint record at {index} unreadable: {error}")
+                    else:
+                        if checkpoint.block_hash != block.current_hash:
+                            problems.append(
+                                f"checkpoint record at {index} pins a different block hash"
+                            )
                 previous = block
         return problems

@@ -12,16 +12,27 @@ joined in key order.  So the writer encodes every member once and slots
 the bytes it read with the member cut out; neither re-encodes a record
 in order to check it.  A line that is not canonical is therefore a CRC
 mismatch, whatever it parses to.
+
+Both files are opened the same way (:func:`_scan`): one streaming pass
+through a buffered handle that checks every line and keeps an index of
+the valid prefix — a byte offset and a line CRC per record — never the
+file or the decoded records, so opening costs O(records) memory, not
+O(file bytes).
 """
 
 from __future__ import annotations
 
 import json
 import zlib
+from array import array
 from bisect import bisect
-from typing import Any, Dict
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Any, BinaryIO, Callable, Dict, Optional, Tuple, TypeVar, Union
 
 from repro.core.errors import PersistError
+
+_T = TypeVar("_T")
 
 #: Canonical JSON text of a value (what ``json.dumps(value, sort_keys=True,
 #: separators=(",", ":"))`` returns, without building an encoder per call).
@@ -82,3 +93,96 @@ def _unframe(line: bytes, what: str, key: str) -> Dict[str, Any]:
     if not (isinstance(crc, str) and _crc_matches(line, crc)):
         raise PersistError(f"{what} record CRC mismatch ({key} {body.get(key)})")
     return body
+
+
+@dataclass
+class _Scan:
+    """What one pass over a record file found: an index of its valid
+    prefix and a verdict on whatever follows it."""
+
+    #: Byte offset of every valid record, in file order.
+    offsets: array = field(default_factory=lambda: array("q"))
+    #: CRC-32 of every valid record's line (newline included), so a line
+    #: rewritten after the scan is told from the one that was checked.
+    crcs: array = field(default_factory=lambda: array("I"))
+    #: Byte length of the valid prefix (safe truncation point).
+    valid_bytes: int = 0
+    #: Bytes of the torn final record (or, after mid-file damage, of the
+    #: unterminated data after the last newline).
+    torn_tail_bytes: int = 0
+    #: Lines dropped from the first rejected one on (mid-file damage only).
+    dropped_records: int = 0
+    #: True when a rejected line is not the last: more than an
+    #: interrupted final write was lost.
+    corrupt: bool = False
+    #: Why the rejected line was rejected (None for a clean file or an
+    #: unterminated final line).
+    error: Optional[PersistError] = None
+
+
+def _scan(
+    path: Union[str, Path],
+    decode: Callable[[bytes, int], _T],
+    keep: Optional[Callable[[int, _T], None]] = None,
+) -> _Scan:
+    """Stream the record file at ``path`` once and index its valid prefix.
+
+    ``decode(line, position)`` checks one line (newline stripped) as the
+    record at ``position`` and raises :class:`PersistError` if it is not;
+    ``keep(position, decoded)``, if given, then sees each valid record in
+    file order — its exceptions propagate.  The prefix ends at the first
+    line that is unterminated or that ``decode`` rejects, and:
+
+    * a missing or empty file is an empty, clean one;
+    * an unterminated final line, or a terminated one ``decode`` rejects,
+      is a **torn tail** — an interrupted last write — counted in
+      ``torn_tail_bytes``;
+    * a rejected line with anything after it is **mid-file corruption**:
+      ``corrupt`` is set and every line from it on is counted in
+      ``dropped_records``.
+    """
+    scan = _Scan()
+    try:
+        handle = open(path, "rb")
+    except FileNotFoundError:
+        return scan
+    with handle:
+        while True:
+            line = handle.readline()
+            if not line:
+                break
+            if not line.endswith(b"\n"):
+                scan.torn_tail_bytes = len(line)
+                break
+            position = len(scan.offsets)
+            try:
+                decoded = decode(line[:-1], position)
+            except PersistError as error:
+                scan.error = error
+                newlines, trailing = _rest(handle)
+                if newlines or trailing:
+                    scan.corrupt = True
+                    scan.dropped_records = 1 + newlines
+                    scan.torn_tail_bytes = trailing
+                else:
+                    scan.torn_tail_bytes = len(line)
+                break
+            if keep is not None:
+                keep(position, decoded)
+            scan.offsets.append(scan.valid_bytes)
+            scan.crcs.append(zlib.crc32(line))
+            scan.valid_bytes += len(line)
+    return scan
+
+
+def _rest(handle: BinaryIO) -> Tuple[int, int]:
+    """Newlines in what is left of ``handle``, and the bytes after the last."""
+    newlines = trailing = 0
+    for chunk in iter(lambda: handle.read(1 << 16), b""):
+        count = chunk.count(b"\n")
+        if count:
+            newlines += count
+            trailing = len(chunk) - chunk.rfind(b"\n") - 1
+        else:
+            trailing += len(chunk)
+    return newlines, trailing

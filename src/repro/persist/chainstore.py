@@ -24,7 +24,7 @@ import sqlite3
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.account import Account
 from repro.core.block import Block
@@ -84,6 +84,24 @@ KIND_BLOCK = "block"  # node persists this block permanently
 KIND_RECENT = "recent"  # node caches this block in its FIFO recent cache
 
 
+def _block_from_row(payload: str, verify_hash: bool) -> Block:
+    """Decode a stored block payload; a damaged row raises ValidationError."""
+    try:
+        data = json.loads(payload)
+    except (TypeError, ValueError) as error:  # NULL, undecodable or not JSON
+        raise ValidationError(f"stored block payload is not JSON: {error}") from error
+    if not isinstance(data, dict):
+        raise ValidationError("stored block payload is not an object")
+    return block_from_dict(data, verify_hash=verify_hash)
+
+
+def _stored_int(value: Any, what: str) -> int:
+    """An integer column; a damaged file can hand back any other type."""
+    if not isinstance(value, int):
+        raise PersistError(f"chain store holds a non-integer {what}: {value!r:.40}")
+    return value
+
+
 class ChainStore:
     """Durable, queryable store for one run's chain."""
 
@@ -93,22 +111,29 @@ class ChainStore:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(str(self.path))
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.executescript(_SCHEMA)
         self._cache: "OrderedDict[int, Block]" = OrderedDict()
         self._cache_blocks = cache_blocks
         self.cache_hits = 0
         self.cache_misses = 0
-        existing = self.get_meta("schema_version")
-        if existing is None:
-            self.set_meta("schema_version", str(STORE_SCHEMA_VERSION))
-        elif int(existing) != STORE_SCHEMA_VERSION:
+        try:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.executescript(_SCHEMA)
+            existing = self.get_meta("schema_version")
+            if existing is None:
+                self.set_meta("schema_version", str(STORE_SCHEMA_VERSION))
+            elif existing != str(STORE_SCHEMA_VERSION):
+                raise PersistError(
+                    f"chain store {self.path} has schema v{existing}, "
+                    f"this build reads v{STORE_SCHEMA_VERSION}"
+                )
+        except (sqlite3.DatabaseError, UnicodeDecodeError) as error:
+            # A damaged file can garble even the text of sqlite's error.
             self._conn.close()
-            raise PersistError(
-                f"chain store {self.path} has schema v{existing}, "
-                f"this build reads v{STORE_SCHEMA_VERSION}"
-            )
+            raise PersistError(f"chain store {self.path} unreadable: {error}") from error
+        except PersistError:
+            self._conn.close()
+            raise
 
     # -- meta ------------------------------------------------------------------------
 
@@ -128,7 +153,10 @@ class ChainStore:
     def pruned_below(self) -> int:
         """First block index still held in the hot tables (0 = never compacted)."""
         value = self.get_meta("pruned_below")
-        return 0 if value is None else int(value)
+        try:
+            return 0 if value is None else int(value)
+        except ValueError as error:
+            raise PersistError(f"chain store {self.path} has a damaged floor") from error
 
     # -- writes ----------------------------------------------------------------------
 
@@ -219,7 +247,7 @@ class ChainStore:
     def height(self) -> int:
         """Highest stored block index (-1 when empty)."""
         row = self._conn.execute("SELECT MAX(idx) FROM blocks").fetchone()
-        return -1 if row[0] is None else int(row[0])
+        return -1 if row[0] is None else _stored_int(row[0], "block index")
 
     def block_count(self) -> int:
         return int(self._conn.execute("SELECT COUNT(*) FROM blocks").fetchone()[0])
@@ -244,7 +272,7 @@ class ChainStore:
         ).fetchone()
         if row is None:
             return None
-        block = block_from_dict(json.loads(row[0]), verify_hash=verify_hash)
+        block = _block_from_row(row[0], verify_hash)
         self._cache_put(block)
         return block
 
@@ -259,7 +287,7 @@ class ChainStore:
         for (payload,) in self._conn.execute(
             "SELECT payload FROM blocks ORDER BY idx"
         ):
-            yield block_from_dict(json.loads(payload), verify_hash=verify_hashes)
+            yield _block_from_row(payload, verify_hashes)
 
     def block_timestamps(self) -> List[float]:
         return [
@@ -421,15 +449,15 @@ class ChainStore:
         for row in self._conn.execute(
             "SELECT idx, hash, payload FROM blocks ORDER BY idx"
         ):
-            index, column_hash = int(row[0]), str(row[1])
+            index, column_hash = _stored_int(row[0], "block index"), str(row[1])
             if index != expected_index:
                 problems.append(
                     f"block index gap: expected {expected_index}, found {index}"
                 )
                 expected_index = index
             try:
-                block = block_from_dict(json.loads(row[2]), verify_hash=True)
-            except (ValidationError, json.JSONDecodeError) as error:
+                block = _block_from_row(row[2], True)
+            except ValidationError as error:
                 problems.append(f"block {index} payload invalid: {error}")
                 previous, expected_index = None, index + 1
                 continue

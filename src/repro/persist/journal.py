@@ -20,6 +20,10 @@ Crash-tolerance contract (:func:`recover_journal`):
   of the records that had to be dropped, and callers (``repro inspect``)
   surface the damage instead of silently proceeding.
 
+Recovery is the framing module's one streaming pass (shared with the
+cold archive): the prefix comes back as an index of offsets, and a
+record is decoded from the file only when read.
+
 Writes are fsync-batched: every append is flushed to the OS, but
 ``os.fsync`` runs only every ``fsync_every`` records (and on ``sync`` /
 ``close``), keeping the journal cheap on the hot path while bounding the
@@ -28,14 +32,17 @@ post-crash loss window.
 
 from __future__ import annotations
 
+import operator
 import os
 import time
+import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, BinaryIO, Callable, Dict, Iterator, Optional, Union
 
 from repro.core.errors import PersistError
-from repro.lifecycle.framing import _frame, _unframe
+from repro.lifecycle.framing import _frame, _scan, _Scan, _unframe
 from repro.obs import runtime as _obs
 
 PathLike = Union[str, Path]
@@ -74,11 +81,75 @@ class JournalRecord:
         )
 
 
+class _JournalRecords(Sequence[JournalRecord]):
+    """The valid prefix of a journal, as the index its scan left.
+
+    ``len``, indexing and one-pass iteration work, and it compares equal
+    to a list of the same records, but a record is read back from the
+    file and decoded only when asked for.  Every read re-checks the
+    line's length and CRC-32 against the scan, and its framing CRC and
+    sequence number, so a file changed under the index raises
+    :class:`PersistError` instead of returning what it now holds.
+    """
+
+    def __init__(self, path: Path, scan: _Scan):
+        self._path = path
+        self._offsets = scan.offsets
+        self._crcs = scan.crcs
+        self._end = scan.valid_bytes
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+    def __getitem__(self, index: int) -> JournalRecord:  # type: ignore[override]
+        position = operator.index(index)
+        if position < 0:
+            position += len(self)
+        if not 0 <= position < len(self):
+            raise IndexError("journal record index out of range")
+        with self._open() as handle:
+            return self._read(handle, position)
+
+    def __iter__(self) -> Iterator[JournalRecord]:
+        if not self._offsets:
+            return
+        with self._open() as handle:
+            for position in range(len(self)):
+                yield self._read(handle, position)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def _open(self) -> BinaryIO:
+        try:
+            return open(self._path, "rb")
+        except OSError as error:
+            raise PersistError(f"journal {self._path} unreadable: {error}") from error
+
+    def _read(self, handle: BinaryIO, position: int) -> JournalRecord:
+        start = self._offsets[position]
+        stop = (
+            self._offsets[position + 1] if position + 1 < len(self) else self._end
+        )
+        handle.seek(start)
+        line = handle.read(stop - start)
+        if len(line) != stop - start or zlib.crc32(line) != self._crcs[position]:
+            raise PersistError(
+                f"journal record {position} in {self._path} changed since it was scanned"
+            )
+        return _decode_line(line[:-1], position)
+
+
 @dataclass
 class JournalRecovery:
     """Result of scanning a journal file for its valid prefix."""
 
-    records: List[JournalRecord] = field(default_factory=list)
+    #: The valid prefix, read back from the file on access.
+    records: Sequence[JournalRecord] = field(default_factory=list)
     #: Byte length of the valid prefix (safe truncation point).
     valid_bytes: int = 0
     #: Complete-but-invalid records dropped (CRC/structure failures).
@@ -92,7 +163,8 @@ class JournalRecovery:
 
     @property
     def next_seq(self) -> int:
-        return self.records[-1].seq + 1 if self.records else 0
+        # The scan holds record ``seq`` at position ``seq``.
+        return len(self.records)
 
 
 def _decode_line(line: bytes, expected_seq: int) -> JournalRecord:
@@ -115,47 +187,35 @@ def _decode_line(line: bytes, expected_seq: int) -> JournalRecord:
     return record
 
 
-def recover_journal(path: PathLike) -> JournalRecovery:
-    """Scan a journal, returning its valid prefix and a damage report."""
-    target = Path(path)
-    recovery = JournalRecovery()
-    if not target.exists():
-        return recovery
-    raw = target.read_bytes()
-    offset = 0
-    while offset < len(raw):
-        newline = raw.find(b"\n", offset)
-        if newline < 0:
-            # Unterminated trailing data: the classic torn final write.
-            recovery.torn_tail_bytes = len(raw) - offset
-            recovery.reason = "torn trailing record (no newline)"
-            break
-        line = raw[offset : newline]
-        try:
-            record = _decode_line(line, recovery.next_seq)
-        except PersistError as error:
-            if newline + 1 >= len(raw):
-                # A terminated-but-invalid final record is still a torn
-                # tail (e.g. the process died between write and flush of
-                # a partially buffered line).
-                recovery.torn_tail_bytes = len(raw) - offset
-                recovery.reason = f"torn final record: {error}"
-            else:
-                remainder = raw[offset:]
-                recovery.dropped_records = remainder.count(b"\n")
-                if not remainder.endswith(b"\n"):
-                    recovery.torn_tail_bytes = (
-                        len(remainder) - remainder.rfind(b"\n") - 1
-                    )
-                recovery.corrupt = True
-                recovery.reason = f"mid-journal corruption: {error}"
-            break
-        recovery.records.append(record)
-        offset = newline + 1
-        recovery.valid_bytes = offset
+def recover_journal(
+    path: PathLike, visit: Optional[Callable[[int, JournalRecord], None]] = None
+) -> JournalRecovery:
+    """Scan a journal once, returning its valid prefix and a damage report.
+
+    ``visit(position, record)``, if given, sees every valid record in
+    order during the scan, so a caller that folds the records into a
+    summary needs no second pass over the file.
+    """
+    scan = _scan(path, _decode_line, visit)
+    if scan.corrupt:
+        reason: Optional[str] = f"mid-journal corruption: {scan.error}"
+    elif scan.error is not None:
+        # A terminated-but-invalid final record is still a torn tail
+        # (e.g. the process died between write and flush of a partially
+        # buffered line).
+        reason = f"torn final record: {scan.error}"
+    elif scan.torn_tail_bytes:
+        reason = "torn trailing record (no newline)"
     else:
-        recovery.valid_bytes = len(raw)
-    return recovery
+        reason = None
+    return JournalRecovery(
+        records=_JournalRecords(Path(path), scan),
+        valid_bytes=scan.valid_bytes,
+        dropped_records=scan.dropped_records,
+        torn_tail_bytes=scan.torn_tail_bytes,
+        corrupt=scan.corrupt,
+        reason=reason,
+    )
 
 
 class RunJournal:

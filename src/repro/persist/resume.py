@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import json
 import os
+import sqlite3
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.config import LifecycleSpec, SystemConfig
-from repro.core.errors import PersistError
+from repro.core.errors import PersistError, ValidationError
 from repro.core.serialization import block_from_dict, block_to_dict
 from repro.lifecycle.archive import ARCHIVE_NAME, BlockArchive
 from repro.metrics.collector import RunMetrics
@@ -49,6 +50,7 @@ from repro.persist.journal import (
     REC_REORG,
     REC_RUN_START,
     JournalRecord,
+    JournalRecovery,
     RunJournal,
     recover_journal,
 )
@@ -522,16 +524,24 @@ def _advance(
     )
 
 
-def _journal_chain_view(records: List[JournalRecord]) -> Dict[int, Dict[str, Any]]:
-    """Fold block/reorg records into the journal's final height → record view."""
-    view: Dict[int, Dict[str, Any]] = {}
-    for record in records:
+def _journal_chain_view(
+    path: Path,
+) -> Tuple[JournalRecovery, Dict[int, Tuple[str, int]]]:
+    """Recover the journal at ``path`` and, in the same scan, fold its
+    block/reorg records into the final height → (hash, record position)
+    view; a block body is decoded again only by whoever reads it."""
+    view: Dict[int, Tuple[str, int]] = {}
+
+    def fold(position: int, record: JournalRecord) -> None:
+        nonlocal view
         if record.type == REC_BLOCK:
-            view[int(record.payload["index"])] = record.payload
+            view[int(record.payload["index"])] = (record.payload["hash"], position)
         elif record.type == REC_REORG:
             cut = int(record.payload["from"])
-            view = {h: p for h, p in view.items() if h < cut}
-    return view
+            view = {h: entry for h, entry in view.items() if h < cut}
+
+    recovery = recover_journal(path, visit=fold)
+    return recovery, view
 
 
 def resume_run(
@@ -554,13 +564,12 @@ def resume_run(
     if persist is None:
         persist = PersistConfig(**manifest.get("persist", {}))
 
-    recovery = recover_journal(directory / JOURNAL_NAME)
+    recovery, journal_view = _journal_chain_view(directory / JOURNAL_NAME)
     if recovery.corrupt:
         raise PersistError(
             f"journal in {directory} is corrupt mid-file ({recovery.reason}); "
             "refusing to resume — run `repro inspect` for details"
         )
-    journal_view = _journal_chain_view(recovery.records)
 
     session = _open_session(directory, persist, fresh=False)
     try:
@@ -571,9 +580,10 @@ def resume_run(
         for height in sorted(journal_view):
             if height < pruned_floor:
                 continue
-            payload = journal_view[height]
+            block_hash, position = journal_view[height]
             stored = session.store.block_by_index(height)
-            if stored is None or stored.current_hash != payload["hash"]:
+            if stored is None or stored.current_hash != block_hash:
+                payload = recovery.records[position].payload
                 session.store.put_block(block_from_dict(payload["block"]))
 
         runtime, info, _skipped = load_latest_snapshot(directory)
@@ -595,8 +605,8 @@ def resume_run(
             resumed_from = 0.0
         task.session = session
         session.verify_tail = {
-            height: str(payload["hash"])
-            for height, payload in journal_view.items()
+            height: str(block_hash)
+            for height, (block_hash, _) in journal_view.items()
             if height > task.journaled_height
         }
         return _advance(session, task, runtime, stop_after_seconds, resumed_from)
@@ -645,8 +655,8 @@ class RunReport:
 def inspect_run(directory: PathLike) -> RunReport:
     """Examine a run directory without mutating anything.
 
-    Checks the manifest, recovers the journal in memory (the file is not
-    truncated), verifies SQLite store integrity, cross-checks the store
+    Checks the manifest, scans the journal once for its height → hash
+    view without holding its records (the file is not truncated), verifies SQLite store integrity, cross-checks the store
     against the journal's final chain view, and reads every snapshot's
     state card.  Corruption that resume could not transparently heal
     lands in ``problems``; self-healing oddities land in ``notes``.
@@ -661,7 +671,7 @@ def inspect_run(directory: PathLike) -> RunReport:
         report.problems.append(str(error))
         return report
 
-    recovery = recover_journal(directory / JOURNAL_NAME)
+    recovery, journal_view = _journal_chain_view(directory / JOURNAL_NAME)
     report.journal_records = len(recovery.records)
     report.torn_tail_bytes = recovery.torn_tail_bytes
     report.dropped_records = recovery.dropped_records
@@ -675,7 +685,6 @@ def inspect_run(directory: PathLike) -> RunReport:
             f"journal has a torn final record ({recovery.torn_tail_bytes} bytes); "
             "resume drops it"
         )
-    journal_view = _journal_chain_view(recovery.records)
     if journal_view:
         report.journal_height = max(journal_view)
 
@@ -728,18 +737,19 @@ def inspect_run(directory: PathLike) -> RunReport:
                         # above already re-verified the cold copy.
                         continue
                     stored = store.block_by_index(height)
+                    journaled_hash = journal_view[height][0]
                     if stored is None:
                         report.notes.append(
                             f"store is missing journaled block {height}; "
                             "resume re-applies it"
                         )
-                    elif stored.current_hash != journal_view[height]["hash"]:
+                    elif stored.current_hash != journaled_hash:
                         report.problems.append(
                             f"store block {height} disagrees with the journal "
                             f"({stored.current_hash[:12]}… vs "
-                            f"{journal_view[height]['hash'][:12]}…)"
+                            f"{journaled_hash[:12]}…)"
                         )
-        except Exception as error:  # sqlite raises a zoo of types on corruption
+        except (sqlite3.DatabaseError, PersistError, ValidationError) as error:
             report.problems.append(f"chain store unreadable: {error}")
     else:
         report.problems.append(f"chain store {STORE_NAME} is missing")

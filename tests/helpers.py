@@ -526,6 +526,101 @@ def reference_unframe(line: bytes) -> Dict[str, Any]:
     return body
 
 
+def reference_recover_journal(path: Path) -> Dict[str, Any]:
+    """What a journal file recovers to, by the whole-file loop the journal
+    ran before it streamed: read every byte, split at newlines, keep each
+    decoded record.  Returns the verdict as a dict of the
+    :class:`~repro.persist.journal.JournalRecovery` fields."""
+    from repro.persist.journal import _decode_line
+
+    verdict: Dict[str, Any] = {
+        "records": [],
+        "valid_bytes": 0,
+        "dropped_records": 0,
+        "torn_tail_bytes": 0,
+        "corrupt": False,
+        "reason": None,
+    }
+    if not path.exists():
+        return verdict
+    raw = path.read_bytes()
+    offset = 0
+    while offset < len(raw):
+        newline = raw.find(b"\n", offset)
+        if newline < 0:
+            verdict["torn_tail_bytes"] = len(raw) - offset
+            verdict["reason"] = "torn trailing record (no newline)"
+            break
+        try:
+            record = _decode_line(raw[offset:newline], len(verdict["records"]))
+        except PersistError as error:
+            if newline + 1 >= len(raw):
+                verdict["torn_tail_bytes"] = len(raw) - offset
+                verdict["reason"] = f"torn final record: {error}"
+            else:
+                remainder = raw[offset:]
+                verdict["dropped_records"] = remainder.count(b"\n")
+                if not remainder.endswith(b"\n"):
+                    verdict["torn_tail_bytes"] = (
+                        len(remainder) - remainder.rfind(b"\n") - 1
+                    )
+                verdict["corrupt"] = True
+                verdict["reason"] = f"mid-journal corruption: {error}"
+            break
+        verdict["records"].append(record)
+        offset = newline + 1
+        verdict["valid_bytes"] = offset
+    return verdict
+
+
+def reference_load_archive(path: Path) -> Dict[str, Any]:
+    """What opening an archive file finds, by the whole-file loop the
+    archive ran before it streamed (without its truncation of a torn
+    tail): every record offset, every pinned checkpoint record, the
+    truncation point and the torn bytes.  Raises :class:`PersistError`
+    where opening did — mid-file damage or an invalid checkpoint."""
+    from repro.lifecycle.archive import _decode_record
+    from repro.lifecycle.checkpoint import CheckpointRecord
+
+    verdict: Dict[str, Any] = {
+        "offsets": [],
+        "checkpoints": {},
+        "length": 0,
+        "torn_tail_bytes": 0,
+    }
+    if not path.exists():
+        return verdict
+    raw = path.read_bytes()
+    offset = 0
+    expected = 0
+    while offset < len(raw):
+        newline = raw.find(b"\n", offset)
+        if newline < 0:
+            verdict["torn_tail_bytes"] = len(raw) - offset
+            break
+        try:
+            body = _decode_record(raw[offset:newline], expected)
+        except PersistError as error:
+            if newline + 1 >= len(raw):
+                verdict["torn_tail_bytes"] = len(raw) - offset
+                break
+            raise PersistError(f"archive {path} is corrupt mid-file: {error}") from error
+        verdict["offsets"].append(offset)
+        checkpoint = body.get("checkpoint")
+        if checkpoint is not None:
+            try:
+                record = CheckpointRecord.from_dict(checkpoint)
+            except (KeyError, TypeError, ValueError) as error:
+                raise PersistError(
+                    f"archive {path} checkpoint record at {expected} is invalid: {error}"
+                ) from error
+            verdict["checkpoints"][record.index] = record
+        expected += 1
+        offset = newline + 1
+        verdict["length"] = offset
+    return verdict
+
+
 def stored_chain(
     store_path: Path, blocks: int, item_every: int = 0
 ) -> Tuple[Blockchain, ChainStore]:

@@ -98,7 +98,7 @@ def _chain_replays(node: Any) -> bool:
     first = chain.first_retained_index
     if first == 0:
         replica = Blockchain(
-            list(chain.node_ids), node.config, chain.address_of, genesis=blocks[0]
+            chain.node_ids, node.config, chain.address_of, genesis=blocks[0]
         )
     else:
         anchor = getattr(chain, "_anchor_state", None)
@@ -110,9 +110,7 @@ def _chain_replays(node: Any) -> bool:
             or record.ledger_digest != anchor.ledger_digest()
         ):
             return False
-        replica = Blockchain._bare(
-            list(chain.node_ids), node.config, chain.address_of
-        )
+        replica = Blockchain._bare(chain.node_ids, node.config, chain.address_of)
         replica.state = anchor.clone()
         replica.blocks.append(blocks[0])
         replica._first_retained = first

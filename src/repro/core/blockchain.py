@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 import enum
 import functools
+import itertools
 import math
 import weakref
 from collections import deque
@@ -162,6 +163,19 @@ class _Ledgers:
         return _Ledgers(entries, prefix_id)
 
 
+def _id_tuple(node_ids: Sequence[int]) -> Tuple[int, ...]:
+    """``node_ids`` as a sorted tuple: the argument itself when it is one.
+
+    Every chain of a cluster then holds the cluster's one tuple rather than
+    a copy per node (DESIGN.md "Shared cluster tables").
+    """
+    if type(node_ids) is tuple and all(
+        a <= b for a, b in itertools.pairwise(node_ids)
+    ):
+        return node_ids
+    return tuple(sorted(node_ids))
+
+
 @functools.lru_cache(maxsize=8)
 def _initial_ledgers(node_ids: Tuple[int, ...], config: SystemConfig) -> _Ledgers:
     """Everyone at ``initial_tokens``: where each chain of a cluster starts."""
@@ -182,7 +196,7 @@ class ChainState:
 
     def __init__(self, node_ids: Sequence[int], config: SystemConfig):
         self.config = config
-        self.node_ids: Tuple[int, ...] = tuple(sorted(node_ids))
+        self.node_ids: Tuple[int, ...] = _id_tuple(node_ids)
         self._ledgers = _initial_ledgers(self.node_ids, config)
         #: data_id → metadata item (latest packed copy, with storing nodes).
         self.metadata_index: Dict[str, MetadataItem] = {}
@@ -389,8 +403,10 @@ class Blockchain:
         genesis: Optional[Block] = None,
     ):
         self.config = config
-        self.node_ids = tuple(sorted(node_ids))
-        self.address_of = dict(address_of)
+        self.node_ids = _id_tuple(node_ids)
+        #: Node id → account address.  Read-only, and shared with every
+        #: chain of the cluster that passed it in (never copied).
+        self.address_of = address_of
         if genesis is None:
             genesis = _default_genesis(self.node_ids, config)
         if not genesis.is_genesis:
@@ -419,8 +435,8 @@ class Blockchain:
         """An empty shell for replica construction (no genesis applied)."""
         chain = cls.__new__(cls)
         chain.config = config
-        chain.node_ids = tuple(sorted(node_ids))
-        chain.address_of = dict(address_of)
+        chain.node_ids = _id_tuple(node_ids)
+        chain.address_of = address_of
         chain.blocks = []
         chain.state = ChainState(chain.node_ids, config)
         chain._first_retained = 0

@@ -118,7 +118,12 @@ class NodeCounters:
 
 
 class EdgeNode:
-    """A full protocol participant."""
+    """A full protocol participant.
+
+    ``node_ids`` (sorted), ``address_of`` and ``mobility_ranges`` are the
+    cluster's tables: built once by the cluster, read-only, and held by
+    every node and chain as the same objects, never copied per node.
+    """
 
     def __init__(
         self,
@@ -129,6 +134,7 @@ class EdgeNode:
         engine: EventEngine,
         topology: Topology,
         allocator: AllocationEngine,
+        node_ids: Tuple[int, ...],
         address_of: Dict[int, str],
         mobility_ranges: Sequence[float],
         meter: Optional[EnergyMeter] = None,
@@ -140,10 +146,9 @@ class EdgeNode:
         self.engine = engine
         self.topology = topology
         self.allocator = allocator
-        self.mobility_ranges = list(mobility_ranges)
+        self.mobility_ranges = mobility_ranges
         self.meter = meter
 
-        node_ids = sorted(address_of.keys())
         self.chain = Blockchain(node_ids, config, address_of)
         self.storage = NodeStorage(
             capacity=config.storage_capacity,
@@ -940,7 +945,7 @@ class EdgeNode:
         start = blocks[0].index
         if start == 0:
             replica = Blockchain(
-                list(self.chain.node_ids),
+                self.chain.node_ids,
                 self.config,
                 self.chain.address_of,
                 genesis=blocks[0],

@@ -81,19 +81,25 @@ def range_distance_costs(
         radio range; callers can pass 1.0 to use raw hops as the paper's
         formula literally does.
     """
-    hops = np.asarray(hop_matrix, dtype=float)
-    if hops.ndim != 2 or hops.shape[0] != hops.shape[1]:
+    # One float copy of the hops, then every step in place.  The steps are
+    # ``hops * hop_scale + range(i) + range(j)`` elementwise, in that
+    # order, so the matrix is bitwise that expression's without its n×n
+    # temporaries.
+    cost = np.array(hop_matrix, dtype=float)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValueError("hop matrix must be square")
-    n = hops.shape[0]
+    n = cost.shape[0]
     range_arr = np.asarray(ranges, dtype=float)
     if range_arr.shape != (n,):
         raise ValueError("ranges length must match hop matrix size")
     if np.any(range_arr < 0):
         raise ValueError("ranges must be non-negative")
 
-    cost = hops * hop_scale
-    cost[hops == UNREACHABLE] = math.inf
-    cost = cost + range_arr[:, None] + range_arr[None, :]
+    unreachable = cost == UNREACHABLE
+    cost *= hop_scale
+    cost[unreachable] = math.inf
+    cost += range_arr[:, None]
+    cost += range_arr[None, :]
     np.fill_diagonal(cost, 0.0)  # c_ii = 0 (Eq. 2 second case)
     return cost
 

@@ -144,6 +144,8 @@ class LiveWorkload:
     """
 
     topology: Topology
+    #: The cluster's tables, held (not copied) by every node's chain.
+    node_ids: Tuple[int, ...]
     mobility_ranges: List[float]
     accounts: Dict[int, Account]
     address_of: Dict[int, str]
@@ -180,9 +182,10 @@ def build_workload(spec: LiveSpec) -> LiveWorkload:
         node_id: Account.for_node(spec.seed, node_id)
         for node_id in range(spec.node_count)
     }
+    node_ids = tuple(range(spec.node_count))
     address_of = {node_id: account.address for node_id, account in accounts.items()}
     genesis_digest = (
-        Blockchain(list(range(spec.node_count)), config, address_of)
+        Blockchain(node_ids, config, address_of)
         .block_at(0)
         .current_hash
     )
@@ -204,9 +207,8 @@ def build_workload(spec: LiveSpec) -> LiveWorkload:
     ]
     return LiveWorkload(
         topology=topology,
-        mobility_ranges=[
-            mobility.wander_range(node_id) for node_id in range(spec.node_count)
-        ],
+        node_ids=node_ids,
+        mobility_ranges=[mobility.wander_range(node_id) for node_id in node_ids],
         accounts=accounts,
         address_of=address_of,
         genesis_digest=genesis_digest,
@@ -265,6 +267,7 @@ class LiveNode:
             engine=self.engine,
             topology=workload.topology,
             allocator=allocator,
+            node_ids=workload.node_ids,
             address_of=workload.address_of,
             mobility_ranges=workload.mobility_ranges,
         )

@@ -64,6 +64,9 @@ CREATE TABLE IF NOT EXISTS metadata_items (
 );
 CREATE INDEX IF NOT EXISTS ix_metadata_type     ON metadata_items(data_type);
 CREATE INDEX IF NOT EXISTS ix_metadata_producer ON metadata_items(producer);
+-- put_block's per-block delete and compact's range delete find their rows
+-- through it; IF NOT EXISTS gives a store written before it the index on open.
+CREATE INDEX IF NOT EXISTS ix_metadata_block    ON metadata_items(block_idx);
 CREATE TABLE IF NOT EXISTS accounts (
     node_id    INTEGER PRIMARY KEY,
     address    TEXT    NOT NULL,

@@ -126,12 +126,14 @@ def build_cluster(
     accounts = {
         node_id: Account.for_node(seed, node_id) for node_id in range(node_count)
     }
+    # The cluster's tables: every node and chain holds these very objects.
+    node_ids = tuple(range(node_count))
     address_of = {node_id: account.address for node_id, account in accounts.items()}
-    ranges = [mobility.wander_range(node_id) for node_id in range(node_count)]
+    ranges = [mobility.wander_range(node_id) for node_id in node_ids]
 
     nodes: Dict[int, EdgeNode] = {}
     classes = node_classes or {}
-    for node_id in range(node_count):
+    for node_id in node_ids:
         meter: Optional[EnergyMeter] = EnergyMeter() if with_energy_meters else None
         node_class = classes.get(node_id, EdgeNode)
         nodes[node_id] = node_class(
@@ -142,6 +144,7 @@ def build_cluster(
             engine=engine,
             topology=topology,
             allocator=allocator,
+            node_ids=node_ids,
             address_of=address_of,
             mobility_ranges=ranges,
             meter=meter,

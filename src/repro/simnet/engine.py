@@ -11,7 +11,14 @@ The engine is a classic heap-ordered event queue:
 * Events at equal timestamps fire in insertion order (a monotonically
   increasing sequence number breaks ties), so "simultaneous" events are
   still deterministic.
-* Cancellation is O(1) by marking the event dead and skipping it on pop.
+* Cancellation is O(1): the event is marked dead and skipped when popped.
+  The engine counts the dead entries still in its heap, and once they are
+  more than half of it (and more than ``_PURGE_MIN_DEAD``) it filters them
+  out and re-heapifies, as asyncio does with its cancelled timers.  The
+  heap orders on ``(time, sequence)``, a total order, so dropping dead
+  entries cannot change which live event pops next.  A node re-arms its
+  mining timer at every block, so without the purge most of a long run's
+  heap would be cancelled timers waiting for their fire time.
 
 Time is a float number of **seconds** of simulated time.
 """
@@ -22,11 +29,17 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.obs import runtime as _obs
+
+
+#: The heap is purged only once it holds more dead entries than this
+#: (asyncio's floor is 100 scheduled timers): a purge costs a pass over the
+#: heap, and a small heap pops its dead entries soon enough.
+_PURGE_MIN_DEAD = 100
 
 
 def _callback_label(callback: Callable[..., None]) -> str:
@@ -43,17 +56,33 @@ class _Event:
     #: Additional ``(callback, args)`` pairs run (in order) after the main
     #: callback — one queue pop executing a whole same-time batch.
     batch: Optional[tuple] = field(compare=False, default=None)
+    #: Still in the engine's heap.  The pop that runs the event (or
+    #: :meth:`EventEngine.clear`) resets it, so cancelling a spent event
+    #: does not count as a dead heap entry.
+    queued: bool = field(compare=False, default=True)
 
 
 class EventHandle:
     """Opaque handle returned by :meth:`EventEngine.schedule`; supports cancel."""
 
-    def __init__(self, event: _Event):
+    #: A handle unpickled from a snapshot written before the engine counted
+    #: its dead entries has no engine: its cancel only marks the event,
+    #: which is then skipped on pop as before.
+    _engine: Optional["EventEngine"] = None
+
+    def __init__(self, event: _Event, engine: "EventEngine"):
         self._event = event
+        self._engine = engine
 
     def cancel(self) -> None:
-        """Mark the event dead; it will be skipped when popped."""
-        self._event.cancelled = True
+        """Mark the event dead (idempotent); it is skipped when popped and
+        dropped at the engine's next purge."""
+        event = self._event
+        if event.cancelled:
+            return
+        event.cancelled = True
+        if event.queued and self._engine is not None:
+            self._engine._note_dead()
 
     @property
     def cancelled(self) -> bool:
@@ -85,6 +114,15 @@ class EventEngine:
         self.np_rng = np.random.default_rng(seed)
         #: Count of events executed; useful for bounding tests.
         self.events_processed = 0
+        #: Cancelled entries still in ``_queue``.
+        self._dead = 0
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        """Restore an engine; one pickled before the dead-entry count
+        existed derives it from its heap."""
+        self.__dict__.update(state)
+        if "_dead" not in state:
+            self._dead = sum(event.cancelled for event in self._queue)
 
     @property
     def now(self) -> float:
@@ -93,7 +131,9 @@ class EventEngine:
 
     @property
     def queue_depth(self) -> int:
-        """Number of queued events (live and cancelled-but-unpopped)."""
+        """Number of heap entries: the live events plus the cancelled ones
+        not yet popped or purged — at most as many as the live ones, or
+        ``_PURGE_MIN_DEAD``, whichever is more."""
         return len(self._queue)
 
     def clock_reader(self) -> Callable[[], float]:
@@ -122,7 +162,7 @@ class EventEngine:
             )
         event = _Event(time=when, sequence=next(self._sequence), callback=callback, args=args)
         heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        return EventHandle(event, self)
 
     def call_at_batch(
         self, when: float, calls: Any
@@ -154,20 +194,47 @@ class EventEngine:
             batch=calls[1:] or None,
         )
         heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        return EventHandle(event, self)
+
+    def _note_dead(self) -> None:
+        """A queued event was cancelled."""
+        self._dead += 1
+        self._maybe_purge()
+
+    def _maybe_purge(self) -> None:
+        """Drop the dead entries once they are over half of the heap.
+
+        Called after each change that raises the dead share — a cancel,
+        or a live pop — so the heap never holds more dead entries than
+        live ones, past the ``_PURGE_MIN_DEAD`` floor.
+        """
+        queue = self._queue
+        if self._dead > _PURGE_MIN_DEAD and 2 * self._dead > len(queue):
+            queue[:] = [event for event in queue if not event.cancelled]
+            heapq.heapify(queue)
+            self._dead = 0
+
+    def _pop_dead(self) -> None:
+        heapq.heappop(self._queue)
+        # Never below zero: a cancel through a handle restored from an
+        # older snapshot went uncounted.
+        if self._dead:
+            self._dead -= 1
 
     def _pop_live(self) -> Optional[_Event]:
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if not event.cancelled:
-                return event
-        return None
+        if self.peek_time() is None:
+            return None
+        event = heapq.heappop(self._queue)
+        event.queued = False
+        self._maybe_purge()
+        return event
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None if the queue is empty."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        queue = self._queue
+        while queue and queue[0].cancelled:
+            self._pop_dead()
+        return queue[0].time if queue else None
 
     def step(self) -> bool:
         """Execute the next event (or batch).  False when the queue is empty.
@@ -225,7 +292,10 @@ class EventEngine:
 
     def clear(self) -> None:
         """Drop all pending events (used when tearing a scenario down)."""
+        for event in self._queue:
+            event.queued = False
         self._queue.clear()
+        self._dead = 0
 
 
 class PeriodicTask:

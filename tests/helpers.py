@@ -19,6 +19,12 @@ is the single home for that boilerplate:
   oracle for :mod:`repro.facility.greedy`;
 * :func:`reference_scalar_mult` — affine double-and-add, the differential
   oracle for the Jacobian kernel in :mod:`repro.crypto.keys`;
+* :func:`reference_range_distance_costs` — the RDC matrix built through
+  three n×n temporaries, the differential oracle for the in-place build
+  in :mod:`repro.facility.costs`;
+* :class:`ReferenceEngine` — the event heap that never purges its
+  cancelled entries, the differential oracle for
+  :class:`~repro.simnet.engine.EventEngine`;
 * :class:`PrivateChain` (on a :class:`PrivateState`) /
   :func:`private_replay` / :func:`private_chains` — one private,
   in-place-mutated ledger per chain, the differential oracle for the
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import heapq
 import json
 import math
 import sys
@@ -71,7 +78,7 @@ from repro.sim.runner import (
 )
 from repro.simnet.channel import ChannelModel
 from repro.simnet.engine import EventEngine
-from repro.simnet.topology import Topology, connected_random_positions
+from repro.simnet.topology import UNREACHABLE, Topology, connected_random_positions
 from repro.simnet.transport import Network
 
 #: Hash rate matching the paper's handset (difficulty 4 at 25 s/block).
@@ -331,6 +338,110 @@ def reference_scalar_mult(point: CurvePoint, scalar: int) -> CurvePoint:
         addend = addend + addend
         k >>= 1
     return result
+
+
+def reference_range_distance_costs(
+    hop_matrix: np.ndarray, ranges: Sequence[float], hop_scale: float = 1.0
+) -> np.ndarray:
+    """Three n×n temporaries: differential oracle for the in-place RDC.
+
+    The body of ``repro.facility.costs.range_distance_costs`` as it stood
+    before it built its result in place, kept verbatim minus the argument
+    checks.  The production matrix must equal it bit for bit.
+    """
+    hops = np.asarray(hop_matrix, dtype=float)
+    range_arr = np.asarray(ranges, dtype=float)
+    cost = hops * hop_scale
+    cost[hops == UNREACHABLE] = math.inf
+    cost = cost + range_arr[:, None] + range_arr[None, :]
+    np.fill_diagonal(cost, 0.0)
+    return cost
+
+
+class _ReferenceEvent:
+    __slots__ = ("key", "calls", "cancelled")
+
+    def __init__(self, key: Tuple[float, int], calls: tuple):
+        self.key = key
+        self.calls = calls
+        self.cancelled = False
+
+    def __lt__(self, other: "_ReferenceEvent") -> bool:
+        return self.key < other.key
+
+
+class ReferenceHandle:
+    def __init__(self, event: _ReferenceEvent):
+        self._event = event
+
+    def cancel(self) -> None:
+        self._event.cancelled = True
+
+    @property
+    def cancelled(self) -> bool:
+        return self._event.cancelled
+
+
+class ReferenceEngine:
+    """The purge-free heap: differential oracle for ``EventEngine``.
+
+    The scheduling rules ``EventEngine`` had before it counted and purged
+    its cancelled entries, restated without tracing: events pop in
+    ``(time, sequence)`` order, a batch runs its calls off one pop, and a
+    cancelled event stays in the heap until it comes due and is skipped.
+    The production engine must execute the same callbacks in the same
+    order, with the same ``events_processed`` and ``now``.
+    """
+
+    def __init__(self) -> None:
+        self._queue: List[_ReferenceEvent] = []
+        self._sequence = 0
+        self.now = 0.0
+        self.events_processed = 0
+
+    def _push(self, when: float, calls: tuple) -> ReferenceHandle:
+        if when < self.now:
+            raise ValueError("cannot schedule into the past")
+        event = _ReferenceEvent((when, self._sequence), calls)
+        self._sequence += 1
+        heapq.heappush(self._queue, event)
+        return ReferenceHandle(event)
+
+    def call_at(self, when: float, callback, *args) -> ReferenceHandle:
+        return self._push(when, ((callback, args),))
+
+    def call_at_batch(self, when: float, calls) -> ReferenceHandle:
+        return self._push(when, tuple((callback, tuple(args)) for callback, args in calls))
+
+    def peek_time(self) -> Optional[float]:
+        while self._queue and self._queue[0].cancelled:
+            heapq.heappop(self._queue)
+        return self._queue[0].key[0] if self._queue else None
+
+    def step(self) -> bool:
+        while self._queue:
+            event = heapq.heappop(self._queue)
+            if event.cancelled:
+                continue
+            self.now = event.key[0]
+            for callback, args in event.calls:
+                self.events_processed += 1
+                callback(*args)
+            return True
+        return False
+
+    def run_until(self, deadline: float) -> None:
+        if deadline < self.now:
+            raise ValueError("deadline is in the past")
+        while True:
+            next_time = self.peek_time()
+            if next_time is None or next_time > deadline:
+                break
+            self.step()
+        self.now = deadline
+
+    def clear(self) -> None:
+        self._queue.clear()
 
 
 def mine_next(chain, accounts, miner, metadata_items=(), storing=(0,),

@@ -54,15 +54,25 @@ The greedy's rounds are counted too (``GreedySolver.rounds``).  A fresh
 all 400 nodes in at most 3 rounds (400 before the singleton batch); a
 30-node two-hub instance stops at its second and last opening (10
 rounds before the tail exit).  Both still equal the textbook loop.
+
+The last guard weighs memory, with ``tracemalloc`` (bytes, no clock, so
+never skipped).  A cluster's node-id tuple, address book and mobility
+ranges exist once per cluster: every chain and ``ChainState`` holds the
+same objects, also after a pickle round-trip, and the traced bytes a
+freshly built cluster holds per node grow at most 1.5× from 100 to 400
+nodes (2.8× while each node kept its own copies).
 """
 
 from __future__ import annotations
 
 import builtins
+import gc
 import hashlib
 import json
 import os
+import pickle
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +80,7 @@ import pytest
 from repro.core import allocation
 from repro.core.allocation import AllocationEngine
 from repro.core.blockchain import Blockchain, ChainState
+from repro.core.config import PAPER_CONFIG
 from repro.crypto.keys import GENERATOR, N, PrivateKey
 from repro.crypto.signature import Signature, _deterministic_nonce, _message_scalar, sign
 from repro.facility import costs
@@ -78,6 +89,7 @@ from repro.facility.greedy import GreedySolver
 from repro.facility.problem import UFLProblem
 from repro.lifecycle import ARCHIVE_NAME, BlockArchive, framing
 from repro.persist.resume import STORE_NAME
+from repro.sim.cluster import build_cluster
 from repro.sim.runner import ChurnSpec, ExperimentSpec, run_experiment
 from repro.simnet.topology import Topology, connected_random_positions
 from tests.helpers import (
@@ -502,3 +514,55 @@ def test_solve_stops_at_the_last_opening():
     assert solution.assignment == expected.assignment
     assert solution.open_facilities == expected.open_facilities
 
+
+#: The build-memory guard's cluster sizes and the bound on how much more
+#: a node may cost in the larger one.  What grows with the cluster is
+#: what the cluster holds once (topology edges: the field is fixed, so a
+#: node's degree grows with n), about 1.4× here; a table copied per node
+#: is O(n) per node, which made it 2.8× before the tables were shared.
+BUILD_SIZES = (100, 400)
+MAX_PER_NODE_GROWTH = 1.5
+
+
+def _traced_build_bytes_per_node(node_count):
+    """Memory a fresh ``node_count``-node cluster holds, per node.  A
+    first build of the same size warms the process-wide memos (keys,
+    initial ledgers) so only the cluster itself is counted."""
+    build_cluster(node_count, PAPER_CONFIG, seed=5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cluster = build_cluster(node_count, PAPER_CONFIG, seed=5)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(cluster.nodes) == node_count
+    return held / node_count
+
+
+def test_cluster_build_memory_per_node_stays_flat():
+    small, large = (_traced_build_bytes_per_node(n) for n in BUILD_SIZES)
+    assert large <= MAX_PER_NODE_GROWTH * small, (
+        f"{large:.0f} B per node at n={BUILD_SIZES[1]} vs {small:.0f} B "
+        f"at n={BUILD_SIZES[0]}"
+    )
+
+
+def _assert_one_set_of_tables(cluster):
+    first = cluster.nodes[0]
+    node_ids, address_of = first.chain.node_ids, first.chain.address_of
+    assert node_ids == tuple(sorted(cluster.nodes))
+    for node in cluster.nodes.values():
+        for chain in (node.chain, node.chain._replica_at(0)):
+            assert chain.node_ids is node_ids
+            assert chain.state.node_ids is node_ids
+            assert chain.address_of is address_of
+        assert node.mobility_ranges is first.mobility_ranges
+
+
+def test_every_chain_holds_the_clusters_one_set_of_tables():
+    cluster = build_cluster(30, PAPER_CONFIG, seed=5)
+    _assert_one_set_of_tables(cluster)
+    # A snapshot keeps them shared: pickle writes each table once.
+    _assert_one_set_of_tables(pickle.loads(pickle.dumps(cluster)))

@@ -13,6 +13,10 @@ Layers:
   (:func:`tests.helpers.reference_greedy`) over random replay sequences
   (facility-cost drift between solves, occasional connection-matrix
   changes exercising the epoch rebuild).
+* **RDC** — :func:`range_distance_costs`, built in place, vs the
+  three-temporary expression it replaced
+  (:func:`tests.helpers.reference_range_distance_costs`), bit for bit,
+  with unreachable pairs and hop scales other than 1.
 * **Routing** — vectorised unit-disk edges and the cached BFS hop matrix
   vs the nested-loop + networkx reference, across mobility and churn; and
   every route ``Topology`` picks over its own adjacency vs
@@ -44,7 +48,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import LifecycleSpec
 from repro.core.pos import mining_delay
-from repro.facility.costs import build_storage_ufl
+from repro.facility.costs import build_storage_ufl, range_distance_costs
 from repro.facility.greedy import GreedySolver, _scan_best
 from repro.facility.problem import UFLProblem
 from repro.sim.runner import ChurnSpec
@@ -60,7 +64,11 @@ from repro.simnet.topology import (
     random_positions,
 )
 from repro.simnet.transport import Network
-from tests.helpers import digest_run, reference_greedy
+from tests.helpers import (
+    digest_run,
+    reference_greedy,
+    reference_range_distance_costs,
+)
 
 pytestmark = pytest.mark.fastpath
 
@@ -561,6 +569,40 @@ class TestCertainRoundsEquivalence:
             )
             _assert_same_solution(solver.solve(problem), reference_greedy(problem))
         assert solver.tail_exits > 0
+
+
+# -- RDC: built in place vs three temporaries ----------------------------------------
+
+
+class TestInPlaceRdcEquivalence:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        size=st.integers(min_value=1, max_value=12),
+        unreachable=st.floats(0.0, 0.6),
+        hop_scale=st.one_of(
+            st.just(1.0),
+            st.floats(0.0, 100.0),
+            st.sampled_from([70.0, 0.1, 1e-300, 1e300]),
+        ),
+        integer_hops=st.booleans(),
+    )
+    def test_in_place_rdc_equals_three_temporaries(
+        self, seed, size, unreachable, hop_scale, integer_hops
+    ):
+        rng = np.random.default_rng(seed)
+        hops = rng.integers(0, 8, size=(size, size))
+        hops[rng.random((size, size)) < unreachable] = UNREACHABLE
+        if not integer_hops:
+            hops = hops.astype(float)
+        before = hops.copy()
+        ranges = rng.uniform(0.0, 40.0, size=size)
+        ranges[rng.random(size) < 0.2] = 0.0
+        actual = range_distance_costs(hops, ranges, hop_scale=hop_scale)
+        expected = reference_range_distance_costs(hops, ranges, hop_scale=hop_scale)
+        assert actual.dtype == expected.dtype == np.float64
+        assert actual.tobytes() == expected.tobytes()
+        assert np.array_equal(hops, before)  # the input is never written
 
 
 # -- Routing: vectorised edges + cached hop matrix vs reference ------------------------

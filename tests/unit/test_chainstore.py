@@ -9,8 +9,16 @@ import pytest
 from repro.core.config import PAPER_CONFIG
 from repro.core.errors import PersistError
 from repro.metrics.export import store_chain_record
-from repro.persist.chainstore import KIND_BLOCK, KIND_RECENT, ChainStore
+from repro.lifecycle import ARCHIVE_NAME, BlockArchive
+from repro.persist.chainstore import (
+    KIND_BLOCK,
+    KIND_RECENT,
+    STORE_SCHEMA_VERSION,
+    ChainStore,
+)
+from repro.persist.resume import STORE_NAME
 from repro.sim.runner import ExperimentSpec, run_experiment
+from tests.helpers import stored_chain
 
 pytestmark = pytest.mark.persist
 
@@ -218,3 +226,55 @@ class TestExportFromStore:
         assert record["accounts"] == 5
         assert sum(record["blocks_mined"].values()) == chain.height
         assert record["mean_block_interval_s"] > 0
+
+
+class TestQueryPlans:
+    """Removing one block's or a range's metadata rows goes through the
+    ``block_idx`` index, not a scan of every item in the store."""
+
+    @staticmethod
+    def _metadata_deletes(store, action):
+        executed = []
+        store._conn.set_trace_callback(executed.append)
+        try:
+            action()
+        finally:
+            store._conn.set_trace_callback(None)
+        return [sql for sql in executed if sql.startswith("DELETE FROM metadata_items")]
+
+    @staticmethod
+    def _plan(store, sql):
+        rows = store._conn.execute(f"EXPLAIN QUERY PLAN {sql}").fetchall()
+        return " / ".join(row[-1] for row in rows)
+
+    def test_put_block_and_compact_search_the_block_index(self, tmp_path):
+        chain, store = stored_chain(tmp_path / STORE_NAME, 64, item_every=2)
+        with store:
+            deletes = self._metadata_deletes(store, lambda: store.put_block(chain.tip))
+            archive = BlockArchive(tmp_path / ARCHIVE_NAME)
+            up_to = chain.first_retained_index
+            deletes += self._metadata_deletes(
+                store, lambda: store.compact(archive, up_to, chain.checkpoints)
+            )
+            assert up_to > 0
+            assert len(deletes) == 2
+            for sql in deletes:
+                plan = self._plan(store, sql)
+                assert "SEARCH metadata_items USING" in plan, plan
+                assert "ix_metadata_block" in plan, plan
+
+    def test_a_store_written_without_the_index_gains_it_on_open(self, tmp_path):
+        path = tmp_path / "chain.sqlite"
+        ChainStore(path).close()
+        with sqlite3.connect(str(path)) as conn:
+            conn.execute("DROP INDEX ix_metadata_block")
+        conn.close()
+        with ChainStore(path) as store:
+            names = {
+                row[0]
+                for row in store._conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'index'"
+                )
+            }
+            assert "ix_metadata_block" in names
+            assert store.get_meta("schema_version") == str(STORE_SCHEMA_VERSION) == "1"

@@ -30,7 +30,6 @@ and by the test that proves the two agree).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
 from repro.crypto.hashing import hash_items, hash_to_int
@@ -89,13 +88,22 @@ def satisfies_target(
     Evaluated in exact rational arithmetic: hits are 64-bit integers, and
     a float product can round across the h = R boundary, which would let
     miners and validators disagree about the earliest valid second.
+    ``as_integer_ratio`` decomposes each factor exactly (raising on NaN
+    and infinity, as ``Fraction`` does), and the comparison
+    h_n/h_d ≤ N/D is cross-multiplied over the positive denominators —
+    the verdict of ``Fraction(hit) <= Fraction(stake) * ... * Fraction(B)``
+    without normalising five Fractions per check.
     """
     if elapsed < 0:
         raise ValueError("elapsed time cannot be negative")
-    target = (
-        Fraction(stake) * Fraction(stored) * Fraction(elapsed) * Fraction(amendment)
+    s_num, s_den = stake.as_integer_ratio()
+    q_num, q_den = stored.as_integer_ratio()
+    t_num, t_den = elapsed.as_integer_ratio()
+    b_num, b_den = amendment.as_integer_ratio()
+    h_num, h_den = hit.as_integer_ratio()
+    satisfied = (
+        h_num * s_den * q_den * t_den * b_den <= s_num * q_num * t_num * b_num * h_den
     )
-    satisfied = Fraction(hit) <= target
     if _obs.is_enabled():
         _obs.add("pos.target_checks")
         if satisfied:

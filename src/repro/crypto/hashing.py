@@ -60,10 +60,28 @@ def hash_items(*fields: HashableField) -> bytes:
     Each field is encoded with a one-byte type tag and prefixed with its
     4-byte big-endian length, so no concatenation of distinct field
     sequences can produce the same byte stream.
+
+    The three exact types the protocol hashes are encoded inline — the
+    same bytes :func:`_encode_field` produces; anything else (subclasses,
+    ``bool``, unsupported types) goes through :func:`_encode_field`.
     """
     parts = []
     for field in fields:
-        encoded = _encode_field(field)
+        kind = type(field)
+        if kind is str:
+            encoded = b"S" + field.encode("utf-8")
+        elif kind is int:
+            if field < 0:
+                sign, magnitude = b"I-", -field
+            else:
+                sign, magnitude = b"I+", field
+            encoded = sign + magnitude.to_bytes(
+                (magnitude.bit_length() + 7) // 8 or 1, "big"
+            )
+        elif kind is bytes:
+            encoded = b"B" + field
+        else:
+            encoded = _encode_field(field)
         parts.append(len(encoded).to_bytes(4, "big"))
         parts.append(encoded)
     return hashlib.sha256(b"".join(parts)).digest()

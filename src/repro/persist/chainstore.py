@@ -15,6 +15,16 @@ exits non-zero when it reports problems.
 
 Reads of hot blocks go through a small LRU cache so a resumed run's
 replay loop and the export paths stay off the disk.
+
+Writes are group-committed.  ``put_block`` stages its rows in one open
+transaction, each put inside a SAVEPOINT of its own (a put that raises
+rolls back only its own rows), and the store commits every
+:data:`~repro.persist.journal.WRITE_BATCH` puts — the journal's fsync
+batch — as well as on :meth:`ChainStore.commit`, before compaction's
+deletes, and on close.  Staged rows are visible to this connection's
+reads at once, and to other connections after the commit.  The journal is
+written first, so a crash loses at most the staged puts, which resume
+re-puts from the journal.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from repro.core.serialization import (
     metadata_from_dict,
 )
 from repro.obs import runtime as _obs
+from repro.persist.journal import WRITE_BATCH
 
 PathLike = Union[str, Path]
 
@@ -86,6 +97,10 @@ CREATE INDEX IF NOT EXISTS ix_assignments_node ON assignments(node_id);
 KIND_BLOCK = "block"  # node persists this block permanently
 KIND_RECENT = "recent"  # node caches this block in its FIFO recent cache
 
+#: The stored JSON form of a block or an item: ``json.dumps(..., sort_keys=True)``
+#: without building an encoder per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 def _block_from_row(payload: str, verify_hash: bool) -> Block:
     """Decode a stored block payload; a damaged row raises ValidationError."""
@@ -118,6 +133,9 @@ class ChainStore:
         self._cache_blocks = cache_blocks
         self.cache_hits = 0
         self.cache_misses = 0
+        #: Puts staged in the open transaction since the last commit.
+        self._staged = 0
+        self._closed = False
         try:
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
@@ -147,6 +165,8 @@ class ChainStore:
         return None if row is None else row[0]
 
     def set_meta(self, key: str, value: str) -> None:
+        # Commit staged puts first, so a failure here rolls back only this.
+        self.commit()
         with self._conn:
             self._conn.execute(
                 "INSERT OR REPLACE INTO store_meta (key, value) VALUES (?, ?)",
@@ -164,60 +184,79 @@ class ChainStore:
     # -- writes ----------------------------------------------------------------------
 
     def put_block(self, block: Block) -> None:
-        """Insert (or replace, after a reorg) one block and its satellites."""
+        """Stage (or replace, after a reorg) one block and its satellites."""
         if _obs.is_enabled():
             start = time.perf_counter()
             with _obs.span("persist.put_block", "persist", index=block.index):
                 self._put_block(block)
             _obs.add("persist.blocks_stored")
-            _obs.observe("persist.commit_seconds", time.perf_counter() - start)
+            _obs.observe("persist.put_seconds", time.perf_counter() - start)
         else:
             self._put_block(block)
 
     def _put_block(self, block: Block) -> None:
+        index = block.index
         block_dict = block_to_dict(block)
-        payload = json.dumps(block_dict, sort_keys=True)
-        with self._conn:
-            self._conn.execute(
-                "DELETE FROM assignments WHERE block_idx = ?", (block.index,)
+        payload = _encode(block_dict)
+        items = [
+            (
+                item.data_id,
+                index,
+                item.data_type,
+                item.producer,
+                item.created_at,
+                _encode(item_dict),
             )
-            self._conn.execute(
-                "DELETE FROM metadata_items WHERE block_idx = ?", (block.index,)
+            for item, item_dict in zip(
+                block.metadata_items, block_dict["metadata_items"]
             )
-            self._conn.execute(
+        ]
+        assignments = [(index, node, KIND_BLOCK) for node in block.storing_nodes] + [
+            (index, node, KIND_RECENT) for node in block.recent_cache_nodes
+        ]
+        conn = self._conn
+        if not conn.in_transaction:
+            conn.execute("BEGIN")
+        conn.execute("SAVEPOINT put_block")
+        try:
+            conn.execute("DELETE FROM assignments WHERE block_idx = ?", (index,))
+            conn.execute("DELETE FROM metadata_items WHERE block_idx = ?", (index,))
+            conn.execute(
                 "INSERT OR REPLACE INTO blocks "
                 "(idx, hash, miner, timestamp, payload) VALUES (?, ?, ?, ?, ?)",
-                (block.index, block.current_hash, block.miner, block.timestamp, payload),
+                (index, block.current_hash, block.miner, block.timestamp, payload),
             )
-            self._conn.executemany(
+            conn.executemany(
                 "INSERT OR REPLACE INTO metadata_items "
                 "(data_id, block_idx, data_type, producer, created_at, payload) "
                 "VALUES (?, ?, ?, ?, ?, ?)",
-                [
-                    (
-                        item.data_id,
-                        block.index,
-                        item.data_type,
-                        item.producer,
-                        item.created_at,
-                        json.dumps(
-                            block_dict["metadata_items"][position], sort_keys=True
-                        ),
-                    )
-                    for position, item in enumerate(block.metadata_items)
-                ],
+                items,
             )
-            rows = [
-                (block.index, node, KIND_BLOCK) for node in block.storing_nodes
-            ] + [(block.index, node, KIND_RECENT) for node in block.recent_cache_nodes]
-            self._conn.executemany(
+            conn.executemany(
                 "INSERT OR REPLACE INTO assignments (block_idx, node_id, kind) "
                 "VALUES (?, ?, ?)",
-                rows,
+                assignments,
             )
+        except BaseException:
+            # sqlite may already have rolled the whole transaction back
+            # (a full disk, say); then there is no savepoint left to undo.
+            if conn.in_transaction:
+                conn.execute("ROLLBACK TO put_block")
+                conn.execute("RELEASE put_block")
+            raise
+        conn.execute("RELEASE put_block")
         self._cache_put(block)
+        self._staged += 1
+        if self._staged >= WRITE_BATCH:
+            self.commit()
+
+    def commit(self) -> None:
+        """Commit every staged put (a no-op when nothing is staged)."""
+        self._conn.commit()
+        self._staged = 0
 
     def put_accounts(self, accounts: Dict[int, Account]) -> None:
+        self.commit()
         with self._conn:
             self._conn.executemany(
                 "INSERT OR REPLACE INTO accounts (node_id, address, public_key) "
@@ -365,17 +404,19 @@ class ChainStore:
     def compact(self, archive, up_to: int, checkpoints=None) -> int:
         """Migrate blocks below ``up_to`` into the cold archive, then reclaim.
 
-        Crash-safe by ordering: the whole range is appended to the
-        archive as one batch — every block decoded and re-hashed on its
-        way out of the store — and that batch is fsynced *before* any hot
-        row is deleted; the deletes and the ``pruned_below`` floor bump
-        commit in one transaction, and only then does VACUUM return the
-        pages to the filesystem.  A crash at any point resumes
-        idempotently — a torn batch is truncated to whole lines when the
-        archive is next opened, the append skips what the archive
-        already holds (contiguous floor), and the deletes re-run
-        harmlessly.  Metadata rows ride along with their block: cold
-        queries go through ``repro archive fetch``.
+        Crash-safe by ordering: the whole range is streamed out of the
+        store by one ordered query — every row decoded and re-hashed on
+        its way out, none of it passing through the LRU cache — and
+        appended to the archive as one batch, which is fsynced *before*
+        any hot row is deleted; the staged puts are committed, then the
+        deletes and the ``pruned_below`` floor bump commit in one
+        transaction, and only then does VACUUM return the pages to the
+        filesystem.  A crash at any point resumes idempotently — a torn
+        batch is truncated to whole lines when the archive is next
+        opened, the append skips what the archive already holds
+        (contiguous floor), and the deletes re-run harmlessly.  Metadata
+        rows ride along with their block: cold queries go through
+        ``repro archive fetch``.
 
         ``checkpoints`` maps block index → :class:`CheckpointRecord`;
         records falling in the compacted range are pinned into the
@@ -393,6 +434,7 @@ class ChainStore:
         archive.append_many(
             self._blocks_to_archive(archive.archived_below, up_to, pinned)
         )
+        self.commit()
         with self._conn:
             self._conn.execute("DELETE FROM blocks WHERE idx < ?", (up_to,))
             self._conn.execute(
@@ -418,14 +460,21 @@ class ChainStore:
         return moved
 
     def _blocks_to_archive(self, start: int, stop: int, pinned) -> Iterator:
-        """``(block, pinned checkpoint)`` for each hot index in ``[start, stop)``."""
-        for index in range(start, stop):
-            block = self.block_by_index(index, verify_hash=True)
-            if block is None:
-                raise PersistError(
-                    f"cannot compact: block {index} is missing from the store"
-                )
-            yield block, pinned.get(index)
+        """``(block, pinned checkpoint)`` for each hot index in ``[start, stop)``,
+        verified, in order; the first index the store lacks raises."""
+        expected = start
+        for index, payload in self._conn.execute(
+            "SELECT idx, payload FROM blocks WHERE idx >= ? AND idx < ? ORDER BY idx",
+            (start, stop),
+        ):
+            if index != expected:
+                break
+            yield _block_from_row(payload, True), pinned.get(index)
+            expected += 1
+        if expected < stop:
+            raise PersistError(
+                f"cannot compact: block {expected} is missing from the store"
+            )
 
     def footprint_bytes(self) -> int:
         """On-disk bytes of the hot store (main db + WAL + shared memory)."""
@@ -479,7 +528,14 @@ class ChainStore:
         return problems
 
     def close(self) -> None:
-        self._conn.close()
+        """Commit what is staged and close; closing again does nothing."""
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            self.commit()
+        finally:
+            self._conn.close()
 
     def __enter__(self) -> "ChainStore":
         return self

@@ -50,6 +50,10 @@ PathLike = Union[str, Path]
 #: Bumped on breaking changes to the record encoding.
 JOURNAL_FORMAT_VERSION = 1
 
+#: Records per ``os.fsync`` of the journal by default, and block puts per
+#: commit of the chain store that trails it (:mod:`repro.persist.chainstore`).
+WRITE_BATCH = 32
+
 # -- record types ------------------------------------------------------------------
 
 REC_RUN_START = "run_start"
@@ -221,7 +225,7 @@ def recover_journal(
 class RunJournal:
     """Appendable journal handle with batched fsync."""
 
-    def __init__(self, path: PathLike, fsync_every: int = 32):
+    def __init__(self, path: PathLike, fsync_every: int = WRITE_BATCH):
         if fsync_every < 1:
             raise ValueError("fsync_every must be at least 1")
         self.path = Path(path)
@@ -231,7 +235,7 @@ class RunJournal:
         self.next_seq = 0
 
     @classmethod
-    def open(cls, path: PathLike, fsync_every: int = 32) -> "RunJournal":
+    def open(cls, path: PathLike, fsync_every: int = WRITE_BATCH) -> "RunJournal":
         """Open for appending, truncating any torn tail first.
 
         Raises :class:`PersistError` if the journal is corrupt before its

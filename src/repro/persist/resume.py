@@ -32,7 +32,7 @@ import os
 import sqlite3
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.config import LifecycleSpec, SystemConfig
 from repro.core.errors import PersistError, ValidationError
@@ -49,6 +49,7 @@ from repro.persist.journal import (
     REC_COMPLETE,
     REC_REORG,
     REC_RUN_START,
+    WRITE_BATCH,
     JournalRecord,
     JournalRecovery,
     RunJournal,
@@ -92,7 +93,7 @@ class PersistConfig:
     journal_every_seconds: float = 30.0
     snapshot_every_seconds: float = 600.0
     snapshot_retain: int = 2
-    fsync_every: int = 32
+    fsync_every: int = WRITE_BATCH
 
     def __post_init__(self) -> None:
         if self.journal_every_seconds <= 0:
@@ -248,6 +249,11 @@ class PersistSession:
             if height < from_height
         }
 
+    def sync(self) -> None:
+        """Fsync the journal, then commit the store rows it has staged."""
+        self.journal.sync()
+        self.store.commit()
+
     def close(self) -> None:
         self.journal.close()
         self.store.close()
@@ -340,7 +346,7 @@ class _PersistTask:
             self.runtime.engine.now,
             {"height": self.journaled_height},
         )
-        self.session.journal.sync()
+        self.session.sync()
         write_snapshot(
             self.session.directory, self.runtime, retain=self.persist.snapshot_retain
         )
@@ -414,7 +420,7 @@ def _finalize(
             "chain_digest": reference.chain.chain_digest(),
         },
     )
-    session.journal.sync()
+    session.sync()
     session.store.set_meta("status", STATUS_COMPLETE)
     session.store.set_meta("final_chain_digest", reference.chain.chain_digest())
     _write_json_atomic(session.directory / METRICS_NAME, record)
@@ -526,22 +532,28 @@ def _advance(
 
 def _journal_chain_view(
     path: Path,
-) -> Tuple[JournalRecovery, Dict[int, Tuple[str, int]]]:
+) -> Tuple[JournalRecovery, Dict[int, Tuple[str, int]], Set[Tuple[int, str]]]:
     """Recover the journal at ``path`` and, in the same scan, fold its
     block/reorg records into the final height → (hash, record position)
-    view; a block body is decoded again only by whoever reads it."""
+    view, plus the (height, hash) pairs a reorg cut from it and no later
+    record restored; a block body is decoded again only by whoever reads
+    it."""
     view: Dict[int, Tuple[str, int]] = {}
+    superseded: Set[Tuple[int, str]] = set()
 
     def fold(position: int, record: JournalRecord) -> None:
         nonlocal view
         if record.type == REC_BLOCK:
-            view[int(record.payload["index"])] = (record.payload["hash"], position)
+            height, block_hash = int(record.payload["index"]), record.payload["hash"]
+            view[height] = (block_hash, position)
+            superseded.discard((height, block_hash))  # reorged back in
         elif record.type == REC_REORG:
             cut = int(record.payload["from"])
+            superseded.update((h, entry[0]) for h, entry in view.items() if h >= cut)
             view = {h: entry for h, entry in view.items() if h < cut}
 
     recovery = recover_journal(path, visit=fold)
-    return recovery, view
+    return recovery, view, superseded
 
 
 def resume_run(
@@ -564,7 +576,7 @@ def resume_run(
     if persist is None:
         persist = PersistConfig(**manifest.get("persist", {}))
 
-    recovery, journal_view = _journal_chain_view(directory / JOURNAL_NAME)
+    recovery, journal_view, _ = _journal_chain_view(directory / JOURNAL_NAME)
     if recovery.corrupt:
         raise PersistError(
             f"journal in {directory} is corrupt mid-file ({recovery.reason}); "
@@ -671,7 +683,9 @@ def inspect_run(directory: PathLike) -> RunReport:
         report.problems.append(str(error))
         return report
 
-    recovery, journal_view = _journal_chain_view(directory / JOURNAL_NAME)
+    recovery, journal_view, superseded = _journal_chain_view(
+        directory / JOURNAL_NAME
+    )
     report.journal_records = len(recovery.records)
     report.torn_tail_bytes = recovery.torn_tail_bytes
     report.dropped_records = recovery.dropped_records
@@ -742,6 +756,13 @@ def inspect_run(directory: PathLike) -> RunReport:
                         report.notes.append(
                             f"store is missing journaled block {height}; "
                             "resume re-applies it"
+                        )
+                    elif (height, stored.current_hash) in superseded:
+                        # The store commits in batches, so a kill can leave
+                        # the row a later reorg replaced in the journal.
+                        report.notes.append(
+                            f"store holds block {height} from before a "
+                            "journaled reorg; resume re-puts it"
                         )
                     elif stored.current_hash != journaled_hash:
                         report.problems.append(

@@ -22,6 +22,12 @@ is the single home for that boilerplate:
 * :func:`reference_range_distance_costs` — the RDC matrix built through
   three n×n temporaries, the differential oracle for the in-place build
   in :mod:`repro.facility.costs`;
+* :func:`reference_satisfies_target` — Eq. 9 through five ``Fraction``
+  objects, the differential oracle for the integer cross-multiplication
+  in :func:`repro.core.pos.satisfies_target`;
+* :func:`reference_hash_items` — every field through ``_encode_field``,
+  the differential oracle for the exact-type dispatch in
+  :func:`repro.crypto.hashing.hash_items`;
 * :class:`ReferenceEngine` — the event heap that never purges its
   cancelled entries, the differential oracle for
   :class:`~repro.simnet.engine.EventEngine`;
@@ -45,6 +51,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import hashlib
 import heapq
 import json
 import math
@@ -52,6 +59,7 @@ import sys
 import zlib
 from collections import deque
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -65,6 +73,7 @@ from repro.core.errors import PersistError
 from repro.core.metadata import create_metadata
 from repro.core.pos import compute_hit, compute_pos_hash, mining_delay
 from repro.core.pow import pow_difficulty_for
+from repro.crypto.hashing import _encode_field
 from repro.crypto.keys import INFINITY, CurvePoint, N
 from repro.facility.problem import UFLProblem, UFLSolution, assign_to_open
 from repro.persist.chainstore import ChainStore
@@ -356,6 +365,39 @@ def reference_range_distance_costs(
     cost = cost + range_arr[:, None] + range_arr[None, :]
     np.fill_diagonal(cost, 0.0)
     return cost
+
+
+def reference_satisfies_target(
+    hit: int, stake: float, stored: float, elapsed: float, amendment: float
+) -> bool:
+    """Eq. 9 through five Fractions: differential oracle for ``satisfies_target``.
+
+    The body of ``repro.core.pos.satisfies_target`` before it
+    cross-multiplied integer ratios, minus the obs counters.  The
+    production verdict — and the exception NaN or infinity raise — must
+    equal it.
+    """
+    if elapsed < 0:
+        raise ValueError("elapsed time cannot be negative")
+    target = (
+        Fraction(stake) * Fraction(stored) * Fraction(elapsed) * Fraction(amendment)
+    )
+    return Fraction(hit) <= target
+
+
+def reference_hash_items(*fields: Any) -> bytes:
+    """Every field through ``_encode_field``: oracle for ``hash_items``.
+
+    The body of ``repro.crypto.hashing.hash_items`` before it dispatched
+    on exact type; the production digest — and the exception a field
+    raises — must equal it.
+    """
+    parts = []
+    for field in fields:
+        encoded = _encode_field(field)
+        parts.append(len(encoded).to_bytes(4, "big"))
+        parts.append(encoded)
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 class _ReferenceEvent:

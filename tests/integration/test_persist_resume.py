@@ -1,7 +1,12 @@
 """Integration tests: durable runs, crash recovery, CLI resume determinism."""
 
 import json
-from dataclasses import replace
+import os
+import signal
+import subprocess
+import sys
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
@@ -16,14 +21,25 @@ from repro.persist import (
     run_persistent,
     snapshot_paths,
 )
+from repro.persist.chainstore import ChainStore
+from repro.persist.journal import (
+    REC_BLOCK,
+    REC_REORG,
+    WRITE_BATCH,
+    RunJournal,
+    recover_journal,
+)
 from repro.persist.resume import (
     CHAIN_SUMMARY_NAME,
     JOURNAL_NAME,
     MANIFEST_NAME,
     METRICS_NAME,
     STORE_NAME,
+    PersistSession,
+    spec_to_dict,
 )
 from repro.sim.runner import ChurnSpec, ExperimentSpec, run_experiment
+from tests.helpers import stored_chain
 
 pytestmark = pytest.mark.persist
 
@@ -154,6 +170,126 @@ class TestKillAndResume:
             resume_run(tmp_path / "run")
 
 
+#: Runs one durable run and SIGKILLs itself right after its ``kill_at``-th
+#: store put, so the rows staged since the last commit die with it.
+_KILL_MID_BATCH = """
+import json, os, signal, sys
+from repro.persist import PersistConfig, run_persistent
+from repro.persist.chainstore import ChainStore
+from repro.persist.resume import spec_from_dict
+
+directory, kill_at, spec, persist = sys.argv[1:]
+put_block, puts = ChainStore.put_block, 0
+
+def put_then_die(store, block):
+    global puts
+    put_block(store, block)
+    puts += 1
+    if puts == int(kill_at):
+        if not store._staged:
+            sys.exit(3)  # nothing staged: the kill would test nothing
+        os.kill(os.getpid(), signal.SIGKILL)
+
+ChainStore.put_block = put_then_die
+run_persistent(
+    spec_from_dict(json.loads(spec)), directory, PersistConfig(**json.loads(persist))
+)
+sys.exit(4)  # the run ended before the kill
+"""
+
+
+def _journaled_blocks(path) -> dict:
+    """Height → hash of the chain the journal ends on."""
+    view = {}
+    for record in recover_journal(path).records:
+        if record.type == REC_BLOCK:
+            view[record.payload["index"]] = record.payload["hash"]
+        elif record.type == REC_REORG:
+            view = {h: v for h, v in view.items() if h < record.payload["from"]}
+    return view
+
+
+def _store_misses(directory, journaled) -> list:
+    with ChainStore(directory / STORE_NAME) as store:
+        return [
+            height
+            for height, block_hash in sorted(journaled.items())
+            if getattr(store.block_by_index(height), "current_hash", None)
+            != block_hash
+        ]
+
+
+class TestCrashInBatch:
+    """A SIGKILL with store rows staged but not committed: the journal
+    holds them, so resume re-puts them and lands on the uninterrupted run."""
+
+    #: Store puts before the kill; not a multiple of the write batch.
+    KILL_AT = 45
+
+    def test_kill_with_staged_rows_resumes_to_the_uninterrupted_run(self, tmp_path):
+        assert self.KILL_AT % WRITE_BATCH
+        base = small_spec()
+        spec = replace(base, config=replace(base.config, expected_block_interval=10.0))
+        reference = run_persistent(spec, tmp_path / "ref", persist=FAST_PERSIST)
+        assert reference.completed
+
+        run = tmp_path / "run"
+        src = Path(sys.modules["repro"].__file__).resolve().parents[1]
+        child = subprocess.run(
+            [
+                sys.executable, "-c", _KILL_MID_BATCH, str(run), str(self.KILL_AT),
+                json.dumps(spec_to_dict(spec)), json.dumps(asdict(FAST_PERSIST)),
+            ],
+            env={
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join(
+                    filter(None, [str(src), os.environ.get("PYTHONPATH")])
+                ),
+            },
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        # The journal was written first; the store lost what was staged.
+        assert _store_misses(run, _journaled_blocks(run / JOURNAL_NAME))
+
+        resumed = resume_run(run)
+        assert resumed.completed
+        for name in (METRICS_NAME, CHAIN_SUMMARY_NAME):
+            assert (run / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+        journaled = _journaled_blocks(run / JOURNAL_NAME)
+        assert journaled == _journaled_blocks(tmp_path / "ref" / JOURNAL_NAME)
+        assert _store_misses(run, journaled) == []
+        with ChainStore(run / STORE_NAME) as store, ChainStore(
+            tmp_path / "ref" / STORE_NAME
+        ) as ref_store:
+            assert store.verify_integrity() == []
+            assert store.get_meta("final_chain_digest") == ref_store.get_meta(
+                "final_chain_digest"
+            )
+
+    def test_journal_sync_commits_the_store(self, tmp_path):
+        _, source = stored_chain(tmp_path / "source.sqlite", 5)
+        with source:
+            blocks = list(source.iter_blocks())
+        run = tmp_path / "run"
+        session = PersistSession(
+            run,
+            FAST_PERSIST,
+            RunJournal.open(run / JOURNAL_NAME),
+            ChainStore(run / STORE_NAME),
+        )
+        try:
+            for block in blocks:
+                session.record_block(block, block.timestamp)
+            assert _store_misses(run, _journaled_blocks(run / JOURNAL_NAME))
+            session.sync()
+            assert _store_misses(run, _journaled_blocks(run / JOURNAL_NAME)) == []
+        finally:
+            session.close()
+
+
 class TestInspect:
     def test_healthy_run_reports_ok(self, tmp_path):
         run_persistent(small_spec(), tmp_path / "run", persist=FAST_PERSIST)
@@ -181,6 +317,45 @@ class TestInspect:
         report = inspect_run(tmp_path / "run")
         assert not report.ok
         assert any("corrupt" in problem for problem in report.problems)
+
+    def test_store_row_from_before_a_journaled_reorg_is_a_note(self, tmp_path):
+        run = tmp_path / "run"
+        run_persistent(
+            small_spec(), run, persist=FAST_PERSIST, stop_after_seconds=400.0
+        )
+        store = ChainStore(run / STORE_NAME)
+        tip = store.block_by_index(store.height())
+        fork = replace(tip, timestamp=tip.timestamp + 1.0, current_hash="")
+        session = PersistSession(
+            run, FAST_PERSIST, RunJournal.open(run / JOURNAL_NAME), store
+        )
+        session.record_reorg(tip.index, fork.timestamp)
+        session.record_block(fork, fork.timestamp)
+        store._conn.close()  # the kill: the fork's staged put dies uncommitted
+        session.journal.close()
+
+        report = inspect_run(run)
+        assert report.ok, report.problems
+        assert any("before a journaled reorg" in note for note in report.notes)
+
+        # Reorged back in: the store's row is the journal's block again.
+        with RunJournal.open(run / JOURNAL_NAME) as journal, ChainStore(
+            run / STORE_NAME
+        ) as store:
+            session = PersistSession(run, FAST_PERSIST, journal, store)
+            session.record_reorg(tip.index, fork.timestamp)
+            session.record_block(tip, fork.timestamp)
+        report = inspect_run(run)
+        assert report.ok, report.problems
+        assert not any("reorg" in note for note in report.notes)
+
+        # A row the journal never held at that height is still a problem.
+        with ChainStore(run / STORE_NAME) as store:
+            store.put_block(
+                replace(tip, timestamp=tip.timestamp + 2.0, current_hash="")
+            )
+        report = inspect_run(run)
+        assert any("disagrees with the journal" in p for p in report.problems)
 
 
 class TestCLI:

@@ -26,7 +26,14 @@ Layers:
   un-batches the engine): identical execution order, identical RNG
   stream, identical traffic accounting.
 * **PoS** — exact-integer ``mining_delay`` vs a Fraction oracle,
-  including >2⁵³ hits.
+  including >2⁵³ hits; the integer Eq. 9 check ``satisfies_target`` vs
+  its five-Fraction oracle (:func:`tests.helpers.reference_satisfies_target`)
+  at h = ⌊R⌋ and ⌊R⌋ ± 1, with subnormal and 2⁶⁰-scale B, NaN and
+  infinity.
+* **Hashing** — ``hash_items``'s exact-type dispatch vs every field
+  through ``_encode_field`` (:func:`tests.helpers.reference_hash_items`):
+  the same bytes, and the same exception for bool / float / bytearray /
+  None and lone surrogates.
 * **End to end** — seeded scenarios (steady state, fast mobility, churn)
   against the digests recorded from the reference greedy + un-batched
   delivery run, at the last commit that still had both.
@@ -37,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,7 +55,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import LifecycleSpec
-from repro.core.pos import mining_delay
+from repro.core.pos import mining_delay, satisfies_target
+from repro.crypto.hashing import hash_items
 from repro.facility.costs import build_storage_ufl, range_distance_costs
 from repro.facility.greedy import GreedySolver, _scan_best
 from repro.facility.problem import UFLProblem
@@ -67,7 +76,9 @@ from repro.simnet.transport import Network
 from tests.helpers import (
     digest_run,
     reference_greedy,
+    reference_hash_items,
     reference_range_distance_costs,
+    reference_satisfies_target,
 )
 
 pytestmark = pytest.mark.fastpath
@@ -1029,6 +1040,132 @@ class TestVectorisedPosEquivalence:
         rate = Fraction(stake) * Fraction(stored) * Fraction(amendment)
         assert Fraction(hit) <= rate * delay
         assert delay == 1 or Fraction(hit) > rate * (delay - 1)
+
+
+def _outcome(function, *args):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return "returned", function(*args)
+    except Exception as error:  # noqa: BLE001 — the exception is the outcome
+        return "raised", type(error), str(error)
+
+
+#: A factor of Eq. 8: integer or float (stake and stored count items as
+#: ints in places), zero, subnormal, or large.
+eq9_factors = st.one_of(
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=0.0, max_value=1e6),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),
+)
+#: B: the usual range, subnormal, and 2⁶⁰-scale (M / ((n+1)·t0·Ū) for a
+#: 2⁶⁴ modulus and a small cluster).
+eq9_amendments = st.one_of(
+    positive_floats,
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
+    st.floats(min_value=2.0**59, max_value=2.0**61),
+)
+eq9_elapsed = st.one_of(
+    st.integers(min_value=0, max_value=10**5).map(float),
+    st.floats(min_value=0.0, max_value=1e5),
+)
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+class TestExactEq9Equivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        eq9_factors,
+        eq9_factors,
+        eq9_elapsed,
+        eq9_amendments,
+        st.sampled_from((-1, 0, 1)),
+    )
+    def test_verdict_at_the_target_boundary(
+        self, stake, stored, elapsed, amendment, step
+    ):
+        target = (
+            Fraction(stake) * Fraction(stored) * Fraction(elapsed) * Fraction(amendment)
+        )
+        hit = max(0, math.floor(target) + step)
+        args = (hit, stake, stored, elapsed, amendment)
+        assert satisfies_target(*args) == reference_satisfies_target(*args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        eq9_factors,
+        eq9_factors,
+        st.floats(min_value=-1e5, max_value=1e5),
+        eq9_amendments,
+    )
+    def test_verdict_for_any_hit(self, hit, stake, stored, elapsed, amendment):
+        args = (hit, stake, stored, elapsed, amendment)
+        assert _outcome(satisfies_target, *args) == _outcome(
+            reference_satisfies_target, *args
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.tuples(eq9_factors, eq9_factors, eq9_elapsed, eq9_amendments),
+        st.integers(min_value=0, max_value=3),
+        non_finite,
+    )
+    def test_nan_and_infinity_raise_as_before(self, hit, factors, position, bad):
+        values = list(factors)
+        values[position] = bad
+        args = (hit, *values)
+        outcome = _outcome(satisfies_target, *args)
+        assert outcome[0] == "raised"
+        assert outcome == _outcome(reference_satisfies_target, *args)
+
+
+class _Kind(IntEnum):
+    ZERO = 0
+    SEVEN = 7
+    BELOW = -3
+    WIDE = 2**70
+
+
+class _Label(str):
+    pass
+
+
+#: Every field shape the hashing surface meets, valid or not.
+hash_fields = st.one_of(
+    st.text(),
+    st.text(st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF), min_size=1),
+    st.integers(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.just(0),
+    st.binary(),
+    st.sampled_from(list(_Kind)),
+    st.text().map(_Label),
+    st.booleans(),
+    st.floats(),
+    st.binary().map(bytearray),
+    st.none(),
+)
+
+
+class TestExactTypeHashEquivalence:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(hash_fields, max_size=14))
+    def test_hash_items_equals_the_per_field_loop(self, fields):
+        assert _outcome(hash_items, *fields) == _outcome(reference_hash_items, *fields)
+
+    @pytest.mark.parametrize(
+        "field", [True, False, 1.5, bytearray(b"x"), None, "\ud800", "a\udfffb"]
+    )
+    def test_rejected_fields_raise_as_before(self, field):
+        outcome = _outcome(hash_items, "block", 3, field)
+        assert outcome[0] == "raised"
+        assert outcome == _outcome(reference_hash_items, "block", 3, field)
+
+    def test_subclasses_encode_as_their_base_value(self):
+        fields = (_Kind.BELOW, _Kind.WIDE, _Label("poshash"))
+        assert hash_items(*fields) == reference_hash_items(*fields)
+        assert hash_items(*fields) == hash_items(-3, 2**70, "poshash")
 
 
 # -- End to end: the single path vs the recorded reference run --------------------------

@@ -1,6 +1,7 @@
 """Unit tests for the SQLite chain store."""
 
 import json
+import math
 import sqlite3
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from repro.persist.chainstore import (
     STORE_SCHEMA_VERSION,
     ChainStore,
 )
+from repro.persist.journal import WRITE_BATCH
 from repro.persist.resume import STORE_NAME
 from repro.sim.runner import ExperimentSpec, run_experiment
 from tests.helpers import stored_chain
@@ -166,6 +168,151 @@ class TestAssignments:
         assert store.metadata_count() == sum(
             len(b.metadata_items) for b in chain.blocks
         )
+
+
+class _FailingExecutemany:
+    """Stands in for the store's connection; the next ``executemany``
+    raises once ``armed`` is set."""
+
+    def __init__(self, connection):
+        self._connection = connection
+        self.armed = False
+
+    def executemany(self, sql, rows):
+        if self.armed:
+            self.armed = False
+            raise sqlite3.OperationalError("disk I/O error (injected)")
+        return self._connection.executemany(sql, rows)
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+
+class _FailingDelete:
+    """Stands in for the store's connection; compaction's first range
+    delete raises."""
+
+    def __init__(self, connection):
+        self._connection = connection
+
+    def __enter__(self):
+        return self._connection.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._connection.__exit__(*exc_info)
+
+    def execute(self, sql, *parameters):
+        if sql.startswith("DELETE FROM blocks WHERE idx <"):
+            raise sqlite3.OperationalError("disk I/O error (injected)")
+        return self._connection.execute(sql, *parameters)
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+
+def _committed_indices(path):
+    """Block indices another connection sees: what has been committed."""
+    with sqlite3.connect(str(path)) as reader:
+        rows = reader.execute("SELECT idx FROM blocks ORDER BY idx").fetchall()
+    reader.close()
+    return [row[0] for row in rows]
+
+
+class TestGroupCommit:
+    """Puts are staged and committed every ``WRITE_BATCH``; each put is
+    its own savepoint inside the open transaction."""
+
+    @pytest.fixture(scope="class")
+    def blocks(self, tmp_path_factory):
+        _, source = stored_chain(
+            tmp_path_factory.mktemp("source") / STORE_NAME, 80, item_every=2
+        )
+        with source:
+            return list(source.iter_blocks())
+
+    def test_another_connection_sees_puts_after_commit(self, tmp_path, blocks):
+        path = tmp_path / STORE_NAME
+        staged = blocks[:5]
+        store = ChainStore(path)
+        for block in staged:
+            store.put_block(block)
+        assert store.height() == 4  # this connection reads its staged rows
+        assert _committed_indices(path) == []
+        store.commit()
+        assert _committed_indices(path) == [0, 1, 2, 3, 4]
+        store.put_block(blocks[5])
+        assert _committed_indices(path) == [0, 1, 2, 3, 4]
+        store.close()
+        assert _committed_indices(path) == [0, 1, 2, 3, 4, 5]
+
+    def test_exit_commits(self, tmp_path, blocks):
+        path = tmp_path / STORE_NAME
+        with ChainStore(path) as store:
+            for block in blocks[:3]:
+                store.put_block(block)
+        assert _committed_indices(path) == [0, 1, 2]
+
+    def test_second_close_is_harmless(self, tmp_path, blocks):
+        store = ChainStore(tmp_path / STORE_NAME)
+        store.put_block(blocks[0])
+        store.close()
+        store.close()
+        with store:
+            pass
+        assert _committed_indices(tmp_path / STORE_NAME) == [0]
+
+    def test_failed_put_rolls_back_only_its_own_rows(self, tmp_path, blocks):
+        path = tmp_path / STORE_NAME
+        store = ChainStore(path)
+        spy = _FailingExecutemany(store._conn)
+        store._conn = spy
+        for block in blocks[:6]:
+            store.put_block(block)
+        items, block_rows = store.metadata_count(), store.block_count()
+        node = blocks[4].storing_nodes[0]
+        assignments = store.assignments_of(node)
+        assert items > 0 and (4, KIND_BLOCK) in assignments
+
+        # A re-put of staged block 4 fails after deleting its satellites,
+        # and a new block 6 fails after its blocks row went in.
+        for block in (blocks[4], blocks[6]):
+            spy.armed = True
+            with pytest.raises(sqlite3.OperationalError, match="injected"):
+                store.put_block(block)
+        assert store.block_count() == block_rows
+        assert store.metadata_count() == items
+        assert store.assignments_of(node) == assignments
+        assert store.block_by_index(6) is None
+        store.put_block(blocks[6])  # the store is still usable
+        store.close()
+        assert _committed_indices(path) == list(range(7))
+        with ChainStore(path) as reopened:
+            assert reopened.verify_integrity() == []
+
+    @pytest.mark.parametrize("puts", [1, WRITE_BATCH, WRITE_BATCH + 1, 70])
+    def test_one_commit_per_write_batch(self, tmp_path, blocks, puts):
+        statements = []
+        store = ChainStore(tmp_path / STORE_NAME)
+        store._conn.set_trace_callback(statements.append)
+        for block in blocks[:puts]:
+            store.put_block(block)
+        store.close()
+        assert statements.count("COMMIT") == math.ceil(puts / WRITE_BATCH)
+
+    def test_compaction_commits_before_its_deletes(self, tmp_path):
+        path = tmp_path / STORE_NAME
+        chain, store = stored_chain(path, 70)  # 71 puts: 7 still staged
+        archive = BlockArchive(tmp_path / ARCHIVE_NAME)
+        up_to = chain.first_retained_index
+        spy = _FailingDelete(store._conn)
+        store._conn = spy
+        with store, pytest.raises(sqlite3.OperationalError, match="injected"):
+            store.compact(archive, up_to, chain.checkpoints)
+        # The failed delete transaction took none of the staged puts with it.
+        assert _committed_indices(path) == list(range(chain.height + 1))
+        with ChainStore(path) as store:
+            assert store.compact(archive, up_to, chain.checkpoints) == up_to
+        assert _committed_indices(path) == list(range(up_to, chain.height + 1))
 
 
 class TestIntegrity:

@@ -37,7 +37,7 @@ def _drift_study(seed: int = 5, node_count: int = 20):
     total = np.full(node_count, 250.0)
 
     # Place ITEMS items optimally on the initial topology.
-    used = rng.uniform(5, 60, size=node_count)
+    used = rng.integers(5, 60, size=node_count).astype(float)
     hops = cluster.topology.hop_matrix()
     placements = []
     for _ in range(ITEMS):
@@ -50,7 +50,7 @@ def _drift_study(seed: int = 5, node_count: int = 20):
     # Let the world move: several mobility epochs + storage drift.
     for _ in range(EPOCHS):
         cluster.advance_mobility_epoch()
-        used += rng.uniform(0, 8, size=node_count)
+        used += rng.integers(0, 8, size=node_count)
         used = np.minimum(used, 240.0)
     new_hops = cluster.topology.hop_matrix()
     problem_now = build_storage_ufl(used, total, new_hops, ranges)

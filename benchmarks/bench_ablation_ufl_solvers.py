@@ -30,7 +30,7 @@ def _snapshot_instances(node_count=14, count=5, seed=3):
     ranges = [30.0] * node_count
     instances = []
     for _ in range(count):
-        used = rng.uniform(1, 200, size=node_count)
+        used = rng.integers(1, 200, size=node_count).astype(float)
         total = np.full(node_count, 250.0)
         instances.append(build_storage_ufl(used, total, hops, ranges))
     return instances

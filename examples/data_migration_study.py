@@ -37,7 +37,7 @@ def main() -> None:
     total = np.full(NODES, float(PAPER_CONFIG.storage_capacity))
 
     # 1. Optimal placements on the initial network.
-    used = rng.uniform(5, 60, size=NODES)
+    used = rng.integers(5, 60, size=NODES).astype(float)
     hops = cluster.topology.hop_matrix()
     placements = []
     for _ in range(ITEMS):
@@ -52,7 +52,7 @@ def main() -> None:
     # 2. The world moves.
     for _ in range(EPOCHS):
         cluster.advance_mobility_epoch()
-        used += rng.uniform(0, 6, size=NODES)
+        used += rng.integers(0, 6, size=NODES)
         used = np.minimum(used, 240.0)
     new_hops = cluster.topology.hop_matrix()
     problem_now = build_storage_ufl(used, total, new_hops, ranges)

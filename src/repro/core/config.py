@@ -137,6 +137,11 @@ class SystemConfig:
             raise ValueError("field size and comm range must be positive")
         if self.mobility_range < 0:
             raise ValueError("mobility range must be non-negative")
+        # Eq. 1–3 stay integers, so placement is decided exactly.
+        if not float(self.mobility_range).is_integer():
+            raise ValueError("mobility range must be a whole number of metres")
+        if not float(self.fdc_weight).is_integer():
+            raise ValueError("FDC weight must be a whole number")
         if self.storage_capacity < 1:
             raise ValueError("storage capacity must be at least 1 slot")
         if self.expected_block_interval <= 0:

@@ -14,7 +14,7 @@ for better performance", Section IV-A-3).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,28 +25,21 @@ from repro.simnet.topology import UNREACHABLE
 DEFAULT_FDC_WEIGHT = 1000.0
 
 
-def fairness_degree_cost(used: float, total: float) -> float:
-    """FDC of a single node (Eq. 1).  ``inf`` when the node is full."""
-    if total <= 0:
-        raise ValueError("total storage must be positive")
-    if used < 0:
-        raise ValueError("used storage cannot be negative")
-    if used > total:
-        raise ValueError("used storage cannot exceed total storage")
-    remaining = total - used
-    if remaining == 0:
-        return math.inf
-    return used / remaining
+#: Eq. 1's input errors, in the order one node is checked.
+_FDC_ERRORS = (
+    "total storage must be positive",
+    "used storage cannot be negative",
+    "used storage cannot exceed total storage",
+)
 
 
-def fairness_degree_costs(
+def fairness_degree_terms(
     used: Sequence[float], total: Sequence[float]
-) -> np.ndarray:
-    """Vectorised FDC over all nodes: :func:`fairness_degree_cost` per node.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Eq. 1 per node as its two terms ``(W, W_tol − W)``.
 
-    IEEE division is the same operation elementwise as on one double, so
-    every cost is bitwise the scalar's; an invalid node raises the
-    scalar's error for the first such node.
+    Node i's FDC is exactly the first over the second, ∞ where the second
+    is 0 (a full node).  An invalid node raises; with several, the first.
     """
     used_arr = np.asarray(used, dtype=float)
     total_arr = np.asarray(total, dtype=float)
@@ -55,16 +48,31 @@ def fairness_degree_costs(
     invalid = (total_arr <= 0) | (used_arr < 0) | (used_arr > total_arr)
     if invalid.any():
         first = int(np.argmax(invalid))
-        fairness_degree_cost(used_arr[first], total_arr[first])
+        used_first, total_first = used_arr[first], total_arr[first]
+        raise ValueError(
+            _FDC_ERRORS[0 if total_first <= 0 else 1 if used_first < 0 else 2]
+        )
+    return used_arr, total_arr - used_arr
+
+
+def fairness_degree_costs(
+    used: Sequence[float], total: Sequence[float]
+) -> np.ndarray:
+    """Eq. 1 per node as doubles: :func:`fairness_degree_terms` divided."""
+    used_arr, remaining = fairness_degree_terms(used, total)
     with np.errstate(divide="ignore", invalid="ignore"):
-        remaining = total_arr - used_arr
         costs = used_arr / remaining
     costs[remaining == 0] = math.inf
     return costs
 
 
+def fairness_degree_cost(used: float, total: float) -> float:
+    """FDC of a single node (Eq. 1).  ``inf`` when the node is full."""
+    return float(fairness_degree_costs([used], [total])[0])
+
+
 def range_distance_costs(
-    hop_matrix: np.ndarray, ranges: Sequence[float], hop_scale: float = 1.0
+    hop_matrix: np.ndarray, ranges: Sequence[float]
 ) -> np.ndarray:
     """RDC matrix over all node pairs (Eq. 2).
 
@@ -74,17 +82,11 @@ def range_distance_costs(
         Square matrix of hop counts; ``UNREACHABLE`` (−1) entries become
         ``inf`` (a client cannot be served across a partition).
     ranges:
-        Per-node mobility range ``range(i)``.  The paper's RDC mixes metres
-        (ranges) with hops (distance); ``hop_scale`` converts hops into the
-        range unit.  With the paper's numbers (70 m radio range, 30 m
-        mobility) one hop covers up to ~70 m, so the natural scale is the
-        radio range; callers can pass 1.0 to use raw hops as the paper's
-        formula literally does.
+        Per-node mobility range ``range(i)``, added to raw hops as the
+        paper's formula literally does.
     """
-    # One float copy of the hops, then every step in place.  The steps are
-    # ``hops * hop_scale + range(i) + range(j)`` elementwise, in that
-    # order, so the matrix is bitwise that expression's without its n×n
-    # temporaries.
+    # One float copy of the hops, then every step in place:
+    # ``hops + range(i) + range(j)`` without its n×n temporaries.
     cost = np.array(hop_matrix, dtype=float)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValueError("hop matrix must be square")
@@ -95,9 +97,7 @@ def range_distance_costs(
     if np.any(range_arr < 0):
         raise ValueError("ranges must be non-negative")
 
-    unreachable = cost == UNREACHABLE
-    cost *= hop_scale
-    cost[unreachable] = math.inf
+    cost[cost == UNREACHABLE] = math.inf
     cost += range_arr[:, None]
     cost += range_arr[None, :]
     np.fill_diagonal(cost, 0.0)  # c_ii = 0 (Eq. 2 second case)
@@ -110,19 +110,18 @@ def build_storage_ufl(
     hop_matrix: np.ndarray,
     ranges: Sequence[float],
     fdc_weight: float = DEFAULT_FDC_WEIGHT,
-    hop_scale: float = 1.0,
     exclude_nodes: Optional[Sequence[int]] = None,
 ) -> UFLProblem:
     """Build the per-item UFL instance of Eq. 3 for the current network state.
 
     Every node is both a candidate facility (storage site) and a client
     (potential accessor).  ``exclude_nodes`` marks nodes that must not store
-    the item (e.g. offline nodes): their facility cost becomes ``inf``.
+    the item (e.g. offline nodes): they cannot open.
     """
     return storage_ufl(
         used_storage,
         total_storage,
-        range_distance_costs(hop_matrix, ranges, hop_scale=hop_scale),
+        range_distance_costs(hop_matrix, ranges),
         fdc_weight=fdc_weight,
         exclude_nodes=exclude_nodes,
     )
@@ -139,13 +138,13 @@ def storage_ufl(
 
     The RDC changes once per topology epoch and the FDC once per
     placement, so a caller placing many items builds the first once.
+    Facility i opens for exactly ``A·W / (W_tol − W)``.
     """
     if fdc_weight < 0:
         raise ValueError("FDC weight must be non-negative")
-    facility = fdc_weight * fairness_degree_costs(used_storage, total_storage)
-    if facility.shape[0] != connection.shape[0]:
+    used, remaining = fairness_degree_terms(used_storage, total_storage)
+    if used.shape[0] != connection.shape[0]:
         raise ValueError("storage vectors must match hop matrix size")
     if exclude_nodes:
-        for node in exclude_nodes:
-            facility[node] = math.inf
-    return UFLProblem(facility_costs=facility, connection_costs=connection)
+        remaining[list(exclude_nodes)] = 0.0
+    return UFLProblem(fdc_weight * used, remaining, connection)

@@ -18,61 +18,120 @@ cost (Eq. 1 at W = W_tol) and must never be opened.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import ClassVar, Sequence, Tuple
 
 import numpy as np
+
+#: Below this bound on ``max P · max Q`` over the ratios ``P/Q`` the
+#: greedy compares, distinct ratios round to distinct doubles.
+RATIO_BOUND = 2**52
 
 
 @dataclass(frozen=True)
 class UFLProblem:
-    """One UFL instance.
+    """One UFL instance, held exactly.
 
     Attributes
     ----------
-    facility_costs:
-        Shape ``(num_facilities,)``; opening cost of each facility.  May
-        contain ``inf`` for facilities that cannot be opened (full nodes).
+    opening_num, opening_den:
+        Shape ``(num_facilities,)``; facility ``i`` opens for exactly
+        ``opening_num[i] / opening_den[i]``.  Both are non-negative
+        integers; a denominator of 0 means the facility cannot open (a
+        full or excluded node).
     connection_costs:
         Shape ``(num_facilities, num_clients)``; cost for client ``j`` to
-        connect to facility ``i``.  May contain ``inf`` for unreachable
-        pairs (partitioned topology).
+        connect to facility ``i``: a non-negative integer, or ``inf`` for
+        an unreachable pair (partitioned topology).
+    facility_costs:
+        The opening costs as doubles (``inf`` where the denominator is
+        0), for the solvers that work in floats and for
+        :meth:`UFLSolution.total_cost`.
+
+    The constructor raises ``ValueError`` unless every cost is integral
+    and the largest star ratio's numerator times the largest denominator
+    stays below :data:`RATIO_BOUND`.
     """
 
-    facility_costs: np.ndarray
+    opening_num: np.ndarray
+    opening_den: np.ndarray
     connection_costs: np.ndarray
+    facility_costs: np.ndarray = field(init=False, repr=False, compare=False)
+
+    #: The last read-only connection matrix checked, with its largest
+    #: finite row sum: the allocator hands in one per topology epoch, so
+    #: an epoch pays the O(F·C) check once.
+    _checked: ClassVar[Tuple[np.ndarray, float]] = (np.empty((0, 0)), 0.0)
 
     def __post_init__(self) -> None:
-        facility = np.asarray(self.facility_costs, dtype=float)
+        num = np.asarray(self.opening_num, dtype=float)
+        den = np.asarray(self.opening_den, dtype=float)
         connection = np.asarray(self.connection_costs, dtype=float)
-        object.__setattr__(self, "facility_costs", facility)
+        object.__setattr__(self, "opening_num", num)
+        object.__setattr__(self, "opening_den", den)
         object.__setattr__(self, "connection_costs", connection)
-        if facility.ndim != 1:
-            raise ValueError("facility_costs must be 1-D")
+        if num.ndim != 1 or num.shape != den.shape:
+            raise ValueError(
+                "opening numerators and denominators must be 1-D and alike"
+            )
         if connection.ndim != 2:
             raise ValueError("connection_costs must be 2-D")
-        if connection.shape[0] != facility.shape[0]:
+        if connection.shape[0] != num.shape[0]:
             raise ValueError(
                 "connection_costs rows must match the number of facilities"
             )
-        if facility.shape[0] == 0:
+        if num.shape[0] == 0:
             raise ValueError("need at least one facility")
         if connection.shape[1] == 0:
             raise ValueError("need at least one client")
-        if np.any(facility < 0) or np.any(connection < 0):
+        opening = np.concatenate((num, den))
+        if opening.min() < 0:
             raise ValueError("costs must be non-negative")
+        if not (opening.max() < math.inf and (np.floor(opening) == opening).all()):
+            raise ValueError("opening costs must be ratios of finite integers")
+        # Every star ratio is P/Q with P <= num + den·(row sum) and
+        # Q <= den·num_clients; an open facility's has den = 1.
+        scale = max(int(den.max()), 1)
+        largest = int(num.max()) + scale * self._largest_row_sum(connection)
+        if largest * scale * connection.shape[1] >= RATIO_BOUND:
+            raise ValueError(
+                "costs too large to compare exactly: ratio numerator "
+                f"{largest} times denominator {scale * connection.shape[1]} "
+                "is not below 2**52"
+            )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            facility = num / den
+        facility[den == 0] = math.inf
+        object.__setattr__(self, "facility_costs", facility)
+
+    @classmethod
+    def _largest_row_sum(cls, connection: np.ndarray) -> int:
+        """The largest sum of a row's finite costs, once the matrix is
+        checked to hold only non-negative integers and ``inf``."""
+        held, largest = cls._checked
+        if connection is held:
+            return largest
+        if np.any(connection < 0):
+            raise ValueError("costs must be non-negative")
+        if not np.array_equal(np.floor(connection), connection):
+            raise ValueError("connection costs must be integers or inf")
+        finite = np.isfinite(connection)
+        largest = int(np.sum(connection, axis=1, where=finite).max())
+        if connection.flags.owndata and not connection.flags.writeable:
+            cls._checked = (connection, largest)
+        return largest
 
     @property
     def num_facilities(self) -> int:
-        return int(self.facility_costs.shape[0])
+        return int(self.opening_num.shape[0])
 
     @property
     def num_clients(self) -> int:
         return int(self.connection_costs.shape[1])
 
     def openable_facilities(self) -> np.ndarray:
-        """Indices of facilities with finite opening cost."""
-        return np.flatnonzero(np.isfinite(self.facility_costs))
+        """Indices of facilities that can open (non-zero denominator)."""
+        return np.flatnonzero(self.opening_den)
 
     def is_feasible(self) -> bool:
         """True iff every client can reach some openable facility finitely."""

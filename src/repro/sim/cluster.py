@@ -61,14 +61,12 @@ class EdgeCluster:
         online = self.network.online_nodes()
         for _ in range(max_resamples):
             self.mobility.advance_epoch(self.topology)
-            self.network.reapply_offline()
             if self.topology.is_connected_subset(online):
                 return
         # No connected sample found (fragile bridge in the home layout):
         # snap back to the home positions, which are connected by
         # construction.  Nodes simply spent this epoch near home.
         self.mobility.reset_to_homes(self.topology)
-        self.network.reapply_offline()
 
     def longest_chain_node(self) -> EdgeNode:
         """The node holding the longest chain (metric reference chain)."""

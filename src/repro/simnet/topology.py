@@ -186,10 +186,9 @@ class Topology:
         #: Identity of the current position-derived (full) edge set; lets a
         #: mobility epoch that didn't change connectivity keep every cache.
         self._edge_key: Optional[bytes] = None
-        #: Nodes whose edges were stripped (offline): while non-empty the
-        #: graph differs from the full unit-disk graph, so mobility epochs
-        #: must rebuild even when the full edge set is unchanged.
-        self._stripped: set = set()
+        #: Offline nodes: they keep their index and position but no edge,
+        #: across every rebuild, until :meth:`restore_node`.
+        self._offline: Set[int] = set()
         self._set_edges(self._full_edges(self._coords()))
 
     def __getstate__(self) -> Dict[str, Any]:
@@ -229,14 +228,16 @@ class Topology:
         return np.array([(p.x, p.y) for p in self._positions], dtype=np.float64)
 
     def _set_edges(self, edges: np.ndarray) -> None:
-        """Replace the graph by the full unit-disk edge set ``edges``."""
+        """Replace the graph by the full unit-disk edge set ``edges``,
+        less every edge of an offline node."""
+        self._edge_key = edges.tobytes()
+        if self._offline:
+            edges = edges[~np.isin(edges, list(self._offline)).any(axis=1)]
         adj: List[Dict[int, None]] = [{} for _ in self._positions]
         for i, j in edges.tolist():
             adj[i][j] = None
             adj[j][i] = None
         self._adj = adj
-        self._edge_key = edges.tobytes()
-        self._stripped.clear()
         self._invalidate()
 
     def _invalidate(self) -> None:
@@ -247,17 +248,15 @@ class Topology:
         """Replace all node positions (mobility epoch).
 
         Caches (hop matrix, route trees, the graph itself) are kept when
-        the move didn't change the unit-disk edge set — the common case for
-        the paper's 30 m wander inside a 70 m radio range — and invalidated
-        otherwise.  Offline nodes force a rebuild because the historical
-        contract is that a rebuild restores their edges (the simulation
-        re-strips them via ``Network.reapply_offline``).
+        no node is offline and the move didn't change the unit-disk edge
+        set — the common case for the paper's 30 m wander inside a 70 m
+        radio range — and rebuilt otherwise.  Offline nodes stay unlinked.
         """
         if len(positions) != len(self._positions):
             raise ValueError("node count cannot change via update_positions")
         self._positions = list(positions)
         edges = self._full_edges(self._coords())
-        if not self._stripped and edges.tobytes() == self._edge_key:
+        if not self._offline and edges.tobytes() == self._edge_key:
             _obs.add("routing.cache_hit")
             return
         _obs.add("routing.recompute")
@@ -282,25 +281,27 @@ class Topology:
         """Take a node offline (it keeps its index but loses all edges)."""
         if not (0 <= node < len(self._positions)):
             raise KeyError(f"unknown node {node}")
+        self._offline.add(node)
         edges = [(node, other) for other in self._adj[node]]
         if not edges:
             # Nothing to strip — the graph (and every cache) is unchanged.
             _obs.add("routing.cache_hit")
             return
         self.remove_edges(edges)
-        self._stripped.add(node)
 
     def restore_node(self, node: int) -> None:
-        """Bring a node back online, reconnecting edges from its position."""
+        """Bring a node back online, reconnecting edges from its position
+        to every node in range — an offline one too, until the next
+        rebuild unlinks it (the recorded churn run depends on this)."""
         if not (0 <= node < len(self._positions)):
             raise KeyError(f"unknown node {node}")
+        self._offline.discard(node)
         here = self._positions[node]
         edges = [
             (node, other)
             for other, there in enumerate(self._positions)
             if other != node and here.distance_to(there) <= self.comm_range
         ]
-        self._stripped.discard(node)
         if edges:
             self.add_edges(edges)
 

@@ -86,16 +86,6 @@ class Network:
     def online_nodes(self) -> List[int]:
         return [n for n in range(self.topology.node_count) if n not in self._offline]
 
-    def reapply_offline(self) -> None:
-        """Strip offline nodes' edges again after a topology rebuild.
-
-        Mobility epochs rebuild the unit-disk graph from scratch, which
-        would silently re-link nodes whose radios are off; call this after
-        every ``Topology.update_positions``.
-        """
-        for node in self._offline:
-            self.topology.remove_node(node)
-
     # -- unicast ------------------------------------------------------------------
 
     def send(

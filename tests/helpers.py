@@ -15,13 +15,13 @@ is the single home for that boilerplate:
   ``cache_scope`` so a module's tests can share one multi-second run the
   way module-scoped fixtures used to, without re-declaring the fixture
   everywhere;
-* :func:`reference_greedy` — the textbook greedy loop, the differential
-  oracle for :mod:`repro.facility.greedy`;
+* :func:`integer_ufl` — a :class:`~repro.facility.problem.UFLProblem`
+  from integer opening costs (``inf``: cannot open);
+* :func:`reference_greedy` — the textbook greedy loop in floats, the
+  perf guards' comparator for :mod:`repro.facility.greedy` (the
+  correctness oracle is the ``Fraction`` greedy of :mod:`tests.spec`);
 * :func:`reference_scalar_mult` — affine double-and-add, the differential
   oracle for the Jacobian kernel in :mod:`repro.crypto.keys`;
-* :func:`reference_range_distance_costs` — the RDC matrix built through
-  three n×n temporaries, the differential oracle for the in-place build
-  in :mod:`repro.facility.costs`;
 * :func:`reference_satisfies_target` — Eq. 9 through five ``Fraction``
   objects, the differential oracle for the integer cross-multiplication
   in :func:`repro.core.pos.satisfies_target`;
@@ -87,7 +87,7 @@ from repro.sim.runner import (
 )
 from repro.simnet.channel import ChannelModel
 from repro.simnet.engine import EventEngine
-from repro.simnet.topology import UNREACHABLE, Topology, connected_random_positions
+from repro.simnet.topology import Topology, connected_random_positions
 from repro.simnet.transport import Network
 
 #: Hash rate matching the paper's handset (difficulty 4 at 25 s/block).
@@ -261,13 +261,24 @@ def fixed_seed_run(
     return _RUN_CACHE[key]
 
 
-def reference_greedy(problem: UFLProblem) -> UFLSolution:
-    """The textbook greedy loop: differential oracle for ``solve_greedy``.
+def integer_ufl(facility_costs, connection_costs) -> UFLProblem:
+    """An instance whose opening costs are integers, ``inf`` for a
+    facility that cannot open."""
+    facility = np.asarray(facility_costs, dtype=float)
+    closed = facility == math.inf
+    return UFLProblem(
+        np.where(closed, 0.0, facility), (~closed).astype(float), connection_costs
+    )
 
-    This is ``repro.facility.greedy.solve_greedy`` as it stood before the
-    lazy solver replaced it, kept verbatim: every round re-sorts every
-    facility's unassigned clients and scans for the cheapest star.  The
-    production solver must return bit-identical solutions.
+
+def reference_greedy(problem: UFLProblem) -> UFLSolution:
+    """The textbook greedy loop: the perf guards' comparator for ``solve_greedy``.
+
+    Every round re-sorts every facility's unassigned clients and scans for
+    the cheapest star, each ratio ``(num + den·Σc) / (den·k)`` divided
+    once from exact integers, so plain ``<`` decides as
+    :func:`tests.spec.greedy` does.  The production solver must return the
+    same solutions, many times faster.
 
     Raises
     ------
@@ -280,7 +291,6 @@ def reference_greedy(problem: UFLProblem) -> UFLSolution:
 
     num_facilities = problem.num_facilities
     num_clients = problem.num_clients
-    facility_costs = problem.facility_costs.copy()
     connection = problem.connection_costs
 
     unassigned: Set[int] = set(range(num_clients))
@@ -292,8 +302,11 @@ def reference_greedy(problem: UFLProblem) -> UFLSolution:
         best_choice: Optional[Tuple[int, List[int]]] = None
         unassigned_list = sorted(unassigned)
         for facility in range(num_facilities):
-            opening_cost = 0.0 if opened[facility] else facility_costs[facility]
-            if not math.isfinite(opening_cost):
+            if opened[facility]:
+                num, den = 0.0, 1.0
+            else:
+                num, den = problem.opening_num[facility], problem.opening_den[facility]
+            if not den:
                 continue
             costs = connection[facility, unassigned_list]
             finite_mask = np.isfinite(costs)
@@ -304,13 +317,12 @@ def reference_greedy(problem: UFLProblem) -> UFLSolution:
             ]
             finite_costs = costs[finite_mask]
             order = np.argsort(finite_costs, kind="stable")
-            sorted_costs = finite_costs[order]
-            prefix = np.cumsum(sorted_costs)
-            counts = np.arange(1, len(sorted_costs) + 1)
-            ratios = (opening_cost + prefix) / counts
+            prefix = np.cumsum(finite_costs[order])
+            counts = np.arange(1, len(prefix) + 1)
+            ratios = (num + den * prefix) / (den * counts)
             k = int(np.argmin(ratios))
             ratio = float(ratios[k])
-            if ratio < best_ratio - 1e-12:
+            if ratio < best_ratio:
                 star_clients = [finite_clients[idx] for idx in order[: k + 1]]
                 best_ratio = ratio
                 best_choice = (facility, star_clients)
@@ -347,24 +359,6 @@ def reference_scalar_mult(point: CurvePoint, scalar: int) -> CurvePoint:
         addend = addend + addend
         k >>= 1
     return result
-
-
-def reference_range_distance_costs(
-    hop_matrix: np.ndarray, ranges: Sequence[float], hop_scale: float = 1.0
-) -> np.ndarray:
-    """Three n×n temporaries: differential oracle for the in-place RDC.
-
-    The body of ``repro.facility.costs.range_distance_costs`` as it stood
-    before it built its result in place, kept verbatim minus the argument
-    checks.  The production matrix must equal it bit for bit.
-    """
-    hops = np.asarray(hop_matrix, dtype=float)
-    range_arr = np.asarray(ranges, dtype=float)
-    cost = hops * hop_scale
-    cost[hops == UNREACHABLE] = math.inf
-    cost = cost + range_arr[:, None] + range_arr[None, :]
-    np.fill_diagonal(cost, 0.0)
-    return cost
 
 
 def reference_satisfies_target(

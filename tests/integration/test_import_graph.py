@@ -30,8 +30,9 @@ _SMALL_INSTANCE = """
 import numpy as np
 from repro.facility import UFLProblem, solve_lp_rounding, solve_milp
 problem = UFLProblem(
-    facility_costs=np.array([4.0, 3.0, 6.0]),
-    connection_costs=np.array([[1.0, 5.0, 9.0], [6.0, 2.0, 7.0], [8.0, 4.0, 1.5]]),
+    opening_num=np.array([4.0, 3.0, 6.0]),
+    opening_den=np.ones(3),
+    connection_costs=np.array([[1.0, 5.0, 9.0], [6.0, 2.0, 7.0], [8.0, 4.0, 2.0]]),
 )
 """
 

@@ -9,14 +9,15 @@ component instances up to full seeded experiments whose ``chain_digest``
 
 Layers:
 
-* **UFL** — :class:`GreedySolver` vs the textbook loop
-  (:func:`tests.helpers.reference_greedy`) over random replay sequences
-  (facility-cost drift between solves, occasional connection-matrix
-  changes exercising the epoch rebuild).
-* **RDC** — :func:`range_distance_costs`, built in place, vs the
-  three-temporary expression it replaced
-  (:func:`tests.helpers.reference_range_distance_costs`), bit for bit,
-  with unreachable pairs and hop scales other than 1.
+* **UFL** — :class:`GreedySolver` vs the exact textbook greedy of
+  :func:`tests.spec.greedy` (Eq. 3 in ``Fraction``) over integer and
+  small-rational replay sequences (facility-cost drift between solves,
+  occasional connection-matrix changes exercising the epoch rebuild),
+  tie-heavy hop-count instances and a near-tie family (equal in ℚ, split
+  by rounding the opening cost first); the float-order lemma the solver
+  rests on; each star against :func:`tests.spec.star`.
+* **RDC** — :func:`range_distance_costs` vs Eq. 2 in ``Fraction``
+  (:func:`tests.spec.rdc`), with unreachable pairs.
 * **Routing** — vectorised unit-disk edges and the cached BFS hop matrix
   vs the nested-loop + networkx reference, across mobility and churn; and
   every route ``Topology`` picks over its own adjacency vs
@@ -51,14 +52,14 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import LifecycleSpec
 from repro.core.pos import mining_delay, satisfies_target
 from repro.crypto.hashing import hash_items
 from repro.facility.costs import build_storage_ufl, range_distance_costs
-from repro.facility.greedy import GreedySolver, _scan_best
+from repro.facility.greedy import GreedySolver
 from repro.facility.problem import UFLProblem
 from repro.sim.runner import ChurnSpec
 from repro.simnet.channel import ChannelModel
@@ -73,18 +74,18 @@ from repro.simnet.topology import (
     random_positions,
 )
 from repro.simnet.transport import Network
+from tests import spec
 from tests.helpers import (
     digest_run,
     reference_greedy,
     reference_hash_items,
-    reference_range_distance_costs,
     reference_satisfies_target,
 )
 
 pytestmark = pytest.mark.fastpath
 
 
-# -- UFL: the solver vs the textbook loop ------------------------------------------------
+# -- UFL: the solver vs the exact textbook greedy -----------------------------------------
 
 
 @st.composite
@@ -105,20 +106,28 @@ def ufl_replay_sequences(draw, max_size=8):
 
 
 def _random_instance(rng, num_f, num_c):
-    connection = rng.uniform(0.0, 30.0, size=(num_f, num_c))
+    """Integer connection costs up to 30 (10 % unreachable) and opening
+    costs ``num/den`` up to 2000 with small denominators."""
+    connection = rng.integers(0, 31, size=(num_f, num_c)).astype(float)
     connection[rng.random((num_f, num_c)) < 0.1] = np.inf
-    facility_costs = rng.uniform(0.0, 2000.0, size=num_f)
-    return facility_costs, connection
+    den = rng.integers(1, 8, size=num_f)
+    num = rng.integers(0, 2000 * den + 1)
+    return num.astype(float), den.astype(float), connection
 
 
 def _hop_count_instance(rng, num_f, num_c):
     """Integer costs as the real RDC has them: ties everywhere, >=30 % of
-    the pairs unreachable, and some facilities full (``inf`` to open)."""
+    the pairs unreachable, and some facilities full (denominator 0)."""
     connection = rng.integers(0, 6, size=(num_f, num_c)).astype(float)
     connection[rng.random((num_f, num_c)) < rng.uniform(0.3, 0.6)] = np.inf
-    facility_costs = rng.integers(0, 8, size=num_f) * rng.choice([0.5, 1.0, 100.0])
-    facility_costs[rng.random(num_f) < 0.2] = np.inf
-    return facility_costs, connection
+    num = rng.integers(0, 8, size=num_f) * rng.choice([1.0, 100.0])
+    den = np.full(num_f, rng.choice([1.0, 2.0]))
+    den[rng.random(num_f) < 0.2] = 0.0
+    return num, den, connection
+
+
+def _problem(num, den, connection):
+    return UFLProblem(num.copy(), den.copy(), connection.copy())
 
 
 def _assert_same_solution(actual, expected):
@@ -126,13 +135,9 @@ def _assert_same_solution(actual, expected):
     assert actual.assignment == expected.assignment
 
 
-def _sequential_scan(ratio):
-    """The textbook loop's facility scan, verbatim."""
-    best_ratio, best = math.inf, -1
-    for index, value in enumerate(ratio):
-        if value < best_ratio - 1e-12:
-            best_ratio, best = value, index
-    return best
+def _assert_solves_eq3(solution, problem):
+    """The solver's answer is the exact textbook greedy's, in ℚ."""
+    assert (solution.open_facilities, solution.assignment) == spec.greedy(problem)
 
 
 @st.composite
@@ -147,17 +152,10 @@ def star_instances(draw, max_size=25):
     return seed, num_f, num_c, count
 
 
-def _full_width_stars(solver, rows, unassigned, opening):
-    """``_stars`` over the full cached rows, masked: the formula the
-    solver used before it learned to skip the assigned columns, kept as
-    the oracle."""
-    keep = unassigned[solver._order2d[rows]]
-    prefix = np.cumsum(np.where(keep, solver._sorted2d[rows], 0.0), axis=1)
-    ratios = np.full(keep.shape, np.inf)
-    np.divide(
-        opening[:, None] + prefix, np.cumsum(keep, axis=1), out=ratios, where=keep
-    )
-    return ratios.min(axis=1), np.argmin(ratios, axis=1)
+def _open_as_inf(num, den):
+    """The solver's working opening costs: ``inf / 1`` for a facility
+    that cannot open."""
+    return np.where(den > 0, num, np.inf), np.maximum(den, 1.0)
 
 
 class TestIncrementalUFLEquivalence:
@@ -167,56 +165,48 @@ class TestIncrementalUFLEquivalence:
         seed, num_f, num_c, steps, epoch_changes = sequence
         rng = np.random.default_rng(seed)
         solver = GreedySolver()
-        facility_costs, connection = _random_instance(rng, num_f, num_c)
+        num, den, connection = _random_instance(rng, num_f, num_c)
         change_at = set(
             rng.integers(1, steps, size=epoch_changes).tolist()
         ) if epoch_changes else set()
         for step in range(steps):
             if step in change_at:
-                _, connection = _random_instance(rng, num_f, num_c)
+                _, _, connection = _random_instance(rng, num_f, num_c)
             # FDC drift: the previous winners' loads went up a slot.
-            bump = rng.integers(0, num_f)
-            facility_costs = facility_costs.copy()
-            facility_costs[bump] += rng.uniform(0.0, 50.0)
-            problem = UFLProblem(
-                facility_costs=facility_costs.copy(),
-                connection_costs=connection.copy(),
-            )
+            num = num.copy()
+            num[rng.integers(0, num_f)] += rng.integers(0, 51)
+            problem = _problem(num, den, connection)
             if not problem.is_feasible():
                 continue
-            expected = reference_greedy(problem)
-            actual = solver.solve(problem)
-            assert actual.open_facilities == expected.open_facilities
-            assert actual.assignment == expected.assignment
+            _assert_solves_eq3(solver.solve(problem), problem)
 
     @settings(max_examples=60, deadline=None)
     @given(ufl_replay_sequences(max_size=40))
     def test_tie_heavy_replay_matches_greedy_exactly(self, sequence):
         # Where a lazy round could silently diverge: equal ratios (the
-        # first-minimum and 1e-12 tie-breaks decide), rows that run out
-        # of finite clients mid-solve, facilities that fill up or free up
-        # between solves.
+        # first-minimum tie-breaks decide), rows that run out of finite
+        # clients mid-solve, facilities that fill up or free up between
+        # solves.
         seed, num_f, num_c, steps, epoch_changes = sequence
         rng = np.random.default_rng(seed)
         solver = GreedySolver()
-        facility_costs, connection = _hop_count_instance(rng, num_f, num_c)
+        num, den, connection = _hop_count_instance(rng, num_f, num_c)
         change_at = set(rng.integers(1, steps, size=epoch_changes).tolist())
         for step in range(steps):
             if step in change_at:
-                _, connection = _hop_count_instance(rng, num_f, num_c)
-            facility_costs = facility_costs.copy()
+                _, _, connection = _hop_count_instance(rng, num_f, num_c)
+            num, den = num.copy(), den.copy()
             bump = rng.integers(0, num_f)
-            if np.isfinite(facility_costs[bump]):
-                facility_costs[bump] += rng.integers(0, 3)
+            if den[bump]:
+                num[bump] += rng.integers(0, 3)
             else:
-                facility_costs[bump] = rng.choice([0.0, 3.0, np.inf])
-            problem = UFLProblem(
-                facility_costs=facility_costs.copy(),
-                connection_costs=connection.copy(),
-            )
+                num[bump], den[bump] = [(0.0, 1.0), (3.0, 1.0), (0.0, 0.0)][
+                    rng.integers(0, 3)
+                ]
+            problem = _problem(num, den, connection)
             if not problem.is_feasible():
                 continue
-            _assert_same_solution(solver.solve(problem), reference_greedy(problem))
+            _assert_solves_eq3(solver.solve(problem), problem)
 
     def test_geometric_120_node_replay_matches_greedy(self):
         # The production shape: RDC from a random geometric topology via
@@ -229,98 +219,107 @@ class TestIncrementalUFLEquivalence:
         used = rng.integers(0, 60, size=n).astype(float)
         used[rng.choice(n, size=6, replace=False)] = 250.0
         solver = GreedySolver()
-        for _ in range(20):
+        for step in range(20):
             problem = build_storage_ufl(used, total, hops, [30.0] * n)
             solution = solver.solve(problem)
+            # The textbook loop in floats decides as the spec does (it
+            # divides the same exact integers); the spec, 25× slower
+            # still, checks the first placement.
+            if step == 0:
+                _assert_solves_eq3(solution, problem)
             _assert_same_solution(solution, reference_greedy(problem))
             for node in solution.open_facilities:
                 used[node] += 1.0
         assert solver.epoch_rebuilds == 1
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
-        st.lists(
-            st.one_of(st.none(), st.integers(min_value=-12, max_value=12)),
-            min_size=1,
-            max_size=60,
-        )
+        st.integers(min_value=2, max_value=2**26),
+        st.integers(min_value=1, max_value=2**26),
+        st.integers(min_value=1, max_value=2**26),
     )
-    def test_record_scan_equals_sequential_scan(self, steps):
-        # Ratios 0.4e-12 apart: several sit inside one 1e-12 tolerance
-        # band, so which one wins depends on the scan order.
-        ratio = np.array(
-            [np.inf if step is None else 1.0 + 0.4e-12 * step for step in steps]
-        )
-        assert _scan_best(ratio) == _sequential_scan(ratio)
+    def test_float_order_is_the_exact_order_below_the_bound(self, q, p, scale):
+        # The lemma the solver rests on.  p/q and its Farey neighbour
+        # p2/q2 (p·q2 − p2·q = 1) are the closest two ratios with such
+        # denominators can be; with every numerator times every
+        # denominator below 2**52, one correctly rounded division each
+        # keeps them apart, in the right order — and equal ratios equal.
+        assume(math.gcd(p, q) == 1 and p < q)
+        q2 = pow(p, -1, q)
+        p2 = (p * q2 - 1) // q
+        assert Fraction(p, q) - Fraction(p2, q2) == Fraction(1, q * q2)
+        assert max(p, p2) * max(q, q2) < 2**52
+        ratio = np.array([p, p2, p * scale]) / np.array([q, q2, q * scale])
+        assert ratio[0] > ratio[1]
+        if p * scale * q * scale < 2**52:
+            assert ratio[2] == ratio[0]
 
-    @pytest.mark.parametrize(
-        "ratio",
-        [
-            1.0 - 0.4e-12 * np.arange(400),  # descending: every index a record
-            np.where(np.arange(400) % 2, 7.0, 1.0 - 0.4e-12 * np.arange(400)),
-            np.where(np.arange(400) % 3, 1.0 - 0.4e-12 * np.arange(400), np.inf),
-            (1.0 - 0.4e-12 * np.arange(400))[::-1].copy(),
-            np.full(5, np.inf),
-        ],
-        ids=["descending", "interleaved", "inf-interleaved", "ascending", "all-inf"],
-    )
-    def test_record_scan_on_adversarial_ratios(self, ratio):
-        assert _scan_best(ratio) == _sequential_scan(ratio)
+    def test_float_order_can_fail_past_the_bound(self):
+        # Why the bound is checked: Farey neighbours with denominators
+        # near 2**30 round to the same double.
+        q = 2**30 + 3
+        p = 2**30 - 1
+        q2 = pow(p, -1, q)
+        p2 = (p * q2 - 1) // q
+        assert Fraction(p, q) != Fraction(p2, q2)
+        assert p / q == p2 / q2
 
     @settings(max_examples=200, deadline=None)
     @given(star_instances())
     def test_stars_equal_the_full_width_masked_formula(self, instance):
-        # ``_stars`` sorts the unassigned positions instead of masking the
-        # full rows; the answer is bitwise what the masked formula gives.
+        # ``_stars`` sorts the unassigned positions of the cached rows;
+        # each facility's star is the spec's best star over its full row
+        # masked to the unassigned clients, its ratio that star's exact
+        # average correctly rounded.
         seed, num_f, num_c, unassigned_count = instance
         rng = np.random.default_rng(seed)
         build = _hop_count_instance if seed % 2 else _random_instance
-        facility_costs, connection = build(rng, num_f, num_c)
+        num, den, connection = build(rng, num_f, num_c)
         connection[rng.random(num_f) < 0.2] = np.inf  # rows reaching no one
+        problem = _problem(num, den, connection)
         solver = GreedySolver()
-        solver._reset_epoch(
-            UFLProblem(facility_costs=facility_costs, connection_costs=connection)
-        )
+        solver._reset_epoch(problem)
         unassigned = np.zeros(num_c, dtype=bool)
         unassigned[rng.choice(num_c, size=unassigned_count, replace=False)] = True
         rows = np.flatnonzero(rng.random(num_f) < 0.7)
         if not rows.size:
             rows = np.arange(num_f)
-        opening = facility_costs[rows]
-        ratio, kpos, size = solver._stars(rows, unassigned, opening)
-        expected_ratio, expected_kpos = _full_width_stars(
-            solver, rows, unassigned, opening
+        work_num, work_den = _open_as_inf(num, den)
+        ratio, kpos, size = solver._stars(
+            rows, unassigned, work_num[rows], work_den[rows]
         )
-        assert ratio.tobytes() == expected_ratio.tobytes()
-        assert kpos.tolist() == expected_kpos.tolist()
-        # The star's size is the unassigned clients up to kpos.
-        kept = unassigned[solver._order2d[rows]]
-        served = np.cumsum(kept, axis=1)[np.arange(rows.size), kpos]
-        finite = np.isfinite(ratio)
-        assert size[finite].tolist() == served[finite].tolist()
+        opening = spec.opening_costs(problem)
+        exact = spec.connection_costs(problem)
+        clients_left = set(np.flatnonzero(unassigned).tolist())
+        for row, r, k, s in zip(rows, ratio, kpos, size):
+            best = spec.star(opening[row], exact[row], clients_left)
+            if best is None:
+                assert r == np.inf and k == 0
+                continue
+            average, clients = best
+            assert r == float(average)
+            head = solver._order2d[row, : k + 1]
+            assert head[unassigned[head]].tolist() == clients
+            assert s == len(clients)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_star_survives_unless_it_lost_a_client(self, seed):
         # What lets a round skip work: removing clients never lowers a
-        # facility's ratio, and leaves (ratio, kpos) bitwise alone when
-        # none of them sat at or before the star's last position.
+        # facility's ratio, and leaves (ratio, kpos) alone when none of
+        # them sat at or before the star's last position.
         rng = np.random.default_rng(seed)
         num_f, num_c = int(rng.integers(2, 30)), int(rng.integers(2, 30))
-        facility_costs, connection = _hop_count_instance(rng, num_f, num_c)
-        problem = UFLProblem(
-            facility_costs=facility_costs, connection_costs=connection
-        )
+        num, den, connection = _hop_count_instance(rng, num_f, num_c)
         solver = GreedySolver()
-        solver._reset_epoch(problem)
+        solver._reset_epoch(_problem(num, den, connection))
         everyone = np.arange(num_f)
+        work = _open_as_inf(num, den)
         unassigned = rng.random(num_c) < 0.8
-        ratio, kpos, size = solver._stars(everyone, unassigned, facility_costs)
+        ratio, kpos, size = solver._stars(everyone, unassigned, *work)
         removed = np.flatnonzero(unassigned & (rng.random(num_c) < 0.3))
         unassigned[removed] = False
-        new_ratio, new_kpos, new_size = solver._stars(
-            everyone, unassigned, facility_costs
-        )
+        new_ratio, new_kpos, new_size = solver._stars(everyone, unassigned, *work)
         assert (new_ratio >= ratio).all()
         kept = ~(solver._pos_t[removed] <= kpos).any(axis=0)
         kept &= np.isfinite(ratio)
@@ -332,18 +331,12 @@ class TestIncrementalUFLEquivalence:
         rng = np.random.default_rng(9)
         solver = GreedySolver()
         for _ in range(3):  # three epochs: each first solve rebuilds
-            facility_costs, connection = _random_instance(rng, 6, 6)
+            num, den, connection = _random_instance(rng, 6, 6)
             for _ in range(4):
-                facility_costs = facility_costs.copy()
-                facility_costs[rng.integers(0, 6)] += 25.0
-                problem = UFLProblem(
-                    facility_costs=facility_costs.copy(),
-                    connection_costs=connection.copy(),
-                )
-                assert (
-                    solver.solve(problem).open_facilities
-                    == reference_greedy(problem).open_facilities
-                )
+                num = num.copy()
+                num[rng.integers(0, 6)] += 25 * den.max()
+                problem = _problem(num, den, connection)
+                _assert_solves_eq3(solver.solve(problem), problem)
         assert solver.epoch_rebuilds == 3
 
 
@@ -359,23 +352,78 @@ def certain_round_instances(draw, max_size=24):
     return seed, size, steps
 
 
-def _cheapest_pair(rng, facility_costs):
+def _cheapest_pair(rng, num, den):
     """Two distinct facilities made the strict two cheapest: a run of one-client
     stars the batch rule must take (their own clients, all else dearer)."""
-    first, second = rng.choice(facility_costs.size, size=2, replace=False)
-    facility_costs[second] = 0.25 * facility_costs.min()
-    facility_costs[first] = 0.0
+    first, second = rng.choice(num.size, size=2, replace=False)
+    least = int(np.argmin(num / den))
+    num[second], den[second] = num[least], 4 * den[least]
+    num[first], den[first] = 0.0, 1.0
     return first, second
 
 
-def _boundary_singletons(rng, n):
-    """One-client stars whose ratios sit 0.4e-12 apart on both sides of the
-    batch boundary: openings near ``1 - 1e-12`` against next costs near 1."""
-    connection = 1.0 + 0.4e-12 * rng.integers(-3, 4, size=(n, n))
+def _near_ties(rng, n):
+    """Stars equal in ℚ that rounding the opening cost first splits apart.
+
+    Facility ``t`` opens for ``o = num/den`` and reaches ``u`` at ``c <
+    o``: its best star is itself and ``u``, averaging ``(o + c)/2``.
+    ``u`` opens alone for exactly that, as ``(num + den·c) / (2·den)``.
+    Whichever of the two comes first in index order wins the tie and
+    decides the open set: ``t`` takes ``u``'s client, or ``u`` opens and
+    ``t`` then opens alone.  Every pair is drawn so that the float
+    program ``(fl(o) + c) / 2`` against ``fl((num + den·c) / (2·den))``
+    tells the two apart; the exact ratios do not.  Two free facilities
+    open first, as one batch.
+    """
+    n = max(n, 4)
+    far = 10**4
+    connection = np.full((n, n), float(far))
     np.fill_diagonal(connection, 0.0)
-    facility_costs = 1.0 - 1e-12 + 0.4e-12 * rng.integers(-3, 4, size=n)
-    facility_costs[rng.choice(n, size=2, replace=False)] = [0.5, 0.5 + 0.4e-12]
-    return facility_costs, connection
+    num = np.full(n, float(far))
+    den = np.ones(n)
+    order = rng.permutation(n)
+    num[order[:2]] = 0.0  # two free facilities: a batch before the ties
+    for t, u in zip(order[2::2], order[3::2]):
+        while True:
+            d = int(rng.choice([3, 7, 9, 11, 13, int(rng.integers(50, 250))]))
+            c = int(rng.integers(1, 200))
+            o_num = c * d + int(rng.integers(1, 50 * d))
+            if (o_num / d + c) / 2 != (o_num + d * c) / (2 * d):
+                break
+        connection[t, u] = c
+        num[t], den[t] = o_num, d
+        num[u], den[u] = o_num + d * c, 2 * d
+    return num, den, connection
+
+
+def _inside_the_old_band(rng, n):
+    """Distinct ratios closer than 1e-12, which a tie band would merge.
+
+    ``u`` and, after it in index order, ``v`` each reach only client
+    ``x``, at 0, and open for Farey neighbours ``p/q > p2/q2`` whose gap
+    ``1/(q·q2)`` is below 1e-12.  In ℚ ``v`` is cheaper and takes ``x``,
+    so ``u`` never opens; a scan that treats ratios within 1e-12 as tied
+    keeps the first, ``u``.  Hub ``h`` serves clients ``u`` and ``v``;
+    every other facility serves its own client, for 5.
+    """
+    n = max(n, 4)
+    while True:
+        q = int(rng.integers(2**20, 2**21))
+        p = int(rng.integers(1, q))
+        q2 = pow(p, -1, q) if math.gcd(p, q) == 1 else 0
+        if q * q2 > 10**12:
+            break
+    p2 = (p * q2 - 1) // q
+    picks = rng.choice(n, size=4, replace=False)
+    (u, v), h, x = sorted(picks[:2]), picks[2], picks[3]
+    connection = np.full((n, n), np.inf)
+    np.fill_diagonal(connection, 0.0)
+    connection[[u, v]] = np.inf
+    connection[[u, v], x] = 0.0
+    connection[h, [u, v]] = 0.0
+    num, den = np.full(n, 5.0), np.ones(n)
+    num[[u, v]], den[[u, v]] = [p, p2], [q, q2]
+    return num, den, connection
 
 
 def _shared_singletons(rng, n):
@@ -384,12 +432,12 @@ def _shared_singletons(rng, n):
     connection = 10.0 + rng.integers(0, 3, size=(n, n)).astype(float)
     targets = rng.integers(0, max(2, n // 3), size=n)
     connection[np.arange(n), targets] = 0.0
-    facility_costs = 0.5 * rng.integers(1, 5, size=n)
-    first, second = _cheapest_pair(rng, facility_costs)
+    num, den = rng.integers(1, 5, size=n).astype(float), np.full(n, 2.0)
+    first, second = _cheapest_pair(rng, num, den)
     targets[second] = (targets[first] + 1) % n
     connection[second] = 10.0
     connection[second, targets[second]] = 0.0
-    return facility_costs, connection
+    return num, den, connection
 
 
 def _short_rows(rng, n):
@@ -398,9 +446,9 @@ def _short_rows(rng, n):
     connection = rng.integers(5, 8, size=(n, n)).astype(float)
     connection[rng.random((n, n)) < rng.uniform(0.7, 1.0)] = np.inf
     np.fill_diagonal(connection, 0.0)
-    facility_costs = 0.5 * rng.integers(1, 5, size=n)
-    _cheapest_pair(rng, facility_costs)
-    return facility_costs, connection
+    num, den = rng.integers(1, 5, size=n).astype(float), np.full(n, 2.0)
+    _cheapest_pair(rng, num, den)
+    return num, den, connection
 
 
 def _zero_diagonal(rng, n):
@@ -409,92 +457,63 @@ def _zero_diagonal(rng, n):
     connection = rng.integers(1, 6, size=(n, n)).astype(float)
     connection[rng.random((n, n)) < 0.3] = np.inf
     np.fill_diagonal(connection, 0.0)
-    facility_costs = rng.integers(1, 8, size=n) * rng.choice([0.5, 1.0])
-    _cheapest_pair(rng, facility_costs)
-    return facility_costs, connection
+    num = rng.integers(1, 8, size=n).astype(float)
+    den = np.full(n, rng.choice([2.0, 1.0]))
+    _cheapest_pair(rng, num, den)
+    return num, den, connection
 
 
 def _stale_beside_the_run(rng, n):
     """A stale facility whose bound ties the cheapest one-client star.
 
     Round 1 opens ``p`` with client ``y`` — facility ``q``'s star lost
-    ``y`` and keeps its old ratio 2 as a bound.  Round 2's cheapest star
-    is ``s1`` alone at 2, before ``q``; ``q`` really costs 3 now, for
-    itself and ``s2``, whose own star is 3.5.  The textbook loop opens
+    ``y`` and keeps its old ratio 20 as a bound.  Round 2's cheapest star
+    is ``s1`` alone at 20, before ``q``; ``q`` really costs 30 now, for
+    itself and ``s2``, whose own star is 35.  The textbook loop opens
     ``s1``, then ``q`` — taking ``s2``'s client — so ``s2`` never opens:
     the stale bound must stop ``s1``'s batch.  Two free facilities batch
     in round 1; the rest never open.
     """
     n = max(n, 7)
     free_a, free_b, s1, q, p, y, s2 = range(7)
-    connection = np.full((n, n), 50.0)
+    connection = np.full((n, n), 500.0)
     np.fill_diagonal(connection, 0.0)
     connection[p, y] = connection[q, y] = 0.0
-    connection[q, s2] = 2.0
-    facility_costs = np.full(n, 100.0)
-    facility_costs[[free_a, free_b, s1, q, p, s2]] = [0.0, 0.1, 2.0, 4.0, 1.0, 3.5]
+    connection[q, s2] = 20.0
+    num = np.full(n, 1000.0)
+    num[[free_a, free_b, s1, q, p, s2]] = [0.0, 1.0, 20.0, 40.0, 10.0, 35.0]
     order = rng.permutation(n)
     first, second = np.flatnonzero(order == s1)[0], np.flatnonzero(order == q)[0]
     if first > second:  # s1 must come before q in the scan
         order[first], order[second] = q, s1
-    scale = 2.0 ** rng.integers(-3, 4)
-    return scale * facility_costs[order], scale * connection[np.ix_(order, order)]
+    scale = 2 ** int(rng.integers(0, 4))
+    return scale * num[order], np.ones(n), scale * connection[np.ix_(order, order)]
 
 
-def _cut_inside_the_band(rng, n):
-    """The facility that ends the run ties its last star within 1e-12.
+def _bound_ties_a_price(rng, n):
+    """A post-opening bound equal to a closed facility's price.
 
-    ``s`` (free) and ``y`` (ratio 1) are one-client stars; ``x`` comes
-    before ``y`` and its two-client star — itself and ``y`` — averages
-    1 + 0.4e-12.  The textbook loop opens ``s``, then ``x``, whose star
-    takes ``y``'s client, so ``y`` never opens: the next exact ratio
-    must stop ``s``'s batch before ``y``.
+    Facility ``a`` opens free with its own client, then reaches every
+    other client at ``c``: its next star averages exactly ``c``, the
+    bound itself.  ``b`` opens alone for exactly ``c`` too.  The tie goes
+    to the lower index — ``a`` handing ``b``'s client over, or ``b``
+    opening — so ``b`` must not join ``a``'s batch: the bound must be
+    strictly above every member.
     """
     n = max(n, 4)
-    s, x, y = range(3)
-    connection = np.full((n, n), 50.0)
-    np.fill_diagonal(connection, 0.0)
-    connection[x, y] = 0.5
-    facility_costs = np.full(n, 100.0)
-    facility_costs[[s, x, y]] = [0.0, 1.5 + 0.8e-12, 1.0]
-    order = rng.permutation(n)
-    first, second = np.flatnonzero(order == x)[0], np.flatnonzero(order == y)[0]
-    if first > second:  # x must come before y in the scan
-        order[first], order[second] = y, x
-    scale = 2.0 ** rng.integers(-3, 1)  # up to 1: the band is absolute
-    return scale * facility_costs[order], scale * connection[np.ix_(order, order)]
-
-
-def _rounded_down_average(rng, n):
-    """Equal, non-representable costs whose float average rounds below them.
-
-    Facility ``a`` opens alone and then reaches n - 2 clients at ``c``; the
-    float average of those costs falls under ``c``.  One of them, ``b``,
-    opens alone for a price between that average and ``c - 1e-12``, so
-    the textbook loop hands ``b`` to ``a`` before ``b`` can open: only the
-    ``(n+2)·2⁻⁵²`` margin of ``a``'s post-opening bound keeps ``b`` out
-    of ``a``'s batch.
-    """
-    n = max(n, 12)
-    count = np.arange(1, n - 1)
-    while True:
-        c = rng.uniform(1e4, 1e8)
-        average = (np.cumsum(np.full(n - 2, c)) / count).min()
-        price = (average + c) / 2
-        if average < price - 1e-12 and price < c - 1e-12:
-            break
-    connection = np.full((n, n), 1e12)
+    c = int(rng.integers(1, 10**4))
+    connection = np.full((n, n), 10.0**6)
     np.fill_diagonal(connection, 0.0)
     connection[0, 1:] = c
-    facility_costs = np.full(n, 1e12)
-    facility_costs[0], facility_costs[1] = 0.0, price
+    num = np.full(n, 10.0**6)
+    num[0], num[1] = 0.0, c
     order = rng.permutation(n)
-    return facility_costs[order], connection[np.ix_(order, order)]
+    return num[order], np.ones(n), connection[np.ix_(order, order)]
 
 
 class TestCertainRoundsEquivalence:
     """The rounds taken at once (a run of one-client stars; the tail once no
-    closed facility can win) stay bit-identical to the textbook loop.
+    closed facility can win) decide as the exact textbook greedy does.
 
     Each family builds instances that make its rule fire — the solver's
     counter proves it did — around the edge the rule's argument rests on.
@@ -503,40 +522,37 @@ class TestCertainRoundsEquivalence:
     @staticmethod
     def _replay(build, seed, size, steps):
         rng = np.random.default_rng(seed)
-        facility_costs, connection = build(rng, size)
+        num, den, connection = build(rng, size)
         solver = GreedySolver()
         for _ in range(steps):
-            problem = UFLProblem(
-                facility_costs=facility_costs.copy(),
-                connection_costs=connection.copy(),
-            )
-            _assert_same_solution(solver.solve(problem), reference_greedy(problem))
-            # Drift one opening cost by a tie-sized step, as the allocator's
-            # loads do between placements.
-            facility_costs = facility_costs.copy()
-            facility_costs[rng.integers(0, size)] += 0.4e-12 * rng.integers(-2, 3)
-            np.maximum(facility_costs, 0.0, out=facility_costs)
+            problem = _problem(num, den, connection)
+            _assert_solves_eq3(solver.solve(problem), problem)
+            # Drift one opening cost by the least step its denominator
+            # allows, as the allocator's loads do between placements.
+            num = num.copy()
+            num[rng.integers(0, size)] += rng.integers(-2, 3)
+            np.maximum(num, 0.0, out=num)
         return solver
 
     @pytest.mark.parametrize(
         "build",
         [
-            _boundary_singletons,
+            _near_ties,
+            _inside_the_old_band,
             _shared_singletons,
             _short_rows,
             _zero_diagonal,
             _stale_beside_the_run,
-            _cut_inside_the_band,
-            _rounded_down_average,
+            _bound_ties_a_price,
         ],
         ids=[
-            "boundary-0.4e-12",
+            "near-ties",
+            "inside-the-old-band",
             "shared-client",
             "rows-run-out",
             "zero-diagonal",
             "stale-beside-the-run",
-            "cut-inside-the-band",
-            "rounded-down-average",
+            "bound-ties-a-price",
         ],
     )
     @settings(max_examples=40, deadline=None)
@@ -548,16 +564,17 @@ class TestCertainRoundsEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(
         certain_round_instances(),
-        st.sampled_from([1.0, 3.0, 61.0, 1000.1, 4096.3, 10000.1, 12345.678]),
+        st.sampled_from([1, 3, 61, 1000, 4096, 10000, 12345]),
+        st.sampled_from([1, 3, 7, 250]),
         st.integers(min_value=-2, max_value=2),
     )
-    def test_tail_exit_at_the_tie_band_matches_greedy_exactly(
-        self, instance, reuse_cost, ulps
+    def test_tail_exit_at_a_tie_matches_the_spec(
+        self, instance, reuse_cost, den, steps
     ):
         # Facility ``a`` opens on its own clients and reaches every other
         # client at ``reuse_cost``; closed facility ``b``'s one-client star
-        # costs ``reuse_cost + 1e-12`` give or take a few ulps — exactly
-        # the edge of the tail exit — and then a clear 1.0 above it.
+        # costs ``reuse_cost`` give or take ``steps / den`` — exactly the
+        # edge of the tail exit, a tie included — and then 1 above it.
         seed, size, _ = instance
         rng = np.random.default_rng(seed)
         a, b = rng.choice(size, size=2, replace=False)
@@ -566,53 +583,43 @@ class TestCertainRoundsEquivalence:
         connection = np.full((size, size), np.inf)
         connection[a] = reuse_cost
         connection[a, own] = 0.0
-        connection[b] = 1e9
+        connection[b] = 10**6
         connection[b, lone] = 0.0
-        edge = reuse_cost + 1e-12
-        for _ in range(abs(ulps)):
-            edge = np.nextafter(edge, np.inf if ulps > 0 else -np.inf)
         solver = GreedySolver()
-        for b_cost in (edge, reuse_cost + 1.0):
-            facility_costs = np.full(size, np.inf)
-            facility_costs[a], facility_costs[b] = 0.5, b_cost
-            problem = UFLProblem(
-                facility_costs=facility_costs, connection_costs=connection
-            )
-            _assert_same_solution(solver.solve(problem), reference_greedy(problem))
+        near = max(reuse_cost * den + steps, 0)
+        for b_num, b_den in ((near, den), (reuse_cost + 1, 1)):
+            num, opening_den = np.zeros(size), np.zeros(size)
+            num[a], opening_den[a] = 1.0, 2.0
+            num[b], opening_den[b] = b_num, b_den
+            problem = _problem(num, opening_den, connection)
+            _assert_solves_eq3(solver.solve(problem), problem)
         assert solver.tail_exits > 0
 
 
-# -- RDC: built in place vs three temporaries ----------------------------------------
+# -- RDC: Eq. 2 exactly ----------------------------------------------------------------
 
 
-class TestInPlaceRdcEquivalence:
+class TestExactRdc:
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         size=st.integers(min_value=1, max_value=12),
         unreachable=st.floats(0.0, 0.6),
-        hop_scale=st.one_of(
-            st.just(1.0),
-            st.floats(0.0, 100.0),
-            st.sampled_from([70.0, 0.1, 1e-300, 1e300]),
-        ),
         integer_hops=st.booleans(),
     )
-    def test_in_place_rdc_equals_three_temporaries(
-        self, seed, size, unreachable, hop_scale, integer_hops
-    ):
+    def test_rdc_is_eq2_exactly(self, seed, size, unreachable, integer_hops):
         rng = np.random.default_rng(seed)
         hops = rng.integers(0, 8, size=(size, size))
         hops[rng.random((size, size)) < unreachable] = UNREACHABLE
         if not integer_hops:
             hops = hops.astype(float)
         before = hops.copy()
-        ranges = rng.uniform(0.0, 40.0, size=size)
-        ranges[rng.random(size) < 0.2] = 0.0
-        actual = range_distance_costs(hops, ranges, hop_scale=hop_scale)
-        expected = reference_range_distance_costs(hops, ranges, hop_scale=hop_scale)
-        assert actual.dtype == expected.dtype == np.float64
-        assert actual.tobytes() == expected.tobytes()
+        ranges = rng.integers(0, 61, size=size)
+        ranges[rng.random(size) < 0.2] = 0
+        actual = range_distance_costs(hops, ranges.astype(float))
+        assert actual.dtype == np.float64
+        # A double equals a Fraction only when it is that rational exactly.
+        assert actual.tolist() == spec.rdc(hops.astype(int).tolist(), ranges.tolist())
         assert np.array_equal(hops, before)  # the input is never written
 
 
@@ -709,8 +716,9 @@ class TestRoutingCacheEquivalence:
         positions = random_positions(10, rng)
         topology = Topology(positions)
         topology.remove_node(0)
-        topology.update_positions(positions)  # rebuild restores node 0
+        topology.update_positions(positions)  # rebuilt, node 0 still offline
         reference = _reference_graph(positions, topology.comm_range)
+        reference.remove_edges_from(list(reference.edges(0)))
         assert sorted(topology.edges()) == sorted(reference.edges)
 
 
@@ -721,7 +729,7 @@ class _NetworkxTopology:
 
     def __init__(self, positions, comm_range):
         self.comm_range = comm_range
-        self.stripped = set()
+        self.offline = set()
         self.cut = []
         self._build(positions)
 
@@ -729,28 +737,27 @@ class _NetworkxTopology:
         self.positions = list(positions)
         self.graph = _reference_graph(positions, self.comm_range)
         self.full_edges = list(self.graph.edges)
-        self.stripped.clear()
+        for node in self.offline:
+            self.graph.remove_edges_from(list(self.graph.edges(node)))
 
     def update_positions(self, positions):
         full_edges = list(_reference_graph(positions, self.comm_range).edges)
-        if self.stripped or full_edges != self.full_edges:
+        if self.offline or full_edges != self.full_edges:
             self._build(positions)
         else:
             self.positions = list(positions)
 
     def remove_node(self, node):
-        edges = list(self.graph.edges(node))
-        if edges:
-            self.graph.remove_edges_from(edges)
-            self.stripped.add(node)
+        self.graph.remove_edges_from(list(self.graph.edges(node)))
+        self.offline.add(node)
 
     def restore_node(self, node):
+        self.offline.discard(node)
         for other, position in enumerate(self.positions):
             if other != node and (
                 self.positions[node].distance_to(position) <= self.comm_range
             ):
                 self.graph.add_edge(node, other)
-        self.stripped.discard(node)
 
     def partition(self, group_a, group_b):
         set_a, set_b = set(group_a), set(group_b)

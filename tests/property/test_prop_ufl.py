@@ -1,7 +1,6 @@
-"""Property-based tests for the UFL solvers."""
+"""Property-based tests for the UFL solvers, checked against Eq. 3–6 in ℚ."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,25 +9,38 @@ from repro.facility.local_search import solve_local_search
 from repro.facility.lp_rounding import solve_lp_relaxation, solve_lp_rounding
 from repro.facility.mip import solve_milp
 from repro.facility.problem import UFLProblem
+from tests import spec
 
 
 @st.composite
 def ufl_instances(draw, max_facilities=6, max_clients=7):
+    """Integer connection costs up to 10; opening costs up to 20 with
+    denominators up to 4."""
     num_f = draw(st.integers(min_value=1, max_value=max_facilities))
     num_c = draw(st.integers(min_value=1, max_value=max_clients))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
+    den = rng.integers(1, 5, size=num_f)
     return UFLProblem(
-        facility_costs=rng.uniform(0.0, 20.0, size=num_f),
-        connection_costs=rng.uniform(0.0, 10.0, size=(num_f, num_c)),
+        opening_num=rng.integers(0, 20 * den + 1),
+        opening_den=den,
+        connection_costs=rng.integers(0, 11, size=(num_f, num_c)),
     )
+
+
+def _cost(problem, solution):
+    """Eq. 3 of a solution, exactly, once Eq. 4–6 hold."""
+    assert spec.is_solution(problem, solution.open_facilities, solution.assignment)
+    return spec.objective(problem, solution.open_facilities, solution.assignment)
 
 
 class TestSolverProperties:
     @settings(max_examples=30, deadline=None)
     @given(ufl_instances())
     def test_greedy_solution_valid(self, problem):
-        solve_greedy(problem).validate(problem)
+        solution = solve_greedy(problem)
+        solution.validate(problem)
+        assert (solution.open_facilities, solution.assignment) == spec.greedy(problem)
 
     @settings(max_examples=20, deadline=None)
     @given(ufl_instances())
@@ -36,30 +48,31 @@ class TestSolverProperties:
         greedy = solve_greedy(problem)
         improved = solve_local_search(problem)
         improved.validate(problem)
-        assert improved.total_cost(problem) <= greedy.total_cost(problem) + 1e-9
+        assert _cost(problem, improved) <= _cost(problem, greedy)
 
     @settings(max_examples=15, deadline=None)
     @given(ufl_instances())
     def test_lp_rounding_solution_valid(self, problem):
-        solve_lp_rounding(problem).validate(problem)
+        solution = solve_lp_rounding(problem)
+        solution.validate(problem)
+        _cost(problem, solution)
 
     @settings(max_examples=15, deadline=None)
     @given(ufl_instances(max_facilities=5, max_clients=5))
     def test_milp_optimal_bounds_heuristics(self, problem):
-        optimum = solve_milp(problem).total_cost(problem)
+        optimum = _cost(problem, solve_milp(problem))
+        # The LP bound comes from a float solver: its own tolerance.
         lp_bound = solve_lp_relaxation(problem).lower_bound
         assert lp_bound <= optimum + 1e-6
         for solver in (solve_greedy, solve_local_search, solve_lp_rounding):
-            assert solver(problem).total_cost(problem) >= optimum - 1e-6
+            assert _cost(problem, solver(problem)) >= optimum
 
     @settings(max_examples=15, deadline=None)
     @given(ufl_instances(max_facilities=5, max_clients=5))
     def test_greedy_within_approximation_bound(self, problem):
         """Greedy is a 1.861-approximation; check a safe 2x bound."""
-        optimum = solve_milp(problem).total_cost(problem)
-        greedy_cost = solve_greedy(problem).total_cost(problem)
-        if optimum > 0:
-            assert greedy_cost <= 2.0 * optimum + 1e-6
+        optimum = _cost(problem, solve_milp(problem))
+        assert _cost(problem, solve_greedy(problem)) <= 2 * optimum
 
     @settings(max_examples=20, deadline=None)
     @given(ufl_instances())

@@ -1,6 +1,7 @@
 """Unit tests for SystemConfig validation and protocol message sizing."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -62,6 +63,32 @@ class TestSystemConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SystemConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"fdc_weight": 1000.5}, "FDC weight must be a whole number"),
+            ({"fdc_weight": 0.1}, "FDC weight must be a whole number"),
+            (
+                {"mobility_range": 30.5},
+                "mobility range must be a whole number of metres",
+            ),
+            (
+                {"mobility_range": math.inf},
+                "mobility range must be a whole number of metres",
+            ),
+        ],
+    )
+    def test_non_integral_placement_inputs_rejected(self, kwargs, message):
+        # Eq. 1–3 stay integers, so the placement is decided exactly.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SystemConfig(**kwargs)
+
+    @pytest.mark.parametrize("weight", [1, 10, 100, 1000, 10000])
+    @pytest.mark.parametrize("mobility_range", [0, 30, 60])
+    def test_integral_placement_inputs_accepted(self, weight, mobility_range):
+        # The FDC-weight ablation's A and every range a config here uses.
+        SystemConfig(fdc_weight=float(weight), mobility_range=float(mobility_range))
 
     def test_batch_deliveries_is_not_a_field(self):
         with pytest.raises(TypeError):

@@ -13,9 +13,11 @@ from repro.facility.costs import (
     build_storage_ufl,
     fairness_degree_cost,
     fairness_degree_costs,
+    fairness_degree_terms,
     range_distance_costs,
 )
 from repro.simnet.topology import UNREACHABLE
+from tests import spec
 
 
 class TestFairnessDegreeCost:
@@ -60,12 +62,12 @@ class TestFairnessDegreeCost:
         st.lists(
             st.tuples(
                 st.one_of(
-                    st.floats(min_value=-1.0, max_value=300.0),
-                    st.sampled_from([0.0, -0.0, 0.1, 249.9, 250.0, math.inf]),
+                    st.integers(min_value=-1, max_value=300),
+                    st.sampled_from([0, 249, 250]),
                 ),
                 st.one_of(
-                    st.floats(min_value=-1.0, max_value=300.0),
-                    st.sampled_from([0.0, 0.1, 250.0, math.inf]),
+                    st.integers(min_value=-1, max_value=300),
+                    st.sampled_from([0, 1, 250]),
                 ),
             ),
             min_size=1,
@@ -83,6 +85,13 @@ class TestFairnessDegreeCost:
             return
         costs = fairness_degree_costs(used, total)
         assert costs.tobytes() == np.array(expected, dtype=float).tobytes()
+        # Each is Eq. 1 in ℚ, correctly rounded.
+        assert costs.tolist() == [float(spec.fdc(u, t)) for u, t in nodes]
+
+    def test_terms_are_eq1_exactly(self):
+        used, remaining = fairness_degree_terms([0, 50, 250], [250, 250, 250])
+        assert used.tolist() == [0.0, 50.0, 250.0]
+        assert remaining.tolist() == [250.0, 200.0, 0.0]
 
 
 class TestRangeDistanceCost:
@@ -102,11 +111,6 @@ class TestRangeDistanceCost:
         hops = np.array([[0, UNREACHABLE], [UNREACHABLE, 0]])
         cost = range_distance_costs(hops, [1.0, 1.0])
         assert cost[0, 1] == math.inf
-
-    def test_hop_scale(self):
-        hops = np.array([[0, 3], [3, 0]])
-        cost = range_distance_costs(hops, [0.0, 0.0], hop_scale=70.0)
-        assert cost[0, 1] == pytest.approx(210.0)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -131,12 +135,22 @@ class TestBuildStorageUFL:
         assert problem.facility_costs[0] == pytest.approx(1000.0)
         assert problem.facility_costs[1] == 0.0
 
+    def test_opening_costs_are_eq1_integers(self):
+        # A·W over W_tol − W, handed over as integers: 1000·50 / 200.
+        hops = np.array([[0, 1], [1, 0]])
+        problem = build_storage_ufl([50, 250], [250, 250], hops, [30, 30])
+        assert problem.opening_num.tolist() == [50_000.0, 250_000.0]
+        assert problem.opening_den.tolist() == [200.0, 0.0]
+        assert spec.opening_costs(problem) == [1000 * spec.fdc(50, 250), math.inf]
+        assert problem.connection_costs.tolist() == [[0.0, 61.0], [61.0, 0.0]]
+
     def test_exclusion(self):
         hops = np.zeros((2, 2))
         problem = build_storage_ufl(
             [0, 0], [250, 250], hops, [0, 0], exclude_nodes=[1]
         )
         assert problem.facility_costs[1] == math.inf
+        assert problem.opening_den[1] == 0.0
         assert list(problem.openable_facilities()) == [0]
 
     def test_negative_weight_rejected(self):

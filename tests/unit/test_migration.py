@@ -13,14 +13,15 @@ from repro.core.migration import (
     plan_migration,
 )
 from repro.facility.greedy import solve_greedy
-from repro.facility.problem import UFLProblem, solution_cost_of_open_set
+from repro.facility.problem import solution_cost_of_open_set
+from tests.helpers import integer_ufl
 
 
 def make_instance(seed=0, num_facilities=8, num_clients=8):
     rng = np.random.default_rng(seed)
-    return UFLProblem(
-        facility_costs=rng.uniform(1, 10, size=num_facilities),
-        connection_costs=rng.uniform(0, 8, size=(num_facilities, num_clients)),
+    return integer_ufl(
+        facility_costs=rng.integers(1, 11, size=num_facilities),
+        connection_costs=rng.integers(0, 9, size=(num_facilities, num_clients)),
     )
 
 
@@ -60,7 +61,7 @@ class TestPlacementDrift:
 
     def test_infeasible_placement_is_infinite(self):
         inf = math.inf
-        problem = UFLProblem(
+        problem = integer_ufl(
             facility_costs=np.array([1.0, 1.0]),
             connection_costs=np.array([[0.0, inf], [inf, 0.0]]),
         )
@@ -125,7 +126,7 @@ class TestPlanMigration:
 
     def test_repairs_infeasible_placement(self):
         inf = math.inf
-        problem = UFLProblem(
+        problem = integer_ufl(
             facility_costs=np.array([1.0, 1.0, 1.0]),
             connection_costs=np.array(
                 [[0.0, 1.0, inf], [1.0, 0.0, inf], [inf, inf, 0.0]]

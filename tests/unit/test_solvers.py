@@ -9,22 +9,22 @@ from repro.facility.greedy import solve_greedy
 from repro.facility.local_search import solve_local_search
 from repro.facility.lp_rounding import solve_lp_relaxation, solve_lp_rounding
 from repro.facility.mip import solve_milp
-from repro.facility.problem import UFLProblem
 from repro.facility.random_baseline import solve_random
+from tests.helpers import integer_ufl
 
 
 def make_instance(num_facilities, num_clients, seed):
     rng = np.random.default_rng(seed)
-    return UFLProblem(
-        facility_costs=rng.uniform(1, 20, size=num_facilities),
-        connection_costs=rng.uniform(0, 10, size=(num_facilities, num_clients)),
+    return integer_ufl(
+        facility_costs=rng.integers(1, 21, size=num_facilities),
+        connection_costs=rng.integers(0, 11, size=(num_facilities, num_clients)),
     )
 
 
 @pytest.fixture
 def trivial():
     """One obviously-best facility."""
-    return UFLProblem(
+    return integer_ufl(
         facility_costs=np.array([1.0, 100.0]),
         connection_costs=np.array([[1.0, 1.0], [1.0, 1.0]]),
     )
@@ -49,13 +49,13 @@ class TestAllSolvers:
 
     @pytest.mark.parametrize("solver", ALL_SOLVERS)
     def test_infeasible_raises(self, solver):
-        problem = UFLProblem(np.array([math.inf]), np.zeros((1, 1)))
+        problem = integer_ufl(np.array([math.inf]), np.zeros((1, 1)))
         with pytest.raises(ValueError):
             solver(problem)
 
     @pytest.mark.parametrize("solver", ALL_SOLVERS)
     def test_full_facility_never_opened(self, solver):
-        problem = UFLProblem(
+        problem = integer_ufl(
             facility_costs=np.array([math.inf, 5.0]),
             connection_costs=np.array([[0.0, 0.0], [1.0, 1.0]]),
         )
@@ -106,7 +106,7 @@ class TestLocalSearch:
         assert solution.open_facilities == (0,)
 
     def test_infeasible_initial_rejected(self):
-        problem = UFLProblem(
+        problem = integer_ufl(
             np.array([1.0, math.inf]), np.zeros((2, 1))
         )
         with pytest.raises(ValueError):
@@ -121,7 +121,7 @@ class TestLocalSearch:
         # Fully symmetric instance: every drop ties, every swap ties.
         # The drop loop must still collapse the bloated start down to one
         # facility and then terminate (no improvement ping-pong on ties).
-        problem = UFLProblem(
+        problem = integer_ufl(
             facility_costs=np.full(4, 7.0),
             connection_costs=np.full((4, 5), 3.0),
         )
@@ -132,19 +132,19 @@ class TestLocalSearch:
 
     def test_single_node_problem(self):
         # One facility, one client: nothing to add, drop, or swap.
-        problem = UFLProblem(
+        problem = integer_ufl(
             facility_costs=np.array([2.0]),
-            connection_costs=np.array([[0.5]]),
+            connection_costs=np.array([[1.0]]),
         )
         solution = solve_local_search(problem)
         solution.validate(problem)
         assert solution.open_facilities == (0,)
-        assert solution.total_cost(problem) == pytest.approx(2.5)
+        assert solution.total_cost(problem) == 3.0
 
     def test_sole_open_facility_never_dropped(self):
         # The drop guard: even when the facility cost dominates the
         # objective, the last open facility must stay open.
-        problem = UFLProblem(
+        problem = integer_ufl(
             facility_costs=np.array([50.0]),
             connection_costs=np.array([[1.0, 1.0, 1.0]]),
         )
@@ -178,7 +178,7 @@ class TestRandomBaseline:
         # Two components: facilities {0,1} serve clients {0,1}; facility 2
         # serves client 2.  Any 1-replica sample must be repaired to 2.
         inf = math.inf
-        problem = UFLProblem(
+        problem = integer_ufl(
             facility_costs=np.array([1.0, 1.0, 1.0]),
             connection_costs=np.array(
                 [[0.0, 1.0, inf], [1.0, 0.0, inf], [inf, inf, 0.0]]
@@ -190,7 +190,7 @@ class TestRandomBaseline:
 
     def test_unrepairable_raises(self, rng):
         inf = math.inf
-        problem = UFLProblem(
+        problem = integer_ufl(
             facility_costs=np.array([1.0, inf]),
             connection_costs=np.array([[0.0, inf], [inf, 0.0]]),
         )

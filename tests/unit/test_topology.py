@@ -121,6 +121,37 @@ class TestTopology:
         assert line_topology.hop_count(0, 4) == UNREACHABLE
         assert line_topology.hop_count(0, 1) == 1
 
+    def test_offline_nodes_stay_unlinked_across_update_positions(self):
+        # Node 0 has a neighbour when it goes offline, node 3 none; the
+        # move then puts 3 in range of 2.
+        positions = [
+            Position(0.0, 0.0),
+            Position(50.0, 0.0),
+            Position(100.0, 0.0),
+            Position(290.0, 290.0),
+        ]
+        topology = Topology(positions)
+        assert topology.neighbors(3) == []
+        topology.remove_node(0)
+        topology.remove_node(3)
+        moved = positions[:3] + [Position(140.0, 0.0)]
+        for _ in range(2):  # the second epoch moves nothing
+            topology.update_positions(moved)
+            assert topology.neighbors(0) == [] and topology.neighbors(3) == []
+            assert topology.edges() == [(1, 2)]
+        topology.restore_node(3)
+        assert topology.neighbors(3) == [2]
+
+    def test_edgeless_offline_node_stays_unlinked(self):
+        # The only offline node had no edge when it went offline.
+        positions = [Position(0.0, 0.0), Position(290.0, 290.0)]
+        topology = Topology(positions)
+        topology.remove_node(1)
+        topology.update_positions([Position(0.0, 0.0), Position(30.0, 0.0)])
+        assert topology.edges() == []
+        topology.restore_node(1)
+        assert topology.edges() == [(0, 1)]
+
     def test_restore_node_reconnects(self, line_topology):
         line_topology.remove_node(2)
         line_topology.restore_node(2)

@@ -91,7 +91,10 @@ def _chain_replays(node: Any) -> bool:
     instead: the pinned checkpoint at the retained floor must match the
     anchor body and the anchor state's ledger digest (the record is what
     the pruned prefix collapsed into), then every retained body above it
-    re-validates as usual.
+    re-validates as usual.  Every block goes through ``validate_child``:
+    the live chains hold the ledgers of every prefix they retain, so a
+    shared entry would otherwise stand in for the PoS verdict of the
+    very block under audit.
     """
     chain = node.chain
     blocks = list(chain.blocks)
@@ -101,7 +104,7 @@ def _chain_replays(node: Any) -> bool:
             chain.node_ids, node.config, chain.address_of, genesis=blocks[0]
         )
     else:
-        anchor = getattr(chain, "_anchor_state", None)
+        anchor = chain._anchor_state
         record = chain.checkpoints.get(first)
         if anchor is None or record is None:
             return False  # pruned without an anchor/pin: unverifiable
@@ -110,12 +113,10 @@ def _chain_replays(node: Any) -> bool:
             or record.ledger_digest != anchor.ledger_digest()
         ):
             return False
-        replica = Blockchain._bare(chain.node_ids, node.config, chain.address_of)
-        replica.state = anchor.clone()
-        replica.blocks.append(blocks[0])
-        replica._first_retained = first
+        replica = chain._replica_at(first)
     for block in blocks[1:]:
         try:
+            replica.validate_child(block)
             replica.append_block(block)
         except ValidationError:
             return False

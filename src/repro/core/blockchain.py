@@ -28,9 +28,8 @@ import functools
 import itertools
 import math
 import weakref
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.block import Block, make_genesis
 from repro.core.config import SystemConfig
@@ -62,19 +61,20 @@ _B_TOLERANCE = 1e-9
 #: ``_Ledgers.prefix_id``), so the value is a pure function of the key; an
 #: entry is written only after ``validate_child`` accepted the block on
 #: that prefix, so the verdict is too (a genesis is folded unchecked, under
-#: the all-zero parent id no later block can have).  Entries vanish with
-#: the last chain that holds them.
+#: the all-zero parent id no later block can have).  Each chain holds the
+#: ledgers after every block it retains, so an entry lives exactly as long
+#: as some chain retains that prefix.
 _SHARED: "weakref.WeakValueDictionary[tuple, object]" = weakref.WeakValueDictionary()
 
 
 @dataclass(slots=True)
 class _NodeLedger:
-    """Chain-derived per-node ledger entry."""
+    """Chain-derived per-node ledger entry; copies share its tuples."""
 
     tokens: float
-    data_expiries: List[float] = field(default_factory=list)  # kept sorted
+    data_expiries: Tuple[float, ...] = ()  # kept sorted
     blocks_stored: int = 0
-    recent_cache: Deque[int] = field(default_factory=deque)
+    recent_cache: Tuple[int, ...] = ()  # FIFO, oldest first
 
     def unexpired_data(self, now: float) -> int:
         """Number of stored data items not yet expired at ``now``."""
@@ -123,9 +123,9 @@ class _Ledgers:
                 if ledger is not None:
                     entries[node] = _NodeLedger(
                         ledger.tokens,
-                        list(ledger.data_expiries),
+                        ledger.data_expiries,
                         ledger.blocks_stored,
-                        deque(ledger.recent_cache),
+                        ledger.recent_cache,
                     )
             miner = entries.get(block.miner)
             if miner is not None:
@@ -135,7 +135,11 @@ class _Ledgers:
                     ledger = entries.get(node)
                     if ledger is None:
                         continue
-                    bisect.insort(ledger.data_expiries, item.expires_at)
+                    expiries = ledger.data_expiries
+                    at = bisect.bisect_right(expiries, item.expires_at)
+                    ledger.data_expiries = (
+                        expiries[:at] + (item.expires_at,) + expiries[at:]
+                    )
                     ledger.tokens += config.storage_incentive
             for node in block.storing_nodes:
                 ledger = entries.get(node)
@@ -147,9 +151,10 @@ class _Ledgers:
                 ledger = entries.get(node)
                 if ledger is None:
                     continue
-                ledger.recent_cache.append(block.index)
-                while len(ledger.recent_cache) > config.recent_cache_capacity:
-                    ledger.recent_cache.popleft()  # FIFO (Section IV-C)
+                cache = ledger.recent_cache + (block.index,)
+                overflow = len(cache) - config.recent_cache_capacity
+                # FIFO (Section IV-C): the oldest entries leave first.
+                ledger.recent_cache = cache[overflow:] if overflow > 0 else cache
                 ledger.tokens += config.storage_incentive
             # Periodic S-rescaling keeps B numerically sane (Section V-B).
             if block.index % config.token_rescale_interval == 0:
@@ -297,7 +302,7 @@ class ChainState:
         return value
 
     def recent_cache_of(self, node: int) -> Tuple[int, ...]:
-        return tuple(self._ledgers.entries[node].recent_cache)
+        return self._ledgers.entries[node].recent_cache
 
     # -- lifecycle -------------------------------------------------------------------
 
@@ -412,6 +417,9 @@ class Blockchain:
         if not genesis.is_genesis:
             raise ValueError("genesis block must have index 0")
         self.blocks: List[Block] = []
+        #: The ledgers after each retained block, index-aligned with
+        #: ``blocks``: ``_held[-1] is state._ledgers``.
+        self._held: List[_Ledgers] = []
         self.state = ChainState(self.node_ids, config)
         key = self._ledgers_key(genesis)
         self._extend(genesis, key, _SHARED.get(key))
@@ -438,6 +446,7 @@ class Blockchain:
         chain.node_ids = _id_tuple(node_ids)
         chain.address_of = address_of
         chain.blocks = []
+        chain._held = []
         chain.state = ChainState(chain.node_ids, config)
         chain._first_retained = 0
         chain._anchor_state = None
@@ -457,13 +466,8 @@ class Blockchain:
 
     @property
     def first_retained_index(self) -> int:
-        """Oldest block index whose body is still in memory.
-
-        ``getattr`` guard: snapshots pickled before the lifecycle
-        subsystem existed restore without the attribute and are, by
-        definition, unpruned.
-        """
-        return getattr(self, "_first_retained", 0)
+        """Oldest block index whose body is still in memory."""
+        return self._first_retained
 
     @property
     def retained_blocks(self) -> int:
@@ -473,10 +477,7 @@ class Blockchain:
     @property
     def checkpoints(self) -> Dict[int, CheckpointRecord]:
         """Pinned checkpoint records, keyed by checkpoint index."""
-        records = getattr(self, "_checkpoints", None)
-        if records is None:
-            records = self._checkpoints = {}
-        return records
+        return self._checkpoints
 
     def __len__(self) -> int:
         """Logical chain length (height + 1), pruned bodies included."""
@@ -616,10 +617,6 @@ class Blockchain:
 
     # -- growth -----------------------------------------------------------------------
 
-    def _append_unchecked(self, block: Block) -> None:
-        self.blocks.append(block)
-        self.state.apply_block(block)
-
     def _ledgers_key(self, block: Block) -> tuple:
         """Where ``_SHARED`` holds the ledgers after ``block`` on this prefix.
 
@@ -639,10 +636,11 @@ class Blockchain:
         """Append ``block``; ``ledgers`` is what ``_SHARED`` held under ``key``."""
         if ledgers is None:
             self.state.apply_block(block)
-            _SHARED[key] = self.state._ledgers
+            ledgers = _SHARED[key] = self.state._ledgers
         else:
             self.state._advance(block, ledgers)
         self.blocks.append(block)
+        self._held.append(ledgers)
 
     def append_block(self, block: Block) -> None:
         """Validate and append a tip-extending block.
@@ -718,14 +716,19 @@ class Blockchain:
         Without a lifecycle policy the candidate must be a full chain from
         genesis (the historical contract).  With lifecycle enabled, a
         pruned peer legitimately serves only its retained suffix, so an
-        anchored candidate is also acceptable: its first block must match
-        a body we retain bit-for-bit — block hashes commit to the whole
+        anchored candidate is also acceptable.  Either way its first block
+        must match ours by hash — block hashes commit to the whole
         ancestor chain, so that one comparison covers every block below
-        the anchor — and the rest replays with full validation from our
-        state at the anchor.  Either way the candidate must agree with our
-        chain on every comparable block up to the last checkpoint; a
-        mismatch at or below the anchor raises :class:`CheckpointError`.
-        Returns True when the switch happened.
+        it — and the candidate must agree with our chain on every
+        comparable block up to the last checkpoint; a mismatch at or below
+        it raises :class:`CheckpointError`.
+
+        Only the suffix we do not hold is validated: from the first
+        candidate block that is not ``==`` to ours (a same-hash placement
+        twin or a forged ``current_hash`` is one), appended to
+        :meth:`_replica_at` the block below.  Our bodies below that point,
+        the first block included, stay ours.  Returns True when the
+        switch happened.
         """
         if not blocks or blocks[-1].index <= self.height:
             return False
@@ -760,7 +763,7 @@ class Blockchain:
                     f"candidate chain does not anchor to our block {start}"
                 )
         checkpoint = self.last_checkpoint()
-        for index in range(max(start, first) + 1, checkpoint + 1):
+        for index in range(start + 1, checkpoint + 1):
             position = index - start
             if (
                 position >= len(blocks)
@@ -770,22 +773,14 @@ class Blockchain:
                     f"candidate chain rewrites checkpointed block {index} "
                     f"(checkpoint at {checkpoint})"
                 )
-        if start == 0:
-            candidate = Blockchain(
-                self.node_ids, self.config, self.address_of, genesis=blocks[0]
-            )
-            for block in blocks[1:]:
-                candidate.append_block(block)
-            self.blocks = candidate.blocks
-            self.state = candidate.state
-            return True
-        replica = self._replica_at(start)
-        for block in blocks[1:]:
+        fork = start + 1
+        while fork <= self.height and blocks[fork - start] == self.block_at(fork):
+            fork += 1
+        replica = self._replica_at(fork - 1)
+        for block in blocks[fork - start :]:
             replica.append_block(block)
-        # The replica already re-holds our validated bodies from the
-        # retained floor through the anchor (identical to the candidate's
-        # copies by the anchor-hash check), plus the new suffix.
         self.blocks = replica.blocks
+        self._held = replica._held
         self.state = replica.state
         if first > 0:
             # Re-apply the in-memory pruning the pre-fork state carried.
@@ -811,7 +806,7 @@ class Blockchain:
         before it was persisted.
         """
         horizon = self.retention_horizon()
-        limit = getattr(self, "prune_floor_limit", None)
+        limit = self.prune_floor_limit
         interval = self.config.checkpoint_interval
         if limit is not None and interval > 0:
             horizon = min(horizon, (limit // interval) * interval)
@@ -823,11 +818,12 @@ class Blockchain:
         """Drop bodies below checkpoint ``horizon``, pinning its record.
 
         The anchor replay state is advanced to the horizon *before* any
-        body is dropped (the bodies being pruned are exactly what advances
-        it), a :class:`CheckpointRecord` is pinned from that at-checkpoint
-        state, and only then is the prefix released.  Chain digests are
-        untouched: the tip, the height, and the cumulative ledger all
-        survive pruning bit-for-bit.
+        body is dropped — over the bodies being pruned and the ledgers
+        held for them, so nothing is folded again — a
+        :class:`CheckpointRecord` is pinned from that at-checkpoint state,
+        and only then are the prefix's bodies and ledgers released.  Chain
+        digests are untouched: the tip, the height, and the cumulative
+        ledger all survive pruning bit-for-bit.
         """
         first = self.first_retained_index
         if horizon <= first:
@@ -840,20 +836,14 @@ class Blockchain:
         interval = self.config.checkpoint_interval
         if interval <= 0 or horizon % interval != 0:
             raise ValueError(f"prune horizon {horizon} is not a checkpoint index")
-        anchor = getattr(self, "_anchor_state", None)
-        if anchor is None:
-            # First prune: derive the anchor from scratch (cheap — this
-            # happens while the chain is still short).
-            anchor = ChainState(self.node_ids, self.config)
-            for block in self.blocks[: horizon - first + 1]:
-                anchor.apply_block(block)
-        else:
-            for block in self.blocks[1 : horizon - first + 1]:
-                anchor.apply_block(block)
-        anchor_block = self.blocks[horizon - first]
-        self.checkpoints[horizon] = CheckpointRecord.pin(anchor_block, anchor)
         dropped = horizon - first
+        anchor = self._anchor_state or ChainState(self.node_ids, self.config)
+        for position in range(anchor.blocks_applied - first, dropped + 1):
+            anchor._advance(self.blocks[position], self._held[position])
+        anchor_block = self.blocks[dropped]
+        self.checkpoints[horizon] = CheckpointRecord.pin(anchor_block, anchor)
         self.blocks = self.blocks[dropped:]
+        self._held = self._held[dropped:]
         self._first_retained = horizon
         self._anchor_state = anchor
         cutoff = anchor_block.timestamp
@@ -864,10 +854,11 @@ class Blockchain:
     def _replica_at(self, index: int) -> "Blockchain":
         """A standalone chain positioned at our own block ``index``.
 
-        Rebuilds state by cloning the pruning anchor (or starting fresh
-        from genesis when unpruned) and re-applying our already-validated
-        bodies — the fork-replay baseline for anchored chain adoption and
-        allocation re-verification on pruned chains.
+        Starts from a clone of the pruning anchor (or an empty state when
+        unpruned) and advances it over our already-validated bodies onto
+        the ledgers held for them — no block is validated or folded again.
+        The base of suffix-only chain adoption and of allocation and
+        honesty re-verification on pruned chains.
         """
         first = self.first_retained_index
         if not (first <= index <= self.height):
@@ -875,16 +866,14 @@ class Blockchain:
                 f"cannot rebuild state at {index}: bodies retained are "
                 f"[{first}, {self.height}]"
             )
-        replica = Blockchain._bare(self.node_ids, self.config, self.address_of)
-        anchor = getattr(self, "_anchor_state", None)
-        if anchor is None:
-            replica._append_unchecked(self.blocks[0])
-        else:
-            replica.state = anchor.clone()
-            replica.blocks.append(self.blocks[0])
-            replica._first_retained = first
-        for position in range(1, index - first + 1):
-            replica._append_unchecked(self.blocks[position])
+        replica = self._bare(self.node_ids, self.config, self.address_of)
+        replica._first_retained = first
+        end = index - first + 1
+        replica.blocks, replica._held = self.blocks[:end], self._held[:end]
+        if self._anchor_state is not None:
+            replica.state = self._anchor_state.clone()
+        for position in range(replica.state.blocks_applied - first, end):
+            replica.state._advance(self.blocks[position], self._held[position])
         return replica
 
     def missing_indices(self, up_to: int) -> List[int]:

@@ -49,7 +49,7 @@ from repro.sim.runner import SimRuntime
 PathLike = Union[str, Path]
 
 #: Bumped on breaking changes to the snapshot layout.
-SNAPSHOT_SCHEMA_VERSION = 3
+SNAPSHOT_SCHEMA_VERSION = 4
 
 _SNAPSHOT_PREFIX = "snapshot-"
 _SNAPSHOT_SUFFIX = ".json"

@@ -354,34 +354,43 @@ class Topology:
         return len(self._reach(next(iter(within)), within)) == len(within)
 
     def _compute_hop_matrix(self) -> np.ndarray:
-        """All-pairs BFS hop counts via frontier/adjacency products.
+        """All-pairs BFS hop counts, every source at once, a level a step.
 
-        Hop counts are small integers, so the float32 matrix products are
-        exact (frontier sums never approach 2²⁴) and the result is the
-        same shortest-path-length matrix a per-source BFS yields, at a
-        fraction of the Python-loop cost.
+        Row ``v`` of ``frontier`` is a bitset over sources (bit ``s``: ``v``
+        is on the frontier from ``s``); the next level of ``v`` is the OR
+        of its neighbours' rows, one ``reduceat`` over the CSR adjacency,
+        less what each source reached already; each level is unpacked
+        into an n×n mask to write it: O((E·⌈n/64⌉ + n²)·diameter).
         """
         n = self.node_count
         matrix = np.full((n, n), UNREACHABLE, dtype=np.int64)
-        if n == 0:
-            return matrix
         np.fill_diagonal(matrix, 0)
-        if n == 1:
+        degree = np.fromiter(map(len, self._adj), dtype=np.intp, count=n)
+        targets = np.array([v for nbrs in self._adj for v in nbrs], dtype=np.intp)
+        if targets.size == 0:
             return matrix
-        adjacency = np.zeros((n, n), dtype=np.float32)
-        for i, neighbors in enumerate(self._adj):
-            adjacency[i, list(neighbors)] = 1.0
-        reached = np.eye(n, dtype=bool)
-        frontier = reached.copy()
+        linked = degree > 0
+        # Each linked row's neighbours are one contiguous, non-empty run.
+        starts = (np.cumsum(degree) - degree)[linked]
+        # Little-endian words, so bit s of a row is bit s of its bytes.
+        frontier = np.packbits(
+            np.eye(n, 64 * -(-n // 64), dtype=bool), axis=1, bitorder="little"
+        ).view("<u8")
+        reached = frontier.copy()
+        spread = np.zeros_like(frontier)
         level = 0
         while True:
             level += 1
-            spread = (frontier.astype(np.float32) @ adjacency) > 0.0
-            frontier = spread & ~reached
+            spread[linked] = np.bitwise_or.reduceat(frontier[targets], starts, axis=0)
+            np.bitwise_and(spread, ~reached, out=frontier)
             if not frontier.any():
                 break
-            matrix[frontier] = level
             reached |= frontier
+            hit = np.unpackbits(
+                frontier.view(np.uint8), axis=1, count=n, bitorder="little"
+            ).view(bool)
+            # hit[v, s]: source s reaches v at this level; rows are sources.
+            matrix[hit.T] = level
         return matrix
 
     def _hops(self) -> np.ndarray:

@@ -512,8 +512,9 @@ class PrivateState(ChainState):
 
     ``apply_block`` is ``ChainState.apply_block`` as it stood before the
     per-node ledgers became a shared immutable value — kept verbatim on a
-    set of ledgers this state alone holds.  The copy-on-write fold in
-    production must leave every node with the same balances.
+    set of ledgers this state alone holds, a fresh deep copy per block so
+    the chain can hold the ledgers after each one.  The copy-on-write fold
+    in production must leave every node with the same balances.
     """
 
     def __init__(self, node_ids, config):
@@ -545,8 +546,8 @@ class PrivateState(ChainState):
                 f"blocks must be applied in order (expected {self.blocks_applied}, "
                 f"got {block.index})"
             )
+        self._own(self._ledgers)
         _ledger = self._ledgers.entries
-        self._ledgers.amendment_memo = None
         self.block_storing[block.index] = block.storing_nodes
         if not block.is_genesis:
             miner = _ledger.get(block.miner)
@@ -595,10 +596,18 @@ class PrivateChain(Blockchain):
         super().__init__(node_ids, config, address_of, genesis=genesis)
         self.state = PrivateState(self.node_ids, config)
         self.state.apply_block(self.blocks[0])
+        self._held = [self.state._ledgers]
 
     def append_block(self, block: Block) -> None:
         self.validate_child(block)
-        self._append_unchecked(block)
+        self.state.apply_block(block)
+        self.blocks.append(block)
+        self._held.append(self.state._ledgers)
+
+    def _replica_at(self, index: int) -> "PrivateChain":
+        replica = super()._replica_at(index)
+        replica.state.__class__ = PrivateState  # folds privately from here on
+        return replica
 
 
 def private_replay(

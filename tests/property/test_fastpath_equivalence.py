@@ -19,7 +19,9 @@ Layers:
 * **RDC** — :func:`range_distance_costs` vs Eq. 2 in ``Fraction``
   (:func:`tests.spec.rdc`), with unreachable pairs.
 * **Routing** — vectorised unit-disk edges and the cached BFS hop matrix
-  vs the nested-loop + networkx reference, across mobility and churn; and
+  vs the nested-loop + networkx reference, across mobility and churn; the
+  bitset BFS at 0, 1, 63–65 and 130 nodes, with offline nodes and several
+  components, vs networkx over the same edges; and
   every route ``Topology`` picks over its own adjacency vs
   ``nx.shortest_path`` on a graph driven through the same edge edits
   (networkx is this module's oracle; nothing under ``src/`` imports it).
@@ -720,6 +722,59 @@ class TestRoutingCacheEquivalence:
         reference = _reference_graph(positions, topology.comm_range)
         reference.remove_edges_from(list(reference.edges(0)))
         assert sorted(topology.edges()) == sorted(reference.edges)
+
+
+def _assert_hops_like_networkx(topology):
+    """The hop matrix against networkx BFS over the topology's own edges."""
+    n = topology.node_count
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(topology.edges())
+    matrix = topology.hop_matrix()
+    assert matrix.dtype == np.int64 and matrix.shape == (n, n)
+    assert not matrix.flags.writeable
+    assert (np.diag(matrix) == 0).all()
+    assert (matrix == _reference_hop_matrix(graph, n)).all()
+
+
+class TestBitsetHopMatrix:
+    """``_compute_hop_matrix`` packs 64 sources to a word: word edges,
+    isolated and offline nodes, several components, and an epoch followed
+    by a churn removal and restore, all against networkx."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.sampled_from([0, 1, 63, 64, 65, 130]),
+        st.sampled_from([60.0, 300.0, 900.0]),
+        st.lists(st.integers(min_value=0, max_value=129), max_size=6),
+    )
+    def test_matches_networkx_through_an_epoch_and_churn(
+        self, seed, n, field_size, offline
+    ):
+        rng = np.random.default_rng(seed)
+        topology = Topology(random_positions(n, rng, field_size))
+        _assert_hops_like_networkx(topology)
+        for node in offline:
+            if node < n:
+                topology.remove_node(node)
+        _assert_hops_like_networkx(topology)
+        topology.update_positions(random_positions(n, rng, field_size))
+        _assert_hops_like_networkx(topology)
+        if n:
+            node = int(rng.integers(0, n))
+            topology.remove_node(node)
+            _assert_hops_like_networkx(topology)
+            topology.restore_node(node)
+            _assert_hops_like_networkx(topology)
+
+    def test_disconnected_field_has_several_components(self):
+        rng = np.random.default_rng(8)
+        topology = Topology(random_positions(65, rng, 900.0))
+        assert len(topology.components()) > 1
+        assert any(len(component) == 1 for component in topology.components())
+        _assert_hops_like_networkx(topology)
+        assert (topology.hop_matrix() == UNREACHABLE).any()
 
 
 class _NetworkxTopology:

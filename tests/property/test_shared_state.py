@@ -11,9 +11,15 @@ asked must read the same in both worlds:
   followers that fall behind and adopt through ``consider_chain`` (from
   genesis and, once pruned, anchored through ``_replica_at``) and a late
   joiner, every chain compared with a private replay of its own history.
+* **Adoption** — ``consider_chain`` validates only the suffix it does
+  not hold, yet answers as a private replay of the adopted chain from
+  genesis: forks of every depth below, at and above the last checkpoint,
+  on unpruned and pruned chains, with same-hash twins and forged hashes
+  in the shared prefix.
 * **Aliasing** — siblings on one parent, ledgers held at an old tip
   while other chains move on, same-hash twins that place an item
-  elsewhere, and the weak table draining with its chains.
+  elsewhere, and the weak table living exactly as long as the chains
+  that retain its prefixes.
 * **Snapshot** — a pickled runtime holds one copy of the ledgers all
   chains hold (so it cannot grow), and the restored run continues
   identically.
@@ -24,20 +30,29 @@ asked must read the same in both worlds:
 
 from __future__ import annotations
 
+import copy
 import gc
 import pickle
 from dataclasses import replace
+from random import Random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from repro.core import blockchain as blockchain_module
 from repro.core.account import Account
 from repro.core.blockchain import Blockchain
 from repro.core.config import LifecycleSpec, SystemConfig
-from repro.core.errors import ChainLinkError, ConsensusError, ValidationError
+from repro.core.errors import (
+    ChainLinkError,
+    CheckpointError,
+    ConsensusError,
+    ValidationError,
+)
 from repro.core.metadata import create_metadata
+from repro.lifecycle.spec import hot_bound_blocks
 from repro.sim.runner import ExperimentSpec, build_runtime
 from tests.helpers import (
     PrivateChain,
@@ -232,6 +247,162 @@ class TestDifferentialAgainstPrivateReplay:
         assert_same_answers(follower.chain, follower.oracle())
 
 
+#: Checkpoints every second block on an unpruned chain.
+CHECKPOINT_CONFIG = replace(CONFIG, checkpoint_interval=2, checkpoint_lag=1)
+
+
+def _mine(chain, rng, sequence):
+    """A valid child of ``chain``'s tip that packs one placed item."""
+    miner = rng.randrange(NODES)
+    item = create_metadata(
+        ACCOUNTS[miner],
+        miner,
+        sequence,
+        created_at=chain.tip.timestamp,
+        valid_time_minutes=chain.config.default_valid_time_minutes,
+    ).with_storing_nodes(tuple(rng.sample(NODE_IDS, 2)))
+    return mine_next(
+        chain,
+        ACCOUNTS,
+        miner,
+        metadata_items=(item,),
+        storing=(rng.randrange(NODES),),
+        recent=(rng.randrange(NODES),),
+    )
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ValidationError as error:
+        return type(error)
+
+
+def _replayed(blocks, config, prune=True):
+    """The private chain a node replaying ``blocks`` from genesis holds."""
+    oracle = PrivateChain(NODE_IDS, config, ADDRESS_OF, genesis=blocks[0])
+    for block in blocks[1:]:
+        oracle.append_block(block)
+        if prune:
+            oracle.maybe_prune()
+    return oracle
+
+
+class TestAdoptionAgainstGenesisReplay:
+    """``consider_chain`` validates only the suffix it does not hold.
+
+    Its answer — adopted or not, the exception type, and every query of
+    the chain after it — must be what a node replaying the adopted chain
+    from genesis on private ledgers derives: our own bodies through the
+    candidate's first block (the anchor is always ours), then the
+    candidate's.  Forks of every depth land below, at and above the last
+    checkpoint; a prefix block may be the same-hash twin that places its
+    item on other nodes, or a copy with a forged ``current_hash``.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        config=st.sampled_from([CONFIG, CHECKPOINT_CONFIG, PRUNING_CONFIG]),
+        height=st.integers(min_value=3, max_value=12),
+        where=st.sampled_from(["below", "at", "above"]),
+        pick=st.floats(min_value=0.0, max_value=1.0),
+        longer_by=st.integers(min_value=1, max_value=3),
+        tamper=st.sampled_from([None, "twin", "forged"]),
+        tamper_pick=st.floats(min_value=0.0, max_value=1.0),
+        start_pick=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_adoption_is_the_genesis_replay(
+        self, config, height, where, pick, longer_by, tamper, tamper_pick,
+        start_pick, seed,
+    ):
+        rng = Random(seed)
+        leader = Blockchain(NODE_IDS, config, ADDRESS_OF)
+        ours = Blockchain(NODE_IDS, config, ADDRESS_OF)
+        for sequence in range(height):
+            block = _mine(leader, rng, sequence)
+            leader.append_block(block)
+            ours.append_block(block)
+            ours.maybe_prune()
+        history = list(leader.blocks)
+        checkpoint = ours.last_checkpoint()
+        # The fork point: the first index the candidate mines afresh.
+        low, high = {
+            "below": (1, checkpoint - 1),
+            "at": (checkpoint, checkpoint),
+            "above": (checkpoint + 1, height),
+        }[where]
+        low = max(low, 1)
+        assume(low <= high)
+        fork = low + int(pick * (high - low))
+        rival = _replayed(history[:fork], config, prune=False)
+        for sequence in range(height - fork + 1 + longer_by):
+            rival.append_block(_mine(rival, rng, 1000 + sequence))
+        candidate = list(rival.blocks)
+        mined = fork  # the first block whose hash is not ours
+        if tamper is not None and fork > 1:
+            at = 1 + int(tamper_pick * (fork - 2))
+            block = candidate[at]
+            if tamper == "twin":
+                item = block.metadata_items[0]
+                others = tuple(n for n in NODE_IDS if n not in item.storing_nodes)[:2]
+                candidate[at] = replace(
+                    block, metadata_items=(item.with_storing_nodes(others),)
+                )
+                assert candidate[at].hash_is_valid()
+            else:
+                candidate[at] = replace(
+                    block,
+                    storing_nodes=((block.storing_nodes[0] + 1) % NODES,),
+                    current_hash=block.current_hash,
+                )
+                assert not candidate[at].hash_is_valid()
+            assert candidate[at] != block
+            fork = min(fork, at)
+        start = 0
+        if config.lifecycle is not None:
+            start = int(start_pick * (fork - 1))
+        anchor = max(start, ours.first_retained_index)
+        # A tampered block at or below our anchor is never compared by
+        # body (the anchor is ours), so the divergence is the mined block.
+        diverges = fork if fork > anchor else mined
+
+        def held():
+            state = ours.state
+            return ours.blocks, ours.chain_digest(), state.metadata_index, state.block_storing
+
+        before = tuple(map(copy.copy, held()))
+        validated = []
+        validate_child = Blockchain.validate_child
+
+        def counted(chain, block):
+            validated.append(block.index)
+            return validate_child(chain, block)
+
+        with mock.patch.object(Blockchain, "validate_child", counted):
+            outcome = _outcome(ours.consider_chain, candidate[start:])
+        event(f"{where} checkpoint, {tamper}: {getattr(outcome, '__name__', outcome)}")
+        # Only what we did not hold is validated, and all of it in order
+        # from the fork point until the first refusal.
+        assert validated == list(range(diverges, diverges + len(validated)))
+
+        expected = history[: anchor + 1] + candidate[anchor + 1 :]
+        if mined <= checkpoint:
+            assert outcome is CheckpointError
+        else:
+            oracle = _outcome(_replayed, expected, config)
+            if isinstance(oracle, type):
+                assert outcome is oracle
+            else:
+                assert outcome is True
+                assert validated == list(range(diverges, candidate[-1].index + 1))
+                ours.maybe_prune()
+                assert ours.blocks == oracle.blocks
+                assert_same_answers(ours, oracle)
+                return
+        assert held() == before  # a refused candidate leaves no trace
+
+
 class TestAliasing:
     def test_siblings_never_see_each_others_credits(self):
         left = Blockchain(NODE_IDS, CONFIG, ADDRESS_OF)
@@ -273,23 +444,29 @@ class TestAliasing:
         )
 
     def test_weak_table_empties_with_its_chains(self):
-        # A config no other test uses, so only these chains own the entries.
-        config = replace(CONFIG, storage_capacity=61)
+        for base in (CONFIG, PRUNING_CONFIG):
+            # A config no other test uses, so only these chains own the entries.
+            config = replace(base, storage_capacity=61)
+            bound = hot_bound_blocks(config)
 
-        def entries():
-            gc.collect()
-            return [key for key in blockchain_module._SHARED.keys() if config in key]
+            def entries():
+                gc.collect()
+                return [key for key in blockchain_module._SHARED.keys() if config in key]
 
-        chains = [Blockchain(NODE_IDS, config, ADDRESS_OF) for _ in range(4)]
-        for step in range(6):
-            block = mine_next(chains[0], ACCOUNTS, step % NODES)
-            for chain in chains:
-                chain.append_block(block)
-        # The tip's ledgers and the genesis block are held; ledgers of
-        # tips every chain has left are already gone.
-        assert len(entries()) == 2
-        del chains, chain, block
-        assert entries() == []
+            chains = [Blockchain(NODE_IDS, config, ADDRESS_OF) for _ in range(4)]
+            for step in range(12):
+                block = mine_next(chains[0], ACCOUNTS, step % NODES)
+                for chain in chains:
+                    chain.append_block(block)
+                    chain.maybe_prune()
+                if bound is None:
+                    # The ledgers after every retained block, plus the genesis.
+                    assert len(entries()) == chains[0].retained_blocks + 1
+                else:
+                    assert len(entries()) <= bound + 1
+            assert bound is None or chains[0].first_retained_index > 0
+            del chains, chain, block
+            assert entries() == []
 
 
 class TestSnapshotOfSharedState:

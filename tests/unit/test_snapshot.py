@@ -100,14 +100,14 @@ class TestRejection:
 
     @staticmethod
     def _assert_old_version_refused(tmp_path, runtime, version):
-        assert SNAPSHOT_SCHEMA_VERSION == 3
+        assert SNAPSHOT_SCHEMA_VERSION == 4
         path = write_snapshot(tmp_path, runtime)
         document = json.loads(path.read_text())
         document["schema_version"] = version
-        document["blob"] = "not a v3 runtime"
+        document["blob"] = "not a v4 runtime"
         path.write_text(json.dumps(document))
         with pytest.raises(
-            PersistError, match=rf"schema v{version}, this build reads v3"
+            PersistError, match=rf"schema v{version}, this build reads v4"
         ):
             load_snapshot(path)
         runtime, info, skipped = load_latest_snapshot(tmp_path)
@@ -127,6 +127,13 @@ class TestRejection:
         # v2 pickled the topology's path cache and the solver's matrix
         # token; v3 carries neither, nor any hop or RDC matrix.
         self._assert_old_version_refused(tmp_path, midrun_runtime, 2)
+
+    def test_v3_snapshot_refused_by_version_not_by_unpickling(
+        self, tmp_path, midrun_runtime
+    ):
+        # v3 pickled a chain without the ledgers after each retained block,
+        # and per-node ledgers holding a list and a deque; v4's hold tuples.
+        self._assert_old_version_refused(tmp_path, midrun_runtime, 3)
 
     def test_blob_crc_mismatch_rejected(self, tmp_path, midrun_runtime):
         path = write_snapshot(tmp_path, midrun_runtime)

@@ -11,53 +11,22 @@ the remaining battery after each block.  Reported anchors:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.core.pos import compute_amendment, compute_hit, mining_delay
-from repro.core.pow import PowMiner
-from repro.energy.meter import EnergyMeter
 from repro.metrics.report import render_table
+from repro.sim.scenarios import mining_session, pos_energy_saving
 
-BLOCK_TIME = 25.0  # seconds, both algorithms (paper Section VI-C)
 SESSION_MINUTES = 84.0  # the paper's run length
-M = 2**64
-
-
-def _mine_pow_session(seed: int):
-    """Battery series for an 84-minute PoW session."""
-    rng = np.random.default_rng(seed)
-    meter = EnergyMeter()
-    miner = PowMiner(meter, difficulty=4)
-    series = []
-    elapsed = 0.0
-    while elapsed < SESSION_MINUTES * 60 and not meter.depleted:
-        result = miner.mine_block(rng)
-        elapsed += result.duration_seconds
-        series.append((len(series) + 1, elapsed, meter.remaining_percent))
-    return series
-
-
-def _mine_pos_session(seed: int):
-    """Battery series for an 84-minute PoS session at the same block time."""
-    meter = EnergyMeter()
-    amendment = compute_amendment(M, 1, BLOCK_TIME, 1.0)
-    series = []
-    elapsed = 0.0
-    pos_hash = f"fig6-seed-{seed}"
-    while elapsed < SESSION_MINUTES * 60 and not meter.depleted:
-        hit = compute_hit(pos_hash, "fig6-account", M)
-        pos_hash = pos_hash + "x"
-        delay = mining_delay(hit, 1.0, 1.0, amendment)
-        meter.charge_pos_ticks(delay)
-        elapsed += delay
-        series.append((len(series) + 1, elapsed, meter.remaining_percent))
-    return series
 
 
 def test_fig6_battery_drain(benchmark):
     pow_series, pos_series = benchmark.pedantic(
-        lambda: (_mine_pow_session(0), _mine_pos_session(0)), rounds=1, iterations=1
+        lambda: (
+            mining_session("pow", SESSION_MINUTES, seed=0),
+            mining_session("pos", SESSION_MINUTES, seed=0),
+        ),
+        rounds=1,
+        iterations=1,
     )
     # Print the figure as a sampled series.
     rows = []
@@ -108,20 +77,7 @@ def test_fig6_battery_drain(benchmark):
 
 
 def test_fig6_energy_saving_headline(benchmark):
-    def saving():
-        rng = np.random.default_rng(1)
-        pow_meter = EnergyMeter()
-        pow_miner = PowMiner(pow_meter, difficulty=4)
-        for _ in range(100):
-            pow_miner.mine_block(rng)
-        pow_per_block = pow_meter.total_consumed() / 100
-
-        pos_meter = EnergyMeter()
-        pos_meter.charge_pos_ticks(100 * BLOCK_TIME)
-        pos_per_block = pos_meter.total_consumed() / 100
-        return 100.0 * (1.0 - pos_per_block / pow_per_block)
-
-    value = benchmark.pedantic(saving, rounds=1, iterations=1)
+    value = benchmark.pedantic(pos_energy_saving, args=(1,), rounds=1, iterations=1)
     print(f"\nPoS consumes {value:.1f}% less energy per block than PoW "
           f"(paper: 64% less)")
     assert value == pytest.approx(64.0, abs=8.0)

@@ -11,10 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.pow import PowMiner
-from repro.energy.meter import EnergyMeter
 from repro.metrics.report import render_table
-from repro.sim.scenarios import PAPER_NODE_COUNTS
+from repro.sim.scenarios import PAPER_NODE_COUNTS, pos_energy_saving
 
 
 def test_headline_numbers(benchmark, fig5_sweep, fig4_sweep, headline_sink):
@@ -26,18 +24,7 @@ def test_headline_numbers(benchmark, fig5_sweep, fig4_sweep, headline_sink):
             [fig5_sweep[("random", n)]["delivery"] for n in PAPER_NODE_COUNTS]
         )
         time_saving = 100.0 * (1.0 - optimal / random_)
-
-        rng = np.random.default_rng(0)
-        pow_meter = EnergyMeter()
-        miner = PowMiner(pow_meter, difficulty=4)
-        for _ in range(100):
-            miner.mine_block(rng)
-        pos_meter = EnergyMeter()
-        pos_meter.charge_pos_ticks(100 * 25.0)
-        energy_saving = 100.0 * (
-            1.0 - pos_meter.total_consumed() / pow_meter.total_consumed()
-        )
-
+        energy_saving = pos_energy_saving(seed=0)
         worst_gini = max(cell["gini"] for cell in fig4_sweep.values())
         return time_saving, energy_saving, worst_gini
 

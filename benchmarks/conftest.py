@@ -2,41 +2,26 @@
 
 The expensive simulation sweeps are session-scoped so the per-panel
 benchmarks (Fig. 4a/b/c share one sweep; Fig. 5a/b share another) run the
-workload once and each render their own panel.
-
-Setting ``REPRO_BENCH_PERSIST=DIR`` makes every sweep cell a durable run
-(:mod:`repro.persist`) in its own subdirectory of DIR: a killed sweep
-session resumes each interrupted cell from its last checkpoint instead
-of restarting the whole grid, and determinism guarantees the resumed
-cell's metrics equal an uninterrupted run's.
+workload once and each render their own panel.  The sweeps themselves are
+:func:`repro.sim.scenarios.fig4_grid` / :func:`~repro.sim.scenarios.fig5_grid`,
+the same loops ``repro fig4`` / ``repro fig5`` run, averaged per cell over
+the paper's two seeds.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import shutil
 from pathlib import Path
 from typing import Dict, Tuple
 
 import pytest
 
-from repro.core.errors import PersistError
-from repro.metrics.collector import RunMetrics
-from repro.sim.runner import run_experiment
-from repro.sim.scenarios import (
-    PAPER_DATA_RATES,
-    PAPER_NODE_COUNTS,
-    data_amount_scenario,
-    placement_scenario,
-)
+from repro.metrics.export import write_json
+from repro.sim.scenarios import cell_average, fig4_grid, fig5_grid
 from repro.version import package_version
 
-#: Seeds averaged per cell ("All results are the average of 2 simulations").
-PAPER_SEED_COUNT = 2
-
 #: Seed for the single-cell benches (full-scale anchor, scale sweep); the
-#: averaged sweeps use ``range(PAPER_SEED_COUNT)`` instead.
+#: averaged sweeps use ``range(scenarios.PAPER_SEED_COUNT)`` instead.
 BENCH_SEED = 5
 
 #: Where the headline sweep record accumulates the perf trajectory.
@@ -66,10 +51,7 @@ def headline_sink():
         record.update(payload)
         record["schema"] = "repro.bench.headline/v1"
         record["version"] = package_version()
-        with target.open("w", encoding="utf-8") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return target
+        return write_json(record, target)
 
     return write
 
@@ -80,71 +62,13 @@ def bench_seed() -> int:
     return BENCH_SEED
 
 
-def _cell_metrics(spec, label: str) -> RunMetrics:
-    """Run one sweep cell, durably when ``REPRO_BENCH_PERSIST`` is set."""
-    root = os.environ.get("REPRO_BENCH_PERSIST")
-    if not root:
-        return run_experiment(spec).metrics
-    from repro.persist import resume_run, run_persistent
-    from repro.persist.resume import MANIFEST_NAME
-
-    directory = Path(root) / label
-    try:
-        if (directory / MANIFEST_NAME).exists():
-            return resume_run(directory).metrics  # finish a killed cell
-        return run_persistent(spec, directory).metrics
-    except PersistError:
-        # Leftover from an earlier, already-finished (or damaged)
-        # session: runs are deterministic, so redo the cell cleanly.
-        shutil.rmtree(directory, ignore_errors=True)
-        return run_persistent(spec, directory).metrics
-
-
-def _average(metrics_list):
-    """Average the headline scalars over repeated runs of one cell."""
-    return {
-        "avg_node_mb": sum(m.average_node_megabytes() for m in metrics_list)
-        / len(metrics_list),
-        "gini": sum(m.storage_gini() for m in metrics_list) / len(metrics_list),
-        "delivery": sum(m.average_delivery_time() for m in metrics_list)
-        / len(metrics_list),
-        "failed": sum(m.failed_requests for m in metrics_list),
-        "served": sum(len(m.delivery_times) for m in metrics_list),
-        "height": sum(m.chain_height() for m in metrics_list) / len(metrics_list),
-        "interval": sum(m.mean_block_interval() for m in metrics_list)
-        / len(metrics_list),
-    }
-
-
 @pytest.fixture(scope="session")
 def fig4_sweep() -> Dict[Tuple[int, float], dict]:
     """The Fig. 4 grid: node count × data rate, averaged over seeds."""
-    results: Dict[Tuple[int, float], dict] = {}
-    for node_count in PAPER_NODE_COUNTS:
-        for rate in PAPER_DATA_RATES:
-            cell = [
-                _cell_metrics(
-                    data_amount_scenario(node_count, rate, seed=seed),
-                    f"fig4-n{node_count}-r{rate:g}-s{seed}",
-                )
-                for seed in range(PAPER_SEED_COUNT)
-            ]
-            results[(node_count, rate)] = _average(cell)
-    return results
+    return {cell: cell_average(runs) for cell, runs in fig4_grid().items()}
 
 
 @pytest.fixture(scope="session")
 def fig5_sweep() -> Dict[Tuple[str, int], dict]:
     """The Fig. 5 grid: placement strategy × node count (1 item/minute)."""
-    results: Dict[Tuple[str, int], dict] = {}
-    for solver in ("greedy", "random"):
-        for node_count in PAPER_NODE_COUNTS:
-            cell = [
-                _cell_metrics(
-                    placement_scenario(node_count, solver, seed=seed),
-                    f"fig5-{solver}-n{node_count}-s{seed}",
-                )
-                for seed in range(PAPER_SEED_COUNT)
-            ]
-            results[(solver, node_count)] = _average(cell)
-    return results
+    return {cell: cell_average(runs) for cell, runs in fig5_grid().items()}

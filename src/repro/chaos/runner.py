@@ -15,14 +15,14 @@ around so tests can inspect admission state directly.
 from __future__ import annotations
 
 import asyncio
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Union
 
 from repro.chaos.scenario import ChaosSpec, node_classes_for
 from repro.chaos.verdict import compute_verdict
 from repro.metrics.collector import RunMetrics
+from repro.metrics.export import write_json
 from repro.obs import runtime as _obs
 
 PathLike = Union[str, Path]
@@ -48,12 +48,7 @@ class ChaosRunResult:
         return self.verdict["honest_digest"]
 
     def write_verdict(self, path: PathLike) -> Path:
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("w", encoding="utf-8") as handle:
-            json.dump(self.verdict, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return target
+        return write_json(self.verdict, path)
 
 
 def run_chaos_sim(spec: ChaosSpec) -> ChaosRunResult:
@@ -95,22 +90,15 @@ def run_chaos_sim(spec: ChaosSpec) -> ChaosRunResult:
 
 def run_chaos_live(spec: ChaosSpec) -> ChaosRunResult:
     """Run a chaos scenario over real sockets (live fabric)."""
-    from repro.net.harness import KillSpec, LiveClusterHarness, LiveSpec
+    from repro.net.harness import LiveClusterHarness, LiveSpec
 
-    kill: Optional[KillSpec] = None
-    if spec.kill is not None:
-        kill = KillSpec(
-            node_id=spec.kill.node_id,
-            at_minutes=spec.kill.at_minutes,
-            down_minutes=spec.kill.down_minutes,
-        )
     live_spec = LiveSpec(
         node_count=spec.node_count,
         config=spec.config,
         seed=spec.seed,
         duration_minutes=spec.duration_minutes,
         time_scale=spec.time_scale,
-        kill=kill,
+        kill=spec.kill,
         node_classes=node_classes_for(spec),
     )
     harness = LiveClusterHarness(live_spec)

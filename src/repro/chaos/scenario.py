@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 from repro.chaos.adversaries import ADVERSARY_TYPES
 from repro.core.config import SystemConfig
 from repro.sim.runner import ChurnSpec
+
+if TYPE_CHECKING:
+    from repro.net.harness import KillSpec
 
 
 @dataclass(frozen=True)
@@ -50,15 +53,6 @@ class PartitionSpec:
 
 
 @dataclass(frozen=True)
-class KillPlan:
-    """Kill + restart one node mid-run (live fabric only)."""
-
-    node_id: int
-    at_minutes: float
-    down_minutes: float
-
-
-@dataclass(frozen=True)
 class ChaosSpec:
     """Everything that defines one chaos run."""
 
@@ -74,7 +68,8 @@ class ChaosSpec:
     stop_minutes: Optional[float] = None
     churn: Optional[ChurnSpec] = None
     partition: Optional[PartitionSpec] = None
-    kill: Optional[KillPlan] = None
+    #: Kill + restart one node mid-run (live fabric only).
+    kill: Optional["KillSpec"] = None
     #: "sim" or "live".
     fabric: str = "sim"
     #: Wall seconds per logical second for the live fabric.
@@ -112,8 +107,11 @@ class ChaosSpec:
                 "churn/partition overlays are sim-fabric only; "
                 "use kill for live-fabric faults"
             )
-        if self.kill is not None and self.fabric != "live":
-            raise ValueError("kill plans are live-fabric only")
+        if self.kill is not None:
+            if self.fabric != "live":
+                raise ValueError("kill plans are live-fabric only")
+            if not 0 <= self.kill.node_id < self.node_count:
+                raise ValueError("kill target out of range")
 
     @property
     def duration_seconds(self) -> float:

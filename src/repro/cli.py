@@ -13,7 +13,8 @@ Commands:
 * ``archive inspect`` / ``archive fetch`` — verify and read the cold
   archive tier (``archive.jsonl``) a compaction leaves behind.
 * ``fig4`` / ``fig5`` / ``fig6`` — regenerate a paper figure from the
-  terminal (the benchmarks do the same under pytest).
+  terminal.  The figure loops live in :mod:`repro.sim.scenarios`; the
+  benchmarks call the same functions under pytest.
 * ``live run`` — the same protocol over real TCP sockets on localhost:
   N nodes as asyncio tasks (or ``--procs`` subprocesses), the seeded
   workload, and the same metrics/obs artefacts as ``run``.
@@ -37,17 +38,22 @@ Commands:
   as a terminal report plus a self-contained HTML page.
 * ``compare`` — diff two observed runs with threshold-based regression
   verdicts; exits non-zero when the candidate regressed.
+
+Each flag group (workload, kill drill, lifecycle, obs, telemetry) is
+declared by one helper in :func:`build_parser`, and every observed verb
+runs its body inside :func:`_observed`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 from repro import obs
 from repro.core.config import PAPER_CONFIG, LifecycleSpec
@@ -62,7 +68,7 @@ from repro.persist import (
     run_persistent,
 )
 from repro.sim.runner import ExperimentSpec, run_experiment
-from repro.sim.scenarios import data_amount_scenario, placement_scenario
+from repro.sim.scenarios import fig4_grid, fig5_grid, mining_session
 from repro.version import package_version
 
 
@@ -85,15 +91,36 @@ def _print_run_summary(title: str, metrics) -> None:
     )
 
 
+def _write(document, path: Optional[str]) -> None:
+    """Write ``document`` as JSON to ``path`` (when given) and say so."""
+    if path:
+        print(f"wrote {write_json(document, path)}")
+
+
 def _export(records, json_path: Optional[str], csv_path: Optional[str]) -> None:
-    if json_path:
-        print(f"wrote {write_json(records, json_path)}")
+    _write(records, json_path)
     if csv_path:
         print(f"wrote {write_csv(records, csv_path)}")
 
 
-def _apply_lifecycle(config, args: argparse.Namespace):
-    """Fold the --retain / --checkpoint-every knobs into a config."""
+@contextlib.contextmanager
+def _user_input() -> Iterator[None]:
+    """Turn a spec's ``ValueError`` into ``error: …`` and a non-zero exit."""
+    try:
+        yield
+    except ValueError as error:
+        raise SystemExit(f"error: {error}")
+
+
+def _config(args: argparse.Namespace):
+    """PAPER_CONFIG with the verb's workload and lifecycle flags folded in."""
+    config = replace(
+        PAPER_CONFIG,
+        data_items_per_minute=args.rate,
+        expected_block_interval=args.block_interval,
+        placement_solver=getattr(args, "solver", PAPER_CONFIG.placement_solver),
+        verify_metadata_signatures=getattr(args, "verify_signatures", False),
+    )
     interval = getattr(args, "checkpoint_every", None)
     retain = getattr(args, "retain", None)
     if interval is not None:
@@ -106,16 +133,6 @@ def _apply_lifecycle(config, args: argparse.Namespace):
             )
         config = replace(config, lifecycle=LifecycleSpec(retain_blocks=retain))
     return config
-
-
-def _persist_config(args: argparse.Namespace) -> PersistConfig:
-    try:
-        return PersistConfig(
-            journal_every_seconds=args.journal_every,
-            snapshot_every_seconds=args.snapshot_every,
-        )
-    except ValueError as error:
-        raise SystemExit(f"error: {error}")
 
 
 def _finish_durable(outcome: PersistentRunResult, label: str) -> int:
@@ -136,29 +153,40 @@ def _finish_durable(outcome: PersistentRunResult, label: str) -> int:
     return 0
 
 
-def _obs_enable(
-    args: argparse.Namespace,
-    default_interval: float,
-    origin: str = "n0",
-    out=None,
-):
-    """Enable observability for a CLI command (None when --obs is absent).
-
-    Also arms the live telemetry plane when asked: ``--telemetry [PORT]``
-    starts the streaming JSONL ring plus the /metrics + /snapshot
-    endpoint, and ``--profile`` starts the continuous stack sampler.
-    ``out`` redirects the diagnostics (the live ``node`` command must
-    keep stdout JSON-only).
-    """
+def _check_telemetry(args: argparse.Namespace) -> None:
+    """``--telemetry`` and ``--profile`` ride on ``--obs``: refuse them alone."""
     telemetry = getattr(args, "telemetry", None)
-    profile = getattr(args, "profile", False)
+    if (telemetry is not None or getattr(args, "profile", False)) and not args.obs:
+        raise SystemExit("error: --telemetry/--profile require --obs DIR")
+
+
+@contextlib.contextmanager
+def _observed(
+    args: argparse.Namespace, origin: str = "n0", out=None
+) -> Iterator[None]:
+    """Observe the ``with`` body when ``--obs DIR`` is set, then export.
+
+    The protocol timeline samples every ``--obs-sample`` simulated
+    seconds, by default once per expected block interval: the verb's
+    ``--block-interval``, or the paper's t0 for the resume verbs, whose
+    config is only known once the snapshot loads.  ``--telemetry [PORT]``
+    also starts the streaming JSONL ring plus the /metrics + /snapshot
+    endpoint, and ``--profile`` the continuous stack sampler.  ``out``
+    redirects the diagnostics (the live ``node`` command must keep stdout
+    JSON-only).
+    """
+    _check_telemetry(args)
     if not args.obs:
-        if telemetry is not None or profile:
-            raise SystemExit("error: --telemetry/--profile require --obs DIR")
-        return None
-    stream = out if out is not None else sys.stdout
-    interval = args.obs_sample if args.obs_sample is not None else default_interval
+        yield
+        return
+    stream = out or sys.stdout
+    interval = args.obs_sample
+    if interval is None:
+        interval = getattr(
+            args, "block_interval", PAPER_CONFIG.expected_block_interval
+        )
     session = obs.enable(timeline_interval=interval, origin=origin)
+    telemetry = getattr(args, "telemetry", None)
     if telemetry is not None:
         session.start_stream(args.obs)
         port = session.start_telemetry(port=telemetry)
@@ -167,109 +195,87 @@ def _obs_enable(
             f"(streaming to {Path(args.obs) / obs.STREAM_NAME})",
             file=stream,
         )
-    if profile:
-        session.start_profiler(hz=getattr(args, "profile_hz", None))
-    return session
-
-
-def _obs_export(session, args: argparse.Namespace, out=None) -> None:
-    stream = out if out is not None else sys.stdout
-    had_profiler = session.profiler is not None
-    had_stream = session.stream is not None
-    target = session.export(args.obs, timebase=args.obs_timebase)
-    obs.disable()
-    print(
-        f"wrote {target / obs.TRACE_NAME} (open in https://ui.perfetto.dev)",
-        file=stream,
-    )
-    print(f"wrote {target / obs.METRICS_NAME}", file=stream)
-    if session.timeline is not None:
+    if getattr(args, "profile", False):
+        session.start_profiler(hz=args.profile_hz)
+    try:
+        yield
+    finally:
+        had_profiler = session.profiler is not None
+        had_stream = session.stream is not None
+        target = session.export(args.obs, timebase=args.obs_timebase)
+        obs.disable()
         print(
-            f"wrote {target / obs.TIMELINE_NAME} "
-            f"({len(session.timeline.samples)} samples)",
+            f"wrote {target / obs.TRACE_NAME} (open in https://ui.perfetto.dev)",
             file=stream,
         )
-    if session.monitors is not None:
-        verdict = session.monitors.verdict()
-        print(
-            f"wrote {target / obs.VERDICT_NAME} "
-            f"(verdict: {verdict['status']}, {verdict['alerts']} alert(s))",
-            file=stream,
-        )
-    if had_profiler:
-        print(
-            f"wrote {target / obs.PROFILE_NAME} "
-            f"(render with `repro trace flame {target} --out flame.svg`)",
-            file=stream,
-        )
-    if had_stream:
-        print(f"telemetry stream: {target / obs.STREAM_NAME}", file=stream)
+        print(f"wrote {target / obs.METRICS_NAME}", file=stream)
+        if session.timeline is not None:
+            print(
+                f"wrote {target / obs.TIMELINE_NAME} "
+                f"({len(session.timeline.samples)} samples)",
+                file=stream,
+            )
+        if session.monitors is not None:
+            verdict = session.monitors.verdict()
+            print(
+                f"wrote {target / obs.VERDICT_NAME} "
+                f"(verdict: {verdict['status']}, {verdict['alerts']} alert(s))",
+                file=stream,
+            )
+        if had_profiler:
+            print(
+                f"wrote {target / obs.PROFILE_NAME} "
+                f"(render with `repro trace flame {target} --out flame.svg`)",
+                file=stream,
+            )
+        if had_stream:
+            print(f"telemetry stream: {target / obs.STREAM_NAME}", file=stream)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    # Default timeline cadence: one sample per expected block interval.
-    session = _obs_enable(args, default_interval=args.block_interval)
-    try:
-        return _cmd_run_inner(args)
-    finally:
-        if session is not None:
-            _obs_export(session, args)
-
-
-def _cmd_run_inner(args: argparse.Namespace) -> int:
-    config = replace(
-        PAPER_CONFIG,
-        data_items_per_minute=args.rate,
-        placement_solver=args.solver,
-        expected_block_interval=args.block_interval,
-    )
-    config = _apply_lifecycle(config, args)
-    spec = ExperimentSpec(
-        node_count=args.nodes,
-        config=config,
-        seed=args.seed,
-        duration_minutes=args.minutes,
-    )
-    label = (
-        f"Run: {args.nodes} nodes, {args.minutes:g} min, "
-        f"{args.rate:g} items/min, solver={args.solver}, seed={args.seed}"
-    )
-    if args.persist:
-        outcome = run_persistent(
-            spec,
-            args.persist,
-            persist=_persist_config(args),
-            stop_after_seconds=args.stop_after,
+    with _observed(args):
+        spec = ExperimentSpec(
+            node_count=args.nodes,
+            config=_config(args),
+            seed=args.seed,
+            duration_minutes=args.minutes,
         )
-        status = _finish_durable(outcome, label)
-        if status or not outcome.completed:
-            return status
-        result = outcome.result
-    else:
-        if args.stop_after is not None:
-            raise SystemExit("--stop-after requires --persist DIR")
-        result = run_experiment(spec)
-        _print_run_summary(label, result.metrics)
-    record = metrics_to_record(
-        result.metrics, seed=args.seed, rate=args.rate, solver=args.solver
-    )
-    _export([record], args.json, args.csv)
-    return 0
+        label = (
+            f"Run: {args.nodes} nodes, {args.minutes:g} min, "
+            f"{args.rate:g} items/min, solver={args.solver}, seed={args.seed}"
+        )
+        if args.persist:
+            with _user_input():
+                persist = PersistConfig(
+                    journal_every_seconds=args.journal_every,
+                    snapshot_every_seconds=args.snapshot_every,
+                )
+            outcome = run_persistent(
+                spec,
+                args.persist,
+                persist=persist,
+                stop_after_seconds=args.stop_after,
+            )
+            status = _finish_durable(outcome, label)
+            if status or not outcome.completed:
+                return status
+            result = outcome.result
+        else:
+            if args.stop_after is not None:
+                raise SystemExit("--stop-after requires --persist DIR")
+            result = run_experiment(spec)
+            _print_run_summary(label, result.metrics)
+        record = metrics_to_record(
+            result.metrics, seed=args.seed, rate=args.rate, solver=args.solver
+        )
+        _export([record], args.json, args.csv)
+        return 0
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
-    # The paper-default block interval is the sampling fallback; a resumed
-    # run's actual config is only known once the snapshot loads, so pass
-    # --obs-sample to match a non-default --block-interval.
-    session = _obs_enable(
-        args, default_interval=PAPER_CONFIG.expected_block_interval
-    )
-    try:
+    with _observed(args):
         outcome = resume_run(args.directory, stop_after_seconds=args.stop_after)
         return _finish_durable(outcome, f"Resumed run: {args.directory}")
-    finally:
-        if session is not None:
-            _obs_export(session, args)
 
 
 def _format_bytes(count: int) -> str:
@@ -459,21 +465,18 @@ def cmd_archive_fetch(args: argparse.Namespace) -> int:
 def cmd_fig4(args: argparse.Namespace) -> int:
     records = []
     rows = []
-    for nodes in args.node_counts:
-        for rate in args.rates:
-            metrics = run_experiment(
-                data_amount_scenario(nodes, rate, seed=args.seed)
-            ).metrics
-            records.append(metrics_to_record(metrics, rate=rate, seed=args.seed))
-            rows.append(
-                [
-                    nodes,
-                    rate,
-                    round(metrics.average_node_megabytes(), 1),
-                    round(metrics.storage_gini(), 4),
-                    round(metrics.average_delivery_time(), 3),
-                ]
-            )
+    grid = fig4_grid(args.node_counts, args.rates, seeds=[args.seed])
+    for (nodes, rate), (metrics,) in grid.items():
+        records.append(metrics_to_record(metrics, rate=rate, seed=args.seed))
+        rows.append(
+            [
+                nodes,
+                rate,
+                round(metrics.average_node_megabytes(), 1),
+                round(metrics.storage_gini(), 4),
+                round(metrics.average_delivery_time(), 3),
+            ]
+        )
     print()
     print(
         render_table(
@@ -487,23 +490,21 @@ def cmd_fig4(args: argparse.Namespace) -> int:
 
 
 def cmd_fig5(args: argparse.Namespace) -> int:
-    records = []
+    grid = fig5_grid(args.node_counts, seeds=[args.seed])
+    records = [
+        metrics_to_record(metrics, solver=solver, seed=args.seed)
+        for (solver, _), (metrics,) in grid.items()
+    ]
     rows = []
     for nodes in args.node_counts:
-        cells = {}
-        for solver in ("greedy", "random"):
-            metrics = run_experiment(
-                placement_scenario(nodes, solver, seed=args.seed)
-            ).metrics
-            cells[solver] = metrics
-            records.append(metrics_to_record(metrics, solver=solver, seed=args.seed))
+        greedy, random_ = grid[("greedy", nodes)][0], grid[("random", nodes)][0]
         rows.append(
             [
                 nodes,
-                round(cells["greedy"].average_delivery_time(), 3),
-                round(cells["random"].average_delivery_time(), 3),
-                round(cells["greedy"].average_node_megabytes(), 1),
-                round(cells["random"].average_node_megabytes(), 1),
+                round(greedy.average_delivery_time(), 3),
+                round(random_.average_delivery_time(), 3),
+                round(greedy.average_node_megabytes(), 1),
+                round(random_.average_node_megabytes(), 1),
             ]
         )
     print()
@@ -519,41 +520,24 @@ def cmd_fig5(args: argparse.Namespace) -> int:
 
 
 def cmd_fig6(args: argparse.Namespace) -> int:
-    import numpy as np
+    pow_series = mining_session("pow", args.minutes, args.seed, args.difficulty)
+    pos_series = mining_session("pos", args.minutes, args.seed)
 
-    from repro.core.pos import compute_amendment, compute_hit, mining_delay
-    from repro.core.pow import PowMiner
-    from repro.energy.meter import EnergyMeter
-
-    rng = np.random.default_rng(args.seed)
-    pow_meter = EnergyMeter()
-    pow_miner = PowMiner(pow_meter, difficulty=args.difficulty)
-    pos_meter = EnergyMeter()
-    amendment = compute_amendment(2**64, 1, 25.0, 1.0)
+    def at(series, minutes: int):
+        """The series point of the block that reaches ``minutes``."""
+        return next((p for p in series if p[1] >= minutes * 60), series[-1])
 
     rows = []
-    pow_elapsed = pos_elapsed = 0.0
-    pow_blocks = pos_blocks = 0
-    pos_hash = f"cli-{args.seed}"
     for checkpoint in range(12, args.minutes + 1, 12):
-        while pow_elapsed < checkpoint * 60 and not pow_meter.depleted:
-            result = pow_miner.mine_block(rng)
-            pow_elapsed += result.duration_seconds
-            pow_blocks += 1
-        while pos_elapsed < checkpoint * 60:
-            hit = compute_hit(pos_hash, "cli-account", 2**64)
-            pos_hash += "x"
-            delay = mining_delay(hit, 1.0, 1.0, amendment)
-            pos_meter.charge_pos_ticks(delay)
-            pos_elapsed += delay
-            pos_blocks += 1
+        pow_blocks, _, pow_battery = at(pow_series, checkpoint)
+        pos_blocks, _, pos_battery = at(pos_series, checkpoint)
         rows.append(
             [
                 checkpoint,
                 pow_blocks,
-                round(pow_meter.remaining_percent, 1),
+                round(pow_battery, 1),
                 pos_blocks,
-                round(pos_meter.remaining_percent, 1),
+                round(pos_battery, 1),
             ]
         )
     print()
@@ -567,35 +551,31 @@ def cmd_fig6(args: argparse.Namespace) -> int:
     return 0
 
 
+def _kill_spec(args: argparse.Namespace):
+    """The ``--kill`` drill as a KillSpec (None when not asked for)."""
+    from repro.net.harness import KillSpec
+
+    if getattr(args, "kill", None) is None:
+        return None
+    return KillSpec(
+        node_id=args.kill, at_minutes=args.kill_at, down_minutes=args.kill_down
+    )
+
+
 def _live_spec(args: argparse.Namespace):
     """Build a LiveSpec from the shared ``live`` flag set."""
-    from repro.net.harness import KillSpec, LiveSpec
+    from repro.net.harness import LiveSpec
 
-    config = replace(
-        PAPER_CONFIG,
-        data_items_per_minute=args.rate,
-        placement_solver=args.solver,
-        expected_block_interval=args.block_interval,
-    )
-    kill = None
-    if getattr(args, "kill", None) is not None:
-        kill = KillSpec(
-            node_id=args.kill,
-            at_minutes=args.kill_at,
-            down_minutes=args.kill_down,
-        )
-    try:
+    with _user_input():
         return LiveSpec(
             node_count=args.nodes,
-            config=config,
+            config=_config(args),
             seed=args.seed,
             duration_minutes=args.minutes,
             time_scale=args.time_scale,
             base_port=args.base_port,
-            kill=kill,
+            kill=_kill_spec(args),
         )
-    except ValueError as error:
-        raise SystemExit(f"error: {error}")
 
 
 def cmd_live_run(args: argparse.Namespace) -> int:
@@ -603,38 +583,29 @@ def cmd_live_run(args: argparse.Namespace) -> int:
         # The node processes own the obs plane (one origin each); the
         # parent only launches, scrapes, and merges their artefacts.
         return _live_run_procs(args)
-    session = _obs_enable(args, default_interval=args.block_interval)
-    try:
-        return _cmd_live_run_inner(args)
-    finally:
-        if session is not None:
-            _obs_export(session, args)
-
-
-def _cmd_live_run_inner(args: argparse.Namespace) -> int:
     from repro.net.harness import run_live_experiment
 
-    spec = _live_spec(args)
-    result = run_live_experiment(spec)
-    label = (
-        f"Live run: {args.nodes} nodes, {args.minutes:g} min at "
-        f"{args.time_scale:g}x wall, seed={args.seed}"
-    )
-    _print_run_summary(label, result.metrics)
-    summary = result.summary()
-    print(
-        f"chain digest {result.chain_digest[:16]}… on all nodes: "
-        f"{summary['digests_agree']}; reconnects: {result.reconnects}"
-    )
-    if result.resynced is not None:
-        print(f"killed node resynced: {result.resynced}")
-    if args.json:
-        record = metrics_to_record(
-            result.metrics, seed=args.seed, rate=args.rate, solver=args.solver
+    with _observed(args):
+        result = run_live_experiment(_live_spec(args))
+        label = (
+            f"Live run: {args.nodes} nodes, {args.minutes:g} min at "
+            f"{args.time_scale:g}x wall, seed={args.seed}"
         )
-        record.update(summary)
-        _export([record], args.json, None)
-    return 0 if result.healthy else 1
+        _print_run_summary(label, result.metrics)
+        summary = result.summary()
+        print(
+            f"chain digest {result.chain_digest[:16]}… on all nodes: "
+            f"{summary['digests_agree']}; reconnects: {result.reconnects}"
+        )
+        if result.resynced is not None:
+            print(f"killed node resynced: {result.resynced}")
+        if args.json:
+            record = metrics_to_record(
+                result.metrics, seed=args.seed, rate=args.rate, solver=args.solver
+            )
+            record.update(summary)
+            _write([record], args.json)
+        return 0 if result.healthy else 1
 
 
 def _live_run_procs(args: argparse.Namespace) -> int:
@@ -649,11 +620,12 @@ def _live_run_procs(args: argparse.Namespace) -> int:
     import subprocess
     import time as _time
 
-    if args.kill is not None:
-        raise SystemExit("error: --kill is not supported with --procs")
-    telemetry = getattr(args, "telemetry", None)
-    if (telemetry is not None or getattr(args, "profile", False)) and not args.obs:
-        raise SystemExit("error: --telemetry/--profile require --obs DIR")
+    # The parent holds no metrics of its own to drill or record.
+    for flag, value in (("--kill", args.kill), ("--json", args.json)):
+        if value is not None:
+            raise SystemExit(f"error: {flag} is not supported with --procs")
+    _check_telemetry(args)
+    telemetry = args.telemetry
     base_port = args.base_port or 46200
     telemetry_base = (telemetry or 47300) if telemetry is not None else None
     start_at = _time.time() + args.start_lead
@@ -679,9 +651,9 @@ def _live_run_procs(args: argparse.Namespace) -> int:
                 extra += ["--obs-sample", str(args.obs_sample)]
             if telemetry_base is not None:
                 extra += ["--telemetry", str(telemetry_base + node_id)]
-            if getattr(args, "profile", False):
+            if args.profile:
                 extra.append("--profile")
-                if getattr(args, "profile_hz", None) is not None:
+                if args.profile_hz is not None:
                     extra += ["--profile-hz", str(args.profile_hz)]
         return extra
 
@@ -781,24 +753,12 @@ def _merge_proc_artefacts(args: argparse.Namespace) -> None:
     if not sources:
         print("no per-process obs artefacts to merge", file=sys.stderr)
         return
-    stats = obs.merge_trace_files(sources, out=root / obs.MERGED_TRACE_NAME)
-    print(
-        f"wrote {stats['out']} ({stats['events']} events, "
-        f"{stats['traces']} traces from {len(stats['origins'])} process(es))"
+    _merge_obs(
+        [path / obs.METRICS_NAME for path in sources],
+        root / "metrics_merged.json",
+        [path / obs.TRACE_NAME for path in sources],
+        root / obs.MERGED_TRACE_NAME,
     )
-    print(f"cross-process traces: {stats['cross_process_traces']}")
-    snapshots = []
-    for path in sources:
-        metrics_file = path / obs.METRICS_NAME
-        if metrics_file.exists():
-            snapshots.append(json.loads(metrics_file.read_text(encoding="utf-8")))
-    if snapshots:
-        merged = obs.merge_snapshots(snapshots)
-        out_path = root / "metrics_merged.json"
-        with out_path.open("w", encoding="utf-8") as handle:
-            json.dump(merged, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {out_path} ({len(merged['instruments'])} instruments)")
 
 
 def cmd_live_parity(args: argparse.Namespace) -> int:
@@ -817,13 +777,7 @@ def cmd_live_parity(args: argparse.Namespace) -> int:
         )
     )
     print(f"match: {report['match']}")
-    if args.json:
-        out = Path(args.json)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {out}")
+    _write(report, args.json)
     return 0 if report["match"] else 1
 
 
@@ -835,18 +789,9 @@ def cmd_live_node(args: argparse.Namespace) -> int:
 
     # stdout is a protocol surface here — the parent parses the last line
     # as the result JSON — so every obs diagnostic goes to stderr.
-    session = _obs_enable(
-        args,
-        default_interval=args.block_interval,
-        origin=f"n{args.node_id}",
-        out=sys.stderr,
-    )
-    spec = _live_spec(args)
-    try:
+    with _observed(args, origin=f"n{args.node_id}", out=sys.stderr):
+        spec = _live_spec(args)
         result = asyncio.run(host_single_node(spec, args.node_id, args.start_at))
-    finally:
-        if session is not None:
-            _obs_export(session, args, out=sys.stderr)
     print(json.dumps(result, sort_keys=True))
     return 0
 
@@ -879,15 +824,8 @@ def _parse_adversaries(entries: List[str]) -> dict:
 
 def _chaos_spec(args: argparse.Namespace):
     from repro.chaos import ChaosSpec, PartitionSpec
-    from repro.chaos.scenario import KillPlan
     from repro.sim.runner import ChurnSpec
 
-    config = replace(
-        PAPER_CONFIG,
-        data_items_per_minute=args.rate,
-        expected_block_interval=args.block_interval,
-        verify_metadata_signatures=args.verify_signatures,
-    )
     churn = ChurnSpec(node_fraction=args.churn) if args.churn is not None else None
     partition = None
     if args.partition:
@@ -900,17 +838,10 @@ def _chaos_spec(args: argparse.Namespace):
             raise SystemExit(
                 f"error: --partition expects AT:HEAL minutes ({error})"
             )
-    kill = None
-    if args.kill is not None:
-        kill = KillPlan(
-            node_id=args.kill,
-            at_minutes=args.kill_at,
-            down_minutes=args.kill_down,
-        )
-    try:
+    with _user_input():
         return ChaosSpec(
             node_count=args.nodes,
-            config=config,
+            config=_config(args),
             seed=args.seed,
             duration_minutes=args.minutes,
             adversaries=_parse_adversaries(args.adversary),
@@ -918,111 +849,101 @@ def _chaos_spec(args: argparse.Namespace):
             stop_minutes=args.stop,
             churn=churn,
             partition=partition,
-            kill=kill,
+            kill=_kill_spec(args),
             fabric=args.fabric,
             time_scale=args.time_scale,
         )
-    except ValueError as error:
-        raise SystemExit(f"error: {error}")
 
 
-def cmd_chaos_run(args: argparse.Namespace) -> int:
-    session = _obs_enable(args, default_interval=args.block_interval)
-    try:
-        return _cmd_chaos_run_inner(args)
-    finally:
-        if session is not None:
-            _obs_export(session, args)
-
-
-def _cmd_chaos_run_inner(args: argparse.Namespace) -> int:
-    from repro.chaos import run_chaos
+def _write_verdicts(result, args: argparse.Namespace) -> int:
+    """Write a chaos verdict to ``--json`` and ``--obs``; exit 1 if critical."""
     from repro.chaos.runner import CHAOS_VERDICT_NAME
 
-    spec = _chaos_spec(args)
-    result = run_chaos(spec)
-    verdict = result.verdict
-    mix = (
-        ", ".join(
-            f"{behavior}={list(ids)}"
-            for behavior, ids in sorted(verdict["adversaries"].items())
-        )
-        or "none"
-    )
-    safety = verdict["safety"]
-    liveness = verdict["liveness"]
-    admission = verdict["admission"]
-    rejections = (
-        ", ".join(
-            f"{reason}={count}"
-            for reason, count in sorted(admission["rejections"].items())
-        )
-        or "-"
-    )
-    print()
-    print(
-        render_table(
-            f"Chaos: {spec.node_count} nodes on {spec.fabric}, "
-            f"{spec.duration_minutes:g} min, seed={spec.seed}",
-            ["field", "value"],
-            [
-                ["verdict", verdict["status"]],
-                ["adversaries", mix],
-                ["safety ok", safety["ok"]],
-                ["liveness ok", liveness["ok"]],
-                ["honest common prefix", liveness["common_prefix_height"]],
-                ["honest height", verdict["honest_height"]],
-                ["honest digest", verdict["honest_digest"][:16]],
-                ["rejections", rejections],
-                ["quarantined peers", admission["quarantined_peers"] or "-"],
-            ],
-        )
-    )
-    for issue in liveness["issues"]:
-        print(f"liveness: {issue}")
-    if not safety["ok"]:
-        for field_name in (
-            "invalid_chains",
-            "checkpoint_violations",
-            "honest_quarantined",
-        ):
-            if safety[field_name]:
-                print(f"SAFETY: {field_name}: {safety[field_name]}", file=sys.stderr)
-        if not safety["genesis_consistent"]:
-            print("SAFETY: honest genesis blocks differ", file=sys.stderr)
-    targets = []
-    if args.json:
-        targets.append(Path(args.json))
+    targets = [args.json] if args.json else []
     if args.obs:
         targets.append(Path(args.obs) / CHAOS_VERDICT_NAME)
     for target in targets:
         print(f"wrote {result.write_verdict(target)}")
-    return 1 if verdict["status"] == "critical" else 0
+    return 1 if result.verdict["status"] == "critical" else 0
+
+
+def cmd_chaos_run(args: argparse.Namespace) -> int:
+    from repro.chaos import run_chaos
+
+    with _observed(args):
+        spec = _chaos_spec(args)
+        result = run_chaos(spec)
+        verdict = result.verdict
+        mix = (
+            ", ".join(
+                f"{behavior}={list(ids)}"
+                for behavior, ids in sorted(verdict["adversaries"].items())
+            )
+            or "none"
+        )
+        safety = verdict["safety"]
+        liveness = verdict["liveness"]
+        admission = verdict["admission"]
+        rejections = (
+            ", ".join(
+                f"{reason}={count}"
+                for reason, count in sorted(admission["rejections"].items())
+            )
+            or "-"
+        )
+        print()
+        print(
+            render_table(
+                f"Chaos: {spec.node_count} nodes on {spec.fabric}, "
+                f"{spec.duration_minutes:g} min, seed={spec.seed}",
+                ["field", "value"],
+                [
+                    ["verdict", verdict["status"]],
+                    ["adversaries", mix],
+                    ["safety ok", safety["ok"]],
+                    ["liveness ok", liveness["ok"]],
+                    ["honest common prefix", liveness["common_prefix_height"]],
+                    ["honest height", verdict["honest_height"]],
+                    ["honest digest", verdict["honest_digest"][:16]],
+                    ["rejections", rejections],
+                    ["quarantined peers", admission["quarantined_peers"] or "-"],
+                ],
+            )
+        )
+        for issue in liveness["issues"]:
+            print(f"liveness: {issue}")
+        if not safety["ok"]:
+            for field_name in (
+                "invalid_chains",
+                "checkpoint_violations",
+                "honest_quarantined",
+            ):
+                if safety[field_name]:
+                    print(
+                        f"SAFETY: {field_name}: {safety[field_name]}",
+                        file=sys.stderr,
+                    )
+            if not safety["genesis_consistent"]:
+                print("SAFETY: honest genesis blocks differ", file=sys.stderr)
+        return _write_verdicts(result, args)
 
 
 def _fed_spec(args: argparse.Namespace):
     from repro.federation import FederationSpec
 
-    config = replace(
-        PAPER_CONFIG,
-        data_items_per_minute=args.rate,
-        expected_block_interval=args.block_interval,
-    )
-    config = _apply_lifecycle(config, args)
-    try:
+    with _user_input():
         return FederationSpec(
             cluster_count=args.clusters,
             nodes_per_cluster=args.nodes,
-            config=config,
+            config=_config(args),
             seed=args.seed,
             duration_minutes=args.minutes,
             super_peer_count=args.super_peers,
         )
-    except ValueError as error:
-        raise SystemExit(f"error: {error}")
 
 
-def _print_fed_summary(title: str, aggregate: dict) -> None:
+def _print_fed_summary(title: str, result, directory: str) -> None:
+    aggregate = result.aggregate
     print()
     print(
         render_table(
@@ -1071,194 +992,143 @@ def _print_fed_summary(title: str, aggregate: dict) -> None:
             ],
         )
     )
-
-
-def _export_fed_json(aggregate: dict, json_path: Optional[str]) -> None:
-    if not json_path:
-        return
-    out = Path(json_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as handle:
-        json.dump(aggregate, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {out}")
+    if not aggregate["finished"]:
+        print(
+            f"paused at t={result.runtime.engine.now:g}s — resume with "
+            f"`repro fed resume {directory}`"
+        )
 
 
 def cmd_fed_run(args: argparse.Namespace) -> int:
-    session = _obs_enable(args, default_interval=args.block_interval)
-    try:
-        return _cmd_fed_run_inner(args)
-    finally:
-        if session is not None:
-            _obs_export(session, args)
-
-
-def _cmd_fed_run_inner(args: argparse.Namespace) -> int:
     from repro.federation import run_federation
 
-    if args.stop_after is not None and not args.persist:
-        raise SystemExit("--stop-after requires --persist DIR")
-    spec = _fed_spec(args)
-    result = run_federation(
-        spec,
-        persist_dir=args.persist,
-        snapshot_every_seconds=args.snapshot_every,
-        stop_after_seconds=args.stop_after,
-    )
-    aggregate = result.aggregate
-    _print_fed_summary(
-        f"Federated run: {spec.cluster_count} clusters x "
-        f"{spec.nodes_per_cluster} nodes, {spec.duration_seconds / 60.0:g} min, "
-        f"seed={spec.seed}",
-        aggregate,
-    )
-    if not aggregate["finished"]:
-        print(
-            f"paused at t={result.runtime.engine.now:g}s — resume with "
-            f"`repro fed resume {args.persist}`"
+    with _observed(args):
+        if args.stop_after is not None and not args.persist:
+            raise SystemExit("--stop-after requires --persist DIR")
+        spec = _fed_spec(args)
+        result = run_federation(
+            spec,
+            persist_dir=args.persist,
+            snapshot_every_seconds=args.snapshot_every,
+            stop_after_seconds=args.stop_after,
         )
-    _export_fed_json(aggregate, args.json)
-    return 0
+        _print_fed_summary(
+            f"Federated run: {spec.cluster_count} clusters x "
+            f"{spec.nodes_per_cluster} nodes, "
+            f"{spec.duration_seconds / 60.0:g} min, seed={spec.seed}",
+            result,
+            args.persist,
+        )
+        _write(result.aggregate, args.json)
+        return 0
 
 
 def cmd_fed_resume(args: argparse.Namespace) -> int:
-    session = _obs_enable(
-        args, default_interval=PAPER_CONFIG.expected_block_interval
-    )
-    try:
-        return _cmd_fed_resume_inner(args)
-    finally:
-        if session is not None:
-            _obs_export(session, args)
-
-
-def _cmd_fed_resume_inner(args: argparse.Namespace) -> int:
     from repro.federation import resume_federation
 
-    result = resume_federation(
-        args.directory,
-        snapshot_every_seconds=args.snapshot_every,
-        stop_after_seconds=args.stop_after,
-    )
-    aggregate = result.aggregate
-    _print_fed_summary(f"Resumed federated run: {args.directory}", aggregate)
-    if not aggregate["finished"]:
-        print(
-            f"paused at t={result.runtime.engine.now:g}s — resume with "
-            f"`repro fed resume {args.directory}`"
+    with _observed(args):
+        result = resume_federation(
+            args.directory,
+            snapshot_every_seconds=args.snapshot_every,
+            stop_after_seconds=args.stop_after,
         )
-    _export_fed_json(aggregate, args.json)
-    return 0
+        _print_fed_summary(
+            f"Resumed federated run: {args.directory}", result, args.directory
+        )
+        _write(result.aggregate, args.json)
+        return 0
 
 
 def cmd_fed_chaos(args: argparse.Namespace) -> int:
-    session = _obs_enable(args, default_interval=args.block_interval)
-    try:
-        return _cmd_fed_chaos_inner(args)
-    finally:
-        if session is not None:
-            _obs_export(session, args)
-
-
-def _cmd_fed_chaos_inner(args: argparse.Namespace) -> int:
-    from repro.chaos.runner import CHAOS_VERDICT_NAME
     from repro.federation import FederatedChaosSpec, run_federated_chaos
 
-    federation = _fed_spec(args)
-    fog_adversaries = {}
-    if args.fog_behavior:
-        peers = (
-            tuple(int(p) for p in args.fog_peers.split(","))
-            if args.fog_peers
-            else (0,)
+    with _observed(args):
+        federation = _fed_spec(args)
+        fog_adversaries = {}
+        if args.fog_behavior:
+            peers = (
+                tuple(int(p) for p in args.fog_peers.split(","))
+                if args.fog_peers
+                else (0,)
+            )
+            fog_adversaries = {args.fog_behavior: peers}
+        elif args.fog_peers:
+            raise SystemExit("error: --fog-peers requires --fog-behavior")
+        with _user_input():
+            spec = FederatedChaosSpec(
+                federation=federation,
+                byzantine_clusters=tuple(args.byzantine_cluster or ()),
+                behavior=args.behavior,
+                start_minutes=args.start,
+                stop_minutes=args.stop,
+                fog_adversaries=fog_adversaries,
+            )
+        result = run_federated_chaos(spec)
+        verdict = result.verdict
+        blast = verdict["blast_radius"]
+        siblings = (
+            ", ".join(
+                f"c{key}={'ok' if ok else 'VIOLATED'}"
+                for key, ok in sorted(blast["sibling_safety"].items())
+            )
+            or "-"
         )
-        fog_adversaries = {args.fog_behavior: peers}
-    elif args.fog_peers:
-        raise SystemExit("error: --fog-peers requires --fog-behavior")
-    try:
-        spec = FederatedChaosSpec(
-            federation=federation,
-            byzantine_clusters=tuple(args.byzantine_cluster or ()),
-            behavior=args.behavior,
-            start_minutes=args.start,
-            stop_minutes=args.stop,
-            fog_adversaries=fog_adversaries,
+        fog = verdict["fog"]
+        fog_adversary_label = (
+            ", ".join(
+                f"{behavior}@{peers}"
+                for behavior, peers in sorted(fog["adversaries"].items())
+            )
+            or "-"
         )
-    except ValueError as error:
-        raise SystemExit(f"error: {error}")
-    result = run_federated_chaos(spec)
-    verdict = result.verdict
-    blast = verdict["blast_radius"]
-    siblings = (
-        ", ".join(
-            f"c{key}={'ok' if ok else 'VIOLATED'}"
-            for key, ok in sorted(blast["sibling_safety"].items())
+        rehomed = (
+            ", ".join(
+                f"c{cluster}→p{peer}"
+                for cluster, peer in sorted(fog["rehomed_clusters"].items())
+            )
+            or "-"
         )
-        or "-"
-    )
-    fog = verdict["fog"]
-    fog_adversary_label = (
-        ", ".join(
-            f"{behavior}@{peers}"
-            for behavior, peers in sorted(fog["adversaries"].items())
+        behavior_label = spec.behavior if spec.byzantine_clusters else (
+            "+".join(sorted(fog["adversaries"])) or spec.behavior
         )
-        or "-"
-    )
-    rehomed = (
-        ", ".join(
-            f"c{cluster}→p{peer}"
-            for cluster, peer in sorted(fog["rehomed_clusters"].items())
+        print()
+        print(
+            render_table(
+                f"Federated chaos: {federation.cluster_count} clusters x "
+                f"{federation.nodes_per_cluster} nodes, "
+                f"behavior={behavior_label}, seed={federation.seed}",
+                ["field", "value"],
+                [
+                    ["verdict", verdict["status"]],
+                    ["blast radius ok", blast["ok"]],
+                    ["byzantine clusters", blast["byzantine_clusters"] or "-"],
+                    ["sibling safety", siblings],
+                    ["fog ok", fog["ok"]],
+                    ["fog adversaries", fog_adversary_label],
+                    ["fog quarantined", fog["quarantined_peers"] or "-"],
+                    ["clusters re-homed", rehomed],
+                    ["cross lookups ok/failed",
+                     f"{fog['lookups_ok']} / {fog['lookups_failed']}"],
+                    ["attestation / verify rejected",
+                     f"{fog['attestation_rejected']} / {fog['verify_rejected']}"],
+                ],
+            )
         )
-        or "-"
-    )
-    behavior_label = spec.behavior if spec.byzantine_clusters else (
-        "+".join(sorted(fog["adversaries"])) or spec.behavior
-    )
-    print()
-    print(
-        render_table(
-            f"Federated chaos: {federation.cluster_count} clusters x "
-            f"{federation.nodes_per_cluster} nodes, "
-            f"behavior={behavior_label}, seed={federation.seed}",
-            ["field", "value"],
-            [
-                ["verdict", verdict["status"]],
-                ["blast radius ok", blast["ok"]],
-                ["byzantine clusters", blast["byzantine_clusters"] or "-"],
-                ["sibling safety", siblings],
-                ["fog ok", fog["ok"]],
-                ["fog adversaries", fog_adversary_label],
-                ["fog quarantined", fog["quarantined_peers"] or "-"],
-                ["clusters re-homed", rehomed],
-                ["cross lookups ok/failed",
-                 f"{fog['lookups_ok']} / {fog['lookups_failed']}"],
-                ["attestation / verify rejected",
-                 f"{fog['attestation_rejected']} / {fog['verify_rejected']}"],
-            ],
-        )
-    )
-    targets = []
-    if args.json:
-        targets.append(Path(args.json))
-    if args.obs:
-        targets.append(Path(args.obs) / CHAOS_VERDICT_NAME)
-    for target in targets:
-        print(f"wrote {result.write_verdict(target)}")
-    return 1 if verdict["status"] == "critical" else 0
+        return _write_verdicts(result, args)
 
 
-def _trace_path(argument: str) -> Path:
-    """Accept either an obs directory or a trace file path."""
+def _trace_file(argument: str) -> Path:
+    """The trace an obs directory or a trace file path names; must exist."""
     path = Path(argument)
     if path.is_dir():
-        return path / obs.TRACE_NAME
+        path = path / obs.TRACE_NAME
+    if not path.exists():
+        raise SystemExit(f"error: no trace file at {path}")
     return path
 
 
 def cmd_trace_summary(args: argparse.Namespace) -> int:
-    trace_file = _trace_path(args.source)
-    if not trace_file.exists():
-        raise SystemExit(f"error: no trace file at {trace_file}")
+    trace_file = _trace_file(args.source)
     events = obs.read_trace_events(trace_file)
     rows = [
         [
@@ -1293,48 +1163,57 @@ def cmd_trace_summary(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_export(args: argparse.Namespace) -> int:
-    trace_file = _trace_path(args.source)
-    if not trace_file.exists():
-        raise SystemExit(f"error: no trace file at {trace_file}")
-    events = obs.read_trace_events(trace_file)
+    events = obs.read_trace_events(_trace_file(args.source))
     print(f"wrote {obs.write_strict_json(events, args.out)} ({len(events)} events)")
     return 0
 
 
-def cmd_trace_merge(args: argparse.Namespace) -> int:
+def _merge_obs(
+    metrics_files: Sequence[Path],
+    out: Path,
+    trace_files: Sequence[Path] = (),
+    trace_out: Optional[Path] = None,
+) -> None:
+    """Merge metrics snapshots into ``out``; stitch traces into ``trace_out``."""
     snapshots = []
-    for source in args.sources:
-        path = Path(source)
-        if path.is_dir():
-            path = path / obs.METRICS_NAME
+    for path in metrics_files:
         try:
             snapshots.append(json.loads(path.read_text(encoding="utf-8")))
         except (OSError, json.JSONDecodeError) as error:
-            raise SystemExit(f"error: cannot read metrics snapshot {path}: {error}")
+            raise SystemExit(
+                f"error: cannot read metrics snapshot {path}: {error}"
+            )
     merged = obs.merge_snapshots(snapshots)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as handle:
-        json.dump(merged, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {out} ({len(merged['instruments'])} instruments)")
+    target = write_json(merged, out)
+    print(f"wrote {target} ({len(merged['instruments'])} instruments)")
+    if trace_out is None:
+        return
+    stats = obs.merge_trace_files(trace_files, out=trace_out)
+    print(
+        f"wrote {stats['out']} ({stats['events']} events, "
+        f"{stats['traces']} traces from {len(stats['origins'])} origin(s))"
+    )
+    print(f"cross-process traces: {stats['cross_process_traces']}")
+
+
+def cmd_trace_merge(args: argparse.Namespace) -> int:
+    sources = [Path(source) for source in args.sources]
+    trace_files = []
     if args.trace_out:
-        candidates = []
-        for source in args.sources:
-            path = Path(source)
+        for path in sources:
             trace_file = path / obs.TRACE_NAME if path.is_dir() else path
             if trace_file.name != obs.METRICS_NAME and trace_file.exists():
-                candidates.append(trace_file)
-        if not candidates:
+                trace_files.append(trace_file)
+        if not trace_files:
             raise SystemExit(
                 "error: --trace-out found no trace.jsonl among the sources"
             )
-        stats = obs.merge_trace_files(candidates, out=args.trace_out)
-        print(
-            f"wrote {stats['out']} ({stats['events']} events, "
-            f"{stats['traces']} traces from {len(stats['origins'])} origin(s))"
-        )
-        print(f"cross-process traces: {stats['cross_process_traces']}")
+    _merge_obs(
+        [path / obs.METRICS_NAME if path.is_dir() else path for path in sources],
+        Path(args.out),
+        trace_files,
+        args.trace_out,
+    )
     return 0
 
 
@@ -1422,13 +1301,104 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print()
     print(obs.render_comparison(result))
     if args.json:
-        out = Path(args.json)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {out}")
+        _write(result.to_dict(), args.json)
     return 1 if result.regressed else 0
+
+
+def _workload_flags(
+    p: argparse.ArgumentParser,
+    nodes: int = 8,
+    minutes: float = 10.0,
+    solver: bool = True,
+    scope: str = "",
+) -> None:
+    """The seeded workload: size, length, seed, data rate and block time."""
+    p.add_argument(
+        "--nodes", type=int, default=nodes, help=f"number of nodes{scope}"
+    )
+    p.add_argument("--minutes", type=float, default=minutes)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--rate", type=float, default=1.0, help=f"data items per minute{scope}"
+    )
+    if solver:
+        p.add_argument("--solver", default="greedy", choices=["greedy", "random"])
+    p.add_argument("--block-interval", type=float, default=60.0)
+
+
+def _kill_flags(p: argparse.ArgumentParser, scope: str = "") -> None:
+    p.add_argument(
+        "--kill", type=int, default=None, metavar="NODE",
+        help=f"{scope}kill this node mid-run and restart it "
+             "(reconnect + resync drill)",
+    )
+    p.add_argument(
+        "--kill-at", type=float, default=3.0, metavar="MINUTES",
+        help="simulated minutes into the run to kill the node (default 3)",
+    )
+    p.add_argument(
+        "--kill-down", type=float, default=2.0, metavar="MINUTES",
+        help="simulated minutes the node stays down (default 2)",
+    )
+
+
+def _lifecycle_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--checkpoint-every", type=int, default=None, metavar="K",
+        help="checkpoint every K blocks (reorgs at or below a "
+             "checkpoint are refused)",
+    )
+    p.add_argument(
+        "--retain", type=int, default=None, metavar="N",
+        help="lifecycle pruning: keep at least N block bodies hot and "
+             "drop checkpointed history below them "
+             "(requires --checkpoint-every)",
+    )
+
+
+def _obs_flags(
+    p: argparse.ArgumentParser, telemetry: bool = False, also: str = ""
+) -> None:
+    """``--obs DIR`` and its knobs; ``telemetry`` adds the live plane."""
+    p.add_argument(
+        "--obs", metavar="DIR",
+        help="enable observability: write a Perfetto trace, a metrics "
+             f"snapshot, the protocol timeline and monitor verdict{also} "
+             "into DIR",
+    )
+    p.add_argument(
+        "--obs-timebase", choices=["wall", "sim"], default="wall",
+        help="timeline for the exported trace: real (wall) or simulated time",
+    )
+    p.add_argument(
+        "--obs-sample", type=float, metavar="SECONDS",
+        help="simulated seconds between protocol-timeline samples "
+             "(default: the expected block interval)",
+    )
+    if not telemetry:
+        return
+    p.add_argument(
+        "--telemetry", type=int, nargs="?", const=0, default=None,
+        metavar="PORT",
+        help="with --obs: stream telemetry.jsonl and serve /metrics + "
+             "/snapshot on this port (omit PORT for an ephemeral one)",
+    )
+    p.add_argument(
+        "--profile", action="store_true",
+        help="with --obs: continuously sample the run thread's stacks "
+             "and export profile_folded.txt (see `repro trace flame`)",
+    )
+    p.add_argument(
+        "--profile-hz", type=float, default=None, metavar="HZ",
+        help="profiler sampling rate (default 97)",
+    )
+
+
+def _snapshot_flag(p: argparse.ArgumentParser, default: float) -> None:
+    p.add_argument(
+        "--snapshot-every", type=float, default=default, metavar="SECONDS",
+        help=f"simulated seconds between snapshots (default {default:g})",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1440,45 +1410,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"repro {package_version()}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def _telemetry_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--telemetry", type=int, nargs="?", const=0, default=None,
-            metavar="PORT",
-            help="with --obs: stream telemetry.jsonl and serve /metrics + "
-                 "/snapshot on this port (omit PORT for an ephemeral one)",
-        )
-        p.add_argument(
-            "--profile", action="store_true",
-            help="with --obs: continuously sample the run thread's stacks "
-                 "and export profile_folded.txt (see `repro trace flame`)",
-        )
-        p.add_argument(
-            "--profile-hz", type=float, default=None, metavar="HZ",
-            help="profiler sampling rate (default 97)",
-        )
-
-    def _lifecycle_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--checkpoint-every", type=int, default=None, metavar="K",
-            help="checkpoint every K blocks (reorgs at or below a "
-                 "checkpoint are refused)",
-        )
-        p.add_argument(
-            "--retain", type=int, default=None, metavar="N",
-            help="lifecycle pruning: keep at least N block bodies hot and "
-                 "drop checkpointed history below them "
-                 "(requires --checkpoint-every)",
-        )
+    pause = "pause cleanly after this much simulated time (requires --persist)"
+    pause_again = "pause again after this much additional simulated time"
 
     run = sub.add_parser("run", help="run one experiment")
-    run.add_argument("--nodes", type=int, default=20)
-    run.add_argument("--minutes", type=float, default=60.0)
-    run.add_argument("--rate", type=float, default=1.0, help="data items per minute")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--solver", default="greedy",
-                     choices=["greedy", "random"])
-    run.add_argument("--block-interval", type=float, default=60.0)
+    _workload_flags(run, nodes=20, minutes=60.0)
     _lifecycle_flags(run)
     run.add_argument("--json", help="write metrics record to this JSON file")
     run.add_argument("--csv", help="write metrics record to this CSV file")
@@ -1486,55 +1422,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--persist", metavar="DIR",
         help="make the run durable: journal, chain store, and snapshots in DIR",
     )
-    run.add_argument(
-        "--stop-after", type=float, metavar="SECONDS",
-        help="pause cleanly after this much simulated time (requires --persist)",
-    )
+    run.add_argument("--stop-after", type=float, metavar="SECONDS", help=pause)
     run.add_argument(
         "--journal-every", type=float, default=30.0, metavar="SECONDS",
         help="simulated seconds between journal flushes (default 30)",
     )
-    run.add_argument(
-        "--snapshot-every", type=float, default=600.0, metavar="SECONDS",
-        help="simulated seconds between runtime snapshots (default 600)",
-    )
-    run.add_argument(
-        "--obs", metavar="DIR",
-        help="enable observability: write a Perfetto trace (trace.jsonl) "
-             "and a metrics snapshot (metrics.json) into DIR",
-    )
-    run.add_argument(
-        "--obs-timebase", choices=["wall", "sim"], default="wall",
-        help="timeline for the exported trace: real (wall) or simulated time",
-    )
-    run.add_argument(
-        "--obs-sample", type=float, metavar="SECONDS",
-        help="simulated seconds between protocol-timeline samples "
-             "(default: the expected block interval)",
-    )
-    _telemetry_flags(run)
+    _snapshot_flag(run, 600.0)
+    _obs_flags(run, telemetry=True)
     run.set_defaults(func=cmd_run)
 
     resume = sub.add_parser("resume", help="continue a durable run after a stop/crash")
     resume.add_argument("directory", help="run directory created by `run --persist`")
-    resume.add_argument(
-        "--stop-after", type=float, metavar="SECONDS",
-        help="pause again after this much additional simulated time",
-    )
-    resume.add_argument(
-        "--obs", metavar="DIR",
-        help="enable observability for the resumed segment: trace, metrics, "
-             "protocol timeline, and monitor verdict into DIR",
-    )
-    resume.add_argument(
-        "--obs-timebase", choices=["wall", "sim"], default="wall",
-        help="timeline for the exported trace: real (wall) or simulated time",
-    )
-    resume.add_argument(
-        "--obs-sample", type=float, metavar="SECONDS",
-        help="simulated seconds between protocol-timeline samples "
-             "(default: the paper's expected block interval)",
-    )
+    resume.add_argument("--stop-after", type=float, metavar="SECONDS", help=pause_again)
+    _obs_flags(resume)
     resume.set_defaults(func=cmd_resume)
 
     inspect = sub.add_parser(
@@ -1597,16 +1497,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     live_sub = live.add_subparsers(dest="live_command", required=True)
 
-    def _live_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--nodes", type=int, default=8)
-        p.add_argument("--minutes", type=float, default=10.0)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--rate", type=float, default=1.0, help="data items per minute"
-        )
-        p.add_argument("--solver", default="greedy",
-                       choices=["greedy", "random"])
-        p.add_argument("--block-interval", type=float, default=60.0)
+    def _live_verb(name: str, help: str) -> argparse.ArgumentParser:
+        p = live_sub.add_parser(name, help=help)
+        _workload_flags(p)
         p.add_argument(
             "--time-scale", type=float, default=0.02,
             help="wall seconds per simulated second (default 0.02 = 50x)",
@@ -1615,11 +1508,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--base-port", type=int, default=0,
             help="first TCP port (node i listens on base+i); 0 = ephemeral",
         )
+        return p
 
-    live_run = live_sub.add_parser(
-        "run", help="N live nodes on localhost driving the seeded workload"
+    live_run = _live_verb(
+        "run", "N live nodes on localhost driving the seeded workload"
     )
-    _live_common(live_run)
     live_run.add_argument(
         "--procs", action="store_true",
         help="one OS process per node instead of asyncio tasks",
@@ -1629,62 +1522,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="--procs only: wall seconds for all node processes to boot "
              "and mesh up before logical t=0 (default 8)",
     )
-    live_run.add_argument(
-        "--kill", type=int, metavar="NODE",
-        help="kill this node mid-run and restart it (reconnect + resync drill)",
-    )
-    live_run.add_argument(
-        "--kill-at", type=float, default=3.0, metavar="MINUTES",
-        help="simulated minutes into the run to kill the node (default 3)",
-    )
-    live_run.add_argument(
-        "--kill-down", type=float, default=2.0, metavar="MINUTES",
-        help="simulated minutes the node stays down (default 2)",
-    )
+    _kill_flags(live_run)
     live_run.add_argument("--json", help="write the run record to this JSON file")
-    live_run.add_argument(
-        "--obs", metavar="DIR",
-        help="enable observability: trace, metrics, timeline, and verdict in DIR",
-    )
-    live_run.add_argument(
-        "--obs-timebase", choices=["wall", "sim"], default="wall",
-        help="timeline for the exported trace: real (wall) or simulated time",
-    )
-    live_run.add_argument(
-        "--obs-sample", type=float, metavar="SECONDS",
-        help="simulated seconds between protocol-timeline samples "
-             "(default: the expected block interval)",
-    )
-    _telemetry_flags(live_run)
+    _obs_flags(live_run, telemetry=True)
     live_run.set_defaults(func=cmd_live_run)
 
-    live_parity = live_sub.add_parser(
+    live_parity = _live_verb(
         "parity",
-        help="run the same seed on simnet and live; exit 1 unless the "
-             "chain digests match",
+        "run the same seed on simnet and live; exit 1 unless the "
+        "chain digests match",
     )
-    _live_common(live_parity)
     live_parity.add_argument("--json", help="write the parity report to this file")
     live_parity.set_defaults(func=cmd_live_parity)
 
-    live_node = live_sub.add_parser(
-        "node", help="internal: host one node of a --procs cluster"
-    )
-    _live_common(live_node)
+    live_node = _live_verb("node", "internal: host one node of a --procs cluster")
     live_node.add_argument("--node-id", type=int, required=True)
     live_node.add_argument(
         "--start-at", type=float, required=True,
         help="shared epoch instant at which logical t=0 begins",
     )
-    live_node.add_argument(
-        "--obs", metavar="DIR",
-        help="per-process observability artefacts (origin n{node-id})",
-    )
-    live_node.add_argument(
-        "--obs-timebase", choices=["wall", "sim"], default="wall",
-    )
-    live_node.add_argument("--obs-sample", type=float, metavar="SECONDS")
-    _telemetry_flags(live_node)
+    _obs_flags(live_node, telemetry=True)
     live_node.set_defaults(func=cmd_live_node)
 
     chaos = sub.add_parser(
@@ -1695,9 +1552,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="run one adversarial scenario and emit a safety/liveness verdict",
     )
-    chaos_run.add_argument("--nodes", type=int, default=8)
-    chaos_run.add_argument("--minutes", type=float, default=10.0)
-    chaos_run.add_argument("--seed", type=int, default=0)
+    _workload_flags(chaos_run, solver=False)
     chaos_run.add_argument(
         "--fabric", choices=["sim", "live"], default="sim",
         help="simulator (deterministic) or real sockets on localhost",
@@ -1716,9 +1571,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="minutes into the run the misbehavior switches off "
              "(default: active to the end)",
     )
-    chaos_run.add_argument("--rate", type=float, default=1.0,
-                           help="data items per minute")
-    chaos_run.add_argument("--block-interval", type=float, default=60.0)
     chaos_run.add_argument(
         "--verify-signatures", action="store_true",
         help="enable metadata signature verification (catches the "
@@ -1732,14 +1584,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--partition", metavar="AT:HEAL",
         help="sim only: partition the network in half between these minutes",
     )
-    chaos_run.add_argument(
-        "--kill", type=int, default=None, metavar="NODE",
-        help="live only: kill this node mid-run and restart it",
-    )
-    chaos_run.add_argument("--kill-at", type=float, default=3.0,
-                           metavar="MINUTES")
-    chaos_run.add_argument("--kill-down", type=float, default=2.0,
-                           metavar="MINUTES")
+    _kill_flags(chaos_run, scope="live only: ")
     chaos_run.add_argument(
         "--time-scale", type=float, default=0.02,
         help="live only: wall seconds per simulated second (default 0.02)",
@@ -1747,20 +1592,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_run.add_argument(
         "--json", metavar="PATH", help="also write the verdict to this file"
     )
-    chaos_run.add_argument(
-        "--obs", metavar="DIR",
-        help="enable observability: trace, metrics, timeline, monitor "
-             "verdict, and chaos_verdict.json in DIR",
-    )
-    chaos_run.add_argument(
-        "--obs-timebase", choices=["wall", "sim"], default="wall",
-        help="timeline for the exported trace: real (wall) or simulated time",
-    )
-    chaos_run.add_argument(
-        "--obs-sample", type=float, metavar="SECONDS",
-        help="simulated seconds between protocol-timeline samples "
-             "(default: the expected block interval)",
-    )
+    _obs_flags(chaos_run, also=", and chaos_verdict.json,")
     chaos_run.set_defaults(func=cmd_chaos_run)
 
     fed = sub.add_parser(
@@ -1768,51 +1600,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fed_sub = fed.add_subparsers(dest="fed_command", required=True)
 
-    def _fed_common(p: argparse.ArgumentParser) -> None:
+    def _fed_verb(name: str, help: str) -> argparse.ArgumentParser:
+        p = fed_sub.add_parser(name, help=help)
         p.add_argument("--clusters", type=int, default=4)
-        p.add_argument("--nodes", type=int, default=8,
-                       help="nodes per cluster")
-        p.add_argument("--minutes", type=float, default=10.0)
-        p.add_argument("--seed", type=int, default=0)
+        _workload_flags(p, solver=False, scope=" per cluster")
         p.add_argument("--super-peers", type=int, default=2,
                        help="fog super-peers replicating the directory")
-        p.add_argument("--rate", type=float, default=1.0,
-                       help="data items per minute per cluster")
-        p.add_argument("--block-interval", type=float, default=60.0)
-        p.add_argument(
-            "--obs", metavar="DIR",
-            help="enable observability: trace, metrics, per-cluster timeline, "
-                 "and monitor verdict in DIR",
-        )
-        p.add_argument(
-            "--obs-timebase", choices=["wall", "sim"], default="wall",
-            help="timeline for the exported trace: real (wall) or simulated time",
-        )
-        p.add_argument(
-            "--obs-sample", type=float, metavar="SECONDS",
-            help="simulated seconds between protocol-timeline samples "
-                 "(default: the expected block interval)",
-        )
+        return p
 
-    fed_run = fed_sub.add_parser(
-        "run", help="run one federated experiment (all clusters on one engine)"
+    fed_run = _fed_verb(
+        "run", "run one federated experiment (all clusters on one engine)"
     )
-    _fed_common(fed_run)
     _lifecycle_flags(fed_run)
     fed_run.add_argument("--json", help="write the aggregate record to this file")
     fed_run.add_argument(
         "--persist", metavar="DIR",
         help="make the run durable: federated snapshots in DIR",
     )
-    fed_run.add_argument(
-        "--stop-after", type=float, metavar="SECONDS",
-        help="pause cleanly after this much simulated time (requires --persist)",
-    )
-    fed_run.add_argument(
-        "--snapshot-every", type=float, default=120.0, metavar="SECONDS",
-        help="simulated seconds between snapshots (default 120)",
-    )
-    _telemetry_flags(fed_run)
+    fed_run.add_argument("--stop-after", type=float, metavar="SECONDS", help=pause)
+    _snapshot_flag(fed_run, 120.0)
+    _obs_flags(fed_run, telemetry=True)
     fed_run.set_defaults(func=cmd_fed_run)
 
     fed_resume = fed_sub.add_parser(
@@ -1820,33 +1627,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fed_resume.add_argument("directory", help="run directory from `fed run --persist`")
     fed_resume.add_argument(
-        "--stop-after", type=float, metavar="SECONDS",
-        help="pause again after this much additional simulated time",
+        "--stop-after", type=float, metavar="SECONDS", help=pause_again
     )
-    fed_resume.add_argument(
-        "--snapshot-every", type=float, default=120.0, metavar="SECONDS",
-        help="simulated seconds between snapshots (default 120)",
-    )
+    _snapshot_flag(fed_resume, 120.0)
     fed_resume.add_argument("--json", help="write the aggregate record to this file")
-    fed_resume.add_argument(
-        "--obs", metavar="DIR",
-        help="enable observability for the resumed segment",
-    )
-    fed_resume.add_argument(
-        "--obs-timebase", choices=["wall", "sim"], default="wall",
-        help="timeline for the exported trace: real (wall) or simulated time",
-    )
-    fed_resume.add_argument(
-        "--obs-sample", type=float, metavar="SECONDS",
-        help="simulated seconds between protocol-timeline samples",
-    )
+    _obs_flags(fed_resume)
     fed_resume.set_defaults(func=cmd_fed_resume)
 
-    fed_chaos = fed_sub.add_parser(
-        "chaos",
-        help="turn whole clusters Byzantine and check the blast radius",
+    fed_chaos = _fed_verb(
+        "chaos", "turn whole clusters Byzantine and check the blast radius"
     )
-    _fed_common(fed_chaos)
+    _obs_flags(fed_chaos, also=", and chaos_verdict.json,")
     fed_chaos.add_argument(
         "--byzantine-cluster", type=int, action="append", metavar="ID",
         help="cluster whose every node runs the adversary (repeatable)",

@@ -25,7 +25,6 @@ from __future__ import annotations
 import bisect
 import enum
 import functools
-import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -172,13 +171,13 @@ def _id_tuple(node_ids: Sequence[int]) -> Tuple[int, ...]:
     """``node_ids`` as a sorted tuple: the argument itself when it is one.
 
     Every chain of a cluster then holds the cluster's one tuple rather than
-    a copy per node (DESIGN.md "Shared cluster tables").
+    a copy per node (DESIGN.md "Shared cluster tables").  A chain calls
+    this once and hands the result to its states and replicas unchecked.
     """
-    if type(node_ids) is tuple and all(
-        a <= b for a, b in itertools.pairwise(node_ids)
-    ):
+    ordered = sorted(node_ids)
+    if type(node_ids) is tuple and list(node_ids) == ordered:
         return node_ids
-    return tuple(sorted(node_ids))
+    return tuple(ordered)
 
 
 @functools.lru_cache(maxsize=8)
@@ -200,8 +199,20 @@ class ChainState:
     """
 
     def __init__(self, node_ids: Sequence[int], config: SystemConfig):
+        self._start(_id_tuple(node_ids), config)
+
+    @classmethod
+    def _of_chain(
+        cls, node_ids: Tuple[int, ...], config: SystemConfig
+    ) -> "ChainState":
+        """A genesis state over a chain's ids, already a sorted tuple."""
+        state = cls.__new__(cls)
+        state._start(node_ids, config)
+        return state
+
+    def _start(self, node_ids: Tuple[int, ...], config: SystemConfig) -> None:
         self.config = config
-        self.node_ids: Tuple[int, ...] = _id_tuple(node_ids)
+        self.node_ids = node_ids
         self._ledgers = _initial_ledgers(self.node_ids, config)
         #: data_id → metadata item (latest packed copy, with storing nodes).
         self.metadata_index: Dict[str, MetadataItem] = {}
@@ -420,7 +431,7 @@ class Blockchain:
         #: The ledgers after each retained block, index-aligned with
         #: ``blocks``: ``_held[-1] is state._ledgers``.
         self._held: List[_Ledgers] = []
-        self.state = ChainState(self.node_ids, config)
+        self.state = ChainState._of_chain(self.node_ids, config)
         key = self._ledgers_key(genesis)
         self._extend(genesis, key, _SHARED.get(key))
         #: Index of the oldest retained body (0 until the chain prunes).
@@ -433,21 +444,15 @@ class Blockchain:
         #: durable run): ``maybe_prune`` never drops bodies above it.
         self.prune_floor_limit: Optional[int] = None
 
-    @classmethod
-    def _bare(
-        cls,
-        node_ids: Sequence[int],
-        config: SystemConfig,
-        address_of: Dict[int, str],
-    ) -> "Blockchain":
-        """An empty shell for replica construction (no genesis applied)."""
-        chain = cls.__new__(cls)
-        chain.config = config
-        chain.node_ids = _id_tuple(node_ids)
-        chain.address_of = address_of
+    def _bare(self) -> "Blockchain":
+        """An empty shell over our ids and config (no genesis applied)."""
+        chain = type(self).__new__(type(self))
+        chain.config = self.config
+        chain.node_ids = self.node_ids
+        chain.address_of = self.address_of
         chain.blocks = []
         chain._held = []
-        chain.state = ChainState(chain.node_ids, config)
+        chain.state = ChainState._of_chain(self.node_ids, self.config)
         chain._first_retained = 0
         chain._anchor_state = None
         chain._checkpoints = {}
@@ -837,7 +842,9 @@ class Blockchain:
         if interval <= 0 or horizon % interval != 0:
             raise ValueError(f"prune horizon {horizon} is not a checkpoint index")
         dropped = horizon - first
-        anchor = self._anchor_state or ChainState(self.node_ids, self.config)
+        anchor = self._anchor_state or ChainState._of_chain(
+            self.node_ids, self.config
+        )
         for position in range(anchor.blocks_applied - first, dropped + 1):
             anchor._advance(self.blocks[position], self._held[position])
         anchor_block = self.blocks[dropped]
@@ -866,7 +873,7 @@ class Blockchain:
                 f"cannot rebuild state at {index}: bodies retained are "
                 f"[{first}, {self.height}]"
             )
-        replica = self._bare(self.node_ids, self.config, self.address_of)
+        replica = self._bare()
         replica._first_retained = first
         end = index - first + 1
         replica.blocks, replica._held = self.blocks[:end], self._held[:end]

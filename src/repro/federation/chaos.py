@@ -18,7 +18,6 @@ a ``blast_radius`` section on top of the per-cluster verdicts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
@@ -29,6 +28,7 @@ from repro.chaos.verdict import compute_verdict
 from repro.federation.adversaries import FOG_ADVERSARY_TYPES, windowed_fog_class
 from repro.federation.runner import FederationResult, run_federation
 from repro.federation.spec import FederationSpec
+from repro.metrics.export import write_json
 from repro.version import package_version
 
 PathLike = Union[str, Path]
@@ -163,12 +163,7 @@ class FederatedChaosResult:
     verdict: Dict[str, Any]
 
     def write_verdict(self, path: PathLike) -> Path:
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("w", encoding="utf-8") as handle:
-            json.dump(self.verdict, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return target
+        return write_json(self.verdict, path)
 
 
 def compute_federated_verdict(

@@ -48,12 +48,17 @@ def metrics_to_record(metrics: RunMetrics, **labels) -> Dict[str, object]:
     return record
 
 
-def write_json(records: Sequence[Mapping[str, object]], path: PathLike) -> Path:
-    """Write records as a pretty-printed JSON array; returns the path."""
+def write_json(document: object, path: PathLike) -> Path:
+    """Write ``document`` as indented, key-sorted JSON; returns the path.
+
+    The one JSON-file writer for run records, verdicts, reports and
+    merged snapshots: parent directories are created, values JSON cannot
+    encode are written as their ``str``, and the file ends in a newline.
+    """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     with target.open("w", encoding="utf-8") as handle:
-        json.dump(list(records), handle, indent=2, sort_keys=True, default=str)
+        json.dump(document, handle, indent=2, sort_keys=True, default=str)
         handle.write("\n")
     return target
 
@@ -89,16 +94,6 @@ def store_chain_record(store) -> Dict[str, object]:
         },
         "accounts": len(store.accounts()),
     }
-
-
-def write_store_chain_json(store, path: PathLike) -> Path:
-    """Write :func:`store_chain_record` as JSON; returns the path."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        json.dump(store_chain_record(store), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return target
 
 
 def write_csv(records: Sequence[Mapping[str, object]], path: PathLike) -> Path:

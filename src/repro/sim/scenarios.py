@@ -1,8 +1,17 @@
-"""Named scenario builders for the paper's figures (see DESIGN.md §4).
+"""The paper's figures: named scenario builders and the loops that run them.
 
-Each function returns the :class:`~repro.sim.runner.ExperimentSpec`(s) for
-one figure panel.  The benchmarks call these so the exact parameters of
-each reproduced experiment live in one place.
+Each ``*_scenario`` function returns the
+:class:`~repro.sim.runner.ExperimentSpec` for one figure cell (see
+DESIGN.md §4), so the exact parameters of each reproduced experiment live
+in one place.  The figure loops live here too, written once for every
+caller — the ``repro fig4|fig5|fig6`` verbs and the ``benchmarks/``
+suite:
+
+* :func:`fig4_grid` / :func:`fig5_grid` — the Section VI-A/B sweeps,
+  cell → per-seed :class:`~repro.metrics.collector.RunMetrics`, and
+  :func:`cell_average`, the per-cell mean the paper plots;
+* :func:`mining_session` — one Fig. 6 PoW or PoS battery series, and
+  :func:`pos_energy_saving`, the per-block saving it headlines.
 
 The default sweep durations are shorter than the paper's 500 minutes so a
 full benchmark suite completes in CI time; pass ``full_scale=True`` to use
@@ -13,10 +22,17 @@ duration-stable — the scale tests in ``tests/integration`` check that.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Tuple
+from functools import partial
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Tuple
+
+import numpy as np
 
 from repro.core.config import PAPER_CONFIG, SystemConfig
-from repro.sim.runner import ChurnSpec, ExperimentSpec
+from repro.core.pos import compute_amendment, compute_hit, mining_delay
+from repro.core.pow import PAPER_POW_DIFFICULTY, PowMiner
+from repro.energy.meter import EnergyMeter
+from repro.metrics.collector import RunMetrics
+from repro.sim.runner import ChurnSpec, ExperimentSpec, run_experiment
 
 #: Node counts of the Fig. 4 / Fig. 5 sweeps.
 PAPER_NODE_COUNTS: Tuple[int, ...] = (10, 20, 30, 40, 50)
@@ -24,8 +40,18 @@ PAPER_NODE_COUNTS: Tuple[int, ...] = (10, 20, 30, 40, 50)
 #: Data generation rates (items/minute) of the Fig. 4 sweep.
 PAPER_DATA_RATES: Tuple[float, ...] = (1.0, 2.0, 3.0)
 
+#: Placement arms of the Fig. 5 comparison: the paper's optimal
+#: placement and the replica-matched random store.
+PLACEMENT_ARMS: Tuple[str, ...] = ("greedy", "random")
+
+#: Seeds averaged per cell ("All results are the average of 2 simulations").
+PAPER_SEED_COUNT = 2
+
 #: Bench-scale run length in minutes (paper: 500).
 BENCH_DURATION_MINUTES = 60.0
+
+#: Fig. 6 block time in seconds, PoW and PoS alike (paper Section VI-C).
+FIG6_BLOCK_TIME = 25.0
 
 
 def data_amount_scenario(
@@ -137,3 +163,135 @@ def fdc_weight_scenario(
         seed=seed,
         duration_minutes=duration_minutes,
     )
+
+
+# -- Fig. 4 / Fig. 5 sweeps ---------------------------------------------------------
+
+
+def _grid(
+    cells: Mapping[Hashable, Callable[..., ExperimentSpec]], seeds: Iterable[int]
+) -> Dict[Hashable, List[RunMetrics]]:
+    seeds = tuple(seeds)
+    return {
+        key: [run_experiment(build(seed=seed)).metrics for seed in seeds]
+        for key, build in cells.items()
+    }
+
+
+def fig4_grid(
+    node_counts: Iterable[int] = PAPER_NODE_COUNTS,
+    rates: Iterable[float] = PAPER_DATA_RATES,
+    seeds: Iterable[int] = range(PAPER_SEED_COUNT),
+) -> Dict[Tuple[int, float], List[RunMetrics]]:
+    """The Fig. 4 sweep: ``(node count, rate)`` → one metrics per seed.
+
+    Cells come node-count-major, in argument order.
+    """
+    rates = tuple(rates)
+    return _grid(
+        {
+            (nodes, rate): partial(data_amount_scenario, nodes, rate)
+            for nodes in node_counts
+            for rate in rates
+        },
+        seeds,
+    )
+
+
+def fig5_grid(
+    node_counts: Iterable[int] = PAPER_NODE_COUNTS,
+    seeds: Iterable[int] = range(PAPER_SEED_COUNT),
+) -> Dict[Tuple[str, int], List[RunMetrics]]:
+    """The Fig. 5 sweep: ``(solver, node count)`` → one metrics per seed.
+
+    Cells come node-count-major, each count's :data:`PLACEMENT_ARMS` in
+    order.
+    """
+    return _grid(
+        {
+            (solver, nodes): partial(placement_scenario, nodes, solver)
+            for nodes in node_counts
+            for solver in PLACEMENT_ARMS
+        },
+        seeds,
+    )
+
+
+def cell_average(metrics_list: List[RunMetrics]) -> Dict[str, float]:
+    """Average the headline scalars over the repeated runs of one cell."""
+    count = len(metrics_list)
+    return {
+        "avg_node_mb": sum(m.average_node_megabytes() for m in metrics_list) / count,
+        "gini": sum(m.storage_gini() for m in metrics_list) / count,
+        "delivery": sum(m.average_delivery_time() for m in metrics_list) / count,
+        "failed": sum(m.failed_requests for m in metrics_list),
+        "served": sum(len(m.delivery_times) for m in metrics_list),
+        "height": sum(m.chain_height() for m in metrics_list) / count,
+        "interval": sum(m.mean_block_interval() for m in metrics_list) / count,
+    }
+
+
+# -- Fig. 6 battery sessions ---------------------------------------------------------
+
+
+def mining_session(
+    consensus: str,
+    minutes: float,
+    seed: int = 0,
+    difficulty: int = PAPER_POW_DIFFICULTY,
+) -> List[Tuple[int, float, float]]:
+    """One Fig. 6 session on a fully charged handset.
+
+    ``consensus`` is ``"pow"`` (a sampled difficulty-``difficulty`` miner
+    drawing from ``default_rng(seed)``) or ``"pos"`` (a lone staker's
+    lottery tuned to the same :data:`FIG6_BLOCK_TIME`, its hash chain
+    seeded by ``seed``).  Blocks are mined until ``minutes`` have elapsed
+    or the battery is flat; the series holds ``(blocks mined, elapsed
+    seconds, remaining battery %)`` after each block.
+    """
+    meter = EnergyMeter()
+    if consensus == "pow":
+        rng = np.random.default_rng(seed)
+        miner = PowMiner(meter, difficulty=difficulty)
+
+        def mine() -> float:
+            return miner.mine_block(rng).duration_seconds
+
+    elif consensus == "pos":
+        modulus = 2**64
+        amendment = compute_amendment(modulus, 1, FIG6_BLOCK_TIME, 1.0)
+        pos_hash = f"fig6-seed-{seed}"
+
+        def mine() -> float:
+            nonlocal pos_hash
+            hit = compute_hit(pos_hash, "fig6-account", modulus)
+            pos_hash += "x"
+            delay = mining_delay(hit, 1.0, 1.0, amendment)
+            meter.charge_pos_ticks(delay)
+            return delay
+
+    else:
+        raise ValueError(f"unknown consensus {consensus!r} (pow or pos)")
+    series: List[Tuple[int, float, float]] = []
+    elapsed = 0.0
+    while elapsed < minutes * 60 and not meter.depleted:
+        elapsed += mine()
+        series.append((len(series) + 1, elapsed, meter.remaining_percent))
+    return series
+
+
+def pos_energy_saving(seed: int, blocks: int = 100) -> float:
+    """Percent less energy per block PoS spends than PoW (paper: 64 %).
+
+    PoW's cost is sampled over ``blocks`` difficulty-4 blocks drawn from
+    ``default_rng(seed)``; PoS pays its idle lottery ticks for the same
+    block time.
+    """
+    rng = np.random.default_rng(seed)
+    pow_meter = EnergyMeter()
+    miner = PowMiner(pow_meter, difficulty=PAPER_POW_DIFFICULTY)
+    for _ in range(blocks):
+        miner.mine_block(rng)
+    pos_meter = EnergyMeter()
+    pos_meter.charge_pos_ticks(blocks * FIG6_BLOCK_TIME)
+    return 100.0 * (1.0 - pos_meter.total_consumed() / pow_meter.total_consumed())

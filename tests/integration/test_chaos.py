@@ -14,9 +14,10 @@ from dataclasses import replace
 import pytest
 
 from repro.chaos import ChaosSpec, run_chaos
-from repro.chaos.scenario import KillPlan, node_classes_for
+from repro.chaos.scenario import node_classes_for
 from repro.core.config import PAPER_CONFIG
 from repro.core.messages import BlockRequest, BlockResponse, ChainRequest
+from repro.net.harness import KillSpec
 from repro.sim.runner import ChurnSpec, ExperimentSpec, build_runtime, run_experiment
 from tests.helpers import make_config
 
@@ -174,7 +175,7 @@ class TestLiveChaos:
             seed=5,
             duration_minutes=6.0,
             adversaries={"spammer": (5,)},
-            kill=KillPlan(node_id=3, at_minutes=2.0, down_minutes=1.5),
+            kill=KillSpec(node_id=3, at_minutes=2.0, down_minutes=1.5),
             fabric="live",
             time_scale=0.02,
         )

@@ -118,3 +118,31 @@ class TestCLI:
     def test_run_command_rejects_unknown_solver(self):
         with pytest.raises(SystemExit):
             main(["run", "--solver", "quantum"])
+
+
+class TestCLIRejectsBadSpecs:
+    """Bad flag values end in ``error: …`` and a non-zero exit, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["chaos", "run", "--fabric", "live", "--kill", "1", "--kill-at", "0"],
+             "kill/restart times must be positive"),
+            (["chaos", "run", "--fabric", "live", "--kill", "99"],
+             "kill target out of range"),
+            (["live", "run", "--kill", "1", "--kill-down", "0"],
+             "kill/restart times must be positive"),
+            (["live", "run", "--kill", "99"], "kill target out of range"),
+        ],
+    )
+    def test_bad_kill_drill_is_a_usage_error(self, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == f"error: {message}"
+
+    def test_live_run_procs_rejects_json(self, tmp_path):
+        target = tmp_path / "record.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["live", "run", "--procs", "--json", str(target)])
+        assert exit_info.value.code == "error: --json is not supported with --procs"
+        assert not target.exists()

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.metrics.report import render_table
-from repro.sim.scenarios import mining_session, pos_energy_saving
+from repro.sim.scenarios import mining_session, pos_energy_saving, session_at
 
 SESSION_MINUTES = 84.0  # the paper's run length
 
@@ -31,13 +31,8 @@ def test_fig6_battery_drain(benchmark):
     # Print the figure as a sampled series.
     rows = []
     for minutes in range(0, int(SESSION_MINUTES) + 1, 12):
-        t = minutes * 60
-        pow_point = next(
-            (p for p in reversed(pow_series) if p[1] <= t), (0, 0.0, 100.0)
-        )
-        pos_point = next(
-            (p for p in reversed(pos_series) if p[1] <= t), (0, 0.0, 100.0)
-        )
+        pow_point = session_at(pow_series, minutes)
+        pos_point = session_at(pos_series, minutes)
         rows.append([minutes, pow_point[0], pow_point[2], pos_point[0], pos_point[2]])
     print()
     print(

@@ -3,9 +3,9 @@
 The expensive simulation sweeps are session-scoped so the per-panel
 benchmarks (Fig. 4a/b/c share one sweep; Fig. 5a/b share another) run the
 workload once and each render their own panel.  The sweeps themselves are
-:func:`repro.sim.scenarios.fig4_grid` / :func:`~repro.sim.scenarios.fig5_grid`,
-the same loops ``repro fig4`` / ``repro fig5`` run, averaged per cell over
-the paper's two seeds.
+:func:`repro.sim.scenarios.fig4_grid` / :func:`~repro.sim.scenarios.fig5_grid`
+run by :func:`~repro.sim.scenarios.run_grid`, the same loops ``repro fig4``
+/ ``repro fig5`` run, averaged per cell over the paper's two seeds.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Dict, Tuple
 
 import pytest
 
-from repro.metrics.export import write_json
-from repro.sim.scenarios import cell_average, fig4_grid, fig5_grid
+from repro.obs.export import write_json
+from repro.sim.scenarios import cell_average, fig4_grid, fig5_grid, run_grid
 from repro.version import package_version
 
 #: Seed for the single-cell benches (full-scale anchor, scale sweep); the
@@ -65,10 +65,12 @@ def bench_seed() -> int:
 @pytest.fixture(scope="session")
 def fig4_sweep() -> Dict[Tuple[int, float], dict]:
     """The Fig. 4 grid: node count × data rate, averaged over seeds."""
-    return {cell: cell_average(runs) for cell, runs in fig4_grid().items()}
+    grid = run_grid(fig4_grid())
+    return {cell: cell_average(runs) for cell, runs in grid.items()}
 
 
 @pytest.fixture(scope="session")
 def fig5_sweep() -> Dict[Tuple[str, int], dict]:
     """The Fig. 5 grid: placement strategy × node count (1 item/minute)."""
-    return {cell: cell_average(runs) for cell, runs in fig5_grid().items()}
+    grid = run_grid(fig5_grid())
+    return {cell: cell_average(runs) for cell, runs in grid.items()}

@@ -22,7 +22,7 @@ from typing import Any, Dict, Union
 from repro.chaos.scenario import ChaosSpec, node_classes_for
 from repro.chaos.verdict import compute_verdict
 from repro.metrics.collector import RunMetrics
-from repro.metrics.export import write_json
+from repro.obs.export import write_json
 from repro.obs import runtime as _obs
 
 PathLike = Union[str, Path]

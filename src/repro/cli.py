@@ -58,8 +58,9 @@ from typing import Iterator, List, Optional, Sequence
 from repro import obs
 from repro.core.config import PAPER_CONFIG, LifecycleSpec
 from repro.core.errors import PersistError
-from repro.metrics.export import metrics_to_record, write_csv, write_json
+from repro.metrics.export import metrics_to_record, write_csv
 from repro.metrics.report import render_table
+from repro.obs.export import write_json
 from repro.persist import (
     PersistConfig,
     PersistentRunResult,
@@ -68,7 +69,13 @@ from repro.persist import (
     run_persistent,
 )
 from repro.sim.runner import ExperimentSpec, run_experiment
-from repro.sim.scenarios import fig4_grid, fig5_grid, mining_session
+from repro.sim.scenarios import (
+    fig4_grid,
+    fig5_grid,
+    mining_session,
+    run_grid,
+    session_at,
+)
 from repro.version import package_version
 
 
@@ -114,24 +121,25 @@ def _user_input() -> Iterator[None]:
 
 def _config(args: argparse.Namespace):
     """PAPER_CONFIG with the verb's workload and lifecycle flags folded in."""
-    config = replace(
-        PAPER_CONFIG,
-        data_items_per_minute=args.rate,
-        expected_block_interval=args.block_interval,
-        placement_solver=getattr(args, "solver", PAPER_CONFIG.placement_solver),
-        verify_metadata_signatures=getattr(args, "verify_signatures", False),
-    )
     interval = getattr(args, "checkpoint_every", None)
     retain = getattr(args, "retain", None)
-    if interval is not None:
-        config = replace(config, checkpoint_interval=interval)
-    if retain is not None:
-        if config.checkpoint_interval <= 0:
-            raise SystemExit(
-                "error: --retain requires --checkpoint-every K "
-                "(pruning is checkpoint-anchored)"
-            )
-        config = replace(config, lifecycle=LifecycleSpec(retain_blocks=retain))
+    with _user_input():
+        config = replace(
+            PAPER_CONFIG,
+            data_items_per_minute=args.rate,
+            expected_block_interval=args.block_interval,
+            placement_solver=getattr(args, "solver", PAPER_CONFIG.placement_solver),
+            verify_metadata_signatures=getattr(args, "verify_signatures", False),
+        )
+        if interval is not None:
+            config = replace(config, checkpoint_interval=interval)
+        if retain is not None:
+            if config.checkpoint_interval <= 0:
+                raise SystemExit(
+                    "error: --retain requires --checkpoint-every K "
+                    "(pruning is checkpoint-anchored)"
+                )
+            config = replace(config, lifecycle=LifecycleSpec(retain_blocks=retain))
     return config
 
 
@@ -185,7 +193,8 @@ def _observed(
         interval = getattr(
             args, "block_interval", PAPER_CONFIG.expected_block_interval
         )
-    session = obs.enable(timeline_interval=interval, origin=origin)
+    with _user_input():
+        session = obs.enable(timeline_interval=interval, origin=origin)
     telemetry = getattr(args, "telemetry", None)
     if telemetry is not None:
         session.start_stream(args.obs)
@@ -234,12 +243,13 @@ def _observed(
 
 def cmd_run(args: argparse.Namespace) -> int:
     with _observed(args):
-        spec = ExperimentSpec(
-            node_count=args.nodes,
-            config=_config(args),
-            seed=args.seed,
-            duration_minutes=args.minutes,
-        )
+        with _user_input():
+            spec = ExperimentSpec(
+                node_count=args.nodes,
+                config=_config(args),
+                seed=args.seed,
+                duration_minutes=args.minutes,
+            )
         label = (
             f"Run: {args.nodes} nodes, {args.minutes:g} min, "
             f"{args.rate:g} items/min, solver={args.solver}, seed={args.seed}"
@@ -343,17 +353,18 @@ def cmd_prune(args: argparse.Namespace) -> int:
     manifest = read_manifest(directory)
     spec = spec_from_dict(manifest["spec"])
     config = spec.config
-    if args.checkpoint_every is not None:
-        config = replace(config, checkpoint_interval=args.checkpoint_every)
-    retain = args.retain
-    if retain is None and config.lifecycle is not None:
-        retain = config.lifecycle.retain_blocks
-    if retain is None or config.checkpoint_interval <= 0:
-        raise SystemExit(
-            "error: no lifecycle policy — pass --retain N and "
-            "--checkpoint-every K (or run with them)"
-        )
-    config = replace(config, lifecycle=LifecycleSpec(retain_blocks=retain))
+    with _user_input():
+        if args.checkpoint_every is not None:
+            config = replace(config, checkpoint_interval=args.checkpoint_every)
+        retain = args.retain
+        if retain is None and config.lifecycle is not None:
+            retain = config.lifecycle.retain_blocks
+        if retain is None or config.checkpoint_interval <= 0:
+            raise SystemExit(
+                "error: no lifecycle policy — pass --retain N and "
+                "--checkpoint-every K (or run with them)"
+            )
+        config = replace(config, lifecycle=LifecycleSpec(retain_blocks=retain))
 
     with ChainStore(directory / STORE_NAME) as store:
         height = store.height()
@@ -465,8 +476,9 @@ def cmd_archive_fetch(args: argparse.Namespace) -> int:
 def cmd_fig4(args: argparse.Namespace) -> int:
     records = []
     rows = []
-    grid = fig4_grid(args.node_counts, args.rates, seeds=[args.seed])
-    for (nodes, rate), (metrics,) in grid.items():
+    with _user_input():
+        specs = fig4_grid(args.node_counts, args.rates, seeds=[args.seed])
+    for (nodes, rate), (metrics,) in run_grid(specs).items():
         records.append(metrics_to_record(metrics, rate=rate, seed=args.seed))
         rows.append(
             [
@@ -490,7 +502,9 @@ def cmd_fig4(args: argparse.Namespace) -> int:
 
 
 def cmd_fig5(args: argparse.Namespace) -> int:
-    grid = fig5_grid(args.node_counts, seeds=[args.seed])
+    with _user_input():
+        specs = fig5_grid(args.node_counts, seeds=[args.seed])
+    grid = run_grid(specs)
     records = [
         metrics_to_record(metrics, solver=solver, seed=args.seed)
         for (solver, _), (metrics,) in grid.items()
@@ -520,26 +534,19 @@ def cmd_fig5(args: argparse.Namespace) -> int:
 
 
 def cmd_fig6(args: argparse.Namespace) -> int:
-    pow_series = mining_session("pow", args.minutes, args.seed, args.difficulty)
+    from repro.core.pow import PowMiner
+    from repro.energy.meter import EnergyMeter
+
+    # The PoW miner owns the difficulty check; build one before any mining.
+    with _user_input():
+        difficulty = PowMiner(EnergyMeter(), difficulty=args.difficulty).difficulty
+    pow_series = mining_session("pow", args.minutes, args.seed, difficulty)
     pos_series = mining_session("pos", args.minutes, args.seed)
-
-    def at(series, minutes: int):
-        """The series point of the block that reaches ``minutes``."""
-        return next((p for p in series if p[1] >= minutes * 60), series[-1])
-
     rows = []
     for checkpoint in range(12, args.minutes + 1, 12):
-        pow_blocks, _, pow_battery = at(pow_series, checkpoint)
-        pos_blocks, _, pos_battery = at(pos_series, checkpoint)
-        rows.append(
-            [
-                checkpoint,
-                pow_blocks,
-                round(pow_battery, 1),
-                pos_blocks,
-                round(pos_battery, 1),
-            ]
-        )
+        pow_blocks, _, pow_battery = session_at(pow_series, checkpoint)
+        pos_blocks, _, pos_battery = session_at(pos_series, checkpoint)
+        rows.append([checkpoint, pow_blocks, pow_battery, pos_blocks, pos_battery])
     print()
     print(
         render_table(
@@ -826,7 +833,8 @@ def _chaos_spec(args: argparse.Namespace):
     from repro.chaos import ChaosSpec, PartitionSpec
     from repro.sim.runner import ChurnSpec
 
-    churn = ChurnSpec(node_fraction=args.churn) if args.churn is not None else None
+    with _user_input():
+        churn = ChurnSpec(node_fraction=args.churn) if args.churn is not None else None
     partition = None
     if args.partition:
         try:

@@ -150,6 +150,8 @@ class SystemConfig:
             raise ValueError("hit modulus must be at least 2")
         if not (0.0 <= self.requester_fraction <= 1.0):
             raise ValueError("requester fraction must be in [0, 1]")
+        if self.data_items_per_minute < 0:
+            raise ValueError("data rate cannot be negative")
         if self.placement_solver not in ("greedy", "random"):
             raise ValueError(f"unknown placement solver: {self.placement_solver}")
         if not (0 < self.token_rescale_ratio <= 1):

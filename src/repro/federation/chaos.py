@@ -28,7 +28,7 @@ from repro.chaos.verdict import compute_verdict
 from repro.federation.adversaries import FOG_ADVERSARY_TYPES, windowed_fog_class
 from repro.federation.runner import FederationResult, run_federation
 from repro.federation.spec import FederationSpec
-from repro.metrics.export import write_json
+from repro.obs.export import write_json
 from repro.version import package_version
 
 PathLike = Union[str, Path]

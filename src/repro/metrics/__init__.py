@@ -2,7 +2,7 @@
 
 from repro.metrics.ascii_plot import bar_chart, series_plot, sparkline
 from repro.metrics.collector import RunMetrics, collect_run_metrics
-from repro.metrics.export import metrics_to_record, write_csv, write_json
+from repro.metrics.export import metrics_to_record, write_csv
 from repro.metrics.gini import gini_coefficient, gini_pairwise, jain_index
 from repro.metrics.report import print_table, render_table
 from repro.metrics.stats import Summary, mean_or_nan, percent_change, ratio
@@ -15,7 +15,6 @@ __all__ = [
     "bar_chart",
     "series_plot",
     "metrics_to_record",
-    "write_json",
     "write_csv",
     "Summary",
     "mean_or_nan",

@@ -1,11 +1,12 @@
-"""Result export: JSON and CSV writers for experiment outputs.
+"""Result export: run records, their CSV writer and JSON reader.
 
 Turns :class:`~repro.metrics.collector.RunMetrics` into plain
 serialisable records so sweeps can be archived, diffed across runs, and
 plotted by external tools.  :func:`store_chain_record` derives the
 chain-level share of those quantities straight from a durable
 :class:`~repro.persist.chainstore.ChainStore`, so finished (or crashed)
-runs can be summarised without re-simulating anything.
+runs can be summarised without re-simulating anything.  JSON files are
+written by :func:`repro.obs.export.write_json`.
 """
 
 from __future__ import annotations
@@ -46,21 +47,6 @@ def metrics_to_record(metrics: RunMetrics, **labels) -> Dict[str, object]:
         }
     )
     return record
-
-
-def write_json(document: object, path: PathLike) -> Path:
-    """Write ``document`` as indented, key-sorted JSON; returns the path.
-
-    The one JSON-file writer for run records, verdicts, reports and
-    merged snapshots: parent directories are created, values JSON cannot
-    encode are written as their ``str``, and the file ends in a newline.
-    """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
-    return target
 
 
 def read_json(path: PathLike) -> List[Dict[str, object]]:

@@ -13,10 +13,14 @@ For a seeded, churn-free, mobility-free PoS run, a live cluster and the
 simulator must converge to the **identical** ``chain_digest``.  Three
 properties make that hold:
 
-1. :func:`build_workload` consumes the seed's RNG stream in precisely
-   the order ``repro.sim.cluster.build_cluster`` + ``repro.sim.runner.
-   build_runtime`` do — positions, mobility ranges, production schedule,
-   then one request plan per production event in time order — so every
+1. Both fabrics build one deployment with the same code: the world
+   (positions, mobility ranges, accounts and the shared tables) comes
+   from :func:`repro.sim.cluster.build_world`, every node from
+   :meth:`~repro.sim.cluster.World.node`, and requests and metrics go
+   through :func:`repro.sim.runner.fire_request` and
+   :func:`~repro.sim.runner.collect_node_metrics`.  :func:`build_workload`
+   then draws the production schedule and one request plan per event in
+   time order, as ``repro.sim.runner.build_runtime`` does, so every
    derived value (topology, accounts, data ids, request times) matches.
 2. The :class:`AsyncEngine` logical clock: timers observe their exact
    scheduled logical time, so block timestamps and metadata creation
@@ -45,33 +49,33 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.account import Account
 from repro.core.allocation import AllocationEngine
 from repro.core.blockchain import Blockchain
 from repro.core.config import SystemConfig
 from repro.core.messages import CATEGORY_CHAIN_SYNC, ChainRequest
 from repro.core.metadata import data_id_for
 from repro.core.node import EdgeNode
-from repro.metrics.collector import RunMetrics, collect_run_metrics
+from repro.metrics.collector import RunMetrics
 from repro.net.clock import AsyncEngine
 from repro.net.peer import PeerConfig, PeerManager
 from repro.net.router import SocketNetwork
 from repro.obs import runtime as _obs
+from repro.sim.cluster import World, build_world
+from repro.sim.runner import (
+    ExperimentSpec,
+    collect_node_metrics,
+    fire_request,
+    run_experiment,
+)
 from repro.simnet.channel import ChannelModel
-from repro.simnet.mobility import RangeBoundedMobility
-from repro.simnet.topology import Topology, connected_random_positions
 from repro.simnet.trace import TransmissionTrace
 from repro.workloads.generator import ProductionEvent, generate_production_schedule
 from repro.workloads.requests import RequestPlan, plan_requests
-
-#: Mirror of the simulator runner's request-retry policy.
-_REQUEST_RETRY_SECONDS = 60.0
-_REQUEST_MAX_RETRIES = 5
 
 #: Wall seconds granted after the logical run ends for in-flight frames
 #: to drain before metrics are collected.
@@ -110,7 +114,7 @@ class LiveSpec:
     kill: Optional[KillSpec] = None
     peer_config: Optional[PeerConfig] = None
     #: Per-node EdgeNode subclass overrides (adversaries, instrumented
-    #: nodes) — the live mirror of ``ExperimentSpec.node_classes``.
+    #: nodes), as ``ExperimentSpec.node_classes``.
     node_classes: Optional[Dict[int, type]] = None
 
     def __post_init__(self) -> None:
@@ -143,52 +147,26 @@ class LiveWorkload:
     without any coordination traffic.
     """
 
-    topology: Topology
-    #: The cluster's tables, held (not copied) by every node's chain.
-    node_ids: Tuple[int, ...]
-    mobility_ranges: List[float]
-    accounts: Dict[int, Account]
-    address_of: Dict[int, str]
+    world: World
     genesis_digest: str
     events: List[ProductionEvent]
     plans: List[RequestPlan]
+    #: The data id each event will produce: ``H("data", address,
+    #: sequence)`` follows from the producer's account and how many
+    #: earlier events the schedule assigns to the same producer.
+    data_ids: List[str]
 
 
 def build_workload(spec: LiveSpec) -> LiveWorkload:
     """Precompute the seeded world and workload for a live run.
 
-    Consumes the RNG stream in exactly the simulator's order (positions →
-    mobility ranges → production schedule → request plans per event) so a
-    parity run sees identical draws.  Request plans can be precomputed
-    because nothing else draws from the stream between production events
-    in a parity-eligible run (PoS + greedy placement + zero loss).
+    Request plans can be precomputed because nothing else draws from the
+    stream between production events in a parity-eligible run (PoS +
+    greedy placement + zero loss).
     """
     config = spec.config
     rng = np.random.default_rng(spec.seed)
-    positions = connected_random_positions(
-        spec.node_count,
-        rng,
-        field_size=config.field_size,
-        comm_range=config.comm_range,
-    )
-    topology = Topology(positions, comm_range=config.comm_range)
-    mobility = RangeBoundedMobility.uniform(
-        positions,
-        rng,
-        wander_range=config.mobility_range,
-        field_size=config.field_size,
-    )
-    accounts = {
-        node_id: Account.for_node(spec.seed, node_id)
-        for node_id in range(spec.node_count)
-    }
-    node_ids = tuple(range(spec.node_count))
-    address_of = {node_id: account.address for node_id, account in accounts.items()}
-    genesis_digest = (
-        Blockchain(node_ids, config, address_of)
-        .block_at(0)
-        .current_hash
-    )
+    world = build_world(spec.node_count, config, spec.seed, rng)
     events = generate_production_schedule(
         node_count=spec.node_count,
         items_per_minute=config.data_items_per_minute,
@@ -205,15 +183,19 @@ def build_workload(spec: LiveSpec) -> LiveWorkload:
         )
         for event in events
     ]
+    sequences: Dict[int, int] = {}
+    data_ids = []
+    for event in events:
+        sequence = sequences.get(event.producer, 0)
+        sequences[event.producer] = sequence + 1
+        data_ids.append(data_id_for(world.accounts[event.producer], sequence))
+    genesis = Blockchain(world.node_ids, config, world.address_of).block_at(0)
     return LiveWorkload(
-        topology=topology,
-        node_ids=node_ids,
-        mobility_ranges=[mobility.wander_range(node_id) for node_id in node_ids],
-        accounts=accounts,
-        address_of=address_of,
-        genesis_digest=genesis_digest,
+        world=world,
+        genesis_digest=genesis.current_hash,
         events=events,
         plans=plans,
+        data_ids=data_ids,
     )
 
 
@@ -251,25 +233,19 @@ class LiveNode:
             spec.node_count,
             self.peers,
             engine=self.engine,
-            topology=workload.topology,
+            topology=workload.world.topology,
             channel=ChannelModel(
                 hop_delay=spec.config.hop_delay, bandwidth=spec.config.bandwidth
             ),
             trace=trace,
         )
-        allocator = AllocationEngine(spec.config, rng=self.engine.np_rng)
-        node_cls = (spec.node_classes or {}).get(node_id, EdgeNode)
-        self.node = node_cls(
-            node_id=node_id,
-            account=workload.accounts[node_id],
-            config=spec.config,
-            network=self.network,
-            engine=self.engine,
-            topology=workload.topology,
-            allocator=allocator,
-            node_ids=workload.node_ids,
-            address_of=workload.address_of,
-            mobility_ranges=workload.mobility_ranges,
+        self.node = workload.world.node(
+            node_id,
+            spec.config,
+            self.network,
+            self.engine,
+            AllocationEngine(spec.config, rng=self.engine.np_rng),
+            node_class=(spec.node_classes or {}).get(node_id, EdgeNode),
         )
         #: Productions whose data id diverged from the precomputed one —
         #: always zero unless determinism broke.
@@ -284,82 +260,49 @@ class LiveNode:
         """Start mining and schedule this node's share of the workload.
 
         ``after`` skips already-elapsed events when a restarted node
-        rejoins mid-run; the halt timer mirrors the simulator's
-        ``run_until(duration)`` so no block is mined past the window.
+        rejoins mid-run; the halt timer stops the engine at ``duration``, as
+        the simulator's ``run_until`` does, so no block is mined past the
+        window.
         """
         self.node.start()
-        for event, plan in zip(self.workload.events, self.workload.plans):
+        workload = self.workload
+        for event, plan, data_id in zip(
+            workload.events, workload.plans, workload.data_ids
+        ):
             if event.producer == self.node_id and event.time >= after:
-                self.engine.call_at(event.time, self._produce, event)
+                self.engine.call_at(event.time, self._produce, event, data_id)
             for requester, when in zip(plan.requesters, plan.times):
                 if requester == self.node_id and when >= after:
-                    data_id = _planned_data_id(self.workload, event)
-                    self.engine.call_at(when, self._request, data_id, 0)
+                    self.engine.call_at(when, fire_request, self.node, data_id)
         self.engine.call_at(duration, self.engine.stop)
 
-    def _produce(self, event: ProductionEvent) -> None:
+    def _produce(self, event: ProductionEvent, data_id: str) -> None:
         metadata = self.node.produce_data(
             data_type=event.data_type,
             location=event.location,
             properties=event.properties,
         )
-        if metadata.data_id != _planned_data_id(self.workload, event):
+        if metadata.data_id != data_id:
             self.workload_mismatches += 1
-
-    def _request(self, data_id: str, attempt: int) -> None:
-        # Mirror of repro.sim.runner._RequestDriver._fire.
-        if self.node.chain.metadata_of(data_id) is None:
-            if attempt < _REQUEST_MAX_RETRIES:
-                self.engine.schedule(
-                    _REQUEST_RETRY_SECONDS, self._request, data_id, attempt + 1
-                )
-            else:
-                self.node.counters.data_requests_failed += 1
-            return
-        self.node.request_data(data_id)
 
     # -- lifecycle ------------------------------------------------------------------
 
     async def start_listening(self) -> int:
         return await self.peers.start()
 
+    async def join_mesh(self, ports: Dict[int, int], timeout: float = 10.0) -> None:
+        """Dial every higher peer (the lower ones dial this node), then
+        wait until every peer is connected."""
+        spec = self.spec
+        for high in range(self.node_id + 1, spec.node_count):
+            self.peers.dial(high, spec.host, ports[high])
+        await self.peers.wait_connected(
+            [p for p in range(spec.node_count) if p != self.node_id], timeout=timeout
+        )
+
     async def stop(self) -> None:
         self.engine.stop()
         await self.peers.close()
-
-
-def _planned_data_id(workload: LiveWorkload, event: ProductionEvent) -> str:
-    """The data id ``event`` will produce, computed without running it.
-
-    ``data_id = H("data", address, sequence)`` — independent of the
-    production timestamp — so it follows from the producer's account and
-    how many earlier events the schedule assigns to the same producer.
-    """
-    cache = getattr(workload, "_data_id_cache", None)
-    if cache is None:
-        cache = {}
-        sequences: Dict[int, int] = {}
-        for item in workload.events:
-            sequence = sequences.get(item.producer, 0)
-            sequences[item.producer] = sequence + 1
-            cache[id(item)] = data_id_for(
-                workload.accounts[item.producer], sequence
-            )
-        object.__setattr__(workload, "_data_id_cache", cache)
-    return cache[id(event)]
-
-
-def _metric_block_timestamps(chain) -> List[float]:
-    """Retained-suffix timestamps above the *policy* retention horizon.
-
-    The policy horizon is a pure function of config and height, so every
-    run mode of the same seed reports identical interval metrics even
-    when a durability layer held the actual prune floor back.
-    """
-    from repro.lifecycle.spec import retention_horizon
-
-    metric_floor = retention_horizon(chain.config, chain.height)
-    return [b.timestamp for b in chain.blocks if b.index >= metric_floor]
 
 
 @dataclass
@@ -473,17 +416,8 @@ class LiveClusterHarness:
             )
         for node_id, live in self.nodes.items():
             self._ports[node_id] = await live.start_listening()
-        # Deterministic mesh: the lower node id dials the higher.
-        for low in range(spec.node_count):
-            for high in range(low + 1, spec.node_count):
-                self.nodes[low].peers.dial(high, spec.host, self._ports[high])
         await asyncio.gather(
-            *(
-                live.peers.wait_connected(
-                    [p for p in range(spec.node_count) if p != node_id]
-                )
-                for node_id, live in self.nodes.items()
-            )
+            *(live.join_mesh(self._ports) for live in self.nodes.values())
         )
         if _obs.is_enabled():
             _obs.set_sim_clock(self.logical_now)
@@ -525,10 +459,7 @@ class LiveClusterHarness:
         self.nodes[node_id] = replacement
         self._restarted.append(node_id)
         await replacement.start_listening()
-        for high in range(node_id + 1, spec.node_count):
-            replacement.peers.dial(high, spec.host, self._ports[high])
-        peers = [p for p in range(spec.node_count) if p != node_id]
-        await replacement.peers.wait_connected(peers, timeout=30.0)
+        await replacement.join_mesh(self._ports, timeout=30.0)
         replacement.engine.rebase()
         # Future workload only; the chain itself arrives via sync.
         replacement.arm(spec.duration_seconds, after=replacement.engine.now)
@@ -575,78 +506,44 @@ class LiveClusterHarness:
     # -- collection -----------------------------------------------------------------
 
     def collect(self) -> LiveRunResult:
-        """Figure-level metrics from the cluster, mirroring the sim path."""
-        reference = self.longest_chain_node()
-        delivery_times: List[float] = []
-        recovery_durations: List[float] = []
-        blocks_mined: Dict[int, int] = {}
-        failed = produced = reconnects = mismatches = 0
-        storage_used = []
-        digests: Dict[int, str] = {}
-        heights: Dict[int, int] = {}
-        for node_id in sorted(self.nodes):
-            live = self.nodes[node_id]
-            node = live.node
-            delivery_times.extend(node.delivery_times)
-            recovery_durations.extend(node.sync.completed_durations)
-            blocks_mined[node_id] = node.counters.blocks_mined
-            failed += node.counters.data_requests_failed
-            produced += node.counters.data_produced
-            storage_used.append(node.storage.used_slots())
-            reconnects += live.peers.reconnects
-            mismatches += live.workload_mismatches
-            digests[node_id] = node.chain.chain_digest()
-            heights[node_id] = node.chain.height
-        prefix_consistent = all(
-            live.node.chain.tip.current_hash
-            == reference.chain.block_at(live.node.chain.height).current_hash
-            for live in self.nodes.values()
-        )
-        max_lag = reference.chain.height - min(heights.values())
-        metrics = collect_run_metrics(
-            node_count=self.spec.node_count,
-            duration_seconds=self.spec.duration_seconds,
-            trace=self.trace,
-            storage_used=storage_used,
-            delivery_times=delivery_times,
-            failed_requests=failed,
-            block_timestamps=_metric_block_timestamps(reference.chain),
-            blocks_mined=blocks_mined,
-            recovery_durations=recovery_durations,
-            data_items_produced=produced,
-            tip_height=reference.chain.height,
-        )
-        messages_sent = sum(
-            live.network.messages_sent for live in self.nodes.values()
-        )
-        messages_dropped = sum(
-            live.network.messages_dropped for live in self.nodes.values()
-        )
+        """Figure-level metrics (the simulator's collector) plus what only
+        a live cluster has: per-node digests, lag, reconnects and net
+        counters."""
+        reference = self.longest_chain_node().chain
+        lives = [self.nodes[node_id] for node_id in sorted(self.nodes)]
+        heights = {live.node_id: live.node.chain.height for live in lives}
         resynced: Optional[bool] = None
         if self._restarted:
             resynced = all(
-                self.nodes[node_id].node.chain.height
-                >= reference.chain.height - 1
+                heights[node_id] >= reference.height - 1
                 for node_id in self._restarted
             )
         return LiveRunResult(
             spec=self.spec,
-            chain_digest=reference.chain.chain_digest(),
-            chain_height=reference.chain.height,
-            digests=digests,
+            chain_digest=reference.chain_digest(),
+            chain_height=reference.height,
+            digests={live.node_id: live.node.chain.chain_digest() for live in lives},
             heights=heights,
-            metrics=metrics,
+            metrics=collect_node_metrics(
+                [live.node for live in lives], self.spec.duration_seconds, self.trace
+            ),
             net={
                 **self.trace.snapshot(),
-                "messages_sent": messages_sent,
-                "messages_dropped": messages_dropped,
+                "messages_sent": sum(live.network.messages_sent for live in lives),
+                "messages_dropped": sum(
+                    live.network.messages_dropped for live in lives
+                ),
             },
-            reconnects=reconnects,
-            workload_mismatches=mismatches,
+            reconnects=sum(live.peers.reconnects for live in lives),
+            workload_mismatches=sum(live.workload_mismatches for live in lives),
             restarted=tuple(self._restarted),
             resynced=resynced,
-            prefix_consistent=prefix_consistent,
-            max_lag=max_lag,
+            prefix_consistent=all(
+                live.node.chain.tip.current_hash
+                == reference.block_at(live.node.chain.height).current_hash
+                for live in lives
+            ),
+            max_lag=reference.height - min(heights.values()),
         )
 
 
@@ -714,8 +611,6 @@ def parity_report(spec: LiveSpec) -> Dict[str, object]:
     draws run-time randomness and both clocks observe identical logical
     event times.
     """
-    from repro.sim.runner import ExperimentSpec, run_experiment
-
     if spec.kill is not None:
         raise ValueError("parity runs cannot inject faults")
     config = replace(spec.config, consensus="pos")
@@ -762,11 +657,8 @@ async def host_single_node(
     workload = build_workload(spec)
     live = LiveNode(spec, workload, node_id, port=spec.base_port + node_id)
     await live.start_listening()
-    for high in range(node_id + 1, spec.node_count):
-        live.peers.dial(high, spec.host, spec.base_port + high)
-    await live.peers.wait_connected(
-        [p for p in range(spec.node_count) if p != node_id], timeout=30.0
-    )
+    ports = {peer: spec.base_port + peer for peer in range(spec.node_count)}
+    await live.join_mesh(ports, timeout=30.0)
     if _obs.is_enabled():
         _obs.set_sim_clock(live.engine.wall_elapsed_logical)
         _obs.attach_runtime(SingleNodeView(live))

@@ -33,6 +33,21 @@ from repro.obs.tracer import Span
 
 PathLike = Union[str, Path]
 
+def write_json(document: object, path: PathLike) -> Path:
+    """Write ``document`` as indented, key-sorted JSON; returns the path.
+
+    The one JSON-file writer for run records, verdicts, reports and
+    merged snapshots: parent directories are created, values JSON cannot
+    encode are written as their ``str``, and the file ends in a newline.
+    """
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    with target.open("w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True, default=str)
+        handle.write("\n")
+    return target
+
+
 #: ``pid`` used for every event — one simulated process.
 TRACE_PID = 1
 

@@ -26,6 +26,8 @@ import math
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
+from repro.obs.export import write_json
+
 #: Exponent of the lower edge of the first regular bucket: 2^-20 ≈ 1 µs
 #: when values are seconds, which comfortably brackets fsync latencies.
 MIN_EXP = -20
@@ -177,32 +179,6 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.count if self.count else math.nan
 
-    def quantile(self, q: float) -> float:
-        """Approximate quantile ``q`` ∈ [0, 1] from the log2 buckets.
-
-        Linear interpolation *within* the winning bucket — exact to within
-        one bucket width (a factor of 2), which is all a fixed-edge
-        histogram can promise.  NaN when empty.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return math.nan
-        rank = q * (self.count - 1)
-        seen = 0
-        for index, count in enumerate(self.buckets):
-            if count == 0:
-                continue
-            if seen + count > rank:
-                lower = bucket_lower_edge(index)
-                upper = lower * 2.0
-                within = (rank - seen) / count
-                estimate = lower + within * (upper - lower)
-                # The exact extrema beat any bucket estimate at the ends.
-                return min(max(estimate, self.min), self.max)
-            seen += count
-        return self.max
-
     def merge(self, other: "Histogram") -> None:
         """Fold ``other`` into this histogram (fixed edges make this exact)."""
         for index, count in enumerate(other.buckets):
@@ -286,12 +262,7 @@ class MetricsRegistry:
         self._instruments.clear()
 
     def write_json(self, path: Union[str, Path]) -> Path:
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("w", encoding="utf-8") as handle:
-            json.dump(self.snapshot(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return target
+        return write_json(self.snapshot(), path)
 
 
 def _merge_instrument(

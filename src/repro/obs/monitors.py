@@ -41,6 +41,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.obs.export import write_json
+
 PathLike = Union[str, Path]
 
 EVENTS_NAME = "events.jsonl"
@@ -696,12 +698,7 @@ class MonitorSuite:
         return target
 
     def write_verdict(self, path: PathLike) -> Path:
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("w", encoding="utf-8") as handle:
-            json.dump(self.verdict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return target
+        return write_json(self.verdict(), path)
 
 
 def read_events(path: PathLike) -> List[Dict[str, Any]]:

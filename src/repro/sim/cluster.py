@@ -5,12 +5,17 @@ topology, mobility, transport with byte accounting, allocation engine,
 deterministic accounts, and one :class:`~repro.core.node.EdgeNode` per
 device — using the paper's parameters from a
 :class:`~repro.core.config.SystemConfig`.
+
+The fabric-free part — the seeded layout, the accounts and the tables
+every node shares — is :func:`build_world`, and :meth:`World.node` is the
+one place an ``EdgeNode`` is wired; the live harness
+(:mod:`repro.net.harness`) builds its deployment from the same two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +29,76 @@ from repro.simnet.engine import EventEngine
 from repro.simnet.mobility import RangeBoundedMobility
 from repro.simnet.topology import Topology, connected_random_positions
 from repro.simnet.transport import Network
+
+
+@dataclass
+class World:
+    """The seeded layout and identities of one deployment, on any fabric."""
+
+    topology: Topology
+    mobility: RangeBoundedMobility
+    accounts: Dict[int, Account]
+    #: The cluster's tables: every node and chain holds these very objects.
+    node_ids: Tuple[int, ...]
+    address_of: Dict[int, str]
+    mobility_ranges: List[float]
+
+    def node(
+        self,
+        node_id: int,
+        config: SystemConfig,
+        network,
+        engine,
+        allocator: AllocationEngine,
+        node_class: type = EdgeNode,
+        meter: Optional[EnergyMeter] = None,
+    ) -> EdgeNode:
+        """Wire node ``node_id`` onto ``network`` and ``engine``."""
+        return node_class(
+            node_id=node_id,
+            account=self.accounts[node_id],
+            config=config,
+            network=network,
+            engine=engine,
+            topology=self.topology,
+            allocator=allocator,
+            node_ids=self.node_ids,
+            address_of=self.address_of,
+            mobility_ranges=self.mobility_ranges,
+            meter=meter,
+        )
+
+
+def build_world(
+    node_count: int, config: SystemConfig, seed: int, rng: np.random.Generator
+) -> World:
+    """Draw positions, topology and mobility ranges from ``rng``, in that
+    order, and derive the accounts from ``seed``."""
+    positions = connected_random_positions(
+        node_count,
+        rng,
+        field_size=config.field_size,
+        comm_range=config.comm_range,
+    )
+    topology = Topology(positions, comm_range=config.comm_range)
+    mobility = RangeBoundedMobility.uniform(
+        positions,
+        rng,
+        wander_range=config.mobility_range,
+        field_size=config.field_size,
+    )
+    accounts = {
+        node_id: Account.for_node(seed, node_id) for node_id in range(node_count)
+    }
+    node_ids = tuple(range(node_count))
+    return World(
+        topology=topology,
+        mobility=mobility,
+        accounts=accounts,
+        node_ids=node_ids,
+        address_of={node_id: account.address for node_id, account in accounts.items()},
+        mobility_ranges=[mobility.wander_range(node_id) for node_id in node_ids],
+    )
 
 
 @dataclass
@@ -104,56 +179,30 @@ def build_cluster(
         engine = EventEngine(seed=seed)
     if rng is None:
         rng = engine.np_rng
-    positions = connected_random_positions(
-        node_count,
-        rng,
-        field_size=config.field_size,
-        comm_range=config.comm_range,
-    )
-    topology = Topology(positions, comm_range=config.comm_range)
-    mobility = RangeBoundedMobility.uniform(
-        positions,
-        rng,
-        wander_range=config.mobility_range,
-        field_size=config.field_size,
-    )
+    world = build_world(node_count, config, seed, rng)
     channel = ChannelModel(hop_delay=config.hop_delay, bandwidth=config.bandwidth)
-    network = Network(engine, topology, channel)
+    network = Network(engine, world.topology, channel)
     allocator = AllocationEngine(config, rng=rng)
-
-    accounts = {
-        node_id: Account.for_node(seed, node_id) for node_id in range(node_count)
-    }
-    # The cluster's tables: every node and chain holds these very objects.
-    node_ids = tuple(range(node_count))
-    address_of = {node_id: account.address for node_id, account in accounts.items()}
-    ranges = [mobility.wander_range(node_id) for node_id in node_ids]
-
-    nodes: Dict[int, EdgeNode] = {}
     classes = node_classes or {}
-    for node_id in node_ids:
-        meter: Optional[EnergyMeter] = EnergyMeter() if with_energy_meters else None
-        node_class = classes.get(node_id, EdgeNode)
-        nodes[node_id] = node_class(
-            node_id=node_id,
-            account=accounts[node_id],
-            config=config,
-            network=network,
-            engine=engine,
-            topology=topology,
-            allocator=allocator,
-            node_ids=node_ids,
-            address_of=address_of,
-            mobility_ranges=ranges,
-            meter=meter,
+    nodes = {
+        node_id: world.node(
+            node_id,
+            config,
+            network,
+            engine,
+            allocator,
+            node_class=classes.get(node_id, EdgeNode),
+            meter=EnergyMeter() if with_energy_meters else None,
         )
+        for node_id in world.node_ids
+    }
     return EdgeCluster(
         config=config,
         engine=engine,
-        topology=topology,
-        mobility=mobility,
+        topology=world.topology,
+        mobility=world.mobility,
         network=network,
         allocator=allocator,
-        accounts=accounts,
+        accounts=world.accounts,
         nodes=nodes,
     )

@@ -18,20 +18,25 @@ The runner is split into three phases so the persistence subsystem
   from a finished runtime.
 
 :func:`run_experiment` composes the three for the common one-shot case.
+The request policy (:func:`fire_request`) and the metric collection
+(:func:`collect_node_metrics`) do not depend on the fabric; the live
+harness (:mod:`repro.net.harness`) calls them too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import SystemConfig
+from repro.core.node import EdgeNode
 from repro.metrics.collector import RunMetrics, collect_run_metrics
 from repro.obs import runtime as _obs
 from repro.sim.cluster import EdgeCluster, build_cluster
 from repro.simnet.faults import ChurnInjector
+from repro.simnet.trace import TransmissionTrace
 from repro.workloads.generator import ProductionEvent, generate_production_schedule
 from repro.workloads.requests import plan_requests
 
@@ -69,6 +74,12 @@ class ExperimentSpec:
     #: (e.g. repro.core.adversary.DenyingNode) among honest nodes.
     node_classes: Optional[Dict[int, type]] = None
 
+    def __post_init__(self) -> None:
+        if self.node_count < 2:
+            raise ValueError("a blockchain network needs at least 2 nodes")
+        if self.duration_minutes is not None and self.duration_minutes < 0:
+            raise ValueError("duration cannot be negative")
+
     @property
     def duration_seconds(self) -> float:
         minutes = (
@@ -88,8 +99,29 @@ class ExperimentResult:
     cluster: EdgeCluster
 
 
+def fire_request(node: EdgeNode, data_id: str, attempt: int = 0) -> None:
+    """``node`` requests ``data_id``, retrying until its metadata is on-chain.
+
+    An offline requester skips (it has no radio).  While the item is not
+    yet on the node's chain the request retries every
+    :data:`_REQUEST_RETRY_SECONDS`, at most :data:`_REQUEST_MAX_RETRIES`
+    times, and then counts as failed.
+    """
+    if not node.online:
+        return
+    if node.chain.metadata_of(data_id) is None:
+        if attempt < _REQUEST_MAX_RETRIES:
+            node.engine.schedule(
+                _REQUEST_RETRY_SECONDS, fire_request, node, data_id, attempt + 1
+            )
+        else:
+            node.counters.data_requests_failed += 1
+        return
+    node.request_data(data_id)
+
+
 class _RequestDriver:
-    """Schedules a single data request, retrying until metadata lands on-chain."""
+    """Schedules a single data request (see :func:`fire_request`)."""
 
     def __init__(self, cluster: EdgeCluster):
         self.cluster = cluster
@@ -98,18 +130,7 @@ class _RequestDriver:
         self.cluster.engine.call_at(when, self._fire, requester, data_id, 0)
 
     def _fire(self, requester: int, data_id: str, attempt: int) -> None:
-        node = self.cluster.nodes[requester]
-        if not node.online:
-            return  # disconnected requesters skip (they have no radio)
-        if node.chain.metadata_of(data_id) is None:
-            if attempt < _REQUEST_MAX_RETRIES:
-                self.cluster.engine.schedule(
-                    _REQUEST_RETRY_SECONDS, self._fire, requester, data_id, attempt + 1
-                )
-            else:
-                node.counters.data_requests_failed += 1
-            return
-        node.request_data(data_id)
+        fire_request(self.cluster.nodes[requester], data_id, attempt)
 
 
 class _ProductionDriver:
@@ -308,47 +329,45 @@ def collect_metrics(runtime: SimRuntime) -> RunMetrics:
 
 def _collect_metrics(runtime: SimRuntime) -> RunMetrics:
     cluster = runtime.cluster
-    duration = runtime.spec.duration_seconds
-    reference = cluster.longest_chain_node()
-    # Interval metrics walk the retained suffix above the *policy* horizon
-    # — a pure function of config and height — not the node's actual prune
-    # floor, which a durability layer may hold back.  Every run mode of
-    # the same seed therefore reports identical intervals.
+    return collect_node_metrics(
+        [cluster.nodes[node_id] for node_id in cluster.node_ids],
+        runtime.spec.duration_seconds,
+        cluster.network.trace,
+    )
+
+
+def collect_node_metrics(
+    nodes: Sequence[EdgeNode], duration_seconds: float, trace: TransmissionTrace
+) -> RunMetrics:
+    """The figure-level metrics of ``nodes`` (in id order) on either fabric.
+
+    The longest chain is the reference.  Interval metrics walk its
+    retained suffix above the *policy* horizon — a pure function of
+    config and height — not the node's actual prune floor, which a
+    durability layer may hold back, so every run mode of the same seed
+    reports identical intervals.
+    """
     from repro.lifecycle.spec import retention_horizon
 
-    metric_floor = retention_horizon(reference.chain.config, reference.chain.height)
-    block_timestamps = [
-        block.timestamp
-        for block in reference.chain.blocks
-        if block.index >= metric_floor
-    ]
-    delivery_times: List[float] = []
-    recovery_durations: List[float] = []
-    blocks_mined: Dict[int, int] = {}
-    failed = 0
-    produced = 0
-    storage_used = []
-    for node_id in cluster.node_ids:
-        node = cluster.nodes[node_id]
-        delivery_times.extend(node.delivery_times)
-        recovery_durations.extend(node.sync.completed_durations)
-        blocks_mined[node_id] = node.counters.blocks_mined
-        failed += node.counters.data_requests_failed
-        produced += node.counters.data_produced
-        storage_used.append(node.storage.used_slots())
-
+    reference = max(nodes, key=lambda node: node.chain.height)
+    chain = reference.chain
+    metric_floor = retention_horizon(chain.config, chain.height)
     return collect_run_metrics(
-        node_count=runtime.spec.node_count,
-        duration_seconds=duration,
-        trace=cluster.network.trace,
-        storage_used=storage_used,
-        delivery_times=delivery_times,
-        failed_requests=failed,
-        block_timestamps=block_timestamps,
-        blocks_mined=blocks_mined,
-        recovery_durations=recovery_durations,
-        data_items_produced=produced,
-        tip_height=reference.chain.height,
+        node_count=len(nodes),
+        duration_seconds=duration_seconds,
+        trace=trace,
+        storage_used=[node.storage.used_slots() for node in nodes],
+        delivery_times=[t for node in nodes for t in node.delivery_times],
+        failed_requests=sum(node.counters.data_requests_failed for node in nodes),
+        block_timestamps=[
+            block.timestamp for block in chain.blocks if block.index >= metric_floor
+        ],
+        blocks_mined={node.node_id: node.counters.blocks_mined for node in nodes},
+        recovery_durations=[
+            d for node in nodes for d in node.sync.completed_durations
+        ],
+        data_items_produced=sum(node.counters.data_produced for node in nodes),
+        tip_height=chain.height,
     )
 
 

@@ -8,9 +8,11 @@ caller — the ``repro fig4|fig5|fig6`` verbs and the ``benchmarks/``
 suite:
 
 * :func:`fig4_grid` / :func:`fig5_grid` — the Section VI-A/B sweeps,
-  cell → per-seed :class:`~repro.metrics.collector.RunMetrics`, and
-  :func:`cell_average`, the per-cell mean the paper plots;
-* :func:`mining_session` — one Fig. 6 PoW or PoS battery series, and
+  cell → per-seed spec; :func:`run_grid` turns them into per-seed
+  :class:`~repro.metrics.collector.RunMetrics`, and :func:`cell_average`
+  into the per-cell mean the paper plots;
+* :func:`mining_session` — one Fig. 6 PoW or PoS battery series,
+  :func:`session_at`, its reading at a time mark, and
   :func:`pos_energy_saving`, the per-block saving it headlines.
 
 The default sweep durations are shorter than the paper's 500 minutes so a
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import partial
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Tuple, TypeVar
 
 import numpy as np
 
@@ -168,13 +170,21 @@ def fdc_weight_scenario(
 # -- Fig. 4 / Fig. 5 sweeps ---------------------------------------------------------
 
 
+Cell = TypeVar("Cell", bound=Hashable)
+
+
 def _grid(
-    cells: Mapping[Hashable, Callable[..., ExperimentSpec]], seeds: Iterable[int]
-) -> Dict[Hashable, List[RunMetrics]]:
+    cells: Mapping[Cell, Callable[..., ExperimentSpec]], seeds: Iterable[int]
+) -> Dict[Cell, List[ExperimentSpec]]:
     seeds = tuple(seeds)
+    return {key: [build(seed=seed) for seed in seeds] for key, build in cells.items()}
+
+
+def run_grid(grid: Mapping[Cell, List[ExperimentSpec]]) -> Dict[Cell, List[RunMetrics]]:
+    """Run every spec of a figure sweep: cell → one metrics per seed."""
     return {
-        key: [run_experiment(build(seed=seed)).metrics for seed in seeds]
-        for key, build in cells.items()
+        key: [run_experiment(spec).metrics for spec in specs]
+        for key, specs in grid.items()
     }
 
 
@@ -182,8 +192,8 @@ def fig4_grid(
     node_counts: Iterable[int] = PAPER_NODE_COUNTS,
     rates: Iterable[float] = PAPER_DATA_RATES,
     seeds: Iterable[int] = range(PAPER_SEED_COUNT),
-) -> Dict[Tuple[int, float], List[RunMetrics]]:
-    """The Fig. 4 sweep: ``(node count, rate)`` → one metrics per seed.
+) -> Dict[Tuple[int, float], List[ExperimentSpec]]:
+    """The Fig. 4 sweep: ``(node count, rate)`` → one spec per seed.
 
     Cells come node-count-major, in argument order.
     """
@@ -201,8 +211,8 @@ def fig4_grid(
 def fig5_grid(
     node_counts: Iterable[int] = PAPER_NODE_COUNTS,
     seeds: Iterable[int] = range(PAPER_SEED_COUNT),
-) -> Dict[Tuple[str, int], List[RunMetrics]]:
-    """The Fig. 5 sweep: ``(solver, node count)`` → one metrics per seed.
+) -> Dict[Tuple[str, int], List[ExperimentSpec]]:
+    """The Fig. 5 sweep: ``(solver, node count)`` → one spec per seed.
 
     Cells come node-count-major, each count's :data:`PLACEMENT_ARMS` in
     order.
@@ -278,6 +288,15 @@ def mining_session(
         elapsed += mine()
         series.append((len(series) + 1, elapsed, meter.remaining_percent))
     return series
+
+
+def session_at(
+    series: List[Tuple[int, float, float]], minutes: float
+) -> Tuple[int, float, float]:
+    """A session's reading at ``minutes``: the last block at or before the
+    mark, or a fully charged handset with no block before the first."""
+    mark = minutes * 60
+    return next((p for p in reversed(series) if p[1] <= mark), (0, 0.0, 100.0))
 
 
 def pos_energy_saving(seed: int, blocks: int = 100) -> float:

@@ -178,3 +178,19 @@ class TestKillRestartSurvival:
         assert result.workload_mismatches == 0
         assert result.healthy, result.summary()
         assert result.chain_height > 0
+
+
+class TestMultiProcessCluster:
+    def test_live_run_procs_agrees_on_one_chain(self, capsys):
+        # One OS process per node on a fixed port range: each child
+        # rebuilds the world, joins the mesh and prints its result line,
+        # and the parent parses the lines and compares the digests.
+        from repro.cli import main
+
+        argv = [
+            "live", "run", "--procs", "--nodes", "3", "--minutes", "1",
+            "--block-interval", "30", "--start-lead", "4", "--base-port", "46740",
+        ]
+        assert main(argv) == 0
+        output = capsys.readouterr().out
+        assert "chain digests agree across processes: True" in output

@@ -6,12 +6,8 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.metrics.collector import collect_run_metrics
-from repro.metrics.export import (
-    metrics_to_record,
-    read_json,
-    write_csv,
-    write_json,
-)
+from repro.metrics.export import metrics_to_record, read_json, write_csv
+from repro.obs.export import write_json
 from repro.simnet.trace import TransmissionTrace
 
 
@@ -136,6 +132,37 @@ class TestCLIRejectsBadSpecs:
         ],
     )
     def test_bad_kill_drill_is_a_usage_error(self, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == f"error: {message}"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--nodes", "1"], "a blockchain network needs at least 2 nodes"),
+            (["run", "--rate", "-1"], "data rate cannot be negative"),
+            (["run", "--minutes", "-2"], "duration cannot be negative"),
+            (["run", "--block-interval", "0"],
+             "expected block interval must be positive"),
+            (["run", "--checkpoint-every", "-1"],
+             "checkpoint interval cannot be negative"),
+            (["run", "--obs", "{tmp}/obs", "--obs-sample", "0"],
+             "timeline interval must be positive"),
+            (["fig4", "--node-counts", "1"],
+             "a blockchain network needs at least 2 nodes"),
+            (["fig5", "--node-counts", "1"],
+             "a blockchain network needs at least 2 nodes"),
+            (["fig6", "--difficulty", "-1"], "difficulty cannot be negative"),
+            (["chaos", "run", "--churn", "2"], "node fraction must be in [0, 1]"),
+            (["prune", "{tmp}/run", "--checkpoint-every", "2", "--retain", "0"],
+             "retain_blocks must be at least 1"),
+        ],
+    )
+    def test_bad_flag_value_is_a_usage_error(self, argv, message, tmp_path):
+        if argv[0] == "prune":
+            assert main(["run", "--nodes", "2", "--minutes", "1",
+                         "--persist", str(tmp_path / "run")]) == 0
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == f"error: {message}"

@@ -599,18 +599,18 @@ def cmd_live_run(args: argparse.Namespace) -> int:
             f"{args.time_scale:g}x wall, seed={args.seed}"
         )
         _print_run_summary(label, result.metrics)
-        summary = result.summary()
         print(
             f"chain digest {result.chain_digest[:16]}… on all nodes: "
-            f"{summary['digests_agree']}; reconnects: {result.reconnects}"
+            f"{result.digests_agree}; reconnects: {result.reconnects}"
         )
+        _print_agreement(result.agreement)
         if result.resynced is not None:
             print(f"killed node resynced: {result.resynced}")
         if args.json:
             record = metrics_to_record(
                 result.metrics, seed=args.seed, rate=args.rate, solver=args.solver
             )
-            record.update(summary)
+            record.update(result.summary())
             _write([record], args.json)
         return 0 if result.healthy else 1
 
@@ -627,6 +627,8 @@ def _live_run_procs(args: argparse.Namespace) -> int:
     import subprocess
     import time as _time
 
+    from repro.net.harness import ChainView, chain_agreement
+
     # The parent holds no metrics of its own to drill or record.
     for flag, value in (("--kill", args.kill), ("--json", args.json)):
         if value is not None:
@@ -636,18 +638,12 @@ def _live_run_procs(args: argparse.Namespace) -> int:
     base_port = args.base_port or 46200
     telemetry_base = (telemetry or 47300) if telemetry is not None else None
     start_at = _time.time() + args.start_lead
-    command = [
-        sys.executable, "-m", "repro", "live", "node",
-        "--nodes", str(args.nodes),
-        "--minutes", str(args.minutes),
-        "--seed", str(args.seed),
-        "--rate", str(args.rate),
-        "--solver", args.solver,
-        "--block-interval", str(args.block_interval),
-        "--time-scale", str(args.time_scale),
-        "--base-port", str(base_port),
-        "--start-at", repr(start_at),
-    ]
+    # Every child rebuilds the same LiveSpec from the shared live flags.
+    command = [sys.executable, "-m", "repro", "live", "node"]
+    for name in ("nodes", "minutes", "seed", "rate", "solver", "block_interval",
+                 "time_scale"):
+        command += ["--" + name.replace("_", "-"), str(getattr(args, name))]
+    command += ["--base-port", str(base_port), "--start-at", repr(start_at)]
 
     def _node_args(node_id: int) -> List[str]:
         extra = ["--node-id", str(node_id)]
@@ -696,9 +692,8 @@ def _live_run_procs(args: argparse.Namespace) -> int:
         except (json.JSONDecodeError, IndexError):
             print(f"node {node_id}: unparsable output: {out!r}", file=sys.stderr)
             failed = True
-    if failed or not results:
+    if failed:
         return 1
-    digests = {record["chain_digest"] for record in results}
     rows = [
         [
             record["node"],
@@ -707,7 +702,7 @@ def _live_run_procs(args: argparse.Namespace) -> int:
             record["blocks_mined"],
             record["reconnects"],
         ]
-        for record in sorted(results, key=lambda r: r["node"])
+        for record in results
     ]
     print()
     print(
@@ -718,11 +713,28 @@ def _live_run_procs(args: argparse.Namespace) -> int:
             rows,
         )
     )
-    agree = len(digests) == 1
+    agree = len({record["chain_digest"] for record in results}) == 1
     print(f"chain digests agree across processes: {agree}")
+    agreement = chain_agreement(
+        (
+            ChainView(record["chain_height"], tuple(record["chain_hashes"]))
+            for record in results
+        ),
+        sum(record["workload_mismatches"] for record in results),
+    )
+    _print_agreement(agreement)
     if args.obs:
         _merge_proc_artefacts(args)
-    return 0 if agree else 1
+    return 0 if agreement.healthy else 1
+
+
+def _print_agreement(agreement) -> None:
+    """The live health line, however the nodes were hosted."""
+    print(
+        f"healthy: {agreement.healthy} (prefix consistent: "
+        f"{agreement.prefix_consistent}, max lag: {agreement.max_lag}, "
+        f"workload mismatches: {agreement.workload_mismatches})"
+    )
 
 
 def _scrape_node_zero(
@@ -792,14 +804,23 @@ def cmd_live_node(args: argparse.Namespace) -> int:
     """Internal: host one node of a multi-process cluster (see --procs)."""
     import asyncio
 
-    from repro.net.harness import host_single_node
+    from repro.net.harness import LiveClusterHarness
 
+    node_id = args.node_id
     # stdout is a protocol surface here — the parent parses the last line
     # as the result JSON — so every obs diagnostic goes to stderr.
-    with _observed(args, origin=f"n{args.node_id}", out=sys.stderr):
-        spec = _live_spec(args)
-        result = asyncio.run(host_single_node(spec, args.node_id, args.start_at))
-    print(json.dumps(result, sort_keys=True))
+    with _observed(args, origin=f"n{node_id}", out=sys.stderr):
+        harness = LiveClusterHarness(
+            _live_spec(args), hosted=(node_id,), start_at=args.start_at
+        )
+        result = asyncio.run(harness.run())
+    record = {
+        **result.summary(),
+        "node": node_id,
+        "chain_hashes": list(result.chains[node_id].hashes),
+        "blocks_mined": result.metrics.blocks_mined[node_id],
+    }
+    print(json.dumps(record, sort_keys=True))
     return 0
 
 

@@ -146,7 +146,8 @@ def advance_federation(
     snapshot_every_seconds: float = DEFAULT_SNAPSHOT_SECONDS,
     stop_after_seconds: Optional[float] = None,
 ) -> FederationResult:
-    """Advance to the duration (or ``stop_after_seconds``), then measure.
+    """Advance to the duration (or ``stop_after_seconds`` past the current
+    clock, as a resumed single-cluster run does), then measure.
 
     With ``persist_dir``, the run advances in snapshot-cadence segments
     and checkpoints after each — a kill at any point loses at most one
@@ -157,7 +158,7 @@ def advance_federation(
     target = (
         duration
         if stop_after_seconds is None
-        else min(duration, stop_after_seconds)
+        else min(duration, runtime.engine.now + stop_after_seconds)
     )
     with _obs.span("fed.simulate", "fed", target_seconds=target):
         if persist_dir is None:

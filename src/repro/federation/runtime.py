@@ -49,15 +49,9 @@ from repro.membership.messages import MemberStatus
 from repro.obs import runtime as _obs
 from repro.raft.cluster import RaftCluster
 from repro.sim.cluster import EdgeCluster, build_cluster
-from repro.sim.runner import (
-    SimRuntime,
-    _MobilityDriver,
-    _ReconnectHook,
-    attach_workload,
-)
+from repro.sim.runner import SimRuntime, attach_dynamics, attach_workload
 from repro.simnet.channel import ChannelModel
 from repro.simnet.engine import EventEngine
-from repro.simnet.faults import ChurnInjector
 from repro.simnet.transport import Network
 
 
@@ -263,37 +257,11 @@ def _build_domain(
         start_at=spec.membership_window_seconds,
     )
 
-    mobility: Optional[_MobilityDriver] = None
-    if cluster_spec.mobility_epoch_minutes > 0:
-        mobility = _MobilityDriver(
-            cluster,
-            cluster_spec.mobility_epoch_minutes * 60.0,
-            spec.duration_seconds,
-        )
-        mobility.start()
-
-    injector: Optional[ChurnInjector] = None
-    if cluster_spec.churn is not None:
-        churn_rng = np.random.default_rng(
-            derived_seed(spec.seed, "churn", cluster_id)
-        )
-        churned_count = int(
-            round(cluster_spec.churn.node_fraction * cluster_spec.node_count)
-        )
-        churned_nodes = list(
-            churn_rng.choice(
-                cluster_spec.node_count, size=churned_count, replace=False
-            )
-        )
-        injector = ChurnInjector(
-            engine, cluster.network, on_up=_ReconnectHook(cluster)
-        )
-        injector.plan_random(
-            node_ids=[int(n) for n in churned_nodes],
-            horizon=spec.duration_seconds * 0.9,
-            mean_downtime=cluster_spec.churn.mean_downtime_seconds,
-            events_per_node=cluster_spec.churn.events_per_node,
-        )
+    mobility, injector = attach_dynamics(
+        cluster,
+        cluster_spec,
+        np.random.default_rng(derived_seed(spec.seed, "churn", cluster_id)),
+    )
 
     runtime = SimRuntime(
         spec=cluster_spec,

@@ -35,6 +35,16 @@ far below the scaled block interval (the default ``time_scale`` keeps a
 causal order of chain events matches the simulator's and the digests
 agree.  :func:`parity_report` runs both sides and diffs them.
 
+Hosting and agreement
+---------------------
+
+:class:`LiveClusterHarness` hosts all N nodes on one event loop, or a
+subset: ``repro live run --procs`` runs one per ``repro live node`` child
+on ``base_port + id``, logical t=0 anchored to a shared ``start_at``.
+Either way a run is start → arm → wait → drain → collect → shutdown,
+judged by :func:`chain_agreement`, which the ``--procs`` parent also
+applies to the chains its children report.
+
 Fault injection
 ---------------
 
@@ -50,7 +60,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -287,17 +297,15 @@ class LiveNode:
 
     # -- lifecycle ------------------------------------------------------------------
 
-    async def start_listening(self) -> int:
-        return await self.peers.start()
-
-    async def join_mesh(self, ports: Dict[int, int], timeout: float = 10.0) -> None:
+    async def join_mesh(self, ports: Dict[int, int]) -> None:
         """Dial every higher peer (the lower ones dial this node), then
         wait until every peer is connected."""
         spec = self.spec
         for high in range(self.node_id + 1, spec.node_count):
             self.peers.dial(high, spec.host, ports[high])
         await self.peers.wait_connected(
-            [p for p in range(spec.node_count) if p != self.node_id], timeout=timeout
+            [p for p in range(spec.node_count) if p != self.node_id],
+            timeout=30.0,  # peers in other processes may boot late
         )
 
     async def stop(self) -> None:
@@ -305,52 +313,111 @@ class LiveNode:
         await self.peers.close()
 
 
+@dataclass(frozen=True)
+class ChainView:
+    """One node's chain as the agreement rule reads it."""
+
+    height: int
+    #: Hashes of the retained blocks, oldest first; the last is the tip.
+    hashes: Tuple[str, ...]
+
+    @classmethod
+    def of(cls, chain: Blockchain) -> "ChainView":
+        return cls(chain.height, tuple(block.current_hash for block in chain.blocks))
+
+    def hash_at(self, height: int) -> Optional[str]:
+        """The hash at ``height``, or None when not retained (or above)."""
+        position = len(self.hashes) - 1 - (self.height - height)
+        return self.hashes[position] if 0 <= position < len(self.hashes) else None
+
+
+@dataclass(frozen=True)
+class Agreement:
+    """What a live cluster's final chains establish together.
+
+    Strict digest equality is the wrong bar at the end of a run window: a
+    block mined just before the cutoff legally reaches only part of the
+    network (the simulator's ``run_until`` drops those deliveries too).
+    What must hold is agreement: every chain is a prefix of the longest,
+    nobody trails by more than one block, and the deterministic workload
+    never diverged.
+    """
+
+    #: Every chain is a prefix of the longest (no fork survived the run).
+    prefix_consistent: bool
+    #: Largest number of blocks any chain trails the longest by.
+    max_lag: int
+    #: Productions whose data id diverged from the precomputed one.
+    workload_mismatches: int
+
+    @property
+    def healthy(self) -> bool:
+        return (
+            self.prefix_consistent
+            and self.max_lag <= 1
+            and not self.workload_mismatches
+        )
+
+
+def chain_agreement(
+    chains: Iterable[ChainView], workload_mismatches: int = 0
+) -> Agreement:
+    """Judge a cluster's chains, however its nodes were hosted.
+
+    The longest chain (the first, on a tie) is the reference; a chain
+    whose tip is not the reference's block at that height, or whose
+    height the reference no longer retains, is not a prefix.
+    """
+    views = list(chains)
+    longest = max(views, key=lambda view: view.height)
+    return Agreement(
+        prefix_consistent=all(
+            longest.hash_at(view.height) == view.hashes[-1] for view in views
+        ),
+        max_lag=longest.height - min(view.height for view in views),
+        workload_mismatches=workload_mismatches,
+    )
+
+
 @dataclass
 class LiveRunResult:
-    """What a finished live run established."""
+    """What a finished live run established (over the hosted nodes)."""
 
     spec: LiveSpec
     chain_digest: str
     chain_height: int
-    digests: Dict[int, str]
-    heights: Dict[int, int]
+    chains: Dict[int, ChainView]
     metrics: RunMetrics
     net: Dict[str, object]
     reconnects: int
-    workload_mismatches: int
+    agreement: Agreement
     #: Nodes that were killed and restarted during the run.
     restarted: Tuple[int, ...] = ()
     #: Set when a kill was injected: did the restarted node catch back up
     #: to within one block of the reference chain?
     resynced: Optional[bool] = None
 
-    #: Every node's chain is a prefix of the reference chain (no forks
-    #: survived the run; nodes may trail by in-flight tail blocks).
-    prefix_consistent: bool = True
-    #: Largest number of blocks any node trails the reference chain by.
-    max_lag: int = 0
+    @property
+    def prefix_consistent(self) -> bool:
+        return self.agreement.prefix_consistent
+
+    @property
+    def max_lag(self) -> int:
+        return self.agreement.max_lag
+
+    @property
+    def workload_mismatches(self) -> int:
+        return self.agreement.workload_mismatches
 
     @property
     def digests_agree(self) -> bool:
         """Every node ended on the identical chain."""
-        return len(set(self.digests.values())) == 1
+        return len({view.hashes[-1] for view in self.chains.values()}) == 1
 
     @property
     def healthy(self) -> bool:
-        """The run's pass criterion.
-
-        Strict digest equality is the wrong bar at the end of a run
-        window: a block mined just before the cutoff legally reaches
-        only part of the network (the simulator's ``run_until`` drops
-        those deliveries too).  What must hold is *agreement*: every
-        chain is a prefix of the reference, nobody trails by more than
-        one block, and the deterministic workload never diverged.
-        """
-        if not self.prefix_consistent or self.workload_mismatches:
-            return False
-        if self.max_lag > 1:
-            return False
-        return self.resynced is None or self.resynced
+        """The run's pass criterion: agreement, and a killed node resynced."""
+        return self.agreement.healthy and self.resynced is not False
 
     def summary(self) -> Dict[str, object]:
         return {
@@ -372,14 +439,33 @@ class LiveRunResult:
 
 
 class LiveClusterHarness:
-    """Hosts every node of a live cluster as tasks on one event loop."""
+    """Hosts the ``hosted`` nodes of a live cluster (default: all) on one
+    event loop; the others listen elsewhere on ``base_port + id``.
+    ``start_at`` (epoch seconds) anchors logical t=0, else mesh-up does."""
 
-    def __init__(self, spec: LiveSpec):
+    def __init__(
+        self,
+        spec: LiveSpec,
+        hosted: Optional[Iterable[int]] = None,
+        start_at: Optional[float] = None,
+    ):
+        self.hosted = tuple(range(spec.node_count) if hosted is None else hosted)
+        if not self.hosted or not set(self.hosted) <= set(range(spec.node_count)):
+            raise ValueError("hosted nodes must be a non-empty set of node ids")
+        if len(self.hosted) < spec.node_count and not spec.base_port:
+            raise ValueError("a partly hosted cluster needs a fixed base port")
         self.spec = spec
+        self.start_at = start_at
         self.workload = build_workload(spec)
         self.trace = TransmissionTrace()
         self.nodes: Dict[int, LiveNode] = {}
-        self._ports: Dict[int, int] = {}
+        #: Every node's listening port: fixed by the base port, or learned
+        #: as the hosted nodes bind ephemeral ones.
+        self._ports: Dict[int, int] = (
+            {node_id: spec.base_port + node_id for node_id in range(spec.node_count)}
+            if spec.base_port
+            else {}
+        )
         self._restarted: List[int] = []
 
     # -- obs facade (duck-typed like EdgeCluster for the timeline probe) -----------
@@ -395,8 +481,13 @@ class LiveClusterHarness:
         )
 
     @property
-    def engine(self) -> "_EngineView":
-        return _EngineView(self)
+    def engine(self) -> "LiveClusterHarness":
+        """The probe reads ``engine.queue_depth``; the harness answers it."""
+        return self
+
+    @property
+    def queue_depth(self) -> int:
+        return sum(live.engine.queue_depth for live in self.nodes.values())
 
     def logical_now(self) -> float:
         return max(
@@ -407,37 +498,51 @@ class LiveClusterHarness:
     # -- lifecycle ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind all listeners, build the mesh, then release the workload."""
+        """Bind the hosted listeners, join the mesh, then release the workload."""
         spec = self.spec
-        for node_id in range(spec.node_count):
-            port = spec.base_port + node_id if spec.base_port else 0
-            self.nodes[node_id] = LiveNode(
-                spec, self.workload, node_id, port=port, trace=self.trace
-            )
-        for node_id, live in self.nodes.items():
-            self._ports[node_id] = await live.start_listening()
+        for node_id in self.hosted:
+            await self._bind(node_id)
         await asyncio.gather(
             *(live.join_mesh(self._ports) for live in self.nodes.values())
         )
         if _obs.is_enabled():
             _obs.set_sim_clock(self.logical_now)
             _obs.attach_runtime(self)
-        # Logical t=0 is "mesh up": rebase every clock at (as close as the
-        # loop allows to) the same instant, then arm mining + workload.
+        if self.start_at is not None and time.time() > self.start_at:
+            # Rebasing to a past instant would replay the elapsed schedule
+            # at once: refuse instead of producing a garbage run.
+            raise SystemExit(
+                f"nodes {list(self.hosted)} became ready "
+                f"{time.time() - self.start_at:.1f}s after the start barrier; "
+                "increase the start lead"
+            )
+        # Logical t=0 is the shared instant, or "mesh up": rebase every
+        # clock at (as close as the loop allows to) the same instant, then
+        # arm mining + workload.
         for live in self.nodes.values():
-            live.engine.rebase(0.0)
+            live.engine.rebase(0.0, wall_at=self.start_at)
         for live in self.nodes.values():
             live.arm(spec.duration_seconds)
+
+    async def _bind(self, node_id: int, start_logical: float = 0.0) -> LiveNode:
+        """Build node ``node_id`` and bind its listener (on its old port)."""
+        live = LiveNode(
+            self.spec,
+            self.workload,
+            node_id,
+            port=self._ports.get(node_id, 0),
+            start_logical=start_logical,
+            trace=self.trace,
+        )
+        self.nodes[node_id] = live
+        self._ports[node_id] = await live.peers.start()
+        return live
 
     async def shutdown(self) -> None:
         for live in self.nodes.values():
             await live.stop()
 
     # -- fault injection ------------------------------------------------------------
-
-    async def kill(self, node_id: int) -> None:
-        """Hard-stop one node: engine dead, sockets closed, port kept."""
-        await self.nodes[node_id].stop()
 
     async def restart(self, node_id: int) -> LiveNode:
         """Bring a *fresh* node (empty chain, same identity/port) back.
@@ -447,22 +552,12 @@ class LiveClusterHarness:
         peers (lower peers' dial loops are already retrying), and syncs
         the missed chain through gap recovery.
         """
-        spec = self.spec
-        replacement = LiveNode(
-            spec,
-            self.workload,
-            node_id,
-            port=self._ports[node_id],
-            start_logical=self.logical_now(),
-            trace=self.trace,
-        )
-        self.nodes[node_id] = replacement
+        replacement = await self._bind(node_id, start_logical=self.logical_now())
         self._restarted.append(node_id)
-        await replacement.start_listening()
-        await replacement.join_mesh(self._ports, timeout=30.0)
+        await replacement.join_mesh(self._ports)
         replacement.engine.rebase()
         # Future workload only; the chain itself arrives via sync.
-        replacement.arm(spec.duration_seconds, after=replacement.engine.now)
+        replacement.arm(self.spec.duration_seconds, after=replacement.engine.now)
         # Kick-start resync: ask every peer for its chain instead of
         # waiting to notice a gap from the next block announcement.
         request = ChainRequest(origin=node_id)
@@ -476,16 +571,13 @@ class LiveClusterHarness:
     async def run(self) -> LiveRunResult:
         """Start, drive the full workload (and any kill), collect, stop."""
         spec = self.spec
-        await self.start()
         fault: Optional[asyncio.Task] = None
-        if spec.kill is not None:
-            fault = asyncio.ensure_future(self._inject_kill(spec.kill))
         try:
-            wall_budget = spec.duration_seconds * spec.time_scale
-            deadline = asyncio.get_running_loop().time() + wall_budget
-            while self.logical_now() < spec.duration_seconds:
-                remaining = deadline - asyncio.get_running_loop().time()
-                await asyncio.sleep(max(0.01, min(0.1, remaining)))
+            await self.start()
+            if spec.kill is not None:
+                fault = asyncio.ensure_future(self._inject_kill(spec.kill))
+            while (remaining := spec.duration_seconds - self.logical_now()) > 0:
+                await asyncio.sleep(max(0.01, min(0.1, remaining * spec.time_scale)))
             if fault is not None:
                 await fault
                 fault = None
@@ -499,7 +591,8 @@ class LiveClusterHarness:
     async def _inject_kill(self, kill: KillSpec) -> None:
         scale = self.spec.time_scale
         await asyncio.sleep(kill.at_minutes * 60.0 * scale)
-        await self.kill(kill.node_id)
+        # Hard stop: engine dead, sockets closed, port kept.
+        await self.nodes[kill.node_id].stop()
         await asyncio.sleep(kill.down_minutes * 60.0 * scale)
         await self.restart(kill.node_id)
 
@@ -507,23 +600,21 @@ class LiveClusterHarness:
 
     def collect(self) -> LiveRunResult:
         """Figure-level metrics (the simulator's collector) plus what only
-        a live cluster has: per-node digests, lag, reconnects and net
+        a live cluster has: per-node chains, agreement, reconnects and net
         counters."""
         reference = self.longest_chain_node().chain
         lives = [self.nodes[node_id] for node_id in sorted(self.nodes)]
-        heights = {live.node_id: live.node.chain.height for live in lives}
-        resynced: Optional[bool] = None
-        if self._restarted:
-            resynced = all(
-                heights[node_id] >= reference.height - 1
-                for node_id in self._restarted
-            )
+        chains = {live.node_id: ChainView.of(live.node.chain) for live in lives}
+        resynced = (
+            all(chains[n].height >= reference.height - 1 for n in self._restarted)
+            if self._restarted
+            else None
+        )
         return LiveRunResult(
             spec=self.spec,
             chain_digest=reference.chain_digest(),
             chain_height=reference.height,
-            digests={live.node_id: live.node.chain.chain_digest() for live in lives},
-            heights=heights,
+            chains=chains,
             metrics=collect_node_metrics(
                 [live.node for live in lives], self.spec.duration_seconds, self.trace
             ),
@@ -535,59 +626,13 @@ class LiveClusterHarness:
                 ),
             },
             reconnects=sum(live.peers.reconnects for live in lives),
-            workload_mismatches=sum(live.workload_mismatches for live in lives),
+            agreement=chain_agreement(
+                chains.values(),
+                sum(live.workload_mismatches for live in lives),
+            ),
             restarted=tuple(self._restarted),
             resynced=resynced,
-            prefix_consistent=all(
-                live.node.chain.tip.current_hash
-                == reference.block_at(live.node.chain.height).current_hash
-                for live in lives
-            ),
-            max_lag=reference.height - min(heights.values()),
         )
-
-
-class _EngineView:
-    """Engine facade for the timeline probe (aggregate queue depth)."""
-
-    def __init__(self, harness: LiveClusterHarness):
-        self._harness = harness
-
-    @property
-    def queue_depth(self) -> int:
-        return sum(
-            live.engine.queue_depth for live in self._harness.nodes.values()
-        )
-
-    @property
-    def now(self) -> float:
-        return self._harness.logical_now()
-
-
-class SingleNodeView:
-    """Obs facade over one hosted node (multi-process mode).
-
-    Duck-types the cluster surface the timeline probe reads —
-    ``config`` / ``longest_chain_node()`` / ``engine`` / ``nodes`` — so a
-    child process in a ``--procs`` cluster can run the same timeline
-    sampler and monitors as the in-process harness, scoped to its own
-    node (its local chain view *is* its best chain knowledge).
-    """
-
-    def __init__(self, live: "LiveNode"):
-        self._live = live
-        self.nodes = {live.node_id: live}
-
-    @property
-    def config(self) -> SystemConfig:
-        return self._live.spec.config
-
-    def longest_chain_node(self) -> EdgeNode:
-        return self._live.node
-
-    @property
-    def engine(self) -> Any:
-        return self._live.engine
 
 
 def run_live_experiment(spec: LiveSpec) -> LiveRunResult:
@@ -634,59 +679,6 @@ def parity_report(spec: LiveSpec) -> Dict[str, object]:
         "live_height": live.chain_height,
         "match": sim_chain.chain_digest() == live.chain_digest
         and sim_chain.height == live.chain_height,
-        "live_digests_agree": len(set(live.digests.values())) == 1,
+        "live_digests_agree": live.digests_agree,
         "workload_mismatches": live.workload_mismatches,
     }
-
-
-# -- multi-process mode ---------------------------------------------------------
-
-
-async def host_single_node(
-    spec: LiveSpec, node_id: int, start_at: float
-) -> Dict[str, object]:
-    """Child-process entry: host exactly one node of a fixed-port cluster.
-
-    Every process independently rebuilds the deterministic workload from
-    the spec, binds ``base_port + node_id``, dials its higher peers, and
-    anchors logical t=0 to the shared ``start_at`` epoch instant so the
-    cluster's clocks agree across process boundaries.
-    """
-    if not spec.base_port:
-        raise ValueError("multi-process clusters need a fixed --base-port")
-    workload = build_workload(spec)
-    live = LiveNode(spec, workload, node_id, port=spec.base_port + node_id)
-    await live.start_listening()
-    ports = {peer: spec.base_port + peer for peer in range(spec.node_count)}
-    await live.join_mesh(ports, timeout=30.0)
-    if _obs.is_enabled():
-        _obs.set_sim_clock(live.engine.wall_elapsed_logical)
-        _obs.attach_runtime(SingleNodeView(live))
-    if time.time() > start_at:
-        # Rebasing to a past instant would replay the whole schedule
-        # instantly — refuse instead of producing a garbage run.
-        raise SystemExit(
-            f"node {node_id} became ready {time.time() - start_at:.1f}s after "
-            "the start barrier; increase the start lead"
-        )
-    live.engine.rebase(0.0, wall_at=start_at)
-    live.arm(spec.duration_seconds)
-    wall_end = start_at + spec.duration_seconds * spec.time_scale
-    while time.time() < wall_end:
-        await asyncio.sleep(0.05)
-    await asyncio.sleep(_DRAIN_SECONDS)
-    node = live.node
-    result = {
-        "node": node_id,
-        "chain_digest": node.chain.chain_digest(),
-        "chain_height": node.chain.height,
-        "blocks_mined": node.counters.blocks_mined,
-        "data_produced": node.counters.data_produced,
-        "requests_failed": node.counters.data_requests_failed,
-        "reconnects": live.peers.reconnects,
-        "frames_sent": live.peers.frames_sent,
-        "frames_received": live.peers.frames_received,
-        "workload_mismatches": live.workload_mismatches,
-    }
-    await live.stop()
-    return result

@@ -22,7 +22,8 @@ One :class:`PeerManager` per node.  Responsibilities:
   separately).
 
 Observability threads through the usual one-branch hooks:
-``net.frames_sent`` / ``net.frames_received`` / ``net.reconnects`` /
+``net.frames_sent`` / ``net.frames_received`` / ``net.reconnects`` (re-dials
+of a peer that had completed a handshake) /
 ``net.sends_dropped`` counters and ``net.handshake_ms`` / ``net.rtt_ms``
 histograms, all disabled by default.
 """
@@ -32,7 +33,7 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro.net.wire import (
     MAX_FRAME_BYTES,
@@ -149,6 +150,10 @@ class PeerManager:
         self._dial_targets: Dict[int, tuple] = {}  # peer id -> (host, port)
         self._dial_tasks: Dict[int, asyncio.Task] = {}
         self._dial_attempts: Dict[int, int] = {}  # peer id -> failed attempts
+        # Peers that completed a handshake at least once: a later dial to
+        # one of them is a reconnect; a dial that only waited for a peer
+        # to bind its port is not.
+        self._handshaken: Set[int] = set()
         self._server: Optional[asyncio.AbstractServer] = None
         self._closed = False
         # Counters mirrored into obs when enabled.
@@ -244,7 +249,7 @@ class PeerManager:
                     raise WireError(
                         f"dialed node {peer_id} but peer claims id {info.node_id}"
                     )
-                if self._dial_attempts.get(peer_id, 0) > 0:
+                if peer_id in self._handshaken:
                     self.reconnects += 1
                     _obs.add("net.reconnects")
                 _obs.observe(
@@ -334,6 +339,7 @@ class PeerManager:
             last_rx=asyncio.get_running_loop().time(),
         )
         self._peers[info.node_id] = peer
+        self._handshaken.add(info.node_id)
         self._dial_tasks.pop(info.node_id, None)
         # Successful handshake: the backoff schedule starts over.
         self._dial_attempts.pop(info.node_id, None)

@@ -277,39 +277,45 @@ def attach_workload(
     return production, request_driver
 
 
-def _build_runtime(spec: ExperimentSpec) -> SimRuntime:
-    cluster = build_cluster(
-        spec.node_count, spec.config, seed=spec.seed, node_classes=spec.node_classes
-    )
-    engine = cluster.engine
+def attach_dynamics(
+    cluster: EdgeCluster, spec: ExperimentSpec, churn_rng: np.random.Generator
+) -> Tuple[Optional[_MobilityDriver], Optional[ChurnInjector]]:
+    """Start the mobility epochs and plan the churn windows ``spec`` asks for.
+
+    ``churn_rng`` picks the churned nodes: the engine's stream for a
+    single cluster, a derived per-cluster stream in a federation.
+    """
     duration = spec.duration_seconds
-
-    # --- workload: production + requests -------------------------------------
-    production, request_driver = attach_workload(cluster, spec)
-
-    # --- mobility epochs -------------------------------------------------------
     mobility: Optional[_MobilityDriver] = None
     if spec.mobility_epoch_minutes > 0:
         mobility = _MobilityDriver(
             cluster, spec.mobility_epoch_minutes * 60.0, duration
         )
         mobility.start()
-
-    # --- churn -------------------------------------------------------------------
     injector: Optional[ChurnInjector] = None
     if spec.churn is not None:
         churned_count = int(round(spec.churn.node_fraction * spec.node_count))
-        churned_nodes = list(
-            engine.np_rng.choice(spec.node_count, size=churned_count, replace=False)
+        churned_nodes = churn_rng.choice(
+            spec.node_count, size=churned_count, replace=False
         )
-        injector = ChurnInjector(engine, cluster.network, on_up=_ReconnectHook(cluster))
+        injector = ChurnInjector(
+            cluster.engine, cluster.network, on_up=_ReconnectHook(cluster)
+        )
         injector.plan_random(
             node_ids=[int(n) for n in churned_nodes],
             horizon=duration * 0.9,
             mean_downtime=spec.churn.mean_downtime_seconds,
             events_per_node=spec.churn.events_per_node,
         )
+    return mobility, injector
 
+
+def _build_runtime(spec: ExperimentSpec) -> SimRuntime:
+    cluster = build_cluster(
+        spec.node_count, spec.config, seed=spec.seed, node_classes=spec.node_classes
+    )
+    production, request_driver = attach_workload(cluster, spec)
+    mobility, injector = attach_dynamics(cluster, spec, cluster.engine.np_rng)
     cluster.start()
     return SimRuntime(
         spec=spec,

@@ -25,6 +25,7 @@ from repro.federation import (
     run_federated_chaos,
     run_federation,
 )
+from repro.sim.runner import ChurnSpec
 from repro.version import package_version
 from tests.helpers import make_config
 
@@ -78,6 +79,23 @@ class TestDeterminism:
         # Every cluster made progress on its own shard.
         assert all(entry["height"] > 0 for entry in first.aggregate["per_cluster"])
         assert len(set(first.aggregate["chain_digests"])) == spec.cluster_count
+
+    def test_churn_and_mobility_run_matches_pinned_digests(self):
+        # Cluster 1 churns (events at ~97–344 s) and both clusters resample
+        # positions at 120 s and 240 s; without either the digests differ.
+        spec = fed_spec(
+            mobility_epoch_minutes=2.0,
+            churn_cluster=1,
+            churn=ChurnSpec(
+                node_fraction=0.5, events_per_node=2.0, mean_downtime_seconds=60.0
+            ),
+        )
+        aggregate = run_federation(spec).aggregate
+        assert aggregate["chain_digests"] == [
+            "726ac42f23ef08ec103b94e1813bfd57e14734da0238d3d1ee9e75074ba76418",
+            "389500502da8a203550a64cc37bd6079d7ffc65d4b211bf99aab4d3e9a136320",
+        ]
+        assert aggregate["directory_digest"] == "a16340ca010e21dfb0035d16528c7ff4"
 
     def test_different_seeds_diverge(self, small_run):
         other = run_federation(fed_spec(seed=8))
@@ -140,6 +158,21 @@ class TestDurability:
         assert (
             resumed.aggregate["migrations"] == small_run.aggregate["migrations"]
         )
+
+    def test_resume_stop_after_is_relative_to_the_paused_clock(
+        self, tmp_path, small_run
+    ):
+        run_federation(
+            small_run.spec,
+            persist_dir=tmp_path,
+            snapshot_every_seconds=60.0,
+            stop_after_seconds=120.0,
+        )
+        resumed = resume_federation(
+            tmp_path, snapshot_every_seconds=60.0, stop_after_seconds=60.0
+        )
+        assert resumed.runtime.engine.now == 180.0
+        assert not resumed.aggregate["finished"]
 
 
 class TestBlastRadius:

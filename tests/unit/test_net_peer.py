@@ -121,3 +121,42 @@ class TestDialAttemptSchedule:
             await manager.close()
 
         asyncio.run(scenario())
+
+
+class TestReconnectCounter:
+    """``reconnects`` counts re-dials of a known peer, not start-up waits."""
+
+    def test_startup_dial_counts_zero_and_redial_after_drop_counts_one(self):
+        def manager(node_id):
+            return PeerManager(
+                node_id=node_id,
+                genesis_digest="g",
+                on_message=lambda source, frame: None,
+                config=PeerConfig(reconnect_base=0.02, reconnect_jitter=0.0),
+            )
+
+        async def scenario():
+            dialer, listener = manager(0), manager(1)
+            # A free port nothing listens on yet: the first dials fail.
+            probe = await asyncio.start_server(lambda r, w: None, "127.0.0.1", 0)
+            port = probe.sockets[0].getsockname()[1]
+            probe.close()
+            await probe.wait_closed()
+            await dialer.start()
+            dialer.dial(1, "127.0.0.1", port)
+            while dialer._dial_attempts.get(1, 0) < 2:
+                await asyncio.sleep(0.01)
+            listener.port = port
+            await listener.start()
+            await dialer.wait_connected([1])
+            assert dialer.reconnects == 0
+            # The listener drops the link; the dialer's reader sees EOF
+            # and dials again.
+            listener._lost(listener._peers[0])
+            while not (dialer.is_connected(1) and dialer.reconnects):
+                await asyncio.sleep(0.01)
+            assert dialer.reconnects == 1
+            await dialer.close()
+            await listener.close()
+
+        asyncio.run(asyncio.wait_for(scenario(), timeout=10.0))

@@ -3,7 +3,8 @@
 The sim path composes the scenario's adversary mix with the existing
 experiment runner (``node_classes`` plants the adversaries, ``churn``
 reuses the churn injector, and a partition overlay is scheduled through
-:meth:`~repro.simnet.faults.PartitionInjector.schedule`).  The live path
+:meth:`~repro.simnet.faults.PartitionInjector.schedule` between build and
+:func:`~repro.sim.runner.advance`).  The live path
 runs the same adversary classes over real sockets via the live cluster
 harness, optionally with a kill/restart fault.
 
@@ -55,6 +56,7 @@ def run_chaos_sim(spec: ChaosSpec) -> ChaosRunResult:
     """Run a chaos scenario on the simulator fabric."""
     from repro.sim.runner import (
         ExperimentSpec,
+        advance,
         build_runtime,
         collect_metrics,
     )
@@ -78,10 +80,7 @@ def run_chaos_sim(spec: ChaosSpec) -> ChaosRunResult:
             at=spec.partition.at_minutes * 60.0,
             heal_at=spec.partition.heal_minutes * 60.0,
         )
-    with _obs.span(
-        "chaos.simulate", "chaos", seed=spec.seed, nodes=spec.node_count
-    ):
-        runtime.engine.run_until(spec.duration_seconds)
+    advance(runtime)
     metrics = collect_metrics(runtime)
     nodes = dict(runtime.cluster.nodes)
     verdict = compute_verdict(spec, nodes)

@@ -813,7 +813,10 @@ def cmd_live_node(args: argparse.Namespace) -> int:
         harness = LiveClusterHarness(
             _live_spec(args), hosted=(node_id,), start_at=args.start_at
         )
-        result = asyncio.run(harness.run())
+        try:
+            result = asyncio.run(harness.run())
+        except TimeoutError as error:  # a peer process never joined the mesh
+            raise SystemExit(f"error: {error}")
     record = {
         **result.summary(),
         "node": node_id,

@@ -1,15 +1,17 @@
 """Run, checkpoint, resume, and measure federated experiments.
 
-The federated analogue of :func:`repro.sim.runner.run_experiment` plus
-the durable path: with ``persist_dir`` set, the runtime is snapshotted on
-a fixed cadence through :mod:`repro.persist.snapshot` (which understands
-federated runtimes), so ``repro fed resume`` continues a killed run from
-its last checkpoint with per-cluster digests intact.
+A federation advances through :func:`repro.sim.runner.advance`, as a
+single cluster does; with ``persist_dir`` set it is snapshotted after
+every ``snapshot_every_seconds`` segment, and ``repro fed resume``
+restores the newest snapshot through
+:func:`repro.persist.snapshot.restore_latest` with per-cluster digests
+intact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -18,7 +20,7 @@ from repro.federation.runtime import FederationRuntime, build_federation_runtime
 from repro.federation.spec import FederationSpec
 from repro.metrics.collector import RunMetrics
 from repro.obs import runtime as _obs
-from repro.sim.runner import collect_metrics
+from repro.sim.runner import advance, collect_metrics
 
 PathLike = Union[str, Path]
 
@@ -147,35 +149,20 @@ def advance_federation(
     stop_after_seconds: Optional[float] = None,
 ) -> FederationResult:
     """Advance to the duration (or ``stop_after_seconds`` past the current
-    clock, as a resumed single-cluster run does), then measure.
+    clock), then measure.
 
-    With ``persist_dir``, the run advances in snapshot-cadence segments
-    and checkpoints after each — a kill at any point loses at most one
-    segment, and :func:`resume_federation` picks up from the newest
-    snapshot.
+    With ``persist_dir``, a snapshot follows every snapshot-cadence
+    segment — a kill at any point loses at most one segment, and
+    :func:`resume_federation` picks up from the newest snapshot.
     """
-    duration = runtime.spec.duration_seconds
-    target = (
-        duration
-        if stop_after_seconds is None
-        else min(duration, runtime.engine.now + stop_after_seconds)
-    )
-    with _obs.span("fed.simulate", "fed", target_seconds=target):
-        if persist_dir is None:
-            runtime.engine.run_until(target)
-        else:
-            from repro.persist.snapshot import write_snapshot
+    after_segment = None
+    if persist_dir is not None:
+        from repro.persist.snapshot import write_snapshot
 
-            if snapshot_every_seconds <= 0:
-                raise ValueError("snapshot cadence must be positive")
-            root = Path(persist_dir)
-            root.mkdir(parents=True, exist_ok=True)
-            while runtime.engine.now < target:
-                segment_end = min(
-                    runtime.engine.now + snapshot_every_seconds, target
-                )
-                runtime.engine.run_until(segment_end)
-                write_snapshot(root, runtime)
+        if snapshot_every_seconds <= 0:
+            raise ValueError("snapshot cadence must be positive")
+        after_segment = partial(write_snapshot, persist_dir, runtime)
+    advance(runtime, stop_after_seconds, snapshot_every_seconds, after_segment)
     return collect_federation_metrics(runtime)
 
 
@@ -201,21 +188,14 @@ def resume_federation(
     stop_after_seconds: Optional[float] = None,
 ) -> FederationResult:
     """Continue a killed federated run from its newest valid snapshot."""
-    from repro.persist.snapshot import load_latest_snapshot
+    from repro.persist.snapshot import restore_latest
 
-    runtime, info, skipped = load_latest_snapshot(directory)
+    runtime, _, skipped = restore_latest(directory, FederationRuntime)
     if runtime is None:
         raise PersistError(
             f"no usable snapshot in {directory}"
             + (f" (skipped: {'; '.join(skipped)})" if skipped else "")
         )
-    if not isinstance(runtime, FederationRuntime):
-        raise PersistError(
-            f"snapshot {info.path if info else directory} is not a federated run "
-            "(use `repro resume` for single-cluster runs)"
-        )
-    _obs.set_sim_clock(runtime.engine.clock_reader())
-    _obs.attach_runtime(runtime)
     return advance_federation(
         runtime,
         persist_dir=directory,

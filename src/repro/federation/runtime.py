@@ -35,7 +35,6 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.core.metadata import data_id_for
-from repro.core.serialization import storage_to_dict
 from repro.crypto.hashing import hash_items
 from repro.federation.fog import CrossLookupDriver, FogTier
 from repro.federation.spec import (
@@ -115,7 +114,6 @@ class FederationRuntime:
     domains: List[ClusterDomain]
     fog: FogTier
     lookups: CrossLookupDriver
-    persist_task: Optional[object] = None
 
     @property
     def clusters(self) -> List[EdgeCluster]:
@@ -127,21 +125,15 @@ class FederationRuntime:
 
     def cluster_digests(self) -> List[str]:
         """Per-cluster reference chain digests, in cluster order."""
-        return [
-            domain.cluster.longest_chain_node().chain.chain_digest()
-            for domain in self.domains
-        ]
+        return [domain.runtime.snapshot_digest() for domain in self.domains]
 
     def directory_digest(self) -> str:
         return self.fog.directory_digest()
 
-    # -- snapshot card interface (duck-called by repro.persist.snapshot) --------
+    # -- the snapshot state card, composed of the clusters' cards -----------------
 
     def snapshot_height(self) -> int:
-        return max(
-            domain.cluster.longest_chain_node().chain.height
-            for domain in self.domains
-        )
+        return max(domain.runtime.snapshot_height() for domain in self.domains)
 
     def snapshot_digest(self) -> str:
         """One digest over all cluster chains (the state-card identity)."""
@@ -149,11 +141,9 @@ class FederationRuntime:
 
     def snapshot_storages(self) -> Dict[str, Any]:
         return {
-            f"c{domain.cluster_id}:n{node_id}": storage_to_dict(
-                domain.cluster.nodes[node_id].storage
-            )
+            f"c{domain.cluster_id}:n{node_id}": storage
             for domain in self.domains
-            for node_id in domain.cluster.node_ids
+            for node_id, storage in domain.runtime.snapshot_storages().items()
         }
 
 
@@ -316,6 +306,5 @@ def build_federation_runtime(spec: FederationSpec) -> FederationRuntime:
         engine.call_at(
             spec.membership_window_seconds, _FormationGate(runtime).fire
         )
-    _obs.set_sim_clock(engine.clock_reader())
-    _obs.attach_runtime(runtime)
+    _obs.attach_runtime(runtime, engine.clock_reader())
     return runtime

@@ -22,7 +22,8 @@ from repro.simnet.trace import TransmissionTrace
 class RunMetrics:
     """Aggregated outcomes of one simulation run."""
 
-    node_count: int
+    #: The measured nodes' ids; every per-node list follows this order.
+    node_ids: List[int]
     duration_seconds: float
     #: Per-node total (tx+rx) bytes.
     per_node_bytes: List[int]
@@ -45,6 +46,10 @@ class RunMetrics:
     #: Tip height of the reference chain; ``None`` falls back to the interval
     #: count, which is only correct when every block body is still retained.
     tip_height: int | None = None
+
+    @property
+    def node_count(self) -> int:
+        return len(self.node_ids)
 
     # -- the paper's headline quantities ------------------------------------------
 
@@ -80,8 +85,8 @@ class RunMetrics:
         return len(self.block_intervals)
 
     def mining_distribution(self) -> List[int]:
-        """Blocks mined per node, ordered by node id."""
-        return [self.blocks_mined.get(node, 0) for node in range(self.node_count)]
+        """Blocks mined per measured node, in :attr:`node_ids` order."""
+        return [self.blocks_mined.get(node, 0) for node in self.node_ids]
 
 
 def collect_run_metrics(
@@ -96,16 +101,19 @@ def collect_run_metrics(
     recovery_durations: Sequence[float] = (),
     data_items_produced: int = 0,
     tip_height: int | None = None,
+    node_ids: Sequence[int] | None = None,
 ) -> RunMetrics:
-    """Assemble a :class:`RunMetrics` from raw run outputs."""
+    """Assemble a :class:`RunMetrics` from the raw run outputs of the
+    nodes ``node_ids`` (default ``0..node_count-1``)."""
+    ids = list(range(node_count) if node_ids is None else node_ids)
     timestamps = list(block_timestamps)
     intervals = [
         later - earlier for earlier, later in zip(timestamps, timestamps[1:])
     ]
     return RunMetrics(
-        node_count=node_count,
+        node_ids=ids,
         duration_seconds=duration_seconds,
-        per_node_bytes=trace.per_node_bytes(range(node_count)),
+        per_node_bytes=trace.per_node_bytes(ids),
         category_bytes=trace.categories(),
         storage_used=list(storage_used),
         delivery_times=list(delivery_times),

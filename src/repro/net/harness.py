@@ -270,12 +270,17 @@ class LiveNode:
         """Start mining and schedule this node's share of the workload.
 
         ``after`` skips already-elapsed events when a restarted node
-        rejoins mid-run; the halt timer stops the engine at ``duration``, as
-        the simulator's ``run_until`` does, so no block is mined past the
-        window.
+        rejoins mid-run, and its producer sequence resumes past its
+        skipped productions, so it mints the planned data ids; the halt
+        timer stops the engine at ``duration``, as the simulator's
+        ``run_until`` does, so no block is mined past the window.
         """
         self.node.start()
         workload = self.workload
+        self.node._produce_sequence = sum(
+            event.producer == self.node_id and event.time < after
+            for event in workload.events
+        )
         for event, plan, data_id in zip(
             workload.events, workload.plans, workload.data_ids
         ):
@@ -505,9 +510,7 @@ class LiveClusterHarness:
         await asyncio.gather(
             *(live.join_mesh(self._ports) for live in self.nodes.values())
         )
-        if _obs.is_enabled():
-            _obs.set_sim_clock(self.logical_now)
-            _obs.attach_runtime(self)
+        _obs.attach_runtime(self, self.logical_now)
         if self.start_at is not None and time.time() > self.start_at:
             # Rebasing to a past instant would replay the elapsed schedule
             # at once: refuse instead of producing a garbage run.

@@ -238,9 +238,11 @@ def set_sim_clock(sim_clock: Optional[Callable[[], float]]) -> None:
         _state.tracer.sim_clock = sim_clock
 
 
-def attach_runtime(runtime: Any) -> None:
-    """Point the live session's timeline at a runtime (no-op when off)."""
+def attach_runtime(runtime: Any, sim_clock: Callable[[], float]) -> None:
+    """Follow the newest runtime (no-op when off): spans read ``sim_clock``
+    and the timeline probe samples ``runtime``."""
     if _state.enabled:
+        _state.tracer.sim_clock = sim_clock
         _state.attach_runtime(runtime)
 
 

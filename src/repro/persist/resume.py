@@ -10,9 +10,12 @@ runner:
   long sweeps); a crash/kill at any point is equally recoverable.
 * :func:`resume_run` — recover a run directory: journal tail recovery,
   store catch-up from the journal (journal is the source of truth),
-  restore of the newest valid snapshot (falling back to older ones, or
-  to a from-genesis deterministic replay when none survive), and
-  continuation to the end of the run.
+  restore of the newest valid snapshot through
+  :func:`~repro.persist.snapshot.restore_latest` (a from-genesis
+  deterministic replay when none survives), and continuation.
+
+Both advance through :func:`repro.sim.runner.advance`; what is durable
+about the run is the journaling task it carries on the event queue.
 
 Determinism is the load-bearing invariant: the simulation is a closed
 system over its seeded RNGs, so *run → kill → resume* must reproduce the
@@ -40,7 +43,6 @@ from repro.core.serialization import block_from_dict, block_to_dict
 from repro.lifecycle.archive import ARCHIVE_NAME, BlockArchive
 from repro.metrics.collector import RunMetrics
 from repro.metrics.export import metrics_to_record, store_chain_record
-from repro.obs import runtime as _obs
 from repro.persist.chainstore import ChainStore
 from repro.persist.journal import (
     REC_ALLOC,
@@ -58,7 +60,7 @@ from repro.persist.journal import (
 from repro.persist.snapshot import (
     SnapshotInfo,
     inspect_snapshot,
-    load_latest_snapshot,
+    restore_latest,
     snapshot_paths,
     write_snapshot,
 )
@@ -67,6 +69,7 @@ from repro.sim.runner import (
     ExperimentResult,
     ExperimentSpec,
     SimRuntime,
+    advance,
     build_runtime,
     collect_metrics,
 )
@@ -266,7 +269,8 @@ class _PersistTask:
     time: journals newly mined blocks (following the longest chain, with
     explicit reorg records), and periodically snapshots the whole runtime.
     The tick never mutates protocol state or RNGs, so durable runs remain
-    bit-identical to non-durable ones.
+    bit-identical to non-durable ones.  Constructing one arms it on a
+    fresh runtime as ``runtime.persist_task``.
     """
 
     def __init__(self, runtime: SimRuntime, persist: PersistConfig):
@@ -278,14 +282,13 @@ class _PersistTask:
         self.next_snapshot_at = persist.snapshot_every_seconds
         #: Transient OS-resource holder; re-attached after every restore.
         self.session: Optional[PersistSession] = None
+        runtime.persist_task = self
+        runtime.engine.schedule(persist.journal_every_seconds, self.tick)
 
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
         state["session"] = None  # open files/sockets never enter snapshots
         return state
-
-    def start(self) -> None:
-        self.runtime.engine.schedule(self.persist.journal_every_seconds, self.tick)
 
     def tick(self) -> None:
         engine = self.runtime.engine
@@ -398,10 +401,7 @@ def _open_session(
     return PersistSession(directory, persist, journal, store)
 
 
-def _finalize(
-    session: PersistSession, task: _PersistTask, runtime: SimRuntime
-) -> ExperimentResult:
-    task.flush()
+def _finalize(session: PersistSession, runtime: SimRuntime) -> ExperimentResult:
     if session.verify_tail:
         unmatched = sorted(session.verify_tail)
         raise PersistError(
@@ -438,7 +438,6 @@ def _finalize(
 def _pause(
     session: PersistSession, task: _PersistTask, runtime: SimRuntime
 ) -> None:
-    task.flush()
     task.snapshot()
     manifest = read_manifest(session.directory)
     manifest["paused_at_clock"] = runtime.engine.now
@@ -489,8 +488,6 @@ def run_persistent(
         session.store.put_accounts(runtime.cluster.accounts)
         task = _PersistTask(runtime, persist)
         task.session = session
-        runtime.persist_task = task
-        task.start()
         task.flush()  # journals + stores the genesis block
         return _advance(session, task, runtime, stop_after_seconds)
     finally:
@@ -504,27 +501,18 @@ def _advance(
     stop_after_seconds: Optional[float],
     resumed_from: Optional[float] = None,
 ) -> PersistentRunResult:
-    duration = runtime.spec.duration_seconds
-    target = duration
-    if stop_after_seconds is not None:
-        target = min(duration, runtime.engine.now + stop_after_seconds)
-    with _obs.span("run.simulate", "run", duration_seconds=duration):
-        runtime.engine.run_until(target)
-    if runtime.engine.now >= duration:
-        result = _finalize(session, task, runtime)
-        return PersistentRunResult(
-            directory=session.directory,
-            completed=True,
-            clock=runtime.engine.now,
-            result=result,
-            resumed_from=resumed_from,
-            blocks_verified=session.blocks_verified,
-        )
-    _pause(session, task, runtime)
+    completed = advance(runtime, stop_after_seconds)
+    task.flush()
+    result: Optional[ExperimentResult] = None
+    if completed:
+        result = _finalize(session, runtime)
+    else:
+        _pause(session, task, runtime)
     return PersistentRunResult(
         directory=session.directory,
-        completed=False,
+        completed=completed,
         clock=runtime.engine.now,
+        result=result,
         resumed_from=resumed_from,
         blocks_verified=session.blocks_verified,
     )
@@ -598,10 +586,8 @@ def resume_run(
                 payload = recovery.records[position].payload
                 session.store.put_block(block_from_dict(payload["block"]))
 
-        runtime, info, _skipped = load_latest_snapshot(directory)
+        runtime, info, _skipped = restore_latest(directory, SimRuntime)
         if runtime is not None:
-            _obs.set_sim_clock(runtime.engine.clock_reader())
-            _obs.attach_runtime(runtime)
             task = runtime.persist_task
             if not isinstance(task, _PersistTask):
                 raise PersistError(
@@ -612,8 +598,6 @@ def resume_run(
             # No usable snapshot: deterministically replay from genesis.
             runtime = build_runtime(spec)
             task = _PersistTask(runtime, persist)
-            runtime.persist_task = task
-            task.start()
             resumed_from = 0.0
         task.session = session
         session.verify_tail = {

@@ -7,16 +7,19 @@ the last checkpoint instead of from genesis.
 
 Format (one self-contained JSON file per snapshot):
 
-* a **state card**: schema version, simulation clock, reference chain
-  height and :meth:`~repro.core.blockchain.Blockchain.chain_digest`, and
-  every node's storage serialised through the canonical
+* a **state card**: schema version, simulation clock, and what the
+  runtime answers for itself — ``snapshot_height()``,
+  ``snapshot_digest()`` and every node's storage from
+  ``snapshot_storages()`` in the canonical
   :func:`~repro.core.serialization.storage_to_dict` wire format — a
   portable, inspectable view that never requires unpickling;
 * a **continuation blob**: the zlib-compressed pickle of the full
-  :class:`~repro.sim.runner.SimRuntime` object graph (CRC-protected),
-  which is what actually resumes execution.  The runner guarantees this
-  graph is picklable (module-level driver classes, no closures on the
-  event queue).
+  :class:`~repro.sim.runner.SimRuntime` or
+  :class:`~repro.federation.runtime.FederationRuntime` object graph
+  (CRC-protected), which is what actually resumes execution.  The
+  runners guarantee this graph is picklable (module-level driver
+  classes, no closures on the event queue).  Both resume verbs restore
+  it through :func:`restore_latest`.
 
 Invariants enforced here:
 
@@ -43,7 +46,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import PersistError
-from repro.core.serialization import storage_to_dict
+from repro.obs import runtime as _obs
 from repro.sim.runner import SimRuntime
 
 PathLike = Union[str, Path]
@@ -90,34 +93,6 @@ def snapshot_paths(directory: PathLike) -> List[Path]:
     )
 
 
-def _state_card(runtime: Any) -> Tuple[int, str, int, Any, Dict[str, Any]]:
-    """(height, digest, node_count, seed, storages) for either runtime kind.
-
-    Federated runtimes expose the snapshot duck interface
-    (``snapshot_height`` / ``snapshot_digest`` / ``snapshot_storages``);
-    a ``SimRuntime`` derives the card from its reference chain.
-    """
-    if hasattr(runtime, "domains"):
-        return (
-            runtime.snapshot_height(),
-            runtime.snapshot_digest(),
-            runtime.spec.total_nodes,
-            runtime.spec.seed,
-            runtime.snapshot_storages(),
-        )
-    reference = runtime.cluster.longest_chain_node()
-    return (
-        reference.chain.height,
-        reference.chain.chain_digest(),
-        runtime.spec.node_count,
-        runtime.spec.seed,
-        {
-            str(node_id): storage_to_dict(runtime.cluster.nodes[node_id].storage)
-            for node_id in runtime.cluster.node_ids
-        },
-    )
-
-
 def write_snapshot(directory: PathLike, runtime: Any, retain: int = 2) -> Path:
     """Atomically write one snapshot; prunes all but the newest ``retain``.
 
@@ -129,7 +104,9 @@ def write_snapshot(directory: PathLike, runtime: Any, retain: int = 2) -> Path:
         raise ValueError("must retain at least one snapshot")
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
-    height, digest, node_count, seed, storages = _state_card(runtime)
+    height = runtime.snapshot_height()
+    digest = runtime.snapshot_digest()
+    storages = runtime.snapshot_storages()
     blob = zlib.compress(pickle.dumps(runtime, protocol=pickle.HIGHEST_PROTOCOL))
     document: Dict[str, Any] = {
         "schema_version": SNAPSHOT_SCHEMA_VERSION,
@@ -137,8 +114,8 @@ def write_snapshot(directory: PathLike, runtime: Any, retain: int = 2) -> Path:
         "height": height,
         "chain_digest": digest,
         "rng_digest": _rng_digest(runtime),
-        "node_count": node_count,
-        "seed": seed,
+        "node_count": len(storages),
+        "seed": runtime.spec.seed,
         "storages": storages,
         "blob_crc": format(zlib.crc32(blob) & 0xFFFFFFFF, "08x"),
         "blob_bytes": len(blob),
@@ -212,10 +189,7 @@ def load_snapshot(path: PathLike) -> Tuple[Any, SnapshotInfo]:
             f"snapshot {path} clock {info.clock} does not match "
             f"restored engine clock {runtime.engine.now}"
         )
-    if isinstance(runtime, FederationRuntime):
-        restored_digest = runtime.snapshot_digest()
-    else:
-        restored_digest = runtime.cluster.longest_chain_node().chain.chain_digest()
+    restored_digest = runtime.snapshot_digest()
     if restored_digest != info.chain_digest:
         raise PersistError(
             f"snapshot {path} chain digest mismatch after restore "
@@ -243,3 +217,21 @@ def load_latest_snapshot(
         except PersistError as error:
             skipped.append(str(error))
     return None, None, skipped
+
+
+def restore_latest(
+    directory: PathLike, kind: type
+) -> Tuple[Optional[Any], Optional[SnapshotInfo], List[str]]:
+    """:func:`load_latest_snapshot`, refusing a runtime of another kind
+    (the wrong directory, not a corrupt file, so no fallback) and pointing
+    observability at the restored one."""
+    runtime, info, skipped = load_latest_snapshot(directory)
+    if runtime is None:
+        return None, None, skipped
+    if not isinstance(runtime, kind):
+        raise PersistError(
+            f"snapshot {info.path} holds a {type(runtime).__name__}, "
+            f"not a {kind.__name__}"
+        )
+    _obs.attach_runtime(runtime, runtime.engine.clock_reader())
+    return runtime, info, skipped

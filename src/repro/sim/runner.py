@@ -4,16 +4,19 @@ Reproduces the paper's Section VI methodology end to end: Poisson data
 production, 10 %-of-nodes request patterns, periodic mobility epochs,
 optional churn windows, then collects the figure-level metrics.
 
-The runner is split into three phases so the persistence subsystem
-(:mod:`repro.persist`) can checkpoint and resume a run mid-flight:
+A run has three phases, so the persistence subsystem
+(:mod:`repro.persist`) can checkpoint and resume one mid-flight:
 
 * :func:`build_runtime` wires the cluster, schedules the whole workload,
   and returns a :class:`SimRuntime` — a fully *picklable* object graph
   (no closures or lambdas end up on the event queue, only bound methods
   of module-level classes), so a snapshot can capture the pending event
   queue along with all protocol state;
-* ``runtime.engine.run_until(...)`` advances the simulation — in one go,
-  or in resumable segments;
+* :func:`advance` moves a simulated runtime — this one, or a
+  :class:`~repro.federation.runtime.FederationRuntime` — to its
+  duration or to a pause point, optionally in segments with a callback
+  after each; plain, durable, chaos and federated runs all advance
+  through it;
 * :func:`collect_metrics` derives the figure-level :class:`RunMetrics`
   from a finished runtime.
 
@@ -26,12 +29,13 @@ harness (:mod:`repro.net.harness`) calls them too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.node import EdgeNode
+from repro.core.serialization import storage_to_dict
 from repro.metrics.collector import RunMetrics, collect_run_metrics
 from repro.obs import runtime as _obs
 from repro.sim.cluster import EdgeCluster, build_cluster
@@ -225,22 +229,42 @@ class SimRuntime:
     def engine(self):
         return self.cluster.engine
 
-    @property
-    def finished(self) -> bool:
-        return self.engine.now >= self.spec.duration_seconds
+    # -- the snapshot state card (as FederationRuntime's) ------------------------
+
+    def snapshot_height(self) -> int:
+        return self.cluster.longest_chain_node().chain.height
+
+    def snapshot_digest(self) -> str:
+        return self.cluster.longest_chain_node().chain.chain_digest()
+
+    def snapshot_storages(self) -> Dict[str, Any]:
+        return {
+            str(node_id): storage_to_dict(self.cluster.nodes[node_id].storage)
+            for node_id in self.cluster.node_ids
+        }
 
 
 def build_runtime(spec: ExperimentSpec) -> SimRuntime:
     """Build the cluster, schedule the full workload, and arm mining."""
-    with _obs.span(
-        "run.build", "run", nodes=spec.node_count, seed=spec.seed
-    ):
-        runtime = _build_runtime(spec)
+    with _obs.span("run.build", "run", nodes=spec.node_count, seed=spec.seed):
+        cluster = build_cluster(
+            spec.node_count, spec.config, seed=spec.seed, node_classes=spec.node_classes
+        )
+        production, request_driver = attach_workload(cluster, spec)
+        mobility, injector = attach_dynamics(cluster, spec, cluster.engine.np_rng)
+        cluster.start()
+        runtime = SimRuntime(
+            spec=spec,
+            cluster=cluster,
+            production=production,
+            requests=request_driver,
+            mobility=mobility,
+            churn=injector,
+        )
     # The tracer (process-global, never pickled) follows the newest
     # engine's clock so spans carry simulated time too; the timeline
     # probe, if armed, follows the newest cluster.
-    _obs.set_sim_clock(runtime.engine.clock_reader())
-    _obs.attach_runtime(runtime)
+    _obs.attach_runtime(runtime, runtime.engine.clock_reader())
     return runtime
 
 
@@ -310,36 +334,15 @@ def attach_dynamics(
     return mobility, injector
 
 
-def _build_runtime(spec: ExperimentSpec) -> SimRuntime:
-    cluster = build_cluster(
-        spec.node_count, spec.config, seed=spec.seed, node_classes=spec.node_classes
-    )
-    production, request_driver = attach_workload(cluster, spec)
-    mobility, injector = attach_dynamics(cluster, spec, cluster.engine.np_rng)
-    cluster.start()
-    return SimRuntime(
-        spec=spec,
-        cluster=cluster,
-        production=production,
-        requests=request_driver,
-        mobility=mobility,
-        churn=injector,
-    )
-
-
 def collect_metrics(runtime: SimRuntime) -> RunMetrics:
     """Derive the figure-level metrics from a finished runtime."""
-    with _obs.span("run.collect", "run"):
-        return _collect_metrics(runtime)
-
-
-def _collect_metrics(runtime: SimRuntime) -> RunMetrics:
     cluster = runtime.cluster
-    return collect_node_metrics(
-        [cluster.nodes[node_id] for node_id in cluster.node_ids],
-        runtime.spec.duration_seconds,
-        cluster.network.trace,
-    )
+    with _obs.span("run.collect", "run"):
+        return collect_node_metrics(
+            [cluster.nodes[node_id] for node_id in cluster.node_ids],
+            runtime.spec.duration_seconds,
+            cluster.network.trace,
+        )
 
 
 def collect_node_metrics(
@@ -360,6 +363,7 @@ def collect_node_metrics(
     metric_floor = retention_horizon(chain.config, chain.height)
     return collect_run_metrics(
         node_count=len(nodes),
+        node_ids=[node.node_id for node in nodes],
         duration_seconds=duration_seconds,
         trace=trace,
         storage_used=[node.storage.used_slots() for node in nodes],
@@ -377,12 +381,41 @@ def collect_node_metrics(
     )
 
 
+def advance(
+    runtime: Any,
+    stop_after_seconds: Optional[float] = None,
+    segment_seconds: Optional[float] = None,
+    after_segment: Optional[Callable[[], None]] = None,
+) -> bool:
+    """Advance a simulated runtime; True once it reached its duration.
+
+    The target is the run's duration, or ``stop_after_seconds`` past the
+    current clock when that comes first (a paused or resumed run).  With
+    ``after_segment`` the engine runs in ``segment_seconds`` slices and
+    calls it after each — the federated snapshot cadence.
+    """
+    duration = runtime.spec.duration_seconds
+    engine = runtime.engine
+    target = (
+        duration
+        if stop_after_seconds is None
+        else min(duration, engine.now + stop_after_seconds)
+    )
+    with _obs.span(
+        "run.simulate", "run", duration_seconds=duration, target_seconds=target
+    ):
+        if after_segment is None:
+            engine.run_until(target)
+        else:
+            while engine.now < target:
+                engine.run_until(min(engine.now + segment_seconds, target))
+                after_segment()
+    return engine.now >= duration
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Build, load, run, and measure one experiment."""
     runtime = build_runtime(spec)
-    with _obs.span(
-        "run.simulate", "run", duration_seconds=spec.duration_seconds
-    ):
-        runtime.engine.run_until(spec.duration_seconds)
+    advance(runtime)
     metrics = collect_metrics(runtime)
     return ExperimentResult(spec=spec, metrics=metrics, cluster=runtime.cluster)

@@ -1,14 +1,26 @@
-"""The live agreement rule on hand-built chains, and the ``--procs``
-parent's exit code by that rule (children faked, no sockets)."""
+"""The live agreement rule on hand-built chains, the ``--procs``
+parent's exit code by that rule (children faked, no sockets), and what a
+single live node does without a mesh: the data ids a restarted node
+mints, and a child's exit when its peers never connect."""
 
+import asyncio
 import json
 import subprocess
+import time
 from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
-from repro.net.harness import ChainView, LiveClusterHarness, LiveSpec, chain_agreement
+from repro.net.harness import (
+    ChainView,
+    LiveClusterHarness,
+    LiveNode,
+    LiveSpec,
+    build_workload,
+    chain_agreement,
+)
+from repro.net.peer import PeerManager
 from tests.helpers import make_config
 
 TRUNK = ("g", "b1", "b2", "b3")
@@ -133,3 +145,44 @@ class TestProcsExitCode:
         _fake_children(monkeypatch, [TRUNK] * 3, hang=True)
         assert main(PROCS_ARGV) == 1
         assert "timed out" in capsys.readouterr().err
+
+
+def test_a_node_armed_mid_run_mints_the_planned_data_ids():
+    """A restarted node resumes its producer sequence past the
+    productions it missed, so its next item gets the planned id."""
+    spec = LiveSpec(node_count=4, config=make_config(), seed=5, duration_minutes=10.0)
+    workload = build_workload(spec)
+    producer = workload.events[0].producer
+    own = [k for k, event in enumerate(workload.events) if event.producer == producer]
+    assert len(own) >= 3
+    k = own[2]
+    event, data_id = workload.events[k], workload.data_ids[k]
+
+    async def rejoin() -> LiveNode:
+        live = LiveNode(spec, workload, producer, start_logical=event.time)
+        live.arm(spec.duration_seconds, after=event.time)
+        live._produce(event, data_id)
+        live.engine.stop()
+        return live
+
+    live = asyncio.run(rejoin())
+    assert data_id in live.node.own_payloads
+    assert live.workload_mismatches == 0
+
+
+def test_live_node_whose_peers_never_connect_exits_with_one_line(monkeypatch):
+    async def bound(self):
+        return self.port
+
+    async def never_connected(self, peer_ids, timeout=10.0):
+        raise TimeoutError(f"peers never connected: {list(peer_ids)}")
+
+    monkeypatch.setattr(PeerManager, "start", bound)
+    monkeypatch.setattr(PeerManager, "wait_connected", never_connected)
+    argv = [
+        "live", "node", "--nodes", "2", "--node-id", "1", "--minutes", "1",
+        "--base-port", "47000", "--start-at", str(time.time() + 60.0),
+    ]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == "error: peers never connected: [0]"

@@ -4,7 +4,12 @@ import pytest
 
 from repro.core.config import PAPER_CONFIG, SystemConfig
 from repro.sim.cluster import build_cluster
-from repro.sim.runner import ChurnSpec, ExperimentSpec, run_experiment
+from repro.sim.runner import (
+    ChurnSpec,
+    ExperimentSpec,
+    collect_node_metrics,
+    run_experiment,
+)
 from repro.sim.scenarios import (
     BENCH_DURATION_MINUTES,
     PAPER_DATA_RATES,
@@ -94,6 +99,18 @@ class TestRunExperiment:
         assert len(metrics.per_node_bytes) == 5
         assert len(metrics.storage_used) == 5
         assert metrics.data_items_produced > 0
+
+    def test_a_subset_of_nodes_is_billed_by_its_own_ids(self):
+        result = run_experiment(
+            ExperimentSpec(node_count=6, config=PAPER_CONFIG, seed=3, duration_minutes=10)
+        )
+        full, cluster = result.metrics, result.cluster
+        assert full.blocks_mined[4] > 0
+        subset = collect_node_metrics(
+            [cluster.nodes[4]], full.duration_seconds, cluster.network.trace
+        )
+        assert subset.per_node_bytes == [full.per_node_bytes[4]]
+        assert subset.mining_distribution() == [full.blocks_mined[4]]
 
     def test_zero_data_rate_mines_only(self, fast_config):
         from dataclasses import replace

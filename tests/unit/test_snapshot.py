@@ -12,10 +12,11 @@ from repro.persist.snapshot import (
     inspect_snapshot,
     load_latest_snapshot,
     load_snapshot,
+    restore_latest,
     snapshot_paths,
     write_snapshot,
 )
-from repro.sim.runner import ExperimentSpec, build_runtime, collect_metrics
+from repro.sim.runner import ExperimentSpec, SimRuntime, build_runtime, collect_metrics
 
 pytestmark = pytest.mark.persist
 
@@ -168,3 +169,17 @@ class TestLatestFallback:
     def test_empty_directory_returns_none(self, tmp_path):
         restored, info, skipped = load_latest_snapshot(tmp_path)
         assert restored is None and info is None and skipped == []
+
+
+class TestRestoreLatest:
+    def test_refuses_a_snapshot_of_another_runtime_kind(
+        self, tmp_path, midrun_runtime
+    ):
+        from repro.federation import resume_federation
+
+        write_snapshot(tmp_path, midrun_runtime)
+        with pytest.raises(PersistError, match="not a FederationRuntime"):
+            resume_federation(tmp_path)
+        restored, info, _ = restore_latest(tmp_path, SimRuntime)
+        assert restored.snapshot_digest() == midrun_runtime.snapshot_digest()
+        assert info.clock == 240.0

@@ -43,8 +43,8 @@ from repro.core.metadata import MetadataItem
 from repro.crypto.hashing import hash_items, sha256
 from repro.lifecycle.checkpoint import CheckpointRecord
 from repro.core.pos import (
+    _hit_of,
     compute_amendment,
-    compute_hit,
     compute_pos_hash,
     satisfies_target,
 )
@@ -598,10 +598,7 @@ class Blockchain:
         expected_pos_hash = compute_pos_hash(parent.pos_hash, block.miner_address)
         if block.pos_hash != expected_pos_hash:
             raise ConsensusError(f"block {block.index} POSHash mismatch")
-        expected_hit = compute_hit(
-            parent.pos_hash, block.miner_address, self.config.hit_modulus
-        )
-        if block.hit != expected_hit:
+        if block.hit != _hit_of(expected_pos_hash, self.config.hit_modulus):
             raise ConsensusError(f"block {block.index} hit mismatch")
         expected_b = self.state.amendment(parent.timestamp)
         if not math.isclose(block.target_b, expected_b, rel_tol=_B_TOLERANCE):

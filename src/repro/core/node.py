@@ -63,7 +63,7 @@ from repro.core.messages import (
     MetadataAnnounce,
 )
 from repro.core.metadata import MetadataItem, create_metadata, rehost_metadata
-from repro.core.pos import compute_hit, compute_pos_hash, mining_delay
+from repro.core.pos import _hit_of, compute_hit, compute_pos_hash, mining_delay
 from repro.core.recent_blocks import select_recent_cache_nodes
 from repro.core.storage import NodeStorage
 from repro.core.sync import SyncState, plan_block_requests
@@ -281,8 +281,8 @@ class EdgeNode:
 
     # ------------------------------------------------------------------ mining
 
-    def _mining_inputs(self) -> Tuple[int, Optional[int]]:
-        """(hit, delay-in-seconds) for the race on top of the current tip."""
+    def _mining_delay(self) -> Optional[int]:
+        """Seconds until this node's hit meets its target on the current tip."""
         parent = self.chain.tip
         hit = compute_hit(
             parent.pos_hash, self.account.address, self.config.hit_modulus
@@ -290,7 +290,7 @@ class EdgeNode:
         stake = self.chain.state.tokens(self.node_id)
         stored = self.chain.state.stored_items(self.node_id, parent.timestamp)
         amendment = self.chain.state.amendment(parent.timestamp)
-        return hit, mining_delay(hit, stake, stored, amendment)
+        return mining_delay(hit, stake, stored, amendment)
 
     def _schedule_mining(self) -> None:
         if self._mining_handle is not None:
@@ -307,7 +307,7 @@ class EdgeNode:
             )
             fire_at = self.engine.now + attempts / self.config.pow_hash_rate
         else:
-            _, delay = self._mining_inputs()
+            delay = self._mining_delay()
             if delay is None:
                 return  # cannot mine (zero stake-storage product)
             fire_at = max(parent.timestamp + delay, self.engine.now)
@@ -386,17 +386,18 @@ class EdgeNode:
             already_storing=tuple(block_decision.storing_nodes) + (self.node_id,),
         )
 
+        pos_hash = compute_pos_hash(parent.pos_hash, self.account.address)
         if self.config.consensus == "pow":
             hit, target_b = 0, 0.0
         else:
-            hit, _ = self._mining_inputs()
+            hit = _hit_of(pos_hash, self.config.hit_modulus)
             target_b = state.amendment(parent.timestamp)
         timestamp = now  # already clamped past the parent above
         return Block(
             index=parent.index + 1,
             timestamp=timestamp,
             previous_hash=parent.current_hash,
-            pos_hash=compute_pos_hash(parent.pos_hash, self.account.address),
+            pos_hash=pos_hash,
             miner=self.node_id,
             miner_address=self.account.address,
             hit=hit,

@@ -45,8 +45,13 @@ def compute_hit(previous_pos_hash_hex: str, account_address: str, modulus: int) 
     """h_i = POSHash(t+1, i) mod M (Eq. 7, second line)."""
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
-    digest = bytes.fromhex(compute_pos_hash(previous_pos_hash_hex, account_address))
-    hit = hash_to_int(digest) % modulus
+    return _hit_of(compute_pos_hash(previous_pos_hash_hex, account_address), modulus)
+
+
+def _hit_of(pos_hash_hex: str, modulus: int) -> int:
+    """h_i = POSHash(t+1, i) mod M from a POSHash already in hand, so a
+    miner or validator holding it hashes Eq. 7 once."""
+    hit = hash_to_int(bytes.fromhex(pos_hash_hex)) % modulus
     if _obs.is_enabled():
         _obs.add("pos.hits_computed")
         _obs.observe("pos.hit_value", hit)

@@ -16,9 +16,11 @@ cannot serve the data (``can_serve`` is False until the fetch completes).
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.block import Block
 from repro.core.errors import StorageError
@@ -34,8 +36,24 @@ class StoredData:
     has_payload: bool = False
 
 
+def _expiry_record(seq: int, entry: StoredData) -> Tuple[float, int, str, StoredData]:
+    """``entry``'s record on the expiry heap.  ``is_expired`` never holds
+    for a ``nan`` expiry, so it sorts as ``inf``: last, never due."""
+    expires_at = entry.metadata.expires_at
+    if math.isnan(expires_at):
+        expires_at = math.inf
+    return (expires_at, seq, entry.metadata.data_id, entry)
+
+
 class NodeStorage:
     """Slot-based storage manager for one node."""
+
+    #: ``(expires_at, insertion seq, data_id, entry)`` per data slot, a
+    #: min-heap built on the first eviction and kept beside ``_data``;
+    #: ``None`` until then and after a pickle (it is derived state).
+    _expiry: Optional[List[Tuple[float, int, str, StoredData]]] = None
+    #: The insertion seq the next record pushed onto ``_expiry`` takes.
+    _seq = 0
 
     def __init__(self, capacity: int, recent_cache_capacity: int):
         if capacity < 1:
@@ -54,6 +72,11 @@ class NodeStorage:
         #: stay occupied — the chain-recorded assignment (and its Q_i
         #: credit) stands, only the serveable body moved to the cold tier.
         self._pruned_block_slots = 0
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle the slots, not the expiry heap derived from them: the
+        pickle is the one a storage that never evicted makes."""
+        return {k: v for k, v in vars(self).items() if k not in ("_expiry", "_seq")}
 
     # -- accounting --------------------------------------------------------------
 
@@ -94,9 +117,12 @@ class NodeStorage:
         if self.is_full:
             self.rejected_for_capacity += 1
             raise StorageError("storage full")
-        self._data[metadata.data_id] = StoredData(
+        entry = self._data[metadata.data_id] = StoredData(
             metadata=metadata, has_payload=has_payload
         )
+        if self._expiry is not None:
+            heapq.heappush(self._expiry, _expiry_record(self._seq, entry))
+            self._seq += 1
 
     def mark_payload_received(self, data_id: str) -> None:
         entry = self._data.get(data_id)
@@ -116,15 +142,28 @@ class NodeStorage:
         self._data.pop(data_id, None)
 
     def evict_expired(self, now: float) -> List[str]:
-        """Drop expired data items; returns the evicted ids."""
-        expired = [
-            data_id
-            for data_id, entry in self._data.items()
-            if entry.metadata.is_expired(now)
-        ]
-        for data_id in expired:
+        """Drop expired data items; returns the evicted ids in insertion
+        order.
+
+        Pops the expiry heap while its top has expired, skipping the
+        records of items since dropped or stored anew; insertion seqs
+        follow ``_data``'s order, so sorting by them is that order.
+        """
+        if self._expiry is None:
+            self._expiry = [
+                _expiry_record(seq, entry) for seq, entry in enumerate(self._data.values())
+            ]
+            heapq.heapify(self._expiry)
+            self._seq = len(self._expiry)
+        expired = []
+        while self._expiry and self._expiry[0][0] <= now:
+            _, seq, data_id, entry = heapq.heappop(self._expiry)
+            if self._data.get(data_id) is entry:
+                expired.append((seq, data_id))
+        expired.sort()
+        for _, data_id in expired:
             del self._data[data_id]
-        return expired
+        return [data_id for _, data_id in expired]
 
     def data_ids(self) -> Set[str]:
         return set(self._data.keys())

@@ -40,8 +40,10 @@ connection matrix and recomputing almost nothing per round:
   once that bound could make it the pick;
 * two rules take many textbook rounds at once: a run of disjoint
   one-client stars opens together (:meth:`GreedySolver._singletons`),
-  and a solve ends once no closed facility can win a round (the *tail
-  exit* in :meth:`GreedySolver._greedy`).  DESIGN.md §13 argues each.
+  and the *hand step* in :meth:`GreedySolver._greedy` gives the open
+  set, at once, every client it serves below the least closed ratio
+  (the solve ends when that is every client left).  DESIGN.md §13
+  argues each.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from repro.obs import runtime as _obs
 
 
 #: The :class:`GreedySolver` attributes a pickle keeps.
-_COUNTERS = ("epoch_rebuilds", "rounds", "batches", "tail_exits")
+_COUNTERS = ("epoch_rebuilds", "rounds", "batches", "hand_steps")
 
 
 def _leading(mask: np.ndarray) -> int:
@@ -117,8 +119,8 @@ class GreedySolver:
         self.rounds = 0
         #: Rounds that opened a run of one-client stars at once.
         self.batches = 0
-        #: Solves that stopped once no closed facility could win.
-        self.tail_exits = 0
+        #: Rounds that handed clients to open facilities at once.
+        self.hand_steps = 0
 
     def __getstate__(self) -> Dict[str, Any]:
         """Pickle as a cold solver.
@@ -132,9 +134,9 @@ class GreedySolver:
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        """Restore a pickle, counters it predates starting at 0."""
+        """Restore a pickle: counters it predates start at 0, renamed ones drop."""
         self.__init__()
-        vars(self).update(state)
+        vars(self).update((name, state[name]) for name in vars(self) if name in state)
 
     # ------------------------------------------------------------------ cache plumbing
 
@@ -269,8 +271,9 @@ class GreedySolver:
 
         Same stars, same ratios, same tie-breaking as the textbook loop;
         a round only recomputes the facilities that could be its pick,
-        takes a run of certain one-client openings at once, and the loop
-        ends once no closed facility can win a round.
+        takes a run of certain one-client openings at once, and then
+        hands the open set every client it wins before a closed facility
+        can win a round.
         """
         if not problem.is_feasible():
             raise ValueError(
@@ -304,6 +307,14 @@ class GreedySolver:
         open_set: List[int] = []
         rounds = 0
 
+        def refresh(pending: np.ndarray) -> None:
+            """Make the entries of ``pending`` exact."""
+            if pending.size:
+                ratio[pending], kpos[pending], size[pending] = self._stars(
+                    pending, unassigned, num[pending], den[pending]
+                )
+                stale[pending] = False
+
         while True:
             rounds += 1
             # A stale facility can be the pick only if its bound is at
@@ -311,12 +322,7 @@ class GreedySolver:
             # is then above the least exact ratio, so the first minimum
             # of ``ratio`` is the textbook loop's pick.
             least = np.min(ratio, where=~stale, initial=np.inf)
-            pending = np.flatnonzero(stale & (ratio <= least))
-            if pending.size:
-                ratio[pending], kpos[pending], size[pending] = self._stars(
-                    pending, unassigned, num[pending], den[pending]
-                )
-                stale[pending] = False
+            refresh(np.flatnonzero(stale & (ratio <= least)))
             facility = int(np.argmin(ratio))
             if ratio[facility] == np.inf:
                 raise ValueError("greedy could not serve all clients (infeasible)")
@@ -352,15 +358,23 @@ class GreedySolver:
             if opened.size:
                 reach = self._connection[opened].min(axis=0)
                 np.minimum(open_cost, reach, out=open_cost)
-            # An open facility's one-client ratio for client c is
-            # connection[f, c]; so some open facility's exact ratio is at
-            # most ``max(open_cost[unassigned])``.  Once every closed
-            # entry exceeds that, no closed facility can be picked again:
-            # the open set is final.
+            # The hand step.  An open facility's best star is its cheapest
+            # unassigned client and closed ratios only grow, so the textbook
+            # loop gives each client whose ``open_cost`` is below the least
+            # closed entry to an open facility, a round each, before a closed
+            # one can win.  Lift that entry lazily (the stale bounds that could
+            # be it and are below some open cost) and hand them all at once.
+            least = np.min(ratio, where=closed & ~stale, initial=np.inf)
+            top = np.max(open_cost, where=unassigned, initial=0.0)
+            refresh(np.flatnonzero(closed & stale & (ratio <= least) & (ratio < top)))
             least_closed = np.min(ratio, where=closed, initial=np.inf)
-            if least_closed > np.max(open_cost, where=unassigned, initial=0.0):
-                self.tail_exits += 1
-                break
+            handed = np.flatnonzero(unassigned & (open_cost < least_closed))
+            if handed.size:
+                self.hand_steps += 1
+                unassigned[handed] = False
+                if not unassigned.any():
+                    break
+                stale |= (self._pos_t[handed] <= kpos).any(axis=0)
 
         self.rounds += rounds
         _obs.add("facility.greedy_rounds", rounds)

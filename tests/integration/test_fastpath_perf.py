@@ -16,8 +16,8 @@ That replay is dominated by the greedy's first round (30 nodes, a star
 or two per solve).  The second guard is the large-cluster shape, where
 the later rounds are the cost: a 200-node hop-count instance built by
 the real cost builder, 10–30 replicas and 155–200 textbook greedy rounds
-per solve (the solver takes 139–172: one batch of one-client stars,
-then mostly rounds that hand one more client to an open replica),
+per solve (the solver takes 2–4: one batch of one-client stars, then a
+hand step or two that gives every remaining client to an open replica),
 replayed with the loads bumped where each placement landed.  There the
 solver must be at least 20× faster per solve.
 
@@ -54,7 +54,10 @@ The greedy's rounds are counted too (``GreedySolver.rounds``).  A fresh
 400-node cluster, where a node alone is every node's best star, opens
 all 400 nodes in at most 3 rounds (400 before the singleton batch); a
 30-node two-hub instance stops at its second and last opening (10
-rounds before the tail exit).  Both still equal the textbook loop.
+rounds before the tail exit, now the hand step's all-clients case); and
+the 200-node replay takes at most one round per replica it opens
+(5.6–16.5 per replica while each round handed one client).  All three
+still equal the textbook loop.
 
 The last guard weighs memory, with ``tracemalloc`` (bytes, no clock, so
 never skipped).  A cluster's node-id tuple, address book and mobility
@@ -220,6 +223,24 @@ def test_incremental_later_rounds_are_20x_faster_than_greedy():
         f"regression floor is {LARGE_MIN_SPEEDUP}x"
     )
     assert solver.epoch_rebuilds == 1
+
+
+#: Greedy rounds per replica opened on the later-rounds replay.  The hand
+#: step measures 2–4 rounds for 10–30 replicas (at most 0.4 a replica);
+#: handing one client a round took 139–171 (5.6–16.5 a replica).
+MAX_ROUNDS_PER_REPLICA = 1.0
+
+
+def test_later_rounds_take_at_most_one_round_per_replica():
+    solver = GreedySolver()
+    for problem in _large_replay_problems():
+        before = solver.rounds
+        solution = solver.solve(problem)
+        rounds = solver.rounds - before
+        assert rounds <= MAX_ROUNDS_PER_REPLICA * solution.replica_count, (
+            f"{rounds} rounds for {solution.replica_count} replicas"
+        )
+    assert solver.hand_steps > 0
 
 
 #: Messages signed per contender, and the floor.  The kernel measures
@@ -512,7 +533,7 @@ def test_solve_stops_at_the_last_opening():
     solution = solver.solve(problem)
     assert solution.open_facilities == (0, 15)
     assert solver.rounds == 2
-    assert solver.tail_exits == 1
+    assert solver.hand_steps == 1
     expected = reference_greedy(problem)
     assert solution.assignment == expected.assignment
     assert solution.open_facilities == expected.open_facilities

@@ -513,9 +513,143 @@ def _bound_ties_a_price(rng, n):
     return num[order], np.ones(n), connection[np.ix_(order, order)]
 
 
+def _hand_at_a_tie(rng, n):
+    """An open cost equal to the least closed ratio: a tie, not a hand.
+
+    Hub ``a`` opens alone for 1 and reaches clients ``Y`` at ``c - 1``
+    and ``x`` at ``c``; ``b``, before ``a`` in index order, opens for
+    exactly ``c`` with ``x`` alone.  The hand takes ``Y`` and must leave
+    ``x``: the textbook loop's next round is a tie at ``c``, which ``b``
+    wins — handing ``x`` to ``a`` would never open ``b``.  The rest
+    cannot open.
+    """
+    n = max(n, 4)
+    a, b = sorted(rng.choice(n, size=2, replace=False))[::-1]
+    x = rng.choice(np.setdiff1d(np.arange(n), [a]))
+    c = int(rng.integers(2, 10**4))
+    connection = np.full((n, n), 10.0**6)
+    connection[a] = c - 1
+    connection[a, a] = 0.0
+    connection[a, x], connection[b, x] = c, 0.0
+    num, den = np.zeros(n), np.zeros(n)
+    num[a], den[a] = 1.0, 1.0
+    num[b], den[b] = float(c), 1.0
+    return num, den, connection
+
+
+def _stale_bound_lifted(rng, n):
+    """A stale closed bound below an open cost, which the refresh lifts.
+
+    ``p`` opens for 2 with its own client, which ``q``'s star shared:
+    ``q`` keeps the bound 60 while it really costs 120 now.  ``z`` costs
+    80 from ``p``: the hand takes it only once ``q`` is refreshed, and
+    nothing else is ever handed, so the counter proves the lift.
+    """
+    n = max(n, 4)
+    p, q, z = rng.choice(n, size=3, replace=False)
+    connection = np.full((n, n), 10.0**4)
+    np.fill_diagonal(connection, 0.0)
+    connection[q, p] = 0.0
+    connection[p, z] = 80.0
+    num = np.full(n, 1000.0)
+    num[p], num[q] = 2.0, 120.0
+    scale = 2 ** int(rng.integers(0, 4))
+    return scale * num, np.ones(n), scale * connection
+
+
+def _unreachable_from_the_open_set(rng, n):
+    """Clients no open facility reaches (``open_cost = inf``) beside
+    clients the hand takes: only their own facilities serve them."""
+    n = max(n, 4)
+    hub = int(rng.integers(0, n))
+    connection = np.full((n, n), np.inf)
+    np.fill_diagonal(connection, 0.0)
+    others = rng.permutation(np.setdiff1d(np.arange(n), [hub]))
+    reached = others[: int(rng.integers(1, n - 1))]
+    connection[hub, reached] = rng.integers(1, 20, size=reached.size)
+    num = rng.integers(20, 60, size=n).astype(float)
+    num[hub] = 0.0
+    return num, np.ones(n), connection
+
+
+def _hand_empties_the_rest(rng, n):
+    """After the first opening every other client is cheaper from it than
+    any closed ratio: one hand serves them all (the old tail exit)."""
+    n = max(n, 4)
+    hub = int(rng.integers(0, n))
+    connection = np.full((n, n), 10.0**5)
+    np.fill_diagonal(connection, 0.0)
+    connection[hub] = rng.permutation(np.arange(1, n + 1))
+    connection[hub, hub] = 0.0
+    num = rng.integers(10 * n, 20 * n, size=n).astype(float)
+    den = np.ones(n)
+    den[rng.random(n) < 0.3] = 0.0
+    num[hub], den[hub] = 2.0, 1.0
+    return num, den, connection
+
+
+def _hand_shrinks_a_closed_star(rng, n):
+    """A hand that takes a client out of the least closed star.
+
+    Hub ``a`` opens for 1 and reaches ``c`` at 5, every other client but
+    ``d`` at 2.  ``f``'s star is ``c`` and ``d`` at 0, for 20: ratio 10,
+    the least closed entry, so ``c`` is handed — and ``f`` now costs 20
+    for ``d`` alone, above ``g``, which opens for 15 with ``d``.  Unless
+    the hand marks ``f`` stale it opens on its old ratio instead of ``g``.
+    """
+    n = max(n, 5)
+    a, c, d, f, g = rng.permutation(n)[:5]
+    connection = np.full((n, n), 10.0**4)
+    connection[a] = 2.0
+    connection[a, a], connection[a, c], connection[a, d] = 0.0, 5.0, 10.0**4
+    connection[f, c] = connection[f, d] = connection[g, d] = 0.0
+    num, den = np.zeros(n), np.zeros(n)
+    num[[a, f, g]], den[[a, f, g]] = [1.0, 20.0, 15.0], 1.0
+    scale = 2 ** int(rng.integers(0, 4))
+    return scale * num, den, scale * connection
+
+
+def _stale_bound_at_the_top(rng, n):
+    """A stale closed bound equal to the dearest open cost, and exact.
+
+    ``b`` opens free and reaches ``a``'s client and ``x`` at ``c``: its
+    star is ``a``'s client alone (the lower id of the tie).  ``a`` opens first, for 1, with that
+    client, and reaches ``x`` at ``c`` and the rest at ``c - 1``.  ``b``
+    is left stale at ``c`` — no lower than the dearest open cost, so not
+    refreshed — while it really costs ``c`` for ``x``.  The hand must
+    stop below the bound, not below the least exact closed ratio: ``x``
+    ties ``b``, which comes first in index order and opens with it.
+    """
+    n = max(n, 4)
+    b, a, x = sorted(rng.choice(n, size=3, replace=False))
+    c = int(rng.integers(3, 10**4))
+    connection = np.full((n, n), 10.0**6)
+    connection[a] = c - 1
+    connection[a, a], connection[a, x] = 0.0, c
+    connection[b, a] = connection[b, x] = c
+    num, den = np.zeros(n), np.zeros(n)
+    num[a], den[a], den[b] = 1.0, 1.0, 1.0
+    return num, den, connection
+
+
+def _twin_replicas(rng, n):
+    """Two open replicas at the same cost from each handed client: the
+    assignment's lowest-index tie-break decides, not the hand's order."""
+    n = max(n, 5)
+    a, b = rng.choice(n, size=2, replace=False)
+    connection = np.full((n, n), 10.0**4)
+    np.fill_diagonal(connection, 0.0)
+    shared = rng.integers(2, 30, size=n).astype(float)
+    connection[a] = connection[b] = shared
+    connection[a, a] = connection[b, b] = 0.0
+    num = np.full(n, 1000.0)
+    num[a], num[b] = 1.0, float(rng.integers(1, 3))
+    return num, np.ones(n), connection
+
+
 class TestCertainRoundsEquivalence:
-    """The rounds taken at once (a run of one-client stars; the tail once no
-    closed facility can win) decide as the exact textbook greedy does.
+    """The rounds taken at once (a run of one-client stars; the clients a
+    hand step gives the open set) decide as the exact textbook greedy does.
 
     Each family builds instances that make its rule fire — the solver's
     counter proves it did — around the edge the rule's argument rests on.
@@ -563,6 +697,33 @@ class TestCertainRoundsEquivalence:
         solver = self._replay(build, *instance)
         assert solver.batches > 0
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _hand_at_a_tie,
+            _stale_bound_lifted,
+            _unreachable_from_the_open_set,
+            _hand_empties_the_rest,
+            _hand_shrinks_a_closed_star,
+            _stale_bound_at_the_top,
+            _twin_replicas,
+        ],
+        ids=[
+            "tie-is-not-handed",
+            "stale-bound-lifted",
+            "inf-clients",
+            "hand-empties-the-rest",
+            "hand-shrinks-a-closed-star",
+            "stale-bound-at-the-top",
+            "twin-replicas",
+        ],
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(certain_round_instances())
+    def test_hand_steps_match_greedy_exactly(self, build, instance):
+        solver = self._replay(build, *instance)
+        assert solver.hand_steps > 0
+
     @settings(max_examples=60, deadline=None)
     @given(
         certain_round_instances(),
@@ -576,7 +737,8 @@ class TestCertainRoundsEquivalence:
         # Facility ``a`` opens on its own clients and reaches every other
         # client at ``reuse_cost``; closed facility ``b``'s one-client star
         # costs ``reuse_cost`` give or take ``steps / den`` — exactly the
-        # edge of the tail exit, a tie included — and then 1 above it.
+        # edge of the hand step's all-clients case (the tail exit), a tie
+        # included — and then 1 above it.
         seed, size, _ = instance
         rng = np.random.default_rng(seed)
         a, b = rng.choice(size, size=2, replace=False)
@@ -595,7 +757,7 @@ class TestCertainRoundsEquivalence:
             num[b], opening_den[b] = b_num, b_den
             problem = _problem(num, opening_den, connection)
             _assert_solves_eq3(solver.solve(problem), problem)
-        assert solver.tail_exits > 0
+        assert solver.hand_steps > 0
 
 
 # -- RDC: Eq. 2 exactly ----------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Property-based tests for storage accounting and chain-state invariants."""
 
+import math
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.account import Account
@@ -72,6 +76,108 @@ class TestStorageInvariants:
                 assert item.data_id in evicted
             else:
                 assert storage.has_data(item.data_id)
+
+
+#: One signed item; the expiry differential varies its id and lifetime.
+_BASE_ITEM = create_metadata(_ACCOUNT, 0, 0, 0.0)
+
+
+def _scan_evict(storage, now):
+    """The eviction the expiry heap replaced: scan every stored item."""
+    expired = [
+        data_id
+        for data_id, entry in storage._data.items()
+        if entry.metadata.is_expired(now)
+    ]
+    for data_id in expired:
+        del storage._data[data_id]
+    return expired
+
+
+def _slots(storage):
+    """Each data slot's id and expiry, in insertion order (``repr``, so
+    that a ``nan`` expiry equals itself)."""
+    return [
+        (entry.metadata.data_id, repr(entry.metadata.expires_at))
+        for entry in storage.data_entries()
+    ]
+
+
+@st.composite
+def expiry_ops(draw):
+    """Stores (an id may come back with another lifetime after a drop),
+    drops, evictions at times that may go back, and pickle round-trips."""
+    lifetime = st.sampled_from([0.5, 1.0, 1.0, 2.5, 10.0, math.inf, math.nan])
+    return draw(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("store"),
+                    st.integers(0, 5),
+                    st.sampled_from([0.0, 30.0, 60.0, 90.0]),
+                    lifetime,
+                ),
+                st.tuples(st.just("drop"), st.integers(0, 5)),
+                st.tuples(
+                    st.just("evict"), st.sampled_from([0.0, 30.0, 60.0, 150.0, 600.0])
+                    | st.floats(0, 1_000),
+                ),
+                st.tuples(st.just("pickle")),
+            ),
+            max_size=60,
+        )
+    )
+
+
+class TestExpiryHeap:
+    @settings(max_examples=200, deadline=None)
+    @given(expiry_ops())
+    # An id dropped and stored anew with a longer life: its first record
+    # on the heap comes due while the second item has not expired.
+    @example([("evict", 0.0), ("store", 0, 0.0, 0.5), ("drop", 0),
+              ("store", 0, 0.0, 10.0), ("evict", 60.0)])  # fmt: skip
+    def test_heap_evicts_what_the_scan_evicts_in_its_order(self, ops):
+        heap = NodeStorage(capacity=12, recent_cache_capacity=0)
+        scan = NodeStorage(capacity=12, recent_cache_capacity=0)
+        for op, *args in ops:
+            if op == "store":
+                key, created_at, minutes = args
+                item = replace(
+                    _BASE_ITEM,
+                    data_id=f"item-{key}",
+                    created_at=created_at,
+                    valid_time_minutes=minutes,
+                )
+                for storage in (heap, scan):
+                    try:
+                        storage.store_data(item)
+                    except StorageError:
+                        pass
+            elif op == "drop":
+                heap.drop_data(f"item-{args[0]}")
+                scan.drop_data(f"item-{args[0]}")
+            elif op == "evict":
+                assert heap.evict_expired(args[0]) == _scan_evict(scan, args[0])
+            else:
+                heap = pickle.loads(pickle.dumps(heap))
+                assert heap._expiry is None
+            assert _slots(heap) == _slots(scan)
+
+    def test_pickle_drops_the_heap(self):
+        storage = NodeStorage(capacity=4, recent_cache_capacity=0)
+        storage.store_data(_BASE_ITEM)
+        storage.evict_expired(0.0)
+        assert storage._expiry
+        cold = NodeStorage(capacity=4, recent_cache_capacity=0)
+        cold.store_data(_BASE_ITEM)
+        # The pickle is the one a storage that never evicted makes, so a
+        # snapshot from before the heap loads as any other.
+        assert pickle.dumps(storage) == pickle.dumps(cold)
+        restored = pickle.loads(pickle.dumps(storage))
+        assert restored._expiry is None
+        expires = _BASE_ITEM.expires_at
+        assert restored.evict_expired(expires - 1.0) == []
+        assert restored.evict_expired(expires) == [_BASE_ITEM.data_id]
 
 
 def _mine(chain, accounts, miner):

@@ -158,11 +158,11 @@ class TestSnapshotPickle:
         assert vars(restored._solver)["rounds"] == engine._solver.rounds > 0
 
     def test_solver_pickled_before_the_round_counters_still_solves(self, state):
-        # A solver pickled before ``rounds`` / ``batches`` / ``tail_exits``
+        # A solver pickled before ``rounds`` / ``batches`` / ``hand_steps``
         # (and the size cache) existed carries only ``epoch_rebuilds``;
         # unpickling it starts the others at 0.
         older = {**vars(GreedySolver()), "epoch_rebuilds": 4}
-        for name in ("rounds", "batches", "tail_exits", "_round1_size"):
+        for name in ("rounds", "batches", "hand_steps", "_round1_size"):
             del older[name]
         restored = GreedySolver.__new__(GreedySolver)
         restored.__setstate__(older)
@@ -170,6 +170,19 @@ class TestSnapshotPickle:
         problem = AllocationEngine(SystemConfig()).build_problem(*state)
         assert restored.solve(problem) == GreedySolver().solve(problem)
         assert restored.rounds > 0
+
+    def test_solver_pickled_with_tail_exits_starts_hand_steps_at_0(self, state):
+        # ``hand_steps`` counts what ``tail_exits`` counted and more: a
+        # pickle carrying the old name starts the new one at 0, and the
+        # old name does not come back.
+        older = {**vars(GreedySolver()), "rounds": 9, "tail_exits": 3}
+        del older["hand_steps"]
+        restored = pickle.loads(pickle.dumps(GreedySolver()))
+        restored.__setstate__(older)
+        assert (restored.rounds, restored.hand_steps) == (9, 0)
+        assert not hasattr(restored, "tail_exits")
+        problem = AllocationEngine(SystemConfig()).build_problem(*state)
+        assert restored.solve(problem) == GreedySolver().solve(problem)
 
 
 class TestRecentCacheSelection:

@@ -36,6 +36,7 @@ from typing import Deque, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.block import Block
 from repro.core.errors import (
+    AllocationMismatchError,
     ChainLinkError,
     CheckpointError,
     ConsensusError,
@@ -58,7 +59,7 @@ BAD_LINKAGE = "bad_linkage"
 #: PoS hit/target claim fails re-verification — Eq. 9 (ConsensusError).
 BAD_POS = "bad_pos"
 #: Storing-node / recent-cache assignments diverge from the deterministic
-#: allocation re-derivation (crony placement).
+#: allocation re-derivation (AllocationMismatchError — crony placement).
 BAD_ALLOCATION = "bad_allocation"
 #: One miner, one height, two distinct blocks.
 EQUIVOCATION = "equivocation"
@@ -113,6 +114,8 @@ def classify_rejection(error: ValidationError) -> str:
         return BAD_POS
     if isinstance(error, SerializationError):
         return MALFORMED
+    if isinstance(error, AllocationMismatchError):
+        return BAD_ALLOCATION
     return INVALID
 
 

@@ -28,11 +28,12 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.block import Block, make_genesis
 from repro.core.config import SystemConfig
 from repro.core.errors import (
+    AllocationMismatchError,
     ChainLinkError,
     CheckpointError,
     ConsensusError,
@@ -399,6 +400,11 @@ def _default_genesis(node_ids: Tuple[int, ...], config: SystemConfig) -> Block:
     return genesis
 
 
+#: Whether a block's placements are what the solver derives from the
+#: chain state before it (``EdgeNode`` builds one per topology view).
+PlacementCheck = Callable[[Block, "ChainState"], bool]
+
+
 class BlockOutcome(enum.Enum):
     """Result of offering a block to :meth:`Blockchain.consider_block`."""
 
@@ -644,7 +650,9 @@ class Blockchain:
         self.blocks.append(block)
         self._held.append(ledgers)
 
-    def append_block(self, block: Block) -> None:
+    def append_block(
+        self, block: Block, placements: Optional[PlacementCheck] = None
+    ) -> None:
         """Validate and append a tip-extending block.
 
         Linkage to *this* tip, the block hash and the miner's address in
@@ -653,8 +661,12 @@ class Blockchain:
         chain prefix: the first chain to accept the block registers the
         ledgers after it in ``_SHARED``, and for every later chain on
         that prefix the entry stands for both the verdict and the value.
-        This chain's own metadata index and block-storing map are updated
-        either way.
+        ``placements``, when given, runs on every chain, hit or miss: it
+        re-derives the block's storing nodes from this chain's state with
+        the caller's topology view (see ``repro.core.validation``), which
+        no shared entry can stand for, and a mismatch raises
+        :class:`AllocationMismatchError`.  This chain's own metadata index
+        and block-storing map are updated once all checks pass.
         """
         key = self._ledgers_key(block)
         ledgers = _SHARED.get(key)
@@ -662,16 +674,23 @@ class Blockchain:
             self.validate_child(block)
         else:
             self._check_extends_tip(block)
+        if placements is not None and not placements(block, self.state):
+            raise AllocationMismatchError(
+                f"block {block.index} placements differ from the solver's"
+            )
         self._extend(block, key, ledgers)
 
-    def consider_block(self, block: Block) -> BlockOutcome:
+    def consider_block(
+        self, block: Block, placements: Optional[PlacementCheck] = None
+    ) -> BlockOutcome:
         """Classify an incoming block and append it when it extends the tip.
 
         ``GAP`` means the node is missing intermediate blocks and should
         trigger the recovery protocol; ``STALE`` is the first-received
         fork-choice rule at equal height (losers are simply dropped — the
         longest-chain rule takes over via :meth:`consider_chain` when a
-        longer fork shows up).
+        longer fork shows up).  ``placements`` is as for
+        :meth:`append_block`.
         """
         if block.index <= self.height:
             if block.index < self.first_retained_index:
@@ -683,7 +702,7 @@ class Blockchain:
                 return BlockOutcome.DUPLICATE
             return BlockOutcome.STALE
         if block.index == self.height + 1:
-            self.append_block(block)
+            self.append_block(block, placements)
             return BlockOutcome.APPENDED
         return BlockOutcome.GAP
 
@@ -712,7 +731,9 @@ class Blockchain:
             return 0
         return (confirmed_height // interval) * interval
 
-    def consider_chain(self, blocks: Sequence[Block]) -> bool:
+    def consider_chain(
+        self, blocks: Sequence[Block], placements: Optional[PlacementCheck] = None
+    ) -> bool:
         """Longest-chain rule: adopt ``blocks`` if valid and strictly longer.
 
         Without a lifecycle policy the candidate must be a full chain from
@@ -728,15 +749,16 @@ class Blockchain:
         Only the suffix we do not hold is validated: from the first
         candidate block that is not ``==`` to ours (a same-hash placement
         twin or a forged ``current_hash`` is one), appended to
-        :meth:`_replica_at` the block below.  Our bodies below that point,
-        the first block included, stay ours.  Returns True when the
-        switch happened.
+        :meth:`_replica_at` the block below, each checked with
+        ``placements`` as in :meth:`append_block`.  Our bodies below that
+        point, the first block included, stay ours.  Returns True when
+        the switch happened.
         """
         if not blocks or blocks[-1].index <= self.height:
             return False
         first = self.first_retained_index
         start = blocks[0].index
-        if start != 0 and getattr(self.config, "lifecycle", None) is None:
+        if start != 0 and self.config.lifecycle is None:
             raise ValidationError("candidate chain must start at genesis")
         if start < first:
             # The candidate reaches below what we retain; agreement down
@@ -780,7 +802,7 @@ class Blockchain:
             fork += 1
         replica = self._replica_at(fork - 1)
         for block in blocks[fork - start :]:
-            replica.append_block(block)
+            replica.append_block(block, placements)
         self.blocks = replica.blocks
         self._held = replica._held
         self.state = replica.state

@@ -29,6 +29,12 @@ class CheckpointError(ValidationError):
     """
 
 
+class AllocationMismatchError(ValidationError):
+    """A block's storing-node or recent-cache assignments differ from what
+    the deterministic solver derives from public inputs (crony placement;
+    see :mod:`repro.core.validation`)."""
+
+
 class SerializationError(ValidationError):
     """A serialised payload is structurally unacceptable (oversized,
     absurdly nested, wrong shape) before any content validation runs.

@@ -54,11 +54,12 @@ class MetadataItem:
     storing_nodes: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.valid_time_minutes <= 0:
+        # Written so that NaN fails too: it compares false with everything.
+        if not (self.valid_time_minutes > 0):
             raise ValueError("valid time must be positive")
         if self.size_bytes <= 0:
             raise ValueError("data size must be positive")
-        if self.created_at < 0:
+        if not (self.created_at >= 0):
             raise ValueError("creation time cannot be negative")
 
     # -- signing ------------------------------------------------------------------

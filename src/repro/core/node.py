@@ -35,9 +35,14 @@ from repro.core.admission import (
 )
 from repro.core.allocation import AllocationEngine
 from repro.core.block import Block
-from repro.core.blockchain import Blockchain, BlockOutcome
+from repro.core.blockchain import Blockchain, BlockOutcome, ChainState, PlacementCheck
 from repro.core.config import SystemConfig
-from repro.core.errors import ConsensusError, StorageError, ValidationError
+from repro.core.errors import (
+    AllocationMismatchError,
+    ConsensusError,
+    StorageError,
+    ValidationError,
+)
 from repro.obs import runtime as _obs
 from repro.core.messages import (
     CATEGORY_BLOCK,
@@ -64,9 +69,13 @@ from repro.core.messages import (
 )
 from repro.core.metadata import MetadataItem, create_metadata, rehost_metadata
 from repro.core.pos import _hit_of, compute_hit, compute_pos_hash, mining_delay
-from repro.core.recent_blocks import select_recent_cache_nodes
 from repro.core.storage import NodeStorage
 from repro.core.sync import SyncState, plan_block_requests
+from repro.core.validation import (
+    allocations_verifiable,
+    derive_placement,
+    verify_block_allocations,
+)
 from repro.energy.meter import EnergyMeter
 from repro.simnet.engine import EventEngine, EventHandle
 from repro.simnet.topology import Topology
@@ -339,51 +348,28 @@ class EdgeNode:
     def _build_block(self, parent: Block) -> Block:
         """Assemble the next block: pack metadata, compute all placements.
 
-        All placement inputs are evaluated at the block's timestamp (not
-        the wall-clock mining instant), so a validator holding the same
-        chain state and topology can re-derive every storing-node decision
-        bit for bit (see ``repro.core.validation``).
+        The placements are :func:`~repro.core.validation.derive_placement`
+        at the block's timestamp (not the wall-clock mining instant), so
+        a validator holding the same chain state and topology re-derives
+        every storing-node decision bit for bit.
         """
         now = max(self.engine.now, parent.timestamp + 1.0)  # = block timestamp
         state = self.chain.state
-        hop_matrix = self.topology.hop_matrix()
-        node_ids = list(state.node_ids)
-        index_of = {node: index for index, node in enumerate(node_ids)}
-        capacity = float(self.config.storage_capacity)
-        # Clamp: a chain carrying forged assignments can credit a node with
-        # more slots than physically exist; for placement it is just full.
-        used = [
-            min(float(state.used_slots(node, now)), capacity) for node in node_ids
+        items = [
+            item
+            for data_id, item in sorted(self.mempool.items())
+            # Skip what an earlier block packed, and what has expired.
+            if self.chain.metadata_of(data_id) is None and not item.is_expired(now)
         ]
-        total = [capacity] * len(node_ids)
-
-        packed: List[MetadataItem] = []
-        for data_id in sorted(self.mempool):
-            item = self.mempool[data_id]
-            if self.chain.metadata_of(data_id) is not None:
-                continue  # already packed by an earlier block
-            if item.is_expired(now):
-                continue
-            decision = self.allocator.place_item(
-                used, total, hop_matrix, self.mobility_ranges
-            )
-            packed.append(item.with_storing_nodes(decision.storing_nodes))
-            for node in decision.storing_nodes:
-                used[index_of[node]] += 1.0
-
-        block_decision = self.allocator.place_item(
-            used, total, hop_matrix, self.mobility_ranges
-        )
-        for node in block_decision.storing_nodes:
-            used[index_of[node]] += 1.0
-
-        recent_nodes = select_recent_cache_nodes(
+        placement = derive_placement(
+            len(items),
+            self.node_id,
+            now,
+            state,
             self.allocator,
-            used,
-            total,
-            hop_matrix,
+            self.topology.hop_matrix(),
             self.mobility_ranges,
-            already_storing=tuple(block_decision.storing_nodes) + (self.node_id,),
+            self.config.storage_capacity,
         )
 
         pos_hash = compute_pos_hash(parent.pos_hash, self.account.address)
@@ -402,10 +388,13 @@ class EdgeNode:
             miner_address=self.account.address,
             hit=hit,
             target_b=target_b,
-            metadata_items=tuple(packed),
-            storing_nodes=tuple(block_decision.storing_nodes),
+            metadata_items=tuple(
+                item.with_storing_nodes(nodes)
+                for item, nodes in zip(items, placement.items)
+            ),
+            storing_nodes=placement.block,
             previous_storing_nodes=tuple(state.block_storing.get(parent.index, ())),
-            recent_cache_nodes=tuple(recent_nodes),
+            recent_cache_nodes=placement.recent,
         )
 
     def _bill_pos_wait(self) -> None:
@@ -658,26 +647,38 @@ class EdgeNode:
             return
         self.mempool.setdefault(item.data_id, item)
 
-    def _allocations_acceptable(self, block: Block) -> bool:
-        """Re-derive the block's placements when validation is enabled."""
-        if not self.config.validate_allocations:
-            return True
-        from repro.core.validation import (
-            allocations_verifiable,
-            verify_block_allocations,
-        )
+    @property
+    def _placements(self) -> Optional[PlacementCheck]:
+        """The allocation check this node's chain runs on each block it
+        would append: None when validation is off or the solver cannot be
+        re-derived (the random baseline)."""
+        if self.config.validate_allocations and allocations_verifiable(
+            self.config.placement_solver
+        ):
+            return self._placements_match
+        return None
 
-        if not allocations_verifiable(self.config.placement_solver):
-            return True  # the random baseline cannot be re-derived
-        violations = verify_block_allocations(
+    def _placements_match(self, block: Block, state: ChainState) -> bool:
+        return not verify_block_allocations(
             block,
-            self.chain.state,
+            state,
             self.allocator,
             self.topology.hop_matrix(),
             self.mobility_ranges,
             self.config.storage_capacity,
         )
-        return not violations
+
+    def _refuse_block(self, peer: Optional[int], error: ValidationError) -> None:
+        """Count a block refused with ``error`` and charge ``peer`` for it.
+
+        Allocation refusals charge nobody: the re-derivation uses this
+        node's *current* topology, which under mobility can lag the
+        miner's view, and charging the sender would quarantine honest
+        peers (see DESIGN.md §11).
+        """
+        self.counters.blocks_rejected += 1
+        reason = classify_rejection(error)
+        self.admission.reject(None if reason == BAD_ALLOCATION else peer, reason)
 
     def _on_block_announce(self, source: int, block: Block) -> None:
         reason = block_admissible(block, self.chain.address_of)
@@ -692,17 +693,6 @@ class EdgeNode:
             self.admission.reject(block.miner, EQUIVOCATION)
             return
         tip = self.chain.tip
-        if (
-            block.index == tip.index + 1
-            and block.previous_hash == tip.current_hash
-            and not self._allocations_acceptable(block)
-        ):
-            self.counters.blocks_rejected += 1
-            # Allocation re-derivation uses the *current* topology, which
-            # under mobility can lag the miner's view — count the
-            # rejection but charge nobody (see DESIGN.md §11).
-            self.admission.reject(None, BAD_ALLOCATION)
-            return
         if block.index == tip.index + 1 and block.previous_hash != tip.current_hash:
             # Fork at the next height: our tip and the miner's parent differ.
             # Longest-chain resolution: fetch the sender's chain — at most
@@ -721,10 +711,9 @@ class EdgeNode:
             )
             return
         try:
-            outcome = self.chain.consider_block(block)
+            outcome = self.chain.consider_block(block, self._placements)
         except ValidationError as error:
-            self.counters.blocks_rejected += 1
-            self.admission.reject(source, classify_rejection(error))
+            self._refuse_block(source, error)
             return
         if outcome is BlockOutcome.APPENDED:
             self._bill_pos_wait()
@@ -794,21 +783,17 @@ class EdgeNode:
             nxt = self.sync.next_appendable(self.chain.height)
             if nxt is None:
                 break
-            if not self._allocations_acceptable(nxt):
-                self.sync.pop(nxt.index)
-                self.counters.blocks_rejected += 1
-                continue
             try:
-                outcome = self.chain.consider_block(nxt)
-            except ConsensusError as error:
-                # The block links to our tip but its PoS claim fails — that
-                # is provably forged regardless of forks (the claim is
-                # deterministic in the shared parent state).  Charge the
-                # peer that delivered it and do not react further.
+                outcome = self.chain.consider_block(nxt, self._placements)
+            except (ConsensusError, AllocationMismatchError) as error:
+                # The block links to our tip but its PoS claim or its
+                # placements fail on our own parent state: no fork explains
+                # that.  Refuse it as delivered by that peer
+                # (``_refuse_block`` decides whom to charge) and do not
+                # react further.
                 delivered_by = self.sync.source_of(nxt.index)
                 self.sync.pop(nxt.index)
-                self.counters.blocks_rejected += 1
-                self.admission.reject(delivered_by, classify_rejection(error))
+                self._refuse_block(delivered_by, error)
                 continue
             except ValidationError:
                 # The recovered block does not build on our chain: we hold a
@@ -923,91 +908,19 @@ class EdgeNode:
             CATEGORY_CHAIN_SYNC,
         )
 
-    def _chain_allocations_acceptable(self, blocks: Sequence[Block]) -> bool:
-        """Validate every block's placements before adopting a chain.
-
-        Replays the candidate from genesis, verifying each block against
-        the pre-block state.  Uses the *current* topology: exact when the
-        topology is static; under mobility epochs a production system
-        would verify against topology commitments agreed through the
-        general-information consensus layer (see DESIGN.md).
-        """
-        if not self.config.validate_allocations:
-            return True
-        from repro.core.validation import (
-            allocations_verifiable,
-            verify_block_allocations,
-        )
-
-        if not allocations_verifiable(self.config.placement_solver):
-            return True
-        if not blocks:
-            return False
-        start = blocks[0].index
-        if start == 0:
-            replica = Blockchain(
-                self.chain.node_ids,
-                self.config,
-                self.chain.address_of,
-                genesis=blocks[0],
-            )
-        elif getattr(self.config, "lifecycle", None) is None:
-            return False
-        else:
-            # A pruned peer serves an anchored suffix.  Verify placements
-            # on top of our own state at the anchor; anchor mismatches and
-            # out-of-range starts are deferred to ``consider_chain``,
-            # which classifies them (checkpoint rewrite vs. bad anchor).
-            first = self.chain.first_retained_index
-            if start < first:
-                offset = first - start
-                if offset >= len(blocks) or blocks[offset].index != first:
-                    return True  # not contiguous; consider_chain rejects it
-                blocks = blocks[offset:]
-                start = first
-            if (
-                start > self.chain.height
-                or self.chain.block_at(start).current_hash
-                != blocks[0].current_hash
-            ):
-                return True
-            replica = self.chain._replica_at(start)
-        hop_matrix = self.topology.hop_matrix()
-        for block in blocks[1:]:
-            violations = verify_block_allocations(
-                block,
-                replica.state,
-                self.allocator,
-                hop_matrix,
-                self.mobility_ranges,
-                self.config.storage_capacity,
-            )
-            if violations:
-                return False
-            try:
-                replica.append_block(block)
-            except ValidationError:
-                if start != 0:
-                    return True  # let consider_chain classify the failure
-                return False
-        return True
-
     def _on_chain_response(self, source: int, response: ChainResponse) -> None:
         self._fork_chain_request_at.pop(source, None)
-        if not self._chain_allocations_acceptable(response.blocks):
-            self.counters.blocks_rejected += 1
-            self.admission.reject(None, BAD_ALLOCATION)
-            return
         old_metadata = dict(self.chain.state.metadata_index)
         try:
-            replaced = self.chain.consider_chain(list(response.blocks))
+            replaced = self.chain.consider_chain(
+                list(response.blocks), self._placements
+            )
         except ValidationError as error:
             # A candidate chain that fails genesis/checkpoint/replay
             # validation is provably bogus — honest peers always ship a
             # replayable chain sharing our genesis, and the checkpoint lag
             # keeps honest forks above the rewrite horizon.
-            self.counters.blocks_rejected += 1
-            self.admission.reject(source, classify_rejection(error))
+            self._refuse_block(source, error)
             return
         if replaced:
             if self.sync.recovering:

@@ -17,7 +17,6 @@ cannot serve the data (``can_serve`` is False until the fetch completes).
 from __future__ import annotations
 
 import heapq
-import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
@@ -37,12 +36,8 @@ class StoredData:
 
 
 def _expiry_record(seq: int, entry: StoredData) -> Tuple[float, int, str, StoredData]:
-    """``entry``'s record on the expiry heap.  ``is_expired`` never holds
-    for a ``nan`` expiry, so it sorts as ``inf``: last, never due."""
-    expires_at = entry.metadata.expires_at
-    if math.isnan(expires_at):
-        expires_at = math.inf
-    return (expires_at, seq, entry.metadata.data_id, entry)
+    """``entry``'s record on the expiry heap."""
+    return (entry.metadata.expires_at, seq, entry.metadata.data_id, entry)
 
 
 class NodeStorage:
@@ -82,7 +77,7 @@ class NodeStorage:
 
     @property
     def pruned_block_slots(self) -> int:
-        return getattr(self, "_pruned_block_slots", 0)
+        return self._pruned_block_slots
 
     def used_slots(self) -> int:
         """Slots in use (data + blocks + recent cache + the last block)."""

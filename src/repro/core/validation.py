@@ -1,21 +1,30 @@
-"""Allocation verification: re-derive a miner's placement decisions.
+"""Block placement: the one rule a miner fills a block with and a validator checks.
 
 The paper's placements are computed from *public* inputs — the chain-
 derived storage state (FDC) and the shared topology (RDC) — with a
-deterministic solver.  That makes them verifiable: any node can replay the
-miner's UFL solves and reject a block whose storing-node lists differ,
-closing the "crony miner" loophole where a miner hands the storage
-incentives (and the PoS advantage that comes with Q) to itself or friends.
+deterministic solver.  :func:`derive_placement` is that computation: from
+the state after the parent, at the block's timestamp, it places each
+packed item, then the block itself, then the extra recent-cache holders
+(§IV-B/C), every decision seeing the slots the earlier ones took.
+:meth:`EdgeNode._build_block` writes its result into the block, and
+:func:`verify_block_allocations` derives it again and compares it with
+what the block claims — closing the "crony miner" loophole where a miner
+hands the storage incentives (and the PoS advantage that comes with Q)
+to itself or friends.
 
-Verification replays the block's decisions in block order against state at
-the block's timestamp, exactly as :meth:`EdgeNode._build_block` computes
-them.  Only deterministic solvers are verifiable; the Fig. 5 ``random``
+A node with ``validate_allocations`` on hands the check to its chain
+(``Blockchain.append_block``'s ``placements``), which runs it on every
+block it would append — announced, drained from the sync buffer, or in
+the suffix of an adopted chain — and refuses a mismatch with
+:class:`~repro.core.errors.AllocationMismatchError` (``bad_allocation``).
+Only deterministic solvers are verifiable; the Fig. 5 ``random``
 baseline is exempt by construction.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +40,63 @@ DETERMINISTIC_SOLVERS = ("greedy",)
 
 def allocations_verifiable(solver: str) -> bool:
     return solver in DETERMINISTIC_SOLVERS
+
+
+@dataclass(frozen=True)
+class Placement:
+    """Where one block's storage goes."""
+
+    #: Storing nodes of each packed item, in block order.
+    items: Tuple[Tuple[int, ...], ...]
+    #: The block's permanent storing nodes.
+    block: Tuple[int, ...]
+    #: The extra nodes that cache the block in their recent cache.
+    recent: Tuple[int, ...]
+
+
+def derive_placement(
+    item_count: int,
+    miner: int,
+    now: float,
+    state: ChainState,
+    allocator: AllocationEngine,
+    hop_matrix: np.ndarray,
+    mobility_ranges: Sequence[float],
+    storage_capacity: int,
+) -> Placement:
+    """The placement of a block mined by ``miner`` at ``now`` on ``state``.
+
+    ``state`` is the chain state after the block's parent.  When no node
+    has a free slot a decision places nowhere (an empty tuple).
+    """
+    node_ids = list(state.node_ids)
+    index_of = {node: index for index, node in enumerate(node_ids)}
+    capacity = float(storage_capacity)
+    # Clamp: a chain carrying forged assignments can credit a node with
+    # more slots than physically exist; for placement it is just full.
+    used = [min(float(state.used_slots(node, now)), capacity) for node in node_ids]
+    total = [capacity] * len(node_ids)
+
+    def place() -> Tuple[int, ...]:
+        try:
+            decision = allocator.place_item(used, total, hop_matrix, mobility_ranges)
+        except AllocationError:
+            return ()
+        for node in decision.storing_nodes:
+            used[index_of[node]] += 1.0
+        return decision.storing_nodes
+
+    items = tuple(place() for _ in range(item_count))
+    block = place()
+    recent = select_recent_cache_nodes(
+        allocator,
+        used,
+        total,
+        hop_matrix,
+        mobility_ranges,
+        already_storing=block + (miner,),
+    )
+    return Placement(items=items, block=block, recent=recent)
 
 
 def verify_block_allocations(
@@ -51,61 +117,30 @@ def verify_block_allocations(
         raise ValueError(
             f"solver {allocator.config.placement_solver!r} is not verifiable"
         )
-    violations: List[str] = []
-    now = block.timestamp
-    node_ids = list(state.node_ids)
-    index_of = {node: index for index, node in enumerate(node_ids)}
-    capacity = float(storage_capacity)
-    used = [
-        min(float(state.used_slots(node, now)), capacity) for node in node_ids
-    ]
-    total = [capacity] * len(node_ids)
-
-    def place():
-        try:
-            return allocator.place_item(used, total, hop_matrix, mobility_ranges)
-        except AllocationError:
-            return None
-
-    for item in block.metadata_items:
-        decision = place()
-        expected = decision.storing_nodes if decision else ()
-        if tuple(sorted(item.storing_nodes)) != tuple(sorted(expected)):
-            violations.append(
-                f"data {item.data_id[:8]}: block assigns "
-                f"{sorted(item.storing_nodes)}, solver derives {sorted(expected)}"
-            )
-        # Continue the replay with the block's (claimed) assignment so one
-        # divergence does not cascade into spurious reports.  Clamp at
-        # capacity: a forged block can claim physically impossible fills.
-        for node in item.storing_nodes:
-            index = index_of.get(node)
-            if index is not None:
-                used[index] = min(used[index] + 1.0, total[index])
-
-    decision = place()
-    expected_block = decision.storing_nodes if decision else ()
-    if tuple(sorted(block.storing_nodes)) != tuple(sorted(expected_block)):
-        violations.append(
-            f"block storage: block assigns {sorted(block.storing_nodes)}, "
-            f"solver derives {sorted(expected_block)}"
-        )
-    for node in block.storing_nodes:
-        index = index_of.get(node)
-        if index is not None:
-            used[index] = min(used[index] + 1.0, total[index])
-
-    expected_recent = select_recent_cache_nodes(
+    derived = derive_placement(
+        len(block.metadata_items),
+        block.miner,
+        block.timestamp,
+        state,
         allocator,
-        used,
-        total,
         hop_matrix,
         mobility_ranges,
-        already_storing=tuple(block.storing_nodes) + (block.miner,),
+        storage_capacity,
     )
-    if tuple(sorted(block.recent_cache_nodes)) != tuple(sorted(expected_recent)):
+    violations = [
+        f"data {item.data_id[:8]}: block assigns "
+        f"{sorted(item.storing_nodes)}, solver derives {sorted(nodes)}"
+        for item, nodes in zip(block.metadata_items, derived.items)
+        if sorted(item.storing_nodes) != sorted(nodes)
+    ]
+    if sorted(block.storing_nodes) != sorted(derived.block):
+        violations.append(
+            f"block storage: block assigns {sorted(block.storing_nodes)}, "
+            f"solver derives {sorted(derived.block)}"
+        )
+    if sorted(block.recent_cache_nodes) != sorted(derived.recent):
         violations.append(
             f"recent cache: block assigns {sorted(block.recent_cache_nodes)}, "
-            f"solver derives {sorted(expected_recent)}"
+            f"solver derives {sorted(derived.recent)}"
         )
     return violations

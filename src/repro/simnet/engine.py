@@ -29,7 +29,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 import numpy as np
 
@@ -65,11 +65,6 @@ class _Event:
 class EventHandle:
     """Opaque handle returned by :meth:`EventEngine.schedule`; supports cancel."""
 
-    #: A handle unpickled from a snapshot written before the engine counted
-    #: its dead entries has no engine: its cancel only marks the event,
-    #: which is then skipped on pop as before.
-    _engine: Optional["EventEngine"] = None
-
     def __init__(self, event: _Event, engine: "EventEngine"):
         self._event = event
         self._engine = engine
@@ -81,7 +76,7 @@ class EventHandle:
         if event.cancelled:
             return
         event.cancelled = True
-        if event.queued and self._engine is not None:
+        if event.queued:
             self._engine._note_dead()
 
     @property
@@ -116,13 +111,6 @@ class EventEngine:
         self.events_processed = 0
         #: Cancelled entries still in ``_queue``.
         self._dead = 0
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        """Restore an engine; one pickled before the dead-entry count
-        existed derives it from its heap."""
-        self.__dict__.update(state)
-        if "_dead" not in state:
-            self._dead = sum(event.cancelled for event in self._queue)
 
     @property
     def now(self) -> float:

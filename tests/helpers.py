@@ -69,7 +69,7 @@ from repro.core.account import Account
 from repro.core.block import Block
 from repro.core.blockchain import Blockchain, ChainState, _Ledgers, _NodeLedger
 from repro.core.config import PAPER_CONFIG, LifecycleSpec, SystemConfig
-from repro.core.errors import PersistError
+from repro.core.errors import AllocationMismatchError, PersistError
 from repro.core.metadata import create_metadata
 from repro.core.pos import compute_hit, compute_pos_hash, mining_delay
 from repro.core.pow import pow_difficulty_for
@@ -598,8 +598,10 @@ class PrivateChain(Blockchain):
         self.state.apply_block(self.blocks[0])
         self._held = [self.state._ledgers]
 
-    def append_block(self, block: Block) -> None:
+    def append_block(self, block: Block, placements=None) -> None:
         self.validate_child(block)
+        if placements is not None and not placements(block, self.state):
+            raise AllocationMismatchError(f"block {block.index} placements differ")
         self.state.apply_block(block)
         self.blocks.append(block)
         self._held.append(self.state._ledgers)
@@ -628,9 +630,9 @@ def private_chains() -> Iterator[None]:
     """Run the enclosed code with every chain a :class:`PrivateChain`.
 
     Rebinds the name ``Blockchain`` in every loaded ``repro`` module
-    (``consider_chain`` and the allocation replay build their candidate
-    chains through it), so a whole cluster built inside the block is the
-    per-node-ledger world end to end.
+    (nodes and clusters build their chains through it), so a whole
+    cluster built inside the block is the per-node-ledger world end to
+    end.
     """
     patched = [
         module

@@ -295,8 +295,8 @@ def test_ledger_is_derived_per_chain_prefix_not_per_node(monkeypatch):
         scans.append(now)
         return mean_u(self, now)
 
-    def counted_consider_chain(self, blocks):
-        adopted = consider_chain(self, blocks)
+    def counted_consider_chain(self, blocks, placements=None):
+        adopted = consider_chain(self, blocks, placements)
         if adopted:
             adoptions.append(len(blocks))
         return adopted

@@ -1,18 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
-import copyreg
-import io
-import pickle
-
 import pytest
 
-from repro.simnet.engine import (
-    _PURGE_MIN_DEAD,
-    EventEngine,
-    EventHandle,
-    PeriodicTask,
-    _Event,
-)
+from repro.simnet.engine import _PURGE_MIN_DEAD, EventEngine, PeriodicTask
 
 
 class TestScheduling:
@@ -144,57 +134,6 @@ class TestCancellation:
         assert engine._dead == 0
         engine.schedule(1.0, lambda: None).cancel()
         assert engine._dead == 1
-
-
-class _PreCountPickler(pickle.Pickler):
-    """Writes an engine with its events and handles as snapshots did
-    before the engine counted its dead entries: no count on the engine,
-    no engine on a handle, no ``queued`` flag on an event."""
-
-    _MISSING = {EventEngine: "_dead", EventHandle: "_engine", _Event: "queued"}
-
-    def reducer_override(self, obj):
-        missing = self._MISSING.get(type(obj))
-        if missing is None:
-            return NotImplemented
-        state = {key: value for key, value in vars(obj).items() if key != missing}
-        return copyreg.__newobj__, (type(obj),), state
-
-
-class TestSnapshotCompatibility:
-    def test_an_engine_pickled_without_the_dead_count_still_runs(self):
-        def world():
-            engine = EventEngine(seed=3)
-            fired = []
-            handles = [
-                engine.call_at(float(k % 7), fired.append, k) for k in range(300)
-            ]
-            for handle in handles[::3]:
-                handle.cancel()
-            engine.run_until(2.0)
-            return engine, handles, fired
-
-        engine, handles, fired = world()
-        buffer = io.BytesIO()
-        _PreCountPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(world())
-        old, old_handles, old_fired = pickle.loads(buffer.getvalue())
-        assert "_engine" not in vars(old_handles[0])
-        assert "queued" not in vars(old._queue[0])
-        assert old._dead == sum(event.cancelled for event in old._queue) > 0
-        # A restored handle has no engine: its cancel only marks the event.
-        for side in (handles, old_handles):
-            for handle in side[1::3]:
-                handle.cancel()
-        # One scheduled after the restore is counted again.
-        dead = old._dead
-        old.schedule(1.0, old_fired.append, "late").cancel()
-        assert old._dead == dead + 1
-        engine.schedule(1.0, fired.append, "late").cancel()
-        engine.run()
-        old.run()
-        assert old_fired == fired
-        assert (old.now, old.events_processed) == (engine.now, engine.events_processed)
-        assert old.queue_depth == 0 and old._dead == 0
 
 
 class TestDeterminism:

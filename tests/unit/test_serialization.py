@@ -96,6 +96,15 @@ class TestMetadataWireFormat:
         with pytest.raises(ValidationError):
             metadata_from_dict(payload)
 
+    @pytest.mark.parametrize("field", ["created_at", "valid_time_minutes"])
+    def test_nan_time_rejected(self, item, field):
+        # NaN passes any `x < 0` range check; an item expiring at NaN
+        # would never expire and never be due on the expiry heap.
+        payload = metadata_to_dict(item)
+        payload[field] = float("nan")
+        with pytest.raises(ValidationError):
+            metadata_from_dict(payload)
+
 
 class TestBlockWireFormat:
     def test_genesis_round_trip(self):

@@ -133,11 +133,6 @@ class GreedySolver:
         state.update((name, vars(self)[name]) for name in _COUNTERS)
         return state
 
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        """Restore a pickle: counters it predates start at 0, renamed ones drop."""
-        self.__init__()
-        vars(self).update((name, state[name]) for name in vars(self) if name in state)
-
     # ------------------------------------------------------------------ cache plumbing
 
     def _reset_epoch(self, problem: UFLProblem) -> None:

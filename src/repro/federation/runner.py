@@ -2,8 +2,9 @@
 
 A federation advances through :func:`repro.sim.runner.advance`, as a
 single cluster does; with ``persist_dir`` set it is snapshotted after
-every ``snapshot_every_seconds`` segment, and ``repro fed resume``
-restores the newest snapshot through
+every segment, which ends on the next multiple of
+``snapshot_every_seconds`` from clock 0 (or on the pause point), and
+``repro fed resume`` restores the newest snapshot through
 :func:`repro.persist.snapshot.restore_latest` with per-cluster digests
 intact.
 """
@@ -159,8 +160,6 @@ def advance_federation(
     if persist_dir is not None:
         from repro.persist.snapshot import write_snapshot
 
-        if snapshot_every_seconds <= 0:
-            raise ValueError("snapshot cadence must be positive")
         after_segment = partial(write_snapshot, persist_dir, runtime)
     advance(runtime, stop_after_seconds, snapshot_every_seconds, after_segment)
     return collect_federation_metrics(runtime)

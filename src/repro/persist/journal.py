@@ -58,7 +58,6 @@ WRITE_BATCH = 32
 
 REC_RUN_START = "run_start"
 REC_BLOCK = "block"
-REC_ALLOC = "alloc"
 REC_REORG = "reorg"
 REC_CHECKPOINT = "checkpoint"
 REC_COMPLETE = "run_complete"

@@ -14,8 +14,12 @@ runner:
   :func:`~repro.persist.snapshot.restore_latest` (a from-genesis
   deterministic replay when none survives), and continuation.
 
-Both advance through :func:`repro.sim.runner.advance`; what is durable
-about the run is the journaling task it carries on the event queue.
+Both advance through :func:`repro.sim.runner.advance` in
+``journal_every_seconds`` segments, as a plain run does in one go; what
+is durable about the run is the callback after each segment, which
+journals the new blocks and writes a snapshot when one is due.  That
+callback lives for one call and is never pickled: a durable run
+processes the same engine events as the plain run of its spec.
 
 Determinism is the load-bearing invariant: the simulation is a closed
 system over its seeded RNGs, so *run → kill → resume* must reproduce the
@@ -45,7 +49,6 @@ from repro.metrics.collector import RunMetrics
 from repro.metrics.export import metrics_to_record, store_chain_record
 from repro.persist.chainstore import ChainStore
 from repro.persist.journal import (
-    REC_ALLOC,
     REC_BLOCK,
     REC_CHECKPOINT,
     REC_COMPLETE,
@@ -72,6 +75,7 @@ from repro.sim.runner import (
     advance,
     build_runtime,
     collect_metrics,
+    grid_after,
 )
 
 PathLike = Union[str, Path]
@@ -227,20 +231,6 @@ class PersistSession:
                 "block": block_to_dict(block),
             },
         )
-        if not block.is_genesis:
-            self.journal.append(
-                REC_ALLOC,
-                clock,
-                {
-                    "index": block.index,
-                    "block_storing": list(block.storing_nodes),
-                    "recent_cache": list(block.recent_cache_nodes),
-                    "data_storing": {
-                        item.data_id: list(item.storing_nodes)
-                        for item in block.metadata_items
-                    },
-                },
-            )
         # Write-ahead: the journal hits the OS before the store row.
         self.store.put_block(block)
 
@@ -262,50 +252,45 @@ class PersistSession:
         self.store.close()
 
 
-class _PersistTask:
-    """The in-simulation persistence hook (pickled with the runtime).
+class _Journaler:
+    """The ``after_segment`` callback of a durable run's
+    :func:`~repro.sim.runner.advance`: after every ``journal_every_seconds``
+    segment, journal the blocks the longest chain gained (with explicit
+    reorg records), then snapshot once the clock reaches the next multiple
+    of ``snapshot_every_seconds``.
 
-    Ticks on the event engine every ``journal_every_seconds`` of simulated
-    time: journals newly mined blocks (following the longest chain, with
-    explicit reorg records), and periodically snapshots the whole runtime.
-    The tick never mutates protocol state or RNGs, so durable runs remain
-    bit-identical to non-durable ones.  Constructing one arms it on a
-    fresh runtime as ``runtime.persist_task``.
+    Built for one :func:`run_persistent` / :func:`resume_run` call; the
+    runtime never refers to it, so it is never pickled.  A snapshot always
+    follows a flush, so a restored runtime's reference chain is exactly
+    what was journaled.
     """
 
-    def __init__(self, runtime: SimRuntime, persist: PersistConfig):
+    def __init__(self, runtime: SimRuntime, session: PersistSession, restored: bool):
         self.runtime = runtime
-        self.persist = persist
-        #: -1 so the very first flush journals the genesis block too.
+        self.session = session
+        self.persist = session.persist
+        #: -1 on a fresh build, so the first flush journals genesis too.
         self.journaled_height = -1
         self.journaled_hashes: Dict[int, str] = {}
-        self.next_snapshot_at = persist.snapshot_every_seconds
-        #: Transient OS-resource holder; re-attached after every restore.
-        self.session: Optional[PersistSession] = None
-        runtime.persist_task = self
-        runtime.engine.schedule(persist.journal_every_seconds, self.tick)
+        if restored:
+            chain = runtime.cluster.longest_chain_node().chain
+            self.journaled_height = chain.height
+            self.journaled_hashes = {
+                block.index: block.current_hash for block in chain.blocks
+            }
+        self.next_snapshot_at = grid_after(
+            runtime.engine.now, self.persist.snapshot_every_seconds
+        )
+        #: Clock of this call's latest snapshot (a pause writes none twice).
+        self.snapshot_clock: Optional[float] = None
 
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state["session"] = None  # open files/sockets never enter snapshots
-        return state
-
-    def tick(self) -> None:
-        engine = self.runtime.engine
-        # Re-arm first so any snapshot written below already contains the
-        # next tick in its pending-event queue.
-        engine.schedule(self.persist.journal_every_seconds, self.tick)
-        if self.session is None:
-            return  # detached (restored but not yet re-adopted)
+    def __call__(self) -> None:
         self.flush()
-        if engine.now >= self.next_snapshot_at:
-            self.next_snapshot_at = engine.now + self.persist.snapshot_every_seconds
+        if self.runtime.engine.now >= self.next_snapshot_at:
             self.snapshot()
 
     def flush(self) -> None:
         """Journal every block the longest chain gained since last time."""
-        if self.session is None:
-            return
         chain = self.runtime.cluster.longest_chain_node().chain
         clock = self.runtime.engine.now
         floor = chain.first_retained_index
@@ -335,19 +320,18 @@ class _PersistTask:
         self.journaled_height = chain.height
         # Pruning must never outrun the journal: any node may become the
         # reference chain, so cap every node's prune floor at the height
-        # just journaled — a fast-block burst between ticks then retains
-        # its bodies until the next flush instead of dropping rows the
-        # store has never seen.
+        # just journaled — a fast-block burst within a segment then
+        # retains its bodies until the next flush instead of dropping
+        # rows the store has never seen.
         for node in self.runtime.cluster.nodes.values():
             node.chain.prune_floor_limit = self.journaled_height
 
     def snapshot(self) -> None:
-        if self.session is None:
-            return
+        """Checkpoint the journal, then snapshot the runtime it matches."""
+        clock = self.snapshot_clock = self.runtime.engine.now
+        self.next_snapshot_at = grid_after(clock, self.persist.snapshot_every_seconds)
         self.session.journal.append(
-            REC_CHECKPOINT,
-            self.runtime.engine.now,
-            {"height": self.journaled_height},
+            REC_CHECKPOINT, clock, {"height": self.journaled_height}
         )
         self.session.sync()
         write_snapshot(
@@ -435,15 +419,6 @@ def _finalize(session: PersistSession, runtime: SimRuntime) -> ExperimentResult:
     return ExperimentResult(spec=runtime.spec, metrics=metrics, cluster=runtime.cluster)
 
 
-def _pause(
-    session: PersistSession, task: _PersistTask, runtime: SimRuntime
-) -> None:
-    task.snapshot()
-    manifest = read_manifest(session.directory)
-    manifest["paused_at_clock"] = runtime.engine.now
-    _write_json_atomic(session.directory / MANIFEST_NAME, manifest)
-
-
 def run_persistent(
     spec: ExperimentSpec,
     directory: PathLike,
@@ -486,28 +461,31 @@ def run_persistent(
         )
         runtime = build_runtime(spec)
         session.store.put_accounts(runtime.cluster.accounts)
-        task = _PersistTask(runtime, persist)
-        task.session = session
+        task = _Journaler(runtime, session, restored=False)
         task.flush()  # journals + stores the genesis block
-        return _advance(session, task, runtime, stop_after_seconds)
+        return _advance(task, stop_after_seconds)
     finally:
         session.close()
 
 
 def _advance(
-    session: PersistSession,
-    task: _PersistTask,
-    runtime: SimRuntime,
+    task: _Journaler,
     stop_after_seconds: Optional[float],
     resumed_from: Optional[float] = None,
 ) -> PersistentRunResult:
-    completed = advance(runtime, stop_after_seconds)
-    task.flush()
+    session, runtime = task.session, task.runtime
+    completed = advance(
+        runtime, stop_after_seconds, session.persist.journal_every_seconds, task
+    )
     result: Optional[ExperimentResult] = None
     if completed:
         result = _finalize(session, runtime)
     else:
-        _pause(session, task, runtime)
+        if task.snapshot_clock != runtime.engine.now:
+            task.snapshot()
+        manifest = read_manifest(session.directory)
+        manifest["paused_at_clock"] = runtime.engine.now
+        _write_json_atomic(session.directory / MANIFEST_NAME, manifest)
     return PersistentRunResult(
         directory=session.directory,
         completed=completed,
@@ -587,25 +565,17 @@ def resume_run(
                 session.store.put_block(block_from_dict(payload["block"]))
 
         runtime, info, _skipped = restore_latest(directory, SimRuntime)
-        if runtime is not None:
-            task = runtime.persist_task
-            if not isinstance(task, _PersistTask):
-                raise PersistError(
-                    f"snapshot in {directory} carries no persistence task"
-                )
-            resumed_from: Optional[float] = info.clock
-        else:
+        if runtime is None:
             # No usable snapshot: deterministically replay from genesis.
             runtime = build_runtime(spec)
-            task = _PersistTask(runtime, persist)
-            resumed_from = 0.0
-        task.session = session
+        task = _Journaler(runtime, session, restored=info is not None)
+        resumed_from = 0.0 if info is None else info.clock
         session.verify_tail = {
             height: str(block_hash)
             for height, (block_hash, _) in journal_view.items()
             if height > task.journaled_height
         }
-        return _advance(session, task, runtime, stop_after_seconds, resumed_from)
+        return _advance(task, stop_after_seconds, resumed_from)
     finally:
         session.close()
 

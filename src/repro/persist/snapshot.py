@@ -27,7 +27,13 @@ Invariants enforced here:
   directory, fsynced, then ``os.replace``d into place; a crash mid-write
   leaves either the old snapshot set or the new one, never a half file.
 * **Versioning** — loads reject snapshots whose ``schema_version``
-  differs from :data:`SNAPSHOT_SCHEMA_VERSION`.
+  differs from :data:`SNAPSHOT_SCHEMA_VERSION`, by the header alone,
+  before unpickling.  History: v2 = ``Topology`` holds its own
+  adjacency, not a networkx graph; v3 = no topology path cache, solver
+  matrix token, hop or RDC matrix; v4 = chains keep the ledger after
+  each retained block, node ledgers hold tuples; v5 = a durable run's
+  persistence task is gone from the runtime and its tick from the event
+  queue, and the engine heaps ``(time, sequence, event)`` tuples.
 * **Consistency** — after unpickling, the restored runtime must
   reproduce the state card's clock and chain digest exactly, or the
   snapshot is rejected; :func:`load_latest_snapshot` then falls back to
@@ -52,7 +58,7 @@ from repro.sim.runner import SimRuntime
 PathLike = Union[str, Path]
 
 #: Bumped on breaking changes to the snapshot layout.
-SNAPSHOT_SCHEMA_VERSION = 4
+SNAPSHOT_SCHEMA_VERSION = 5
 
 _SNAPSHOT_PREFIX = "snapshot-"
 _SNAPSHOT_SUFFIX = ".json"

@@ -28,6 +28,7 @@ harness (:mod:`repro.net.harness`) calls them too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
@@ -221,9 +222,6 @@ class SimRuntime:
     requests: _RequestDriver
     mobility: Optional[_MobilityDriver] = None
     churn: Optional[ChurnInjector] = None
-    #: Attached by repro.persist when the run is durable; pickled with the
-    #: runtime so a restored run keeps journaling from where it left off.
-    persist_task: Optional[object] = None
 
     @property
     def engine(self):
@@ -381,6 +379,13 @@ def collect_node_metrics(
     )
 
 
+def grid_after(clock: float, step: float) -> float:
+    """The first multiple of ``step`` (counted from clock 0) past ``clock``."""
+    boundary = (math.floor(clock / step) + 1) * step
+    # ``k * step / step`` can round below ``k``; never return ``clock`` itself.
+    return boundary if boundary > clock else boundary + step
+
+
 def advance(
     runtime: Any,
     stop_after_seconds: Optional[float] = None,
@@ -391,9 +396,18 @@ def advance(
 
     The target is the run's duration, or ``stop_after_seconds`` past the
     current clock when that comes first (a paused or resumed run).  With
-    ``after_segment`` the engine runs in ``segment_seconds`` slices and
-    calls it after each — the federated snapshot cadence.
+    ``after_segment`` the engine runs in slices that end on the multiples
+    of ``segment_seconds`` from clock 0 (and on the target), and calls it
+    after each — the cadence of every durable run, so a run resumed off
+    that grid gets back on it at its first segment end.
     """
+    if after_segment is not None and not (
+        segment_seconds is not None and segment_seconds > 0
+    ):
+        raise ValueError(
+            "segment_seconds must be positive with after_segment, "
+            f"got {segment_seconds}"
+        )
     duration = runtime.spec.duration_seconds
     engine = runtime.engine
     target = (
@@ -408,7 +422,7 @@ def advance(
             engine.run_until(target)
         else:
             while engine.now < target:
-                engine.run_until(min(engine.now + segment_seconds, target))
+                engine.run_until(min(grid_after(engine.now, segment_seconds), target))
                 after_segment()
     return engine.now >= duration
 

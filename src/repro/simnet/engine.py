@@ -28,8 +28,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,20 +46,26 @@ def _callback_label(callback: Callable[..., None]) -> str:
     return getattr(callback, "__qualname__", None) or repr(callback)
 
 
-@dataclass(order=True)
+@dataclass
 class _Event:
+    """A scheduled call; the heap holds it as ``(time, sequence, event)``
+    so that sifting compares the key in C, never the event."""
+
     time: float
-    sequence: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+    callback: Callable[..., None]
+    args: tuple = ()
+    cancelled: bool = False
     #: Additional ``(callback, args)`` pairs run (in order) after the main
     #: callback — one queue pop executing a whole same-time batch.
-    batch: Optional[tuple] = field(compare=False, default=None)
+    batch: Optional[tuple] = None
     #: Still in the engine's heap.  The pop that runs the event (or
     #: :meth:`EventEngine.clear`) resets it, so cancelling a spent event
     #: does not count as a dead heap entry.
-    queued: bool = field(compare=False, default=True)
+    queued: bool = True
+
+
+#: One heap entry: ``(time, sequence, event)``.
+_Entry = Tuple[float, int, _Event]
 
 
 class EventHandle:
@@ -100,7 +106,7 @@ class EventEngine:
     """
 
     def __init__(self, seed: int = 0):
-        self._queue: List[_Event] = []
+        self._queue: List[_Entry] = []
         self._sequence = itertools.count()
         self._now = 0.0
         self._running = False
@@ -148,8 +154,8 @@ class EventEngine:
             raise ValueError(
                 f"cannot schedule into the past (when={when}, now={self._now})"
             )
-        event = _Event(time=when, sequence=next(self._sequence), callback=callback, args=args)
-        heapq.heappush(self._queue, event)
+        event = _Event(when, callback, args)
+        heapq.heappush(self._queue, (when, next(self._sequence), event))
         return EventHandle(event, self)
 
     def call_at_batch(
@@ -174,14 +180,8 @@ class EventEngine:
                 f"cannot schedule into the past (when={when}, now={self._now})"
             )
         first_callback, first_args = calls[0]
-        event = _Event(
-            time=when,
-            sequence=next(self._sequence),
-            callback=first_callback,
-            args=tuple(first_args),
-            batch=calls[1:] or None,
-        )
-        heapq.heappush(self._queue, event)
+        event = _Event(when, first_callback, tuple(first_args), batch=calls[1:] or None)
+        heapq.heappush(self._queue, (when, next(self._sequence), event))
         return EventHandle(event, self)
 
     def _note_dead(self) -> None:
@@ -198,21 +198,18 @@ class EventEngine:
         """
         queue = self._queue
         if self._dead > _PURGE_MIN_DEAD and 2 * self._dead > len(queue):
-            queue[:] = [event for event in queue if not event.cancelled]
+            queue[:] = [entry for entry in queue if not entry[2].cancelled]
             heapq.heapify(queue)
             self._dead = 0
 
     def _pop_dead(self) -> None:
         heapq.heappop(self._queue)
-        # Never below zero: a cancel through a handle restored from an
-        # older snapshot went uncounted.
-        if self._dead:
-            self._dead -= 1
+        self._dead -= 1
 
     def _pop_live(self) -> Optional[_Event]:
         if self.peek_time() is None:
             return None
-        event = heapq.heappop(self._queue)
+        event = heapq.heappop(self._queue)[2]
         event.queued = False
         self._maybe_purge()
         return event
@@ -220,9 +217,9 @@ class EventEngine:
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None if the queue is empty."""
         queue = self._queue
-        while queue and queue[0].cancelled:
+        while queue and queue[0][2].cancelled:
             self._pop_dead()
-        return queue[0].time if queue else None
+        return queue[0][0] if queue else None
 
     def step(self) -> bool:
         """Execute the next event (or batch).  False when the queue is empty.
@@ -280,7 +277,7 @@ class EventEngine:
 
     def clear(self) -> None:
         """Drop all pending events (used when tearing a scenario down)."""
-        for event in self._queue:
+        for _, _, event in self._queue:
             event.queued = False
         self._queue.clear()
         self._dead = 0

@@ -81,7 +81,7 @@ def _check(world: _World, oracle: _World, floor: int) -> None:
     assert engine.now == oracle.engine.now
     assert [h.cancelled for h in world.handles] == [h.cancelled for h in oracle.handles]
     queue = engine._queue
-    dead = sum(event.cancelled for event in queue)
+    dead = sum(event.cancelled for _, _, event in queue)
     assert engine._dead == dead
     assert len(queue) <= 2 * (len(queue) - dead) + floor
 

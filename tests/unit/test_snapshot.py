@@ -101,14 +101,14 @@ class TestRejection:
 
     @staticmethod
     def _assert_old_version_refused(tmp_path, runtime, version):
-        assert SNAPSHOT_SCHEMA_VERSION == 4
+        assert SNAPSHOT_SCHEMA_VERSION == 5
         path = write_snapshot(tmp_path, runtime)
         document = json.loads(path.read_text())
         document["schema_version"] = version
-        document["blob"] = "not a v4 runtime"
+        document["blob"] = "not a v5 runtime"
         path.write_text(json.dumps(document))
         with pytest.raises(
-            PersistError, match=rf"schema v{version}, this build reads v4"
+            PersistError, match=rf"schema v{version}, this build reads v5"
         ):
             load_snapshot(path)
         runtime, info, skipped = load_latest_snapshot(tmp_path)
@@ -135,6 +135,14 @@ class TestRejection:
         # v3 pickled a chain without the ledgers after each retained block,
         # and per-node ledgers holding a list and a deque; v4's hold tuples.
         self._assert_old_version_refused(tmp_path, midrun_runtime, 3)
+
+    def test_v4_snapshot_refused_by_version_not_by_unpickling(
+        self, tmp_path, midrun_runtime
+    ):
+        # v4 pickled a durable run's persistence task on the runtime and
+        # its next tick on the event queue, and heaped ordered events;
+        # v5's heap holds (time, sequence, event) tuples and no task.
+        self._assert_old_version_refused(tmp_path, midrun_runtime, 4)
 
     def test_blob_crc_mismatch_rejected(self, tmp_path, midrun_runtime):
         path = write_snapshot(tmp_path, midrun_runtime)

@@ -4,8 +4,9 @@ Commands:
 
 * ``run``  — one experiment with explicit parameters; prints the summary
   and optionally archives it as JSON/CSV.  ``--persist DIR`` makes the
-  run durable (journal + SQLite store + snapshots in DIR).
-* ``resume`` — continue a durable run after a pause, kill, or crash.
+  run durable (journal + SQLite store in DIR).
+* ``resume`` — continue a durable run after a pause, kill, or crash, by
+  replaying it from genesis against its journal.
 * ``inspect`` — health-check a durable run directory; exits non-zero on
   unrecoverable corruption.  Reports hot- vs cold-tier byte footprints.
 * ``prune`` — compact a durable run: move checkpointed history below the
@@ -24,8 +25,9 @@ Commands:
   mix + optional churn/partition/kill overlay) on either fabric, ending
   in a safety/liveness verdict (``chaos_verdict.json``).
 * ``fed run`` / ``fed resume`` / ``fed chaos`` — hierarchical federation:
-  K sharded clusters bridged by fog super-peers, with durable snapshots,
-  per-cluster obs artefacts, and a blast-radius chaos verdict.
+  K sharded clusters bridged by fog super-peers, with durable runs (a
+  manifest and a digest journal, resumed by replay), per-cluster obs
+  artefacts, and a blast-radius chaos verdict.
 * ``trace summary`` / ``trace export`` / ``trace merge`` / ``trace
   flame`` — inspect and convert the observability artefacts a ``run
   --obs DIR`` leaves behind (``merge --trace-out`` stitches the
@@ -177,7 +179,7 @@ def _observed(
     The protocol timeline samples every ``--obs-sample`` simulated
     seconds, by default once per expected block interval: the verb's
     ``--block-interval``, or the paper's t0 for the resume verbs, whose
-    config is only known once the snapshot loads.  ``--telemetry [PORT]``
+    config is only known once the manifest is read.  ``--telemetry [PORT]``
     also starts the streaming JSONL ring plus the /metrics + /snapshot
     endpoint, and ``--profile`` the continuous stack sampler.  ``out``
     redirects the diagnostics (the live ``node`` command must keep stdout
@@ -256,10 +258,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         if args.persist:
             with _user_input():
-                persist = PersistConfig(
-                    journal_every_seconds=args.journal_every,
-                    snapshot_every_seconds=args.snapshot_every,
-                )
+                persist = PersistConfig(journal_every_seconds=args.journal_every)
             outcome = run_persistent(
                 spec,
                 args.persist,
@@ -298,32 +297,24 @@ def _format_bytes(count: int) -> str:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     report = inspect_run(args.directory)
-    hot = report.journal_bytes + report.store_bytes + report.snapshot_bytes
+    hot = report.journal_bytes + report.store_bytes
     rows = [
         ["status", report.status],
         ["journal records", report.journal_records],
         ["journal chain height", report.journal_height],
+        ["journal last clock", f"{report.journal_clock:g} s"],
         ["store height / blocks", f"{report.store_height} / {report.store_blocks}"],
         ["store metadata items", report.store_metadata],
         ["store tip", (report.store_tip or "-")[:16]],
         ["store pruned below", report.store_pruned_below],
-        ["hot bytes (journal/store/snapshots)",
+        ["hot bytes (journal/store)",
          f"{_format_bytes(hot)} ({_format_bytes(report.journal_bytes)} / "
-         f"{_format_bytes(report.store_bytes)} / "
-         f"{_format_bytes(report.snapshot_bytes)})"],
+         f"{_format_bytes(report.store_bytes)})"],
         ["cold bytes (archive)",
          f"{_format_bytes(report.archive_bytes)} "
          f"({report.archive_blocks} block(s), "
          f"{report.archive_checkpoints} checkpoint(s))"],
-        ["snapshots", len(report.snapshots)],
     ]
-    for info in report.snapshots:
-        rows.append(
-            [
-                f"  {info.path.name}",
-                f"t={info.clock:g}s h={info.height} ({info.blob_bytes} B blob)",
-            ]
-        )
     print()
     print(render_table(f"Inspect: {report.directory}", ["field", "value"], rows))
     for note in report.notes:
@@ -1039,10 +1030,7 @@ def cmd_fed_run(args: argparse.Namespace) -> int:
             raise SystemExit("--stop-after requires --persist DIR")
         spec = _fed_spec(args)
         result = run_federation(
-            spec,
-            persist_dir=args.persist,
-            snapshot_every_seconds=args.snapshot_every,
-            stop_after_seconds=args.stop_after,
+            spec, persist_dir=args.persist, stop_after_seconds=args.stop_after
         )
         _print_fed_summary(
             f"Federated run: {spec.cluster_count} clusters x "
@@ -1059,11 +1047,7 @@ def cmd_fed_resume(args: argparse.Namespace) -> int:
     from repro.federation import resume_federation
 
     with _observed(args):
-        result = resume_federation(
-            args.directory,
-            snapshot_every_seconds=args.snapshot_every,
-            stop_after_seconds=args.stop_after,
-        )
+        result = resume_federation(args.directory, stop_after_seconds=args.stop_after)
         _print_fed_summary(
             f"Resumed federated run: {args.directory}", result, args.directory
         )
@@ -1426,13 +1410,6 @@ def _obs_flags(
     )
 
 
-def _snapshot_flag(p: argparse.ArgumentParser, default: float) -> None:
-    p.add_argument(
-        "--snapshot-every", type=float, default=default, metavar="SECONDS",
-        help=f"simulated seconds between snapshots (default {default:g})",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1452,14 +1429,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--csv", help="write metrics record to this CSV file")
     run.add_argument(
         "--persist", metavar="DIR",
-        help="make the run durable: journal, chain store, and snapshots in DIR",
+        help="make the run durable: journal and chain store in DIR",
     )
     run.add_argument("--stop-after", type=float, metavar="SECONDS", help=pause)
     run.add_argument(
         "--journal-every", type=float, default=30.0, metavar="SECONDS",
         help="simulated seconds between journal flushes (default 30)",
     )
-    _snapshot_flag(run, 600.0)
     _obs_flags(run, telemetry=True)
     run.set_defaults(func=cmd_run)
 
@@ -1647,21 +1623,19 @@ def build_parser() -> argparse.ArgumentParser:
     fed_run.add_argument("--json", help="write the aggregate record to this file")
     fed_run.add_argument(
         "--persist", metavar="DIR",
-        help="make the run durable: federated snapshots in DIR",
+        help="make the run durable: manifest and digest journal in DIR",
     )
     fed_run.add_argument("--stop-after", type=float, metavar="SECONDS", help=pause)
-    _snapshot_flag(fed_run, 120.0)
     _obs_flags(fed_run, telemetry=True)
     fed_run.set_defaults(func=cmd_fed_run)
 
     fed_resume = fed_sub.add_parser(
-        "resume", help="continue a killed federated run from its last snapshot"
+        "resume", help="continue a killed federated run by replaying its journal"
     )
     fed_resume.add_argument("directory", help="run directory from `fed run --persist`")
     fed_resume.add_argument(
         "--stop-after", type=float, metavar="SECONDS", help=pause_again
     )
-    _snapshot_flag(fed_resume, 120.0)
     fed_resume.add_argument("--json", help="write the aggregate record to this file")
     _obs_flags(fed_resume)
     fed_resume.set_defaults(func=cmd_fed_resume)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,11 +57,6 @@ class AllocationEngine:
         #: The topology epoch's read-only RDC matrix with the hop matrix
         #: and ranges it was built from.
         self._epoch = _NO_EPOCH
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """Pickle without the epoch's matrices: they are a pure function
-        of the next placement's inputs, rebuilt once after a resume."""
-        return {**vars(self), "_epoch": _NO_EPOCH}
 
     def _connection(
         self, hop_matrix: np.ndarray, ranges: Sequence[float]

@@ -360,10 +360,10 @@ class ChainState:
     def ledger_digest(self) -> str:
         """Deterministic hash of the full derived ledger.
 
-        Two nodes (or one node before and after a snapshot/restore cycle)
-        derive the same digest iff their token balances, storage
-        assignments, and recent caches agree exactly — ``repr`` keeps the
-        float token balances bit-exact.
+        Two nodes (or one run and its replay after a resume) derive the
+        same digest iff their token balances, storage assignments, and
+        recent caches agree exactly — ``repr`` keeps the float token
+        balances bit-exact.
         """
         fields: List[object] = ["ledger-digest", self.blocks_applied]
         entries = self._ledgers.entries
@@ -515,9 +515,9 @@ class Blockchain:
     def chain_digest(self) -> str:
         """Hash committing to the whole chain plus its derived ledger.
 
-        The persistence layer stores this in every snapshot and re-checks
-        it after restore: a restored chain must reproduce the digest
-        byte-for-byte or the snapshot is rejected as inconsistent.
+        A durable federation journals it per cluster at every segment
+        end, and a resumed federation must re-derive it byte for byte at
+        each replayed segment or the resume is refused as divergent.
         """
         return hash_items(
             "chain-digest",

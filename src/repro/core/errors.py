@@ -68,4 +68,4 @@ class SyncError(EdgeChainError):
 
 class PersistError(EdgeChainError):
     """A durable-persistence operation failed (corrupt journal, bad
-    snapshot, incompatible store schema, unresumable run)."""
+    manifest, incompatible store schema, unresumable or divergent run)."""

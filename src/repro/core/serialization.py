@@ -12,7 +12,7 @@ decode, so a deserialised block still validates).
 * :func:`storage_to_dict` / :func:`storage_from_dict` — a node's full
   local storage (data-slot FIFO order and per-item ``has_payload`` flags,
   block assignments, the recent-block FIFO cache, the mandatory last
-  block), used by the persistence snapshots of :mod:`repro.persist`.
+  block).
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.block import Block
 from repro.core.errors import StorageError
@@ -45,7 +45,7 @@ class NodeStorage:
 
     #: ``(expires_at, insertion seq, data_id, entry)`` per data slot, a
     #: min-heap built on the first eviction and kept beside ``_data``;
-    #: ``None`` until then and after a pickle (it is derived state).
+    #: ``None`` until then (it is derived state).
     _expiry: Optional[List[Tuple[float, int, str, StoredData]]] = None
     #: The insertion seq the next record pushed onto ``_expiry`` takes.
     _seq = 0
@@ -67,11 +67,6 @@ class NodeStorage:
         #: stay occupied — the chain-recorded assignment (and its Q_i
         #: credit) stands, only the serveable body moved to the cold tier.
         self._pruned_block_slots = 0
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """Pickle the slots, not the expiry heap derived from them: the
-        pickle is the one a storage that never evicted makes."""
-        return {k: v for k, v in vars(self).items() if k not in ("_expiry", "_seq")}
 
     # -- accounting --------------------------------------------------------------
 
@@ -164,7 +159,7 @@ class NodeStorage:
         return set(self._data.keys())
 
     def data_entries(self) -> Tuple[StoredData, ...]:
-        """Stored data entries in insertion order (the snapshot wire order)."""
+        """Stored data entries in insertion order (the wire order)."""
         return tuple(self._data.values())
 
     # -- blocks --------------------------------------------------------------------------
@@ -239,5 +234,5 @@ class NodeStorage:
         return tuple(self._recent)
 
     def assigned_blocks(self) -> Tuple[Block, ...]:
-        """Permanently assigned blocks in insertion order (snapshot order)."""
+        """Permanently assigned blocks in insertion order (the wire order)."""
         return tuple(self._blocks.values())

@@ -48,16 +48,12 @@ connection matrix and recomputing almost nothing per round:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.facility.problem import UFLProblem, UFLSolution, assign_to_open, frozen
 from repro.obs import runtime as _obs
-
-
-#: The :class:`GreedySolver` attributes a pickle keeps.
-_COUNTERS = ("epoch_rebuilds", "rounds", "batches", "hand_steps")
 
 
 def _leading(mask: np.ndarray) -> int:
@@ -112,7 +108,7 @@ class GreedySolver:
         self._round1_kpos = np.empty(0, dtype=np.intp)
         self._round1_size = np.empty(0, dtype=np.intp)
         self._last_opening = np.empty((2, 0))
-        # -- counters (the only state a pickle keeps) ------------------------
+        # -- counters ------------------------------------------------------
         #: Structural changes seen, each one a rebuild of every cache.
         self.epoch_rebuilds = 0
         #: Greedy rounds taken over every solve; a batch is one round.
@@ -121,17 +117,6 @@ class GreedySolver:
         self.batches = 0
         #: Rounds that handed clients to open facilities at once.
         self.hand_steps = 0
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """Pickle as a cold solver.
-
-        Snapshots pickle the whole runtime; the caches (3 · n² · 8 B) are
-        a pure function of the next problem, so a resumed run pays one
-        epoch rebuild instead of every snapshot carrying them.
-        """
-        state = vars(type(self)())
-        state.update((name, vars(self)[name]) for name in _COUNTERS)
-        return state
 
     # ------------------------------------------------------------------ cache plumbing
 

@@ -47,7 +47,6 @@ from repro.federation.fog import (
 )
 from repro.federation.runner import (
     FederationResult,
-    advance_federation,
     collect_federation_metrics,
     resume_federation,
     run_federation,
@@ -87,7 +86,6 @@ __all__ = [
     "SummaryPoisonerPeer",
     "SuperPeer",
     "VersionInflatorPeer",
-    "advance_federation",
     "build_federation_runtime",
     "cluster_seed",
     "collect_federation_metrics",

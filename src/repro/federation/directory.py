@@ -9,7 +9,7 @@ gossip; a cross-cluster lookup consults the blooms to shortlist candidate
 clusters and then verifies against the candidate's actual chain, so bloom
 false positives cost one extra probe, never a wrong answer.
 
-Everything here is deterministic and picklable: the bloom hashes with
+Everything here is deterministic: the bloom hashes with
 salted SHA-256 (no Python ``hash()`` randomisation), and replicas merge
 by ``(version, cluster_id)`` order so any gossip delivery order converges
 to the same state — the property the federated determinism test pins.

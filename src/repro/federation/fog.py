@@ -28,10 +28,8 @@ migration pushes — charges the responsible super-peer on a shared
 **quarantined** and its home clusters **re-home** to a deterministic
 sibling that rebuilds their directory entries from scratch.
 
-All scheduling uses the shared engine with bound methods of these
-module-level classes, so a federated runtime snapshots/resumes exactly
-like a single-cluster one.  Gossip partners come from each peer's own
-seeded ``random.Random``, keeping replay deterministic; on honest runs
+All scheduling uses the shared engine.  Gossip partners come from each
+peer's own seeded ``random.Random``, keeping replay deterministic; on honest runs
 none of the defenses draws randomness or schedules events, so honest
 digests stay bit-identical to a defense-free tier.
 """

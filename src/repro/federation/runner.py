@@ -1,32 +1,43 @@
-"""Run, checkpoint, resume, and measure federated experiments.
+"""Run, journal, resume, and measure federated experiments.
 
 A federation advances through :func:`repro.sim.runner.advance`, as a
-single cluster does; with ``persist_dir`` set it is snapshotted after
-every segment, which ends on the next multiple of
-``snapshot_every_seconds`` from clock 0 (or on the pause point), and
-``repro fed resume`` restores the newest snapshot through
-:func:`repro.persist.snapshot.restore_latest` with per-cluster digests
-intact.
+single cluster does.  With ``persist_dir`` set it is durable the way a
+single cluster is: ``manifest.json`` holds the :class:`FederationSpec`,
+and a :class:`~repro.persist.journal.RunJournal` gets one record per
+:data:`SEGMENT_SECONDS` segment (and at a pause) with every cluster's
+chain digest and the fog directory's digest.  :func:`resume_federation`
+rebuilds the runtime from the spec and replays it, checking every
+replayed segment against the journal record at that clock, then
+journals on past the journal's end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from collections import deque
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import PersistError
 from repro.federation.runtime import FederationRuntime, build_federation_runtime
 from repro.federation.spec import FederationSpec
 from repro.metrics.collector import RunMetrics
 from repro.obs import runtime as _obs
-from repro.sim.runner import advance, collect_metrics
+from repro.persist.journal import REC_SEGMENT, RunJournal, recover_journal
+from repro.persist.resume import (
+    JOURNAL_NAME,
+    KIND_FEDERATION,
+    config_from_dict,
+    decoding,
+    read_manifest,
+    start_manifest,
+)
+from repro.sim.runner import ChurnSpec, advance, collect_metrics
 
 PathLike = Union[str, Path]
 
-#: Default simulated seconds between durable snapshots of a federation.
-DEFAULT_SNAPSHOT_SECONDS = 120.0
+#: Simulated seconds between the journal records of a durable federation.
+SEGMENT_SECONDS = 120.0
 
 
 @dataclass
@@ -143,61 +154,119 @@ def collect_federation_metrics(runtime: FederationRuntime) -> FederationResult:
         )
 
 
-def advance_federation(
-    runtime: FederationRuntime,
-    persist_dir: Optional[PathLike] = None,
-    snapshot_every_seconds: float = DEFAULT_SNAPSHOT_SECONDS,
-    stop_after_seconds: Optional[float] = None,
-) -> FederationResult:
-    """Advance to the duration (or ``stop_after_seconds`` past the current
-    clock), then measure.
+def _persistable(spec: FederationSpec) -> FederationSpec:
+    if spec.node_classes_by_cluster or spec.fog_peer_classes:
+        raise PersistError(
+            "federations with planted adversaries (node_classes_by_cluster, "
+            "fog_peer_classes) cannot be persisted: classes do not serialise "
+            "into a run manifest"
+        )
+    return spec
 
-    With ``persist_dir``, a snapshot follows every snapshot-cadence
-    segment — a kill at any point loses at most one segment, and
-    :func:`resume_federation` picks up from the newest snapshot.
+
+def _spec_from_dict(payload: Dict[str, Any]) -> FederationSpec:
+    with decoding("federation spec"):
+        fields = dict(payload)
+        churn = fields.get("churn")
+        fields["config"] = config_from_dict(fields["config"])
+        fields["churn"] = None if churn is None else ChurnSpec(**churn)
+        return _persistable(FederationSpec(**fields))
+
+
+class _SegmentLog:
+    """The ``after_segment`` callback of a durable federation.
+
+    At each segment end it takes the clock's per-cluster chain digests
+    and directory digest.  While the journal still holds records (a
+    replay), the record at that clock must carry the same digests; past
+    the journal's end, the digests are appended as a new record.
     """
-    after_segment = None
-    if persist_dir is not None:
-        from repro.persist.snapshot import write_snapshot
 
-        after_segment = partial(write_snapshot, persist_dir, runtime)
-    advance(runtime, stop_after_seconds, snapshot_every_seconds, after_segment)
-    return collect_federation_metrics(runtime)
+    def __init__(
+        self,
+        runtime: FederationRuntime,
+        journal: RunJournal,
+        recorded: Sequence[Tuple[float, Dict[str, Any]]] = (),
+    ):
+        self.runtime = runtime
+        self.journal = journal
+        self.pending = deque(recorded)
+
+    def __call__(self) -> None:
+        clock = self.runtime.engine.now
+        digests = {
+            "chain_digests": self.runtime.cluster_digests(),
+            "directory_digest": self.runtime.directory_digest(),
+        }
+        # A pause off the segment grid left a record no replay stops at.
+        while self.pending and self.pending[0][0] < clock:
+            self.pending.popleft()
+        if not self.pending:
+            self.journal.append(REC_SEGMENT, clock, digests)
+            return
+        recorded_clock, recorded = self.pending.popleft()
+        if recorded_clock != clock:
+            raise PersistError(
+                f"federation journal has no record at segment end t={clock:g}s"
+            )
+        if recorded != digests:
+            raise PersistError(
+                f"resumed federation diverged from its journal at t={clock:g}s"
+            )
 
 
 def run_federation(
     spec: FederationSpec,
     persist_dir: Optional[PathLike] = None,
-    snapshot_every_seconds: float = DEFAULT_SNAPSHOT_SECONDS,
     stop_after_seconds: Optional[float] = None,
 ) -> FederationResult:
-    """Build, run, and measure one federated experiment."""
-    runtime = build_federation_runtime(spec)
-    return advance_federation(
-        runtime,
-        persist_dir=persist_dir,
-        snapshot_every_seconds=snapshot_every_seconds,
-        stop_after_seconds=stop_after_seconds,
+    """Build, run, and measure one federated experiment; ``persist_dir``
+    makes it durable (a manifest and a digest journal)."""
+    if persist_dir is None:
+        runtime = build_federation_runtime(spec)
+        advance(runtime, stop_after_seconds)
+        return collect_federation_metrics(runtime)
+    directory = start_manifest(
+        persist_dir, KIND_FEDERATION, {"spec": asdict(_persistable(spec))}
     )
+    runtime = build_federation_runtime(spec)
+    with RunJournal.open(directory / JOURNAL_NAME) as journal:
+        log = _SegmentLog(runtime, journal)
+        advance(runtime, stop_after_seconds, SEGMENT_SECONDS, log)
+    return collect_federation_metrics(runtime)
 
 
 def resume_federation(
-    directory: PathLike,
-    snapshot_every_seconds: float = DEFAULT_SNAPSHOT_SECONDS,
-    stop_after_seconds: Optional[float] = None,
+    directory: PathLike, stop_after_seconds: Optional[float] = None
 ) -> FederationResult:
-    """Continue a killed federated run from its newest valid snapshot."""
-    from repro.persist.snapshot import restore_latest
+    """Continue a killed or paused federated run by replay.
 
-    runtime, _, skipped = restore_latest(directory, FederationRuntime)
-    if runtime is None:
+    The runtime is rebuilt from the manifest's spec and advanced to the
+    clock of the journal's last intact record, each replayed segment
+    checked against the record at that clock (:class:`PersistError` on
+    the first mismatch); ``stop_after_seconds`` counts from there.
+    """
+    directory = Path(directory)
+    spec = _spec_from_dict(read_manifest(directory, KIND_FEDERATION).get("spec"))
+    recorded: List[Tuple[float, Dict[str, Any]]] = []
+
+    def fold(position: int, record) -> None:
+        if record.type == REC_SEGMENT:
+            recorded.append((record.clock, record.payload))
+
+    recovery = recover_journal(directory / JOURNAL_NAME, visit=fold)
+    if recovery.corrupt:
         raise PersistError(
-            f"no usable snapshot in {directory}"
-            + (f" (skipped: {'; '.join(skipped)})" if skipped else "")
+            f"journal in {directory} is corrupt mid-file ({recovery.reason}); "
+            "refusing to resume"
         )
-    return advance_federation(
-        runtime,
-        persist_dir=directory,
-        snapshot_every_seconds=snapshot_every_seconds,
-        stop_after_seconds=stop_after_seconds,
-    )
+    resume_at = recorded[-1][0] if recorded else 0.0
+    with RunJournal.open(directory / JOURNAL_NAME) as journal:
+        # The replay is recovery, not the run being observed.
+        with _obs.suspended():
+            runtime = build_federation_runtime(spec)
+            log = _SegmentLog(runtime, journal, recorded)
+            advance(runtime, resume_at, SEGMENT_SECONDS, log)
+        _obs.attach_runtime(runtime, runtime.engine.clock_reader())
+        advance(runtime, stop_after_seconds, SEGMENT_SECONDS, log)
+    return collect_federation_metrics(runtime)

@@ -21,21 +21,20 @@ The run has two phases: SWIM-only formation until
 ``membership_window_seconds``, then a :class:`_FormationGate` event
 verifies each cluster's membership view converged, stops SWIM, and arms
 chains, Raft, the fog directory, and (implicitly, by schedule offset)
-the workload.  The whole object graph is picklable, so
-:mod:`repro.persist.snapshot` checkpoints a federation exactly like a
-single cluster.
+the workload.  The runtime is a pure function of its spec, so a durable
+federation is resumed by rebuilding and replaying it
+(:mod:`repro.federation.runner`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.metadata import data_id_for
-from repro.crypto.hashing import hash_items
 from repro.federation.fog import CrossLookupDriver, FogTier
 from repro.federation.spec import (
     FED_RAFT_ELECTION_TIMEOUT,
@@ -82,7 +81,7 @@ class ClusterDomain:
 
 
 class _FormationGate:
-    """Closes the membership window (a picklable scheduled callback).
+    """Closes the membership window (a scheduled callback).
 
     At ``membership_window_seconds`` it records each domain's SWIM
     convergence, stops the failure detectors, and only then arms mining,
@@ -107,7 +106,7 @@ class _FormationGate:
 
 @dataclass
 class FederationRuntime:
-    """The whole federation, ready to run (and picklable for persist)."""
+    """The whole federation, ready to run."""
 
     spec: FederationSpec
     engine: EventEngine
@@ -125,26 +124,13 @@ class FederationRuntime:
 
     def cluster_digests(self) -> List[str]:
         """Per-cluster reference chain digests, in cluster order."""
-        return [domain.runtime.snapshot_digest() for domain in self.domains]
+        return [
+            domain.cluster.longest_chain_node().chain.chain_digest()
+            for domain in self.domains
+        ]
 
     def directory_digest(self) -> str:
         return self.fog.directory_digest()
-
-    # -- the snapshot state card, composed of the clusters' cards -----------------
-
-    def snapshot_height(self) -> int:
-        return max(domain.runtime.snapshot_height() for domain in self.domains)
-
-    def snapshot_digest(self) -> str:
-        """One digest over all cluster chains (the state-card identity)."""
-        return hash_items("federation-chains", *self.cluster_digests()).hex()
-
-    def snapshot_storages(self) -> Dict[str, Any]:
-        return {
-            f"c{domain.cluster_id}:n{node_id}": storage
-            for domain in self.domains
-            for node_id, storage in domain.runtime.snapshot_storages().items()
-        }
 
 
 def _plan_cross_lookups(

@@ -6,7 +6,7 @@ The JSON object always carries the protocol version (``"v"``) and a
 the traffic category (so live byte accounting matches the simulator's
 category breakdown), and a typed body built with the canonical encoders
 from :mod:`repro.core.serialization` — a block decoded off a socket goes
-through the same hash re-verification as one decoded from a snapshot.
+through the same hash re-verification as one read back from disk.
 
 Defences expected of a real listener:
 

@@ -3,9 +3,9 @@
 Instrumented code never owns a tracer; it calls the module-level helpers
 here (:func:`span`, :func:`add`, :func:`observe`, :func:`gauge_set`),
 which dispatch to the process-global state.  That keeps the hooks to one
-branch each, keeps tracers out of picklable object graphs (snapshots of a
-durable run must not capture open trace buffers), and means a library
-user can flip observability on around *any* existing entry point:
+branch each, keeps tracers out of the simulated object graph, and means
+a library user can flip observability on around *any* existing entry
+point:
 
     from repro import obs
 
@@ -21,10 +21,11 @@ test proves simulation results are bit-identical either way.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from pathlib import Path
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Iterator, Optional, Union
 
 from repro.obs.export import write_perfetto_jsonl
 from repro.obs.metrics import MetricsRegistry
@@ -221,6 +222,20 @@ def disable() -> None:
     """Turn observability off (hooks revert to the null path)."""
     global _state
     _state = _DISABLED
+
+
+@contextlib.contextmanager
+def suspended() -> Iterator[None]:
+    """Observe nothing inside the block, then carry on with the session.
+
+    A resume replays the interrupted run from genesis inside it, so an
+    observed resume records only the segment it adds."""
+    global _state
+    held, _state = _state, _DISABLED
+    try:
+        yield
+    finally:
+        _state = held
 
 
 def is_enabled() -> bool:

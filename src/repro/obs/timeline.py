@@ -20,8 +20,7 @@ the quantities the paper's own analysis turns on:
 Sampling is driven from :func:`repro.obs.runtime.timeline_tick` inside
 the engine's existing observability branch — **never** from events on the
 engine queue.  Scheduling our own events would perturb event sequence
-numbers and leak unpicklable callbacks into durable-run snapshots; a
-read-only probe invoked between events cannot do either, which is what
+numbers; a read-only probe invoked between events cannot, which is what
 keeps the digest-identity guarantee (obs on == obs off) intact.
 """
 

@@ -172,7 +172,7 @@ class Tracer:
     sim_clock:
         Optional zero-argument callable returning the current simulated
         time in seconds (typically ``lambda: engine.now`` — attached by
-        the runner, never pickled).
+        the runner).
     max_spans:
         Hard cap on retained finished spans; once reached, further spans
         are counted (:attr:`dropped_spans`) but not stored, so a very long

@@ -1,19 +1,19 @@
-"""Durable persistence: run journal, SQLite chain store, snapshots, resume.
+"""Durable persistence: run journal, SQLite chain store, resume by replay.
 
 The paper's edge nodes churn, disconnect, and recover (Sections IV-C and
 IV-D); this package gives the *simulator itself* the same resilience.  A
-durable run directory holds four artefacts:
+durable run directory holds three artefacts:
 
 * ``journal.jsonl`` — append-only, CRC-checked write-ahead journal of
-  simulation events (:mod:`repro.persist.journal`);
+  the reference chain's blocks and reorgs (:mod:`repro.persist.journal`);
 * ``chain.sqlite`` — indexed, queryable chain/metadata/account store
   (:mod:`repro.persist.chainstore`);
-* ``snapshot-*.json`` — versioned atomic checkpoints of the full runtime
-  (:mod:`repro.persist.snapshot`);
 * ``manifest.json`` / ``metrics.json`` — run identity and final results
   (:mod:`repro.persist.resume`).
 
-``repro run --persist DIR`` and ``repro resume DIR`` are the CLI faces;
+A run is resumed by replaying its spec from genesis, checked against the
+journal, so no runtime state is ever written to disk.  ``repro run
+--persist DIR`` and ``repro resume DIR`` are the CLI faces;
 :func:`run_persistent` / :func:`resume_run` the library ones.
 """
 
@@ -32,15 +32,6 @@ from repro.persist.resume import (
     resume_run,
     run_persistent,
 )
-from repro.persist.snapshot import (
-    SNAPSHOT_SCHEMA_VERSION,
-    SnapshotInfo,
-    inspect_snapshot,
-    load_latest_snapshot,
-    load_snapshot,
-    snapshot_paths,
-    write_snapshot,
-)
 
 __all__ = [
     "ChainStore",
@@ -55,11 +46,4 @@ __all__ = [
     "inspect_run",
     "resume_run",
     "run_persistent",
-    "SNAPSHOT_SCHEMA_VERSION",
-    "SnapshotInfo",
-    "inspect_snapshot",
-    "load_latest_snapshot",
-    "load_snapshot",
-    "snapshot_paths",
-    "write_snapshot",
 ]

@@ -59,7 +59,9 @@ WRITE_BATCH = 32
 REC_RUN_START = "run_start"
 REC_BLOCK = "block"
 REC_REORG = "reorg"
-REC_CHECKPOINT = "checkpoint"
+#: One per segment of a durable federation: the clock's per-cluster
+#: chain digests and fog directory digest (:mod:`repro.federation.runner`).
+REC_SEGMENT = "segment"
 REC_COMPLETE = "run_complete"
 
 

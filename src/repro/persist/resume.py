@@ -1,45 +1,52 @@
-"""Durable runs: journaled execution, crash recovery, deterministic resume.
+"""Durable runs: journaled execution, crash recovery, resume by replay.
 
-This module glues the three persistence primitives to the simulation
-runner:
+This module glues the persistence primitives to the simulation runner:
 
 * :func:`run_persistent` — run an experiment inside a run directory,
-  journaling every mined block (write-ahead of the SQLite store),
-  snapshotting the full runtime periodically, and finalising metrics on
-  completion.  ``stop_after_seconds`` pauses cleanly mid-run (chunked
-  long sweeps); a crash/kill at any point is equally recoverable.
+  journaling every mined block (write-ahead of the SQLite store) and
+  finalising metrics on completion.  ``stop_after_seconds`` pauses
+  cleanly mid-run (chunked long sweeps); a crash/kill at any point is
+  equally recoverable.
 * :func:`resume_run` — recover a run directory: journal tail recovery,
-  store catch-up from the journal (journal is the source of truth),
-  restore of the newest valid snapshot through
-  :func:`~repro.persist.snapshot.restore_latest` (a from-genesis
-  deterministic replay when none survives), and continuation.
+  store catch-up from the journal (the journal is the source of truth),
+  a replay from genesis of the manifest's spec up to where the journal
+  ends, checked against it, and continuation.
 
 Both advance through :func:`repro.sim.runner.advance` in
 ``journal_every_seconds`` segments, as a plain run does in one go; what
 is durable about the run is the callback after each segment, which
-journals the new blocks and writes a snapshot when one is due.  That
-callback lives for one call and is never pickled: a durable run
+journals the blocks the reference chain gained and compacts the store
+once the chain has pruned past the store's floor.  That callback lives
+for one call and the runtime never refers to it: a durable run
 processes the same engine events as the plain run of its spec.
 
-Determinism is the load-bearing invariant: the simulation is a closed
-system over its seeded RNGs, so *run → kill → resume* must reproduce the
-uninterrupted run byte for byte.  Resume enforces this actively — every
-block re-mined after the snapshot is checked against the journal records
-written before the crash, and any divergence aborts with
-:class:`~repro.core.errors.PersistError` instead of silently forking
-history.  The persistence hooks themselves never touch simulation state
-or RNGs, so a durable run also produces exactly the same metrics as a
-plain :func:`~repro.sim.runner.run_experiment` with the same spec.
+Resume is replay.  The simulation is a closed system over its seeded
+RNGs, so rebuilding the runtime from the manifest's spec and advancing
+it re-mines the interrupted run's chain exactly.  The replay checks the
+reference chain against the journal at every segment end up to the
+resume point — each journaled block must come back with the same hash —
+and any divergence aborts with :class:`~repro.core.errors.PersistError`
+instead of silently forking history.  Past the resume point the run
+journals as before, so *run → kill → resume* reproduces the
+uninterrupted run byte for byte.  The persistence hooks never touch
+simulation state or RNGs, so a durable run also produces exactly the
+same metrics as a plain :func:`~repro.sim.runner.run_experiment`.
+
+The manifest (:func:`start_manifest` / :func:`read_manifest`) is shared
+with durable federated runs (:mod:`repro.federation.runner`); its
+``kind`` names the verb that resumes the directory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sqlite3
-from dataclasses import asdict, dataclass, field, replace
+from collections import deque
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Deque, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.core.config import LifecycleSpec, SystemConfig
 from repro.core.errors import PersistError, ValidationError
@@ -47,10 +54,10 @@ from repro.core.serialization import block_from_dict, block_to_dict
 from repro.lifecycle.archive import ARCHIVE_NAME, BlockArchive
 from repro.metrics.collector import RunMetrics
 from repro.metrics.export import metrics_to_record, store_chain_record
+from repro.obs import runtime as _obs
 from repro.persist.chainstore import ChainStore
 from repro.persist.journal import (
     REC_BLOCK,
-    REC_CHECKPOINT,
     REC_COMPLETE,
     REC_REORG,
     REC_RUN_START,
@@ -60,13 +67,6 @@ from repro.persist.journal import (
     RunJournal,
     recover_journal,
 )
-from repro.persist.snapshot import (
-    SnapshotInfo,
-    inspect_snapshot,
-    restore_latest,
-    snapshot_paths,
-    write_snapshot,
-)
 from repro.sim.runner import (
     ChurnSpec,
     ExperimentResult,
@@ -75,13 +75,14 @@ from repro.sim.runner import (
     advance,
     build_runtime,
     collect_metrics,
-    grid_after,
 )
 
 PathLike = Union[str, Path]
 
-#: Bumped on breaking changes to the run-directory layout.
-MANIFEST_SCHEMA_VERSION = 1
+#: Bumped on breaking changes to the run-directory layout.  v2: the
+#: manifest names its run ``kind``, and its ``persist`` block has no
+#: snapshot fields (a run is resumed by replay alone).
+MANIFEST_SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.jsonl"
@@ -92,24 +93,50 @@ CHAIN_SUMMARY_NAME = "chain_summary.json"
 STATUS_RUNNING = "running"
 STATUS_COMPLETE = "complete"
 
+#: The run kinds a manifest names, and the verb that resumes each.
+KIND_CLUSTER = "cluster"
+KIND_FEDERATION = "federation"
+_RESUME_VERB = {KIND_CLUSTER: "repro resume", KIND_FEDERATION: "repro fed resume"}
+
 
 @dataclass(frozen=True)
 class PersistConfig:
-    """Tunables of the durable-run machinery (all in simulated seconds)."""
+    """Tunables of the durable-run machinery."""
 
+    #: Simulated seconds per segment, the journal's flush cadence.
     journal_every_seconds: float = 30.0
-    snapshot_every_seconds: float = 600.0
-    snapshot_retain: int = 2
+    #: Journal records per ``os.fsync``.
     fsync_every: int = WRITE_BATCH
 
     def __post_init__(self) -> None:
         if self.journal_every_seconds <= 0:
             raise ValueError("journal interval must be positive")
-        if self.snapshot_every_seconds <= 0:
-            raise ValueError("snapshot interval must be positive")
+        if self.fsync_every < 1:
+            raise ValueError("fsync_every must be at least 1")
 
 
-# -- spec (de)serialisation ----------------------------------------------------------
+# -- manifest (de)serialisation ------------------------------------------------------
+
+
+@contextlib.contextmanager
+def decoding(what: str) -> Iterator[None]:
+    """Turn the ``KeyError``/``TypeError``/``ValueError`` of a malformed
+    on-disk payload into a :class:`PersistError` naming ``what``."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as error:
+        raise PersistError(f"malformed {what}: {error}") from error
+
+
+def config_from_dict(payload: Dict[str, Any]) -> SystemConfig:
+    """A :class:`SystemConfig` from its ``asdict`` form (decode it under
+    :func:`decoding`)."""
+    fields = dict(payload)
+    lifecycle = fields.get("lifecycle")
+    if isinstance(lifecycle, dict):
+        # ``asdict`` flattens the nested dataclass on the way out.
+        fields["lifecycle"] = LifecycleSpec(**lifecycle)
+    return SystemConfig(**fields)
 
 
 def spec_to_dict(spec: ExperimentSpec) -> Dict[str, Any]:
@@ -129,23 +156,16 @@ def spec_to_dict(spec: ExperimentSpec) -> Dict[str, Any]:
 
 
 def spec_from_dict(payload: Dict[str, Any]) -> ExperimentSpec:
-    try:
+    with decoding("experiment spec"):
         churn = payload["churn"]
-        config_payload = dict(payload["config"])
-        lifecycle = config_payload.get("lifecycle")
-        if isinstance(lifecycle, dict):
-            # ``asdict`` flattens the nested dataclass on the way out.
-            config_payload["lifecycle"] = LifecycleSpec(**lifecycle)
         return ExperimentSpec(
             node_count=int(payload["node_count"]),
-            config=SystemConfig(**config_payload),
+            config=config_from_dict(payload["config"]),
             seed=int(payload["seed"]),
             duration_minutes=payload["duration_minutes"],
             mobility_epoch_minutes=float(payload["mobility_epoch_minutes"]),
             churn=None if churn is None else ChurnSpec(**churn),
         )
-    except (KeyError, TypeError, ValueError) as error:
-        raise PersistError(f"malformed experiment spec: {error}") from error
 
 
 # -- manifest ------------------------------------------------------------------------
@@ -161,29 +181,56 @@ def _write_json_atomic(path: Path, document: Dict[str, Any]) -> None:
     os.replace(temp, path)
 
 
-def read_manifest(directory: PathLike) -> Dict[str, Any]:
+def start_manifest(directory: PathLike, kind: str, fields: Dict[str, Any]) -> Path:
+    """Claim a fresh run directory: write a manifest of ``kind`` holding
+    ``fields``, refusing a directory that already holds a run."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    if (directory / MANIFEST_NAME).exists() or (directory / JOURNAL_NAME).exists():
+        raise PersistError(
+            f"{directory} already holds a run; resume it or pick a fresh directory"
+        )
+    _write_json_atomic(
+        directory / MANIFEST_NAME,
+        {"schema_version": MANIFEST_SCHEMA_VERSION, "kind": kind, **fields},
+    )
+    return directory
+
+
+def read_manifest(directory: PathLike, kind: str = KIND_CLUSTER) -> Dict[str, Any]:
+    """The manifest of a run directory of ``kind``; a directory of another
+    kind is refused with the verb that resumes it."""
     path = Path(directory) / MANIFEST_NAME
     try:
         with path.open("r", encoding="utf-8") as handle:
             manifest = json.load(handle)
-    except FileNotFoundError as error:
+    except OSError as error:
         raise PersistError(f"{directory} is not a run directory: {error}") from error
-    except json.JSONDecodeError as error:
+    except ValueError as error:
         raise PersistError(f"manifest {path} is corrupt: {error}") from error
+    if not isinstance(manifest, dict):
+        raise PersistError(f"manifest {path} is not an object")
     version = manifest.get("schema_version")
     if version != MANIFEST_SCHEMA_VERSION:
         raise PersistError(
             f"manifest {path} has schema v{version!r}, "
             f"this build reads v{MANIFEST_SCHEMA_VERSION}"
         )
+    found = manifest.get("kind")
+    if found != kind:
+        verb = _RESUME_VERB.get(found)
+        raise PersistError(
+            f"{directory} holds a {found} run, not a {kind} run"
+            + (f"; continue it with `{verb}`" if verb else "")
+        )
     return manifest
 
 
-# -- the session: everything holding OS resources (never pickled) --------------------
+# -- the session: everything holding OS resources ------------------------------------
 
 
 class PersistSession:
-    """Open handles on one run directory (journal, store, snapshots)."""
+    """Open handles on one run directory (journal, store, cold archive)."""
 
     def __init__(
         self, directory: PathLike, persist: PersistConfig, journal: RunJournal,
@@ -193,35 +240,18 @@ class PersistSession:
         self.persist = persist
         self.journal = journal
         self.store = store
-        #: Journal records ahead of the restored snapshot: height → hash.
-        #: Re-mined blocks must match these exactly (determinism check).
-        self.verify_tail: Dict[int, str] = {}
-        self.blocks_verified = 0
         #: Cold-archive handle, opened on the first compaction.
         self.archive: Optional[BlockArchive] = None
 
     def compact_to(self, horizon: int, checkpoints=None) -> int:
-        """Move store rows below ``horizon`` into the cold archive."""
-        if horizon <= self.store.pruned_below():
-            return 0
+        """Sync, then move store rows below ``horizon`` into the cold
+        archive: the archive never holds a block the journal lacks."""
+        self.sync()
         if self.archive is None:
             self.archive = BlockArchive(self.directory / ARCHIVE_NAME)
         return self.store.compact(self.archive, horizon, checkpoints)
 
     def record_block(self, block, clock: float) -> None:
-        expected = self.verify_tail.pop(block.index, None)
-        if expected is not None:
-            if expected != block.current_hash:
-                raise PersistError(
-                    f"resumed run diverged from journal at block {block.index}: "
-                    f"journal has {expected[:12]}…, re-mined "
-                    f"{block.current_hash[:12]}…"
-                )
-            self.blocks_verified += 1
-            # Already journaled before the crash — only ensure the store
-            # caught up (idempotent).
-            self.store.put_block(block)
-            return
         self.journal.append(
             REC_BLOCK,
             clock,
@@ -236,11 +266,6 @@ class PersistSession:
 
     def record_reorg(self, from_height: int, clock: float) -> None:
         self.journal.append(REC_REORG, clock, {"from": from_height})
-        self.verify_tail = {
-            height: block_hash
-            for height, block_hash in self.verify_tail.items()
-            if height < from_height
-        }
 
     def sync(self) -> None:
         """Fsync the journal, then commit the store rows it has staged."""
@@ -252,42 +277,138 @@ class PersistSession:
         self.store.close()
 
 
+# -- the journal's view of the chain -------------------------------------------------
+
+#: One journaled change to the reference chain, in journal order:
+#: ``(clock, height, hash)`` for a block record and ``(clock, from,
+#: None)`` for a reorg record.
+_Entry = Tuple[float, int, Optional[str]]
+
+
+@dataclass
+class _JournalView:
+    """A journal recovered and folded in one scan; a block body is
+    decoded again only by whoever reads it."""
+
+    recovery: JournalRecovery
+    #: The chain the journal ends on: height → (hash, record position).
+    chain: Dict[int, Tuple[str, int]] = field(default_factory=dict)
+    #: (height, hash) pairs a reorg cut from it and no later record restored.
+    superseded: Set[Tuple[int, str]] = field(default_factory=set)
+    #: Every block and reorg record, in order: what a replay is checked against.
+    entries: List[_Entry] = field(default_factory=list)
+    #: Clock of the last intact record (0 for an empty journal).
+    last_clock: float = 0.0
+
+
+def _read_journal(path: Path) -> _JournalView:
+    view = _JournalView(JournalRecovery())
+
+    def fold(position: int, record: JournalRecord) -> None:
+        view.last_clock = record.clock
+        with decoding(f"journal record {position}"):
+            if record.type == REC_BLOCK:
+                height = int(record.payload["index"])
+                block_hash = str(record.payload["hash"])
+                view.chain[height] = (block_hash, position)
+                view.superseded.discard((height, block_hash))  # reorged back in
+                view.entries.append((record.clock, height, block_hash))
+            elif record.type == REC_REORG:
+                cut = int(record.payload["from"])
+                view.superseded.update(
+                    (h, entry[0]) for h, entry in view.chain.items() if h >= cut
+                )
+                view.chain = {h: e for h, e in view.chain.items() if h < cut}
+                view.entries.append((record.clock, cut, None))
+
+    view.recovery = recover_journal(path, visit=fold)
+    return view
+
+
+# -- the segment callback ------------------------------------------------------------
+
+
 class _Journaler:
-    """The ``after_segment`` callback of a durable run's
-    :func:`~repro.sim.runner.advance`: after every ``journal_every_seconds``
-    segment, journal the blocks the longest chain gained (with explicit
-    reorg records), then snapshot once the clock reaches the next multiple
-    of ``snapshot_every_seconds``.
+    """The ``after_segment`` callbacks of a durable run's
+    :func:`~repro.sim.runner.advance`.
+
+    :meth:`flush` journals the blocks the longest chain gained since the
+    last segment (with explicit reorg records), then compacts the store
+    once the chain has pruned past the store's floor — a floor that moves
+    only when a checkpoint prunes, so at most once per checkpoint.  A
+    resume first replays to where the journal ends with :meth:`verify` in
+    that slot, which checks the chain against the journal instead.
 
     Built for one :func:`run_persistent` / :func:`resume_run` call; the
-    runtime never refers to it, so it is never pickled.  A snapshot always
-    follows a flush, so a restored runtime's reference chain is exactly
-    what was journaled.
+    runtime never refers to it.
     """
 
-    def __init__(self, runtime: SimRuntime, session: PersistSession, restored: bool):
+    def __init__(
+        self, runtime: SimRuntime, session: PersistSession, entries=()
+    ):
         self.runtime = runtime
         self.session = session
-        self.persist = session.persist
-        #: -1 on a fresh build, so the first flush journals genesis too.
+        #: The chain the journal holds; -1 before genesis is journaled.
         self.journaled_height = -1
         self.journaled_hashes: Dict[int, str] = {}
-        if restored:
-            chain = runtime.cluster.longest_chain_node().chain
-            self.journaled_height = chain.height
-            self.journaled_hashes = {
-                block.index: block.current_hash for block in chain.blocks
-            }
-        self.next_snapshot_at = grid_after(
-            runtime.engine.now, self.persist.snapshot_every_seconds
-        )
-        #: Clock of this call's latest snapshot (a pause writes none twice).
-        self.snapshot_clock: Optional[float] = None
+        #: Journal entries the replay has not reached yet.
+        self.pending: Deque[_Entry] = deque(entries)
+        #: Journaled blocks the replay re-mined with the same hash.
+        self.blocks_verified = 0
 
-    def __call__(self) -> None:
-        self.flush()
-        if self.runtime.engine.now >= self.next_snapshot_at:
-            self.snapshot()
+    def _forget_from(self, height: int) -> None:
+        for stale in range(height, self.journaled_height + 1):
+            self.journaled_hashes.pop(stale, None)
+        self.journaled_height = min(self.journaled_height, height - 1)
+
+    def _cap_pruning(self) -> None:
+        # Pruning must never outrun the journal: any node may become the
+        # reference chain, so cap every node's prune floor at the height
+        # journaled — a fast-block burst within a segment then retains
+        # its bodies until the next flush instead of dropping rows the
+        # store has never seen.
+        for node in self.runtime.cluster.nodes.values():
+            node.chain.prune_floor_limit = self.journaled_height
+
+    def verify(self) -> None:
+        """Replay step: fold the journal entries up to the clock into the
+        journaled chain, and check the replayed reference chain agrees."""
+        chain = self.runtime.cluster.longest_chain_node().chain
+        clock = self.runtime.engine.now
+        folded = []
+        while self.pending and self.pending[0][0] <= clock:
+            _, height, block_hash = self.pending.popleft()
+            if block_hash is None:
+                self._forget_from(height)
+            else:
+                self.journaled_hashes[height] = block_hash
+                self.journaled_height = height
+                folded.append(height)
+        top = self.journaled_height
+        # Every segment end inside the journal was a flush, so there the
+        # two chains are one; where the journal ends, a kill mid-flush may
+        # have left only a prefix of the chain journaled.
+        if top > chain.height or (self.pending and top < chain.height):
+            raise PersistError(
+                f"resumed run diverged from the journal at t={clock:g}s: the "
+                f"journal holds height {top}, the replay reached {chain.height}"
+            )
+        # A reorg may have cut a folded block again; the top's hash covers
+        # the lineage below it.
+        folded = {height for height in folded if height in self.journaled_hashes}
+        for height in sorted(folded | {top} - {-1}):
+            if not chain.has_block(height):
+                continue  # pruned: the top's hash covers it too
+            journaled = self.journaled_hashes[height]
+            remined = chain.block_at(height).current_hash
+            if remined != journaled:
+                raise PersistError(
+                    f"resumed run diverged from the journal at block {height} "
+                    f"(t={clock:g}s): journal has {journaled[:12]}…, replay "
+                    f"re-mined {remined[:12]}…"
+                )
+        self.blocks_verified += len(folded)
+        self._cap_pruning()
 
     def flush(self) -> None:
         """Journal every block the longest chain gained since last time."""
@@ -306,8 +427,7 @@ class _Journaler:
             agree -= 1
         if agree < self.journaled_height:
             self.session.record_reorg(agree + 1, clock)
-            for height in range(agree + 1, self.journaled_height + 1):
-                self.journaled_hashes.pop(height, None)
+            self._forget_from(agree + 1)
         if agree + 1 < floor:
             raise PersistError(
                 f"journal height {agree} fell behind the pruning horizon "
@@ -318,35 +438,10 @@ class _Journaler:
             self.session.record_block(block, clock)
             self.journaled_hashes[height] = block.current_hash
         self.journaled_height = chain.height
-        # Pruning must never outrun the journal: any node may become the
-        # reference chain, so cap every node's prune floor at the height
-        # just journaled — a fast-block burst within a segment then
-        # retains its bodies until the next flush instead of dropping
-        # rows the store has never seen.
-        for node in self.runtime.cluster.nodes.values():
-            node.chain.prune_floor_limit = self.journaled_height
-
-    def snapshot(self) -> None:
-        """Checkpoint the journal, then snapshot the runtime it matches."""
-        clock = self.snapshot_clock = self.runtime.engine.now
-        self.next_snapshot_at = grid_after(clock, self.persist.snapshot_every_seconds)
-        self.session.journal.append(
-            REC_CHECKPOINT, clock, {"height": self.journaled_height}
-        )
-        self.session.sync()
-        write_snapshot(
-            self.session.directory, self.runtime, retain=self.persist.snapshot_retain
-        )
-        # Chainstore compaction rides the snapshot cadence: once the
-        # in-memory chain has pruned past the store's floor, migrate the
-        # corresponding rows to the cold archive.  The snapshot above is
-        # already durable, so a crash mid-compaction loses nothing.
-        chain = self.runtime.cluster.longest_chain_node().chain
-        floor = chain.first_retained_index
-        if floor > 0:
-            self.session.compact_to(
-                min(floor, self.journaled_height), chain.checkpoints
-            )
+        self._cap_pruning()
+        horizon = min(floor, self.journaled_height)
+        if horizon > self.session.store.pruned_below():
+            self.session.compact_to(horizon, chain.checkpoints)
 
 
 # -- run / resume --------------------------------------------------------------------
@@ -360,10 +455,9 @@ class PersistentRunResult:
     completed: bool
     clock: float
     result: Optional[ExperimentResult] = None
-    #: Simulation clock the run was restored from (resume only).
+    #: Simulation clock the interrupted run had reached (resume only).
     resumed_from: Optional[float] = None
-    #: Blocks re-mined after restore that were verified against the
-    #: pre-crash journal (resume only).
+    #: Journaled blocks the replay re-mined with the same hash (resume only).
     blocks_verified: int = 0
 
     @property
@@ -371,27 +465,13 @@ class PersistentRunResult:
         return None if self.result is None else self.result.metrics
 
 
-def _open_session(
-    directory: Path, persist: PersistConfig, fresh: bool
-) -> PersistSession:
-    journal_path = directory / JOURNAL_NAME
-    if fresh and journal_path.exists():
-        raise PersistError(
-            f"{directory} already holds a run (journal exists); "
-            "resume it or pick a fresh directory"
-        )
-    journal = RunJournal.open(journal_path, fsync_every=persist.fsync_every)
+def _open_session(directory: Path, persist: PersistConfig) -> PersistSession:
+    journal = RunJournal.open(directory / JOURNAL_NAME, fsync_every=persist.fsync_every)
     store = ChainStore(directory / STORE_NAME)
     return PersistSession(directory, persist, journal, store)
 
 
 def _finalize(session: PersistSession, runtime: SimRuntime) -> ExperimentResult:
-    if session.verify_tail:
-        unmatched = sorted(session.verify_tail)
-        raise PersistError(
-            "resumed run never re-mined journaled block(s) "
-            f"{unmatched[:5]} — the journal and the replay disagree"
-        )
     metrics = collect_metrics(runtime)
     reference = runtime.cluster.longest_chain_node()
     record = metrics_to_record(metrics, seed=runtime.spec.seed)
@@ -432,24 +512,17 @@ def run_persistent(
     point is the disorderly form, and both resume identically.
     """
     persist = persist or PersistConfig()
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    if (directory / MANIFEST_NAME).exists():
-        raise PersistError(
-            f"{directory} already holds a run; resume it or pick a fresh directory"
-        )
-    spec_payload = spec_to_dict(spec)  # validates persistability up front
-    session = _open_session(directory, persist, fresh=True)
+    directory = start_manifest(
+        directory,
+        KIND_CLUSTER,
+        {
+            "status": STATUS_RUNNING,
+            "spec": spec_to_dict(spec),  # validates persistability up front
+            "persist": asdict(persist),
+        },
+    )
+    session = _open_session(directory, persist)
     try:
-        _write_json_atomic(
-            directory / MANIFEST_NAME,
-            {
-                "schema_version": MANIFEST_SCHEMA_VERSION,
-                "status": STATUS_RUNNING,
-                "spec": spec_payload,
-                "persist": asdict(persist),
-            },
-        )
         session.journal.append(
             REC_RUN_START,
             0.0,
@@ -461,7 +534,7 @@ def run_persistent(
         )
         runtime = build_runtime(spec)
         session.store.put_accounts(runtime.cluster.accounts)
-        task = _Journaler(runtime, session, restored=False)
+        task = _Journaler(runtime, session)
         task.flush()  # journals + stores the genesis block
         return _advance(task, stop_after_seconds)
     finally:
@@ -475,14 +548,13 @@ def _advance(
 ) -> PersistentRunResult:
     session, runtime = task.session, task.runtime
     completed = advance(
-        runtime, stop_after_seconds, session.persist.journal_every_seconds, task
+        runtime, stop_after_seconds, session.persist.journal_every_seconds, task.flush
     )
     result: Optional[ExperimentResult] = None
     if completed:
         result = _finalize(session, runtime)
     else:
-        if task.snapshot_clock != runtime.engine.now:
-            task.snapshot()
+        session.sync()
         manifest = read_manifest(session.directory)
         manifest["paused_at_clock"] = runtime.engine.now
         _write_json_atomic(session.directory / MANIFEST_NAME, manifest)
@@ -492,90 +564,68 @@ def _advance(
         clock=runtime.engine.now,
         result=result,
         resumed_from=resumed_from,
-        blocks_verified=session.blocks_verified,
+        blocks_verified=task.blocks_verified,
     )
 
 
-def _journal_chain_view(
-    path: Path,
-) -> Tuple[JournalRecovery, Dict[int, Tuple[str, int]], Set[Tuple[int, str]]]:
-    """Recover the journal at ``path`` and, in the same scan, fold its
-    block/reorg records into the final height → (hash, record position)
-    view, plus the (height, hash) pairs a reorg cut from it and no later
-    record restored; a block body is decoded again only by whoever reads
-    it."""
-    view: Dict[int, Tuple[str, int]] = {}
-    superseded: Set[Tuple[int, str]] = set()
-
-    def fold(position: int, record: JournalRecord) -> None:
-        nonlocal view
-        if record.type == REC_BLOCK:
-            height, block_hash = int(record.payload["index"]), record.payload["hash"]
-            view[height] = (block_hash, position)
-            superseded.discard((height, block_hash))  # reorged back in
-        elif record.type == REC_REORG:
-            cut = int(record.payload["from"])
-            superseded.update((h, entry[0]) for h, entry in view.items() if h >= cut)
-            view = {h: entry for h, entry in view.items() if h < cut}
-
-    recovery = recover_journal(path, visit=fold)
-    return recovery, view, superseded
+def _catch_up_store(store: ChainStore, journal: _JournalView) -> None:
+    """Put back every journaled block the store lacks or holds another
+    version of: the journal is write-ahead, so it is the truth.  Heights
+    below the compaction floor already moved to the cold archive;
+    re-inserting them would undo the compaction."""
+    floor = store.pruned_below()
+    for height in sorted(journal.chain):
+        if height < floor:
+            continue
+        block_hash, position = journal.chain[height]
+        stored = store.block_by_index(height)
+        if stored is None or stored.current_hash != block_hash:
+            payload = journal.recovery.records[position].payload
+            store.put_block(block_from_dict(payload["block"]))
 
 
 def resume_run(
-    directory: PathLike,
-    persist: Optional[PersistConfig] = None,
-    stop_after_seconds: Optional[float] = None,
+    directory: PathLike, stop_after_seconds: Optional[float] = None
 ) -> PersistentRunResult:
     """Recover ``directory`` and drive the run to completion (or next pause).
 
     Recovery order: journal prefix (torn tail dropped), SQLite store
-    catch-up from the journal, newest loadable snapshot (corrupt ones are
-    skipped; none at all means a deterministic from-genesis replay), then
-    continuation with every re-mined block verified against the journal.
+    catch-up from the journal, then a replay from genesis to the resume
+    point — the manifest's ``paused_at_clock`` or the clock of the
+    journal's last intact record, whichever is later — checked against
+    the journal at every segment end, and continuation.
+    ``stop_after_seconds`` counts from the resume point.
     """
     directory = Path(directory)
     manifest = read_manifest(directory)
     if manifest.get("status") == STATUS_COMPLETE:
         raise PersistError(f"run in {directory} already completed; nothing to resume")
-    spec = spec_from_dict(manifest["spec"])
-    if persist is None:
-        persist = PersistConfig(**manifest.get("persist", {}))
+    spec = spec_from_dict(manifest.get("spec"))
+    with decoding(f"manifest {directory / MANIFEST_NAME}"):
+        persist = PersistConfig(**manifest["persist"])
+        paused_at = float(manifest.get("paused_at_clock", 0.0))
 
-    recovery, journal_view, _ = _journal_chain_view(directory / JOURNAL_NAME)
-    if recovery.corrupt:
+    journal = _read_journal(directory / JOURNAL_NAME)
+    if journal.recovery.corrupt:
         raise PersistError(
-            f"journal in {directory} is corrupt mid-file ({recovery.reason}); "
+            f"journal in {directory} is corrupt mid-file ({journal.recovery.reason}); "
             "refusing to resume — run `repro inspect` for details"
         )
+    resume_at = max(paused_at, journal.last_clock)
 
-    session = _open_session(directory, persist, fresh=False)
+    session = _open_session(directory, persist)
     try:
-        # Store catch-up: the journal is write-ahead, so it is the truth.
-        # Heights below the compaction floor already moved to the cold
-        # archive; re-inserting them would undo the compaction.
-        pruned_floor = session.store.pruned_below()
-        for height in sorted(journal_view):
-            if height < pruned_floor:
-                continue
-            block_hash, position = journal_view[height]
-            stored = session.store.block_by_index(height)
-            if stored is None or stored.current_hash != block_hash:
-                payload = recovery.records[position].payload
-                session.store.put_block(block_from_dict(payload["block"]))
-
-        runtime, info, _skipped = restore_latest(directory, SimRuntime)
-        if runtime is None:
-            # No usable snapshot: deterministically replay from genesis.
+        _catch_up_store(session.store, journal)
+        # The replay is recovery, not the run being observed: an observed
+        # resume records only the segment it adds.
+        with _obs.suspended():
             runtime = build_runtime(spec)
-        task = _Journaler(runtime, session, restored=info is not None)
-        resumed_from = 0.0 if info is None else info.clock
-        session.verify_tail = {
-            height: str(block_hash)
-            for height, (block_hash, _) in journal_view.items()
-            if height > task.journaled_height
-        }
-        return _advance(task, stop_after_seconds, resumed_from)
+            task = _Journaler(runtime, session, journal.entries)
+            advance(runtime, resume_at, persist.journal_every_seconds, task.verify)
+            task.verify()  # the resume point itself, clock 0 included
+        _obs.attach_runtime(runtime, runtime.engine.clock_reader())
+        task.flush()  # journals what a kill mid-flush left out
+        return _advance(task, stop_after_seconds, resumed_from=resume_at)
     finally:
         session.close()
 
@@ -591,6 +641,9 @@ class RunReport:
     status: str
     journal_records: int = 0
     journal_height: int = -1
+    #: Clock of the journal's last intact record: where a resume replays to
+    #: (or the manifest's pause clock, if later).
+    journal_clock: float = 0.0
     torn_tail_bytes: int = 0
     dropped_records: int = 0
     store_height: int = -1
@@ -602,11 +655,9 @@ class RunReport:
     #: On-disk byte footprints, hot tier vs cold tier.
     journal_bytes: int = 0
     store_bytes: int = 0
-    snapshot_bytes: int = 0
     archive_bytes: int = 0
     archive_blocks: int = 0
     archive_checkpoints: int = 0
-    snapshots: List[SnapshotInfo] = field(default_factory=list)
     #: Recoverable oddities (torn tail, store behind journal) — resume
     #: handles these; listed for transparency.
     notes: List[str] = field(default_factory=list)
@@ -622,10 +673,11 @@ def inspect_run(directory: PathLike) -> RunReport:
     """Examine a run directory without mutating anything.
 
     Checks the manifest, scans the journal once for its height → hash
-    view without holding its records (the file is not truncated), verifies SQLite store integrity, cross-checks the store
-    against the journal's final chain view, and reads every snapshot's
-    state card.  Corruption that resume could not transparently heal
-    lands in ``problems``; self-healing oddities land in ``notes``.
+    view and last clock without holding its records (the file is not
+    truncated), verifies SQLite store integrity, and cross-checks the
+    store against the journal's final chain view.  Corruption that
+    resume could not transparently heal lands in ``problems``;
+    self-healing oddities land in ``notes``.
     """
     directory = Path(directory)
     report = RunReport(directory=directory, status="unknown")
@@ -637,9 +689,13 @@ def inspect_run(directory: PathLike) -> RunReport:
         report.problems.append(str(error))
         return report
 
-    recovery, journal_view, superseded = _journal_chain_view(
-        directory / JOURNAL_NAME
-    )
+    try:
+        journal = _read_journal(directory / JOURNAL_NAME)
+    except PersistError as error:
+        report.problems.append(str(error))
+        return report
+    recovery, journal_view = journal.recovery, journal.chain
+    report.journal_clock = journal.last_clock
     report.journal_records = len(recovery.records)
     report.torn_tail_bytes = recovery.torn_tail_bytes
     report.dropped_records = recovery.dropped_records
@@ -711,7 +767,7 @@ def inspect_run(directory: PathLike) -> RunReport:
                             f"store is missing journaled block {height}; "
                             "resume re-applies it"
                         )
-                    elif (height, stored.current_hash) in superseded:
+                    elif (height, stored.current_hash) in journal.superseded:
                         # The store commits in batches, so a kill can leave
                         # the row a later reorg replaced in the journal.
                         report.notes.append(
@@ -729,18 +785,4 @@ def inspect_run(directory: PathLike) -> RunReport:
     else:
         report.problems.append(f"chain store {STORE_NAME} is missing")
 
-    for path in snapshot_paths(directory):
-        try:
-            report.snapshots.append(inspect_snapshot(path))
-        except PersistError as error:
-            report.problems.append(str(error))
-        try:
-            report.snapshot_bytes += path.stat().st_size
-        except OSError:
-            pass
-
-    if report.status == STATUS_RUNNING and not report.snapshots:
-        report.notes.append(
-            "no usable snapshot; resume replays deterministically from genesis"
-        )
     return report

@@ -5,13 +5,11 @@ production, 10 %-of-nodes request patterns, periodic mobility epochs,
 optional churn windows, then collects the figure-level metrics.
 
 A run has three phases, so the persistence subsystem
-(:mod:`repro.persist`) can checkpoint and resume one mid-flight:
+(:mod:`repro.persist`) can journal one mid-flight and resume it by
+replay:
 
 * :func:`build_runtime` wires the cluster, schedules the whole workload,
-  and returns a :class:`SimRuntime` — a fully *picklable* object graph
-  (no closures or lambdas end up on the event queue, only bound methods
-  of module-level classes), so a snapshot can capture the pending event
-  queue along with all protocol state;
+  and returns a :class:`SimRuntime`, a pure function of the spec;
 * :func:`advance` moves a simulated runtime — this one, or a
   :class:`~repro.federation.runtime.FederationRuntime` — to its
   duration or to a pause point, optionally in segments with a callback
@@ -36,7 +34,6 @@ import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.node import EdgeNode
-from repro.core.serialization import storage_to_dict
 from repro.metrics.collector import RunMetrics, collect_run_metrics
 from repro.obs import runtime as _obs
 from repro.sim.cluster import EdgeCluster, build_cluster
@@ -139,11 +136,7 @@ class _RequestDriver:
 
 
 class _ProductionDriver:
-    """Fires scheduled data productions and fans out the request pattern.
-
-    A module-level class (not a closure) so pending production events on
-    the engine queue pickle cleanly into snapshots.
-    """
+    """Fires scheduled data productions and fans out the request pattern."""
 
     def __init__(
         self,
@@ -198,7 +191,7 @@ class _MobilityDriver:
 
 
 class _ReconnectHook:
-    """Picklable churn ``on_up`` callback: restart the node's protocol."""
+    """Churn ``on_up`` callback: restart the node's protocol."""
 
     def __init__(self, cluster: EdgeCluster):
         self.cluster = cluster
@@ -209,11 +202,10 @@ class _ReconnectHook:
 
 @dataclass
 class SimRuntime:
-    """A fully wired, ready-to-run (and picklable) simulation.
+    """A fully wired, ready-to-run simulation.
 
     Everything a run needs — cluster, drivers, and the engine's pending
-    event queue they populate — hangs off this one object, which is what
-    :mod:`repro.persist.snapshot` serialises for crash recovery.
+    event queue they populate — hangs off this one object.
     """
 
     spec: ExperimentSpec
@@ -226,20 +218,6 @@ class SimRuntime:
     @property
     def engine(self):
         return self.cluster.engine
-
-    # -- the snapshot state card (as FederationRuntime's) ------------------------
-
-    def snapshot_height(self) -> int:
-        return self.cluster.longest_chain_node().chain.height
-
-    def snapshot_digest(self) -> str:
-        return self.cluster.longest_chain_node().chain.chain_digest()
-
-    def snapshot_storages(self) -> Dict[str, Any]:
-        return {
-            str(node_id): storage_to_dict(self.cluster.nodes[node_id].storage)
-            for node_id in self.cluster.node_ids
-        }
 
 
 def build_runtime(spec: ExperimentSpec) -> SimRuntime:
@@ -259,9 +237,9 @@ def build_runtime(spec: ExperimentSpec) -> SimRuntime:
             mobility=mobility,
             churn=injector,
         )
-    # The tracer (process-global, never pickled) follows the newest
-    # engine's clock so spans carry simulated time too; the timeline
-    # probe, if armed, follows the newest cluster.
+    # The process-global tracer follows the newest engine's clock so
+    # spans carry simulated time too; the timeline probe, if armed,
+    # follows the newest cluster.
     _obs.attach_runtime(runtime, runtime.engine.clock_reader())
     return runtime
 
@@ -278,7 +256,7 @@ def attach_workload(
     production schedule and the per-item requester sampling; ``start_at``
     offsets every production so federated runs can hold the workload back
     until membership formation has converged.  Returns the two drivers so
-    callers can hang them off their runtime for snapshotting.
+    callers can hang them off their runtime.
     """
     engine = cluster.engine
     workload_rng = rng if rng is not None else engine.np_rng

@@ -133,7 +133,7 @@ class EventEngine:
     def clock_reader(self) -> Callable[[], float]:
         """A zero-argument callable reading this engine's clock.
 
-        Handed to the process-global tracer (never pickled) so spans can
+        Handed to the process-global tracer so spans can
         carry simulated time alongside wall time.
         """
         return lambda: self._now

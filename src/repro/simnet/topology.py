@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -190,11 +190,6 @@ class Topology:
         #: across every rebuild, until :meth:`restore_node`.
         self._offline: Set[int] = set()
         self._set_edges(self._full_edges(self._coords()))
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """Pickle the graph, not what is derived from it: the hop matrix
-        (n² · 8 B) and the route trees are rebuilt on first use."""
-        return {**vars(self), "_hop_cache": None, "_trees": {}}
 
     # -- construction --------------------------------------------------------
 

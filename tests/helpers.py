@@ -55,6 +55,7 @@ import hashlib
 import heapq
 import json
 import math
+import shutil
 import sys
 import zlib
 from collections import deque
@@ -76,7 +77,9 @@ from repro.core.pow import pow_difficulty_for
 from repro.crypto.hashing import _encode_field
 from repro.crypto.keys import INFINITY, CurvePoint, N
 from repro.facility.problem import UFLProblem, UFLSolution, assign_to_open
+from repro.lifecycle.archive import ARCHIVE_NAME
 from repro.persist.chainstore import ChainStore
+from repro.persist.resume import JOURNAL_NAME, MANIFEST_NAME, STORE_NAME
 from repro.raft.cluster import RaftCluster
 from repro.sim.cluster import EdgeCluster, build_cluster
 from repro.sim.runner import (
@@ -777,6 +780,16 @@ def reference_load_archive(path: Path) -> Dict[str, Any]:
         offset = newline + 1
         verdict["length"] = offset
     return verdict
+
+
+def durable_files_only(source: Path, target: Path) -> Path:
+    """Copy what a resume reads — manifest, journal, chain store and cold
+    archive — into ``target``, and nothing else."""
+    target.mkdir()
+    for name in (MANIFEST_NAME, JOURNAL_NAME, STORE_NAME, ARCHIVE_NAME):
+        if (source / name).exists():
+            shutil.copy(source / name, target / name)
+    return target
 
 
 def stored_chain(

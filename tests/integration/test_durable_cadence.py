@@ -1,9 +1,9 @@
 """One cadence for durable runs: a durable run is the plain run plus files.
 
-A durable run journals and snapshots from the ``after_segment`` callback
-of :func:`repro.sim.runner.advance`, never from an event of its own, so
-it processes the same engine events as the plain run of its spec, and
-its snapshots pickle nothing of the persistence layer.  Its segments end
+A durable run journals from the ``after_segment`` callback of
+:func:`repro.sim.runner.advance`, never from an event of its own, so it
+processes the same engine events as the plain run of its spec.  Its
+segments end
 on the multiples of ``journal_every_seconds`` from clock 0, so a run
 paused off that grid journals on it again after the resume.
 """
@@ -20,18 +20,15 @@ import pytest
 from repro import obs
 from repro.core.config import PAPER_CONFIG
 from repro.obs.timeline import TIMELINE_NAME
-from repro.persist import PersistConfig, resume_run, run_persistent, snapshot_paths
+from repro.persist import PersistConfig, resume_run, run_persistent
 from repro.persist.journal import REC_BLOCK, recover_journal
 from repro.persist.resume import JOURNAL_NAME
-from repro.persist.snapshot import load_snapshot
 from repro.sim.runner import ExperimentSpec, advance, build_runtime
 
 pytestmark = pytest.mark.persist
 
 JOURNAL_EVERY = 20.0
-PERSIST = PersistConfig(
-    journal_every_seconds=JOURNAL_EVERY, snapshot_every_seconds=120.0
-)
+PERSIST = PersistConfig(journal_every_seconds=JOURNAL_EVERY)
 
 
 def spec() -> ExperimentSpec:
@@ -88,25 +85,6 @@ class TestDurableIsPlainPlusFiles:
         plain = (tmp_path / "plain" / TIMELINE_NAME).read_bytes()
         assert plain.count(b"\n") > 10
         assert (tmp_path / "durable" / TIMELINE_NAME).read_bytes() == plain
-
-
-class TestNothingOfPersistIsPickled:
-    def test_snapshot_holds_no_persistence_object(self, tmp_path):
-        run_persistent(
-            spec(), tmp_path / "run", persist=PERSIST, stop_after_seconds=250.0
-        )
-        paths = snapshot_paths(tmp_path / "run")
-        assert paths
-        runtime, _ = load_snapshot(paths[-1])
-        assert not hasattr(runtime, "persist_task")
-        owners = [
-            getattr(callback, "__module__", None)
-            or type(getattr(callback, "__self__", callback)).__module__
-            for _, _, event in runtime.engine._queue
-            for callback in (event.callback, *(c for c, _ in event.batch or ()))
-        ]
-        assert owners
-        assert not [owner for owner in owners if owner.startswith("repro.persist")]
 
 
 class TestResumeOffTheGrid:

@@ -7,8 +7,8 @@ The acceptance bar for the federated subsystem:
 * cross-cluster lookups resolve through the fog super-peers, and
   migrated items land on the target cluster's chain with their identity
   (data_id) intact;
-* a killed durable run resumes from its snapshot to exactly the digests
-  of an uninterrupted run;
+* a killed durable run resumes by replay, checked against its digest
+  journal, to exactly the digests of an uninterrupted run;
 * a fully-Byzantine cluster stays contained: sibling clusters' safety
   verdicts come back clean (the blast-radius invariant).
 """
@@ -18,6 +18,7 @@ import json
 import pytest
 
 from repro.chaos import ChaosSpec, run_chaos
+from repro.core.errors import PersistError
 from repro.federation import (
     FederatedChaosSpec,
     FederationSpec,
@@ -25,6 +26,8 @@ from repro.federation import (
     run_federated_chaos,
     run_federation,
 )
+from repro.persist.journal import REC_SEGMENT, JournalRecord, recover_journal
+from repro.persist.resume import JOURNAL_NAME, MANIFEST_NAME
 from repro.sim.runner import ChurnSpec
 from repro.version import package_version
 from tests.helpers import make_config
@@ -133,46 +136,75 @@ class TestCrossClusterTraffic:
         assert shared
 
 
+def assert_same_run(result, reference):
+    for key in ("chain_digests", "directory_digest", "migrations"):
+        assert result.aggregate[key] == reference.aggregate[key], key
+
+
 class TestDurability:
     def test_kill_and_resume_matches_uninterrupted_run(self, tmp_path, small_run):
         spec = small_run.spec
         partial = run_federation(
-            spec,
-            persist_dir=tmp_path,
-            snapshot_every_seconds=60.0,
-            stop_after_seconds=200.0,
+            spec, persist_dir=tmp_path, stop_after_seconds=200.0
         )
         assert not partial.aggregate["finished"]
         # The paused runtime is discarded here — resume must rebuild it
-        # from the snapshot alone, exactly as after a process kill.
-        resumed = resume_federation(tmp_path, snapshot_every_seconds=60.0)
+        # from the manifest and journal alone, exactly as after a kill.
+        resumed = resume_federation(tmp_path)
         assert resumed.aggregate["finished"]
-        assert (
-            resumed.aggregate["chain_digests"]
-            == small_run.aggregate["chain_digests"]
-        )
-        assert (
-            resumed.aggregate["directory_digest"]
-            == small_run.aggregate["directory_digest"]
-        )
-        assert (
-            resumed.aggregate["migrations"] == small_run.aggregate["migrations"]
-        )
+        assert_same_run(resumed, small_run)
 
     def test_resume_stop_after_is_relative_to_the_paused_clock(
         self, tmp_path, small_run
     ):
         run_federation(
-            small_run.spec,
-            persist_dir=tmp_path,
-            snapshot_every_seconds=60.0,
-            stop_after_seconds=120.0,
+            small_run.spec, persist_dir=tmp_path, stop_after_seconds=120.0
         )
-        resumed = resume_federation(
-            tmp_path, snapshot_every_seconds=60.0, stop_after_seconds=60.0
-        )
+        resumed = resume_federation(tmp_path, stop_after_seconds=60.0)
         assert resumed.runtime.engine.now == 180.0
         assert not resumed.aggregate["finished"]
+
+    def test_killed_mid_record_resumes_to_the_uninterrupted_run(
+        self, tmp_path, small_run
+    ):
+        run_federation(small_run.spec, persist_dir=tmp_path, stop_after_seconds=250.0)
+        journal = tmp_path / JOURNAL_NAME
+        lines = journal.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 3  # segment ends at 120, 240 and the pause
+        # The kill: the last record is cut mid-write.
+        journal.write_bytes(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+        resumed = resume_federation(tmp_path)
+        assert resumed.aggregate["finished"]
+        assert_same_run(resumed, small_run)
+        records = recover_journal(journal).records
+        assert not recover_journal(journal).torn_tail_bytes
+        assert [record.clock for record in records] == [120.0, 240.0, 360.0]
+
+    def test_a_flipped_digest_refuses_the_resume(self, tmp_path, small_run):
+        run_federation(small_run.spec, persist_dir=tmp_path, stop_after_seconds=240.0)
+        journal = tmp_path / JOURNAL_NAME
+        records = list(recover_journal(journal).records)
+        first = records[0]
+        digests = list(first.payload["chain_digests"])
+        digests[1] = digests[1][::-1]
+        # Re-framed with a valid CRC: only the replay can catch it.
+        forged = JournalRecord(
+            seq=first.seq,
+            type=REC_SEGMENT,
+            clock=first.clock,
+            payload={**first.payload, "chain_digests": digests},
+        )
+        journal.write_bytes(
+            b"".join(record.encode() for record in [forged, *records[1:]])
+        )
+        with pytest.raises(PersistError, match="diverged from its journal at t=120s"):
+            resume_federation(tmp_path)
+
+    def test_planted_adversaries_cannot_be_persisted(self, tmp_path):
+        spec = fed_spec(node_classes_by_cluster={0: {1: object}})
+        with pytest.raises(PersistError, match="cannot be persisted"):
+            run_federation(spec, persist_dir=tmp_path)
+        assert not (tmp_path / MANIFEST_NAME).exists()
 
 
 class TestBlastRadius:

@@ -1,13 +1,17 @@
-"""Import-graph guard: a run loads neither scipy nor networkx.
+"""Import-graph guards: a run loads neither scipy nor networkx, and no
+module under ``src/`` imports a deserialiser of code.
 
 A count, not a timing: each case starts a fresh interpreter, does one thing
 and reports which of the two heavy libraries ended up in ``sys.modules``.
 scipy may load only inside the two ablation solvers that call it; networkx
-is a test oracle and nothing under ``src/`` may import it.
+is a test oracle and nothing under ``src/`` may import it.  A run directory
+crosses a trust boundary, so what it holds is plain data: a static walk of
+``src/repro`` finds no import of ``pickle``, ``marshal`` or ``shelve``.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -86,3 +90,26 @@ def test_scipy_loads_with_the_first_ablation_solve(solver):
     # The optimum both solvers returned before the import moved.
     assert report["open"] == [0, 2]
     assert report["assignment"] == [0, 2, 2]
+
+
+#: Standard modules that load arbitrary objects (and so code) from bytes.
+_CODE_LOADERS = ("pickle", "marshal", "shelve")
+
+
+def test_no_module_imports_a_code_loader():
+    found = []
+    for path in sorted((_SRC / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(_SRC)}:{node.lineno} imports {name}"
+                for name in names
+                if name.split(".")[0] in _CODE_LOADERS
+            ]
+    assert found == []

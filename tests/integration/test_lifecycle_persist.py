@@ -26,13 +26,11 @@ from repro.persist import (
 from repro.persist.chainstore import ChainStore
 from repro.persist.resume import CHAIN_SUMMARY_NAME, METRICS_NAME, STORE_NAME
 from repro.sim.runner import ExperimentSpec, run_experiment
-from tests.helpers import digest_run, make_cluster, make_config
+from tests.helpers import digest_run, durable_files_only, make_cluster, make_config
 
 pytestmark = pytest.mark.lifecycle
 
-FAST_PERSIST = PersistConfig(
-    journal_every_seconds=20.0, snapshot_every_seconds=120.0
-)
+FAST_PERSIST = PersistConfig(journal_every_seconds=20.0)
 
 #: Lifecycle knobs that prune aggressively at test scale.
 LC = dict(
@@ -151,6 +149,25 @@ class TestPrunedKillAndResume:
             (tmp_path / "part" / CHAIN_SUMMARY_NAME).read_text()
         )
         assert full_summary["tip_hash"] == part_summary["tip_hash"]
+
+    def test_replay_leaves_compacted_blocks_in_the_archive(self, tmp_path):
+        run_persistent(
+            lifecycle_spec(), tmp_path / "run", persist=FAST_PERSIST,
+            stop_after_seconds=500.0,
+        )
+        floor = inspect_run(tmp_path / "run").store_pruned_below
+        assert floor > 0
+        run = durable_files_only(tmp_path / "run", tmp_path / "copy")
+        resumed = resume_run(run, stop_after_seconds=20.0)
+        assert not resumed.completed and resumed.blocks_verified > 0
+        report = inspect_run(run)
+        assert report.ok, report.problems
+        with ChainStore(run / STORE_NAME) as store:
+            assert all(
+                store.block_by_index(index) is None
+                for index in range(report.store_pruned_below)
+            )
+        assert main(["inspect", str(run)]) == 0
 
     def test_kill_mid_compaction_resumes(self, tmp_path):
         """Crash between archive append and store delete: the write-ahead
@@ -277,7 +294,6 @@ class TestLifecycleCLI:
             "--retain", "2",
             "--persist", str(directory),
             "--journal-every", "20",
-            "--snapshot-every", "120",
             *extra,
         ]
 

@@ -19,7 +19,6 @@ from repro.persist import (
     inspect_run,
     resume_run,
     run_persistent,
-    snapshot_paths,
 )
 from repro.persist.chainstore import ChainStore
 from repro.persist.journal import (
@@ -39,14 +38,12 @@ from repro.persist.resume import (
     spec_to_dict,
 )
 from repro.sim.runner import ChurnSpec, ExperimentSpec, run_experiment
-from tests.helpers import stored_chain
+from tests.helpers import durable_files_only, stored_chain
 
 pytestmark = pytest.mark.persist
 
-#: Snappy intervals so short test runs still journal and snapshot.
-FAST_PERSIST = PersistConfig(
-    journal_every_seconds=20.0, snapshot_every_seconds=120.0
-)
+#: A snappy interval so short test runs journal often.
+FAST_PERSIST = PersistConfig(journal_every_seconds=20.0)
 
 
 def small_spec(seed: int = 7, churn: bool = False) -> ExperimentSpec:
@@ -131,14 +128,25 @@ class TestKillAndResume:
         run_persistent(
             spec, tmp_path / "run", persist=FAST_PERSIST, stop_after_seconds=400.0
         )
-        for path in snapshot_paths(tmp_path / "run"):
-            path.unlink()
+        journaled = _journaled_blocks(tmp_path / "run" / JOURNAL_NAME)
         resumed = resume_run(tmp_path / "run")
         assert resumed.completed
-        assert resumed.resumed_from == 0.0
-        # Replayed blocks must hash-match the pre-kill journal.
-        assert resumed.blocks_verified > 0
+        assert resumed.resumed_from == 400.0
+        # Every journaled block was re-mined with the journal's hash.
+        assert resumed.blocks_verified >= len(journaled) > 0
         assert record_text(resumed.metrics, spec.seed) == reference
+
+    def test_stop_after_counts_from_the_resume_point(self, tmp_path):
+        run_persistent(
+            small_spec(), tmp_path / "run", persist=FAST_PERSIST,
+            stop_after_seconds=400.0,
+        )
+        run = durable_files_only(tmp_path / "run", tmp_path / "copy")
+        resumed = resume_run(run, stop_after_seconds=100.0)
+        assert not resumed.completed
+        assert resumed.resumed_from == 400.0 and resumed.clock == 500.0
+        manifest = json.loads((run / MANIFEST_NAME).read_text())
+        assert manifest["paused_at_clock"] == 500.0
 
     def test_resume_with_churn_spec_round_trips(self, tmp_path):
         spec = small_spec(seed=3, churn=True)
@@ -168,6 +176,61 @@ class TestKillAndResume:
         journal.write_bytes(b"".join(lines))
         with pytest.raises(PersistError, match="corrupt"):
             resume_run(tmp_path / "run")
+
+
+class TestManifest:
+    """A run directory's manifest is read at a trust boundary: whatever is
+    wrong with it ends in a :class:`PersistError` (``repro resume`` exit
+    2), never a traceback."""
+
+    @pytest.fixture
+    def paused(self, tmp_path):
+        directory = tmp_path / "run"
+        run_persistent(
+            small_spec(), directory, persist=FAST_PERSIST, stop_after_seconds=60.0
+        )
+        return directory
+
+    def rewrite(self, directory, **changes):
+        path = directory / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        for key, value in changes.items():
+            if isinstance(value, dict) and isinstance(manifest.get(key), dict):
+                manifest[key] = {**manifest[key], **value}
+            else:
+                manifest[key] = value
+        path.write_text(json.dumps(manifest))
+
+    def test_unknown_persist_key_fails_typed(self, paused, capsys):
+        self.rewrite(paused, persist={"snapshot_every_seconds": 600.0})
+        with pytest.raises(PersistError, match="malformed manifest"):
+            resume_run(paused)
+        assert main(["resume", str(paused)]) == 2
+        assert "snapshot_every_seconds" in capsys.readouterr().err
+
+    def test_negative_journal_interval_fails_typed(self, paused):
+        self.rewrite(paused, persist={"journal_every_seconds": -20.0})
+        with pytest.raises(PersistError, match="journal interval must be positive"):
+            resume_run(paused)
+
+    def test_version_1_is_refused_by_its_header(self, paused):
+        self.rewrite(paused, schema_version=1)
+        with pytest.raises(PersistError, match="schema v1"):
+            resume_run(paused)
+        assert not inspect_run(paused).ok
+
+    def test_each_resume_verb_refuses_the_other_kind(self, paused, tmp_path, capsys):
+        assert main(["fed", "resume", str(paused)]) == 2
+        assert "holds a cluster run" in capsys.readouterr().err
+        federated = tmp_path / "fed"
+        assert main([
+            "fed", "run", "--clusters", "2", "--nodes", "3", "--minutes", "4",
+            "--persist", str(federated), "--stop-after", "120",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["resume", str(federated)]) == 2
+        err = capsys.readouterr().err
+        assert "holds a federation run" in err and "repro fed resume" in err
 
 
 #: Runs one durable run and SIGKILLs itself right after its ``kill_at``-th
@@ -297,7 +360,7 @@ class TestInspect:
         assert report.ok
         assert report.status == "complete"
         assert report.journal_height == report.store_height
-        assert report.snapshots
+        assert report.journal_clock == 15 * 60.0
 
     def test_not_a_run_directory(self, tmp_path):
         report = inspect_run(tmp_path)
@@ -368,7 +431,6 @@ class TestCLI:
             "--seed", "7",
             "--persist", str(directory),
             "--journal-every", "20",
-            "--snapshot-every", "120",
             *extra,
         ]
 

@@ -188,7 +188,7 @@ SMALL_RUN = ExperimentSpec(
     config=replace(PAPER_CONFIG, simulation_minutes=10.0, data_items_per_minute=2.0),
     seed=7,
 )
-FAST_PERSIST = PersistConfig(journal_every_seconds=20.0, snapshot_every_seconds=120.0)
+FAST_PERSIST = PersistConfig(journal_every_seconds=20.0)
 
 
 @pytest.fixture(scope="module")

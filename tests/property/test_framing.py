@@ -27,7 +27,6 @@ from repro.lifecycle.framing import _frame, _unframe
 from repro.persist.journal import (
     JOURNAL_FORMAT_VERSION,
     REC_BLOCK,
-    REC_CHECKPOINT,
     JournalRecord,
     RunJournal,
     _decode_line,
@@ -37,6 +36,9 @@ from repro.persist.resume import STORE_NAME
 from tests.helpers import reference_frame, reference_unframe, stored_chain
 
 pytestmark = pytest.mark.fastpath
+
+#: A second journal record type beside blocks; the framing takes any.
+REC_CHECKPOINT = "checkpoint"
 
 #: Bytes that would be the CRC member if a quote inside a string were not
 #: escaped on disk.

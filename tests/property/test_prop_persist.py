@@ -15,9 +15,7 @@ from repro.sim.runner import ExperimentSpec, run_experiment
 
 pytestmark = pytest.mark.persist
 
-FAST_PERSIST = PersistConfig(
-    journal_every_seconds=20.0, snapshot_every_seconds=120.0
-)
+FAST_PERSIST = PersistConfig(journal_every_seconds=20.0)
 
 #: Uninterrupted reference records, cached per seed (runs are pure
 #: functions of the spec, so the cache cannot go stale).

@@ -1,7 +1,6 @@
 """Property-based tests for storage accounting and chain-state invariants."""
 
 import math
-import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -105,7 +104,7 @@ def _slots(storage):
 @st.composite
 def expiry_ops(draw):
     """Stores (an id may come back with another lifetime after a drop),
-    drops, evictions at times that may go back, and pickle round-trips."""
+    drops, and evictions at times that may go back."""
     lifetime = st.sampled_from([0.5, 1.0, 1.0, 2.5, 10.0, math.inf])
     return draw(
         st.lists(
@@ -121,7 +120,6 @@ def expiry_ops(draw):
                     st.just("evict"), st.sampled_from([0.0, 30.0, 60.0, 150.0, 600.0])
                     | st.floats(0, 1_000),
                 ),
-                st.tuples(st.just("pickle")),
             ),
             max_size=60,
         )
@@ -155,28 +153,9 @@ class TestExpiryHeap:
             elif op == "drop":
                 heap.drop_data(f"item-{args[0]}")
                 scan.drop_data(f"item-{args[0]}")
-            elif op == "evict":
-                assert heap.evict_expired(args[0]) == _scan_evict(scan, args[0])
             else:
-                heap = pickle.loads(pickle.dumps(heap))
-                assert heap._expiry is None
+                assert heap.evict_expired(args[0]) == _scan_evict(scan, args[0])
             assert _slots(heap) == _slots(scan)
-
-    def test_pickle_drops_the_heap(self):
-        storage = NodeStorage(capacity=4, recent_cache_capacity=0)
-        storage.store_data(_BASE_ITEM)
-        storage.evict_expired(0.0)
-        assert storage._expiry
-        cold = NodeStorage(capacity=4, recent_cache_capacity=0)
-        cold.store_data(_BASE_ITEM)
-        # The pickle is the one a storage that never evicted makes, so a
-        # snapshot from before the heap loads as any other.
-        assert pickle.dumps(storage) == pickle.dumps(cold)
-        restored = pickle.loads(pickle.dumps(storage))
-        assert restored._expiry is None
-        expires = _BASE_ITEM.expires_at
-        assert restored.evict_expired(expires - 1.0) == []
-        assert restored.evict_expired(expires) == [_BASE_ITEM.data_id]
 
 
 def _mine(chain, accounts, miner):

@@ -20,9 +20,6 @@ asked must read the same in both worlds:
   while other chains move on, same-hash twins that place an item
   elsewhere, and the weak table living exactly as long as the chains
   that retain its prefixes.
-* **Snapshot** — a pickled runtime holds one copy of the ledgers all
-  chains hold (so it cannot grow), and the restored run continues
-  identically.
 * **Lifecycle** — what a chain prunes is its own: chains on one tip with
   different prune floors, and a pruning, churning cluster stepped in
   lock-step with its private-chain twin.
@@ -32,7 +29,6 @@ from __future__ import annotations
 
 import copy
 import gc
-import pickle
 from dataclasses import replace
 from random import Random
 from unittest import mock
@@ -467,28 +463,6 @@ class TestAliasing:
             assert bound is None or chains[0].first_retained_index > 0
             del chains, chain, block
             assert entries() == []
-
-
-class TestSnapshotOfSharedState:
-    def test_snapshot_holds_one_copy_and_resumes_identically(self):
-        """Pickle keeps identity: ledgers n chains hold are written once."""
-        spec = ExperimentSpec(
-            node_count=12, config=make_config(), seed=5, duration_minutes=4.0
-        )
-        shared = build_runtime(spec)
-        shared.engine.run_until(150.0)
-        with private_chains():
-            private = build_runtime(spec)
-            private.engine.run_until(150.0)
-        blob = pickle.dumps(shared, protocol=pickle.HIGHEST_PROTOCOL)
-        assert len(blob) < len(pickle.dumps(private, protocol=pickle.HIGHEST_PROTOCOL))
-        restored = pickle.loads(blob)
-        shared.engine.run_until(spec.duration_seconds)
-        restored.engine.run_until(spec.duration_seconds)
-        for node_id, node in shared.cluster.nodes.items():
-            twin = restored.cluster.nodes[node_id]
-            assert node.chain.chain_digest() == twin.chain.chain_digest()
-        assert shared.cluster.longest_chain_node().chain.height >= 5
 
 
 class TestLifecycleOnSharedState:

@@ -1,7 +1,6 @@
 """Unit tests for the allocation engine and recent-block selection."""
 
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from repro.core.allocation import AllocationEngine
 from repro.core.config import SystemConfig
 from repro.core.errors import AllocationError
 from repro.core.recent_blocks import recent_block_coverage, select_recent_cache_nodes
-from repro.simnet.topology import Topology, connected_random_positions
 
 
 @pytest.fixture
@@ -119,42 +117,6 @@ class TestPlaceItem:
             engine = AllocationEngine(config, rng=np.random.default_rng(2))
             decision = engine.place_item(*state)
             assert decision.replica_count == len(decision.storing_nodes)
-
-
-class TestSnapshotPickle:
-    def test_solver_caches_stay_out_of_the_pickle(self, engine, state):
-        # Snapshots pickle the whole runtime: the solver's per-epoch
-        # arrays (3 x n^2 x 8 B), the allocator's RDC matrix with the hop
-        # matrix and ranges it was built from, and the topology's hop
-        # matrix and route trees must not ride along.
-        cold = pickle.dumps(AllocationEngine(SystemConfig(), rng=np.random.default_rng(0)))
-        engine.place_item(*state)
-        assert engine._solver._order2d.size  # caches are warm
-        assert engine._epoch[2].size
-        warm = pickle.dumps(engine)
-        assert len(warm) == len(cold)
-
-        rng = np.random.default_rng(400)
-        topology = Topology(connected_random_positions(400, rng))
-        cold = pickle.dumps(topology)
-        for _ in range(200):
-            topology.shortest_path(*map(int, rng.integers(0, 400, size=2)))
-        assert topology._hop_cache is not None and topology._trees  # warm
-        assert len(pickle.dumps(topology)) == len(cold)
-        restored = pickle.loads(pickle.dumps(topology))
-        assert (restored.hop_matrix() == topology.hop_matrix()).all()
-        assert restored.shortest_path(0, 399) == topology.shortest_path(0, 399)
-
-    def test_round_trip_solves_identically(self, engine, state):
-        used, total, hops, ranges = state
-        engine.place_item(*state)
-        restored = pickle.loads(pickle.dumps(engine))
-        for bump in range(3):
-            used = list(used)
-            used[bump] += 7.0
-            expected = engine.place_item(used, total, hops, ranges)
-            assert restored.place_item(used, total, hops, ranges) == expected
-        assert vars(restored._solver)["rounds"] == engine._solver.rounds > 0
 
 
 class TestRecentCacheSelection:

@@ -13,9 +13,9 @@ Commands:
   retention horizon into the cold archive, then VACUUM the hot store.
 * ``archive inspect`` / ``archive fetch`` — verify and read the cold
   archive tier (``archive.jsonl``) a compaction leaves behind.
-* ``fig4`` / ``fig5`` / ``fig6`` — regenerate a paper figure from the
-  terminal.  The figure loops live in :mod:`repro.sim.scenarios`; the
-  benchmarks call the same functions under pytest.
+* ``reproduce`` — run the paper's Section VI (Fig. 4/5/6) once at 500
+  minutes through :func:`repro.sim.scenarios.reproduce`, print the
+  tables and every claim, and exit 1 when a claim fails.
 * ``live run`` — the same protocol over real TCP sockets on localhost:
   N nodes as asyncio tasks (or ``--procs`` subprocesses), the seeded
   workload, and the same metrics/obs artefacts as ``run``.
@@ -53,6 +53,7 @@ import contextlib
 import json
 import os
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence
@@ -71,13 +72,7 @@ from repro.persist import (
     run_persistent,
 )
 from repro.sim.runner import ExperimentSpec, run_experiment
-from repro.sim.scenarios import (
-    fig4_grid,
-    fig5_grid,
-    mining_session,
-    run_grid,
-    session_at,
-)
+from repro.sim.scenarios import reproduce
 from repro.version import package_version
 
 
@@ -104,12 +99,6 @@ def _write(document, path: Optional[str]) -> None:
     """Write ``document`` as JSON to ``path`` (when given) and say so."""
     if path:
         print(f"wrote {write_json(document, path)}")
-
-
-def _export(records, json_path: Optional[str], csv_path: Optional[str]) -> None:
-    _write(records, json_path)
-    if csv_path:
-        print(f"wrote {write_csv(records, csv_path)}")
 
 
 @contextlib.contextmanager
@@ -277,7 +266,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         record = metrics_to_record(
             result.metrics, seed=args.seed, rate=args.rate, solver=args.solver
         )
-        _export([record], args.json, args.csv)
+        _write([record], args.json)
+        if args.csv:
+            print(f"wrote {write_csv([record], args.csv)}")
         return 0
 
 
@@ -464,89 +455,53 @@ def cmd_archive_fetch(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fig4(args: argparse.Namespace) -> int:
-    records = []
-    rows = []
-    with _user_input():
-        specs = fig4_grid(args.node_counts, args.rates, seeds=[args.seed])
-    for (nodes, rate), (metrics,) in run_grid(specs).items():
-        records.append(metrics_to_record(metrics, rate=rate, seed=args.seed))
-        rows.append(
-            [
-                nodes,
-                rate,
-                round(metrics.average_node_megabytes(), 1),
-                round(metrics.storage_gini(), 4),
-                round(metrics.average_delivery_time(), 3),
-            ]
-        )
-    print()
-    print(
-        render_table(
-            "Fig. 4 — transmission / Gini / delivery under data amounts",
-            ["nodes", "items/min", "MB/node", "Gini", "delivery (s)"],
-            rows,
-        )
-    )
-    _export(records, args.json, args.csv)
-    return 0
-
-
-def cmd_fig5(args: argparse.Namespace) -> int:
-    with _user_input():
-        specs = fig5_grid(args.node_counts, seeds=[args.seed])
-    grid = run_grid(specs)
-    records = [
-        metrics_to_record(metrics, solver=solver, seed=args.seed)
-        for (solver, _), (metrics,) in grid.items()
+def cmd_reproduce(args: argparse.Namespace) -> int:
+    start = time.perf_counter()
+    record = reproduce()
+    fig4 = [
+        [cell["nodes"], cell["rate"], round(cell["avg_node_mb"], 1),
+         round(cell["gini"], 4), round(cell["delivery"], 3),
+         f"{cell['failed']}/{cell['served']}", round(cell["height"], 1)]
+        for cell in record["fig4"]
     ]
-    rows = []
-    for nodes in args.node_counts:
-        greedy, random_ = grid[("greedy", nodes)][0], grid[("random", nodes)][0]
-        rows.append(
-            [
-                nodes,
-                round(greedy.average_delivery_time(), 3),
-                round(random_.average_delivery_time(), 3),
-                round(greedy.average_node_megabytes(), 1),
-                round(random_.average_node_megabytes(), 1),
-            ]
-        )
-    print()
+    arms = {(cell["solver"], cell["nodes"]): cell for cell in record["fig5"]}
+    fig5 = [
+        [nodes, round(optimal["delivery"], 3), round(arms[("random", nodes)]["delivery"], 3),
+         round(optimal["avg_node_mb"], 1), round(arms[("random", nodes)]["avg_node_mb"], 1)]
+        for (solver, nodes), optimal in arms.items()
+        if solver == "greedy"
+    ]
+    claims = record["claims"]
+    tables = [
+        (f"Fig. 4 — transmission / Gini / delivery, {record['minutes']:g} min, "
+         "mean of 2 seeds",
+         ["nodes", "items/min", "MB/node", "Gini", "delivery (s)", "failed/served", "blocks"],
+         fig4),
+        ("Fig. 5 — optimal vs random placement, 1 item/min",
+         ["nodes", "opt delivery", "rand delivery", "opt MB/node", "rand MB/node"],
+         fig5),
+        ("Fig. 6 — battery vs mining time (PoW difficulty 4, seed 0)",
+         ["minutes", "PoW blocks", "PoW battery %", "PoS blocks", "PoS battery %"],
+         record["fig6"]["rows"]),
+        ("Paper claims",
+         ["claim", "bound", "measured", "at", "holds"],
+         [[c["claim"], c["bound"], c["measured"], c["at"], c["holds"]] for c in claims]),
+    ]
+    for title, headers, rows in tables:
+        print()
+        print(render_table(title, headers, rows))
+    heaviest = max(cell["avg_node_mb"] for cell in record["fig4"])
+    failed = sum(not claim["holds"] for claim in claims)
     print(
-        render_table(
-            "Fig. 5 — optimal vs random placement",
-            ["nodes", "opt delivery", "rand delivery", "opt MB/node", "rand MB/node"],
-            rows,
-        )
+        f"\npaper: a node transmits 'a maximum about 120 MB'; measured up to "
+        f"{heaviest:.0f} MB. Not reproduced (EXPERIMENTS.md deviation 2), not gated."
     )
-    _export(records, args.json, args.csv)
-    return 0
-
-
-def cmd_fig6(args: argparse.Namespace) -> int:
-    from repro.core.pow import PowMiner
-    from repro.energy.meter import EnergyMeter
-
-    # The PoW miner owns the difficulty check; build one before any mining.
-    with _user_input():
-        difficulty = PowMiner(EnergyMeter(), difficulty=args.difficulty).difficulty
-    pow_series = mining_session("pow", args.minutes, args.seed, difficulty)
-    pos_series = mining_session("pos", args.minutes, args.seed)
-    rows = []
-    for checkpoint in range(12, args.minutes + 1, 12):
-        pow_blocks, _, pow_battery = session_at(pow_series, checkpoint)
-        pos_blocks, _, pos_battery = session_at(pos_series, checkpoint)
-        rows.append([checkpoint, pow_blocks, pow_battery, pos_blocks, pos_battery])
-    print()
     print(
-        render_table(
-            f"Fig. 6 — battery vs mining time (PoW difficulty {args.difficulty})",
-            ["minutes", "PoW blocks", "PoW battery %", "PoS blocks", "PoS battery %"],
-            rows,
-        )
+        f"{len(claims) - failed}/{len(claims)} claims hold "
+        f"({time.perf_counter() - start:.1f} s)"
     )
-    return 0
+    _write(record, args.json)
+    return 1 if failed else 0
 
 
 def _kill_spec(args: argparse.Namespace):
@@ -1485,20 +1440,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     archive_fetch.set_defaults(func=cmd_archive_fetch)
 
-    fig4 = sub.add_parser("fig4", help="regenerate Fig. 4 (data-amount sweep)")
-    fig4.add_argument("--node-counts", type=int, nargs="+", default=[10, 30, 50])
-    fig4.add_argument("--rates", type=float, nargs="+", default=[1.0, 3.0])
-    fig4.add_argument("--seed", type=int, default=0)
-    fig4.add_argument("--json")
-    fig4.add_argument("--csv")
-    fig4.set_defaults(func=cmd_fig4)
-
-    fig5 = sub.add_parser("fig5", help="regenerate Fig. 5 (placement comparison)")
-    fig5.add_argument("--node-counts", type=int, nargs="+", default=[10, 30, 50])
-    fig5.add_argument("--seed", type=int, default=0)
-    fig5.add_argument("--json")
-    fig5.add_argument("--csv")
-    fig5.set_defaults(func=cmd_fig5)
+    reproduce_verb = sub.add_parser(
+        "reproduce",
+        help="run the paper's Fig. 4/5/6 at 500 minutes; exit 1 when a claim fails",
+    )
+    reproduce_verb.add_argument(
+        "--json", metavar="PATH", help="also write the record (cells and claims) as JSON"
+    )
+    reproduce_verb.set_defaults(func=cmd_reproduce)
 
     live = sub.add_parser(
         "live", help="run the protocol over real TCP sockets on localhost"
@@ -1755,12 +1704,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", metavar="PATH", help="also write the comparison as JSON"
     )
     compare.set_defaults(func=cmd_compare)
-
-    fig6 = sub.add_parser("fig6", help="regenerate Fig. 6 (PoW vs PoS battery)")
-    fig6.add_argument("--minutes", type=int, default=84)
-    fig6.add_argument("--difficulty", type=int, default=4)
-    fig6.add_argument("--seed", type=int, default=0)
-    fig6.set_defaults(func=cmd_fig6)
 
     return parser
 

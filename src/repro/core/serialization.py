@@ -9,10 +9,6 @@ decode, so a deserialised block still validates).
 * :func:`block_to_dict` / :func:`block_from_dict`
 * :func:`chain_to_json` / :func:`chain_from_json` — whole-chain transfer
   (the ChainResponse payload of Section IV-D's new-node sync).
-* :func:`storage_to_dict` / :func:`storage_from_dict` — a node's full
-  local storage (data-slot FIFO order and per-item ``has_payload`` flags,
-  block assignments, the recent-block FIFO cache, the mandatory last
-  block).
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ from typing import Any, Dict, List, Sequence
 from repro.core.block import Block
 from repro.core.errors import SerializationError, ValidationError
 from repro.core.metadata import MetadataItem
-from repro.core.storage import NodeStorage, StoredData
 
 #: Format tag embedded in every serialised object, bumped on breaking
 #: changes so peers can reject incompatible encodings.
@@ -209,77 +204,3 @@ def chain_from_json(text: str, verify_hashes: bool = True) -> List[Block]:
             )
     return blocks
 
-
-def stored_data_to_dict(entry: StoredData) -> Dict[str, Any]:
-    """Encode one stored data slot, including its payload-received flag."""
-    return {
-        "v": WIRE_FORMAT_VERSION,
-        "metadata": metadata_to_dict(entry.metadata),
-        "has_payload": bool(entry.has_payload),
-    }
-
-
-def stored_data_from_dict(payload: Dict[str, Any]) -> StoredData:
-    if _require(payload, "v") != WIRE_FORMAT_VERSION:
-        raise ValidationError(
-            f"unsupported stored-data wire format {payload.get('v')!r}"
-        )
-    return StoredData(
-        metadata=metadata_from_dict(_require(payload, "metadata")),
-        has_payload=bool(_require(payload, "has_payload")),
-    )
-
-
-def storage_to_dict(storage: NodeStorage) -> Dict[str, Any]:
-    """Encode a node's full local storage.
-
-    Order matters and is preserved: data slots serialise in insertion
-    order (expiry eviction scans in that order) and the recent-block
-    cache serialises oldest-first so FIFO replacement resumes exactly
-    where it left off.
-    """
-    last = storage.last_block
-    return {
-        "v": WIRE_FORMAT_VERSION,
-        "capacity": storage.capacity,
-        "recent_cache_capacity": storage.recent_cache_capacity,
-        "rejected_for_capacity": storage.rejected_for_capacity,
-        "data": [stored_data_to_dict(entry) for entry in storage.data_entries()],
-        "blocks": [block_to_dict(block) for block in storage.assigned_blocks()],
-        "recent": [block_to_dict(block) for block in storage.recent_blocks()],
-        "last_block": None if last is None else block_to_dict(last),
-        "pruned_block_slots": storage.pruned_block_slots,
-    }
-
-
-def storage_from_dict(
-    payload: Dict[str, Any], verify_hashes: bool = True
-) -> NodeStorage:
-    """Decode a node's local storage; raises ValidationError when malformed."""
-    if _require(payload, "v") != WIRE_FORMAT_VERSION:
-        raise ValidationError(
-            f"unsupported storage wire format {payload.get('v')!r}"
-        )
-    try:
-        storage = NodeStorage(
-            capacity=int(_require(payload, "capacity")),
-            recent_cache_capacity=int(_require(payload, "recent_cache_capacity")),
-        )
-    except (TypeError, ValueError) as error:
-        raise ValidationError(f"malformed storage payload: {error}") from error
-    last = _require(payload, "last_block")
-    if last is not None:
-        storage.set_last_block(block_from_dict(last, verify_hash=verify_hashes))
-    for entry_payload in _require(payload, "data"):
-        entry = stored_data_from_dict(entry_payload)
-        storage.store_data(entry.metadata, has_payload=entry.has_payload)
-    for block_payload in _require(payload, "blocks"):
-        storage.store_block(block_from_dict(block_payload, verify_hash=verify_hashes))
-    for block_payload in _require(payload, "recent"):
-        storage.cache_recent_block(
-            block_from_dict(block_payload, verify_hash=verify_hashes)
-        )
-    storage.rejected_for_capacity = int(_require(payload, "rejected_for_capacity"))
-    # Optional for wire compatibility with pre-lifecycle encoders.
-    storage._pruned_block_slots = int(payload.get("pruned_block_slots", 0))
-    return storage

@@ -1,6 +1,6 @@
 """Metrics: Gini fairness, summary statistics, run-level collection, tables."""
 
-from repro.metrics.ascii_plot import bar_chart, series_plot, sparkline
+from repro.metrics.ascii_plot import bar_chart, sparkline
 from repro.metrics.collector import RunMetrics, collect_run_metrics
 from repro.metrics.export import metrics_to_record, write_csv
 from repro.metrics.gini import gini_coefficient, gini_pairwise, jain_index
@@ -13,7 +13,6 @@ __all__ = [
     "jain_index",
     "sparkline",
     "bar_chart",
-    "series_plot",
     "metrics_to_record",
     "write_csv",
     "Summary",

@@ -1,8 +1,7 @@
 """Terminal-friendly plots: horizontal bars and sparklines.
 
-The benches print figure *data* as tables; these helpers add a visual cue
-in the same terminal output (e.g. the Fig. 6 battery curves) without any
-plotting dependency.
+Verbs print figure *data* as tables; these helpers add a visual cue in
+the same terminal output without any plotting dependency.
 """
 
 from __future__ import annotations
@@ -67,21 +66,3 @@ def bar_chart(
         lines.append(f"{str(label).rjust(label_width)} | {bar.ljust(width)} {shown}")
     return "\n".join(lines)
 
-
-def series_plot(
-    x_labels: Sequence[object],
-    series: Sequence[Sequence[float]],
-    names: Sequence[str],
-) -> str:
-    """Sparklines for several aligned series with a shared x caption."""
-    if len(series) != len(names):
-        raise ValueError("one name per series required")
-    name_width = max((len(n) for n in names), default=0)
-    lines = [
-        f"{name.rjust(name_width)}  {sparkline(values)}  "
-        f"[{values[0]:.4g} → {values[-1]:.4g}]"
-        for name, values in zip(names, series)
-        if len(values) > 0
-    ]
-    caption = f"{' ' * name_width}  x: {x_labels[0]} … {x_labels[-1]}" if len(x_labels) else ""
-    return "\n".join(lines + ([caption] if caption else []))

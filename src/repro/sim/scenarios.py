@@ -1,31 +1,25 @@
-"""The paper's figures: named scenario builders and the loops that run them.
+"""The paper's figures: named scenario builders and the one run of them.
 
 Each ``*_scenario`` function returns the
-:class:`~repro.sim.runner.ExperimentSpec` for one figure cell (see
-DESIGN.md §4), so the exact parameters of each reproduced experiment live
-in one place.  The figure loops live here too, written once for every
-caller — the ``repro fig4|fig5|fig6`` verbs and the ``benchmarks/``
-suite:
+:class:`~repro.sim.runner.ExperimentSpec` for one cell (see DESIGN.md
+§4), so the exact parameters of each reproduced experiment live in one
+place.  A figure cell (:func:`data_amount_scenario`,
+:func:`placement_scenario`) always runs the paper's 500 minutes; the
+ablation scenarios default to :data:`BENCH_DURATION_MINUTES`.
 
-* :func:`fig4_grid` / :func:`fig5_grid` — the Section VI-A/B sweeps,
-  cell → per-seed spec; :func:`run_grid` turns them into per-seed
-  :class:`~repro.metrics.collector.RunMetrics`, and :func:`cell_average`
-  into the per-cell mean the paper plots;
-* :func:`mining_session` — one Fig. 6 PoW or PoS battery series,
-  :func:`session_at`, its reading at a time mark, and
-  :func:`pos_energy_saving`, the per-block saving it headlines.
-
-The default sweep durations are shorter than the paper's 500 minutes so a
-full benchmark suite completes in CI time; pass ``full_scale=True`` to use
-the paper's durations.  Shape conclusions (who wins, by what factor) are
-duration-stable — the scale tests in ``tests/integration`` check that.
+:func:`reproduce` runs Section VI once at the paper's settings — the
+Fig. 4 and Fig. 5 sweeps (:func:`fig4_grid`, :func:`fig5_grid`) over two
+seeds, the Fig. 6 battery sessions (:func:`mining_session`) and the
+energy headline (:func:`pos_energy_saving`) — and returns one plain-data
+record whose ``claims`` (:func:`paper_claims`) hold or fail.  ``repro
+reproduce`` prints it and exits non-zero when a claim fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import partial
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Tuple, TypeVar
+from operator import itemgetter
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +27,6 @@ from repro.core.config import PAPER_CONFIG, SystemConfig
 from repro.core.pos import compute_amendment, compute_hit, mining_delay
 from repro.core.pow import PAPER_POW_DIFFICULTY, PowMiner
 from repro.energy.meter import EnergyMeter
-from repro.metrics.collector import RunMetrics
 from repro.sim.runner import ChurnSpec, ExperimentSpec, run_experiment
 
 #: Node counts of the Fig. 4 / Fig. 5 sweeps.
@@ -49,52 +42,45 @@ PLACEMENT_ARMS: Tuple[str, ...] = ("greedy", "random")
 #: Seeds averaged per cell ("All results are the average of 2 simulations").
 PAPER_SEED_COUNT = 2
 
-#: Bench-scale run length in minutes (paper: 500).
+#: Run length in minutes of the ablation scenarios (figure cells run the
+#: paper's 500).
 BENCH_DURATION_MINUTES = 60.0
 
 #: Fig. 6 block time in seconds, PoW and PoS alike (paper Section VI-C).
 FIG6_BLOCK_TIME = 25.0
+
+#: Fig. 6 session length in minutes (the paper's handset run).
+FIG6_MINUTES = 84.0
 
 
 def data_amount_scenario(
     node_count: int,
     items_per_minute: float,
     seed: int = 0,
-    full_scale: bool = False,
     base_config: SystemConfig = PAPER_CONFIG,
 ) -> ExperimentSpec:
     """One cell of the Fig. 4 sweep (node count × data rate)."""
     config = replace(base_config, data_items_per_minute=items_per_minute)
-    return ExperimentSpec(
-        node_count=node_count,
-        config=config,
-        seed=seed,
-        duration_minutes=None if full_scale else BENCH_DURATION_MINUTES,
-    )
+    return ExperimentSpec(node_count=node_count, config=config, seed=seed)
 
 
 def placement_scenario(
     node_count: int,
     solver: str,
     seed: int = 0,
-    full_scale: bool = False,
     base_config: SystemConfig = PAPER_CONFIG,
 ) -> ExperimentSpec:
     """One arm of the Fig. 5 comparison (optimal vs random store).
 
     Fig. 5 fixes the data rate at 1 item/minute and varies the node count;
     ``solver`` is ``"greedy"`` for the paper's optimal placement and
-    ``"random"`` for the replica-matched naive baseline.
+    ``"random"`` for the replica-matched naive baseline.  The optimal arm
+    is the same spec as ``data_amount_scenario(node_count, 1.0)``.
     """
     config = replace(
         base_config, data_items_per_minute=1.0, placement_solver=solver
     )
-    return ExperimentSpec(
-        node_count=node_count,
-        config=config,
-        seed=seed,
-        duration_minutes=None if full_scale else BENCH_DURATION_MINUTES,
-    )
+    return ExperimentSpec(node_count=node_count, config=config, seed=seed)
 
 
 def churn_scenario(
@@ -170,74 +156,71 @@ def fdc_weight_scenario(
 # -- Fig. 4 / Fig. 5 sweeps ---------------------------------------------------------
 
 
-Cell = TypeVar("Cell", bound=Hashable)
+def fig4_grid() -> Dict[Tuple[int, float], List[ExperimentSpec]]:
+    """The Fig. 4 sweep: ``(node count, rate)`` → one spec per seed.
 
-
-def _grid(
-    cells: Mapping[Cell, Callable[..., ExperimentSpec]], seeds: Iterable[int]
-) -> Dict[Cell, List[ExperimentSpec]]:
-    seeds = tuple(seeds)
-    return {key: [build(seed=seed) for seed in seeds] for key, build in cells.items()}
-
-
-def run_grid(grid: Mapping[Cell, List[ExperimentSpec]]) -> Dict[Cell, List[RunMetrics]]:
-    """Run every spec of a figure sweep: cell → one metrics per seed."""
+    Cells come node-count-major.
+    """
     return {
-        key: [run_experiment(spec).metrics for spec in specs]
-        for key, specs in grid.items()
+        (nodes, rate): [
+            data_amount_scenario(nodes, rate, seed=seed)
+            for seed in range(PAPER_SEED_COUNT)
+        ]
+        for nodes in PAPER_NODE_COUNTS
+        for rate in PAPER_DATA_RATES
     }
 
 
-def fig4_grid(
-    node_counts: Iterable[int] = PAPER_NODE_COUNTS,
-    rates: Iterable[float] = PAPER_DATA_RATES,
-    seeds: Iterable[int] = range(PAPER_SEED_COUNT),
-) -> Dict[Tuple[int, float], List[ExperimentSpec]]:
-    """The Fig. 4 sweep: ``(node count, rate)`` → one spec per seed.
-
-    Cells come node-count-major, in argument order.
-    """
-    rates = tuple(rates)
-    return _grid(
-        {
-            (nodes, rate): partial(data_amount_scenario, nodes, rate)
-            for nodes in node_counts
-            for rate in rates
-        },
-        seeds,
-    )
-
-
-def fig5_grid(
-    node_counts: Iterable[int] = PAPER_NODE_COUNTS,
-    seeds: Iterable[int] = range(PAPER_SEED_COUNT),
-) -> Dict[Tuple[str, int], List[ExperimentSpec]]:
+def fig5_grid() -> Dict[Tuple[str, int], List[ExperimentSpec]]:
     """The Fig. 5 sweep: ``(solver, node count)`` → one spec per seed.
 
     Cells come node-count-major, each count's :data:`PLACEMENT_ARMS` in
     order.
     """
-    return _grid(
-        {
-            (solver, nodes): partial(placement_scenario, nodes, solver)
-            for nodes in node_counts
-            for solver in PLACEMENT_ARMS
-        },
-        seeds,
-    )
-
-
-def cell_average(metrics_list: List[RunMetrics]) -> Dict[str, float]:
-    """Average the headline scalars over the repeated runs of one cell."""
-    count = len(metrics_list)
     return {
-        "avg_node_mb": sum(m.average_node_megabytes() for m in metrics_list) / count,
-        "gini": sum(m.storage_gini() for m in metrics_list) / count,
-        "delivery": sum(m.average_delivery_time() for m in metrics_list) / count,
-        "failed": sum(m.failed_requests for m in metrics_list),
-        "served": sum(len(m.delivery_times) for m in metrics_list),
-        "height": sum(m.chain_height() for m in metrics_list) / count,
-        "interval": sum(m.mean_block_interval() for m in metrics_list) / count,
+        (solver, nodes): [
+            placement_scenario(nodes, solver, seed=seed)
+            for seed in range(PAPER_SEED_COUNT)
+        ]
+        for nodes in PAPER_NODE_COUNTS
+        for solver in PLACEMENT_ARMS
+    }
+
+
+def run_cell(spec: ExperimentSpec) -> Dict[str, float]:
+    """Run one figure cell at one seed and keep what its claims read."""
+    result = run_experiment(spec)
+    metrics = result.metrics
+    return {
+        "seed": spec.seed,
+        "avg_node_mb": float(metrics.average_node_megabytes()),
+        "gini": float(metrics.storage_gini()),
+        "delivery": float(metrics.average_delivery_time()),
+        "p95_delivery": float(metrics.delivery_summary().p95),
+        "failed": int(metrics.failed_requests),
+        "served": len(metrics.delivery_times),
+        "height": metrics.chain_height(),
+        "interval": float(metrics.mean_block_interval()),
+        # Fullest node's used share of its slots; over 1 breaches capacity.
+        "storage_fill": max(
+            node.storage.used_slots() / node.storage.capacity
+            for node in result.cluster.nodes.values()
+        ),
+    }
+
+
+def cell_average(runs: List[Dict[str, float]]) -> Dict[str, float]:
+    """One cell's per-seed runs as the paper plots them: scalars averaged,
+    failed and served requests summed."""
+    count = len(runs)
+    average = {
+        key: sum(run[key] for run in runs) / count
+        for key in ("avg_node_mb", "gini", "delivery", "height", "interval")
+    }
+    return {
+        **average,
+        "failed": sum(run["failed"] for run in runs),
+        "served": sum(run["served"] for run in runs),
     }
 
 
@@ -245,24 +228,21 @@ def cell_average(metrics_list: List[RunMetrics]) -> Dict[str, float]:
 
 
 def mining_session(
-    consensus: str,
-    minutes: float,
-    seed: int = 0,
-    difficulty: int = PAPER_POW_DIFFICULTY,
+    consensus: str, minutes: float, seed: int = 0
 ) -> List[Tuple[int, float, float]]:
     """One Fig. 6 session on a fully charged handset.
 
-    ``consensus`` is ``"pow"`` (a sampled difficulty-``difficulty`` miner
-    drawing from ``default_rng(seed)``) or ``"pos"`` (a lone staker's
-    lottery tuned to the same :data:`FIG6_BLOCK_TIME`, its hash chain
-    seeded by ``seed``).  Blocks are mined until ``minutes`` have elapsed
-    or the battery is flat; the series holds ``(blocks mined, elapsed
-    seconds, remaining battery %)`` after each block.
+    ``consensus`` is ``"pow"`` (a sampled difficulty-4 miner drawing from
+    ``default_rng(seed)``) or ``"pos"`` (a lone staker's lottery tuned to
+    the same :data:`FIG6_BLOCK_TIME`, its hash chain seeded by ``seed``).
+    Blocks are mined until ``minutes`` have elapsed or the battery is
+    flat; the series holds ``(blocks mined, elapsed seconds, remaining
+    battery %)`` after each block.
     """
     meter = EnergyMeter()
     if consensus == "pow":
         rng = np.random.default_rng(seed)
-        miner = PowMiner(meter, difficulty=difficulty)
+        miner = PowMiner(meter, difficulty=PAPER_POW_DIFFICULTY)
 
         def mine() -> float:
             return miner.mine_block(rng).duration_seconds
@@ -314,3 +294,170 @@ def pos_energy_saving(seed: int, blocks: int = 100) -> float:
     pos_meter = EnergyMeter()
     pos_meter.charge_pos_ticks(blocks * FIG6_BLOCK_TIME)
     return 100.0 * (1.0 - pos_meter.total_consumed() / pow_meter.total_consumed())
+
+
+# -- Section VI, once, at the paper's settings ---------------------------------------
+
+#: Fig. 4(a)'s per-node traffic bound: 400 MB per 60 minutes, scaled to
+#: the paper's run length.  It bounds the reproduction, not the paper's
+#: "about 120 MB", which EXPERIMENTS.md deviation 2 explains.
+MB_PER_NODE_BOUND = 400.0 / 60.0 * PAPER_CONFIG.simulation_minutes
+
+Claim = Dict[str, object]
+
+
+def _claim(
+    claim: str,
+    bound: str,
+    checks: Sequence[Tuple[str, float, bool]],
+    worst: Callable = max,
+) -> Claim:
+    """One claim over ``(where, measured, holds)`` checks.
+
+    It holds when every check does.  ``measured`` is the worst failing
+    check's value, or the worst value when none fails (``worst`` is
+    :func:`max` for an upper bound, :func:`min` for a lower one).
+    """
+    at, measured, _ = worst(
+        [check for check in checks if not check[2]] or checks, key=itemgetter(1)
+    )
+    holds = all(check[2] for check in checks)
+    return {"claim": claim, "bound": bound, "measured": measured, "at": at, "holds": holds}
+
+
+def _every(claim, bound, items, ok: Callable[[float], bool], worst=max) -> Claim:
+    """:func:`_claim` over ``(where, value)`` items, each checked by ``ok``."""
+    return _claim(claim, bound, [(at, value, ok(value)) for at, value in items], worst)
+
+
+def paper_claims(record: Dict[str, object]) -> List[Claim]:
+    """The paper's Section VI claims, checked on :func:`reproduce`'s cells.
+
+    Fig. 4 and Fig. 5 bounds apply to each cell's two-seed mean, the run
+    anchors (p95 delivery, blocks, storage) to every seeded run.
+    """
+    fig4, fig6 = record["fig4"], record["fig6"]
+
+    def at(cell) -> str:
+        return f"n={cell['nodes']}, {cell['rate']:g} item/min"
+
+    def cells(key: str):
+        return [(at(cell), cell[key]) for cell in fig4]
+
+    def runs(key: str):
+        return [
+            (f"{at(cell)}, seed {run['seed']}", run[key])
+            for cell in fig4
+            for run in cell["runs"]
+        ]
+
+    column = {(cell["nodes"], cell["rate"]): cell["avg_node_mb"] for cell in fig4}
+    arms = {(cell["solver"], cell["nodes"]): cell for cell in record["fig5"]}
+    pairs = [(arms[("greedy", n)], arms[("random", n)]) for n in PAPER_NODE_COUNTS]
+
+    def mean_ratio(key: str) -> float:
+        return sum(o[key] for o, _ in pairs) / sum(r[key] for _, r in pairs)
+
+    def growth(rate: float) -> float:
+        return column[(PAPER_NODE_COUNTS[-1], rate)] / column[(PAPER_NODE_COUNTS[0], rate)]
+
+    saving = 100.0 * (1.0 - mean_ratio("delivery"))
+    return [
+        _every("Fig. 4(a) MB per node under 400 MB per 60 min", f"< {MB_PER_NODE_BOUND:.0f}",
+               cells("avg_node_mb"), lambda v: v < MB_PER_NODE_BOUND),
+        _every("Fig. 4(a) every cell moves data", "> 0 MB",
+               cells("avg_node_mb"), lambda v: v > 0, worst=min),
+        *(
+            _every(f"Fig. 4(a) n=50 / n=10 MB per node at {rate:g} item/min", "< 2",
+                   [(f"{rate:g} item/min", growth(rate))], lambda v: v < 2.0)
+            for rate in PAPER_DATA_RATES
+        ),
+        _every("Fig. 4(b) storage Gini < 0.15 in every cell", "0 <= x < 0.15",
+               cells("gini"), lambda v: 0.0 <= v < 0.15),
+        _every("Fig. 4(c) mean delivery < 4 s in every cell", "0 <= x < 4",
+               cells("delivery"), lambda v: 0.0 <= v < 4.0),
+        _claim("Fig. 4 failed requests per cell", "<= max(1, 1 % of served)",
+               [(at(c), c["failed"], c["failed"] <= max(1, 0.01 * c["served"])) for c in fig4]),
+        _every("Fig. 4 p95 delivery < 4 s in every run", "< 4",
+               runs("p95_delivery"), lambda v: v < 4.0),
+        _every("Fig. 4 blocks per 500-minute run, at least", ">= 350",
+               runs("height"), lambda v: v >= 350, worst=min),
+        _every("Fig. 4 blocks per 500-minute run, at most", "<= 900",
+               runs("height"), lambda v: v <= 900),
+        _every("Fig. 4 fullest node's storage / capacity in every run", "<= 1",
+               runs("storage_fill"), lambda v: v <= 1.0),
+        _every("Fig. 5(a) optimal placement saves delivery time vs random (%)", "> 3",
+               [("mean over n", saving)], lambda v: v > 3.0),
+        _every("Fig. 5(b) optimal / random MB per node in every cell", "<= 1.4",
+               [(f"n={o['nodes']}", o["avg_node_mb"] / r["avg_node_mb"]) for o, r in pairs],
+               lambda v: v <= 1.4),
+        _every("Fig. 5(b) mean optimal / random MB per node", "<= 1.2",
+               [("mean over n", mean_ratio("avg_node_mb"))], lambda v: v <= 1.2),
+        _every("Fig. 6 PoW blocks per 1 % battery ~4", "4 +/- 30 %",
+               [("seed 0", fig6["pow"]["blocks_per_percent"])], lambda v: abs(v - 4.0) <= 1.2),
+        _every("Fig. 6 PoS blocks per 1 % battery ~11", "11 +/- 30 %",
+               [("seed 0", fig6["pos"]["blocks_per_percent"])], lambda v: abs(v - 11.0) <= 3.3),
+        _every("Fig. 6 PoW battery used in 84 min (%)", "> 50",
+               [("seed 0", fig6["pow"]["battery_used"])], lambda v: v > 50.0),
+        _every("Fig. 6 PoS battery used in 84 min (%)", "< 20",
+               [("seed 0", fig6["pos"]["battery_used"])], lambda v: v < 20.0),
+        *(
+            _every("PoS energy saving per block vs PoW (%)", "64 +/- 8",
+                   [(f"seed {entry['seed']}", entry["percent"])],
+                   lambda v: abs(v - 64.0) <= 8.0)
+            for entry in record["energy_saving"]
+        ),
+    ]
+
+
+def _drain(series: List[Tuple[int, float, float]]) -> Dict[str, float]:
+    """A Fig. 6 session's totals after its last block."""
+    blocks, _, remaining = series[-1]
+    used = 100.0 - remaining
+    return {"blocks": blocks, "battery_used": used, "blocks_per_percent": blocks / used}
+
+
+def reproduce() -> Dict[str, object]:
+    """Run Section VI once at the paper's settings and check its claims.
+
+    Every Fig. 4 and Fig. 5 cell runs 500 minutes at each of
+    :data:`PAPER_SEED_COUNT` seeds, through :func:`run_cell`.  Each
+    distinct spec runs once: Fig. 5's optimal arm is the same specs as
+    Fig. 4's 1 item/min column, so only its random arm adds runs.  The
+    Fig. 6 sessions run at seed 0, the energy headline at every seed.
+    """
+    done: Dict[ExperimentSpec, Dict[str, float]] = {}
+
+    def cells(grid, names: Tuple[str, str]) -> List[Dict[str, object]]:
+        out = []
+        for key, specs in grid.items():
+            for spec in specs:
+                if spec not in done:
+                    done[spec] = run_cell(spec)
+            runs = [done[spec] for spec in specs]
+            out.append({**dict(zip(names, key)), **cell_average(runs), "runs": runs})
+        return out
+
+    pow_series = mining_session("pow", FIG6_MINUTES)
+    pos_series = mining_session("pos", FIG6_MINUTES)
+    record: Dict[str, object] = {
+        "schema": "repro.reproduce/v1",
+        "minutes": PAPER_CONFIG.simulation_minutes,
+        "fig4": cells(fig4_grid(), ("nodes", "rate")),
+        "fig5": cells(fig5_grid(), ("solver", "nodes")),
+        "fig6": {
+            "pow": _drain(pow_series),
+            "pos": _drain(pos_series),
+            "rows": [
+                [minutes, *session_at(pow_series, minutes)[::2],
+                 *session_at(pos_series, minutes)[::2]]
+                for minutes in range(0, int(FIG6_MINUTES) + 1, 12)
+            ],
+        },
+        "energy_saving": [
+            {"seed": seed, "percent": pos_energy_saving(seed)}
+            for seed in range(PAPER_SEED_COUNT)
+        ],
+    }
+    record["claims"] = paper_claims(record)
+    return record

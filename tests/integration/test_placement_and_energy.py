@@ -5,6 +5,8 @@
 * Fig. 6 — PoS drains far less battery than PoW at the same block rate.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,16 +15,21 @@ from repro.core.pos import compute_amendment, compute_hit, mining_delay
 from repro.core.pow import PowMiner
 from repro.energy.meter import EnergyMeter
 from repro.sim.runner import ExperimentSpec, run_experiment
-from repro.sim.scenarios import placement_scenario
+from repro.sim.scenarios import BENCH_DURATION_MINUTES, placement_scenario
 
 
 @pytest.fixture(scope="module")
 def placement_pair():
-    """Matched (greedy, random) runs over two seeds at 20 nodes."""
+    """Matched (greedy, random) 60-minute runs over two seeds at 20 nodes."""
     results = {}
     for solver in ("greedy", "random"):
         results[solver] = [
-            run_experiment(placement_scenario(20, solver, seed=seed)).metrics
+            run_experiment(
+                dataclasses.replace(
+                    placement_scenario(20, solver, seed=seed),
+                    duration_minutes=BENCH_DURATION_MINUTES,
+                )
+            ).metrics
             for seed in (3, 4)
         ]
     return results

@@ -1,10 +1,8 @@
 """Unit tests for the ASCII plotting helpers."""
 
-import math
-
 import pytest
 
-from repro.metrics.ascii_plot import bar_chart, series_plot, sparkline
+from repro.metrics.ascii_plot import bar_chart, sparkline
 
 
 class TestSparkline:
@@ -89,43 +87,3 @@ class TestBarChart:
         lines = chart.splitlines()
         assert "█" not in lines[0] and "nan" in lines[0]
         assert lines[1].count("█") == 8
-
-
-class TestSeriesPlot:
-    def test_one_line_per_series(self):
-        plot = series_plot(
-            [0, 10, 20], [[1, 2, 3], [3, 2, 1]], ["up", "down"]
-        )
-        lines = plot.splitlines()
-        assert len(lines) == 3  # 2 series + caption
-        assert lines[0].startswith("  up") or lines[0].startswith("up")
-
-    def test_caption_shows_range(self):
-        plot = series_plot([0, 84], [[100, 50]], ["battery"])
-        assert "0 … 84" in plot
-
-    def test_endpoints_annotated(self):
-        plot = series_plot([0, 1], [[100.0, 49.2]], ["pow"])
-        assert "100" in plot and "49.2" in plot
-
-    def test_mismatched_names(self):
-        with pytest.raises(ValueError):
-            series_plot([0], [[1.0]], ["a", "b"])
-
-    def test_no_series_no_labels_is_empty(self):
-        assert series_plot([], [], []) == ""
-
-    def test_single_point_series(self):
-        plot = series_plot([7], [[3.0]], ["lone"])
-        assert "lone" in plot
-        assert "[3 → 3]" in plot
-        assert "x: 7 … 7" in plot
-
-    def test_empty_series_is_skipped_but_caption_remains(self):
-        plot = series_plot([0, 1], [[]], ["empty"])
-        assert "empty" not in plot
-        assert "x: 0 … 1" in plot
-
-    def test_nan_only_series_renders_blank_sparkline(self):
-        plot = series_plot([0, 1], [[math.nan, math.nan]], ["gone"])
-        assert "gone" in plot  # present, just blank glyphs

@@ -68,9 +68,8 @@ class TestExport:
 class TestCLI:
     def test_parser_has_all_commands(self):
         parser = build_parser()
-        for command in ("run", "fig4", "fig5", "fig6"):
-            args = parser.parse_args([command] if command == "fig6" else [command])
-            assert args.command == command
+        for command in ("run", "reproduce"):
+            assert parser.parse_args([command]).command == command
 
     def test_run_command_executes_and_exports(self, tmp_path, capsys):
         json_path = tmp_path / "run.json"
@@ -89,27 +88,6 @@ class TestCLI:
         assert "chain height" in output
         record = json.loads(json_path.read_text())[0]
         assert record["node_count"] == 5
-
-    def test_fig4_command_runs_reduced_sweep(self, tmp_path, capsys):
-        csv_path = tmp_path / "fig4.csv"
-        exit_code = main(
-            ["fig4", "--node-counts", "6", "--rates", "1", "--seed", "2",
-             "--csv", str(csv_path)]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "Gini" in output
-        assert csv_path.exists()
-
-    def test_fig5_command_runs_reduced_sweep(self, capsys):
-        assert main(["fig5", "--node-counts", "6", "--seed", "2"]) == 0
-        output = capsys.readouterr().out
-        assert "opt delivery" in output and "rand delivery" in output
-
-    def test_fig6_command_prints_series(self, capsys):
-        assert main(["fig6", "--minutes", "12"]) == 0
-        output = capsys.readouterr().out
-        assert "PoW blocks" in output and "PoS battery" in output
 
     def test_run_command_rejects_unknown_solver(self):
         with pytest.raises(SystemExit):
@@ -148,11 +126,6 @@ class TestCLIRejectsBadSpecs:
              "checkpoint interval cannot be negative"),
             (["run", "--obs", "{tmp}/obs", "--obs-sample", "0"],
              "timeline interval must be positive"),
-            (["fig4", "--node-counts", "1"],
-             "a blockchain network needs at least 2 nodes"),
-            (["fig5", "--node-counts", "1"],
-             "a blockchain network needs at least 2 nodes"),
-            (["fig6", "--difficulty", "-1"], "difficulty cannot be negative"),
             (["chaos", "run", "--churn", "2"], "node fraction must be in [0, 1]"),
             (["prune", "{tmp}/run", "--checkpoint-every", "2", "--retain", "0"],
              "retain_blocks must be at least 1"),

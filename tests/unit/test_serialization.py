@@ -167,86 +167,6 @@ class TestChainWireFormat:
             chain_from_json(json.dumps({"v": 99, "blocks": []}))
 
 
-class TestStorageWireFormat:
-    @pytest.fixture
-    def loaded_storage(self, account, small_chain):
-        from repro.core.storage import NodeStorage
-
-        storage = NodeStorage(capacity=20, recent_cache_capacity=2)
-        for sequence in range(3):
-            metadata = create_metadata(
-                account,
-                producer=1,
-                sequence=sequence,
-                created_at=float(sequence),
-                properties="Camera" if sequence else "AirQuality",
-            )
-            storage.store_data(metadata, has_payload=(sequence == 1))
-        storage.set_last_block(small_chain.tip)
-        storage.store_block(small_chain.blocks[0])
-        # Push three blocks through the 2-slot FIFO: the oldest falls out.
-        for block in small_chain.blocks[:3]:
-            storage.cache_recent_block(block)
-        storage.rejected_for_capacity = 4
-        return storage
-
-    def round_trip(self, storage):
-        from repro.core.serialization import storage_from_dict, storage_to_dict
-
-        return storage_from_dict(storage_to_dict(storage))
-
-    def test_round_trip_preserves_everything(self, loaded_storage):
-        decoded = self.round_trip(loaded_storage)
-        assert decoded.capacity == loaded_storage.capacity
-        assert decoded.recent_cache_capacity == 2
-        assert decoded.rejected_for_capacity == 4
-        assert decoded.used_slots() == loaded_storage.used_slots()
-        assert decoded.last_block == loaded_storage.last_block
-        assert decoded.assigned_blocks() == loaded_storage.assigned_blocks()
-
-    def test_data_entries_keep_insertion_order_and_payload_flags(
-        self, loaded_storage
-    ):
-        decoded = self.round_trip(loaded_storage)
-        original = loaded_storage.data_entries()
-        restored = decoded.data_entries()
-        assert [e.metadata.data_id for e in restored] == [
-            e.metadata.data_id for e in original
-        ]
-        assert [e.has_payload for e in restored] == [False, True, False]
-
-    def test_recent_cache_fifo_order_survives(self, loaded_storage):
-        decoded = self.round_trip(loaded_storage)
-        assert decoded.recent_blocks() == loaded_storage.recent_blocks()
-        # FIFO behaviour resumes exactly: the next insert evicts the
-        # same (oldest) block on both sides.
-        follow_up = loaded_storage.last_block
-        loaded_storage.cache_recent_block(follow_up)
-        decoded.cache_recent_block(follow_up)
-        assert decoded.recent_blocks() == loaded_storage.recent_blocks()
-
-    def test_json_serialisable(self, loaded_storage):
-        from repro.core.serialization import storage_to_dict
-
-        json.dumps(storage_to_dict(loaded_storage))
-
-    def test_wrong_version_rejected(self, loaded_storage):
-        from repro.core.serialization import storage_from_dict, storage_to_dict
-
-        payload = storage_to_dict(loaded_storage)
-        payload["v"] = WIRE_FORMAT_VERSION + 1
-        with pytest.raises(ValidationError):
-            storage_from_dict(payload)
-
-    def test_malformed_capacity_rejected(self, loaded_storage):
-        from repro.core.serialization import storage_from_dict, storage_to_dict
-
-        payload = storage_to_dict(loaded_storage)
-        payload["capacity"] = "plenty"
-        with pytest.raises(ValidationError):
-            storage_from_dict(payload)
-
-
 class TestChainJsonGuards:
     """Structural defences of chain_from_json: size and nesting limits."""
 

@@ -1,5 +1,7 @@
 """Unit tests for the simulation harness (cluster, runner, scenarios)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import PAPER_CONFIG, SystemConfig
@@ -133,12 +135,19 @@ class TestScenarios:
         spec = data_amount_scenario(30, 2.0, seed=5)
         assert spec.node_count == 30
         assert spec.config.data_items_per_minute == 2.0
-        assert spec.duration_minutes == BENCH_DURATION_MINUTES
+        assert spec.seed == 5
 
-    def test_data_amount_full_scale(self):
-        spec = data_amount_scenario(30, 2.0, full_scale=True)
-        assert spec.duration_minutes is None
-        assert spec.duration_seconds == 500.0 * 60
+    def test_figure_cell_runs_the_papers_500_minutes(self):
+        for spec in (data_amount_scenario(30, 2.0), placement_scenario(20, "random")):
+            assert spec.duration_minutes is None
+            assert spec.duration_seconds == PAPER_CONFIG.simulation_minutes * 60
+            assert PAPER_CONFIG.simulation_minutes == 500.0
+
+    def test_sixty_minute_cell_keeps_its_spec(self):
+        cell = placement_scenario(20, "greedy", seed=3)
+        short = dataclasses.replace(cell, duration_minutes=BENCH_DURATION_MINUTES)
+        assert short.duration_seconds == 60.0 * 60
+        assert dataclasses.replace(short, duration_minutes=None) == cell
 
     def test_placement_scenario_arms(self):
         optimal = placement_scenario(20, "greedy")

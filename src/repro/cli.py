@@ -71,6 +71,7 @@ from repro.persist import (
     resume_run,
     run_persistent,
 )
+from repro.persist.resume import KIND_FEDERATION
 from repro.sim.runner import ExperimentSpec, run_experiment
 from repro.sim.scenarios import reproduce
 from repro.version import package_version
@@ -288,24 +289,30 @@ def _format_bytes(count: int) -> str:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     report = inspect_run(args.directory)
-    hot = report.journal_bytes + report.store_bytes
     rows = [
         ["status", report.status],
+        ["kind", report.kind],
         ["journal records", report.journal_records],
-        ["journal chain height", report.journal_height],
         ["journal last clock", f"{report.journal_clock:g} s"],
-        ["store height / blocks", f"{report.store_height} / {report.store_blocks}"],
-        ["store metadata items", report.store_metadata],
-        ["store tip", (report.store_tip or "-")[:16]],
-        ["store pruned below", report.store_pruned_below],
-        ["hot bytes (journal/store)",
-         f"{_format_bytes(hot)} ({_format_bytes(report.journal_bytes)} / "
-         f"{_format_bytes(report.store_bytes)})"],
-        ["cold bytes (archive)",
-         f"{_format_bytes(report.archive_bytes)} "
-         f"({report.archive_blocks} block(s), "
-         f"{report.archive_checkpoints} checkpoint(s))"],
     ]
+    if report.kind == KIND_FEDERATION:  # a digest journal and nothing else
+        rows.append(["journal bytes", _format_bytes(report.journal_bytes)])
+    else:
+        hot = report.journal_bytes + report.store_bytes
+        rows += [
+            ["journal chain height", report.journal_height],
+            ["store height / blocks", f"{report.store_height} / {report.store_blocks}"],
+            ["store metadata items", report.store_metadata],
+            ["store tip", (report.store_tip or "-")[:16]],
+            ["store pruned below", report.store_pruned_below],
+            ["hot bytes (journal/store)",
+             f"{_format_bytes(hot)} ({_format_bytes(report.journal_bytes)} / "
+             f"{_format_bytes(report.store_bytes)})"],
+            ["cold bytes (archive)",
+             f"{_format_bytes(report.archive_bytes)} "
+             f"({report.archive_blocks} block(s), "
+             f"{report.archive_checkpoints} checkpoint(s))"],
+        ]
     print()
     print(render_table(f"Inspect: {report.directory}", ["field", "value"], rows))
     for note in report.notes:

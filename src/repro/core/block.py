@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Tuple
 
 from repro.core.metadata import MetadataItem
-from repro.crypto.hashing import hash_items
+from repro.crypto.hashing import hash_items, hash_preimage, sha256_hex
 from repro.crypto.merkle import merkle_root
 
 #: Serialized size of the block header fields (hashes, indices, PoS claim).
@@ -66,20 +66,18 @@ class Block:
         leaves = [item.signing_payload() for item in self.metadata_items]
         return merkle_root(leaves)
 
-    def compute_hash(self) -> str:
-        """The block hash: SHA-256 over header fields and the content root.
+    def header_bytes(self) -> bytes:
+        """The block's hash preimage: header fields and the content root,
+        length-framed by :func:`~repro.crypto.hashing.hash_preimage`.
 
-        Memoised on the instance: the fields are frozen, so the digest is
-        a pure function of the object, and the simulator hands one
-        ``Block`` by reference to every node of a cluster.  The memo is
-        not a dataclass field — ``replace``, ``pickle``, ``deepcopy`` and
-        the wire/JSON codecs all build a new object without it, so
-        whatever crossed a trust boundary is hashed again from its own
-        fields.
+        These are the bytes a stored block leads with
+        (:func:`repro.core.serialization.block_to_bytes`), so a reader
+        verifies a block by hashing what it read.  Memoised on the
+        instance like :meth:`compute_hash`.
         """
-        memo = self.__dict__.get("_hash_memo")
+        memo = self.__dict__.get("_header_memo")
         if memo is None:
-            memo = hash_items(
+            memo = hash_preimage(
                 "block",
                 self.index,
                 str(self.timestamp),
@@ -93,7 +91,27 @@ class Block:
                 ",".join(map(str, self.storing_nodes)),
                 ",".join(map(str, self.previous_storing_nodes)),
                 ",".join(map(str, self.recent_cache_nodes)),
-            ).hex()
+            )
+            object.__setattr__(self, "_header_memo", memo)
+        return memo
+
+    def compute_hash(self) -> str:
+        """The block hash: SHA-256 over :meth:`header_bytes`.
+
+        Memoised on the instance: the fields are frozen, so the digest is
+        a pure function of the object, and the simulator hands one
+        ``Block`` by reference to every node of a cluster.  The memo is
+        not a dataclass field — ``replace``, ``pickle``, ``deepcopy`` and
+        the JSON codecs all build a new object without it, so whatever
+        crossed a trust boundary is hashed again from its own fields.
+        The one exception is the byte codec
+        (:func:`~repro.core.serialization.block_from_bytes`): it accepts
+        only the canonical encoding of the fields it decodes, so the
+        header it read *is* the fields' preimage, memoised as read.
+        """
+        memo = self.__dict__.get("_hash_memo")
+        if memo is None:
+            memo = sha256_hex(self.header_bytes())
             object.__setattr__(self, "_hash_memo", memo)
         return memo
 
@@ -122,8 +140,8 @@ class Block:
     def __getstate__(self) -> Dict[str, Any]:
         """Pickle/copy state: the declared fields only, never a memo."""
         state = dict(self.__dict__)
-        state.pop("_hash_memo", None)
-        state.pop("_placement_memo", None)
+        for memo in ("_header_memo", "_hash_memo", "_placement_memo"):
+            state.pop(memo, None)
         return state
 
     # -- properties --------------------------------------------------------------------

@@ -69,3 +69,9 @@ class SyncError(EdgeChainError):
 class PersistError(EdgeChainError):
     """A durable-persistence operation failed (corrupt journal, bad
     manifest, incompatible store schema, unresumable or divergent run)."""
+
+
+class FormatVersionError(PersistError):
+    """A store, archive or journal was written in a format version this
+    build does not read.  Never mistaken for damage: a reader refuses the
+    file instead of truncating it."""

@@ -16,11 +16,11 @@ produces that miner-side copy.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import Any, Dict, Tuple
 
 from repro.core.account import Account
 from repro.core.config import DATA_ITEM_BYTES
-from repro.crypto.hashing import hash_items
+from repro.crypto.hashing import hash_items, hash_preimage, sha256
 from repro.crypto.keys import PublicKey
 from repro.crypto.signature import Signature, verify
 
@@ -64,20 +64,36 @@ class MetadataItem:
 
     # -- signing ------------------------------------------------------------------
 
+    def signing_preimage(self) -> bytes:
+        """The framed fields the producer signs (placement excluded — see
+        module doc); a stored item carries exactly these bytes.  Memoised
+        on the instance, never pickled (see ``Block.compute_hash``)."""
+        memo = self.__dict__.get("_preimage_memo")
+        if memo is None:
+            memo = hash_preimage(
+                "metadata",
+                self.data_id,
+                self.data_type,
+                str(self.created_at),
+                self.location,
+                self.producer,
+                self.producer_address,
+                str(self.valid_time_minutes),
+                self.properties,
+                self.size_bytes,
+            )
+            object.__setattr__(self, "_preimage_memo", memo)
+        return memo
+
     def signing_payload(self) -> bytes:
-        """The bytes the producer signs (placement excluded — see module doc)."""
-        return hash_items(
-            "metadata",
-            self.data_id,
-            self.data_type,
-            str(self.created_at),
-            self.location,
-            self.producer,
-            self.producer_address,
-            str(self.valid_time_minutes),
-            self.properties,
-            self.size_bytes,
-        )
+        """The digest the producer signs: SHA-256 of :meth:`signing_preimage`."""
+        return sha256(self.signing_preimage())
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle/copy state: the declared fields only, never the memo."""
+        state = dict(self.__dict__)
+        state.pop("_preimage_memo", None)
+        return state
 
     def verify_signature(self) -> bool:
         """Validate the producer signature with the embedded public key."""

@@ -8,7 +8,9 @@ sites into a small, well-tested surface:
 * :func:`sha256` / :func:`sha256_hex` — raw digest over bytes.
 * :func:`hash_items` — canonical digest over a sequence of heterogeneous
   fields (ints, strings, bytes), with unambiguous framing so that
-  ``hash_items("ab", "c") != hash_items("a", "bc")``.
+  ``hash_items("ab", "c") != hash_items("a", "bc")``; the framed bytes
+  themselves are :func:`hash_preimage` (what a stored block carries, see
+  :mod:`repro.core.serialization`).
 * :func:`hash_to_int` — interpret a digest as a big-endian integer, the
   operation behind the paper's ``POSHash mod M`` (Eq. 7).
 """
@@ -54,8 +56,8 @@ def _encode_field(field: HashableField) -> bytes:
     raise TypeError(f"unhashable field type: {type(field).__name__}")
 
 
-def hash_items(*fields: HashableField) -> bytes:
-    """Hash a sequence of fields with unambiguous length framing.
+def hash_preimage(*fields: HashableField) -> bytes:
+    """The framed byte string :func:`hash_items` hashes.
 
     Each field is encoded with a one-byte type tag and prefixed with its
     4-byte big-endian length, so no concatenation of distinct field
@@ -84,7 +86,12 @@ def hash_items(*fields: HashableField) -> bytes:
             encoded = _encode_field(field)
         parts.append(len(encoded).to_bytes(4, "big"))
         parts.append(encoded)
-    return hashlib.sha256(b"".join(parts)).digest()
+    return b"".join(parts)
+
+
+def hash_items(*fields: HashableField) -> bytes:
+    """SHA-256 over :func:`hash_preimage` of ``fields``."""
+    return hashlib.sha256(hash_preimage(*fields)).digest()
 
 
 def hash_items_hex(*fields: HashableField) -> str:

@@ -91,6 +91,8 @@ class MerkleTree:
 
 def merkle_root(leaves: Sequence[bytes]) -> bytes:
     """Convenience: the root digest of ``leaves`` without keeping the tree."""
+    if not leaves:
+        return EMPTY_ROOT
     return MerkleTree(leaves).root
 
 

@@ -2,14 +2,17 @@
 
 ``archive.jsonl`` sits next to the run's journal and chain store.  Every
 line is one archived block — a JSON object carrying the block index,
-its hash, the canonical block payload, an optional pinned checkpoint
-record, and a CRC-32 over the rest of the line (the run journal's
-framing, :mod:`repro.lifecycle.framing`).  Compaction appends blocks in
-strict index order, so the archive is a contiguous prefix
-``[0, archived_below)`` of the chain and a ranged fetch is one seek and
-a sequential read.
+its hash, the block's stored bytes as base64 (``"block"``, the chain
+store row's bytes, :func:`repro.core.serialization.block_to_bytes`), an
+optional pinned checkpoint record, and a CRC-32 over the rest of the
+line (the run journal's framing, :mod:`repro.lifecycle.framing`).
+Compaction appends the bytes it read from the store without decoding
+them; a fetch decodes them once and checks that they hash to the
+record's hash.  Blocks are appended in strict index order, so the
+archive is a contiguous prefix ``[0, archived_below)`` of the chain and
+a ranged fetch is one seek and a sequential read.
 
-Flush policy: a compaction batch (:meth:`BlockArchive.append_many`) is
+Flush policy: a compaction batch (:meth:`BlockArchive.append_encoded`) is
 written through one buffered handle and fsynced once, before it returns —
 and the chain store only deletes a row *after* that return.  Crash
 tolerance mirrors the journal: a torn final line (the process died
@@ -25,10 +28,17 @@ from pathlib import Path
 from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.block import Block
-from repro.core.errors import PersistError, ValidationError
-from repro.core.serialization import block_from_dict, block_to_dict
+from repro.core.errors import FormatVersionError, PersistError, ValidationError
+from repro.core.serialization import block_from_bytes, block_to_bytes, verify_block_bytes
 from repro.lifecycle.checkpoint import CheckpointRecord
-from repro.lifecycle.framing import _frame, _scan, _unframe
+from repro.lifecycle.framing import (
+    _bytes_member,
+    _check_version,
+    _frame,
+    _member_bytes,
+    _scan,
+    _unframe,
+)
 from repro.obs import runtime as _obs
 
 PathLike = Union[str, Path]
@@ -36,8 +46,13 @@ PathLike = Union[str, Path]
 #: Canonical archive file name inside a durable run directory.
 ARCHIVE_NAME = "archive.jsonl"
 
-#: Bumped on breaking changes to the record encoding.
-ARCHIVE_FORMAT_VERSION = 1
+#: Bumped on breaking changes to the record encoding.  v2: ``"block"``
+#: is the block's stored bytes in base64, not its JSON.
+ARCHIVE_FORMAT_VERSION = 2
+
+#: One record to append: block index, block hash, the block's stored
+#: bytes, and the checkpoint record pinned with it (or None).
+EncodedBlock = Tuple[int, str, bytes, Optional[CheckpointRecord]]
 
 __all__ = ["ARCHIVE_NAME", "ArchiveStats", "BlockArchive"]
 
@@ -61,13 +76,12 @@ def _decode_record(line: bytes, expected_index: int) -> Dict[str, Any]:
     """Check one archive line (newline stripped) as the record of block
     ``expected_index``; returns its body."""
     body = _unframe(line, "archive", "idx")
-    if body.get("v") != ARCHIVE_FORMAT_VERSION:
-        raise PersistError(f"unsupported archive format {body.get('v')!r}")
+    _check_version(body, ARCHIVE_FORMAT_VERSION, "archive", expected_index)
     if body.get("idx") != expected_index:
         raise PersistError(
             f"archive index break: expected {expected_index}, got {body.get('idx')}"
         )
-    if not isinstance(body.get("block"), dict):
+    if not isinstance(body.get("block"), str):
         raise PersistError(f"archive record {expected_index} carries no block")
     return body
 
@@ -82,10 +96,12 @@ def _checkpoint_of(body: Dict[str, Any], position: int, path: Path) -> Checkpoin
         ) from error
 
 
-def _block_of(body: Dict[str, Any], index: int, verify_hash: bool) -> Block:
-    """The verified block an archive record body for ``index`` carries."""
-    block = block_from_dict(body["block"], verify_hash=verify_hash)
-    if block.index != index or body.get("hash") != block.current_hash:
+def _block_of(body: Dict[str, Any], index: int) -> Block:
+    """The block an archive record body for ``index`` carries, decoded
+    once from bytes that must hash to the record's hash."""
+    data = _member_bytes(body["block"], f"archived block {index}")
+    block = block_from_bytes(data, str(body.get("hash")))
+    if block.index != index:
         raise PersistError(f"archived block {index} fails verification")
     return block
 
@@ -116,6 +132,8 @@ class BlockArchive:
                 self._checkpoints[record.index] = position
 
         scan = _scan(self.path, _decode_record, keep)
+        if isinstance(scan.error, FormatVersionError):
+            raise FormatVersionError(f"archive {self.path}: {scan.error}") from scan.error
         if scan.corrupt:
             raise PersistError(
                 f"archive {self.path} is corrupt mid-file: {scan.error}"
@@ -173,13 +191,23 @@ class BlockArchive:
     def append_many(
         self, records: Iterable[Tuple[Block, Optional[CheckpointRecord]]]
     ) -> None:
-        """Archive a batch of ``(block, checkpoint)`` pairs with one fsync.
+        """Archive a batch of ``(block, checkpoint)`` pairs with one fsync
+        (:meth:`append_encoded` of each block's stored bytes)."""
+        self.append_encoded(
+            (block.index, block.current_hash, block_to_bytes(block), checkpoint)
+            for block, checkpoint in records
+        )
 
-        Blocks must continue the contiguous prefix.  Returns only after
-        the whole batch is flushed and fsynced; if ``records`` (or a
-        contiguity check) raises part-way, the blocks taken so far are
-        still complete, fsynced and accounted lines — what that many
-        single appends would have left.
+    def append_encoded(self, records: Iterable[EncodedBlock]) -> None:
+        """Archive a batch of already-encoded blocks with one fsync.
+
+        Compaction's path: the bytes go in as the chain store holds them,
+        undecoded (the store checked them by hashing).  Blocks must
+        continue the contiguous prefix.  Returns only after the whole
+        batch is flushed and fsynced; if ``records`` (or a contiguity
+        check) raises part-way, the blocks taken so far are still
+        complete, fsynced and accounted lines — what that many single
+        appends would have left.
         """
         blocks_before, length_before = self.archived_below, self._length
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -187,17 +215,17 @@ class BlockArchive:
             if handle.tell() != self._length:
                 handle.truncate(self._length)
             try:
-                for block, checkpoint in records:
-                    if block.index != self.archived_below:
+                for index, block_hash, data, checkpoint in records:
+                    if index != self.archived_below:
                         raise PersistError(
                             f"archive append out of order: expected "
-                            f"{self.archived_below}, got {block.index}"
+                            f"{self.archived_below}, got {index}"
                         )
                     body: Dict[str, Any] = {
                         "v": ARCHIVE_FORMAT_VERSION,
-                        "idx": block.index,
-                        "hash": block.current_hash,
-                        "block": block_to_dict(block),
+                        "idx": index,
+                        "hash": block_hash,
+                        "block": _bytes_member(data),
                     }
                     if checkpoint is not None:
                         body["checkpoint"] = checkpoint.to_dict()
@@ -205,7 +233,7 @@ class BlockArchive:
                     handle.write(encoded)
                     self._offsets.append(self._length)
                     if checkpoint is not None:
-                        self._checkpoints[checkpoint.index] = block.index
+                        self._checkpoints[checkpoint.index] = index
                     self._length += len(encoded)
             finally:
                 # Also on the way out of a failed batch: every line
@@ -221,19 +249,17 @@ class BlockArchive:
 
     # -- fetching ---------------------------------------------------------------
 
-    def fetch(self, index: int, verify_hash: bool = True) -> Block:
-        """Read one archived block, re-verifying its content hash."""
+    def fetch(self, index: int) -> Block:
+        """Read one archived block, verified by hashing its bytes."""
         if not 0 <= index < self.archived_below:
             raise PersistError(
                 f"block {index} is not in the archive "
                 f"(holds [0, {self.archived_below}))"
             )
         with open(self.path, "rb") as handle:
-            return _block_of(self._body_at(handle, index), index, verify_hash)
+            return _block_of(self._body_at(handle, index), index)
 
-    def fetch_range(
-        self, start: int, stop: int, verify_hashes: bool = True
-    ) -> Iterator[Block]:
+    def fetch_range(self, start: int, stop: int) -> Iterator[Block]:
         """Yield archived blocks with ``start <= index < stop`` in order."""
         start, stop = max(start, 0), min(stop, self.archived_below)
         if start >= stop:
@@ -243,22 +269,25 @@ class BlockArchive:
             handle.seek(self._offsets[start])
             for index in range(start, stop):
                 body = _decode_record(handle.readline().rstrip(b"\n"), index)
-                yield _block_of(body, index, verify_hashes)
+                yield _block_of(body, index)
 
     # -- integrity ---------------------------------------------------------------
 
     def verify_integrity(self) -> List[str]:
         """Full cold-tier walk; returns human-readable problems (empty = ok).
 
-        Re-hashes every archived body, re-checks parent linkage across
-        the whole prefix, and re-derives every pinned checkpoint digest.
-        Seeks to each record's own offset, so one bad line is reported
-        and the walk continues with the next.
+        Re-hashes every archived body without decoding the block
+        (:func:`~repro.core.serialization.verify_block_bytes`), re-checks
+        parent linkage across the whole prefix, and re-reads every pinned
+        checkpoint against the hash of the block it pins.  Seeks to each
+        record's own offset, so one bad line is reported and the walk
+        continues with the next.
         """
         problems: List[str] = []
         if not self._offsets:
             return problems
-        previous: Optional[Block] = None
+        #: The previous record's hash and timestamp (None after a bad one).
+        parent: Optional[Tuple[str, float]] = None
         try:
             handle = open(self.path, "rb")
         except OSError as error:
@@ -267,12 +296,16 @@ class BlockArchive:
             for index in range(len(self._offsets)):
                 try:
                     body = self._body_at(handle, index)
-                    block = _block_of(body, index, True)
+                    block_hash = str(body.get("hash"))
+                    data = _member_bytes(body["block"], f"archived block {index}")
+                    previous_hash, timestamp = verify_block_bytes(data, index, block_hash)
                 except (PersistError, ValidationError, OSError) as error:
                     problems.append(f"block {index} unreadable: {error}")
-                    previous = None
+                    parent = None
                     continue
-                if previous is not None and not block.links_to(previous):
+                if parent is not None and (
+                    previous_hash != parent[0] or timestamp < parent[1]
+                ):
                     problems.append(
                         f"block {index} does not link to archived parent"
                     )
@@ -285,9 +318,9 @@ class BlockArchive:
                     except (PersistError, OSError) as error:
                         problems.append(f"checkpoint record at {index} unreadable: {error}")
                     else:
-                        if checkpoint.block_hash != block.current_hash:
+                        if checkpoint.block_hash != block_hash:
                             problems.append(
                                 f"checkpoint record at {index} pins a different block hash"
                             )
-                previous = block
+                parent = block_hash, timestamp
         return problems

@@ -10,8 +10,14 @@ Canonical JSON is compositional: an object's text is its members' texts
 joined in key order.  So the writer encodes every member once and slots
 ``"crc"`` in where the sort puts it, and the reader checks the CRC over
 the bytes it read with the member cut out; neither re-encodes a record
-in order to check it.  A line that is not canonical is therefore a CRC
-mismatch, whatever it parses to.
+in order to check it.  A line that is not canonical is therefore
+a CRC mismatch, whatever it parses to.
+
+Binary members — a block's stored bytes
+(:func:`repro.core.serialization.block_to_bytes`) — travel as base64
+text (:func:`_bytes_member` / :func:`_member_bytes`).  A record of
+another format version is refused (:func:`_check_version`), never taken
+for damage.
 
 Both files are opened the same way (:func:`_scan`): one streaming pass
 through a buffered handle that checks every line and keeps an index of
@@ -22,7 +28,10 @@ O(file bytes).
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
+import math
 import zlib
 from array import array
 from bisect import bisect
@@ -30,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Dict, Optional, Tuple, TypeVar, Union
 
-from repro.core.errors import PersistError
+from repro.core.errors import FormatVersionError, PersistError, ValidationError
 
 _T = TypeVar("_T")
 
@@ -43,10 +52,20 @@ def _crc_of(data: bytes) -> str:
     return format(zlib.crc32(data), "08x")
 
 
+def _member(value: Any) -> str:
+    """Canonical JSON of one member's value.  An exact ``int`` or finite
+    ``float`` is its ``repr`` — what the encoder writes for it — without
+    building an encoder per number."""
+    kind = type(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
+    return _canonical(value)
+
+
 def _frame(body: Dict[str, Any]) -> bytes:
     """One record line for ``body`` (string keys, no ``"crc"`` among them)."""
     keys = sorted(body)
-    members = [f"{_canonical(key)}:{_canonical(body[key])}" for key in keys]
+    members = [f"{_canonical(key)}:{_member(body[key])}" for key in keys]
     crc = _crc_of(("{" + ",".join(members) + "}").encode("ascii"))
     members.insert(bisect(keys, "crc"), f'"crc":"{crc}"')
     return ("{" + ",".join(members) + "}\n").encode("ascii")
@@ -95,6 +114,38 @@ def _unframe(line: bytes, what: str, key: str) -> Dict[str, Any]:
     return body
 
 
+def _bytes_member(data: bytes) -> str:
+    """``data`` as a record member: base64 text."""
+    return base64.b64encode(data).decode("ascii")
+
+
+def _member_bytes(value: Any, what: str) -> bytes:
+    """The bytes a base64 record member holds (ValidationError if none).
+
+    Another spelling of the same bytes (padding bits set) decodes to the
+    same bytes, so it changes nothing a reader acts on."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} is not base64 text")
+    try:
+        return base64.b64decode(value, validate=True)
+    except (binascii.Error, ValueError) as error:
+        raise ValidationError(f"{what} is not base64: {error}") from error
+
+
+def _check_version(body: Dict[str, Any], version: int, what: str, position: int) -> None:
+    """Refuse a record of another format: one another build wrote (an
+    integer ``"v"``) raises :class:`FormatVersionError`, anything else is
+    damage."""
+    found = body.get("v")
+    if found == version and type(found) is int:
+        return
+    if type(found) is int:
+        raise FormatVersionError(
+            f"{what} record {position} has format v{found}; this build reads v{version}"
+        )
+    raise PersistError(f"unsupported {what} format {found!r}")
+
+
 @dataclass
 class _Scan:
     """What one pass over a record file found: an index of its valid
@@ -112,8 +163,8 @@ class _Scan:
     torn_tail_bytes: int = 0
     #: Lines dropped from the first rejected one on (mid-file damage only).
     dropped_records: int = 0
-    #: True when a rejected line is not the last: more than an
-    #: interrupted final write was lost.
+    #: True when a rejected line is not the last — more than an
+    #: interrupted final write was lost — or is of another format version.
     corrupt: bool = False
     #: Why the rejected line was rejected (None for a clean file or an
     #: unterminated final line).
@@ -139,7 +190,10 @@ def _scan(
       ``torn_tail_bytes``;
     * a rejected line with anything after it is **mid-file corruption**:
       ``corrupt`` is set and every line from it on is counted in
-      ``dropped_records``.
+      ``dropped_records``;
+    * so is a line of another format version (:class:`FormatVersionError`),
+      wherever it is: a whole record another build wrote is not a torn
+      write, and must never be truncated away.
     """
     scan = _Scan()
     try:
@@ -160,7 +214,7 @@ def _scan(
             except PersistError as error:
                 scan.error = error
                 newlines, trailing = _rest(handle)
-                if newlines or trailing:
+                if newlines or trailing or isinstance(error, FormatVersionError):
                     scan.corrupt = True
                     scan.dropped_records = 1 + newlines
                     scan.torn_tail_bytes = trailing

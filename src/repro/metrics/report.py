@@ -26,7 +26,8 @@ def render_table(
     rows: Sequence[Sequence[Cell]],
     precision: int = 4,
 ) -> str:
-    """Render an aligned text table with a title rule."""
+    """Render an aligned text table with a title rule: numbers
+    right-justified, every other cell left-justified."""
     text_rows: List[List[str]] = [
         [format_cell(cell, precision) for cell in row] for row in rows
     ]
@@ -39,9 +40,18 @@ def render_table(
     lines = [title, "=" * max(len(title), 1)]
     lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
     lines.append("  ".join("-" * w for w in widths))
-    for row in text_rows:
-        lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
+    for row, text_row in zip(rows, text_rows):
+        lines.append(
+            "  ".join(
+                text.rjust(widths[i]) if _is_number(cell) else text.ljust(widths[i])
+                for i, (cell, text) in enumerate(zip(row, text_row))
+            )
+        )
     return "\n".join(lines)
+
+
+def _is_number(cell: Cell) -> bool:
+    return isinstance(cell, (int, float)) and not isinstance(cell, bool)
 
 
 def print_table(

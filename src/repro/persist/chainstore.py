@@ -6,12 +6,18 @@ accounts, and per-block storage-allocation assignments land in indexed
 tables, so long-finished runs can be searched ("all AirQuality items
 produced by node 7") without replaying anything.
 
-Blocks are stored twice over, deliberately: the full canonical JSON
-payload (``repro.core.serialization``) — which recomputes and re-verifies
-its hash on read — plus extracted columns (miner, timestamp, hash) for
-indexed queries.  ``verify_integrity`` re-walks the whole store checking
-payload hashes, column consistency, and parent linkage; ``repro inspect``
-exits non-zero when it reports problems.
+A block row holds the block's stored bytes
+(:func:`repro.core.serialization.block_to_bytes`, a BLOB led by the
+block's hash preimage) beside extracted columns (hash, miner, timestamp)
+for indexed queries; item rows hold each item's canonical JSON.  A read
+decodes the bytes once — refusing any that are not the canonical
+encoding of the block they decode to — and, when asked to verify,
+checks that they hash to the row's hash column; compaction checks each
+row by hashing what it read and hands the same bytes to the cold archive
+without decoding them.
+``verify_integrity`` re-walks the whole store checking payload hashes,
+column consistency, and parent linkage; ``repro inspect`` exits non-zero
+when it reports problems.
 
 Reads of hot blocks go through a small LRU cache so a resumed run's
 replay loop and the export paths stay off the disk.
@@ -34,24 +40,27 @@ import sqlite3
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.account import Account
 from repro.core.block import Block
-from repro.core.errors import PersistError, ValidationError
+from repro.core.errors import FormatVersionError, PersistError, ValidationError
 from repro.core.metadata import MetadataItem
 from repro.core.serialization import (
-    block_from_dict,
-    block_to_dict,
+    block_from_bytes,
+    block_to_bytes,
     metadata_from_dict,
+    metadata_to_dict,
+    verify_block_bytes,
 )
 from repro.obs import runtime as _obs
 from repro.persist.journal import WRITE_BATCH
 
 PathLike = Union[str, Path]
 
-#: Bumped on breaking changes to the table layout.
-STORE_SCHEMA_VERSION = 1
+#: Bumped on breaking changes to the table layout.  v2: a block row's
+#: payload is the block's stored bytes, not its JSON.
+STORE_SCHEMA_VERSION = 2
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS store_meta (
@@ -63,7 +72,7 @@ CREATE TABLE IF NOT EXISTS blocks (
     hash      TEXT    NOT NULL UNIQUE,
     miner     INTEGER NOT NULL,
     timestamp REAL    NOT NULL,
-    payload   TEXT    NOT NULL
+    payload   BLOB    NOT NULL
 );
 CREATE TABLE IF NOT EXISTS metadata_items (
     data_id    TEXT    PRIMARY KEY,
@@ -97,20 +106,9 @@ CREATE INDEX IF NOT EXISTS ix_assignments_node ON assignments(node_id);
 KIND_BLOCK = "block"  # node persists this block permanently
 KIND_RECENT = "recent"  # node caches this block in its FIFO recent cache
 
-#: The stored JSON form of a block or an item: ``json.dumps(..., sort_keys=True)``
+#: The stored JSON form of an item: ``json.dumps(..., sort_keys=True)``
 #: without building an encoder per call.
 _encode = json.JSONEncoder(sort_keys=True).encode
-
-
-def _block_from_row(payload: str, verify_hash: bool) -> Block:
-    """Decode a stored block payload; a damaged row raises ValidationError."""
-    try:
-        data = json.loads(payload)
-    except (TypeError, ValueError) as error:  # NULL, undecodable or not JSON
-        raise ValidationError(f"stored block payload is not JSON: {error}") from error
-    if not isinstance(data, dict):
-        raise ValidationError("stored block payload is not an object")
-    return block_from_dict(data, verify_hash=verify_hash)
 
 
 def _stored_int(value: Any, what: str) -> int:
@@ -144,7 +142,7 @@ class ChainStore:
             if existing is None:
                 self.set_meta("schema_version", str(STORE_SCHEMA_VERSION))
             elif existing != str(STORE_SCHEMA_VERSION):
-                raise PersistError(
+                raise FormatVersionError(
                     f"chain store {self.path} has schema v{existing}, "
                     f"this build reads v{STORE_SCHEMA_VERSION}"
                 )
@@ -196,8 +194,7 @@ class ChainStore:
 
     def _put_block(self, block: Block) -> None:
         index = block.index
-        block_dict = block_to_dict(block)
-        payload = _encode(block_dict)
+        payload = block_to_bytes(block)
         items = [
             (
                 item.data_id,
@@ -205,11 +202,9 @@ class ChainStore:
                 item.data_type,
                 item.producer,
                 item.created_at,
-                _encode(item_dict),
+                _encode(metadata_to_dict(item)),
             )
-            for item, item_dict in zip(
-                block.metadata_items, block_dict["metadata_items"]
-            )
+            for item in block.metadata_items
         ]
         assignments = [(index, node, KIND_BLOCK) for node in block.storing_nodes] + [
             (index, node, KIND_RECENT) for node in block.recent_cache_nodes
@@ -226,12 +221,13 @@ class ChainStore:
                 "(idx, hash, miner, timestamp, payload) VALUES (?, ?, ?, ?, ?)",
                 (index, block.current_hash, block.miner, block.timestamp, payload),
             )
-            conn.executemany(
-                "INSERT OR REPLACE INTO metadata_items "
-                "(data_id, block_idx, data_type, producer, created_at, payload) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                items,
-            )
+            if items:
+                conn.executemany(
+                    "INSERT OR REPLACE INTO metadata_items "
+                    "(data_id, block_idx, data_type, producer, created_at, payload) "
+                    "VALUES (?, ?, ?, ?, ?, ?)",
+                    items,
+                )
             conn.executemany(
                 "INSERT OR REPLACE INTO assignments (block_idx, node_id, kind) "
                 "VALUES (?, ?, ?)",
@@ -306,15 +302,17 @@ class ChainStore:
         return None if row is None else str(row[0])
 
     def block_by_index(self, index: int, verify_hash: bool = True) -> Optional[Block]:
+        """The block at ``index`` (None if absent); ``verify_hash`` checks
+        its bytes against the row's hash column."""
         cached = self._cache_get(index)
         if cached is not None:
             return cached
         row = self._conn.execute(
-            "SELECT payload FROM blocks WHERE idx = ?", (index,)
+            "SELECT hash, payload FROM blocks WHERE idx = ?", (index,)
         ).fetchone()
         if row is None:
             return None
-        block = _block_from_row(row[0], verify_hash)
+        block = block_from_bytes(row[1], row[0] if verify_hash else None)
         self._cache_put(block)
         return block
 
@@ -326,10 +324,10 @@ class ChainStore:
 
     def iter_blocks(self, verify_hashes: bool = False) -> Iterator[Block]:
         """All blocks in chain order (bypasses the cache)."""
-        for (payload,) in self._conn.execute(
-            "SELECT payload FROM blocks ORDER BY idx"
+        for block_hash, payload in self._conn.execute(
+            "SELECT hash, payload FROM blocks ORDER BY idx"
         ):
-            yield _block_from_row(payload, verify_hashes)
+            yield block_from_bytes(payload, block_hash if verify_hashes else None)
 
     def block_timestamps(self) -> List[float]:
         return [
@@ -405,8 +403,9 @@ class ChainStore:
         """Migrate blocks below ``up_to`` into the cold archive, then reclaim.
 
         Crash-safe by ordering: the whole range is streamed out of the
-        store by one ordered query — every row decoded and re-hashed on
-        its way out, none of it passing through the LRU cache — and
+        store by one ordered query — every row's bytes checked by hashing
+        them (:func:`~repro.core.serialization.verify_block_bytes`) and
+        passed on undecoded, none of it through the LRU cache — and
         appended to the archive as one batch, which is fsynced *before*
         any hot row is deleted; the staged puts are committed, then the
         deletes and the ``pruned_below`` floor bump commit in one
@@ -431,7 +430,7 @@ class ChainStore:
                 f"cannot compact to {up_to}: store height is {self.height()}"
             )
         pinned = dict(checkpoints or {})
-        archive.append_many(
+        archive.append_encoded(
             self._blocks_to_archive(archive.archived_below, up_to, pinned)
         )
         self.commit()
@@ -460,16 +459,18 @@ class ChainStore:
         return moved
 
     def _blocks_to_archive(self, start: int, stop: int, pinned) -> Iterator:
-        """``(block, pinned checkpoint)`` for each hot index in ``[start, stop)``,
-        verified, in order; the first index the store lacks raises."""
+        """``(index, hash, bytes, pinned checkpoint)`` for each hot index in
+        ``[start, stop)``, checked, in order; the first index the store
+        lacks raises."""
         expected = start
-        for index, payload in self._conn.execute(
-            "SELECT idx, payload FROM blocks WHERE idx >= ? AND idx < ? ORDER BY idx",
+        for index, block_hash, payload in self._conn.execute(
+            "SELECT idx, hash, payload FROM blocks WHERE idx >= ? AND idx < ? ORDER BY idx",
             (start, stop),
         ):
             if index != expected:
                 break
-            yield _block_from_row(payload, True), pinned.get(index)
+            verify_block_bytes(payload, index, block_hash)
+            yield index, block_hash, payload, pinned.get(index)
             expected += 1
         if expected < stop:
             raise PersistError(
@@ -508,7 +509,7 @@ class ChainStore:
                 )
                 expected_index = index
             try:
-                block = _block_from_row(row[2], True)
+                block = block_from_bytes(row[2])
             except ValidationError as error:
                 problems.append(f"block {index} payload invalid: {error}")
                 previous, expected_index = None, index + 1

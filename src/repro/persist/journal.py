@@ -4,7 +4,10 @@ Every durable run directory contains one ``journal.jsonl``: a sequence of
 newline-terminated JSON records, each carrying a sequence number, the
 simulation clock, a record type, a payload, and a CRC-32 over the rest
 of the line (:mod:`repro.lifecycle.framing`, shared with the cold
-archive).  The journal is *write-ahead*
+archive).  A block record's payload carries the block's stored bytes
+(:func:`repro.core.serialization.block_to_bytes`, base64) beside its
+index and hash — the bytes the chain store row and the cold archive
+hold.  The journal is *write-ahead*
 relative to the SQLite chain store: a block is journaled (and the journal
 flushed) before the store row is written, so after a crash the store can
 always be caught up from the journal.
@@ -15,8 +18,8 @@ Crash-tolerance contract (:func:`recover_journal`):
 * a **torn tail** — a final record the process died while writing
   (unterminated, truncated, or CRC-failing last line) — is dropped and
   reported, and the preceding prefix is kept;
-* a structural or CRC failure *before* the last record marks the journal
-  **corrupt**: the valid prefix is still returned, together with a count
+* a structural or CRC failure *before* the last record — or a record
+  of another format version anywhere — marks the journal **corrupt**: the valid prefix is still returned, together with a count
   of the records that had to be dropped, and callers (``repro inspect``)
   surface the damage instead of silently proceeding.
 
@@ -41,14 +44,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Dict, Iterator, Optional, Union
 
-from repro.core.errors import PersistError
-from repro.lifecycle.framing import _frame, _scan, _Scan, _unframe
+from repro.core.errors import FormatVersionError, PersistError
+from repro.lifecycle.framing import _check_version, _frame, _scan, _Scan, _unframe
 from repro.obs import runtime as _obs
 
 PathLike = Union[str, Path]
 
-#: Bumped on breaking changes to the record encoding.
-JOURNAL_FORMAT_VERSION = 1
+#: Bumped on breaking changes to the record encoding.  v2: a block
+#: record carries the block's stored bytes, not its JSON.
+JOURNAL_FORMAT_VERSION = 2
 
 #: Records per ``os.fsync`` of the journal by default, and block puts per
 #: commit of the chain store that trails it (:mod:`repro.persist.chainstore`).
@@ -174,8 +178,7 @@ class JournalRecovery:
 
 def _decode_line(line: bytes, expected_seq: int) -> JournalRecord:
     body = _unframe(line, "journal", "seq")
-    if body.get("v") != JOURNAL_FORMAT_VERSION:
-        raise PersistError(f"unsupported journal format {body.get('v')!r}")
+    _check_version(body, JOURNAL_FORMAT_VERSION, "journal", expected_seq)
     try:
         record = JournalRecord(
             seq=int(body["seq"]),
@@ -202,8 +205,10 @@ def recover_journal(
     summary needs no second pass over the file.
     """
     scan = _scan(path, _decode_line, visit)
-    if scan.corrupt:
-        reason: Optional[str] = f"mid-journal corruption: {scan.error}"
+    if isinstance(scan.error, FormatVersionError):
+        reason: Optional[str] = str(scan.error)
+    elif scan.corrupt:
+        reason = f"mid-journal corruption: {scan.error}"
     elif scan.error is not None:
         # A terminated-but-invalid final record is still a torn tail
         # (e.g. the process died between write and flush of a partially

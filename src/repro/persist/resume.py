@@ -50,8 +50,9 @@ from typing import Any, Deque, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.core.config import LifecycleSpec, SystemConfig
 from repro.core.errors import PersistError, ValidationError
-from repro.core.serialization import block_from_dict, block_to_dict
+from repro.core.serialization import block_from_bytes, block_to_bytes
 from repro.lifecycle.archive import ARCHIVE_NAME, BlockArchive
+from repro.lifecycle.framing import _bytes_member, _member_bytes
 from repro.metrics.collector import RunMetrics
 from repro.metrics.export import metrics_to_record, store_chain_record
 from repro.obs import runtime as _obs
@@ -197,9 +198,12 @@ def start_manifest(directory: PathLike, kind: str, fields: Dict[str, Any]) -> Pa
     return directory
 
 
-def read_manifest(directory: PathLike, kind: str = KIND_CLUSTER) -> Dict[str, Any]:
-    """The manifest of a run directory of ``kind``; a directory of another
-    kind is refused with the verb that resumes it."""
+def read_manifest(
+    directory: PathLike, kind: Optional[str] = KIND_CLUSTER
+) -> Dict[str, Any]:
+    """The manifest of a run directory of ``kind`` (of either kind for
+    None); a directory of another kind is refused with the verb that
+    resumes it."""
     path = Path(directory) / MANIFEST_NAME
     try:
         with path.open("r", encoding="utf-8") as handle:
@@ -217,7 +221,7 @@ def read_manifest(directory: PathLike, kind: str = KIND_CLUSTER) -> Dict[str, An
             f"this build reads v{MANIFEST_SCHEMA_VERSION}"
         )
     found = manifest.get("kind")
-    if found != kind:
+    if found != kind and (kind is not None or found not in _RESUME_VERB):
         verb = _RESUME_VERB.get(found)
         raise PersistError(
             f"{directory} holds a {found} run, not a {kind} run"
@@ -258,7 +262,7 @@ class PersistSession:
             {
                 "index": block.index,
                 "hash": block.current_hash,
-                "block": block_to_dict(block),
+                "block": _bytes_member(block_to_bytes(block)),
             },
         )
         # Write-ahead: the journal hits the OS before the store row.
@@ -581,7 +585,12 @@ def _catch_up_store(store: ChainStore, journal: _JournalView) -> None:
         stored = store.block_by_index(height)
         if stored is None or stored.current_hash != block_hash:
             payload = journal.recovery.records[position].payload
-            store.put_block(block_from_dict(payload["block"]))
+            try:
+                data = _member_bytes(payload.get("block"), f"journaled block {height}")
+                block = block_from_bytes(data, block_hash)
+            except ValidationError as error:
+                raise PersistError(f"journaled block {height} is damaged: {error}") from error
+            store.put_block(block)
 
 
 def resume_run(
@@ -639,6 +648,9 @@ class RunReport:
 
     directory: Path
     status: str
+    #: The manifest's run kind: a federated run holds only a digest
+    #: journal, so its report stops after the journal.
+    kind: str = KIND_CLUSTER
     journal_records: int = 0
     journal_height: int = -1
     #: Clock of the journal's last intact record: where a resume replays to
@@ -675,16 +687,19 @@ def inspect_run(directory: PathLike) -> RunReport:
     Checks the manifest, scans the journal once for its height → hash
     view and last clock without holding its records (the file is not
     truncated), verifies SQLite store integrity, and cross-checks the
-    store against the journal's final chain view.  Corruption that
-    resume could not transparently heal lands in ``problems``;
-    self-healing oddities land in ``notes``.
+    store against the journal's final chain view.  A federated run's
+    directory holds a digest journal alone: its report is the journal's
+    record count, last clock and damage.  Corruption that resume could
+    not transparently heal lands in ``problems``; self-healing oddities
+    land in ``notes``.
     """
     directory = Path(directory)
     report = RunReport(directory=directory, status="unknown")
 
     try:
-        manifest = read_manifest(directory)
+        manifest = read_manifest(directory, kind=None)
         report.status = str(manifest.get("status", "unknown"))
+        report.kind = str(manifest["kind"])
     except PersistError as error:
         report.problems.append(str(error))
         return report
@@ -715,6 +730,8 @@ def inspect_run(directory: PathLike) -> RunReport:
     journal_path = directory / JOURNAL_NAME
     if journal_path.exists():
         report.journal_bytes = journal_path.stat().st_size
+    if report.kind == KIND_FEDERATION:
+        return report
 
     archive = None
     archive_path = directory / ARCHIVE_NAME

@@ -25,9 +25,10 @@ is the single home for that boilerplate:
 * :func:`reference_satisfies_target` — Eq. 9 through five ``Fraction``
   objects, the differential oracle for the integer cross-multiplication
   in :func:`repro.core.pos.satisfies_target`;
-* :func:`reference_hash_items` — every field through ``_encode_field``,
-  the differential oracle for the exact-type dispatch in
-  :func:`repro.crypto.hashing.hash_items`;
+* :func:`reference_hash_preimage` / :func:`reference_hash_items` — every
+  field through ``_encode_field``, the differential oracle for the
+  exact-type dispatch in :func:`repro.crypto.hashing.hash_preimage` (so
+  for a stored block's header bytes) and ``hash_items``;
 * :class:`ReferenceEngine` — the event heap that never purges its
   cancelled entries, the differential oracle for
   :class:`~repro.simnet.engine.EventEngine`;
@@ -70,7 +71,7 @@ from repro.core.account import Account
 from repro.core.block import Block
 from repro.core.blockchain import Blockchain, ChainState, _Ledgers, _NodeLedger
 from repro.core.config import PAPER_CONFIG, LifecycleSpec, SystemConfig
-from repro.core.errors import AllocationMismatchError, PersistError
+from repro.core.errors import AllocationMismatchError, FormatVersionError, PersistError
 from repro.core.metadata import create_metadata
 from repro.core.pos import compute_hit, compute_pos_hash, mining_delay
 from repro.core.pow import pow_difficulty_for
@@ -382,11 +383,12 @@ def reference_satisfies_target(
     return Fraction(hit) <= target
 
 
-def reference_hash_items(*fields: Any) -> bytes:
-    """Every field through ``_encode_field``: oracle for ``hash_items``.
+def reference_hash_preimage(*fields: Any) -> bytes:
+    """Every field through ``_encode_field``: oracle for ``hash_preimage``
+    (and so for ``Block.header_bytes``, which stored blocks lead with).
 
     The body of ``repro.crypto.hashing.hash_items`` before it dispatched
-    on exact type; the production digest — and the exception a field
+    on exact type; the production bytes — and the exception a field
     raises — must equal it.
     """
     parts = []
@@ -394,7 +396,12 @@ def reference_hash_items(*fields: Any) -> bytes:
         encoded = _encode_field(field)
         parts.append(len(encoded).to_bytes(4, "big"))
         parts.append(encoded)
-    return hashlib.sha256(b"".join(parts)).digest()
+    return b"".join(parts)
+
+
+def reference_hash_items(*fields: Any) -> bytes:
+    """SHA-256 of :func:`reference_hash_preimage`: oracle for ``hash_items``."""
+    return hashlib.sha256(reference_hash_preimage(*fields)).digest()
 
 
 class _ReferenceEvent:
@@ -715,7 +722,9 @@ def reference_recover_journal(path: Path) -> Dict[str, Any]:
         try:
             record = _decode_line(raw[offset:newline], len(verdict["records"]))
         except PersistError as error:
-            if newline + 1 >= len(raw):
+            # A record of another format version is never a torn write.
+            foreign = isinstance(error, FormatVersionError)
+            if newline + 1 >= len(raw) and not foreign:
                 verdict["torn_tail_bytes"] = len(raw) - offset
                 verdict["reason"] = f"torn final record: {error}"
             else:
@@ -726,7 +735,9 @@ def reference_recover_journal(path: Path) -> Dict[str, Any]:
                         len(remainder) - remainder.rfind(b"\n") - 1
                     )
                 verdict["corrupt"] = True
-                verdict["reason"] = f"mid-journal corruption: {error}"
+                verdict["reason"] = (
+                    str(error) if foreign else f"mid-journal corruption: {error}"
+                )
             break
         verdict["records"].append(record)
         offset = newline + 1
@@ -761,6 +772,8 @@ def reference_load_archive(path: Path) -> Dict[str, Any]:
             break
         try:
             body = _decode_record(raw[offset:newline], expected)
+        except FormatVersionError as error:
+            raise FormatVersionError(f"archive {path}: {error}") from error
         except PersistError as error:
             if newline + 1 >= len(raw):
                 verdict["torn_tail_bytes"] = len(raw) - offset

@@ -37,9 +37,11 @@ distinct block, plus the blocks a chain adoption replays — not once per
 node per block, which is two orders of magnitude more.
 
 The fifth guard is a count too: compacting 256 blocks into the cold
-archive opens the archive once, fsyncs it once and encodes each block
-dict once (one open, one fsync and two whole-record ``json.dumps`` *per
-block* before compaction became a batch), and a 64-block ranged fetch
+archive opens the archive once, fsyncs it once, builds no block and
+frames each record once (one open, one fsync and two whole-record
+``json.dumps`` *per block* before compaction became a batch; a decode,
+re-hash and re-encode of every block before it moved stored bytes), and
+a 64-block ranged fetch
 and a full integrity walk open it once each (once per block before).
 
 The last two are counts as well.  2 000 routes in one epoch of a
@@ -83,6 +85,7 @@ import pytest
 
 from repro.core import allocation
 from repro.core.allocation import AllocationEngine
+from repro.core.block import Block
 from repro.core.blockchain import Blockchain, ChainState
 from repro.core.config import PAPER_CONFIG
 from repro.crypto.keys import GENERATOR, N, PrivateKey
@@ -343,9 +346,9 @@ def test_storage_plane_opens_syncs_and_encodes_once_per_batch(tmp_path, monkeypa
     assert chain.first_retained_index >= BATCH_BLOCKS
     path = tmp_path / ARCHIVE_NAME
     archive = BlockArchive(path)
-    opens, fsyncs, dumps, encoded = [], [], [], []
+    opens, fsyncs, dumps, encoded, blocks = [], [], [], [], []
     real_open, real_fsync, real_dumps = builtins.open, os.fsync, json.dumps
-    real_canonical = framing._canonical
+    real_canonical, real_post_init = framing._canonical, Block.__post_init__
 
     def counted_open(file, *args, **kwargs):
         if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(path):
@@ -361,8 +364,7 @@ def test_storage_plane_opens_syncs_and_encodes_once_per_batch(tmp_path, monkeypa
         return real_dumps(value, *args, **kwargs)
 
     def counted_canonical(value):
-        if isinstance(value, dict):
-            encoded.append(value)
+        encoded.append(value)
         return real_canonical(value)
 
     monkeypatch.setattr(builtins, "open", counted_open)
@@ -370,16 +372,26 @@ def test_storage_plane_opens_syncs_and_encodes_once_per_batch(tmp_path, monkeypa
     monkeypatch.setattr(json, "dumps", counted_dumps)
     monkeypatch.setattr(framing, "_canonical", counted_canonical)
 
+    def counted_post_init(block):
+        blocks.append(block.index)
+        real_post_init(block)
+
+    monkeypatch.setattr(Block, "__post_init__", counted_post_init)
+
     moved = store.compact(archive, BATCH_BLOCKS, chain.checkpoints)
     assert moved == archive.archived_below == BATCH_BLOCKS
     assert opens == ["ab"]
     assert fsyncs == [path.stat().st_ino]
-    # One encode per block dict (and one per pinned checkpoint record);
-    # no record is encoded whole, let alone twice.
+    # The rows' bytes move undecoded: no block is built.  Each record is
+    # framed once, member by member — its "block" key once — and the only
+    # objects encoded are the pinned checkpoint records; no record is
+    # encoded whole, let alone twice.
+    assert blocks == []
     assert dumps == []
-    assert sum("current_hash" in value for value in encoded) == BATCH_BLOCKS
-    assert not any("idx" in value or "block" in value for value in encoded)
-    assert len(encoded) == BATCH_BLOCKS + len(archive.checkpoints())
+    assert sum(value == "block" for value in encoded) == BATCH_BLOCKS
+    objects = [value for value in encoded if isinstance(value, dict)]
+    assert not any("idx" in value or "block" in value for value in objects)
+    assert len(objects) == len(archive.checkpoints())
 
     del opens[:]
     fetched = list(archive.fetch_range(0, RANGE_BLOCKS))

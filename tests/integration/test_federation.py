@@ -27,7 +27,8 @@ from repro.federation import (
     run_federation,
 )
 from repro.persist.journal import REC_SEGMENT, JournalRecord, recover_journal
-from repro.persist.resume import JOURNAL_NAME, MANIFEST_NAME
+from repro.cli import main
+from repro.persist.resume import JOURNAL_NAME, MANIFEST_NAME, inspect_run
 from repro.sim.runner import ChurnSpec
 from repro.version import package_version
 from tests.helpers import make_config
@@ -199,6 +200,21 @@ class TestDurability:
         )
         with pytest.raises(PersistError, match="diverged from its journal at t=120s"):
             resume_federation(tmp_path)
+
+    def test_inspect_reports_the_digest_journal(self, tmp_path, small_run, capsys):
+        run_federation(small_run.spec, persist_dir=tmp_path, stop_after_seconds=120.0)
+        report = inspect_run(tmp_path)
+        assert report.ok and report.kind == "federation"
+        assert (report.journal_records, report.journal_clock) == (1, 120.0)
+        assert main(["inspect", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "federation" in out and "120 s" in out and out.rstrip().endswith("ok")
+        # A damaged record before the last one is a problem, not a note.
+        journal = tmp_path / JOURNAL_NAME
+        line = journal.read_bytes()
+        journal.write_bytes(line.replace(b'"seq":0', b'"seq":9') + line)
+        assert not inspect_run(tmp_path).ok
+        assert main(["inspect", str(tmp_path)]) == 1
 
     def test_planted_adversaries_cannot_be_persisted(self, tmp_path):
         spec = fed_spec(node_classes_by_cluster={0: {1: object}})

@@ -11,6 +11,7 @@ mid-file verdict, and files written through the oracle must load as the
 files this code writes.
 """
 
+import base64
 import json
 
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core.block import Block
 from repro.core.errors import PersistError
 from repro.core.metadata import MetadataItem
-from repro.core.serialization import block_to_dict
+from repro.core.serialization import block_to_bytes, block_to_dict
 from repro.lifecycle import ARCHIVE_NAME, BlockArchive, CheckpointRecord
 from repro.lifecycle.archive import ARCHIVE_FORMAT_VERSION
 from repro.lifecycle.framing import _frame, _unframe
@@ -78,7 +79,7 @@ def archive_body(block: Block, checkpoint=None) -> dict:
         "v": ARCHIVE_FORMAT_VERSION,
         "idx": block.index,
         "hash": block.current_hash,
-        "block": block_to_dict(block),
+        "block": base64.b64encode(block_to_bytes(block)).decode("ascii"),
     }
     if checkpoint is not None:
         body["checkpoint"] = checkpoint.to_dict()

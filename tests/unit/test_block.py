@@ -9,7 +9,12 @@ import pytest
 from repro.core import block as block_module
 from repro.core.block import GENESIS_PREVIOUS_HASH, Block, make_genesis
 from repro.core.metadata import create_metadata
-from repro.core.serialization import block_from_dict, block_to_dict
+from repro.core.serialization import (
+    block_from_bytes,
+    block_from_dict,
+    block_to_bytes,
+    block_to_dict,
+)
 
 
 @pytest.fixture
@@ -98,8 +103,8 @@ def block_hashes(monkeypatch):
             calls.append(items[1])
         return real(*items)
 
-    real = block_module.hash_items
-    monkeypatch.setattr(block_module, "hash_items", counting)
+    real = block_module.hash_preimage
+    monkeypatch.setattr(block_module, "hash_preimage", counting)
     return calls
 
 
@@ -130,6 +135,17 @@ class TestHashMemo:
         assert block_hashes == [child.index]  # re-hashed from its own fields
         assert twin.hash_is_valid()
         assert len(block_hashes) == 1
+
+    def test_bytes_decode_keeps_the_header_it_read(self, child, block_hashes):
+        """The byte codec accepts only the canonical encoding of the block
+        it decodes to, so the header it read is the fields' preimage."""
+        data = block_to_bytes(child)
+        twin = block_from_bytes(data, child.current_hash)
+        assert twin is not child and twin == child
+        assert twin.hash_is_valid() and twin.header_bytes() == child.header_bytes()
+        assert block_hashes == []
+        assert dataclasses.replace(twin).header_bytes() == twin.header_bytes()
+        assert block_hashes == [child.index]  # a copy is hashed from its fields
 
     def test_memo_is_invisible(self, child):
         # Same fields, hash handed in: nothing was computed, no memo yet.

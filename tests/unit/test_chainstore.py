@@ -1,6 +1,5 @@
 """Unit tests for the SQLite chain store."""
 
-import json
 import math
 import sqlite3
 from dataclasses import replace
@@ -8,7 +7,8 @@ from dataclasses import replace
 import pytest
 
 from repro.core.config import PAPER_CONFIG
-from repro.core.errors import PersistError
+from repro.core.errors import FormatVersionError, PersistError, ValidationError
+from repro.core.serialization import block_from_bytes, block_to_bytes
 from repro.metrics.export import store_chain_record
 from repro.lifecycle import ARCHIVE_NAME, BlockArchive
 from repro.persist.chainstore import (
@@ -324,19 +324,21 @@ class TestIntegrity:
         return sqlite3.connect(str(store.path))
 
     def test_payload_tamper_detected(self, store):
+        """The miner changed inside the stored bytes, re-encoded whole (so
+        the CRC holds): the hash column catches it."""
         conn = self._raw(store)
-        payload = json.loads(
+        stored = block_from_bytes(
             conn.execute("SELECT payload FROM blocks WHERE idx = 1").fetchone()[0]
         )
-        payload["miner"] = payload["miner"] + 1
-        conn.execute(
-            "UPDATE blocks SET payload = ? WHERE idx = 1",
-            (json.dumps(payload, sort_keys=True),),
-        )
+        tampered = block_to_bytes(replace(stored, miner=stored.miner + 1))
+        block_from_bytes(tampered)  # well-formed bytes, of another block
+        conn.execute("UPDATE blocks SET payload = ? WHERE idx = 1", (tampered,))
         conn.commit()
         conn.close()
         with ChainStore(store.path) as reopened:
             problems = reopened.verify_integrity()
+            with pytest.raises(ValidationError):
+                reopened.block_by_index(1)
         assert any("block 1" in problem for problem in problems)
 
     def test_hash_column_tamper_detected(self, store):
@@ -362,6 +364,13 @@ class TestIntegrity:
         with ChainStore(path) as handle:
             handle.set_meta("schema_version", "999")
         with pytest.raises(PersistError, match="schema"):
+            ChainStore(path)
+
+    def test_a_store_of_json_rows_is_refused_by_its_version(self, tmp_path):
+        path = tmp_path / "old.sqlite"
+        with ChainStore(path) as handle:
+            handle.set_meta("schema_version", "1")
+        with pytest.raises(FormatVersionError, match="schema v1, this build reads v2"):
             ChainStore(path)
 
 
@@ -424,4 +433,4 @@ class TestQueryPlans:
                 )
             }
             assert "ix_metadata_block" in names
-            assert store.get_meta("schema_version") == str(STORE_SCHEMA_VERSION) == "1"
+            assert store.get_meta("schema_version") == str(STORE_SCHEMA_VERSION) == "2"

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.errors import PersistError
+from repro.lifecycle.framing import _frame
 from repro.persist.journal import (
     JOURNAL_FORMAT_VERSION,
     REC_BLOCK,
@@ -164,6 +165,25 @@ class TestMidFileCorruption:
         assert recovery.corrupt
         assert "sequence" in recovery.reason
         assert len(recovery.records) == 3
+
+    def test_a_journal_of_the_old_format_is_refused_never_truncated(self, journal_path):
+        """One whole record of format v1 is not a torn write: recovery
+        names the version, and opening for append refuses the file."""
+        write_records(journal_path, 1)
+        old = journal_path.read_bytes().replace(
+            b'"v":%d' % JOURNAL_FORMAT_VERSION, b'"v":1'
+        )
+        body = json.loads(old)
+        del body["crc"]
+        journal_path.write_bytes(_frame(body))
+        recovery = recover_journal(journal_path)
+        assert recovery.corrupt and not recovery.records
+        assert recovery.reason == (
+            f"journal record 0 has format v1; this build reads v{JOURNAL_FORMAT_VERSION}"
+        )
+        with pytest.raises(PersistError, match="format v1"):
+            RunJournal.open(journal_path)
+        assert journal_path.read_bytes() == _frame(body)
 
     def test_wrong_format_version_rejected(self, journal_path):
         body = {

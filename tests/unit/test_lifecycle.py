@@ -1,6 +1,7 @@
 """Unit tests for the chain lifecycle subsystem: horizon math, checkpoint
 records, in-memory pruning, anchored adoption, and the cold archive."""
 
+import base64
 import dataclasses
 import json
 
@@ -12,11 +13,13 @@ from repro.core.blockchain import Blockchain, BlockOutcome
 from repro.core.config import LifecycleSpec, SystemConfig
 from repro.core.errors import (
     CheckpointError,
+    FormatVersionError,
     PersistError,
     PrunedBlockError,
     ValidationError,
 )
 from repro.core.pos import compute_hit, compute_pos_hash, mining_delay
+from repro.core.serialization import block_from_bytes, block_to_bytes
 from repro.lifecycle import (
     ARCHIVE_NAME,
     BlockArchive,
@@ -25,6 +28,7 @@ from repro.lifecycle import (
     lifecycle_enabled,
     retention_horizon,
 )
+from repro.lifecycle.archive import ARCHIVE_FORMAT_VERSION
 from repro.lifecycle.framing import _frame
 from repro.lifecycle.spec import checkpoint_lag, last_checkpoint_for
 
@@ -321,18 +325,31 @@ class TestArchive:
             BlockArchive(path)
 
 
+    def test_an_archive_of_the_old_format_is_refused_never_truncated(self, tmp_path):
+        chain = self._grown()
+        path = tmp_path / ARCHIVE_NAME
+        old = _frame({"v": 1, "idx": 0, "hash": chain.block_at(0).current_hash,
+                      "block": {"index": 0}})
+        path.write_bytes(old)  # one record: where a torn write would sit
+        with pytest.raises(FormatVersionError, match="has format v1; this build reads v2"):
+            BlockArchive(path)
+        assert path.read_bytes() == old
+
     def test_record_without_a_block_is_corrupt(self, tmp_path):
         chain = self._grown()
         path = tmp_path / ARCHIVE_NAME
         BlockArchive(path).append(chain.block_at(0))
-        hollow = _frame({"v": 1, "idx": 0, "hash": chain.block_at(0).current_hash})
+        hollow = _frame(
+            {"v": ARCHIVE_FORMAT_VERSION, "idx": 0, "hash": chain.block_at(0).current_hash}
+        )
         path.write_bytes(hollow + path.read_bytes())
         with pytest.raises(PersistError, match="carries no block"):
             BlockArchive(path)
 
     def test_verify_reports_a_rehashed_body_and_walks_on(self, tmp_path):
-        """A body altered *and* re-framed passes the CRC; the content hash
-        catches it, as one problem, and the walk continues."""
+        """Block bytes altered *and* re-framed pass both CRCs (the line's and
+        the bytes' own); the content hash catches it, as one problem, and
+        the walk continues."""
         chain = self._grown()
         path = tmp_path / ARCHIVE_NAME
         archive = BlockArchive(path)
@@ -340,7 +357,9 @@ class TestArchive:
         lines = path.read_bytes().splitlines(keepends=True)
         body = json.loads(lines[1])
         del body["crc"]
-        body["block"]["timestamp"] += 1.0
+        stored = block_from_bytes(base64.b64decode(body["block"]))
+        later = dataclasses.replace(stored, timestamp=stored.timestamp + 1.0)
+        body["block"] = base64.b64encode(block_to_bytes(later)).decode("ascii")
         lines[1] = _frame(body)
         path.write_bytes(b"".join(lines))
         problems = BlockArchive(path).verify_integrity()

@@ -165,6 +165,19 @@ class TestReport:
         assert "col_a" in lines[2]
         assert len({len(line) for line in lines[3:]}) == 1  # aligned rows
 
+    def test_render_table_justifies_text_left_and_numbers_right(self):
+        table = render_table(
+            "Claims",
+            ["claim", "value", "holds"],
+            [["Gini <= 0.057", 0.042, True], ["energy saving", 69.7, False], ["n", 5, "yes"]],
+        )
+        rows = table.splitlines()[4:]
+        assert rows == [
+            "Gini <= 0.057  0.042  True ",
+            "energy saving   69.7  False",
+            "n                  5  yes  ",
+        ]
+
     def test_render_table_row_width_mismatch(self):
         with pytest.raises(ValueError):
             render_table("t", ["a"], [[1, 2]])

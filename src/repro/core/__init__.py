@@ -13,8 +13,6 @@ from repro.core.audit import AuditReport, EarningKind, LedgerEvent, audit_chain
 from repro.core.serialization import (
     block_from_dict,
     block_to_dict,
-    chain_from_json,
-    chain_to_json,
     metadata_from_dict,
     metadata_to_dict,
 )
@@ -54,9 +52,6 @@ from repro.core.pow import (
     PAPER_POW_DIFFICULTY,
     PowBlockResult,
     PowMiner,
-    expected_attempts,
-    find_pow_nonce,
-    hash_meets_difficulty,
 )
 from repro.core.recent_blocks import recent_block_coverage, select_recent_cache_nodes
 from repro.core.storage import NodeStorage, StoredData
@@ -88,9 +83,6 @@ __all__ = [
     "MiningClaim",
     "PowMiner",
     "PowBlockResult",
-    "find_pow_nonce",
-    "expected_attempts",
-    "hash_meets_difficulty",
     "PAPER_POW_DIFFICULTY",
     "NodeStorage",
     "StoredData",
@@ -120,8 +112,6 @@ __all__ = [
     "block_from_dict",
     "metadata_to_dict",
     "metadata_from_dict",
-    "chain_to_json",
-    "chain_from_json",
     "EdgeChainError",
     "ValidationError",
     "ChainLinkError",

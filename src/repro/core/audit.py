@@ -7,8 +7,9 @@ block, storing a data item, storing a block, caching a recent block) and
 every rescaling, so a dispute about a balance can be settled by pointing
 at blocks.
 
-Used by the marketplace example and the incentive tests; also a practical
-debugging tool when a PoS validation fails with an unexpected S_i.
+Only the incentive tests use it, as an independent oracle for the chain's
+ledger; it is also a debugging tool when a PoS validation fails with an
+unexpected S_i.
 """
 
 from __future__ import annotations

@@ -172,8 +172,8 @@ def per_second_mining_loop(
     """The literal Algorithm of Section V-C, one tick per second.
 
     Yields ``(t, R_i, satisfied)`` per second until the condition holds or
-    ``max_seconds`` elapses.  Used by the energy meter (each tick costs
-    energy) and by the equivalence test against :func:`mining_delay`.
+    ``max_seconds`` elapses.  Only tests use it: it is the oracle that
+    :func:`mining_delay`'s closed form is checked against.
     """
     for t in range(1, max_seconds + 1):
         target = target_value(stake, stored, float(t), amendment)

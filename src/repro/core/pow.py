@@ -6,24 +6,19 @@ the phone.  A difficulty of ``d`` leading hex zeros succeeds per attempt
 with probability ``16^-d``, so the attempt count is geometric with mean
 ``16^d`` — 65 536 at the paper's difficulty 4.
 
-Two modes are provided:
-
-* :func:`find_pow_nonce` — an *actual* brute-force SHA-256 loop, used by
-  tests at low difficulty to show the scheme is real,
-* :class:`PowMiner.mine_block` — a *sampled* run (geometric attempt count
-  drawn from the simulation RNG) used by the energy benchmarks, where
-  difficulty-4 loops would waste wall-clock time without changing the
-  energy arithmetic (energy = attempts × per-hash joules either way).
+:meth:`PowMiner.mine_block` *samples* that attempt count from the
+simulation RNG instead of running a difficulty-4 SHA-256 loop: the energy
+is attempts × per-hash joules either way, and the loop would only waste
+wall-clock time.  :func:`repro.sim.scenarios.mining_session` drives it
+until the battery is spent (Fig. 6).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-from repro.crypto.hashing import hash_items_hex
 from repro.energy.meter import EnergyMeter
 from repro.obs import runtime as _obs
 
@@ -34,13 +29,6 @@ PAPER_POW_DIFFICULTY = 4
 #: attempts) at a 25 s average block time → ≈2 621 hashes/second, consistent
 #: with SHA-256 in a react-native JS runtime on a 2017 handset.
 PAPER_HASH_RATE = 16**PAPER_POW_DIFFICULTY / 25.0
-
-
-def expected_attempts(difficulty: int) -> int:
-    """Mean attempts to find a hash with ``difficulty`` leading hex zeros."""
-    if difficulty < 0:
-        raise ValueError("difficulty cannot be negative")
-    return 16**difficulty
 
 
 def pow_difficulty_for(
@@ -59,30 +47,6 @@ def pow_difficulty_for(
     import math
 
     return math.log(target_interval * node_count * hash_rate, 16.0)
-
-
-def hash_meets_difficulty(block_hash: str, difficulty: int) -> bool:
-    return block_hash.startswith("0" * difficulty)
-
-
-def find_pow_nonce(
-    payload: str, difficulty: int, max_attempts: int = 10_000_000
-) -> Tuple[int, int]:
-    """Actually brute-force a nonce; returns ``(nonce, attempts)``.
-
-    Only intended for tests at difficulty ≤ 3 — at the paper's difficulty 4
-    use the sampled miner instead.
-    """
-    with _obs.span("pow.brute_force", "pow", difficulty=difficulty) as obs_span:
-        for nonce in range(max_attempts):
-            digest = hash_items_hex("pow", payload, nonce)
-            if hash_meets_difficulty(digest, difficulty):
-                if _obs.is_enabled():
-                    obs_span.set(attempts=nonce + 1)
-                    _obs.add("pow.attempts", nonce + 1)
-                    _obs.observe("pow.attempts_per_block", nonce + 1)
-                return nonce, nonce + 1
-    raise RuntimeError(f"no nonce found within {max_attempts} attempts")
 
 
 @dataclass
@@ -132,16 +96,3 @@ class PowMiner:
             energy_joules=energy,
             battery_remaining_percent=self.meter.remaining_percent,
         )
-
-    def mine_until_depleted(
-        self, rng: np.random.Generator, max_blocks: int = 100_000
-    ) -> list:
-        """Mine until the battery dies; returns the per-block results.
-
-        This regenerates the PoW series of Fig. 6 (battery percent after
-        each mined block).
-        """
-        results = []
-        while not self.meter.depleted and len(results) < max_blocks:
-            results.append(self.mine_block(rng))
-        return results

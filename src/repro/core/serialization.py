@@ -31,19 +31,16 @@ block still validates).
 * :func:`block_to_bytes` / :func:`block_from_bytes` / :func:`verify_block_bytes`
 * :func:`metadata_to_dict` / :func:`metadata_from_dict`
 * :func:`block_to_dict` / :func:`block_from_dict`
-* :func:`chain_to_json` / :func:`chain_from_json` — whole-chain transfer
-  (the ChainResponse payload of Section IV-D's new-node sync).
 """
 
 from __future__ import annotations
 
-import json
 import struct
 import zlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.block import Block
-from repro.core.errors import SerializationError, ValidationError
+from repro.core.errors import ValidationError
 from repro.core.metadata import MetadataItem
 from repro.crypto.hashing import hash_preimage, sha256, sha256_hex
 from repro.crypto.merkle import merkle_root
@@ -399,73 +396,4 @@ def block_from_dict(payload: Dict[str, Any], verify_hash: bool = True) -> Block:
             f"block {block.index} hash does not match its contents"
         )
     return block
-
-
-def chain_to_json(blocks: Sequence[Block]) -> str:
-    """Serialise a whole chain to a JSON string."""
-    return json.dumps(
-        {"v": WIRE_FORMAT_VERSION, "blocks": [block_to_dict(b) for b in blocks]},
-        sort_keys=True,
-    )
-
-
-#: Ceiling on a serialised chain accepted by :func:`chain_from_json`.
-#: A 500-minute paper run serialises to well under 10 MB; an input past
-#: this is hostile or corrupt, and rejecting it up front keeps a peer
-#: from making us parse an arbitrarily large document.
-MAX_CHAIN_JSON_BYTES = 64 * 1024 * 1024
-
-#: Ceiling on JSON nesting depth.  Honest chain documents nest ~6 deep
-#: (chain → block → metadata → storing nodes); deeply nested input only
-#: exists to exhaust the parser's recursion.
-MAX_CHAIN_JSON_DEPTH = 32
-
-
-def _check_depth(value: Any, limit: int, depth: int = 0) -> None:
-    if depth > limit:
-        raise SerializationError(
-            f"chain payload nests deeper than {limit} levels"
-        )
-    if isinstance(value, dict):
-        for item in value.values():
-            _check_depth(item, limit, depth + 1)
-    elif isinstance(value, list):
-        for item in value:
-            _check_depth(item, limit, depth + 1)
-
-
-def chain_from_json(text: str, verify_hashes: bool = True) -> List[Block]:
-    """Deserialise a chain, checking linkage between consecutive blocks.
-
-    Structural defences run before content validation: payloads larger
-    than :data:`MAX_CHAIN_JSON_BYTES` or nested deeper than
-    :data:`MAX_CHAIN_JSON_DEPTH` raise :class:`SerializationError`
-    (a :class:`ValidationError`, so existing handlers already catch it).
-    """
-    if len(text) > MAX_CHAIN_JSON_BYTES:
-        raise SerializationError(
-            f"chain payload of {len(text)} bytes exceeds the "
-            f"{MAX_CHAIN_JSON_BYTES}-byte limit"
-        )
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise ValidationError(f"chain payload is not valid JSON: {error}") from error
-    except RecursionError as error:
-        raise SerializationError(
-            "chain payload nests too deeply to parse"
-        ) from error
-    _check_depth(payload, MAX_CHAIN_JSON_DEPTH)
-    if not isinstance(payload, dict) or _require(payload, "v") != WIRE_FORMAT_VERSION:
-        raise ValidationError("unsupported chain wire format")
-    blocks = [
-        block_from_dict(entry, verify_hash=verify_hashes)
-        for entry in _require(payload, "blocks")
-    ]
-    for parent, child in zip(blocks, blocks[1:]):
-        if not child.links_to(parent):
-            raise ValidationError(
-                f"serialised chain breaks at block {child.index}"
-            )
-    return blocks
 

@@ -1,4 +1,4 @@
-"""Cryptographic substrate: SHA-256 helpers, secp256k1 ECDSA, Merkle trees.
+"""Cryptographic substrate: SHA-256 helpers, secp256k1 ECDSA, Merkle roots.
 
 Everything is implemented from scratch on top of :mod:`hashlib` so the
 blockchain core has a real signature scheme without external dependencies.
@@ -8,7 +8,6 @@ from repro.crypto.hashing import (
     DIGEST_BITS,
     DIGEST_SIZE,
     hash_items,
-    hash_items_hex,
     hash_to_int,
     sha256,
     sha256_hex,
@@ -22,7 +21,7 @@ from repro.crypto.keys import (
     PublicKey,
     generate_keypair,
 )
-from repro.crypto.merkle import MerkleProof, MerkleTree, merkle_root, verify_proof
+from repro.crypto.merkle import merkle_root
 from repro.crypto.signature import Signature, sign, verify
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "sha256",
     "sha256_hex",
     "hash_items",
-    "hash_items_hex",
     "hash_to_int",
     "CurvePoint",
     "PrivateKey",
@@ -43,8 +41,5 @@ __all__ = [
     "Signature",
     "sign",
     "verify",
-    "MerkleTree",
-    "MerkleProof",
     "merkle_root",
-    "verify_proof",
 ]

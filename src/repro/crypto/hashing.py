@@ -94,11 +94,6 @@ def hash_items(*fields: HashableField) -> bytes:
     return hashlib.sha256(hash_preimage(*fields)).digest()
 
 
-def hash_items_hex(*fields: HashableField) -> str:
-    """Like :func:`hash_items` but returning lowercase hex."""
-    return hash_items(*fields).hex()
-
-
 def hash_to_int(digest: bytes) -> int:
     """Interpret a digest as a big-endian unsigned integer.
 
@@ -108,30 +103,6 @@ def hash_to_int(digest: bytes) -> int:
     if not digest:
         raise ValueError("empty digest")
     return int.from_bytes(digest, "big")
-
-
-def hash_concat(left: bytes, right: bytes) -> bytes:
-    """Hash the concatenation of two digests (Merkle interior nodes)."""
-    return sha256(left + right)
-
-
-def checksum8(data: bytes) -> str:
-    """Short 8-hex-char checksum for human-readable identifiers and logs."""
-    return sha256_hex(data)[:8]
-
-
-def iter_hash(seed: bytes, rounds: int) -> bytes:
-    """Apply SHA-256 ``rounds`` times starting from ``seed``.
-
-    Used by the energy benchmarks to model a PoW miner's brute-force loop
-    deterministically (a PoW attempt is one such round).
-    """
-    if rounds < 0:
-        raise ValueError("rounds must be non-negative")
-    digest = seed
-    for _ in range(rounds):
-        digest = sha256(digest)
-    return digest
 
 
 def combine_hex(parts: Iterable[str]) -> str:

@@ -27,9 +27,11 @@ from repro.persist.journal import REC_SEGMENT, RunJournal, recover_journal
 from repro.persist.resume import (
     JOURNAL_NAME,
     KIND_FEDERATION,
+    STATUS_RUNNING,
+    complete_manifest,
     config_from_dict,
     decoding,
-    read_manifest,
+    resumable_manifest,
     start_manifest,
 )
 from repro.sim.runner import ChurnSpec, advance, collect_metrics
@@ -227,12 +229,16 @@ def run_federation(
         advance(runtime, stop_after_seconds)
         return collect_federation_metrics(runtime)
     directory = start_manifest(
-        persist_dir, KIND_FEDERATION, {"spec": asdict(_persistable(spec))}
+        persist_dir,
+        KIND_FEDERATION,
+        {"status": STATUS_RUNNING, "spec": asdict(_persistable(spec))},
     )
     runtime = build_federation_runtime(spec)
     with RunJournal.open(directory / JOURNAL_NAME) as journal:
         log = _SegmentLog(runtime, journal)
-        advance(runtime, stop_after_seconds, SEGMENT_SECONDS, log)
+        completed = advance(runtime, stop_after_seconds, SEGMENT_SECONDS, log)
+    if completed:  # once the journal is closed, so synced
+        complete_manifest(directory, KIND_FEDERATION, completed_at_clock=runtime.engine.now)
     return collect_federation_metrics(runtime)
 
 
@@ -247,7 +253,7 @@ def resume_federation(
     the first mismatch); ``stop_after_seconds`` counts from there.
     """
     directory = Path(directory)
-    spec = _spec_from_dict(read_manifest(directory, KIND_FEDERATION).get("spec"))
+    spec = _spec_from_dict(resumable_manifest(directory, KIND_FEDERATION).get("spec"))
     recorded: List[Tuple[float, Dict[str, Any]]] = []
 
     def fold(position: int, record) -> None:
@@ -268,5 +274,7 @@ def resume_federation(
             log = _SegmentLog(runtime, journal, recorded)
             advance(runtime, resume_at, SEGMENT_SECONDS, log)
         _obs.attach_runtime(runtime, runtime.engine.clock_reader())
-        advance(runtime, stop_after_seconds, SEGMENT_SECONDS, log)
+        completed = advance(runtime, stop_after_seconds, SEGMENT_SECONDS, log)
+    if completed:
+        complete_manifest(directory, KIND_FEDERATION, completed_at_clock=runtime.engine.now)
     return collect_federation_metrics(runtime)

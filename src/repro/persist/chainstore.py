@@ -1,20 +1,19 @@
-"""SQLite-backed chain and metadata store with an in-memory LRU cache.
+"""SQLite-backed chain store with an in-memory LRU cache.
 
-The store is the *queryable* half of the persistence subsystem (the
-journal is the durable half): blocks, their packed metadata items, node
-accounts, and per-block storage-allocation assignments land in indexed
-tables, so long-finished runs can be searched ("all AirQuality items
-produced by node 7") without replaying anything.
+The store is the *readable* half of the persistence subsystem (the
+journal is the durable half): one row per block and one per node
+account.  The paper's metadata query (§III-B) is answered from the chain
+itself (:meth:`repro.core.blockchain.Blockchain.search_metadata`), so the
+store keeps no item or assignment tables.
 
 A block row holds the block's stored bytes
 (:func:`repro.core.serialization.block_to_bytes`, a BLOB led by the
-block's hash preimage) beside extracted columns (hash, miner, timestamp)
-for indexed queries; item rows hold each item's canonical JSON.  A read
-decodes the bytes once — refusing any that are not the canonical
-encoding of the block they decode to — and, when asked to verify,
-checks that they hash to the row's hash column; compaction checks each
-row by hashing what it read and hands the same bytes to the cold archive
-without decoding them.
+block's hash preimage) beside extracted columns (hash, miner, timestamp
+and its item count).  A read decodes the bytes once — refusing any that
+are not the canonical encoding of the block they decode to — and, when
+asked to verify, checks that they hash to the row's hash column;
+compaction checks each row by hashing what it read and hands the same
+bytes to the cold archive without decoding them.
 ``verify_integrity`` re-walks the whole store checking payload hashes,
 column consistency, and parent linkage; ``repro inspect`` exits non-zero
 when it reports problems.
@@ -22,9 +21,9 @@ when it reports problems.
 Reads of hot blocks go through a small LRU cache so a resumed run's
 replay loop and the export paths stay off the disk.
 
-Writes are group-committed.  ``put_block`` stages its rows in one open
-transaction, each put inside a SAVEPOINT of its own (a put that raises
-rolls back only its own rows), and the store commits every
+Writes are group-committed.  ``put_block`` is one ``INSERT OR REPLACE``
+into the open transaction (a put that fails undoes only its own
+statement), and the store commits every
 :data:`~repro.persist.journal.WRITE_BATCH` puts — the journal's fsync
 batch — as well as on :meth:`ChainStore.commit`, before compaction's
 deletes, and on close.  Staged rows are visible to this connection's
@@ -35,7 +34,6 @@ re-puts from the journal.
 
 from __future__ import annotations
 
-import json
 import sqlite3
 import time
 from collections import OrderedDict
@@ -45,22 +43,16 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 from repro.core.account import Account
 from repro.core.block import Block
 from repro.core.errors import FormatVersionError, PersistError, ValidationError
-from repro.core.metadata import MetadataItem
-from repro.core.serialization import (
-    block_from_bytes,
-    block_to_bytes,
-    metadata_from_dict,
-    metadata_to_dict,
-    verify_block_bytes,
-)
+from repro.core.serialization import block_from_bytes, block_to_bytes, verify_block_bytes
 from repro.obs import runtime as _obs
 from repro.persist.journal import WRITE_BATCH
 
 PathLike = Union[str, Path]
 
 #: Bumped on breaking changes to the table layout.  v2: a block row's
-#: payload is the block's stored bytes, not its JSON.
-STORE_SCHEMA_VERSION = 2
+#: payload is the block's stored bytes, not its JSON.  v3: a block row
+#: counts its items, and the item and assignment tables are gone.
+STORE_SCHEMA_VERSION = 3
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS store_meta (
@@ -72,43 +64,15 @@ CREATE TABLE IF NOT EXISTS blocks (
     hash      TEXT    NOT NULL UNIQUE,
     miner     INTEGER NOT NULL,
     timestamp REAL    NOT NULL,
+    items     INTEGER NOT NULL,
     payload   BLOB    NOT NULL
 );
-CREATE TABLE IF NOT EXISTS metadata_items (
-    data_id    TEXT    PRIMARY KEY,
-    block_idx  INTEGER NOT NULL,
-    data_type  TEXT    NOT NULL,
-    producer   INTEGER NOT NULL,
-    created_at REAL    NOT NULL,
-    payload    TEXT    NOT NULL
-);
-CREATE INDEX IF NOT EXISTS ix_metadata_type     ON metadata_items(data_type);
-CREATE INDEX IF NOT EXISTS ix_metadata_producer ON metadata_items(producer);
--- put_block's per-block delete and compact's range delete find their rows
--- through it; IF NOT EXISTS gives a store written before it the index on open.
-CREATE INDEX IF NOT EXISTS ix_metadata_block    ON metadata_items(block_idx);
 CREATE TABLE IF NOT EXISTS accounts (
     node_id    INTEGER PRIMARY KEY,
     address    TEXT    NOT NULL,
     public_key TEXT    NOT NULL
 );
-CREATE TABLE IF NOT EXISTS assignments (
-    block_idx INTEGER NOT NULL,
-    node_id   INTEGER NOT NULL,
-    kind      TEXT    NOT NULL
-);
-CREATE UNIQUE INDEX IF NOT EXISTS ix_assignments_unique
-    ON assignments(block_idx, node_id, kind);
-CREATE INDEX IF NOT EXISTS ix_assignments_node ON assignments(node_id);
 """
-
-#: Assignment kinds recorded per block.
-KIND_BLOCK = "block"  # node persists this block permanently
-KIND_RECENT = "recent"  # node caches this block in its FIFO recent cache
-
-#: The stored JSON form of an item: ``json.dumps(..., sort_keys=True)``
-#: without building an encoder per call.
-_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def _stored_int(value: Any, what: str) -> int:
@@ -119,7 +83,7 @@ def _stored_int(value: Any, what: str) -> int:
 
 
 class ChainStore:
-    """Durable, queryable store for one run's chain."""
+    """Durable store for one run's chain."""
 
     def __init__(self, path: PathLike, cache_blocks: int = 256):
         if cache_blocks < 1:
@@ -182,7 +146,7 @@ class ChainStore:
     # -- writes ----------------------------------------------------------------------
 
     def put_block(self, block: Block) -> None:
-        """Stage (or replace, after a reorg) one block and its satellites."""
+        """Stage (or replace, after a reorg) one block."""
         if _obs.is_enabled():
             start = time.perf_counter()
             with _obs.span("persist.put_block", "persist", index=block.index):
@@ -193,54 +157,12 @@ class ChainStore:
             self._put_block(block)
 
     def _put_block(self, block: Block) -> None:
-        index = block.index
-        payload = block_to_bytes(block)
-        items = [
-            (
-                item.data_id,
-                index,
-                item.data_type,
-                item.producer,
-                item.created_at,
-                _encode(metadata_to_dict(item)),
-            )
-            for item in block.metadata_items
-        ]
-        assignments = [(index, node, KIND_BLOCK) for node in block.storing_nodes] + [
-            (index, node, KIND_RECENT) for node in block.recent_cache_nodes
-        ]
-        conn = self._conn
-        if not conn.in_transaction:
-            conn.execute("BEGIN")
-        conn.execute("SAVEPOINT put_block")
-        try:
-            conn.execute("DELETE FROM assignments WHERE block_idx = ?", (index,))
-            conn.execute("DELETE FROM metadata_items WHERE block_idx = ?", (index,))
-            conn.execute(
-                "INSERT OR REPLACE INTO blocks "
-                "(idx, hash, miner, timestamp, payload) VALUES (?, ?, ?, ?, ?)",
-                (index, block.current_hash, block.miner, block.timestamp, payload),
-            )
-            if items:
-                conn.executemany(
-                    "INSERT OR REPLACE INTO metadata_items "
-                    "(data_id, block_idx, data_type, producer, created_at, payload) "
-                    "VALUES (?, ?, ?, ?, ?, ?)",
-                    items,
-                )
-            conn.executemany(
-                "INSERT OR REPLACE INTO assignments (block_idx, node_id, kind) "
-                "VALUES (?, ?, ?)",
-                assignments,
-            )
-        except BaseException:
-            # sqlite may already have rolled the whole transaction back
-            # (a full disk, say); then there is no savepoint left to undo.
-            if conn.in_transaction:
-                conn.execute("ROLLBACK TO put_block")
-                conn.execute("RELEASE put_block")
-            raise
-        conn.execute("RELEASE put_block")
+        self._conn.execute(
+            "INSERT OR REPLACE INTO blocks "
+            "(idx, hash, miner, timestamp, items, payload) VALUES (?, ?, ?, ?, ?, ?)",
+            (block.index, block.current_hash, block.miner, block.timestamp,
+             len(block.metadata_items), block_to_bytes(block)),
+        )
         self._cache_put(block)
         self._staged += 1
         if self._staged >= WRITE_BATCH:
@@ -292,7 +214,7 @@ class ChainStore:
 
     def metadata_count(self) -> int:
         return int(
-            self._conn.execute("SELECT COUNT(*) FROM metadata_items").fetchone()[0]
+            self._conn.execute("SELECT SUM(items) FROM blocks").fetchone()[0] or 0
         )
 
     def tip_hash(self) -> Optional[str]:
@@ -315,12 +237,6 @@ class ChainStore:
         block = block_from_bytes(row[1], row[0] if verify_hash else None)
         self._cache_put(block)
         return block
-
-    def block_by_hash(self, block_hash: str) -> Optional[Block]:
-        row = self._conn.execute(
-            "SELECT idx FROM blocks WHERE hash = ?", (block_hash,)
-        ).fetchone()
-        return None if row is None else self.block_by_index(int(row[0]))
 
     def iter_blocks(self, verify_hashes: bool = False) -> Iterator[Block]:
         """All blocks in chain order (bypasses the cache)."""
@@ -345,48 +261,6 @@ class ChainStore:
                 "SELECT miner, COUNT(*) FROM blocks WHERE miner >= 0 GROUP BY miner"
             )
         }
-
-    def find_metadata(
-        self,
-        data_type: Optional[str] = None,
-        producer: Optional[int] = None,
-        created_after: Optional[float] = None,
-        limit: Optional[int] = None,
-    ) -> List[MetadataItem]:
-        """Indexed metadata search, newest first."""
-        clauses: List[str] = []
-        params: List[object] = []
-        if data_type is not None:
-            clauses.append("data_type LIKE ?")
-            params.append(f"%{data_type}%")
-        if producer is not None:
-            clauses.append("producer = ?")
-            params.append(producer)
-        if created_after is not None:
-            clauses.append("created_at >= ?")
-            params.append(created_after)
-        query = "SELECT payload FROM metadata_items"
-        if clauses:
-            query += " WHERE " + " AND ".join(clauses)
-        query += " ORDER BY created_at DESC"
-        if limit is not None:
-            query += " LIMIT ?"
-            params.append(limit)
-        return [
-            metadata_from_dict(json.loads(row[0]))
-            for row in self._conn.execute(query, params)
-        ]
-
-    def assignments_of(self, node_id: int) -> List[Tuple[int, str]]:
-        """(block index, kind) assignments recorded for one node."""
-        return [
-            (int(row[0]), str(row[1]))
-            for row in self._conn.execute(
-                "SELECT block_idx, kind FROM assignments WHERE node_id = ? "
-                "ORDER BY block_idx",
-                (node_id,),
-            )
-        ]
 
     def accounts(self) -> Dict[int, Tuple[str, str]]:
         """node id → (address, public key hex)."""
@@ -413,9 +287,8 @@ class ChainStore:
         filesystem.  A crash at any point resumes idempotently — a torn
         batch is truncated to whole lines when the archive is next
         opened, the append skips what the archive already holds
-        (contiguous floor), and the deletes re-run harmlessly.  Metadata
-        rows ride along with their block: cold queries go through
-        ``repro archive fetch``.
+        (contiguous floor), and the deletes re-run harmlessly.  Cold
+        blocks are read through ``repro archive fetch``.
 
         ``checkpoints`` maps block index → :class:`CheckpointRecord`;
         records falling in the compacted range are pinned into the
@@ -436,12 +309,6 @@ class ChainStore:
         self.commit()
         with self._conn:
             self._conn.execute("DELETE FROM blocks WHERE idx < ?", (up_to,))
-            self._conn.execute(
-                "DELETE FROM metadata_items WHERE block_idx < ?", (up_to,)
-            )
-            self._conn.execute(
-                "DELETE FROM assignments WHERE block_idx < ?", (up_to,)
-            )
             self._conn.execute(
                 "INSERT OR REPLACE INTO store_meta (key, value) VALUES (?, ?)",
                 ("pruned_below", str(up_to)),

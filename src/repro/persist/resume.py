@@ -230,6 +230,21 @@ def read_manifest(
     return manifest
 
 
+def resumable_manifest(directory: Path, kind: str) -> Dict[str, Any]:
+    """The manifest of a run of ``kind`` that has not completed."""
+    manifest = read_manifest(directory, kind)
+    if manifest.get("status") == STATUS_COMPLETE:
+        raise PersistError(f"run in {directory} already completed; nothing to resume")
+    return manifest
+
+
+def complete_manifest(directory: Path, kind: str, **fields: Any) -> None:
+    """Record in the manifest that the run completed, with ``fields``."""
+    manifest = read_manifest(directory, kind)
+    manifest.update(fields, status=STATUS_COMPLETE)
+    _write_json_atomic(directory / MANIFEST_NAME, manifest)
+
+
 # -- the session: everything holding OS resources ------------------------------------
 
 
@@ -495,11 +510,12 @@ def _finalize(session: PersistSession, runtime: SimRuntime) -> ExperimentResult:
     _write_json_atomic(
         session.directory / CHAIN_SUMMARY_NAME, store_chain_record(session.store)
     )
-    manifest = read_manifest(session.directory)
-    manifest["status"] = STATUS_COMPLETE
-    manifest["completed_at_clock"] = runtime.engine.now
-    manifest["final_tip_hash"] = reference.chain.tip.current_hash
-    _write_json_atomic(session.directory / MANIFEST_NAME, manifest)
+    complete_manifest(
+        session.directory,
+        KIND_CLUSTER,
+        completed_at_clock=runtime.engine.now,
+        final_tip_hash=reference.chain.tip.current_hash,
+    )
     return ExperimentResult(spec=runtime.spec, metrics=metrics, cluster=runtime.cluster)
 
 
@@ -606,9 +622,7 @@ def resume_run(
     ``stop_after_seconds`` counts from the resume point.
     """
     directory = Path(directory)
-    manifest = read_manifest(directory)
-    if manifest.get("status") == STATUS_COMPLETE:
-        raise PersistError(f"run in {directory} already completed; nothing to resume")
+    manifest = resumable_manifest(directory, KIND_CLUSTER)
     spec = spec_from_dict(manifest.get("spec"))
     with decoding(f"manifest {directory / MANIFEST_NAME}"):
         persist = PersistConfig(**manifest["persist"])

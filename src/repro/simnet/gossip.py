@@ -3,10 +3,9 @@
 The transport layer's ``broadcast`` models dissemination analytically (BFS
 tree).  This module provides the *protocol-level* alternative: a real
 store-and-forward gossip where each node, on first receipt of a message id,
-re-forwards to its current neighbours.  It is used by tests to validate that
+re-forwards to its current neighbours.  Only tests use it: they check that
 the analytic broadcast and the hop-by-hop protocol agree on coverage and
-latency, and by the churn scenarios where the topology changes while a
-message is in flight (the BFS snapshot model cannot capture that).
+latency.  No run path gossips hop by hop, churn scenarios included.
 """
 
 from __future__ import annotations

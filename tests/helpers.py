@@ -36,6 +36,11 @@ is the single home for that boilerplate:
   :func:`private_replay` / :func:`private_chains` — one private,
   in-place-mutated ledger per chain, the differential oracle for the
   shared ledgers of :mod:`repro.core.blockchain`;
+* :func:`merkle_path` / :func:`merkle_path_root` — a leaf's
+  authentication path and the root it recomputes, the oracle that
+  :func:`repro.crypto.merkle.merkle_root` is the domain-separated,
+  duplicate-padded binary tree (no protocol ships proofs, so ``src``
+  keeps only the root);
 * :func:`mine_next` — a valid PoS child block for any chain;
 * :func:`reference_frame` / :func:`reference_unframe` — the two-``dumps``
   record encoder and the re-canonicalising CRC check the journal and the
@@ -488,6 +493,36 @@ class ReferenceEngine:
 
     def clear(self) -> None:
         self._queue.clear()
+
+
+def merkle_leaf(data: bytes) -> bytes:
+    return hashlib.sha256(b"\x00" + data).digest()
+
+
+def merkle_node(left: bytes, right: bytes) -> bytes:
+    return hashlib.sha256(b"\x01" + left + right).digest()
+
+
+def merkle_path(leaves: Sequence[bytes], index: int) -> List[bytes]:
+    """Sibling digests, bottom-up, of the leaf at ``index``."""
+    level = [merkle_leaf(leaf) for leaf in leaves]
+    siblings = []
+    while len(level) > 1:
+        if len(level) % 2 == 1:
+            level.append(level[-1])
+        siblings.append(level[index ^ 1])
+        level = [merkle_node(level[i], level[i + 1]) for i in range(0, len(level), 2)]
+        index //= 2
+    return siblings
+
+
+def merkle_path_root(leaf: bytes, index: int, siblings: Sequence[bytes]) -> bytes:
+    """The root that ``leaf`` at ``index`` and its path recompute."""
+    digest = merkle_leaf(leaf)
+    for sibling in siblings:
+        digest = merkle_node(digest, sibling) if index % 2 == 0 else merkle_node(sibling, digest)
+        index //= 2
+    return digest
 
 
 def mine_next(chain, accounts, miner, metadata_items=(), storing=(0,),

@@ -216,6 +216,25 @@ class TestDurability:
         assert not inspect_run(tmp_path).ok
         assert main(["inspect", str(tmp_path)]) == 1
 
+    def test_the_manifest_records_running_then_complete(self, tmp_path, capsys):
+        """A 2x4 federation: paused at 120 s it is running, run to its end
+        it is complete, and a complete run refuses `fed resume`."""
+        fed = ["fed", "run", "--clusters", "2", "--nodes", "4", "--minutes", "4", "--seed", "1"]
+        paused, finished = tmp_path / "paused", tmp_path / "finished"
+        assert main(fed + ["--persist", str(paused), "--stop-after", "120"]) == 0
+        assert inspect_run(paused).status == "running"
+        assert main(fed + ["--persist", str(finished)]) == 0
+        assert inspect_run(finished).status == "complete"
+        assert main(["fed", "resume", str(paused)]) == 0
+        assert inspect_run(paused).status == "complete"
+        capsys.readouterr()
+        assert main(["inspect", str(finished)]) == 0
+        assert "complete" in capsys.readouterr().out
+        assert main(["fed", "resume", str(finished)]) != 0
+        assert "already completed; nothing to resume" in capsys.readouterr().err
+        with pytest.raises(PersistError, match="already completed; nothing to resume"):
+            resume_federation(finished)
+
     def test_planted_adversaries_cannot_be_persisted(self, tmp_path):
         spec = fed_spec(node_classes_by_cluster={0: {1: object}})
         with pytest.raises(PersistError, match="cannot be persisted"):

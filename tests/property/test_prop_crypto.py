@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from repro.crypto.hashing import hash_items, hash_to_int
 from repro.crypto.keys import N, PrivateKey
-from repro.crypto.merkle import MerkleTree, verify_proof
+from repro.crypto.merkle import merkle_root
 from repro.crypto.signature import sign, verify
+from tests.helpers import merkle_path, merkle_path_root
 
 fields = st.one_of(
     st.text(max_size=30),
@@ -34,15 +35,15 @@ class TestHashingProperties:
 class TestMerkleProperties:
     @given(st.lists(st.binary(max_size=20), min_size=1, max_size=40))
     def test_every_leaf_provable(self, leaves):
-        tree = MerkleTree(leaves)
+        root = merkle_root(leaves)
         for index, leaf in enumerate(leaves):
-            assert verify_proof(tree.root, leaf, tree.prove(index))
+            assert merkle_path_root(leaf, index, merkle_path(leaves, index)) == root
 
     @given(st.lists(st.binary(max_size=20), min_size=2, max_size=20))
     def test_root_commits_to_order(self, leaves):
         if leaves != list(reversed(leaves)):
-            forward = MerkleTree(leaves).root
-            backward = MerkleTree(list(reversed(leaves))).root
+            forward = merkle_root(leaves)
+            backward = merkle_root(list(reversed(leaves)))
             assert forward != backward
 
     @given(
@@ -52,9 +53,9 @@ class TestMerkleProperties:
     def test_foreign_leaf_never_verifies(self, leaves, foreign):
         if foreign in leaves:
             return
-        tree = MerkleTree(leaves)
+        root = merkle_root(leaves)
         for index in range(len(leaves)):
-            assert not verify_proof(tree.root, foreign, tree.prove(index))
+            assert merkle_path_root(foreign, index, merkle_path(leaves, index)) != root
 
 
 class TestSignatureProperties:

@@ -14,10 +14,10 @@ from repro.core.config import SystemConfig
 from repro.core.metadata import create_metadata
 from repro.core.migration import plan_migration
 from repro.core.serialization import (
+    block_from_bytes,
     block_from_dict,
+    block_to_bytes,
     block_to_dict,
-    chain_from_json,
-    chain_to_json,
     metadata_from_dict,
     metadata_to_dict,
 )
@@ -251,7 +251,11 @@ class TestChainSerializationProperty:
                     ),
                 )
             )
-        decoded = chain_from_json(chain_to_json(chain.blocks))
+        # Stored as the chain store and archive store it, read back checked.
+        decoded = [
+            block_from_bytes(block_to_bytes(block), block.current_hash)
+            for block in chain.blocks
+        ]
         replica = Blockchain(
             list(range(3)), config, address_of, genesis=decoded[0]
         )

@@ -11,12 +11,7 @@ from repro.core.errors import FormatVersionError, PersistError, ValidationError
 from repro.core.serialization import block_from_bytes, block_to_bytes
 from repro.metrics.export import store_chain_record
 from repro.lifecycle import ARCHIVE_NAME, BlockArchive
-from repro.persist.chainstore import (
-    KIND_BLOCK,
-    KIND_RECENT,
-    STORE_SCHEMA_VERSION,
-    ChainStore,
-)
+from repro.persist.chainstore import ChainStore
 from repro.persist.journal import WRITE_BATCH
 from repro.persist.resume import STORE_NAME
 from repro.sim.runner import ExperimentSpec, run_experiment
@@ -68,10 +63,12 @@ class TestReads:
             assert empty.verify_integrity() == []
 
     def test_block_round_trip_by_index_and_hash(self, store, chain):
+        """A block read back by index is the block put, and its row's hash
+        column is the block's hash."""
         for block in chain.blocks:
-            assert store.block_by_index(block.index) == block
-            assert store.block_by_hash(block.current_hash) == block
-        assert store.block_by_hash("no-such-hash") is None
+            assert store.block_by_index(block.index, verify_hash=True) == block
+        hashes = [row[0] for row in store._conn.execute("SELECT hash FROM blocks ORDER BY idx")]
+        assert hashes == [block.current_hash for block in chain.blocks]
 
     def test_iter_blocks_in_chain_order(self, store, chain):
         assert list(store.iter_blocks(verify_hashes=True)) == list(chain.blocks)
@@ -117,72 +114,41 @@ class TestCache:
             ChainStore(tmp_path / "bad.sqlite", cache_blocks=0)
 
 
-class TestMetadataSearch:
-    def test_find_by_type(self, store, chain):
-        items = store.find_metadata(data_type="Sensor")
-        assert all("Sensor" in item.data_type for item in items)
-        expected = sum(
-            1
-            for block in chain.blocks
-            for item in block.metadata_items
-            if "Sensor" in item.data_type
+class TestReorgRePut:
+    def test_reput_at_a_stored_height_replaces_the_row(self, store, chain):
+        """A reorg re-puts a stored height with another block: the row is
+        replaced, and ``metadata_count`` follows the new block's items."""
+        before = store.metadata_count()
+        old = chain.blocks[2]
+        items = () if old.metadata_items else chain.blocks[3].metadata_items
+        other = replace(old, metadata_items=items, current_hash="")  # hashed afresh
+        assert len(items) != len(old.metadata_items)
+        assert other.current_hash != old.current_hash
+        store.put_block(other)
+        assert store.block_count() == chain.height + 1
+        assert store.tip_hash() == chain.tip.current_hash
+        assert store.block_by_index(2) == other
+        assert store.metadata_count() == (
+            before - len(old.metadata_items) + len(other.metadata_items)
         )
-        assert len(items) == expected
-
-    def test_find_by_producer(self, store, chain):
-        producer = next(
-            item.producer
-            for block in chain.blocks
-            for item in block.metadata_items
-        )
-        items = store.find_metadata(producer=producer)
-        assert items and all(item.producer == producer for item in items)
-
-    def test_find_newest_first_with_limit(self, store):
-        items = store.find_metadata(limit=3)
-        assert len(items) <= 3
-        stamps = [item.created_at for item in items]
-        assert stamps == sorted(stamps, reverse=True)
-
-    def test_find_created_after(self, store):
-        items = store.find_metadata(created_after=300.0)
-        assert all(item.created_at >= 300.0 for item in items)
+        store.put_block(old)  # and back: the original row and count return
+        assert store.block_by_index(2) == old
+        assert store.metadata_count() == before
 
 
-class TestAssignments:
-    def test_assignments_match_blocks(self, store, chain):
-        node = chain.blocks[1].storing_nodes[0]
-        kinds = dict()
-        for block_idx, kind in store.assignments_of(node):
-            kinds.setdefault(kind, []).append(block_idx)
-        for idx in kinds.get(KIND_BLOCK, []):
-            assert node in chain.blocks[idx].storing_nodes
-        for idx in kinds.get(KIND_RECENT, []):
-            assert node in chain.blocks[idx].recent_cache_nodes
-
-    def test_put_block_replaces_satellites(self, store, chain):
-        block = chain.blocks[1]
-        store.put_block(block)  # idempotent re-put
-        rows = store.assignments_of(block.storing_nodes[0])
-        assert len([r for r in rows if r[0] == 1 and r[1] == KIND_BLOCK]) == 1
-        assert store.metadata_count() == sum(
-            len(b.metadata_items) for b in chain.blocks
-        )
-
-
-class _FailingExecutemany:
-    """Stands in for the store's connection; the next ``executemany``
+class _FailingInsert:
+    """Stands in for the store's connection; the next block ``INSERT``
     raises once ``armed`` is set."""
 
     def __init__(self, connection):
         self._connection = connection
         self.armed = False
 
-    def executemany(self, sql, rows):
-        if self.armed:
+    def execute(self, sql, *parameters):
+        if self.armed and sql.startswith("INSERT OR REPLACE INTO blocks"):
             self.armed = False
             raise sqlite3.OperationalError("disk I/O error (injected)")
-        return self._connection.executemany(sql, rows)
+        return self._connection.execute(sql, *parameters)
 
     def __getattr__(self, name):
         return getattr(self._connection, name)
@@ -220,7 +186,7 @@ def _committed_indices(path):
 
 class TestGroupCommit:
     """Puts are staged and committed every ``WRITE_BATCH``; each put is
-    its own savepoint inside the open transaction."""
+    one statement inside the open transaction."""
 
     @pytest.fixture(scope="class")
     def blocks(self, tmp_path_factory):
@@ -264,24 +230,22 @@ class TestGroupCommit:
     def test_failed_put_rolls_back_only_its_own_rows(self, tmp_path, blocks):
         path = tmp_path / STORE_NAME
         store = ChainStore(path)
-        spy = _FailingExecutemany(store._conn)
+        spy = _FailingInsert(store._conn)
         store._conn = spy
         for block in blocks[:6]:
             store.put_block(block)
         items, block_rows = store.metadata_count(), store.block_count()
-        node = blocks[4].storing_nodes[0]
-        assignments = store.assignments_of(node)
-        assert items > 0 and (4, KIND_BLOCK) in assignments
+        assert items > 0
 
-        # A re-put of staged block 4 fails after deleting its satellites,
-        # and a new block 6 fails after its blocks row went in.
+        # A re-put of staged block 4 and a new block 6 fail in the one
+        # INSERT each put is; the staged rows before them stay.
         for block in (blocks[4], blocks[6]):
             spy.armed = True
             with pytest.raises(sqlite3.OperationalError, match="injected"):
                 store.put_block(block)
         assert store.block_count() == block_rows
         assert store.metadata_count() == items
-        assert store.assignments_of(node) == assignments
+        assert [store.block_by_index(i, verify_hash=True) for i in range(6)] == blocks[:6]
         assert store.block_by_index(6) is None
         store.put_block(blocks[6])  # the store is still usable
         store.close()
@@ -370,7 +334,24 @@ class TestIntegrity:
         path = tmp_path / "old.sqlite"
         with ChainStore(path) as handle:
             handle.set_meta("schema_version", "1")
-        with pytest.raises(FormatVersionError, match="schema v1, this build reads v2"):
+        with pytest.raises(FormatVersionError, match="schema v1, this build reads v3"):
+            ChainStore(path)
+
+    def test_a_store_with_item_tables_is_refused_by_its_version(self, tmp_path):
+        """A v2 store, laid out as v2 wrote it (no ``items`` column, item
+        and assignment tables), is refused by its header."""
+        path = tmp_path / "v2.sqlite"
+        with sqlite3.connect(str(path)) as conn:
+            conn.executescript(
+                "CREATE TABLE store_meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+                "INSERT INTO store_meta VALUES ('schema_version', '2');"
+                "CREATE TABLE blocks (idx INTEGER PRIMARY KEY, hash TEXT NOT NULL UNIQUE,"
+                " miner INTEGER NOT NULL, timestamp REAL NOT NULL, payload BLOB NOT NULL);"
+                "CREATE TABLE metadata_items (data_id TEXT PRIMARY KEY);"
+                "CREATE TABLE assignments (block_idx INTEGER NOT NULL);"
+            )
+        conn.close()
+        with pytest.raises(FormatVersionError, match="schema v2, this build reads v3"):
             ChainStore(path)
 
 
@@ -385,52 +366,40 @@ class TestExportFromStore:
 
 
 class TestQueryPlans:
-    """Removing one block's or a range's metadata rows goes through the
-    ``block_idx`` index, not a scan of every item in the store."""
+    """A put is one statement, and compaction's range read and delete
+    search the block index (the integer primary key), not a scan."""
 
     @staticmethod
-    def _metadata_deletes(store, action):
+    def _statements(store, action):
         executed = []
         store._conn.set_trace_callback(executed.append)
         try:
             action()
         finally:
             store._conn.set_trace_callback(None)
-        return [sql for sql in executed if sql.startswith("DELETE FROM metadata_items")]
-
-    @staticmethod
-    def _plan(store, sql):
-        rows = store._conn.execute(f"EXPLAIN QUERY PLAN {sql}").fetchall()
-        return " / ".join(row[-1] for row in rows)
+        return executed
 
     def test_put_block_and_compact_search_the_block_index(self, tmp_path):
         chain, store = stored_chain(tmp_path / STORE_NAME, 64, item_every=2)
         with store:
-            deletes = self._metadata_deletes(store, lambda: store.put_block(chain.tip))
+            store.commit()
+            puts = self._statements(store, lambda: store.put_block(chain.tip))
+            assert [sql.split(" (")[0] for sql in puts if not sql.startswith("BEGIN")] == [
+                "INSERT OR REPLACE INTO blocks"
+            ]
             archive = BlockArchive(tmp_path / ARCHIVE_NAME)
             up_to = chain.first_retained_index
-            deletes += self._metadata_deletes(
-                store, lambda: store.compact(archive, up_to, chain.checkpoints)
-            )
             assert up_to > 0
-            assert len(deletes) == 2
-            for sql in deletes:
-                plan = self._plan(store, sql)
-                assert "SEARCH metadata_items USING" in plan, plan
-                assert "ix_metadata_block" in plan, plan
-
-    def test_a_store_written_without_the_index_gains_it_on_open(self, tmp_path):
-        path = tmp_path / "chain.sqlite"
-        ChainStore(path).close()
-        with sqlite3.connect(str(path)) as conn:
-            conn.execute("DROP INDEX ix_metadata_block")
-        conn.close()
-        with ChainStore(path) as store:
-            names = {
-                row[0]
-                for row in store._conn.execute(
-                    "SELECT name FROM sqlite_master WHERE type = 'index'"
+            ranged = [
+                sql
+                for sql in self._statements(
+                    store, lambda: store.compact(archive, up_to, chain.checkpoints)
                 )
-            }
-            assert "ix_metadata_block" in names
-            assert store.get_meta("schema_version") == str(STORE_SCHEMA_VERSION) == "2"
+                if sql.startswith(("DELETE FROM blocks", "SELECT idx, hash, payload"))
+            ]
+            assert len(ranged) == 2
+            for sql in ranged:
+                plan = " / ".join(
+                    row[-1] for row in store._conn.execute(f"EXPLAIN QUERY PLAN {sql}")
+                )
+                assert "SEARCH blocks USING INTEGER PRIMARY KEY" in plan, plan

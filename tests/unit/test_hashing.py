@@ -6,13 +6,9 @@ import pytest
 
 from repro.crypto.hashing import (
     DIGEST_SIZE,
-    checksum8,
     combine_hex,
-    hash_concat,
     hash_items,
-    hash_items_hex,
     hash_to_int,
-    iter_hash,
     sha256,
     sha256_hex,
 )
@@ -65,9 +61,6 @@ class TestHashItems:
         with pytest.raises(TypeError):
             hash_items(3.14)
 
-    def test_hex_variant(self):
-        assert hash_items_hex("x") == hash_items("x").hex()
-
     def test_no_fields(self):
         # Hash of nothing is still a valid digest and deterministic.
         assert hash_items() == hash_items()
@@ -91,26 +84,6 @@ class TestHashToInt:
 
 
 class TestHelpers:
-    def test_hash_concat_is_sha256_of_concat(self):
-        left, right = sha256(b"l"), sha256(b"r")
-        assert hash_concat(left, right) == sha256(left + right)
-
-    def test_checksum8_length(self):
-        assert len(checksum8(b"anything")) == 8
-
-    def test_iter_hash_zero_rounds_is_identity(self):
-        assert iter_hash(b"seed", 0) == b"seed"
-
-    def test_iter_hash_one_round(self):
-        assert iter_hash(b"seed", 1) == sha256(b"seed")
-
-    def test_iter_hash_composes(self):
-        assert iter_hash(b"seed", 5) == iter_hash(iter_hash(b"seed", 2), 3)
-
-    def test_iter_hash_negative_rejected(self):
-        with pytest.raises(ValueError):
-            iter_hash(b"x", -1)
-
     def test_combine_hex_order_sensitive(self):
         a, b = sha256_hex(b"a"), sha256_hex(b"b")
         assert combine_hex([a, b]) != combine_hex([b, a])

@@ -3,60 +3,26 @@
 import numpy as np
 import pytest
 
-from repro.core.pow import (
-    PAPER_HASH_RATE,
-    PAPER_POW_DIFFICULTY,
-    PowMiner,
-    expected_attempts,
-    find_pow_nonce,
-    hash_meets_difficulty,
-)
+from repro.core.pow import PAPER_HASH_RATE, PAPER_POW_DIFFICULTY, PowMiner
 from repro.energy.meter import EnergyMeter
 
 
 class TestDifficulty:
     def test_expected_attempts(self):
-        assert expected_attempts(0) == 1
-        assert expected_attempts(1) == 16
-        assert expected_attempts(4) == 65536
+        # Attempts are geometric in the success probability 16^-d.
+        for difficulty, attempts in ((0, 1), (1, 16), (4, 65536)):
+            miner = PowMiner(EnergyMeter(), difficulty=difficulty)
+            assert 1 / miner.success_probability == attempts
 
     def test_paper_difficulty_constant(self):
         assert PAPER_POW_DIFFICULTY == 4
 
     def test_paper_hash_rate_gives_25s_blocks(self):
-        assert expected_attempts(4) / PAPER_HASH_RATE == pytest.approx(25.0)
+        assert 16**PAPER_POW_DIFFICULTY / PAPER_HASH_RATE == pytest.approx(25.0)
 
     def test_negative_difficulty_rejected(self):
         with pytest.raises(ValueError):
-            expected_attempts(-1)
-
-    def test_hash_meets_difficulty(self):
-        assert hash_meets_difficulty("000abc", 3)
-        assert not hash_meets_difficulty("00abc0", 3)
-        assert hash_meets_difficulty("anything", 0)
-
-
-class TestRealBruteForce:
-    def test_finds_valid_nonce(self):
-        nonce, attempts = find_pow_nonce("payload", difficulty=2)
-        assert attempts == nonce + 1
-        from repro.crypto.hashing import hash_items_hex
-
-        assert hash_items_hex("pow", "payload", nonce).startswith("00")
-
-    def test_attempts_scale_with_difficulty(self):
-        # Average over a few payloads: difficulty 2 needs ~16x difficulty 1.
-        attempts_d1 = sum(
-            find_pow_nonce(f"p{i}", 1)[1] for i in range(10)
-        )
-        attempts_d2 = sum(
-            find_pow_nonce(f"p{i}", 2)[1] for i in range(10)
-        )
-        assert attempts_d2 > attempts_d1
-
-    def test_max_attempts_enforced(self):
-        with pytest.raises(RuntimeError):
-            find_pow_nonce("payload", difficulty=8, max_attempts=10)
+            PowMiner(EnergyMeter(), difficulty=-1)
 
 
 class TestPowMiner:
@@ -77,14 +43,6 @@ class TestPowMiner:
         before = meter.remaining_percent
         miner.mine_block(rng)
         assert meter.remaining_percent < before
-
-    def test_mine_until_depleted_stops(self, rng):
-        meter = EnergyMeter()
-        miner = PowMiner(meter, difficulty=4)
-        results = miner.mine_until_depleted(rng)
-        assert meter.depleted
-        assert results[-1].battery_remaining_percent == pytest.approx(0.0, abs=0.5)
-        assert miner.blocks_mined == len(results)
 
     def test_battery_percent_monotone(self, rng):
         miner = PowMiner(EnergyMeter(), difficulty=4)

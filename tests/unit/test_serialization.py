@@ -9,15 +9,13 @@ from repro.core.account import Account
 from repro.core.block import Block, make_genesis
 from repro.core.blockchain import Blockchain
 from repro.core.config import SystemConfig
-from repro.core.errors import SerializationError, ValidationError
+from repro.core.errors import ValidationError
 from repro.core.metadata import create_metadata
 from repro.core.pos import compute_hit, compute_pos_hash, mining_delay
 from repro.core.serialization import (
     WIRE_FORMAT_VERSION,
     block_from_dict,
     block_to_dict,
-    chain_from_json,
-    chain_to_json,
     metadata_from_dict,
     metadata_to_dict,
 )
@@ -132,63 +130,3 @@ class TestBlockWireFormat:
 
     def test_json_serialisable(self, small_chain):
         json.dumps(block_to_dict(small_chain.tip))
-
-
-class TestChainWireFormat:
-    def test_round_trip(self, small_chain):
-        text = chain_to_json(small_chain.blocks)
-        decoded = chain_from_json(text)
-        assert [b.current_hash for b in decoded] == [
-            b.current_hash for b in small_chain.blocks
-        ]
-
-    def test_decoded_chain_revalidates(self, small_chain):
-        decoded = chain_from_json(chain_to_json(small_chain.blocks))
-        replica = Blockchain(
-            list(small_chain.node_ids),
-            small_chain.config,
-            small_chain.address_of,
-            genesis=decoded[0],
-        )
-        for block in decoded[1:]:
-            replica.append_block(block)
-        assert replica.tip.current_hash == small_chain.tip.current_hash
-
-    def test_broken_linkage_rejected(self, small_chain):
-        blocks = list(small_chain.blocks)
-        del blocks[1]  # gap between genesis and block 2
-        with pytest.raises(ValidationError):
-            chain_from_json(chain_to_json(blocks))
-
-    def test_garbage_rejected(self):
-        with pytest.raises(ValidationError):
-            chain_from_json("{not json")
-        with pytest.raises(ValidationError):
-            chain_from_json(json.dumps({"v": 99, "blocks": []}))
-
-
-class TestChainJsonGuards:
-    """Structural defences of chain_from_json: size and nesting limits."""
-
-    def test_oversized_payload_rejected(self, monkeypatch):
-        import repro.core.serialization as ser
-
-        monkeypatch.setattr(ser, "MAX_CHAIN_JSON_BYTES", 64)
-        with pytest.raises(SerializationError):
-            chain_from_json('{"v": 1, "blocks": ["' + "x" * 64 + '"]}')
-
-    def test_deeply_nested_payload_rejected(self):
-        from repro.core.serialization import MAX_CHAIN_JSON_DEPTH
-
-        nested = "[" * (MAX_CHAIN_JSON_DEPTH + 2) + "]" * (MAX_CHAIN_JSON_DEPTH + 2)
-        with pytest.raises(SerializationError):
-            chain_from_json(nested)
-
-    def test_guard_is_a_validation_error(self):
-        # Existing handlers catch ValidationError; the new typed guard
-        # must flow through them unchanged.
-        assert issubclass(SerializationError, ValidationError)
-
-    def test_honest_chain_passes_guards(self, small_chain):
-        text = chain_to_json(small_chain.blocks)
-        assert [b.index for b in chain_from_json(text)] == [0, 1, 2, 3]

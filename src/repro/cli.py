@@ -12,7 +12,7 @@ Commands:
 * ``prune`` — compact a durable run: move checkpointed history below the
   retention horizon into the cold archive, then VACUUM the hot store.
 * ``archive inspect`` / ``archive fetch`` — verify and read the cold
-  archive tier (``archive.jsonl``) a compaction leaves behind.
+  archive tier (``archive.bin``) a compaction leaves behind.
 * ``reproduce`` — run the paper's Section VI (Fig. 4/5/6) once at 500
   minutes through :func:`repro.sim.scenarios.reproduce`, print the
   tables and every claim, and exit 1 when a claim fails.
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -368,22 +369,23 @@ def cmd_prune(args: argparse.Namespace) -> int:
         archive = BlockArchive(directory / ARCHIVE_NAME)
         node_ids = sorted(store.accounts()) or list(range(spec.node_count))
         # Replay the ledger to the horizon (cold blocks from the archive,
-        # the rest from the store) so the checkpoint record pins the
-        # at-horizon digest, not the tip's.
+        # the rest from the store), pinning a checkpoint record at every
+        # checkpoint index the compaction archives, each from the ledger
+        # as of its block; the horizon's record is the one printed.
         state = ChainState(node_ids, config)
-        horizon_block = None
-        for index in range(horizon + 1):
-            if index < archive.archived_below:
-                block = archive.fetch(index)
-            else:
-                block = store.block_by_index(index)
+        interval = config.checkpoint_interval
+        pinned = {}
+        cold = min(archive.archived_below, horizon + 1)
+        hot = (store.block_by_index(index) for index in range(cold, horizon + 1))
+        for index, block in enumerate(itertools.chain(archive.fetch_range(0, cold), hot)):
             if block is None:
                 raise SystemExit(f"error: block {index} is missing from the store")
             state.apply_block(block)
-            horizon_block = block
-        record = CheckpointRecord.pin(horizon_block, state)
+            if floor <= index < horizon and index and index % interval == 0:
+                pinned[index] = CheckpointRecord.pin(block, state)
+        record = CheckpointRecord.pin(block, state)
         before = store.footprint_bytes()
-        moved = store.compact(archive, horizon, {horizon: record})
+        moved = store.compact(archive, horizon, pinned)
         after = store.footprint_bytes()
         print()
         print(
@@ -412,9 +414,10 @@ def _open_archive(argument: str):
     path = Path(argument)
     if path.is_dir():
         path = path / ARCHIVE_NAME
+    archive = BlockArchive(path)  # refuses an old format, also beside ``path``
     if not path.exists():
         raise SystemExit(f"error: no archive at {path}")
-    return BlockArchive(path)
+    return archive
 
 
 def cmd_archive_inspect(args: argparse.Namespace) -> int:
@@ -1431,14 +1434,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="archive stats + full integrity walk (non-zero on corruption)",
     )
     archive_inspect.add_argument(
-        "source", help="run directory or archive.jsonl path"
+        "source", help="run directory or archive.bin path"
     )
     archive_inspect.set_defaults(func=cmd_archive_inspect)
     archive_fetch = archive_sub.add_parser(
         "fetch", help="print archived block(s) as canonical JSON, one per line"
     )
     archive_fetch.add_argument(
-        "source", help="run directory or archive.jsonl path"
+        "source", help="run directory or archive.bin path"
     )
     archive_fetch.add_argument("index", type=int, help="first block index to fetch")
     archive_fetch.add_argument(

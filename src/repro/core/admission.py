@@ -40,7 +40,6 @@ from repro.core.errors import (
     ChainLinkError,
     CheckpointError,
     ConsensusError,
-    SerializationError,
     ValidationError,
 )
 from repro.core.metadata import MetadataItem
@@ -71,8 +70,6 @@ BAD_SIGNATURE = "bad_signature"
 CHECKPOINT_REWRITE = "checkpoint_rewrite"
 #: A candidate chain failed full replay validation.
 BAD_CHAIN = "bad_chain"
-#: Structurally unacceptable payload (SerializationError).
-MALFORMED = "malformed"
 #: Request rate or payload cardinality over the per-peer cap.
 FLOOD = "flood"
 #: A migrated (foreign) metadata item failed structural admission —
@@ -97,7 +94,6 @@ REASON_WEIGHTS: Dict[str, float] = {
     BAD_SIGNATURE: 4.0,
     CHECKPOINT_REWRITE: 4.0,
     BAD_CHAIN: 4.0,
-    MALFORMED: 4.0,
     FLOOD: 1.0,
     FOREIGN_METADATA: 4.0,
     INVALID: 4.0,
@@ -112,8 +108,6 @@ def classify_rejection(error: ValidationError) -> str:
         return BAD_LINKAGE
     if isinstance(error, ConsensusError):
         return BAD_POS
-    if isinstance(error, SerializationError):
-        return MALFORMED
     if isinstance(error, AllocationMismatchError):
         return BAD_ALLOCATION
     return INVALID

@@ -35,15 +35,6 @@ class AllocationMismatchError(ValidationError):
     see :mod:`repro.core.validation`)."""
 
 
-class SerializationError(ValidationError):
-    """A serialised payload is structurally unacceptable (oversized,
-    absurdly nested, wrong shape) before any content validation runs.
-
-    Subclasses :class:`ValidationError` so every existing handler that
-    treats malformed wire input as a validation failure keeps working.
-    """
-
-
 class PrunedBlockError(IndexError, EdgeChainError):
     """A block body below the retention horizon was requested.
 

@@ -14,8 +14,8 @@ bounded on long runs while preserving every digest/verification contract
   checkpoint, the snippet idiom of keeping digests at checkpoints and
   dropping bodies below them;
 * :mod:`repro.lifecycle.archive` is the cold tier: an append-only,
-  CRC-checked JSONL file the chain store's ``compact()`` migrates pruned
-  block bodies into.
+  CRC-checked binary record file the chain store's ``compact()``
+  migrates pruned block bytes into.
 """
 
 from repro.core.config import LifecycleSpec

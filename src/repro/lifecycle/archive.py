@@ -1,54 +1,84 @@
-"""The cold-archive tier: an append-only, CRC-checked block archive.
+"""The cold-archive tier: an append-only, CRC-checked binary block archive.
 
-``archive.jsonl`` sits next to the run's journal and chain store.  Every
-line is one archived block — a JSON object carrying the block index,
-its hash, the block's stored bytes as base64 (``"block"``, the chain
-store row's bytes, :func:`repro.core.serialization.block_to_bytes`), an
-optional pinned checkpoint record, and a CRC-32 over the rest of the
-line (the run journal's framing, :mod:`repro.lifecycle.framing`).
+``archive.bin`` sits next to the run's journal and chain store.  It
+starts with a 12-byte header — the magic ``REPROARC`` and the format
+version, a 4-byte big-endian integer — and then holds one record per
+archived block, every integer 4 bytes big-endian::
+
+    length      bytes from the hash through the checkpoint
+    length CRC  CRC-32 of the length's 4 bytes
+    hash        the block's 32-byte SHA-256
+    size        length of the block's stored bytes
+    block       the stored bytes, as the chain store row holds them
+                (:func:`repro.core.serialization.block_to_bytes`)
+    checkpoint  the pinned checkpoint record as canonical JSON, or nothing
+    CRC         CRC-32 of the record from its length on
+
 Compaction appends the bytes it read from the store without decoding
 them; a fetch decodes them once and checks that they hash to the
-record's hash.  Blocks are appended in strict index order, so the
-archive is a contiguous prefix ``[0, archived_below)`` of the chain and
-a ranged fetch is one seek and a sequential read.
+record's hash and hold the record's index.  Blocks are appended in
+strict index order, so the archive is a contiguous prefix
+``[0, archived_below)`` of the chain and a ranged fetch is one seek and
+a sequential read.  The length carries its own CRC, so that damage to it
+is never mistaken for a record the file ends inside.
+
+Opening reads lengths and checks CRCs; it decodes no block.  It shares
+the journal's scan loop (:func:`repro.lifecycle.framing._scan`) and its
+verdicts: a missing or empty file is an empty archive, a final record
+the file ends inside (or whose CRC fails, with nothing after it) is a
+torn tail truncated away, damage with anything after it is corruption,
+and an archive of another format — the v1 and v2 JSON-lines
+``archive.jsonl`` among them, also beside an ``archive.bin`` — is refused
+with :class:`FormatVersionError`, never truncated.
 
 Flush policy: a compaction batch (:meth:`BlockArchive.append_encoded`) is
 written through one buffered handle and fsynced once, before it returns —
-and the chain store only deletes a row *after* that return.  Crash
-tolerance mirrors the journal: a torn final line (the process died
-mid-batch) is truncated away on open and the compactor simply
-re-archives from the surviving floor.
+and the chain store only deletes a row *after* that return.  A torn
+final record (the process died mid-batch) is truncated away on open and
+the compactor simply re-archives from the surviving floor.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, Iterable, Iterator, List, NoReturn, Optional, Tuple, Union
 
 from repro.core.block import Block
 from repro.core.errors import FormatVersionError, PersistError, ValidationError
 from repro.core.serialization import block_from_bytes, block_to_bytes, verify_block_bytes
 from repro.lifecycle.checkpoint import CheckpointRecord
-from repro.lifecycle.framing import (
-    _bytes_member,
-    _check_version,
-    _frame,
-    _member_bytes,
-    _scan,
-    _unframe,
-)
+from repro.lifecycle.framing import _canonical, _scan, _Scan
 from repro.obs import runtime as _obs
 
 PathLike = Union[str, Path]
 
 #: Canonical archive file name inside a durable run directory.
-ARCHIVE_NAME = "archive.jsonl"
+ARCHIVE_NAME = "archive.bin"
+
+#: Where format v1 and v2 archives (JSON lines) were written.
+LEGACY_ARCHIVE_NAME = "archive.jsonl"
 
 #: Bumped on breaking changes to the record encoding.  v2: ``"block"``
-#: is the block's stored bytes in base64, not its JSON.
-ARCHIVE_FORMAT_VERSION = 2
+#: is the block's stored bytes in base64, not its JSON.  v3: binary
+#: records after a header, not JSON lines.
+ARCHIVE_FORMAT_VERSION = 3
+
+_MAGIC = b"REPROARC"
+_U32 = struct.Struct(">I")
+_HEADER = _MAGIC + _U32.pack(ARCHIVE_FORMAT_VERSION)
+#: Length and length CRC; then the hash and the size of the block bytes.
+_HEAD = struct.Struct(">II")
+_HASH_AT, _SIZE_AT, _BLOCK_AT = 8, 40, 44
+#: Hash and size, the least a record's length covers.
+_MIN_LENGTH = _BLOCK_AT - _HEAD.size
+#: Largest record length written or read: a bound on what a damaged
+#: length can make a reader allocate.
+_MAX_LENGTH = 1 << 26
 
 #: One record to append: block index, block hash, the block's stored
 #: bytes, and the checkpoint record pinned with it (or None).
@@ -72,52 +102,110 @@ class ArchiveStats:
     torn_tail_bytes: int
 
 
-def _decode_record(line: bytes, expected_index: int) -> Dict[str, Any]:
-    """Check one archive line (newline stripped) as the record of block
-    ``expected_index``; returns its body."""
-    body = _unframe(line, "archive", "idx")
-    _check_version(body, ARCHIVE_FORMAT_VERSION, "archive", expected_index)
-    if body.get("idx") != expected_index:
+def _encode_record(block_hash: str, data: bytes, checkpoint: Optional[CheckpointRecord]) -> bytes:
+    """The archive record of one block's stored bytes (layout above)."""
+    tail = b"" if checkpoint is None else _canonical(checkpoint.to_dict()).encode("ascii")
+    length = _MIN_LENGTH + len(data) + len(tail)
+    if length > _MAX_LENGTH:
+        raise PersistError(f"archive record of {length} bytes is over {_MAX_LENGTH}")
+    digest = bytes.fromhex(block_hash)
+    if len(digest) != _SIZE_AT - _HASH_AT:
+        raise PersistError(f"archive record hash {block_hash!r} is not a SHA-256")
+    length_bytes = _U32.pack(length)
+    record = b"".join(
+        (length_bytes, _U32.pack(zlib.crc32(length_bytes)), digest, _U32.pack(len(data)), data, tail)
+    )
+    return record + _U32.pack(zlib.crc32(record))
+
+
+def _read_record(handle: BinaryIO) -> Tuple[bytes, Optional[bytes]]:
+    """The next record (the scan's reader): its bytes, and None when the
+    file ends inside it.  A length that fails its CRC or bounds frames no
+    record and raises :class:`PersistError`."""
+    head = handle.read(_HEAD.size)
+    if len(head) < _HEAD.size:
+        return head, None
+    length, check = _HEAD.unpack(head)
+    if zlib.crc32(head[:4]) != check or not _MIN_LENGTH <= length <= _MAX_LENGTH:
         raise PersistError(
-            f"archive index break: expected {expected_index}, got {body.get('idx')}"
+            f"archive record at byte {handle.tell() - _HEAD.size} has a damaged length"
         )
-    if not isinstance(body.get("block"), str):
-        raise PersistError(f"archive record {expected_index} carries no block")
-    return body
+    record = head + handle.read(length + 4)
+    return record, record if len(record) == _HEAD.size + length + 4 else None
 
 
-def _checkpoint_of(body: Dict[str, Any], position: int, path: Path) -> CheckpointRecord:
+def _check_record(record: bytes, position: int) -> Tuple[str, bytes, bytes]:
+    """Check one record's CRC and block size as the record at
+    ``position``; returns its block hash, its block bytes and its pinned
+    checkpoint bytes (empty when it pins none)."""
+    end = len(record) - 4
+    if end < _BLOCK_AT:
+        raise PersistError(f"archive record {position} is cut short")
+    if zlib.crc32(record[:end]) != _U32.unpack_from(record, end)[0]:
+        raise PersistError(f"archive record {position} CRC mismatch")
+    (size,) = _U32.unpack_from(record, _SIZE_AT)
+    if not 0 < size <= end - _BLOCK_AT:
+        raise PersistError(f"archive record {position} carries no block")
+    at = _BLOCK_AT + size
+    return record[_HASH_AT:_SIZE_AT].hex(), record[_BLOCK_AT:at], record[at:end]
+
+
+def _checkpoint_of(tail: bytes, position: int, path: Path) -> CheckpointRecord:
     """The checkpoint record pinned in the archive record at ``position``."""
     try:
-        return CheckpointRecord.from_dict(body["checkpoint"])
-    except (KeyError, TypeError, ValueError) as error:
+        return CheckpointRecord.from_dict(json.loads(tail))
+    except (KeyError, TypeError, ValueError, RecursionError) as error:
         raise PersistError(
             f"archive {path} checkpoint record at {position} is invalid: {error}"
         ) from error
 
 
-def _block_of(body: Dict[str, Any], index: int) -> Block:
-    """The block an archive record body for ``index`` carries, decoded
-    once from bytes that must hash to the record's hash."""
-    data = _member_bytes(body["block"], f"archived block {index}")
-    block = block_from_bytes(data, str(body.get("hash")))
-    if block.index != index:
-        raise PersistError(f"archived block {index} fails verification")
-    return block
+def _refuse_json_lines(path: Path) -> NoReturn:
+    """Refuse the JSON-lines archive at ``path`` (formats v1 and v2),
+    naming the version its first record carries."""
+    with open(path, "rb") as handle:
+        line = handle.readline(1 << 20)
+    try:
+        version = json.loads(line).get("v")
+    except (ValueError, AttributeError, RecursionError):
+        version = None
+    if type(version) is not int:
+        version = "1 or v2"
+    raise FormatVersionError(
+        f"archive {path} has format v{version}; this build reads v{ARCHIVE_FORMAT_VERSION}"
+    )
+
+
+def _check_header(found: bytes, path: Path) -> None:
+    """Refuse a file that does not start with this format's header: one
+    another build wrote raises :class:`FormatVersionError`, naming its
+    version, and anything else is damage."""
+    if found.startswith(b"{"):
+        _refuse_json_lines(path)
+    if found[: len(_MAGIC)] == _MAGIC and len(found) == len(_HEADER):
+        raise FormatVersionError(
+            f"archive {path} has format v{_U32.unpack_from(found, len(_MAGIC))[0]}; "
+            f"this build reads v{ARCHIVE_FORMAT_VERSION}"
+        )
+    raise PersistError(f"archive {path} is not a block archive")
 
 
 class BlockArchive:
     """Append/scan handle for one cold-archive file.
 
-    Opening is one streaming pass (:func:`~repro.lifecycle.framing._scan`)
-    that truncates any torn tail and keeps a positional array of record
-    offsets, plus the record position of every pinned checkpoint — never
-    the records.  A point fetch is one seek; a ranged fetch, an integrity
-    walk or :meth:`checkpoints` opens the file once.
+    Opening checks the header, then is one streaming pass
+    (:func:`~repro.lifecycle.framing._scan`) over the records' lengths and
+    CRCs that truncates any torn tail and keeps a positional array of
+    record offsets, plus the record position of every pinned checkpoint —
+    never the records.  A ranged fetch, an integrity walk or
+    :meth:`checkpoints` opens the file once.
     """
 
     def __init__(self, path: PathLike):
         self.path = Path(path)
+        legacy = self.path.parent / LEGACY_ARCHIVE_NAME
+        if legacy != self.path and legacy.exists():
+            _refuse_json_lines(legacy)
         self._load()
 
     # -- scanning ---------------------------------------------------------------
@@ -125,15 +213,24 @@ class BlockArchive:
     def _load(self) -> None:
         #: Pinned checkpoint index → position of the record carrying it.
         self._checkpoints: Dict[int, int] = {}
+        try:
+            with open(self.path, "rb") as handle:
+                found = handle.read(len(_HEADER))
+        except FileNotFoundError:
+            found = b""
+        if found != _HEADER and not _HEADER.startswith(found):
+            _check_header(found, self.path)
 
-        def keep(position: int, body: Dict[str, Any]) -> None:
-            if body.get("checkpoint") is not None:
-                record = _checkpoint_of(body, position, self.path)
+        def keep(position: int, parts: Tuple[str, bytes, bytes]) -> None:
+            _, _, tail = parts
+            if tail:
+                record = _checkpoint_of(tail, position, self.path)
                 self._checkpoints[record.index] = position
 
-        scan = _scan(self.path, _decode_record, keep)
-        if isinstance(scan.error, FormatVersionError):
-            raise FormatVersionError(f"archive {self.path}: {scan.error}") from scan.error
+        if found == _HEADER:
+            scan = _scan(self.path, _check_record, keep, _read_record, len(_HEADER))
+        else:  # missing, empty, or a header the process died writing
+            scan = _Scan(torn_tail_bytes=len(found))
         if scan.corrupt:
             raise PersistError(
                 f"archive {self.path} is corrupt mid-file: {scan.error}"
@@ -145,9 +242,15 @@ class BlockArchive:
             with open(self.path, "ab") as handle:
                 handle.truncate(self._length)
 
-    def _body_at(self, handle: BinaryIO, position: int) -> Dict[str, Any]:
-        handle.seek(self._offsets[position])
-        return _decode_record(handle.readline().rstrip(b"\n"), position)
+    def _read_at(self, handle: BinaryIO, position: int, seek: bool = True) -> bytes:
+        """Record ``position``, the bytes its offsets span: read from its
+        offset, or from the handle's position when ``seek`` is False."""
+        offsets = self._offsets
+        start = offsets[position]
+        stop = offsets[position + 1] if position + 1 < len(offsets) else self._length
+        if seek:
+            handle.seek(start)
+        return handle.read(stop - start)
 
     # -- accessors --------------------------------------------------------------
 
@@ -166,7 +269,11 @@ class BlockArchive:
             return {}
         with open(self.path, "rb") as handle:
             return {
-                index: _checkpoint_of(self._body_at(handle, position), position, self.path)
+                index: _checkpoint_of(
+                    _check_record(self._read_at(handle, position), position)[2],
+                    position,
+                    self.path,
+                )
                 for index, position in self._checkpoints.items()
             }
 
@@ -206,7 +313,7 @@ class BlockArchive:
         continue the contiguous prefix.  Returns only after the whole
         batch is flushed and fsynced; if ``records`` (or a contiguity
         check) raises part-way, the blocks taken so far are still
-        complete, fsynced and accounted lines — what that many single
+        complete, fsynced and accounted records — what that many single
         appends would have left.
         """
         blocks_before, length_before = self.archived_below, self._length
@@ -215,28 +322,23 @@ class BlockArchive:
             if handle.tell() != self._length:
                 handle.truncate(self._length)
             try:
+                if not self._length:
+                    handle.write(_HEADER)
+                    self._length = len(_HEADER)
                 for index, block_hash, data, checkpoint in records:
                     if index != self.archived_below:
                         raise PersistError(
                             f"archive append out of order: expected "
                             f"{self.archived_below}, got {index}"
                         )
-                    body: Dict[str, Any] = {
-                        "v": ARCHIVE_FORMAT_VERSION,
-                        "idx": index,
-                        "hash": block_hash,
-                        "block": _bytes_member(data),
-                    }
-                    if checkpoint is not None:
-                        body["checkpoint"] = checkpoint.to_dict()
-                    encoded = _frame(body)
+                    encoded = _encode_record(block_hash, data, checkpoint)
                     handle.write(encoded)
                     self._offsets.append(self._length)
                     if checkpoint is not None:
                         self._checkpoints[checkpoint.index] = index
                     self._length += len(encoded)
             finally:
-                # Also on the way out of a failed batch: every line
+                # Also on the way out of a failed batch: every record
                 # accounted for above must be on disk before anyone acts
                 # on ``archived_below``.
                 handle.flush()
@@ -249,18 +351,9 @@ class BlockArchive:
 
     # -- fetching ---------------------------------------------------------------
 
-    def fetch(self, index: int) -> Block:
-        """Read one archived block, verified by hashing its bytes."""
-        if not 0 <= index < self.archived_below:
-            raise PersistError(
-                f"block {index} is not in the archive "
-                f"(holds [0, {self.archived_below}))"
-            )
-        with open(self.path, "rb") as handle:
-            return _block_of(self._body_at(handle, index), index)
-
     def fetch_range(self, start: int, stop: int) -> Iterator[Block]:
-        """Yield archived blocks with ``start <= index < stop`` in order."""
+        """Yield archived blocks with ``start <= index < stop`` in order,
+        each verified by hashing its bytes and by its index."""
         start, stop = max(start, 0), min(stop, self.archived_below)
         if start >= stop:
             return
@@ -268,8 +361,13 @@ class BlockArchive:
             # Records are contiguous on disk: one seek, then read on.
             handle.seek(self._offsets[start])
             for index in range(start, stop):
-                body = _decode_record(handle.readline().rstrip(b"\n"), index)
-                yield _block_of(body, index)
+                block_hash, stored, _ = _check_record(
+                    self._read_at(handle, index, seek=False), index
+                )
+                block = block_from_bytes(stored, block_hash)
+                if block.index != index:
+                    raise PersistError(f"archived block {index} fails verification")
+                yield block
 
     # -- integrity ---------------------------------------------------------------
 
@@ -279,9 +377,10 @@ class BlockArchive:
         Re-hashes every archived body without decoding the block
         (:func:`~repro.core.serialization.verify_block_bytes`), re-checks
         parent linkage across the whole prefix, and re-reads every pinned
-        checkpoint against the hash of the block it pins.  Seeks to each
-        record's own offset, so one bad line is reported and the walk
-        continues with the next.
+        checkpoint against the hash of the block it pins.  Reads the
+        records in order, each by the offsets the open found, so one bad
+        record is reported and the walk continues with the next; it
+        seeks only for a checkpoint pinned in another block's record.
         """
         problems: List[str] = []
         if not self._offsets:
@@ -293,14 +392,18 @@ class BlockArchive:
         except OSError as error:
             return [f"archive unreadable: {error}"]
         with handle:
+            # Whether the handle is at the next record in order: not after
+            # a failed read, nor after reading a checkpoint elsewhere.
+            in_order = False
             for index in range(len(self._offsets)):
                 try:
-                    body = self._body_at(handle, index)
-                    block_hash = str(body.get("hash"))
-                    data = _member_bytes(body["block"], f"archived block {index}")
+                    record = self._read_at(handle, index, seek=not in_order)
+                    in_order = True
+                    block_hash, data, tail = _check_record(record, index)
                     previous_hash, timestamp = verify_block_bytes(data, index, block_hash)
-                except (PersistError, ValidationError, OSError) as error:
+                except (OSError, PersistError, ValidationError) as error:
                     problems.append(f"block {index} unreadable: {error}")
+                    in_order = False
                     parent = None
                     continue
                 if parent is not None and (
@@ -313,9 +416,10 @@ class BlockArchive:
                 if position is not None:
                     try:
                         if position != index:
-                            body = self._body_at(handle, position)
-                        checkpoint = _checkpoint_of(body, position, self.path)
-                    except (PersistError, OSError) as error:
+                            in_order = False
+                            tail = _check_record(self._read_at(handle, position), position)[2]
+                        checkpoint = _checkpoint_of(tail, position, self.path)
+                    except (OSError, PersistError) as error:
                         problems.append(f"checkpoint record at {index} unreadable: {error}")
                     else:
                         if checkpoint.block_hash != block_hash:

@@ -1,10 +1,10 @@
-"""Record framing shared by the run journal and the cold archive.
+"""Record framing of the run journal, and the scan it shares with the
+cold archive.
 
-``journal.jsonl`` and ``archive.jsonl`` are both sequences of
-newline-terminated records.  A record line is the canonical JSON of one
-object — sorted keys, compact separators, ASCII — with a ``"crc"`` member
-holding the CRC-32 (eight lowercase hex digits) of *the line's bytes
-without that member*.
+``journal.jsonl`` is a sequence of newline-terminated records.  A record
+line is the canonical JSON of one object — sorted keys, compact
+separators, ASCII — with a ``"crc"`` member holding the CRC-32 (eight
+lowercase hex digits) of *the line's bytes without that member*.
 
 Canonical JSON is compositional: an object's text is its members' texts
 joined in key order.  So the writer encodes every member once and slots
@@ -19,11 +19,13 @@ text (:func:`_bytes_member` / :func:`_member_bytes`).  A record of
 another format version is refused (:func:`_check_version`), never taken
 for damage.
 
-Both files are opened the same way (:func:`_scan`): one streaming pass
-through a buffered handle that checks every line and keeps an index of
-the valid prefix — a byte offset and a line CRC per record — never the
-file or the decoded records, so opening costs O(records) memory, not
-O(file bytes).
+The journal and the cold archive (binary records,
+:mod:`repro.lifecycle.archive`) are opened by the same loop
+(:func:`_scan`), parameterised by how one record is read from the file
+(:func:`_read_line` here): one streaming pass through a buffered handle
+that checks every record and keeps an index of the valid prefix — a
+byte offset per record — never the file or the decoded records, so
+opening costs O(records) memory, not O(file bytes).
 """
 
 from __future__ import annotations
@@ -146,6 +148,19 @@ def _check_version(body: Dict[str, Any], version: int, what: str, position: int)
     raise PersistError(f"unsupported {what} format {found!r}")
 
 
+#: Reads the next record at a handle's position: the bytes it spans as
+#: far as the file holds them (empty at the end of the file), and the
+#: record those bytes frame — None when the file ends inside it.  It
+#: raises :class:`PersistError` for bytes that frame no record.
+Reader = Callable[[BinaryIO], Tuple[bytes, Optional[bytes]]]
+
+
+def _read_line(handle: BinaryIO) -> Tuple[bytes, Optional[bytes]]:
+    """A JSON-lines record: one line, the newline stripped from the record."""
+    line = handle.readline()
+    return line, line[:-1] if line.endswith(b"\n") else None
+
+
 @dataclass
 class _Scan:
     """What one pass over a record file found: an index of its valid
@@ -153,21 +168,15 @@ class _Scan:
 
     #: Byte offset of every valid record, in file order.
     offsets: array = field(default_factory=lambda: array("q"))
-    #: CRC-32 of every valid record's line (newline included), so a line
-    #: rewritten after the scan is told from the one that was checked.
-    crcs: array = field(default_factory=lambda: array("I"))
     #: Byte length of the valid prefix (safe truncation point).
     valid_bytes: int = 0
-    #: Bytes of the torn final record (or, after mid-file damage, of the
-    #: unterminated data after the last newline).
+    #: Bytes of the torn final record (0 after mid-file damage).
     torn_tail_bytes: int = 0
-    #: Lines dropped from the first rejected one on (mid-file damage only).
-    dropped_records: int = 0
-    #: True when a rejected line is not the last — more than an
+    #: True when a rejected record is not the last — more than an
     #: interrupted final write was lost — or is of another format version.
     corrupt: bool = False
-    #: Why the rejected line was rejected (None for a clean file or an
-    #: unterminated final line).
+    #: Why the rejected record was rejected (None for a clean file or a
+    #: final record the file ends inside).
     error: Optional[PersistError] = None
 
 
@@ -175,68 +184,53 @@ def _scan(
     path: Union[str, Path],
     decode: Callable[[bytes, int], _T],
     keep: Optional[Callable[[int, _T], None]] = None,
+    read: Reader = _read_line,
+    start: int = 0,
 ) -> _Scan:
     """Stream the record file at ``path`` once and index its valid prefix.
 
-    ``decode(line, position)`` checks one line (newline stripped) as the
-    record at ``position`` and raises :class:`PersistError` if it is not;
-    ``keep(position, decoded)``, if given, then sees each valid record in
-    file order — its exceptions propagate.  The prefix ends at the first
-    line that is unterminated or that ``decode`` rejects, and:
+    Records are read with ``read`` from byte ``start`` on (what precedes
+    it is a header the caller checked).  ``decode(record, position)``
+    checks one record as the record at ``position`` and raises
+    :class:`PersistError` if it is not; ``keep(position, decoded)``, if
+    given, then sees each valid record in file order — its exceptions
+    propagate.  The prefix ends at the first record that the file ends
+    inside or that ``read`` or ``decode`` rejects, and:
 
     * a missing or empty file is an empty, clean one;
-    * an unterminated final line, or a terminated one ``decode`` rejects,
-      is a **torn tail** — an interrupted last write — counted in
-      ``torn_tail_bytes``;
-    * a rejected line with anything after it is **mid-file corruption**:
-      ``corrupt`` is set and every line from it on is counted in
-      ``dropped_records``;
-    * so is a line of another format version (:class:`FormatVersionError`),
+    * a final record the file ends inside, or a rejected one with
+      nothing after it, is a **torn tail** — an interrupted last write —
+      counted in ``torn_tail_bytes``;
+    * a rejected record with anything after it is **mid-file
+      corruption**: ``corrupt`` is set;
+    * so is a record of another format version (:class:`FormatVersionError`),
       wherever it is: a whole record another build wrote is not a torn
       write, and must never be truncated away.
     """
-    scan = _Scan()
+    scan = _Scan(valid_bytes=start)
     try:
         handle = open(path, "rb")
     except FileNotFoundError:
-        return scan
+        return _Scan()
     with handle:
+        handle.seek(start)
         while True:
-            line = handle.readline()
-            if not line:
-                break
-            if not line.endswith(b"\n"):
-                scan.torn_tail_bytes = len(line)
-                break
             position = len(scan.offsets)
             try:
-                decoded = decode(line[:-1], position)
+                raw, record = read(handle)
+                if record is None:
+                    scan.torn_tail_bytes = len(raw)
+                    break
+                decoded = decode(record, position)
             except PersistError as error:
                 scan.error = error
-                newlines, trailing = _rest(handle)
-                if newlines or trailing or isinstance(error, FormatVersionError):
+                if handle.read(1) or isinstance(error, FormatVersionError):
                     scan.corrupt = True
-                    scan.dropped_records = 1 + newlines
-                    scan.torn_tail_bytes = trailing
                 else:
-                    scan.torn_tail_bytes = len(line)
+                    scan.torn_tail_bytes = handle.tell() - scan.valid_bytes
                 break
             if keep is not None:
                 keep(position, decoded)
             scan.offsets.append(scan.valid_bytes)
-            scan.crcs.append(zlib.crc32(line))
-            scan.valid_bytes += len(line)
+            scan.valid_bytes += len(raw)
     return scan
-
-
-def _rest(handle: BinaryIO) -> Tuple[int, int]:
-    """Newlines in what is left of ``handle``, and the bytes after the last."""
-    newlines = trailing = 0
-    for chunk in iter(lambda: handle.read(1 << 16), b""):
-        count = chunk.count(b"\n")
-        if count:
-            newlines += count
-            trailing = len(chunk) - chunk.rfind(b"\n") - 1
-        else:
-            trailing += len(chunk)
-    return newlines, trailing

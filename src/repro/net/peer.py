@@ -118,7 +118,7 @@ class PeerState:
         self.tasks.clear()
         try:
             self.writer.close()
-        except Exception:
+        except RuntimeError:  # the event loop is already closed
             pass
 
 
@@ -155,6 +155,9 @@ class PeerManager:
         # to bind its port is not.
         self._handshaken: Set[int] = set()
         self._server: Optional[asyncio.AbstractServer] = None
+        # Inbound connections still in their handshake: not peers yet,
+        # but the server's to close with the rest.
+        self._handshaking: Set[asyncio.StreamWriter] = set()
         self._closed = False
         # Counters mirrored into obs when enabled.
         self.frames_sent = 0
@@ -178,16 +181,20 @@ class PeerManager:
         for task in self._dial_tasks.values():
             task.cancel()
         self._dial_tasks.clear()
-        if self._server is not None:
-            self._server.close()
-            try:
-                await self._server.wait_closed()
-            except Exception:
-                pass
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         for peer in list(self._peers.values()):
             peer.close()
         self._peers.clear()
+        for writer in list(self._handshaking):
+            writer.close()
+        if server is not None:
+            # A closed server raises nothing here: it returns at once
+            # (Python 3.11) or, from 3.12, once every connection it
+            # accepted is gone — so all of them, handshaken or not, are
+            # closed first.
+            await server.wait_closed()
         await asyncio.sleep(0)  # let cancelled tasks unwind
 
     # -- queries -------------------------------------------------------------------
@@ -312,9 +319,15 @@ class PeerManager:
     async def _on_inbound(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._handshaking.add(writer)
         try:
             info, decoder, preamble = await self._handshake(reader, writer)
         except (WireError, asyncio.TimeoutError, TimeoutError, OSError):
+            writer.close()
+            return
+        finally:
+            self._handshaking.discard(writer)
+        if self._closed:
             writer.close()
             return
         self._adopt(info, reader, writer, decoder, preamble)

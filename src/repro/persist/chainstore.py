@@ -285,7 +285,7 @@ class ChainStore:
         deletes and the ``pruned_below`` floor bump commit in one
         transaction, and only then does VACUUM return the pages to the
         filesystem.  A crash at any point resumes idempotently — a torn
-        batch is truncated to whole lines when the archive is next
+        batch is truncated to whole records when the archive is next
         opened, the append skips what the archive already holds
         (contiguous floor), and the deletes re-run harmlessly.  Cold
         blocks are read through ``repro archive fetch``.

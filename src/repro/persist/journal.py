@@ -3,8 +3,8 @@
 Every durable run directory contains one ``journal.jsonl``: a sequence of
 newline-terminated JSON records, each carrying a sequence number, the
 simulation clock, a record type, a payload, and a CRC-32 over the rest
-of the line (:mod:`repro.lifecycle.framing`, shared with the cold
-archive).  A block record's payload carries the block's stored bytes
+of the line (:mod:`repro.lifecycle.framing`).  A block record's payload
+carries the block's stored bytes
 (:func:`repro.core.serialization.block_to_bytes`, base64) beside its
 index and hash — the bytes the chain store row and the cold archive
 hold.  The journal is *write-ahead*
@@ -23,9 +23,9 @@ Crash-tolerance contract (:func:`recover_journal`):
   of the records that had to be dropped, and callers (``repro inspect``)
   surface the damage instead of silently proceeding.
 
-Recovery is the framing module's one streaming pass (shared with the
-cold archive): the prefix comes back as an index of offsets, and a
-record is decoded from the file only when read.
+Recovery is the framing module's one streaming pass (whose loop the
+cold archive's binary records share): the prefix comes back as an
+index of offsets, and a record is decoded from the file only when read.
 
 Writes are fsync-batched: every append is flushed to the OS, but
 ``os.fsync`` runs only every ``fsync_every`` records (and on ``sync`` /
@@ -39,13 +39,14 @@ import operator
 import os
 import time
 import zlib
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Dict, Iterator, Optional, Union
+from typing import Any, BinaryIO, Callable, Dict, Iterator, Optional, Tuple, Union
 
 from repro.core.errors import FormatVersionError, PersistError
-from repro.lifecycle.framing import _check_version, _frame, _scan, _Scan, _unframe
+from repro.lifecycle.framing import _check_version, _frame, _scan, _unframe
 from repro.obs import runtime as _obs
 
 PathLike = Union[str, Path]
@@ -101,11 +102,11 @@ class _JournalRecords(Sequence[JournalRecord]):
     :class:`PersistError` instead of returning what it now holds.
     """
 
-    def __init__(self, path: Path, scan: _Scan):
+    def __init__(self, path: Path, offsets: array, crcs: array, end: int):
         self._path = path
-        self._offsets = scan.offsets
-        self._crcs = scan.crcs
-        self._end = scan.valid_bytes
+        self._offsets = offsets
+        self._crcs = crcs
+        self._end = end
 
     def __len__(self) -> int:
         return len(self._offsets)
@@ -204,7 +205,19 @@ def recover_journal(
     order during the scan, so a caller that folds the records into a
     summary needs no second pass over the file.
     """
-    scan = _scan(path, _decode_line, visit)
+    # CRC-32 of every valid line (newline included), so a line rewritten
+    # after the scan is told from the one that was checked.
+    crcs = array("I")
+
+    def decode(line: bytes, position: int) -> JournalRecord:
+        record = _decode_line(line, position)
+        crcs.append(zlib.crc32(b"\n", zlib.crc32(line)))
+        return record
+
+    scan = _scan(path, decode, visit)
+    dropped_records, torn_tail_bytes = 0, scan.torn_tail_bytes
+    if scan.corrupt:
+        dropped_records, torn_tail_bytes = _lines_from(Path(path), scan.valid_bytes)
     if isinstance(scan.error, FormatVersionError):
         reason: Optional[str] = str(scan.error)
     elif scan.corrupt:
@@ -219,13 +232,29 @@ def recover_journal(
     else:
         reason = None
     return JournalRecovery(
-        records=_JournalRecords(Path(path), scan),
+        records=_JournalRecords(Path(path), scan.offsets, crcs, scan.valid_bytes),
         valid_bytes=scan.valid_bytes,
-        dropped_records=scan.dropped_records,
-        torn_tail_bytes=scan.torn_tail_bytes,
+        dropped_records=dropped_records,
+        torn_tail_bytes=torn_tail_bytes,
         corrupt=scan.corrupt,
         reason=reason,
     )
+
+
+def _lines_from(path: Path, start: int) -> Tuple[int, int]:
+    """The newline-terminated lines of the file at ``path`` from byte
+    ``start`` on, and the bytes after the last of them."""
+    lines = trailing = 0
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
+            count = chunk.count(b"\n")
+            if count:
+                lines += count
+                trailing = len(chunk) - chunk.rfind(b"\n") - 1
+            else:
+                trailing += len(chunk)
+    return lines, trailing
 
 
 class RunJournal:

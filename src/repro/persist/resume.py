@@ -51,7 +51,7 @@ from typing import Any, Deque, Dict, Iterator, List, Optional, Set, Tuple, Union
 from repro.core.config import LifecycleSpec, SystemConfig
 from repro.core.errors import PersistError, ValidationError
 from repro.core.serialization import block_from_bytes, block_to_bytes
-from repro.lifecycle.archive import ARCHIVE_NAME, BlockArchive
+from repro.lifecycle.archive import ARCHIVE_NAME, LEGACY_ARCHIVE_NAME, BlockArchive
 from repro.lifecycle.framing import _bytes_member, _member_bytes
 from repro.metrics.collector import RunMetrics
 from repro.metrics.export import metrics_to_record, store_chain_record
@@ -253,21 +253,18 @@ class PersistSession:
 
     def __init__(
         self, directory: PathLike, persist: PersistConfig, journal: RunJournal,
-        store: ChainStore,
+        store: ChainStore, archive: BlockArchive,
     ):
         self.directory = Path(directory)
         self.persist = persist
         self.journal = journal
         self.store = store
-        #: Cold-archive handle, opened on the first compaction.
-        self.archive: Optional[BlockArchive] = None
+        self.archive = archive
 
     def compact_to(self, horizon: int, checkpoints=None) -> int:
         """Sync, then move store rows below ``horizon`` into the cold
         archive: the archive never holds a block the journal lacks."""
         self.sync()
-        if self.archive is None:
-            self.archive = BlockArchive(self.directory / ARCHIVE_NAME)
         return self.store.compact(self.archive, horizon, checkpoints)
 
     def record_block(self, block, clock: float) -> None:
@@ -485,9 +482,12 @@ class PersistentRunResult:
 
 
 def _open_session(directory: Path, persist: PersistConfig) -> PersistSession:
+    # The archive first: one of an old format is refused before any
+    # other handle is open.
+    archive = BlockArchive(directory / ARCHIVE_NAME)
     journal = RunJournal.open(directory / JOURNAL_NAME, fsync_every=persist.fsync_every)
     store = ChainStore(directory / STORE_NAME)
-    return PersistSession(directory, persist, journal, store)
+    return PersistSession(directory, persist, journal, store, archive)
 
 
 def _finalize(session: PersistSession, runtime: SimRuntime) -> ExperimentResult:
@@ -749,7 +749,7 @@ def inspect_run(directory: PathLike) -> RunReport:
 
     archive = None
     archive_path = directory / ARCHIVE_NAME
-    if archive_path.exists():
+    if archive_path.exists() or (directory / LEGACY_ARCHIVE_NAME).exists():
         try:
             archive = BlockArchive(archive_path)
             stats = archive.stats()

@@ -43,9 +43,11 @@ is the single home for that boilerplate:
   keeps only the root);
 * :func:`mine_next` — a valid PoS child block for any chain;
 * :func:`reference_frame` / :func:`reference_unframe` — the two-``dumps``
-  record encoder and the re-canonicalising CRC check the journal and the
-  archive used to run, the differential oracle for
-  :mod:`repro.lifecycle.framing`;
+  record encoder and the re-canonicalising CRC check the journal used to
+  run, the differential oracle for :mod:`repro.lifecycle.framing`;
+* :func:`reference_archive_bytes` / :func:`reference_load_archive` — an
+  archive file spelt out field by field, and a whole-file loop that opens
+  one, the differential oracles for :mod:`repro.lifecycle.archive`;
 * :func:`stored_chain` — a lifecycle-pruned chain written through a
   :class:`~repro.persist.chainstore.ChainStore`, ready to compact.
 
@@ -705,7 +707,7 @@ def _reference_crc_of(body: Dict[str, Any]) -> str:
 
 
 def reference_frame(body: Dict[str, Any]) -> bytes:
-    """One journal/archive record line, encoded as it was before the
+    """One journal record line, encoded as it was before the
     writer composed it from its members: ``dumps`` the whole record for
     the CRC, then ``dumps`` it again with the CRC in."""
     body = dict(body)
@@ -780,13 +782,80 @@ def reference_recover_journal(path: Path) -> Dict[str, Any]:
     return verdict
 
 
+#: The header a format-v3 archive file starts with: magic, then version.
+ARCHIVE_HEADER = b"REPROARC" + (3).to_bytes(4, "big")
+
+
+def archive_record(block_hash: str, data: bytes, tail: bytes = b"") -> bytes:
+    """One archive record, spelt out field by field from the layout in
+    :mod:`repro.lifecycle.archive`: length, the length's CRC-32, hash,
+    size, the block bytes ``data``, the checkpoint bytes ``tail``, and a
+    CRC-32 of all of it — whatever the fields hold."""
+    body = bytes.fromhex(block_hash) + len(data).to_bytes(4, "big") + data + tail
+    length = len(body).to_bytes(4, "big")
+    record = length + zlib.crc32(length).to_bytes(4, "big") + body
+    return record + zlib.crc32(record).to_bytes(4, "big")
+
+
+def reference_archive_record(block: Block, checkpoint: Any = None) -> bytes:
+    """The archive record of ``block`` and the checkpoint record pinned
+    with it: its stored bytes, and the record's canonical JSON."""
+    from repro.core.serialization import block_to_bytes
+
+    tail = b"" if checkpoint is None else _reference_canonical(checkpoint.to_dict())
+    return archive_record(block.current_hash, block_to_bytes(block), tail)
+
+
+def reference_archive_bytes(pairs: Sequence[Tuple[Block, Any]]) -> bytes:
+    """The whole archive file of ``(block, checkpoint)`` pairs."""
+    return ARCHIVE_HEADER + b"".join(reference_archive_record(*pair) for pair in pairs)
+
+
+def archive_record_ends(data: bytes) -> List[int]:
+    """Where each whole record of archive file bytes ``data`` ends, by
+    their lengths (the records are taken as undamaged)."""
+    ends: List[int] = []
+    offset = len(ARCHIVE_HEADER)
+    while offset + 8 <= len(data):
+        end = offset + 12 + int.from_bytes(data[offset : offset + 4], "big")
+        if end > len(data):
+            break
+        ends.append(end)
+        offset = end
+    return ends
+
+
+def _reference_refuse_header(found: bytes, path: Path) -> None:
+    """Raise what opening raises for an archive file that starts with
+    ``found`` instead of the v3 header: a JSON-lines archive (v1, v2) or
+    another version's header is :class:`FormatVersionError`, naming the
+    version; anything else is damage."""
+    if found.startswith(b"{"):
+        with open(path, "rb") as handle:
+            line = handle.readline(1 << 20)
+        try:
+            version = json.loads(line).get("v")
+        except (ValueError, AttributeError, RecursionError):
+            version = None
+        if type(version) is not int:
+            version = "1 or v2"
+        raise FormatVersionError(f"archive {path} has format v{version}; this build reads v3")
+    if len(found) == 12 and found.startswith(b"REPROARC"):
+        raise FormatVersionError(
+            f"archive {path} has format v{int.from_bytes(found[8:], 'big')}; "
+            "this build reads v3"
+        )
+    raise PersistError(f"archive {path} is not a block archive")
+
+
 def reference_load_archive(path: Path) -> Dict[str, Any]:
-    """What opening an archive file finds, by the whole-file loop the
-    archive ran before it streamed (without its truncation of a torn
-    tail): every record offset, every pinned checkpoint record, the
-    truncation point and the torn bytes.  Raises :class:`PersistError`
-    where opening did — mid-file damage or an invalid checkpoint."""
-    from repro.lifecycle.archive import _decode_record
+    """What opening an archive file finds, by a whole-file loop (without
+    the archive's truncation of a torn tail): every record offset, every
+    pinned checkpoint record, the truncation point and the torn bytes.
+    Raises :class:`PersistError` where opening does — another format,
+    mid-file damage or an invalid checkpoint.  Every field is checked
+    here from the layout in :mod:`repro.lifecycle.archive`, with none of
+    its code."""
     from repro.lifecycle.checkpoint import CheckpointRecord
 
     verdict: Dict[str, Any] = {
@@ -798,34 +867,54 @@ def reference_load_archive(path: Path) -> Dict[str, Any]:
     if not path.exists():
         return verdict
     raw = path.read_bytes()
-    offset = 0
+    if not raw.startswith(ARCHIVE_HEADER):
+        if not ARCHIVE_HEADER.startswith(raw):
+            _reference_refuse_header(raw[: len(ARCHIVE_HEADER)], path)
+        verdict["torn_tail_bytes"] = len(raw)  # empty, or a torn header
+        return verdict
+    offset = verdict["length"] = len(ARCHIVE_HEADER)
     expected = 0
     while offset < len(raw):
-        newline = raw.find(b"\n", offset)
-        if newline < 0:
+        if offset + 8 > len(raw):
             verdict["torn_tail_bytes"] = len(raw) - offset
             break
-        try:
-            body = _decode_record(raw[offset:newline], expected)
-        except FormatVersionError as error:
-            raise FormatVersionError(f"archive {path}: {error}") from error
-        except PersistError as error:
-            if newline + 1 >= len(raw):
+        length_bytes = raw[offset : offset + 4]
+        length = int.from_bytes(length_bytes, "big")
+        end = offset + 12 + length
+        if zlib.crc32(length_bytes) != int.from_bytes(
+            raw[offset + 4 : offset + 8], "big"
+        ) or not 36 <= length <= 1 << 26:
+            error = f"archive record at byte {offset} has a damaged length"
+            end = offset + 8
+        elif end > len(raw):
+            verdict["torn_tail_bytes"] = len(raw) - offset
+            break
+        else:
+            record = raw[offset:end]
+            size = int.from_bytes(record[40:44], "big")
+            if zlib.crc32(record[:-4]) != int.from_bytes(record[-4:], "big"):
+                error = f"archive record {expected} CRC mismatch"
+            elif not 0 < size <= len(record) - 48:
+                error = f"archive record {expected} carries no block"
+            else:
+                error = ""
+        if error:
+            if end >= len(raw):
                 verdict["torn_tail_bytes"] = len(raw) - offset
                 break
-            raise PersistError(f"archive {path} is corrupt mid-file: {error}") from error
+            raise PersistError(f"archive {path} is corrupt mid-file: {error}")
         verdict["offsets"].append(offset)
-        checkpoint = body.get("checkpoint")
-        if checkpoint is not None:
+        tail = record[44 + size : -4]
+        if tail:
             try:
-                record = CheckpointRecord.from_dict(checkpoint)
-            except (KeyError, TypeError, ValueError) as error:
+                checkpoint = CheckpointRecord.from_dict(json.loads(tail))
+            except (KeyError, TypeError, ValueError, RecursionError) as error:
                 raise PersistError(
                     f"archive {path} checkpoint record at {expected} is invalid: {error}"
                 ) from error
-            verdict["checkpoints"][record.index] = record
+            verdict["checkpoints"][checkpoint.index] = checkpoint
         expected += 1
-        offset = newline + 1
+        offset = end
         verdict["length"] = offset
     return verdict
 

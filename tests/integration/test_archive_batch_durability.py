@@ -2,7 +2,7 @@
 actually discarded.
 
 ``ChainStore.compact`` hands the whole range to
-``BlockArchive.append_many``, which fsyncs once, and deletes hot rows
+``BlockArchive.append_encoded``, which fsyncs once, and deletes hot rows
 only afterwards.  Killing a process would not test that ordering — the
 OS cache survives a kill — so these tests do the discarding themselves:
 
@@ -26,7 +26,7 @@ from repro.core.errors import PersistError
 from repro.lifecycle import ARCHIVE_NAME, BlockArchive
 from repro.persist.chainstore import ChainStore
 from repro.persist.resume import STORE_NAME
-from tests.helpers import stored_chain
+from tests.helpers import archive_record_ends, stored_chain
 
 pytestmark = pytest.mark.lifecycle
 
@@ -73,8 +73,8 @@ class _DeleteSpy:
         return getattr(self._connection, name)
 
 
-def _whole_lines(data: bytes) -> int:
-    return data.count(b"\n")
+def _whole_records(data: bytes) -> int:
+    return len(archive_record_ends(data))
 
 
 class TestPowerLoss:
@@ -90,10 +90,10 @@ class TestPowerLoss:
             (up_to,) = parameters
             synced = synced_lengths.get(_file_id(path.stat()), 0)
             durable = path.read_bytes()[:synced]
-            assert durable.endswith(b"\n")
-            assert _whole_lines(durable) >= up_to, (
+            assert archive_record_ends(durable)[-1] == synced
+            assert _whole_records(durable) >= up_to, (
                 f"about to delete hot rows below {up_to} with only "
-                f"{_whole_lines(durable)} archived blocks on stable storage"
+                f"{_whole_records(durable)} archived blocks on stable storage"
             )
             seen.append((up_to, synced))
 
@@ -144,11 +144,12 @@ class TestTornBatch:
         full_bytes = (full_dir / ARCHIVE_NAME).read_bytes()
         assert full_bytes.startswith(base_bytes)
 
-        # Every line boundary of the batch, one byte either side, and
-        # the middle of every line.
-        boundaries = [len(base_bytes)]
-        while boundaries[-1] < len(full_bytes):
-            boundaries.append(full_bytes.index(b"\n", boundaries[-1]) + 1)
+        # Every record boundary of the batch, one byte either side, and
+        # the middle of every record.
+        boundaries = [len(base_bytes)] + [
+            end for end in archive_record_ends(full_bytes) if end > len(base_bytes)
+        ]
+        assert boundaries[-1] == len(full_bytes)
         assert len(boundaries) == self.TARGET - self.BASE + 1
         cuts = set()
         for start, end in zip(boundaries, boundaries[1:]):
@@ -201,7 +202,7 @@ class TestFailingSource:
         assert store.pruned_below() == base
         assert store.block_count() == hot_before - 1
         # ... and the archive holds exactly the blocks taken before the
-        # failure: whole lines, accounted for in memory, on stable storage.
+        # failure: whole records, accounted for in memory, on stable storage.
         assert archive.archived_below == missing
         assert archive.size_bytes == path.stat().st_size
         assert synced_lengths[_file_id(path.stat())] == path.stat().st_size

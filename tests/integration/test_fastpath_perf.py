@@ -38,9 +38,10 @@ node per block, which is two orders of magnitude more.
 
 The fifth guard is a count too: compacting 256 blocks into the cold
 archive opens the archive once, fsyncs it once, builds no block and
-frames each record once (one open, one fsync and two whole-record
-``json.dumps`` *per block* before compaction became a batch; a decode,
-re-hash and re-encode of every block before it moved stored bytes), and
+frames each record once, putting only pinned checkpoint records through
+JSON (one open, one fsync and two whole-record ``json.dumps`` *per
+block* before compaction became a batch; a decode, re-hash and
+re-encode of every block before it moved stored bytes), and
 a 64-block ranged fetch
 and a full integrity walk open it once each (once per block before).
 
@@ -94,7 +95,8 @@ from repro.facility import costs
 from repro.facility.costs import build_storage_ufl
 from repro.facility.greedy import GreedySolver
 from repro.facility.problem import UFLProblem
-from repro.lifecycle import ARCHIVE_NAME, BlockArchive, framing
+from repro.lifecycle import ARCHIVE_NAME, BlockArchive
+from repro.lifecycle import archive as archive_module
 from repro.persist.resume import STORE_NAME
 from repro.sim.cluster import build_cluster
 from repro.sim.runner import ChurnSpec, ExperimentSpec, run_experiment
@@ -346,9 +348,10 @@ def test_storage_plane_opens_syncs_and_encodes_once_per_batch(tmp_path, monkeypa
     assert chain.first_retained_index >= BATCH_BLOCKS
     path = tmp_path / ARCHIVE_NAME
     archive = BlockArchive(path)
-    opens, fsyncs, dumps, encoded, blocks = [], [], [], [], []
+    opens, fsyncs, dumps, encoded, records, blocks = [], [], [], [], [], []
     real_open, real_fsync, real_dumps = builtins.open, os.fsync, json.dumps
-    real_canonical, real_post_init = framing._canonical, Block.__post_init__
+    real_canonical, real_post_init = archive_module._canonical, Block.__post_init__
+    real_encode_record = archive_module._encode_record
 
     def counted_open(file, *args, **kwargs):
         if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(path):
@@ -367,10 +370,15 @@ def test_storage_plane_opens_syncs_and_encodes_once_per_batch(tmp_path, monkeypa
         encoded.append(value)
         return real_canonical(value)
 
+    def counted_encode_record(block_hash, data, checkpoint):
+        records.append(block_hash)
+        return real_encode_record(block_hash, data, checkpoint)
+
     monkeypatch.setattr(builtins, "open", counted_open)
     monkeypatch.setattr(os, "fsync", counted_fsync)
     monkeypatch.setattr(json, "dumps", counted_dumps)
-    monkeypatch.setattr(framing, "_canonical", counted_canonical)
+    monkeypatch.setattr(archive_module, "_canonical", counted_canonical)
+    monkeypatch.setattr(archive_module, "_encode_record", counted_encode_record)
 
     def counted_post_init(block):
         blocks.append(block.index)
@@ -383,15 +391,13 @@ def test_storage_plane_opens_syncs_and_encodes_once_per_batch(tmp_path, monkeypa
     assert opens == ["ab"]
     assert fsyncs == [path.stat().st_ino]
     # The rows' bytes move undecoded: no block is built.  Each record is
-    # framed once, member by member — its "block" key once — and the only
-    # objects encoded are the pinned checkpoint records; no record is
-    # encoded whole, let alone twice.
+    # framed once, and the only objects encoded as JSON are the pinned
+    # checkpoint records; no block goes through JSON at all.
     assert blocks == []
     assert dumps == []
-    assert sum(value == "block" for value in encoded) == BATCH_BLOCKS
-    objects = [value for value in encoded if isinstance(value, dict)]
-    assert not any("idx" in value or "block" in value for value in objects)
-    assert len(objects) == len(archive.checkpoints())
+    assert len(records) == BATCH_BLOCKS
+    assert all(isinstance(value, dict) and "ledger_digest" in value for value in encoded)
+    assert len(encoded) == len(archive.checkpoints()) > 0
 
     del opens[:]
     fetched = list(archive.fetch_range(0, RANGE_BLOCKS))

@@ -16,6 +16,8 @@ from repro.core.admission import CHECKPOINT_REWRITE
 from repro.core.messages import ChainResponse
 from repro.federation import FederationSpec, run_federation
 from repro.lifecycle import ARCHIVE_NAME, BlockArchive, hot_bound_blocks
+from repro.lifecycle.archive import LEGACY_ARCHIVE_NAME
+from repro.lifecycle.framing import _frame
 from repro.metrics.export import metrics_to_record
 from repro.persist import (
     PersistConfig,
@@ -109,7 +111,8 @@ class TestBoundedDurableRun:
         # Ranged fetch round-trips against the hot store's lineage.
         store = ChainStore(tmp_path / "run" / STORE_NAME)
         first_hot = store.block_by_index(report.store_pruned_below)
-        cold_tip = archive.fetch(report.store_pruned_below - 1)
+        floor = report.store_pruned_below
+        cold_tip = next(archive.fetch_range(floor - 1, floor))
         assert first_hot.previous_hash == cold_tip.current_hash
 
     def test_durable_equals_plain_with_lifecycle(self, tmp_path):
@@ -343,3 +346,42 @@ class TestLifecycleCLI:
         # Second invocation is a no-op.
         assert main(["prune", str(directory), *policy]) == 0
         assert "nothing to prune" in capsys.readouterr().out
+
+    def test_archive_verbs_refuse_a_json_lines_archive(self, tmp_path, capsys):
+        directory = tmp_path / "run"
+        assert main(self.run_args(directory)) == 0
+        (directory / ARCHIVE_NAME).unlink()
+        (directory / LEGACY_ARCHIVE_NAME).write_bytes(
+            _frame({"v": 2, "idx": 0, "hash": "00" * 32, "block": "AA=="})
+        )
+        capsys.readouterr()
+        for verb in (["inspect"], ["fetch", "0"]):
+            assert main(["archive", verb[0], str(directory), *verb[1:]]) == 2
+            assert "has format v2; this build reads v3" in capsys.readouterr().err
+        report = inspect_run(directory)
+        assert not report.ok
+        assert any("has format v2" in problem for problem in report.problems)
+
+    def test_prune_pins_every_checkpoint_it_archives(self, tmp_path, capsys):
+        """A run that archived [0, 6) with checkpoints every 2 blocks,
+        pruned again every block: the records of 6 and 7 are archived
+        with their blocks, each the ledger as of its own block."""
+        directory = tmp_path / "run"
+        args = self.run_args(directory)
+        where = args.index("--block-interval")
+        del args[where : where + 2]
+        assert main(args) == 0
+        assert main(["prune", str(directory), "--retain", "1", "--checkpoint-every", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "f6344f99503d4b94" in out  # the horizon's record, as before
+        archive = BlockArchive(directory / ARCHIVE_NAME)
+        assert archive.archived_below == 8
+        assert archive.stats().checkpoints == (2, 4, 6, 7)
+        assert archive.verify_integrity() == []
+        pinned = archive.checkpoints()
+        blocks = list(archive.fetch_range(0, 8))
+        for index, record in pinned.items():
+            assert record.block_hash == blocks[index].current_hash
+        assert len({record.ledger_digest for record in pinned.values()}) == 4
+        assert main(["archive", "inspect", str(directory)]) == 0
+        assert "2, 4, 6, 7" in capsys.readouterr().out

@@ -13,6 +13,7 @@ import pytest
 from repro.cli import main
 from repro.core.config import PAPER_CONFIG
 from repro.core.errors import PersistError
+from repro.lifecycle.archive import ARCHIVE_NAME, BlockArchive
 from repro.metrics.export import metrics_to_record
 from repro.persist import (
     PersistConfig,
@@ -342,6 +343,7 @@ class TestCrashInBatch:
             FAST_PERSIST,
             RunJournal.open(run / JOURNAL_NAME),
             ChainStore(run / STORE_NAME),
+            BlockArchive(run / ARCHIVE_NAME),
         )
         try:
             for block in blocks:
@@ -390,7 +392,11 @@ class TestInspect:
         tip = store.block_by_index(store.height())
         fork = replace(tip, timestamp=tip.timestamp + 1.0, current_hash="")
         session = PersistSession(
-            run, FAST_PERSIST, RunJournal.open(run / JOURNAL_NAME), store
+            run,
+            FAST_PERSIST,
+            RunJournal.open(run / JOURNAL_NAME),
+            store,
+            BlockArchive(run / ARCHIVE_NAME),
         )
         session.record_reorg(tip.index, fork.timestamp)
         session.record_block(fork, fork.timestamp)
@@ -405,7 +411,9 @@ class TestInspect:
         with RunJournal.open(run / JOURNAL_NAME) as journal, ChainStore(
             run / STORE_NAME
         ) as store:
-            session = PersistSession(run, FAST_PERSIST, journal, store)
+            session = PersistSession(
+                run, FAST_PERSIST, journal, store, BlockArchive(run / ARCHIVE_NAME)
+            )
             session.record_reorg(tip.index, fork.timestamp)
             session.record_block(tip, fork.timestamp)
         report = inspect_run(run)

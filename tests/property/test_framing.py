@@ -1,17 +1,19 @@
-"""Differential tests for the journal/archive record framing.
+"""Differential tests for the journal and archive record framing.
 
-:mod:`repro.lifecycle.framing` composes a record line from the canonical
-encodings of its members and checks the CRC over the bytes it read.  The
-oracle is the encoder and the CRC check both files ran before that
-(:func:`tests.helpers.reference_frame` / ``reference_unframe``): encode
-the whole record twice, re-encode every record read.  New bytes must
-equal oracle bytes for anything either writer can be handed, every
-single-bit flip must still be caught with the same torn-tail /
-mid-file verdict, and files written through the oracle must load as the
-files this code writes.
+:mod:`repro.lifecycle.framing` composes a journal line from the
+canonical encodings of its members and checks the CRC over the bytes it
+read.  The oracle is the encoder and the CRC check the journal ran
+before that (:func:`tests.helpers.reference_frame` /
+``reference_unframe``): encode the whole record twice, re-encode every
+record read.  The cold archive's binary records
+(:mod:`repro.lifecycle.archive`) have theirs in an encoder that spells
+the layout out field by field (:func:`tests.helpers.reference_archive_bytes`).
+New bytes must equal oracle bytes for anything either writer can be
+handed, every single-bit flip must still be caught with the same
+torn-tail / mid-file verdict, and files written through the oracle must
+load as the files this code writes.
 """
 
-import base64
 import json
 
 import pytest
@@ -21,9 +23,9 @@ from hypothesis import strategies as st
 from repro.core.block import Block
 from repro.core.errors import PersistError
 from repro.core.metadata import MetadataItem
-from repro.core.serialization import block_to_bytes, block_to_dict
+from repro.core.serialization import block_to_dict
 from repro.lifecycle import ARCHIVE_NAME, BlockArchive, CheckpointRecord
-from repro.lifecycle.archive import ARCHIVE_FORMAT_VERSION
+from repro.lifecycle.archive import _check_record
 from repro.lifecycle.framing import _frame, _unframe
 from repro.persist.journal import (
     JOURNAL_FORMAT_VERSION,
@@ -34,7 +36,15 @@ from repro.persist.journal import (
     recover_journal,
 )
 from repro.persist.resume import STORE_NAME
-from tests.helpers import reference_frame, reference_unframe, stored_chain
+from tests.helpers import (
+    ARCHIVE_HEADER,
+    archive_record_ends,
+    reference_archive_bytes,
+    reference_archive_record,
+    reference_frame,
+    reference_unframe,
+    stored_chain,
+)
 
 pytestmark = pytest.mark.fastpath
 
@@ -72,18 +82,6 @@ def journal_body(record: JournalRecord) -> dict:
         "clock": record.clock,
         "payload": record.payload,
     }
-
-
-def archive_body(block: Block, checkpoint=None) -> dict:
-    body = {
-        "v": ARCHIVE_FORMAT_VERSION,
-        "idx": block.index,
-        "hash": block.current_hash,
-        "block": base64.b64encode(block_to_bytes(block)).decode("ascii"),
-    }
-    if checkpoint is not None:
-        body["checkpoint"] = checkpoint.to_dict()
-    return body
 
 
 class TestJournalRecords:
@@ -177,13 +175,12 @@ class TestArchiveRecords:
     def test_bytes_equal_the_oracle_and_round_trip(self, tmp_path_factory, batch):
         path = tmp_path_factory.mktemp("archive") / ARCHIVE_NAME
         BlockArchive(path).append_many(batch)
-        assert path.read_bytes() == b"".join(
-            reference_frame(archive_body(block, checkpoint))
-            for block, checkpoint in batch
-        )
+        assert path.read_bytes() == reference_archive_bytes(batch)
         reopened = BlockArchive(path)
         blocks = [block for block, _ in batch]
-        assert [reopened.fetch(block.index) for block in blocks] == blocks
+        assert [
+            next(reopened.fetch_range(block.index, block.index + 1)) for block in blocks
+        ] == blocks
         assert list(reopened.fetch_range(0, len(blocks))) == blocks
         assert reopened.checkpoints() == {
             checkpoint.index: checkpoint for _, checkpoint in batch if checkpoint
@@ -193,14 +190,29 @@ class TestArchiveRecords:
 # -- damage ----------------------------------------------------------------------------
 
 
+def _flipped(data: bytes, stride: int = 1):
+    """``(byte position, data with one bit flipped)`` for every
+    ``stride``-th bit of ``data``."""
+    for bit in range(0, len(data) * 8, stride):
+        position, mask = divmod(bit, 8)
+        flipped = data[position] ^ (1 << mask)
+        yield position, data[:position] + bytes([flipped]) + data[position + 1 :]
+
+
 def _flips(line: bytes, stride: int = 1):
     """``line`` with one bit flipped, for every ``stride``-th bit — except
     flips that make or unmake a newline, which move record boundaries."""
-    for bit in range(0, len(line) * 8, stride):
-        position, mask = divmod(bit, 8)
-        flipped = line[position] ^ (1 << mask)
-        if flipped != 0x0A:
-            yield line[:position] + bytes([flipped]) + line[position + 1 :]
+    for position, flipped in _flipped(line, stride):
+        if flipped[position] != 0x0A:
+            yield flipped
+
+
+def _records(path):
+    """The archive file at ``path`` as its header and its records."""
+    data = path.read_bytes()
+    ends = archive_record_ends(data)
+    starts = [len(ARCHIVE_HEADER)] + ends[:-1]
+    return data[: len(ARCHIVE_HEADER)], [data[a:b] for a, b in zip(starts, ends)]
 
 
 def _accepts(decode, line: bytes) -> bool:
@@ -247,22 +259,24 @@ def journal_records(pairs):
 class TestBitFlips:
     def test_every_single_bit_flip_in_a_line_is_rejected(self, archived):
         block, checkpoint = next(pair for pair in archived if pair[1] and pair[0].index)
-        lines = {
-            "archive": _frame(archive_body(block, checkpoint))[:-1],
-            "journal": JournalRecord(
-                seq=3, type=REC_BLOCK, clock=1e-7, payload={"é": [block_to_dict(block)]}
-            ).encode()[:-1],
-        }
-        for what, line in lines.items():
-            assert _accepts(reference_unframe, line)
-            assert _accepts(lambda raw: _unframe(raw, what, "seq"), line)
-            for flipped in _flips(line):
-                assert not _accepts(lambda raw: _unframe(raw, what, "seq"), flipped)
-                # The oracle re-encodes what it parsed, so it forgives the
-                # few flips that only change how a value is spelt (the
-                # case of a hex digit in a \\u escape, of an exponent's e).
-                if _accepts(reference_unframe, flipped):
-                    assert reference_unframe(flipped) == reference_unframe(line)
+        line = JournalRecord(
+            seq=3, type=REC_BLOCK, clock=1e-7, payload={"é": [block_to_dict(block)]}
+        ).encode()[:-1]
+        assert _accepts(reference_unframe, line)
+        assert _accepts(lambda raw: _unframe(raw, "journal", "seq"), line)
+        for flipped in _flips(line):
+            assert not _accepts(lambda raw: _unframe(raw, "journal", "seq"), flipped)
+            # The oracle re-encodes what it parsed, so it forgives the
+            # few flips that only change how a value is spelt (the
+            # case of a hex digit in a \\u escape, of an exponent's e).
+            if _accepts(reference_unframe, flipped):
+                assert reference_unframe(flipped) == reference_unframe(line)
+        # An archive record has no spelling to forgive: every flip, in its
+        # length and its CRCs too, is rejected.
+        record = reference_archive_record(block, checkpoint)
+        assert _check_record(record, block.index)[0] == block.current_hash
+        for _, flipped in _flipped(record):
+            assert not _accepts(lambda raw: _check_record(raw, block.index), flipped)
 
     def test_journal_verdicts_torn_tail_versus_mid_file(self, tmp_path, archived):
         path = tmp_path / "journal.jsonl"
@@ -288,16 +302,23 @@ class TestBitFlips:
     def test_archive_verdicts_torn_tail_versus_mid_file(self, tmp_path, archived):
         path = tmp_path / ARCHIVE_NAME
         BlockArchive(path).append_many(archived[:3])
-        lines = path.read_bytes().splitlines(keepends=True)
-        for flipped in _flips(lines[1][:-1], stride=5):
-            path.write_bytes(lines[0] + flipped + b"\n" + lines[2])
+        header, records = _records(path)
+        assert len(records) == 3
+        for _, flipped in _flipped(records[1], stride=5):
+            path.write_bytes(header + records[0] + flipped + records[2])
             with pytest.raises(PersistError, match="corrupt mid-file"):
                 BlockArchive(path)
-        for flipped in _flips(lines[2][:-1], stride=5):
-            path.write_bytes(lines[0] + lines[1] + flipped + b"\n")
+        for position, flipped in _flipped(records[2], stride=5):
+            path.write_bytes(header + records[0] + records[1] + flipped)
+            if position < 8:
+                # A damaged length bounds no record: what follows it is
+                # not known to be one torn write, so it is never dropped.
+                with pytest.raises(PersistError, match="corrupt mid-file"):
+                    BlockArchive(path)
+                continue
             reopened = BlockArchive(path)
             assert reopened.archived_below == 2
-            assert reopened.torn_tail_bytes == len(lines[2])
+            assert reopened.torn_tail_bytes == len(records[2])
 
 
 # -- files written by the oracle -------------------------------------------------------
@@ -305,12 +326,10 @@ class TestBitFlips:
 
 class TestOracleWrittenFiles:
     def test_archive_loads_like_one_this_code_wrote(self, tmp_path, archived):
-        ours, theirs = tmp_path / "ours.jsonl", tmp_path / "theirs.jsonl"
+        ours, theirs = tmp_path / "ours.bin", tmp_path / "theirs.bin"
         written = BlockArchive(ours)
         written.append_many(archived)
-        theirs.write_bytes(
-            b"".join(reference_frame(archive_body(*pair)) for pair in archived)
-        )
+        theirs.write_bytes(reference_archive_bytes(archived))
         assert ours.read_bytes() == theirs.read_bytes()
         loaded = BlockArchive(theirs)
         assert loaded._offsets == written._offsets == BlockArchive(ours)._offsets

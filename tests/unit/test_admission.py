@@ -16,7 +16,6 @@ from repro.core.admission import (
     EQUIVOCATION,
     FLOOD,
     INVALID,
-    MALFORMED,
     REASON_WEIGHTS,
     AdmissionControl,
     EquivocationTracker,
@@ -30,7 +29,6 @@ from repro.core.errors import (
     ChainLinkError,
     CheckpointError,
     ConsensusError,
-    SerializationError,
     ValidationError,
 )
 from repro.core.metadata import create_metadata
@@ -66,7 +64,6 @@ class TestClassifyRejection:
         assert classify_rejection(CheckpointError("x")) == CHECKPOINT_REWRITE
         assert classify_rejection(ChainLinkError("x")) == "bad_linkage"
         assert classify_rejection(ConsensusError("x")) == BAD_POS
-        assert classify_rejection(SerializationError("x")) == MALFORMED
         assert classify_rejection(ValidationError("x")) == INVALID
 
     def test_every_reason_has_a_weight(self):
@@ -74,7 +71,6 @@ class TestClassifyRejection:
             CheckpointError("x"),
             ChainLinkError("x"),
             ConsensusError("x"),
-            SerializationError("x"),
             ValidationError("x"),
         ):
             assert classify_rejection(error) in REASON_WEIGHTS

@@ -1,9 +1,9 @@
 """Unit tests for the chain lifecycle subsystem: horizon math, checkpoint
 records, in-memory pruning, anchored adoption, and the cold archive."""
 
-import base64
+import builtins
 import dataclasses
-import json
+import errno
 
 import pytest
 
@@ -19,7 +19,7 @@ from repro.core.errors import (
     ValidationError,
 )
 from repro.core.pos import compute_hit, compute_pos_hash, mining_delay
-from repro.core.serialization import block_from_bytes, block_to_bytes
+from repro.core.serialization import block_to_bytes
 from repro.lifecycle import (
     ARCHIVE_NAME,
     BlockArchive,
@@ -28,9 +28,11 @@ from repro.lifecycle import (
     lifecycle_enabled,
     retention_horizon,
 )
-from repro.lifecycle.archive import ARCHIVE_FORMAT_VERSION
+from repro.lifecycle import archive as archive_module
+from repro.lifecycle.archive import LEGACY_ARCHIVE_NAME
 from repro.lifecycle.framing import _frame
 from repro.lifecycle.spec import checkpoint_lag, last_checkpoint_for
+from tests.helpers import ARCHIVE_HEADER, archive_record, archive_record_ends
 
 pytestmark = pytest.mark.lifecycle
 
@@ -272,7 +274,7 @@ class TestArchive:
         for block in chain.blocks[:9]:
             archive.append(block)
         assert archive.archived_below == 9
-        assert archive.fetch(4).current_hash == chain.block_at(4).current_hash
+        assert next(archive.fetch_range(4, 5)).current_hash == chain.block_at(4).current_hash
         fetched = list(archive.fetch_range(2, 6))
         assert [b.index for b in fetched] == [2, 3, 4, 5]
         assert archive.verify_integrity() == []
@@ -319,8 +321,9 @@ class TestArchive:
         archive = BlockArchive(path)
         for block in chain.blocks[:4]:
             archive.append(block)
-        data = path.read_bytes().replace(b'"idx":1', b'"idx":9', 1)
-        path.write_bytes(data)
+        data = bytearray(path.read_bytes())
+        data[archive_record_ends(bytes(data))[0] + 60] ^= 0x01  # in block 1's bytes
+        path.write_bytes(bytes(data))
         with pytest.raises(PersistError):
             BlockArchive(path)
 
@@ -331,41 +334,113 @@ class TestArchive:
         old = _frame({"v": 1, "idx": 0, "hash": chain.block_at(0).current_hash,
                       "block": {"index": 0}})
         path.write_bytes(old)  # one record: where a torn write would sit
-        with pytest.raises(FormatVersionError, match="has format v1; this build reads v2"):
+        with pytest.raises(FormatVersionError, match="has format v1; this build reads v3"):
             BlockArchive(path)
         assert path.read_bytes() == old
+
+    def test_a_json_lines_archive_is_refused_by_name_and_beside_a_new_one(self, tmp_path):
+        chain = self._grown()
+        block = chain.block_at(0)
+        legacy = tmp_path / LEGACY_ARCHIVE_NAME
+        old = _frame(
+            {"v": 2, "idx": 0, "hash": block.current_hash,
+             "block": "AA=="}
+        )
+        legacy.write_bytes(old)
+        for path in (legacy, tmp_path / ARCHIVE_NAME):
+            with pytest.raises(FormatVersionError, match="has format v2; this build reads v3"):
+                BlockArchive(path)
+        assert legacy.read_bytes() == old
+        assert not (tmp_path / ARCHIVE_NAME).exists()
+
+    def test_an_archive_of_another_binary_version_is_refused(self, tmp_path):
+        path = tmp_path / ARCHIVE_NAME
+        other = ARCHIVE_HEADER[:-4] + (4).to_bytes(4, "big")
+        path.write_bytes(other)
+        with pytest.raises(FormatVersionError, match="has format v4; this build reads v3"):
+            BlockArchive(path)
+        path.write_bytes(b"NOTANARCHIVE")
+        with pytest.raises(PersistError, match="not a block archive"):
+            BlockArchive(path)
+        assert path.read_bytes() == b"NOTANARCHIVE"
 
     def test_record_without_a_block_is_corrupt(self, tmp_path):
         chain = self._grown()
         path = tmp_path / ARCHIVE_NAME
         BlockArchive(path).append(chain.block_at(0))
-        hollow = _frame(
-            {"v": ARCHIVE_FORMAT_VERSION, "idx": 0, "hash": chain.block_at(0).current_hash}
-        )
-        path.write_bytes(hollow + path.read_bytes())
+        hollow = archive_record(chain.block_at(0).current_hash, b"")
+        data = path.read_bytes()
+        path.write_bytes(ARCHIVE_HEADER + hollow + data[len(ARCHIVE_HEADER) :])
         with pytest.raises(PersistError, match="carries no block"):
             BlockArchive(path)
 
     def test_verify_reports_a_rehashed_body_and_walks_on(self, tmp_path):
-        """Block bytes altered *and* re-framed pass both CRCs (the line's and
-        the bytes' own); the content hash catches it, as one problem, and
-        the walk continues."""
+        """Block bytes altered *and* re-framed pass both CRCs (the record's
+        and the bytes' own); the content hash catches it, as one problem,
+        and the walk continues."""
         chain = self._grown()
         path = tmp_path / ARCHIVE_NAME
         archive = BlockArchive(path)
         archive.append_many((block, None) for block in chain.blocks[:4])
-        lines = path.read_bytes().splitlines(keepends=True)
-        body = json.loads(lines[1])
-        del body["crc"]
-        stored = block_from_bytes(base64.b64decode(body["block"]))
+        data = path.read_bytes()
+        start, end = archive_record_ends(data)[:2]
+        stored = chain.block_at(1)
         later = dataclasses.replace(stored, timestamp=stored.timestamp + 1.0)
-        body["block"] = base64.b64encode(block_to_bytes(later)).decode("ascii")
-        lines[1] = _frame(body)
-        path.write_bytes(b"".join(lines))
+        record = archive_record(stored.current_hash, block_to_bytes(later))
+        path.write_bytes(data[:start] + record + data[end:])
         problems = BlockArchive(path).verify_integrity()
         assert len(problems) == 1 and "block 1 unreadable" in problems[0]
         with pytest.raises(ValidationError):
-            BlockArchive(path).fetch(1)
+            next(BlockArchive(path).fetch_range(1, 2))
+
+    def test_verify_reports_a_failed_read_and_walks_on(self, tmp_path, monkeypatch):
+        """A disk error while reading a record is one problem; the walk
+        seeks to the next record and goes on, as it does after reading a
+        checkpoint pinned in another block's record."""
+        chain = self._grown()
+        pinned = chain.block_at(2)
+        checkpoint = CheckpointRecord(
+            index=2,
+            block_hash=pinned.current_hash,
+            ledger_digest="ab" * 32,
+            stake_summary=((0, "1.5"),),
+            timestamp=pinned.timestamp,
+        )
+        archive = BlockArchive(tmp_path / ARCHIVE_NAME)
+        archive.append_many(
+            (block, checkpoint if block.index == 3 else None) for block in chain.blocks[:5]
+        )
+        assert archive.verify_integrity() == []
+
+        class FirstReadFails:
+            def __init__(self, handle):
+                self._handle, self._failed = handle, False
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._handle.close()
+
+            def seek(self, offset):
+                return self._handle.seek(offset)
+
+            def read(self, size=-1):
+                if not self._failed:
+                    self._failed = True
+                    self._handle.read(size // 2)  # part of the record came in
+                    raise OSError(errno.EIO, "Input/output error")
+                return self._handle.read(size)
+
+        monkeypatch.setattr(
+            archive_module,
+            "open",
+            lambda path, mode: FirstReadFails(builtins.open(path, mode)),
+            raising=False,
+        )
+        problems = archive.verify_integrity()
+        assert len(problems) == 1, problems
+        assert problems[0].startswith("block 0 unreadable") and "Input/output" in problems[0]
 
 
 class TestStorageSlots:

@@ -2,10 +2,17 @@
 
 import asyncio
 import random
+import socket
 
 import pytest
 
-from repro.net.peer import HandshakeInfo, PeerConfig, PeerManager, reconnect_backoff
+from repro.net.peer import (
+    HandshakeInfo,
+    PeerConfig,
+    PeerManager,
+    PeerState,
+    reconnect_backoff,
+)
 from repro.net.wire import FrameDecoder
 
 
@@ -158,5 +165,66 @@ class TestReconnectCounter:
             assert dialer.reconnects == 1
             await dialer.close()
             await listener.close()
+
+        asyncio.run(asyncio.wait_for(scenario(), timeout=10.0))
+
+
+class TestPeerStateClose:
+    """Closing a connection never raises, whatever state its transport is in."""
+
+    @staticmethod
+    async def _state(sock):
+        reader, writer = await asyncio.open_connection(sock=sock)
+        return PeerState(
+            info=HandshakeInfo(node_id=1, genesis_digest="g", listen_port=0),
+            reader=reader,
+            writer=writer,
+            queue=asyncio.Queue(),
+        )
+
+    def test_closing_a_peer_whose_transport_is_already_closed(self):
+        async def scenario(sock):
+            state = await self._state(sock)
+            state.writer.transport.close()
+            state.close()
+            state.close()
+            await asyncio.sleep(0)
+            assert state.writer.transport.is_closing()
+
+        ours, theirs = socket.socketpair()
+        with theirs:
+            asyncio.run(scenario(ours))
+
+    def test_closing_a_peer_after_its_event_loop_closed(self):
+        ours, theirs = socket.socketpair()
+        with theirs:
+            state = asyncio.run(self._state(ours))
+            state.close()  # the transport's loop is gone: nothing to schedule on
+            ours.close()
+
+
+class TestCloseDuringHandshake:
+    def test_close_ends_an_inbound_connection_still_in_its_handshake(self):
+        """The server's connection is closed with the peers: close returns
+        long before the handshake timeout and the other end sees EOF."""
+
+        async def scenario():
+            manager = PeerManager(
+                node_id=0,
+                genesis_digest="g",
+                on_message=lambda source, frame: None,
+                config=PeerConfig(handshake_timeout=60.0),
+            )
+            port = await manager.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            # The manager's hello arrives: its side is now waiting for ours.
+            decoder = FrameDecoder()
+            while not decoder.feed(await reader.read(1 << 16)):
+                pass
+            assert manager._handshaking
+            await asyncio.wait_for(manager.close(), timeout=2.0)
+            assert await asyncio.wait_for(reader.read(1 << 16), timeout=2.0) == b""
+            assert not manager._handshaking and not manager.connected_peers()
+            writer.close()
 
         asyncio.run(asyncio.wait_for(scenario(), timeout=10.0))

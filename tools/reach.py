@@ -73,6 +73,8 @@ PATHS: List[Tuple[Tuple[int, ...], List[str]]] = [
     ((0,), _REPRO + ["inspect", "{t}/lc-run"]),
     ((0,), _REPRO + ["archive", "inspect", "{t}/lc-run"]),
     ((0,), _REPRO + ["archive", "fetch", "{t}/lc-run", "0", "--stop", "3"]),
+    ((0,), _REPRO + ["prune", "{t}/lc-run", "--retain", "1", "--checkpoint-every", "1"]),
+    ((0,), _REPRO + ["archive", "inspect", "{t}/lc-run"]),
     ((0,), _REPRO + ["run", "--nodes", "6", "--minutes", "4", "--seed", "1",
                      "--persist", "{t}/paused-run", "--stop-after", "130"]),
     ((0,), _REPRO + ["resume", "{t}/paused-run"]),

@@ -67,7 +67,10 @@ def derive_placement(
     """The placement of a block mined by ``miner`` at ``now`` on ``state``.
 
     ``state`` is the chain state after the block's parent.  When no node
-    has a free slot a decision places nowhere (an empty tuple).
+    has a free slot a decision places nowhere (an empty tuple).  Every
+    decision of one block shares ``hop_matrix`` and ``mobility_ranges``,
+    so ``allocator`` checks them (integrality, reach, Eq. 3's exactness
+    bound) once per topology epoch, not per decision.
     """
     node_ids = list(state.node_ids)
     index_of = {node: index for index, node in enumerate(node_ids)}

@@ -115,31 +115,11 @@ def build_storage_ufl(
     """Build the per-item UFL instance of Eq. 3 for the current network state.
 
     Every node is both a candidate facility (storage site) and a client
-    (potential accessor).  ``exclude_nodes`` marks nodes that must not store
-    the item (e.g. offline nodes): they cannot open.
+    (potential accessor); facility i opens for exactly ``A·W / (W_tol −
+    W)``.  ``exclude_nodes`` marks nodes that must not store the item
+    (e.g. offline nodes): they cannot open.
     """
-    return storage_ufl(
-        used_storage,
-        total_storage,
-        range_distance_costs(hop_matrix, ranges),
-        fdc_weight=fdc_weight,
-        exclude_nodes=exclude_nodes,
-    )
-
-
-def storage_ufl(
-    used_storage: Sequence[float],
-    total_storage: Sequence[float],
-    connection: np.ndarray,
-    fdc_weight: float = DEFAULT_FDC_WEIGHT,
-    exclude_nodes: Optional[Sequence[int]] = None,
-) -> UFLProblem:
-    """:func:`build_storage_ufl` over an RDC matrix built beforehand.
-
-    The RDC changes once per topology epoch and the FDC once per
-    placement, so a caller placing many items builds the first once.
-    Facility i opens for exactly ``A·W / (W_tol − W)``.
-    """
+    connection = range_distance_costs(hop_matrix, ranges)
     if fdc_weight < 0:
         raise ValueError("FDC weight must be non-negative")
     used, remaining = fairness_degree_terms(used_storage, total_storage)

@@ -164,7 +164,11 @@ class TelemetryServer:
                     else:
                         self.send_error(404, "unknown path")
                         return
-                except Exception as error:  # a scrape must never crash the node
+                except (RuntimeError, TypeError, ValueError) as error:
+                    # A read still racing the run after every retry
+                    # (RuntimeError), or a value that does not render or
+                    # serialise (TypeError, ValueError), fails this scrape
+                    # alone: a 500, and the next scrape reads afresh.
                     self.send_error(500, str(error))
                     return
                 self.send_response(200)

@@ -133,10 +133,13 @@ class TelemetryStream:
             self._handle.close()
 
     def __del__(self) -> None:  # belt and braces; close() is the contract
-        try:
-            self.close()
-        except Exception:
-            pass
+        # A stream whose constructor failed before opening has no handle;
+        # closing an open one fails only as its final flush does.
+        if hasattr(self, "_handle"):
+            try:
+                self.close()
+            except OSError:
+                pass
 
 
 def _jsonable_dict(sample: Dict[str, Any]) -> Dict[str, Any]:

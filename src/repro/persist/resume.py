@@ -748,6 +748,9 @@ def inspect_run(directory: PathLike) -> RunReport:
         return report
 
     archive = None
+    #: An archive that is there but unreadable is one problem, named
+    #: here; the store check below must not report its absence again.
+    archive_refused = False
     archive_path = directory / ARCHIVE_NAME
     if archive_path.exists() or (directory / LEGACY_ARCHIVE_NAME).exists():
         try:
@@ -765,6 +768,7 @@ def inspect_run(directory: PathLike) -> RunReport:
         except PersistError as error:
             report.problems.append(f"cold archive unreadable: {error}")
             archive = None
+            archive_refused = True
 
     store_path = directory / STORE_NAME
     if store_path.exists():
@@ -777,9 +781,13 @@ def inspect_run(directory: PathLike) -> RunReport:
                 report.store_pruned_below = store.pruned_below()
                 report.store_bytes = store.footprint_bytes()
                 report.problems.extend(store.verify_integrity())
-                if report.store_pruned_below > 0 and (
-                    archive is None
-                    or archive.archived_below < report.store_pruned_below
+                if (
+                    report.store_pruned_below > 0
+                    and not archive_refused
+                    and (
+                        archive is None
+                        or archive.archived_below < report.store_pruned_below
+                    )
                 ):
                     held = 0 if archive is None else archive.archived_below
                     report.problems.append(

@@ -149,6 +149,50 @@ class _BfsTree:
         return path
 
 
+class BroadcastPlan:
+    """One source's dissemination over its BFS spanning tree, this epoch.
+
+    The tree is the breadth-first search from ``source`` that visits each
+    node's neighbours in ascending id order, a node's parent being its
+    first discoverer.  ``levels[k]`` holds the nodes at depth ``k + 1``
+    in discovery order and ``reached`` all of them, level after level;
+    ``parent[v]`` is node v's tree parent (the source's is itself, ``-1``
+    where the broadcast does not reach); ``senders[i]`` forwards to
+    ``edges[i]`` tree children.  Kept per source for an epoch, so it is
+    held in flat arrays.
+    """
+
+    __slots__ = ("reached", "levels", "parent", "senders", "edges")
+
+    def __init__(self, source: int, neighbors: List[List[int]]):
+        """Plan from ``source`` over ``neighbors`` (each node's, ascending)."""
+        parent = array("i", (-1,)) * len(neighbors)
+        parent[source] = source
+        levels: List[List[int]] = []
+        senders = array("i")
+        edges = array("i")
+        frontier = [source]
+        while frontier:
+            level: List[int] = []
+            for node in frontier:
+                before = len(level)
+                for neighbor in neighbors[node]:
+                    if parent[neighbor] < 0:
+                        parent[neighbor] = node
+                        level.append(neighbor)
+                if len(level) > before:
+                    senders.append(node)
+                    edges.append(len(level) - before)
+            if level:
+                levels.append(level)
+            frontier = level
+        self.reached = [node for level in levels for node in level]
+        self.levels = levels
+        self.parent = parent
+        self.senders = senders
+        self.edges = edges
+
+
 class Topology:
     """Unit-disk connectivity graph with cached hop-count distances.
 
@@ -183,6 +227,10 @@ class Topology:
         self._hop_cache: Optional[np.ndarray] = None
         #: Per routed endpoint, its BFS levels and parents this epoch.
         self._trees: Dict[int, _BfsTree] = {}
+        #: Per broadcasting source, its dissemination plan this epoch, and
+        #: the ascending neighbour lists the plans are built from.
+        self._plans: Dict[int, BroadcastPlan] = {}
+        self._sorted_adj: Optional[List[List[int]]] = None
         #: Identity of the current position-derived (full) edge set; lets a
         #: mobility epoch that didn't change connectivity keep every cache.
         self._edge_key: Optional[bytes] = None
@@ -238,6 +286,8 @@ class Topology:
     def _invalidate(self) -> None:
         self._hop_cache = None
         self._trees.clear()
+        self._plans.clear()
+        self._sorted_adj = None
 
     def update_positions(self, positions: Sequence[Position]) -> None:
         """Replace all node positions (mobility epoch).
@@ -482,23 +532,15 @@ class Topology:
             self._trees[root] = tree
         return tree
 
-    def bfs_tree(self, source: int) -> Dict[int, int]:
-        """Parent map of a BFS spanning tree rooted at ``source``.
-
-        Used by the broadcast model: each reachable node receives a broadcast
-        once, over its tree edge.  The root maps to itself.
-        """
-        parents = {source: source}
-        frontier = [source]
-        while frontier:
-            next_frontier: List[int] = []
-            for node in frontier:
-                for neighbor in self.neighbors(node):
-                    if neighbor not in parents:
-                        parents[neighbor] = node
-                        next_frontier.append(neighbor)
-            frontier = next_frontier
-        return parents
+    def broadcast_plan(self, source: int) -> BroadcastPlan:
+        """The BFS dissemination plan from ``source`` (:class:`BroadcastPlan`),
+        built on first use and kept until the graph changes."""
+        plan = self._plans.get(source)
+        if plan is None:
+            if self._sorted_adj is None:
+                self._sorted_adj = [sorted(nbrs) for nbrs in self._adj]
+            plan = self._plans[source] = BroadcastPlan(source, self._sorted_adj)
+        return plan
 
     def euclidean_distance(self, source: int, target: int) -> float:
         return self._positions[source].distance_to(self._positions[target])

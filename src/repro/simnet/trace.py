@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 @dataclass
@@ -56,6 +56,37 @@ class TransmissionTrace:
         self._categories[category] += size_bytes
         self._category_messages[category] += 1
         self._hops_total += 1
+
+    def record_tree(
+        self,
+        fanout: Iterable[Tuple[int, int]],
+        receivers: Sequence[int],
+        size_bytes: int,
+        category: str,
+    ) -> None:
+        """Bill one transmission of ``size_bytes`` over every edge of a tree.
+
+        ``fanout`` pairs each sending node with how many of the edges it
+        sends on, and each of ``receivers`` hears one: the same totals as
+        one :meth:`record_hop` per edge.
+        """
+        if size_bytes < 0:
+            raise ValueError("size must be non-negative")
+        if not receivers:
+            return
+        nodes = self._nodes
+        for sender, edges in fanout:
+            tx = nodes[sender]
+            tx.tx_bytes += size_bytes * edges
+            tx.tx_messages += edges
+        for receiver in receivers:
+            rx = nodes[receiver]
+            rx.rx_bytes += size_bytes
+            rx.rx_messages += 1
+        count = len(receivers)
+        self._categories[category] += size_bytes * count
+        self._category_messages[category] += count
+        self._hops_total += count
 
     # -- queries ---------------------------------------------------------------
 

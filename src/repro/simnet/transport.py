@@ -11,7 +11,10 @@ Protocol nodes register a handler and exchange opaque payloads:
 * :meth:`Network.broadcast` — network-wide dissemination, either over a BFS
   spanning tree (the efficient model used for blocks/metadata) or by
   controlled flooding (each node forwards once — the naive model, used to
-  quantify flooding overhead).
+  quantify flooding overhead).  The tree, its depth levels and each
+  node's fan-out are the topology's per-epoch
+  :class:`~repro.simnet.topology.BroadcastPlan`, so a broadcast bills the
+  tree in bulk and schedules one delivery batch per depth.
 
 Messages to/from offline nodes are dropped, as are messages whose path no
 longer exists (mobility or churn can disconnect the graph).
@@ -156,39 +159,24 @@ class Network:
             return 0
         if mode not in ("tree", "flood"):
             raise ValueError(f"unknown broadcast mode: {mode}")
-        parents = self.topology.bfs_tree(source)
-        depth: Dict[int, int] = {source: 0}
-        # BFS order from the parent map: iterate by increasing depth.
-        ordered = [source]
-        index = 0
-        children: Dict[int, List[int]] = {}
-        for node, parent in parents.items():
-            if node != source:
-                children.setdefault(parent, []).append(node)
-        while index < len(ordered):
-            node = ordered[index]
-            index += 1
-            for child in sorted(children.get(node, [])):
-                depth[child] = depth[node] + 1
-                ordered.append(child)
-
-        reached = 0
-        # Deliveries arrive in BFS order; depths (and with them latencies)
-        # are non-decreasing, so nodes sharing an arrival instant form
-        # contiguous runs.  Each run is one queue pop, which reorders
+        plan = self.topology.broadcast_plan(source)
+        self.trace.record_tree(
+            zip(plan.senders, plan.edges), plan.reached, size_bytes, category
+        )
+        # Deliveries arrive in BFS order, a level at a time; latencies are
+        # non-decreasing in depth, so nodes sharing an arrival instant
+        # form contiguous runs.  Each run is one queue pop, which reorders
         # nothing (see ``EventEngine.call_at_batch``).
+        deliver = self._deliver
         pending: List[tuple] = []
         pending_latency = 0.0
-        for node in ordered[1:]:
-            parent = parents[node]
-            self.trace.record_hop(parent, node, size_bytes, category)
-            latency = self.channel.path_latency(size_bytes, depth[node])
+        for depth, level in enumerate(plan.levels, start=1):
+            latency = self.channel.path_latency(size_bytes, depth)
             if pending and latency != pending_latency:
                 self.engine.call_at_batch(self.engine.now + pending_latency, pending)
                 pending = []
-            pending.append((self._deliver, (node, source, payload, category)))
+            pending.extend([(deliver, (node, source, payload, category)) for node in level])
             pending_latency = latency
-            reached += 1
         if pending:
             self.engine.call_at_batch(self.engine.now + pending_latency, pending)
         if mode == "flood":
@@ -196,18 +184,18 @@ class Network:
             # message re-broadcasts once to each neighbour other than its
             # tree parent; those copies are suppressed on arrival but still
             # billed on the air.
-            for node in ordered:
-                parent = parents[node]
+            parent = plan.parent
+            for node in (source, *plan.reached):
                 for neighbor in self.topology.neighbors(node):
-                    if node == source or neighbor != parent:
-                        if neighbor not in parents:
-                            continue
-                        if parents.get(neighbor) == node:
+                    if node == source or neighbor != parent[node]:
+                        if parent[neighbor] < 0:
+                            continue  # not reached
+                        if parent[neighbor] == node:
                             continue  # already billed as the tree edge
                         self.trace.record_hop(node, neighbor, size_bytes, category)
         self.messages_sent += 1
         _obs.add("net.messages_sent")
-        return reached
+        return len(plan.reached)
 
     # -- accounting ---------------------------------------------------------------
 

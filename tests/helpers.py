@@ -22,6 +22,9 @@ is the single home for that boilerplate:
   correctness oracle is the ``Fraction`` greedy of :mod:`tests.spec`);
 * :func:`reference_scalar_mult` — affine double-and-add, the differential
   oracle for the Jacobian kernel in :mod:`repro.crypto.keys`;
+* :func:`reference_broadcast` — a tree broadcast that runs a fresh BFS
+  and bills one hop at a time, the differential oracle for the per-epoch
+  plan :meth:`repro.simnet.transport.Network.broadcast` reads;
 * :func:`reference_satisfies_target` — Eq. 9 through five ``Fraction``
   objects, the differential oracle for the integer cross-multiplication
   in :func:`repro.core.pos.satisfies_target`;
@@ -370,6 +373,71 @@ def reference_scalar_mult(point: CurvePoint, scalar: int) -> CurvePoint:
         addend = addend + addend
         k >>= 1
     return result
+
+
+def reference_broadcast(
+    network: Network,
+    source: int,
+    payload: Any,
+    size_bytes: int,
+    category: str,
+    mode: str = "tree",
+) -> int:
+    """``Network.broadcast`` as it was before the per-epoch plan: a fresh
+    BFS per call (neighbours ascending, first discoverer the parent), one
+    ``record_hop`` per tree edge, one delivery batch per run of equal
+    arrival instants, and in ``"flood"`` mode one more ``record_hop`` per
+    redundant copy."""
+    if not network.is_online(source):
+        network.messages_dropped += 1
+        return 0
+    parents = {source: source}
+    frontier = [source]
+    while frontier:
+        next_frontier: List[int] = []
+        for node in frontier:
+            for neighbor in network.topology.neighbors(node):
+                if neighbor not in parents:
+                    parents[neighbor] = node
+                    next_frontier.append(neighbor)
+        frontier = next_frontier
+    depth: Dict[int, int] = {source: 0}
+    ordered = [source]
+    children: Dict[int, List[int]] = {}
+    for node, parent in parents.items():
+        if node != source:
+            children.setdefault(parent, []).append(node)
+    index = 0
+    while index < len(ordered):
+        node = ordered[index]
+        index += 1
+        for child in sorted(children.get(node, [])):
+            depth[child] = depth[node] + 1
+            ordered.append(child)
+    pending: List[tuple] = []
+    pending_latency = 0.0
+    for node in ordered[1:]:
+        network.trace.record_hop(parents[node], node, size_bytes, category)
+        latency = network.channel.path_latency(size_bytes, depth[node])
+        if pending and latency != pending_latency:
+            network.engine.call_at_batch(network.engine.now + pending_latency, pending)
+            pending = []
+        pending.append((network._deliver, (node, source, payload, category)))
+        pending_latency = latency
+    if pending:
+        network.engine.call_at_batch(network.engine.now + pending_latency, pending)
+    if mode == "flood":
+        for node in ordered:
+            parent = parents[node]
+            for neighbor in network.topology.neighbors(node):
+                if node == source or neighbor != parent:
+                    if neighbor not in parents:
+                        continue
+                    if parents.get(neighbor) == node:
+                        continue
+                    network.trace.record_hop(node, neighbor, size_bytes, category)
+    network.messages_sent += 1
+    return len(ordered) - 1
 
 
 def reference_satisfies_target(

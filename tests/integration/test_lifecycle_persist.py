@@ -362,6 +362,24 @@ class TestLifecycleCLI:
         assert not report.ok
         assert any("has format v2" in problem for problem in report.problems)
 
+    def test_a_refused_archive_is_one_problem(self, tmp_path):
+        # A compacted run whose directory holds only a JSON-lines archive:
+        # the refusal is the problem; an empty archive is not a second one.
+        directory = tmp_path / "run"
+        assert main(self.run_args(directory)) == 0
+        assert inspect_run(directory).store_pruned_below > 0
+        (directory / ARCHIVE_NAME).unlink()
+        (directory / LEGACY_ARCHIVE_NAME).write_bytes(
+            _frame({"v": 2, "idx": 0, "hash": "00" * 32, "block": "AA=="})
+        )
+        (problem,) = inspect_run(directory).problems
+        assert problem.startswith("cold archive unreadable: ")
+        assert "has format v2" in problem
+        # With no archive at all, the compacted store still names the gap.
+        (directory / LEGACY_ARCHIVE_NAME).unlink()
+        (problem,) = inspect_run(directory).problems
+        assert "but the archive only holds [0, 0)" in problem
+
     def test_prune_pins_every_checkpoint_it_archives(self, tmp_path, capsys):
         """A run that archived [0, 6) with checkpoints every 2 blocks,
         pruned again every block: the records of 6 and 7 are archived

@@ -32,6 +32,7 @@ from repro.crypto.keys import (
     _add_generator_multiple,
     _generator_combination,
     _generator_table,
+    _signed_digits,
     _jacobian_add_affine,
     _JACOBIAN_INFINITY,
     _to_affine,
@@ -154,17 +155,88 @@ class TestMixedAdditionCorners:
 
 
 class TestGeneratorTable:
+    """The 33 × 128 table of ``d·256^w·G`` and the signed 8-bit recoding."""
+
     def test_shape(self):
         table = _generator_table()
-        assert len(table) == 64
-        assert all(len(row) == 15 for row in table)
+        assert len(table) == 33
+        assert all(len(row) == 128 for row in table)
         assert _generator_table() is table
 
-    @pytest.mark.parametrize("window", (0, 1, 31, 63))
-    @pytest.mark.parametrize("digit", (1, 2, 15))
+    @pytest.mark.parametrize("window", (0, 1, 16, 31, 32))
+    @pytest.mark.parametrize("digit", (1, 2, 3, 15, 127, 128))
     def test_entries(self, window, digit):
-        expected = reference_scalar_mult(GENERATOR, digit * 16**window)
+        expected = reference_scalar_mult(GENERATOR, digit * 256**window)
         assert _generator_table()[window][digit - 1] == (expected.x, expected.y)
+
+    @pytest.mark.parametrize("window", (0, 5, 32))
+    @pytest.mark.parametrize("digit", (1, 77, 127, 128))
+    def test_mirror_of_an_entry_is_the_negative_multiple(self, window, digit):
+        # A negative digit adds (x, P − y): −d·256^w·G, also at |d| = 128.
+        x, y = _generator_table()[window][digit - 1]
+        expected = reference_scalar_mult(GENERATOR, -digit * 256**window)
+        assert (x, P - y) == (expected.x, expected.y)
+
+    @given(st.integers(min_value=0, max_value=2**256 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_recoding_sums_back_to_the_scalar(self, k):
+        digits = _signed_digits(k)
+        assert len(digits) == 33
+        assert all(-127 <= digit <= 128 for digit in digits)
+        assert digits[-1] in (0, 1)
+        assert sum(digit * 256**w for w, digit in enumerate(digits)) == k
+
+    @pytest.mark.parametrize(
+        "k, low_digits",
+        [
+            (0x80, [128, 0]),  # 128 with no carry in: +128, no carry out
+            (0x81, [-127, 1]),  # past 128: negative, carry out
+            (0x7F81, [-127, 128]),  # 0x7F plus the carry is exactly 128
+            (0x8081, [-127, -127, 1]),  # 0x80 plus the carry is 129
+            (0xFF81, [-127, 0, 1]),  # 0xFF plus the carry is 256: digit 0, carry on
+            (0xFF, [-1, 1]),
+        ],
+    )
+    def test_digit_boundaries(self, k, low_digits):
+        digits = _signed_digits(k)
+        assert digits[: len(low_digits)] == low_digits
+        assert not any(digits[len(low_digits) :])
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            N - 1,
+            2**256 - 1,
+            int("80" * 32, 16),
+            int("ff" * 32, 16) - 2**255,
+            int("80ff" * 16, 16),
+            int("7f80" * 16, 16),
+            int("81" * 32, 16),
+            2**255,
+        ],
+        ids=("N-1", "2^256-1", "0x80..", "0x7fff..", "0x80ff..", "0x7f80..", "0x81..", "2^255"),
+    )
+    def test_walk_at_the_digit_boundaries(self, k):
+        acc = _add_generator_multiple(_JACOBIAN_INFINITY, k)
+        assert _to_affine(acc) == reference_scalar_mult(GENERATOR, k)
+
+    @pytest.mark.parametrize("k", (2**256 - 1, N - 1, int("ff" * 32, 16) - 0x7F))
+    def test_top_carry_reads_the_33rd_row(self, k):
+        assert _signed_digits(k)[-1] == 1
+        acc = _add_generator_multiple(_JACOBIAN_INFINITY, k)
+        assert _to_affine(acc) == reference_scalar_mult(GENERATOR, k)
+
+    def test_negative_digit_cancels_then_continues(self):
+        # 5G + (−5G) is infinity at window 0; window 1 then adds into it.
+        k = 256 - 5
+        assert _signed_digits(k)[:2] == [-5, 1]
+        acc = _add_generator_multiple(_rescaled(GENERATOR * 5, 9), k)
+        assert _to_affine(acc) == reference_scalar_mult(GENERATOR, 256)
+
+    def test_negative_digit_hits_the_accumulator(self):
+        # acc == −3G meets the mirror of 3G: the equal-operand doubling.
+        acc = _add_generator_multiple(_rescaled(-(GENERATOR * 3), 5), 256 - 3)
+        assert _to_affine(acc) == reference_scalar_mult(GENERATOR, 256 - 6)
 
 
 class TestVerifyCorners:

@@ -280,7 +280,7 @@ class TestIncrementalUFLEquivalence:
         connection[rng.random(num_f) < 0.2] = np.inf  # rows reaching no one
         problem = _problem(num, den, connection)
         solver = GreedySolver()
-        solver._reset_epoch(problem)
+        solver._reset_epoch(problem.connection_costs)
         unassigned = np.zeros(num_c, dtype=bool)
         unassigned[rng.choice(num_c, size=unassigned_count, replace=False)] = True
         rows = np.flatnonzero(rng.random(num_f) < 0.7)
@@ -314,7 +314,7 @@ class TestIncrementalUFLEquivalence:
         num_f, num_c = int(rng.integers(2, 30)), int(rng.integers(2, 30))
         num, den, connection = _hop_count_instance(rng, num_f, num_c)
         solver = GreedySolver()
-        solver._reset_epoch(_problem(num, den, connection))
+        solver._reset_epoch(_problem(num, den, connection).connection_costs)
         everyone = np.arange(num_f)
         work = _open_as_inf(num, den)
         unassigned = rng.random(num_c) < 0.8

@@ -181,6 +181,43 @@ class TestTelemetryServer:
         finally:
             server.stop()
 
+    def test_a_failing_scrape_is_a_500_and_the_next_one_succeeds(self, session):
+        snapshot = session.metrics.snapshot
+        failures = iter(
+            [RuntimeError("dictionary changed size during iteration")] * 5
+            + [TypeError("Object of type set is not JSON serializable")]
+        )
+
+        def flaky_snapshot():
+            error = next(failures, None)
+            if error is not None:
+                raise error
+            return snapshot()
+
+        session.metrics.snapshot = flaky_snapshot
+        server = TelemetryServer(session, port=0)
+        port = server.start()
+        try:
+            url = f"http://127.0.0.1:{port}"
+            # Every retry of the racy read failed: this scrape alone fails.
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(f"{url}/metrics", timeout=10)
+            assert excinfo.value.code == 500
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(f"{url}/snapshot", timeout=10)
+            assert excinfo.value.code == 500
+            with urllib.request.urlopen(f"{url}/metrics", timeout=10) as response:
+                assert response.status == 200
+                assert "repro_net_messages_sent 9" in response.read().decode("utf-8")
+        finally:
+            server.stop()
+
+    def test_a_stream_that_never_opened_is_collected_quietly(self, tmp_path):
+        with pytest.raises(ValueError):
+            TelemetryStream(tmp_path, max_bytes=16)
+        stream = TelemetryStream.__new__(TelemetryStream)
+        stream.__del__()  # no handle: nothing to close, nothing raised
+
     def test_session_start_helpers_wire_the_plane(self, tmp_path):
         session = ObsSession(timeline_interval=20.0, origin="n1")
         session.start_stream(tmp_path)

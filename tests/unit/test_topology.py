@@ -174,8 +174,9 @@ class TestTopology:
             line_topology.update_positions([Position(0, 0)])
 
     def test_bfs_tree_depths_match_hops(self, small_topology):
-        parents = small_topology.bfs_tree(0)
-        for node in parents:
+        plan = small_topology.broadcast_plan(0)
+        parents = plan.parent
+        for node in (0, *plan.reached):
             depth = 0
             cursor = node
             while parents[cursor] != cursor:
@@ -184,8 +185,11 @@ class TestTopology:
             assert depth == small_topology.hop_count(0, node)
 
     def test_bfs_tree_covers_component(self, small_topology):
-        parents = small_topology.bfs_tree(0)
-        assert set(parents) == set(small_topology.reachable_from(0))
+        plan = small_topology.broadcast_plan(0)
+        assert {0, *plan.reached} == set(small_topology.reachable_from(0))
+        assert {0, *plan.reached} == {
+            node for node, parent in enumerate(plan.parent) if parent >= 0
+        }
 
     def test_components_partition_nodes(self):
         topo = Topology(

@@ -9,7 +9,7 @@ repro reproduce`` instead.  Two benches live here:
   ``BENCH_headline.json`` under a ``"scale"`` key.
 
 * :func:`test_scale_profile_headline` reruns the n=400 cell under the
-  continuous sampling profiler (DESIGN.md §14) and merges the top-10
+  continuous sampling profiler (DESIGN.md §13) and merges the top-10
   self-time hot spots into ``BENCH_headline.json`` under a ``"profile"``
   key, so perf work can be aimed at — and regressions traced to — named
   functions rather than wall-clock deltas alone.

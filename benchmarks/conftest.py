@@ -27,9 +27,8 @@ def headline_sink():
     """Merging writer for the repo-root ``BENCH_headline.json`` record.
 
     Read-modify-write: the payload's top-level keys are merged into the
-    existing record (the way ``bench_federation`` merges its grid), so
-    independent bench modules — the federation sweep, the scale sweep —
-    can each contribute their section without
+    existing record, so independent bench modules — the lifecycle cell,
+    the scale sweep — can each contribute their section without
     clobbering the others.  Successive commits then carry a comparable
     perf fingerprint at a fixed path.
     """

@@ -8,7 +8,8 @@ on Edge Blockchain in Pervasive Edge Computing Environments" (ICDCS 2019):
   caching, the new Proof-of-Stake mechanism, and the full protocol node.
 * :mod:`repro.facility` — the facility-location solver suite.
 * :mod:`repro.simnet` — deterministic discrete-event network simulator.
-* :mod:`repro.raft` — Raft, the general-information consensus substrate.
+* :mod:`repro.raft` — Raft, the paper's general-information consensus;
+  no ``repro`` verb runs it (ablation A5, an example and its tests do).
 * :mod:`repro.energy` — calibrated battery/energy model (the Fig. 6 testbed).
 * :mod:`repro.crypto` — SHA-256 / secp256k1 / Merkle substrate.
 * :mod:`repro.workloads`, :mod:`repro.metrics`, :mod:`repro.sim` — the

@@ -24,10 +24,6 @@ Commands:
 * ``chaos run`` — a seeded Byzantine fault-injection scenario (adversary
   mix + optional churn/partition/kill overlay) on either fabric, ending
   in a safety/liveness verdict (``chaos_verdict.json``).
-* ``fed run`` / ``fed resume`` / ``fed chaos`` — hierarchical federation:
-  K sharded clusters bridged by fog super-peers, with durable runs (a
-  manifest and a digest journal, resumed by replay), per-cluster obs
-  artefacts, and a blast-radius chaos verdict.
 * ``trace summary`` / ``trace export`` / ``trace merge`` / ``trace
   flame`` — inspect and convert the observability artefacts a ``run
   --obs DIR`` leaves behind (``merge --trace-out`` stitches the
@@ -35,7 +31,7 @@ Commands:
   continuous profiler's folded stacks).
 * ``top`` — terminal live view over a ``--telemetry`` stream or
   endpoint: chain height, interval EWMA, mempool depth, quarantines,
-  msgs/sec, and the fleet rollup for federated runs.
+  and msgs/sec.
 * ``report`` — render one observed run's timeline, events, and verdict
   as a terminal report plus a self-contained HTML page.
 * ``compare`` — diff two observed runs with threshold-based regression
@@ -72,7 +68,6 @@ from repro.persist import (
     resume_run,
     run_persistent,
 )
-from repro.persist.resume import KIND_FEDERATION
 from repro.sim.runner import ExperimentSpec, run_experiment
 from repro.sim.scenarios import reproduce
 from repro.version import package_version
@@ -290,30 +285,24 @@ def _format_bytes(count: int) -> str:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     report = inspect_run(args.directory)
+    hot = report.journal_bytes + report.store_bytes
     rows = [
         ["status", report.status],
-        ["kind", report.kind],
         ["journal records", report.journal_records],
         ["journal last clock", f"{report.journal_clock:g} s"],
+        ["journal chain height", report.journal_height],
+        ["store height / blocks", f"{report.store_height} / {report.store_blocks}"],
+        ["store metadata items", report.store_metadata],
+        ["store tip", (report.store_tip or "-")[:16]],
+        ["store pruned below", report.store_pruned_below],
+        ["hot bytes (journal/store)",
+         f"{_format_bytes(hot)} ({_format_bytes(report.journal_bytes)} / "
+         f"{_format_bytes(report.store_bytes)})"],
+        ["cold bytes (archive)",
+         f"{_format_bytes(report.archive_bytes)} "
+         f"({report.archive_blocks} block(s), "
+         f"{report.archive_checkpoints} checkpoint(s))"],
     ]
-    if report.kind == KIND_FEDERATION:  # a digest journal and nothing else
-        rows.append(["journal bytes", _format_bytes(report.journal_bytes)])
-    else:
-        hot = report.journal_bytes + report.store_bytes
-        rows += [
-            ["journal chain height", report.journal_height],
-            ["store height / blocks", f"{report.store_height} / {report.store_blocks}"],
-            ["store metadata items", report.store_metadata],
-            ["store tip", (report.store_tip or "-")[:16]],
-            ["store pruned below", report.store_pruned_below],
-            ["hot bytes (journal/store)",
-             f"{_format_bytes(hot)} ({_format_bytes(report.journal_bytes)} / "
-             f"{_format_bytes(report.store_bytes)})"],
-            ["cold bytes (archive)",
-             f"{_format_bytes(report.archive_bytes)} "
-             f"({report.archive_blocks} block(s), "
-             f"{report.archive_checkpoints} checkpoint(s))"],
-        ]
     print()
     print(render_table(f"Inspect: {report.directory}", ["field", "value"], rows))
     for note in report.notes:
@@ -916,188 +905,6 @@ def cmd_chaos_run(args: argparse.Namespace) -> int:
         return _write_verdicts(result, args)
 
 
-def _fed_spec(args: argparse.Namespace):
-    from repro.federation import FederationSpec
-
-    with _user_input():
-        return FederationSpec(
-            cluster_count=args.clusters,
-            nodes_per_cluster=args.nodes,
-            config=_config(args),
-            seed=args.seed,
-            duration_minutes=args.minutes,
-            super_peer_count=args.super_peers,
-        )
-
-
-def _print_fed_summary(title: str, result, directory: str) -> None:
-    aggregate = result.aggregate
-    print()
-    print(
-        render_table(
-            title,
-            ["metric", "value"],
-            [
-                ["clusters x nodes",
-                 f"{aggregate['clusters']} x {aggregate['nodes_per_cluster']}"],
-                ["aggregate items/min",
-                 round(aggregate["aggregate_items_per_minute"], 2)],
-                ["aggregate blocks/min",
-                 round(aggregate["aggregate_blocks_per_minute"], 2)],
-                ["max mempool depth", aggregate["max_mempool_depth"]],
-                ["cross lookups ok/failed",
-                 f"{aggregate['lookups_ok']} / {aggregate['lookups_failed']}"],
-                ["migrations ok/rejected",
-                 f"{aggregate['migrations']} / "
-                 f"{aggregate['migrations_rejected']}"],
-                ["gossip rounds", aggregate["gossip_rounds"]],
-                ["bloom FP probes / verify rejected",
-                 f"{aggregate['bloom_fp_probes']} / "
-                 f"{aggregate['verify_rejected']}"],
-                ["fog quarantined",
-                 aggregate["fog_quarantined"] or "-"],
-                ["directory staleness (s)",
-                 round(aggregate["directory_staleness"], 1)],
-                ["directory digest", aggregate["directory_digest"][:16]],
-            ],
-        )
-    )
-    print()
-    print(
-        render_table(
-            "Per cluster",
-            ["cluster", "height", "digest", "items", "mempool", "converged"],
-            [
-                [
-                    entry["cluster_id"],
-                    entry["height"],
-                    entry["chain_digest"][:16],
-                    entry["items_on_chain"],
-                    entry["mempool_depth"],
-                    entry["formation_converged"],
-                ]
-                for entry in aggregate["per_cluster"]
-            ],
-        )
-    )
-    if not aggregate["finished"]:
-        print(
-            f"paused at t={result.runtime.engine.now:g}s — resume with "
-            f"`repro fed resume {directory}`"
-        )
-
-
-def cmd_fed_run(args: argparse.Namespace) -> int:
-    from repro.federation import run_federation
-
-    with _observed(args):
-        if args.stop_after is not None and not args.persist:
-            raise SystemExit("--stop-after requires --persist DIR")
-        spec = _fed_spec(args)
-        result = run_federation(
-            spec, persist_dir=args.persist, stop_after_seconds=args.stop_after
-        )
-        _print_fed_summary(
-            f"Federated run: {spec.cluster_count} clusters x "
-            f"{spec.nodes_per_cluster} nodes, "
-            f"{spec.duration_seconds / 60.0:g} min, seed={spec.seed}",
-            result,
-            args.persist,
-        )
-        _write(result.aggregate, args.json)
-        return 0
-
-
-def cmd_fed_resume(args: argparse.Namespace) -> int:
-    from repro.federation import resume_federation
-
-    with _observed(args):
-        result = resume_federation(args.directory, stop_after_seconds=args.stop_after)
-        _print_fed_summary(
-            f"Resumed federated run: {args.directory}", result, args.directory
-        )
-        _write(result.aggregate, args.json)
-        return 0
-
-
-def cmd_fed_chaos(args: argparse.Namespace) -> int:
-    from repro.federation import FederatedChaosSpec, run_federated_chaos
-
-    with _observed(args):
-        federation = _fed_spec(args)
-        fog_adversaries = {}
-        if args.fog_behavior:
-            peers = (
-                tuple(int(p) for p in args.fog_peers.split(","))
-                if args.fog_peers
-                else (0,)
-            )
-            fog_adversaries = {args.fog_behavior: peers}
-        elif args.fog_peers:
-            raise SystemExit("error: --fog-peers requires --fog-behavior")
-        with _user_input():
-            spec = FederatedChaosSpec(
-                federation=federation,
-                byzantine_clusters=tuple(args.byzantine_cluster or ()),
-                behavior=args.behavior,
-                start_minutes=args.start,
-                stop_minutes=args.stop,
-                fog_adversaries=fog_adversaries,
-            )
-        result = run_federated_chaos(spec)
-        verdict = result.verdict
-        blast = verdict["blast_radius"]
-        siblings = (
-            ", ".join(
-                f"c{key}={'ok' if ok else 'VIOLATED'}"
-                for key, ok in sorted(blast["sibling_safety"].items())
-            )
-            or "-"
-        )
-        fog = verdict["fog"]
-        fog_adversary_label = (
-            ", ".join(
-                f"{behavior}@{peers}"
-                for behavior, peers in sorted(fog["adversaries"].items())
-            )
-            or "-"
-        )
-        rehomed = (
-            ", ".join(
-                f"c{cluster}→p{peer}"
-                for cluster, peer in sorted(fog["rehomed_clusters"].items())
-            )
-            or "-"
-        )
-        behavior_label = spec.behavior if spec.byzantine_clusters else (
-            "+".join(sorted(fog["adversaries"])) or spec.behavior
-        )
-        print()
-        print(
-            render_table(
-                f"Federated chaos: {federation.cluster_count} clusters x "
-                f"{federation.nodes_per_cluster} nodes, "
-                f"behavior={behavior_label}, seed={federation.seed}",
-                ["field", "value"],
-                [
-                    ["verdict", verdict["status"]],
-                    ["blast radius ok", blast["ok"]],
-                    ["byzantine clusters", blast["byzantine_clusters"] or "-"],
-                    ["sibling safety", siblings],
-                    ["fog ok", fog["ok"]],
-                    ["fog adversaries", fog_adversary_label],
-                    ["fog quarantined", fog["quarantined_peers"] or "-"],
-                    ["clusters re-homed", rehomed],
-                    ["cross lookups ok/failed",
-                     f"{fog['lookups_ok']} / {fog['lookups_failed']}"],
-                    ["attestation / verify rejected",
-                     f"{fog['attestation_rejected']} / {fog['verify_rejected']}"],
-                ],
-            )
-        )
-        return _write_verdicts(result, args)
-
-
 def _trace_file(argument: str) -> Path:
     """The trace an obs directory or a trace file path names; must exist."""
     path = Path(argument)
@@ -1291,17 +1098,12 @@ def _workload_flags(
     nodes: int = 8,
     minutes: float = 10.0,
     solver: bool = True,
-    scope: str = "",
 ) -> None:
     """The seeded workload: size, length, seed, data rate and block time."""
-    p.add_argument(
-        "--nodes", type=int, default=nodes, help=f"number of nodes{scope}"
-    )
+    p.add_argument("--nodes", type=int, default=nodes, help="number of nodes")
     p.add_argument("--minutes", type=float, default=minutes)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--rate", type=float, default=1.0, help=f"data items per minute{scope}"
-    )
+    p.add_argument("--rate", type=float, default=1.0, help="data items per minute")
     if solver:
         p.add_argument("--solver", default="greedy", choices=["greedy", "random"])
     p.add_argument("--block-interval", type=float, default=60.0)
@@ -1561,79 +1363,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _obs_flags(chaos_run, also=", and chaos_verdict.json,")
     chaos_run.set_defaults(func=cmd_chaos_run)
-
-    fed = sub.add_parser(
-        "fed", help="hierarchical federation: K sharded clusters under a fog tier"
-    )
-    fed_sub = fed.add_subparsers(dest="fed_command", required=True)
-
-    def _fed_verb(name: str, help: str) -> argparse.ArgumentParser:
-        p = fed_sub.add_parser(name, help=help)
-        p.add_argument("--clusters", type=int, default=4)
-        _workload_flags(p, solver=False, scope=" per cluster")
-        p.add_argument("--super-peers", type=int, default=2,
-                       help="fog super-peers replicating the directory")
-        return p
-
-    fed_run = _fed_verb(
-        "run", "run one federated experiment (all clusters on one engine)"
-    )
-    _lifecycle_flags(fed_run)
-    fed_run.add_argument("--json", help="write the aggregate record to this file")
-    fed_run.add_argument(
-        "--persist", metavar="DIR",
-        help="make the run durable: manifest and digest journal in DIR",
-    )
-    fed_run.add_argument("--stop-after", type=float, metavar="SECONDS", help=pause)
-    _obs_flags(fed_run, telemetry=True)
-    fed_run.set_defaults(func=cmd_fed_run)
-
-    fed_resume = fed_sub.add_parser(
-        "resume", help="continue a killed federated run by replaying its journal"
-    )
-    fed_resume.add_argument("directory", help="run directory from `fed run --persist`")
-    fed_resume.add_argument(
-        "--stop-after", type=float, metavar="SECONDS", help=pause_again
-    )
-    fed_resume.add_argument("--json", help="write the aggregate record to this file")
-    _obs_flags(fed_resume)
-    fed_resume.set_defaults(func=cmd_fed_resume)
-
-    fed_chaos = _fed_verb(
-        "chaos", "turn whole clusters Byzantine and check the blast radius"
-    )
-    _obs_flags(fed_chaos, also=", and chaos_verdict.json,")
-    fed_chaos.add_argument(
-        "--byzantine-cluster", type=int, action="append", metavar="ID",
-        help="cluster whose every node runs the adversary (repeatable)",
-    )
-    fed_chaos.add_argument(
-        "--behavior", default="equivocator",
-        help="adversary behavior for Byzantine clusters (default equivocator)",
-    )
-    fed_chaos.add_argument(
-        "--start", type=float, default=2.0, metavar="MINUTES",
-        help="minutes into the run the misbehavior switches on (default 2)",
-    )
-    fed_chaos.add_argument(
-        "--stop", type=float, default=None, metavar="MINUTES",
-        help="minutes into the run the misbehavior switches off "
-             "(default: active to the end)",
-    )
-    fed_chaos.add_argument(
-        "--fog-behavior", default=None, metavar="NAME",
-        help="fog-tier adversary behavior (summary_poisoner, "
-             "gossip_suppressor, version_inflator, gateway_tamperer)",
-    )
-    fed_chaos.add_argument(
-        "--fog-peers", default=None, metavar="IDS",
-        help="comma-separated super-peer ids running --fog-behavior "
-             "(default 0)",
-    )
-    fed_chaos.add_argument(
-        "--json", metavar="PATH", help="also write the verdict to this file"
-    )
-    fed_chaos.set_defaults(func=cmd_fed_chaos)
 
     trace = sub.add_parser(
         "trace", help="inspect/convert observability artefacts from `run --obs`"

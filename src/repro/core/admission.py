@@ -72,9 +72,6 @@ CHECKPOINT_REWRITE = "checkpoint_rewrite"
 BAD_CHAIN = "bad_chain"
 #: Request rate or payload cardinality over the per-peer cap.
 FLOOD = "flood"
-#: A migrated (foreign) metadata item failed structural admission —
-#: forged producer address, bad signature, or already expired.
-FOREIGN_METADATA = "foreign_metadata"
 #: Any other validation failure.
 INVALID = "invalid"
 
@@ -95,7 +92,6 @@ REASON_WEIGHTS: Dict[str, float] = {
     CHECKPOINT_REWRITE: 4.0,
     BAD_CHAIN: 4.0,
     FLOOD: 1.0,
-    FOREIGN_METADATA: 4.0,
     INVALID: 4.0,
 }
 
@@ -161,32 +157,6 @@ def metadata_admissible(
                 signature_cache[key] = valid
         if not valid:
             return BAD_SIGNATURE
-    return None
-
-
-def foreign_metadata_admissible(item: MetadataItem, now: float) -> Optional[str]:
-    """Structural checks a migrated item passes before a gateway rehosts it.
-
-    A foreign producer is not on the local address roster, so the claim
-    is checked against the item itself: the embedded public key must
-    derive to the claimed producer address, the producer's ECDSA
-    signature over the signed attributes must verify, and the item must
-    not already be expired.  Returns :data:`FOREIGN_METADATA` on any
-    failure, ``None`` when admissible.
-    """
-    from repro.core.account import verify_address
-    from repro.crypto.keys import PublicKey
-
-    try:
-        public = PublicKey.from_hex(item.producer_public_key_hex)
-    except ValueError:
-        return FOREIGN_METADATA
-    if not verify_address(item.producer_address, public):
-        return FOREIGN_METADATA
-    if not item.verify_signature():
-        return FOREIGN_METADATA
-    if item.is_expired(now):
-        return FOREIGN_METADATA
     return None
 
 

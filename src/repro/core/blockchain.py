@@ -513,12 +513,7 @@ class Blockchain:
         return self.state.metadata_index.get(data_id)
 
     def chain_digest(self) -> str:
-        """Hash committing to the whole chain plus its derived ledger.
-
-        A durable federation journals it per cluster at every segment
-        end, and a resumed federation must re-derive it byte for byte at
-        each replayed segment or the resume is refused as divergent.
-        """
+        """Hash committing to the whole chain plus its derived ledger."""
         return hash_items(
             "chain-digest",
             self.height,

@@ -166,31 +166,3 @@ def create_metadata(
     )
     signature = account.sign(unsigned.signing_payload())
     return replace(unsigned, signature_hex=signature.hex())
-
-
-def rehost_metadata(
-    item: MetadataItem, account: Account, producer: int
-) -> MetadataItem:
-    """Re-sign a foreign metadata item under a local gateway identity.
-
-    Cross-cluster migration imports an item minted in another allocation
-    domain: the original producer is not in the local roster, so the item
-    as signed can never pass local admission.  The gateway — which holds
-    the payload after a cross-cluster fetch — takes over as producer: the
-    content description (data id, type, creation time, location, validity,
-    properties, size) is preserved verbatim, the producer identity fields
-    are swapped for the gateway's, the placement is cleared for the local
-    miner's UFL allocation to fill, and the result is re-signed.  The data
-    id keeps its global identity, so directory blooms and consumers keep
-    resolving it across clusters.
-    """
-    unsigned = replace(
-        item,
-        producer=producer,
-        producer_address=account.address,
-        producer_public_key_hex=account.public_key.hex(),
-        signature_hex="00" * 64,
-        storing_nodes=(),
-    )
-    signature = account.sign(unsigned.signing_payload())
-    return replace(unsigned, signature_hex=signature.hex())

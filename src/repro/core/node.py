@@ -30,7 +30,6 @@ from repro.core.admission import (
     AdmissionControl,
     block_admissible,
     classify_rejection,
-    foreign_metadata_admissible,
     metadata_admissible,
 )
 from repro.core.allocation import AllocationEngine
@@ -67,7 +66,7 @@ from repro.core.messages import (
     InvalidStorageClaim,
     MetadataAnnounce,
 )
-from repro.core.metadata import MetadataItem, create_metadata, rehost_metadata
+from repro.core.metadata import MetadataItem, create_metadata
 from repro.core.pos import _hit_of, compute_hit, compute_pos_hash, mining_delay
 from repro.core.storage import NodeStorage
 from repro.core.sync import SyncState, plan_block_requests
@@ -116,7 +115,6 @@ class NodeCounters:
 
     blocks_mined: int = 0
     data_produced: int = 0
-    data_adopted: int = 0  # foreign items migrated in from sibling clusters
     data_requests_sent: int = 0
     data_requests_served: int = 0
     data_requests_failed: int = 0
@@ -247,46 +245,6 @@ class EdgeNode:
             CATEGORY_METADATA,
         )
         return metadata
-
-    def adopt_foreign_metadata(self, item: MetadataItem) -> Optional[MetadataItem]:
-        """Import a metadata item minted in another cluster (migration).
-
-        The fog tier hands this gateway an item from a sibling allocation
-        domain whose producer is not in the local roster.  The gateway
-        re-signs it under its own identity (:func:`rehost_metadata`),
-        keeps the payload locally, and announces it like home-grown data —
-        from here the local miner's UFL allocation places it and normal
-        dissemination replicates the payload.  Returns the rehosted item,
-        or ``None`` if the data id is already known locally (on-chain or
-        pending), making migration idempotent.
-
-        The item is untrusted until proven otherwise: it must pass
-        structural admission (embedded key derives to the claimed
-        producer address, producer signature verifies, not expired)
-        before the gateway re-signs it — otherwise a tampered migration
-        would launder a forgery into the local mempool under the
-        gateway's own identity.  Rejections count under
-        ``chaos.rejections{reason="foreign_metadata"}``; the sender is
-        unknown at this layer, so nobody is charged here (the fog tier
-        attributes pushes to the pushing super-peer).
-        """
-        if item.data_id in self.mempool or self.chain.metadata_of(item.data_id) is not None:
-            return None
-        reason = foreign_metadata_admissible(item, self.engine.now)
-        if reason is not None:
-            self.admission.reject(None, reason)
-            return None
-        adopted = rehost_metadata(item, self.account, self.node_id)
-        self.counters.data_adopted += 1
-        self.own_payloads.add(adopted.data_id)
-        self.mempool[adopted.data_id] = adopted
-        self.network.broadcast(
-            self.node_id,
-            MetadataAnnounce(adopted),
-            MetadataAnnounce(adopted).wire_size(),
-            CATEGORY_METADATA,
-        )
-        return adopted
 
     # ------------------------------------------------------------------ mining
 

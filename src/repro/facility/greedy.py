@@ -45,7 +45,7 @@ connection matrix and recomputing almost nothing per round:
   one-client stars opens together (:meth:`GreedySolver._singletons`),
   and the *hand step* in :meth:`GreedySolver._greedy` gives the open
   set, at once, every client it serves below the least closed ratio
-  (the solve ends when that is every client left).  DESIGN.md §13
+  (the solve ends when that is every client left).  DESIGN.md §12
   argues each.
 """
 

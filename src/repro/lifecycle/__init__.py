@@ -3,7 +3,7 @@
 The paper's edge nodes have strictly bounded storage, yet a chain that
 never forgets grows without bound.  This subsystem keeps per-node storage
 bounded on long runs while preserving every digest/verification contract
-(DESIGN.md §15):
+(DESIGN.md §14):
 
 * :class:`~repro.core.config.LifecycleSpec` (lives in config so it rides
   the existing manifest round-trip) configures the retention window;

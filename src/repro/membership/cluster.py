@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.membership.messages import MemberStatus
 from repro.membership.node import SwimNode
@@ -12,32 +11,22 @@ from repro.simnet.transport import Network
 
 
 class SwimCluster:
-    """A set of SWIM members sharing one network and event engine.
-
-    ``rng`` (optional) is the cluster's membership-protocol randomness,
-    shared by every member.  Passing an explicitly seeded ``Random`` makes
-    a cluster's formation a pure function of that seed — the federation
-    layer derives one per cluster from its root seed so K clusters forming
-    concurrently on one engine cannot perturb each other through the
-    engine's shared stream.
-    """
+    """A set of SWIM members sharing one network and event engine."""
 
     def __init__(
         self,
         node_ids: List[int],
         network: Network,
         engine: EventEngine,
-        rng: Optional[random.Random] = None,
         **node_kwargs,
     ):
         if len(set(node_ids)) != len(node_ids):
             raise ValueError("node ids must be unique")
         self.engine = engine
         self.network = network
-        self.rng = rng
         self.nodes: Dict[int, SwimNode] = {
             node_id: SwimNode(
-                node_id, list(node_ids), network, engine, rng=rng, **node_kwargs
+                node_id, list(node_ids), network, engine, **node_kwargs
             )
             for node_id in node_ids
         }
@@ -45,10 +34,6 @@ class SwimCluster:
     def start(self) -> None:
         for node in self.nodes.values():
             node.start()
-
-    def stop(self) -> None:
-        for node in self.nodes.values():
-            node.stop()
 
     def crash(self, node_id: int) -> None:
         """Silently kill a member (stops responding, stays registered)."""

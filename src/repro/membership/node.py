@@ -17,7 +17,6 @@ Raft's heartbeats the comparison benchmark quantifies.
 
 from __future__ import annotations
 
-import random
 from typing import Any, Dict, List, Optional
 
 from repro.membership.messages import (
@@ -52,17 +51,13 @@ class SwimNode:
         ping_timeout: float = DEFAULT_PING_TIMEOUT,
         suspicion_timeout: float = DEFAULT_SUSPICION_TIMEOUT,
         indirect_probes: int = DEFAULT_INDIRECT_PROBES,
-        rng: Optional[random.Random] = None,
     ):
         self.node_id = node_id
         self.network = network
         self.engine = engine
         #: Source of all protocol randomness (round desync, probe-schedule
-        #: and proxy shuffles).  Defaults to the engine's shared stream;
-        #: federated runs hand every cluster its own seeded ``Random`` so
-        #: K clusters forming concurrently stay deterministic from one
-        #: root seed regardless of event interleaving.
-        self.rng = rng if rng is not None else engine.rng
+        #: and proxy shuffles): the engine's shared stream.
+        self.rng = engine.rng
         self.protocol_period = protocol_period
         self.ping_timeout = ping_timeout
         self.suspicion_timeout = suspicion_timeout

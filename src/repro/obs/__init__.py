@@ -44,7 +44,6 @@ from repro.obs.live import (
     SamplingProfiler,
     TelemetryServer,
     TelemetryStream,
-    fleet_rollup,
     load_top_view,
     merge_trace_files,
     read_folded,
@@ -131,7 +130,6 @@ __all__ = [
     "TelemetryStream",
     "TraceContext",
     "current_trace_context",
-    "fleet_rollup",
     "load_top_view",
     "merge_trace_files",
     "read_folded",

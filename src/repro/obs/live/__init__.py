@@ -17,11 +17,9 @@ exports them post-mortem, everything under ``repro.obs.live`` works
 * :mod:`~repro.obs.live.flame` — a dependency-free flamegraph SVG
   renderer over folded stacks (``repro trace flame``).
 * :mod:`~repro.obs.live.top` — the ``repro top DIR|URL`` terminal view.
-* :mod:`~repro.obs.live.rollup` — aggregate ``c{k}_`` per-cluster
-  timeline fields into one fleet summary.
 
 Everything is disabled by default and digest-neutral when enabled: the
-plane only ever *reads* simulation state (see DESIGN.md §14 and the
+plane only ever *reads* simulation state (see DESIGN.md §13 and the
 extended guard in ``tests/integration/test_obs_overhead.py``).
 """
 
@@ -35,7 +33,6 @@ from repro.obs.live.profiler import (
     top_functions,
     write_folded,
 )
-from repro.obs.live.rollup import fleet_rollup
 from repro.obs.live.stream import STREAM_NAME, TelemetryStream, read_stream
 from repro.obs.live.top import load_top_view, render_top
 
@@ -51,7 +48,6 @@ __all__ = [
     "read_folded",
     "top_functions",
     "write_folded",
-    "fleet_rollup",
     "STREAM_NAME",
     "TelemetryStream",
     "read_stream",

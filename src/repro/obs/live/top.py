@@ -9,7 +9,7 @@ The source is either
 
 Both resolve to the same view dict: the latest timeline sample, counter
 values, a derived msgs/sec (from the two most recent counter records'
-logical timestamps), and — for federated sources — the fleet rollup.
+logical timestamps).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.metrics.report import render_table
-from repro.obs.live.rollup import fleet_rollup
 from repro.obs.live.stream import read_stream
 
 PathLike = Union[str, Path]
@@ -130,38 +129,6 @@ def render_top(view: Dict[str, Any]) -> str:
     if view.get("spans_dropped"):
         rows.append(["spans dropped", view["spans_dropped"]])
     sections = [render_table(f"repro top — {view['source']}", ["field", "value"], rows)]
-
-    rollup = fleet_rollup(sample) if sample else None
-    if rollup is not None:
-        fleet_rows = []
-        for field in ("height", "interval_ratio", "mempool_depth", "storage_gini"):
-            spread = rollup.get(field)
-            if spread is None:
-                continue
-            fleet_rows.append(
-                [
-                    field,
-                    f"{_fmt(spread['min'])} (c{spread['min_cluster']})",
-                    _fmt(spread["mean"]),
-                    f"{_fmt(spread['max'])} (c{spread['max_cluster']})",
-                ]
-            )
-        for field in (
-            "mempool_total",
-            "chaos_rejections_total",
-            "chaos_quarantined_total",
-            "fed_directory_staleness",
-            "fed_lookup_failures",
-        ):
-            if rollup.get(field) is not None:
-                fleet_rows.append([field, "", "", _fmt(rollup[field])])
-        sections.append(
-            render_table(
-                f"fleet ({rollup['clusters']} clusters)",
-                ["field", "min", "mean", "max/total"],
-                fleet_rows,
-            )
-        )
 
     events = view.get("events") or []
     if events:

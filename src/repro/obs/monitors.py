@@ -419,159 +419,6 @@ class StorageUnboundedMonitor(Monitor):
         return ("ok", f"{hot} hot block bodies within bound {bound}", float(hot), float(bound))
 
 
-class PrefixedMonitor(Monitor):
-    """Adapt a single-cluster monitor to one ``c{k}_``-namespaced stream.
-
-    Federated timelines carry every cluster's fields under a
-    ``c{cluster_id}_`` prefix.  This wrapper strips the prefix back off
-    (into a shadow view — the sample itself is untouched) and delegates
-    to the wrapped monitor, whose stateful logic (stall cursors, EWMA
-    baselines, rejection deltas) runs unchanged against its own cluster.
-    Emitted events carry a ``c{k}/`` qualified monitor name.
-    """
-
-    def __init__(self, inner: Monitor, prefix: str, label: str):
-        super().__init__()
-        self.inner = inner
-        self.prefix = prefix
-        self.name = inner.name = f"{label}/{inner.name}"
-
-    def level(self, sample: Dict[str, Any]) -> tuple:
-        view = dict(sample)
-        for key, value in sample.items():
-            if key.startswith(self.prefix):
-                view[key[len(self.prefix):]] = value
-        return self.inner.level(view)
-
-
-class DirectoryStalenessMonitor(Monitor):
-    """Fog-directory freshness: every super-peer replica must keep up.
-
-    The home peer refreshes its clusters' summaries every
-    ``refresh_seconds`` and gossip carries them to the other peers, so
-    in a healthy federation no replica entry ages past a small multiple
-    of the refresh period.  A stuck refresh task, dead gossip, or a
-    cluster that never reached the directory all surface here.
-    """
-
-    name = "directory-staleness"
-
-    def __init__(
-        self,
-        refresh_seconds: float,
-        warn_factor: float = 3.0,
-        critical_factor: float = 10.0,
-    ):
-        super().__init__()
-        self.warn_after = warn_factor * refresh_seconds
-        self.critical_after = critical_factor * refresh_seconds
-
-    def level(self, sample: Dict[str, Any]) -> tuple:
-        staleness = sample.get("fed_directory_staleness")
-        if staleness is None:
-            return ("ok", "no federation directory", None, None)
-        if staleness > self.critical_after:
-            return (
-                "critical",
-                f"directory entry stale for {staleness:.0f}s",
-                staleness,
-                self.critical_after,
-            )
-        if staleness > self.warn_after:
-            return (
-                "warning",
-                f"directory entry stale for {staleness:.0f}s",
-                staleness,
-                self.warn_after,
-            )
-        return ("ok", f"directory staleness {staleness:.0f}s", staleness, self.warn_after)
-
-
-class LookupFailureMonitor(Monitor):
-    """Warn while cross-cluster lookups are actively failing.
-
-    The counter is cumulative across the fog tier, so (like the
-    admission-rejection monitor) this levels on the *delta* between
-    samples: a window of failures — a Byzantine target cluster, a stale
-    directory past its retry budget — shows up as one warning event and
-    one recovery event.
-    """
-
-    name = "lookup-failures"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._last = 0
-
-    def level(self, sample: Dict[str, Any]) -> tuple:
-        total = sample.get("fed_lookup_failures")
-        if total is None:
-            return ("ok", "no federation lookups", None, None)
-        fresh = total - self._last
-        self._last = total
-        if fresh > 0:
-            return (
-                "warning",
-                f"{fresh} cross-cluster lookup(s) failed since last sample "
-                f"({total} total)",
-                float(fresh),
-                0.0,
-            )
-        return ("ok", f"no new lookup failures ({total} total)", 0.0, 0.0)
-
-
-class FogQuarantineMonitor(Monitor):
-    """Warn whenever a super-peer sits in fog quarantine.
-
-    A quarantine is the fog tier working as designed against a
-    misbehaving peer — but it halves the tier's capacity and means
-    re-homed clusters ride a single remaining peer, so the operator
-    should know the moment it happens (and the honest-run contract is
-    that it never does).
-    """
-
-    name = "fog-quarantine"
-
-    def level(self, sample: Dict[str, Any]) -> tuple:
-        quarantined = sample.get("fed_fog_quarantined")
-        if quarantined is None:
-            return ("ok", "no fog tier", None, None)
-        if quarantined > 0:
-            return (
-                "warning",
-                f"{quarantined} super-peer(s) in fog quarantine",
-                float(quarantined),
-                0.0,
-            )
-        return ("ok", "no super-peers quarantined", 0.0, 0.0)
-
-
-class DirectoryDivergenceMonitor(Monitor):
-    """Critical while an active directory replica contradicts a chain.
-
-    Divergent entries are ones whose checkpoint digest fails the
-    cross-check against the summarised cluster's actual chain — honest
-    entries never do (they are built *from* those chains), so any
-    positive count means poison is sitting in a replica lookups still
-    consult.  Recovers once quarantine cuts the poisoned replica out.
-    """
-
-    name = "directory-divergence"
-
-    def level(self, sample: Dict[str, Any]) -> tuple:
-        divergent = sample.get("fed_directory_divergence")
-        if divergent is None:
-            return ("ok", "no fog tier", None, None)
-        if divergent > 0:
-            return (
-                "critical",
-                f"{divergent} directory entr(ies) contradict their cluster chain",
-                float(divergent),
-                0.0,
-            )
-        return ("ok", "directory replicas consistent", 0.0, 0.0)
-
-
 class MonitorSuite:
     """All monitors for a run, plus the accumulated event stream."""
 
@@ -595,42 +442,6 @@ class MonitorSuite:
         ]
         if getattr(config, "lifecycle", None) is not None:
             monitors.append(StorageUnboundedMonitor())
-        return cls(monitors)
-
-    @classmethod
-    def for_federation(cls, federation: Any) -> "MonitorSuite":
-        """Federation monitor set: fog-tier monitors plus one prefixed
-        copy of the per-cluster set for each domain.
-
-        LeaderFlapMonitor is omitted — the Raft registry fields it reads
-        are process-global, not per-cluster, so it cannot be namespaced.
-        """
-        spec = federation.spec
-        t0 = spec.config.expected_block_interval
-        monitors: List[Monitor] = [
-            DirectoryStalenessMonitor(spec.directory_refresh_seconds),
-            LookupFailureMonitor(),
-            FogQuarantineMonitor(),
-            DirectoryDivergenceMonitor(),
-        ]
-        lifecycle = getattr(spec.config, "lifecycle", None) is not None
-        for domain in federation.domains:
-            label = f"c{domain.cluster_id}"
-            prefix = f"{label}_"
-            per_cluster: List[Monitor] = [
-                ChainStallMonitor(t0),
-                IntervalDriftMonitor(t0),
-                FairnessMonitor(),
-                StakeConcentrationMonitor(),
-                CoverageMonitor(),
-                AdmissionRejectionMonitor(),
-                QuarantineMonitor(),
-            ]
-            if lifecycle:
-                per_cluster.append(StorageUnboundedMonitor())
-            monitors.extend(
-                PrefixedMonitor(inner, prefix, label) for inner in per_cluster
-            )
         return cls(monitors)
 
     def observe(self, sample: Dict[str, Any]) -> List[MonitorEvent]:

@@ -25,7 +25,6 @@ import json
 
 from repro.metrics.ascii_plot import sparkline
 from repro.metrics.report import render_table
-from repro.obs.live.rollup import fleet_rollup
 from repro.obs.metrics import summarize
 from repro.obs.monitors import (
     EVENTS_NAME,
@@ -204,35 +203,6 @@ def render_terminal_report(run: Dict[str, Any]) -> str:
                 stat_rows,
             )
         )
-        rollup = fleet_rollup(samples[-1])
-        if rollup is not None:
-            fleet_rows = []
-            for key in ("height", "interval_ratio", "storage_gini",
-                        "coverage_recent", "mempool_depth"):
-                spread = rollup.get(key)
-                if spread is None:
-                    continue
-                fleet_rows.append(
-                    [
-                        key,
-                        f"{spread['min']:.4g} (c{spread['min_cluster']})",
-                        f"{spread['mean']:.4g}",
-                        f"{spread['max']:.4g} (c{spread['max_cluster']})",
-                    ]
-                )
-            for key in ("mempool_total", "chaos_rejections_total",
-                        "chaos_quarantined_total", "fed_lookup_failures"):
-                if rollup.get(key) is not None:
-                    fleet_rows.append([key, "", "", f"{rollup[key]:g}"])
-            if fleet_rows:
-                sections.append(
-                    render_table(
-                        f"fleet rollup ({rollup['clusters']} clusters, "
-                        "final sample)",
-                        ["field", "min", "mean", "max/total"],
-                        fleet_rows,
-                    )
-                )
     else:
         sections.append("timeline: no samples recorded")
 

@@ -50,7 +50,7 @@ class ObsSession:
     a protocol timeline with its health monitors.
 
     The live-telemetry extensions (streaming ring, exposition endpoint,
-    sampling profiler — DESIGN.md §14) are armed per-session via
+    sampling profiler — DESIGN.md §13) are armed per-session via
     :meth:`start_stream` / :meth:`start_telemetry` / :meth:`start_profiler`
     and torn down by :meth:`export`.
     """
@@ -113,16 +113,10 @@ class ObsSession:
     def attach_runtime(self, runtime: Any) -> None:
         """Point the timeline probe (and monitors) at a live runtime.
 
-        Accepts a federated runtime (anything with cluster ``domains``),
-        anything with a ``cluster`` attribute (a ``SimRuntime``), or a
-        cluster itself.  No-op when the session has no timeline.
+        Accepts anything with a ``cluster`` attribute (a ``SimRuntime``)
+        or a cluster itself.  No-op when the session has no timeline.
         """
         if self.timeline is None:
-            return
-        if hasattr(runtime, "domains"):
-            self.timeline.attach(runtime)
-            if self.monitors is None:
-                self.monitors = MonitorSuite.for_federation(runtime)
             return
         cluster = getattr(runtime, "cluster", runtime)
         self.timeline.attach(cluster)

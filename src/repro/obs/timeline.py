@@ -240,56 +240,6 @@ class RuntimeProbe:
         }
 
 
-class FederationProbe:
-    """Read-only view over a federated runtime (duck-typed, no import).
-
-    One :class:`RuntimeProbe` per cluster domain, each of its fields
-    namespaced ``c{k}_`` in the flat sample, plus fog-tier fields the two
-    federation monitors watch: worst directory-entry age across all
-    super-peer replicas, and the cumulative cross-cluster lookup /
-    migration counters.  Like :class:`RuntimeProbe`, nothing here mutates
-    simulation state or consumes simulation randomness.
-    """
-
-    #: Sub-probe keys that describe the shared engine, not one cluster.
-    _GLOBAL_KEYS = ("t", "queue_depth")
-
-    def __init__(self, federation: Any):
-        self._federation = federation
-        self._probes = {
-            domain.cluster_id: RuntimeProbe(domain.cluster)
-            for domain in federation.domains
-        }
-
-    def sample(self, now: float) -> Dict[str, Any]:
-        federation = self._federation
-        counters = federation.fog.counters
-        out: Dict[str, Any] = {
-            "t": now,
-            "queue_depth": federation.engine.queue_depth,
-            "cluster_count": len(federation.domains),
-            "fed_directory_staleness": federation.fog.directory_staleness(now),
-            "fed_directory_divergence": federation.fog.directory_divergence(),
-            "fed_lookups_ok": counters.lookups_ok,
-            "fed_lookup_failures": counters.lookups_failed,
-            "fed_lookup_fallbacks": counters.lookup_fallbacks,
-            "fed_migrations": counters.migrations,
-            "fed_migrations_rejected": counters.migrations_rejected,
-            "fed_gossip_rounds": counters.gossip_rounds,
-            "fed_bloom_fp_probes": counters.bloom_fp_probes,
-            "fed_verify_rejected": counters.verify_rejected,
-            "fed_attestation_rejected": counters.attestation_rejected,
-            "fed_fog_quarantined": len(federation.fog.admission.quarantined),
-        }
-        for domain in federation.domains:
-            prefix = f"c{domain.cluster_id}_"
-            for key, value in self._probes[domain.cluster_id].sample(now).items():
-                if key in self._GLOBAL_KEYS:
-                    continue
-                out[prefix + key] = value
-        return out
-
-
 class Timeline:
     """Grid-aligned periodic sampler, ticked from the engine's obs branch.
 
@@ -311,16 +261,8 @@ class Timeline:
         self._next_at = 0.0
 
     def attach(self, cluster: Any) -> None:
-        """Point the probe at a (new) target; sampling starts on next tick.
-
-        A target with cluster ``domains`` (a federated runtime) gets the
-        per-cluster-namespacing :class:`FederationProbe`; anything else
-        is a single cluster and gets :class:`RuntimeProbe`.
-        """
-        if hasattr(cluster, "domains"):
-            self._probe = FederationProbe(cluster)
-        else:
-            self._probe = RuntimeProbe(cluster)
+        """Point the probe at a (new) cluster; sampling starts on next tick."""
+        self._probe = RuntimeProbe(cluster)
 
     @property
     def attached(self) -> bool:

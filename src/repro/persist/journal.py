@@ -64,9 +64,6 @@ WRITE_BATCH = 32
 REC_RUN_START = "run_start"
 REC_BLOCK = "block"
 REC_REORG = "reorg"
-#: One per segment of a durable federation: the clock's per-cluster
-#: chain digests and fog directory digest (:mod:`repro.federation.runner`).
-REC_SEGMENT = "segment"
 REC_COMPLETE = "run_complete"
 
 
@@ -333,8 +330,3 @@ class RunJournal:
         self._handle.close()
         self._handle = None
 
-    def __enter__(self) -> "RunJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

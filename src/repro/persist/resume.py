@@ -31,10 +31,6 @@ journals as before, so *run → kill → resume* reproduces the
 uninterrupted run byte for byte.  The persistence hooks never touch
 simulation state or RNGs, so a durable run also produces exactly the
 same metrics as a plain :func:`~repro.sim.runner.run_experiment`.
-
-The manifest (:func:`start_manifest` / :func:`read_manifest`) is shared
-with durable federated runs (:mod:`repro.federation.runner`); its
-``kind`` names the verb that resumes the directory.
 """
 
 from __future__ import annotations
@@ -94,10 +90,8 @@ CHAIN_SUMMARY_NAME = "chain_summary.json"
 STATUS_RUNNING = "running"
 STATUS_COMPLETE = "complete"
 
-#: The run kinds a manifest names, and the verb that resumes each.
+#: The run kind a manifest names; this build reads no other.
 KIND_CLUSTER = "cluster"
-KIND_FEDERATION = "federation"
-_RESUME_VERB = {KIND_CLUSTER: "repro resume", KIND_FEDERATION: "repro fed resume"}
 
 
 @dataclass(frozen=True)
@@ -182,9 +176,9 @@ def _write_json_atomic(path: Path, document: Dict[str, Any]) -> None:
     os.replace(temp, path)
 
 
-def start_manifest(directory: PathLike, kind: str, fields: Dict[str, Any]) -> Path:
-    """Claim a fresh run directory: write a manifest of ``kind`` holding
-    ``fields``, refusing a directory that already holds a run."""
+def start_manifest(directory: PathLike, fields: Dict[str, Any]) -> Path:
+    """Claim a fresh run directory: write a manifest holding ``fields``,
+    refusing a directory that already holds a run."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if (directory / MANIFEST_NAME).exists() or (directory / JOURNAL_NAME).exists():
@@ -193,17 +187,13 @@ def start_manifest(directory: PathLike, kind: str, fields: Dict[str, Any]) -> Pa
         )
     _write_json_atomic(
         directory / MANIFEST_NAME,
-        {"schema_version": MANIFEST_SCHEMA_VERSION, "kind": kind, **fields},
+        {"schema_version": MANIFEST_SCHEMA_VERSION, "kind": KIND_CLUSTER, **fields},
     )
     return directory
 
 
-def read_manifest(
-    directory: PathLike, kind: Optional[str] = KIND_CLUSTER
-) -> Dict[str, Any]:
-    """The manifest of a run directory of ``kind`` (of either kind for
-    None); a directory of another kind is refused with the verb that
-    resumes it."""
+def read_manifest(directory: PathLike) -> Dict[str, Any]:
+    """The manifest of a run directory; a run of another kind is refused."""
     path = Path(directory) / MANIFEST_NAME
     try:
         with path.open("r", encoding="utf-8") as handle:
@@ -221,26 +211,25 @@ def read_manifest(
             f"this build reads v{MANIFEST_SCHEMA_VERSION}"
         )
     found = manifest.get("kind")
-    if found != kind and (kind is not None or found not in _RESUME_VERB):
-        verb = _RESUME_VERB.get(found)
+    if found != KIND_CLUSTER:
         raise PersistError(
-            f"{directory} holds a {found} run, not a {kind} run"
-            + (f"; continue it with `{verb}`" if verb else "")
+            f"{directory} holds a run of kind {found!r}; this build does not "
+            f"read it (only {KIND_CLUSTER!r} runs)"
         )
     return manifest
 
 
-def resumable_manifest(directory: Path, kind: str) -> Dict[str, Any]:
-    """The manifest of a run of ``kind`` that has not completed."""
-    manifest = read_manifest(directory, kind)
+def resumable_manifest(directory: Path) -> Dict[str, Any]:
+    """The manifest of a run that has not completed."""
+    manifest = read_manifest(directory)
     if manifest.get("status") == STATUS_COMPLETE:
         raise PersistError(f"run in {directory} already completed; nothing to resume")
     return manifest
 
 
-def complete_manifest(directory: Path, kind: str, **fields: Any) -> None:
+def complete_manifest(directory: Path, **fields: Any) -> None:
     """Record in the manifest that the run completed, with ``fields``."""
-    manifest = read_manifest(directory, kind)
+    manifest = read_manifest(directory)
     manifest.update(fields, status=STATUS_COMPLETE)
     _write_json_atomic(directory / MANIFEST_NAME, manifest)
 
@@ -512,7 +501,6 @@ def _finalize(session: PersistSession, runtime: SimRuntime) -> ExperimentResult:
     )
     complete_manifest(
         session.directory,
-        KIND_CLUSTER,
         completed_at_clock=runtime.engine.now,
         final_tip_hash=reference.chain.tip.current_hash,
     )
@@ -534,7 +522,6 @@ def run_persistent(
     persist = persist or PersistConfig()
     directory = start_manifest(
         directory,
-        KIND_CLUSTER,
         {
             "status": STATUS_RUNNING,
             "spec": spec_to_dict(spec),  # validates persistability up front
@@ -622,7 +609,7 @@ def resume_run(
     ``stop_after_seconds`` counts from the resume point.
     """
     directory = Path(directory)
-    manifest = resumable_manifest(directory, KIND_CLUSTER)
+    manifest = resumable_manifest(directory)
     spec = spec_from_dict(manifest.get("spec"))
     with decoding(f"manifest {directory / MANIFEST_NAME}"):
         persist = PersistConfig(**manifest["persist"])
@@ -662,9 +649,6 @@ class RunReport:
 
     directory: Path
     status: str
-    #: The manifest's run kind: a federated run holds only a digest
-    #: journal, so its report stops after the journal.
-    kind: str = KIND_CLUSTER
     journal_records: int = 0
     journal_height: int = -1
     #: Clock of the journal's last intact record: where a resume replays to
@@ -701,19 +685,16 @@ def inspect_run(directory: PathLike) -> RunReport:
     Checks the manifest, scans the journal once for its height → hash
     view and last clock without holding its records (the file is not
     truncated), verifies SQLite store integrity, and cross-checks the
-    store against the journal's final chain view.  A federated run's
-    directory holds a digest journal alone: its report is the journal's
-    record count, last clock and damage.  Corruption that resume could
-    not transparently heal lands in ``problems``; self-healing oddities
-    land in ``notes``.
+    store against the journal's final chain view.  Corruption that resume
+    could not transparently heal lands in ``problems``; self-healing
+    oddities land in ``notes``.
     """
     directory = Path(directory)
     report = RunReport(directory=directory, status="unknown")
 
     try:
-        manifest = read_manifest(directory, kind=None)
+        manifest = read_manifest(directory)
         report.status = str(manifest.get("status", "unknown"))
-        report.kind = str(manifest["kind"])
     except PersistError as error:
         report.problems.append(str(error))
         return report
@@ -744,8 +725,6 @@ def inspect_run(directory: PathLike) -> RunReport:
     journal_path = directory / JOURNAL_NAME
     if journal_path.exists():
         report.journal_bytes = journal_path.stat().st_size
-    if report.kind == KIND_FEDERATION:
-        return report
 
     archive = None
     #: An archive that is there but unreadable is one problem, named

@@ -1,8 +1,8 @@
 """Raft cluster harness.
 
 Convenience wrapper that wires a set of :class:`~repro.raft.node.RaftNode`
-instances onto a shared simulated network, with helpers used by the edge
-blockchain (general-information consensus) and by the Raft test-suite:
+instances onto a shared simulated network, with helpers used by ablation
+A5, the membership example and the Raft test-suite:
 waiting for a leader, submitting commands through whoever leads, and
 inspecting committed state across the cluster.
 """

@@ -154,8 +154,6 @@ def build_cluster(
     seed: int = 0,
     with_energy_meters: bool = False,
     node_classes: Optional[Dict[int, type]] = None,
-    engine: Optional[EventEngine] = None,
-    rng: Optional[np.random.Generator] = None,
 ) -> EdgeCluster:
     """Build a connected cluster of ``node_count`` edge devices.
 
@@ -165,20 +163,11 @@ def build_cluster(
     ``node_classes`` maps node ids to :class:`EdgeNode` subclasses —
     used by the Byzantine tests to plant adversaries (e.g.
     :class:`~repro.core.adversary.DenyingNode`) among honest nodes.
-
-    ``engine`` injects a shared :class:`EventEngine` instead of creating
-    one from ``seed``, and ``rng`` a cluster-private numpy generator for
-    layout/mobility/allocation draws (default: the engine's stream) — the
-    federation layer uses both to place K clusters on one simulated clock
-    while keeping each cluster's randomness an independent function of
-    its derived seed.
     """
     if node_count < 2:
         raise ValueError("a blockchain network needs at least 2 nodes")
-    if engine is None:
-        engine = EventEngine(seed=seed)
-    if rng is None:
-        rng = engine.np_rng
+    engine = EventEngine(seed=seed)
+    rng = engine.np_rng
     world = build_world(node_count, config, seed, rng)
     channel = ChannelModel(hop_delay=config.hop_delay, bandwidth=config.bandwidth)
     network = Network(engine, world.topology, channel)

@@ -10,11 +10,9 @@ replay:
 
 * :func:`build_runtime` wires the cluster, schedules the whole workload,
   and returns a :class:`SimRuntime`, a pure function of the spec;
-* :func:`advance` moves a simulated runtime — this one, or a
-  :class:`~repro.federation.runtime.FederationRuntime` — to its
-  duration or to a pause point, optionally in segments with a callback
-  after each; plain, durable, chaos and federated runs all advance
-  through it;
+* :func:`advance` moves a simulated runtime to its duration or to a
+  pause point, optionally in segments with a callback after each;
+  plain, durable and chaos runs all advance through it;
 * :func:`collect_metrics` derives the figure-level :class:`RunMetrics`
   from a finished runtime.
 
@@ -29,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.node import EdgeNode
@@ -143,15 +139,10 @@ class _ProductionDriver:
         cluster: EdgeCluster,
         spec: ExperimentSpec,
         requests: _RequestDriver,
-        rng: Optional[np.random.Generator] = None,
     ):
         self.cluster = cluster
         self.spec = spec
         self.requests = requests
-        #: Requester-sampling randomness; ``None`` keeps the historical
-        #: behaviour of drawing from the engine's shared stream, federated
-        #: runs pass each cluster its own generator.
-        self.rng = rng
 
     def produce(self, event: ProductionEvent) -> None:
         node = self.cluster.nodes[event.producer]
@@ -167,7 +158,7 @@ class _ProductionDriver:
             producer=event.producer,
             production_time=self.cluster.engine.now,
             requester_fraction=self.spec.config.requester_fraction,
-            rng=self.rng if self.rng is not None else self.cluster.engine.np_rng,
+            rng=self.cluster.engine.np_rng,
         )
         for requester, when in zip(plan.requesters, plan.times):
             self.requests.schedule(requester, metadata.data_id, when)
@@ -227,7 +218,7 @@ def build_runtime(spec: ExperimentSpec) -> SimRuntime:
             spec.node_count, spec.config, seed=spec.seed, node_classes=spec.node_classes
         )
         production, request_driver = attach_workload(cluster, spec)
-        mobility, injector = attach_dynamics(cluster, spec, cluster.engine.np_rng)
+        mobility, injector = attach_dynamics(cluster, spec)
         cluster.start()
         runtime = SimRuntime(
             spec=spec,
@@ -245,46 +236,33 @@ def build_runtime(spec: ExperimentSpec) -> SimRuntime:
 
 
 def attach_workload(
-    cluster: EdgeCluster,
-    spec: ExperimentSpec,
-    rng: Optional[np.random.Generator] = None,
-    start_at: float = 0.0,
+    cluster: EdgeCluster, spec: ExperimentSpec
 ) -> Tuple[_ProductionDriver, _RequestDriver]:
     """Generate and schedule the Poisson production + request workload.
 
-    ``rng`` (default: the cluster engine's stream) sources both the
-    production schedule and the per-item requester sampling; ``start_at``
-    offsets every production so federated runs can hold the workload back
-    until membership formation has converged.  Returns the two drivers so
-    callers can hang them off their runtime.
+    The engine's stream sources both the production schedule and the
+    per-item requester sampling.  Returns the two drivers so callers can
+    hang them off their runtime.
     """
     engine = cluster.engine
-    workload_rng = rng if rng is not None else engine.np_rng
     schedule = generate_production_schedule(
         node_count=spec.node_count,
         items_per_minute=spec.config.data_items_per_minute,
-        duration_seconds=spec.duration_seconds - start_at,
-        rng=workload_rng,
+        duration_seconds=spec.duration_seconds,
+        rng=engine.np_rng,
     )
     request_driver = _RequestDriver(cluster)
-    production = _ProductionDriver(cluster, spec, request_driver, rng=rng)
-    # Retained so the federation layer can precompute the deterministic
-    # data ids this workload will mint (data_id_for needs only producer
-    # account + sequence) when planning cross-cluster lookups.
-    production.schedule = tuple(schedule)
+    production = _ProductionDriver(cluster, spec, request_driver)
     for event in schedule:
-        engine.call_at(start_at + event.time, production.produce, event)
+        engine.call_at(event.time, production.produce, event)
     return production, request_driver
 
 
 def attach_dynamics(
-    cluster: EdgeCluster, spec: ExperimentSpec, churn_rng: np.random.Generator
+    cluster: EdgeCluster, spec: ExperimentSpec
 ) -> Tuple[Optional[_MobilityDriver], Optional[ChurnInjector]]:
-    """Start the mobility epochs and plan the churn windows ``spec`` asks for.
-
-    ``churn_rng`` picks the churned nodes: the engine's stream for a
-    single cluster, a derived per-cluster stream in a federation.
-    """
+    """Start the mobility epochs and plan the churn windows ``spec`` asks
+    for; the engine's stream picks the churned nodes."""
     duration = spec.duration_seconds
     mobility: Optional[_MobilityDriver] = None
     if spec.mobility_epoch_minutes > 0:
@@ -295,7 +273,7 @@ def attach_dynamics(
     injector: Optional[ChurnInjector] = None
     if spec.churn is not None:
         churned_count = int(round(spec.churn.node_fraction * spec.node_count))
-        churned_nodes = churn_rng.choice(
+        churned_nodes = cluster.engine.np_rng.choice(
             spec.node_count, size=churned_count, replace=False
         )
         injector = ChurnInjector(

@@ -7,7 +7,7 @@ gossip, byte-level transmission accounting, and fault injection.
 """
 
 from repro.simnet.channel import DEFAULT_BANDWIDTH, DEFAULT_HOP_DELAY, ChannelModel
-from repro.simnet.engine import EventEngine, EventHandle, PeriodicTask
+from repro.simnet.engine import EventEngine, EventHandle
 from repro.simnet.faults import ChurnEvent, ChurnInjector, PartitionInjector
 from repro.simnet.gossip import GossipFabric
 from repro.simnet.mobility import (
@@ -30,7 +30,6 @@ from repro.simnet.transport import Network, SendReceipt
 __all__ = [
     "EventEngine",
     "EventHandle",
-    "PeriodicTask",
     "Position",
     "Topology",
     "random_positions",

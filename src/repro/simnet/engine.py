@@ -281,44 +281,3 @@ class EventEngine:
             event.queued = False
         self._queue.clear()
         self._dead = 0
-
-
-class PeriodicTask:
-    """Re-schedules a callback at a fixed period until cancelled.
-
-    Drives processes like Raft heartbeats, mobility epochs, and the PoS
-    per-second polling loop variant.
-    """
-
-    def __init__(
-        self,
-        engine: EventEngine,
-        period: float,
-        callback: Callable[[], None],
-        *,
-        start_delay: Optional[float] = None,
-    ):
-        if period <= 0:
-            raise ValueError("period must be positive")
-        self._engine = engine
-        self._period = period
-        self._callback = callback
-        self._stopped = False
-        self._handle = engine.schedule(
-            period if start_delay is None else start_delay, self._fire
-        )
-
-    def _fire(self) -> None:
-        if self._stopped:
-            return
-        self._callback()
-        if not self._stopped:
-            self._handle = self._engine.schedule(self._period, self._fire)
-
-    def stop(self) -> None:
-        self._stopped = True
-        self._handle.cancel()
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped

@@ -9,6 +9,7 @@ Byzantine.
 """
 
 import dataclasses
+import json
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from repro.core.config import PAPER_CONFIG
 from repro.core.messages import BlockRequest, BlockResponse, ChainRequest
 from repro.net.harness import KillSpec
 from repro.sim.runner import ChurnSpec, ExperimentSpec, build_runtime, run_experiment
+from repro.version import package_version
 from tests.helpers import make_config
 
 pytestmark = pytest.mark.chaos
@@ -281,3 +283,19 @@ class TestPoisonerPaths:
         # tip meanwhile).
         assert victim.chain.block_at(0).current_hash == genesis_before
         assert victim.chain.block_at(0).is_genesis
+
+
+class TestChaosVerdictVersionStamp:
+    def test_single_cluster_chaos_verdict_carries_version(self, tmp_path):
+        """Regression: chaos_verdict.json is stamped like verdict.json."""
+        spec = ChaosSpec(
+            node_count=4,
+            config=make_config(),
+            seed=3,
+            duration_minutes=4.0,
+            adversaries={},
+        )
+        result = run_chaos(spec)
+        target = result.write_verdict(tmp_path / "chaos_verdict.json")
+        document = json.loads(target.read_text(encoding="utf-8"))
+        assert document["version"] == package_version()

@@ -1,7 +1,7 @@
 """Integration tests for the chain lifecycle subsystem: bounded hot
 storage on durable runs, compaction into the cold archive, pruned
 kill-and-resume determinism, mid-compaction crash recovery, the CLI
-verbs, and composition with chaos and federation."""
+verbs, and composition with chaos."""
 
 import dataclasses
 import json
@@ -14,7 +14,6 @@ from repro.cli import main
 from repro.core.config import PAPER_CONFIG, LifecycleSpec
 from repro.core.admission import CHECKPOINT_REWRITE
 from repro.core.messages import ChainResponse
-from repro.federation import FederationSpec, run_federation
 from repro.lifecycle import ARCHIVE_NAME, BlockArchive, hot_bound_blocks
 from repro.lifecycle.archive import LEGACY_ARCHIVE_NAME
 from repro.lifecycle.framing import _frame
@@ -260,28 +259,6 @@ class TestCheckpointRewriteOnPrunedChain:
         first, second = run_chaos(spec), run_chaos(spec)
         assert first.verdict == second.verdict
         assert first.verdict["safety"]["ok"], first.verdict
-
-
-class TestFederationCheckpoints:
-    def test_per_cluster_snapshot_carries_checkpoints(self):
-        config = make_config(expected_block_interval=10.0, **LC)
-        result = run_federation(
-            FederationSpec(
-                cluster_count=2,
-                nodes_per_cluster=4,
-                config=config,
-                seed=7,
-                duration_minutes=8.0,
-            )
-        )
-        entries = result.aggregate["per_cluster"]
-        assert entries
-        for entry in entries:
-            assert entry["last_checkpoint"] >= 0
-            assert "checkpoint_digest" in entry
-            assert entry["first_retained"] >= 0
-        assert any(entry["first_retained"] > 0 for entry in entries)
-        assert any(entry["checkpoint_digest"] for entry in entries)
 
 
 class TestLifecycleCLI:

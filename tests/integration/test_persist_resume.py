@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+from contextlib import closing
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -33,9 +34,11 @@ from repro.persist.resume import (
     CHAIN_SUMMARY_NAME,
     JOURNAL_NAME,
     MANIFEST_NAME,
+    MANIFEST_SCHEMA_VERSION,
     METRICS_NAME,
     STORE_NAME,
     PersistSession,
+    read_manifest,
     spec_to_dict,
 )
 from repro.sim.runner import ChurnSpec, ExperimentSpec, run_experiment
@@ -220,18 +223,20 @@ class TestManifest:
             resume_run(paused)
         assert not inspect_run(paused).ok
 
-    def test_each_resume_verb_refuses_the_other_kind(self, paused, tmp_path, capsys):
-        assert main(["fed", "resume", str(paused)]) == 2
-        assert "holds a cluster run" in capsys.readouterr().err
-        federated = tmp_path / "fed"
-        assert main([
-            "fed", "run", "--clusters", "2", "--nodes", "3", "--minutes", "4",
-            "--persist", str(federated), "--stop-after", "120",
-        ]) == 0
-        capsys.readouterr()
-        assert main(["resume", str(federated)]) == 2
-        err = capsys.readouterr().err
-        assert "holds a federation run" in err and "repro fed resume" in err
+    def test_a_manifest_of_another_kind_fails_typed(self, tmp_path, capsys):
+        directory = tmp_path / "federated"
+        directory.mkdir()
+        (directory / MANIFEST_NAME).write_text(json.dumps({
+            "schema_version": MANIFEST_SCHEMA_VERSION,
+            "kind": "federation",
+            "status": "running",
+        }))
+        with pytest.raises(PersistError, match="'federation'; this build does not read it"):
+            read_manifest(directory)
+        assert main(["inspect", str(directory)]) == 1
+        assert "'federation'" in capsys.readouterr().err
+        assert main(["resume", str(directory)]) == 2
+        assert "this build does not read it" in capsys.readouterr().err
 
 
 #: Runs one durable run and SIGKILLs itself right after its ``kill_at``-th
@@ -408,7 +413,7 @@ class TestInspect:
         assert any("before a journaled reorg" in note for note in report.notes)
 
         # Reorged back in: the store's row is the journal's block again.
-        with RunJournal.open(run / JOURNAL_NAME) as journal, ChainStore(
+        with closing(RunJournal.open(run / JOURNAL_NAME)) as journal, ChainStore(
             run / STORE_NAME
         ) as store:
             session = PersistSession(

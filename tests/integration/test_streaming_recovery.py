@@ -17,6 +17,7 @@ that buys and what it must not lose:
 import shutil
 import sqlite3
 import tracemalloc
+from contextlib import closing
 from dataclasses import replace
 
 import pytest
@@ -46,7 +47,7 @@ def write_run(directory, records: int) -> None:
     directory.mkdir()
     previous = "0" * 64
     pairs = []
-    with RunJournal.open(directory / JOURNAL_NAME, fsync_every=records) as journal:
+    with closing(RunJournal.open(directory / JOURNAL_NAME, fsync_every=records)) as journal:
         for index in range(records):
             block = Block(
                 index=index,
@@ -120,7 +121,7 @@ class TestOpeningMemory:
 
 
 def journal_of(path, notes):
-    with RunJournal.open(path) as journal:
+    with closing(RunJournal.open(path)) as journal:
         for index, note in enumerate(notes):
             journal.append(REC_BLOCK, float(index), {"index": index, "note": note})
     return [

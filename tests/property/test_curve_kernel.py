@@ -141,14 +141,18 @@ class TestMixedAdditionCorners:
         assert _to_affine(acc) == GENERATOR + Q
 
     def test_table_addition_hits_the_accumulator(self):
-        # acc == 3·16·G when the walk reaches that table entry: a doubling.
-        u = 3 * 16
+        # The ladder leaves acc == 3·256·G; window 0 adds nothing, and
+        # window 1's entry 3·256·G equals acc: a doubling.
+        u = 3 * 256
+        assert _signed_digits(u) == [0, 3] + [0] * 31
         assert _generator_combination(u, u, GENERATOR) == reference_scalar_mult(GENERATOR, 2 * u)
 
     def test_table_addition_cancels_then_continues(self):
         # −5G + 5G is infinity at window 0; window 1 then adds into infinity.
-        acc = _add_generator_multiple(_rescaled(-(GENERATOR * 5), 9), 5 + 16 * 3)
-        assert _to_affine(acc) == reference_scalar_mult(GENERATOR, 48)
+        k = 5 + 256 * 3
+        assert _signed_digits(k) == [5, 3] + [0] * 31
+        acc = _add_generator_multiple(_rescaled(-(GENERATOR * 5), 9), k)
+        assert _to_affine(acc) == reference_scalar_mult(GENERATOR, 768)
 
     def test_zero_generator_scalar(self):
         assert _generator_combination(0, 9, Q) == reference_scalar_mult(Q, 9)

@@ -15,6 +15,7 @@ load as the files this code writes.
 """
 
 import json
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -280,7 +281,7 @@ class TestBitFlips:
 
     def test_journal_verdicts_torn_tail_versus_mid_file(self, tmp_path, archived):
         path = tmp_path / "journal.jsonl"
-        with RunJournal.open(path) as journal:
+        with closing(RunJournal.open(path)) as journal:
             for type_, clock, payload in journal_records(archived[:3]):
                 journal.append(type_, clock, payload)
         lines = path.read_bytes().splitlines(keepends=True)
@@ -344,7 +345,7 @@ class TestOracleWrittenFiles:
     def test_journal_loads_like_one_this_code_wrote(self, tmp_path, archived):
         ours, theirs = tmp_path / "ours.jsonl", tmp_path / "theirs.jsonl"
         expected = []
-        with RunJournal.open(ours) as journal:
+        with closing(RunJournal.open(ours)) as journal:
             for type_, clock, payload in journal_records(archived):
                 seq = journal.append(type_, clock, payload)
                 expected.append(
@@ -359,5 +360,5 @@ class TestOracleWrittenFiles:
         assert recovery.records == expected
         assert recovery.valid_bytes == theirs.stat().st_size
         assert {record.type for record in expected} == {REC_BLOCK, REC_CHECKPOINT}
-        with RunJournal.open(theirs) as journal:
+        with closing(RunJournal.open(theirs)) as journal:
             assert journal.next_seq == len(expected)

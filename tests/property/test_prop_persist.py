@@ -1,6 +1,7 @@
 """Property tests: kill-and-resume determinism, journal prefix recovery."""
 
 import json
+from contextlib import closing
 from dataclasses import replace
 
 import pytest
@@ -119,7 +120,7 @@ class TestJournalPrefixRecovery:
     ):
         """A journal cut at *any* byte is never corrupt — only torn."""
         path = tmp_path_factory.mktemp("journal") / "journal.jsonl"
-        with RunJournal.open(path) as journal:
+        with closing(RunJournal.open(path)) as journal:
             for index, payload in enumerate(payloads):
                 journal.append(REC_BLOCK, float(index), payload)
         raw = path.read_bytes()
@@ -135,5 +136,5 @@ class TestJournalPrefixRecovery:
         # The recovered prefix plus the torn tail accounts for every byte.
         assert recovery.valid_bytes + recovery.torn_tail_bytes == offset
         # ... and a writer can always continue from the recovered prefix.
-        with RunJournal.open(path) as journal:
+        with closing(RunJournal.open(path)) as journal:
             assert journal.next_seq == len(recovery.records)

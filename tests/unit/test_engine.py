@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simnet.engine import _PURGE_MIN_DEAD, EventEngine, PeriodicTask
+from repro.simnet.engine import _PURGE_MIN_DEAD, EventEngine
 
 
 class TestScheduling:
@@ -145,43 +145,3 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self):
         assert EventEngine(seed=1).rng.random() != EventEngine(seed=2).rng.random()
-
-
-class TestPeriodicTask:
-    def test_fires_at_period(self, engine):
-        ticks = []
-        PeriodicTask(engine, 2.0, lambda: ticks.append(engine.now))
-        engine.run_until(7.0)
-        assert ticks == [2.0, 4.0, 6.0]
-
-    def test_start_delay(self, engine):
-        ticks = []
-        PeriodicTask(engine, 2.0, lambda: ticks.append(engine.now), start_delay=0.5)
-        engine.run_until(5.0)
-        assert ticks == [0.5, 2.5, 4.5]
-
-    def test_stop(self, engine):
-        ticks = []
-        task = PeriodicTask(engine, 1.0, lambda: ticks.append(engine.now))
-        engine.run_until(2.5)
-        task.stop()
-        engine.run_until(10.0)
-        assert ticks == [1.0, 2.0]
-        assert task.stopped
-
-    def test_stop_from_within_callback(self, engine):
-        ticks = []
-        task = None
-
-        def tick():
-            ticks.append(engine.now)
-            if len(ticks) == 2:
-                task.stop()
-
-        task = PeriodicTask(engine, 1.0, tick)
-        engine.run_until(10.0)
-        assert ticks == [1.0, 2.0]
-
-    def test_zero_period_rejected(self, engine):
-        with pytest.raises(ValueError):
-            PeriodicTask(engine, 0.0, lambda: None)

@@ -1,6 +1,7 @@
 """Crash-injection tests for the write-ahead run journal."""
 
 import json
+from contextlib import closing
 
 import pytest
 
@@ -24,14 +25,14 @@ def journal_path(tmp_path):
 
 
 def write_records(path, count: int) -> None:
-    with RunJournal.open(path) as journal:
+    with closing(RunJournal.open(path)) as journal:
         for index in range(count):
             journal.append(REC_BLOCK, float(index), {"index": index})
 
 
 class TestAppendAndRecover:
     def test_round_trip(self, journal_path):
-        with RunJournal.open(journal_path) as journal:
+        with closing(RunJournal.open(journal_path)) as journal:
             journal.append(REC_RUN_START, 0.0, {"seed": 7})
             journal.append(REC_BLOCK, 60.0, {"index": 1, "hash": "abc"})
         recovery = recover_journal(journal_path)
@@ -49,7 +50,7 @@ class TestAppendAndRecover:
 
     def test_reopen_continues_sequence(self, journal_path):
         write_records(journal_path, 3)
-        with RunJournal.open(journal_path) as journal:
+        with closing(RunJournal.open(journal_path)) as journal:
             assert journal.next_seq == 3
             assert journal.append(REC_BLOCK, 9.0, {}) == 3
 
@@ -78,7 +79,7 @@ class TestEmptyJournals:
         assert not recovery.corrupt
         assert recovery.torn_tail_bytes == 0
         # ... and a writer opens it cleanly.
-        with RunJournal.open(journal_path) as journal:
+        with closing(RunJournal.open(journal_path)) as journal:
             assert journal.next_seq == 0
 
 
@@ -111,7 +112,7 @@ class TestTornTail:
         clean_size = journal_path.stat().st_size
         with journal_path.open("ab") as handle:
             handle.write(b"garbage tail with no newline")
-        with RunJournal.open(journal_path) as journal:
+        with closing(RunJournal.open(journal_path)) as journal:
             assert journal.next_seq == 4
             journal.append(REC_BLOCK, 5.0, {"index": 4})
         assert journal_path.stat().st_size > clean_size

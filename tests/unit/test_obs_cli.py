@@ -161,7 +161,7 @@ class TestTraceVerbs:
 
 
 class TestObservedVerbs:
-    """`--obs DIR` through `main` on the chaos and federation verbs."""
+    """`--obs DIR` through `main` on the chaos verb."""
 
     SMALL = ["--nodes", "4", "--minutes", "3", "--seed", "3",
              "--block-interval", "30"]
@@ -183,18 +183,3 @@ class TestObservedVerbs:
         chaos = json.loads((target / CHAOS_VERDICT_NAME).read_text())
         assert chaos["adversaries"] == {"spammer": [3]}
         assert f"wrote {target / CHAOS_VERDICT_NAME}" in capsys.readouterr().out
-
-    def test_fed_run_writes_obs(self, tmp_path):
-        target = tmp_path / "fed-obs"
-        assert main(["fed", "run", "--clusters", "2", *self.SMALL,
-                     "--obs", str(target)]) == 0
-        self._assert_obs_artefacts(target)
-        assert not (target / CHAOS_VERDICT_NAME).exists()
-
-    def test_fed_chaos_writes_obs_and_chaos_verdict(self, tmp_path):
-        target = tmp_path / "fed-chaos-obs"
-        assert main(["fed", "chaos", "--clusters", "2", *self.SMALL,
-                     "--byzantine-cluster", "1", "--obs", str(target)]) == 0
-        self._assert_obs_artefacts(target)
-        chaos = json.loads((target / CHAOS_VERDICT_NAME).read_text())
-        assert chaos["blast_radius"]["byzantine_clusters"] == [1]

@@ -63,10 +63,6 @@ PATHS: List[Tuple[Tuple[int, ...], List[str]]] = [
     ((0,), _REPRO + ["run", "--nodes", "6", "--minutes", "2", "--seed", "1",
                      "--persist", "{t}/runtime-run"]),
     ((0,), _REPRO + ["inspect", "{t}/runtime-run"]),
-    ((0,), _REPRO + ["fed", "run", "--clusters", "2", "--nodes", "4", "--minutes", "4",
-                     "--seed", "1", "--persist", "{t}/fed-run", "--stop-after", "120"]),
-    ((0,), _REPRO + ["fed", "resume", "{t}/fed-run"]),
-    ((0,), _REPRO + ["inspect", "{t}/fed-run"]),
     ((0,), _REPRO + ["run", "--nodes", "6", "--minutes", "15", "--rate", "2", "--seed", "3",
                      "--checkpoint-every", "2", "--retain", "2", "--persist", "{t}/lc-run",
                      "--journal-every", "20"]),
@@ -97,11 +93,6 @@ PATHS: List[Tuple[Tuple[int, ...], List[str]]] = [
                        "--adversary", "equivocator=1"]),
     ((0, 1), _REPRO + ["chaos", "run", "--fabric", "live", "--nodes", "4", "--minutes", "3",
                        "--seed", "2", "--adversary", "spammer=1"]),
-    ((0, 1), _REPRO + ["fed", "chaos", "--clusters", "3", "--nodes", "4", "--minutes", "8",
-                       "--seed", "13", "--rate", "2", "--block-interval", "30",
-                       "--byzantine-cluster", "1"]),
-    ((0,), _REPRO + ["fed", "run", "--clusters", "2", "--nodes", "4", "--minutes", "4",
-                     "--seed", "1", "--obs", "{t}/fed-obs"]),
     ((0,), _REPRO + ["trace", "summary", "{t}/obs-a"]),
     ((0,), _REPRO + ["trace", "export", "--out", "{t}/export.json", "{t}/obs-a"]),
     ((0,), _REPRO + ["trace", "merge", "--out", "{t}/merged.json", "--trace-out",

@@ -8,12 +8,15 @@ on Edge Blockchain in Pervasive Edge Computing Environments" (ICDCS 2019):
   caching, the new Proof-of-Stake mechanism, and the full protocol node.
 * :mod:`repro.facility` — the facility-location solver suite.
 * :mod:`repro.simnet` — deterministic discrete-event network simulator.
-* :mod:`repro.raft` — Raft, the paper's general-information consensus;
-  no ``repro`` verb runs it (ablation A5, an example and its tests do).
 * :mod:`repro.energy` — calibrated battery/energy model (the Fig. 6 testbed).
 * :mod:`repro.crypto` — SHA-256 / secp256k1 / Merkle substrate.
 * :mod:`repro.workloads`, :mod:`repro.metrics`, :mod:`repro.sim` — the
   evaluation harness reproducing every figure of Section VI.
+* :mod:`repro.net` — the same protocol over real sockets (``repro live``).
+* :mod:`repro.persist`, :mod:`repro.lifecycle` — durable runs, resume by
+  replay, checkpoint-anchored pruning and the cold archive.
+* :mod:`repro.obs` — spans, metrics, timeline, health monitors.
+* :mod:`repro.chaos` — seeded adversaries and admission checks.
 
 Quickstart::
 

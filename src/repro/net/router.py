@@ -4,8 +4,8 @@
 from :class:`repro.simnet.transport.Network` — ``register`` /
 ``is_online`` / ``send`` / ``broadcast`` returning the same
 :class:`~repro.simnet.transport.SendReceipt` — so the PoS miner, the
-recent-block allocation path, gap/chain sync, and the Raft handlers run
-**unmodified** over real sockets.
+recent-block allocation path and gap/chain sync run **unmodified** over
+real sockets.
 
 Semantics mapping:
 

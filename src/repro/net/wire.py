@@ -12,8 +12,9 @@ Defences expected of a real listener:
 
 * frames longer than :data:`MAX_FRAME_BYTES` are rejected *from the
   header alone*, before any payload is buffered;
-* non-JSON payloads, non-object payloads, unknown versions, and unknown
-  message kinds raise :class:`WireError` instead of crashing the reader;
+* non-JSON payloads (nesting too deep for the parser included),
+  non-object payloads, unknown versions, and unknown or non-string
+  message types raise :class:`WireError` instead of crashing the reader;
 * truncated frames simply stay buffered until more bytes arrive
   (:class:`FrameDecoder` is incremental).
 """
@@ -123,6 +124,8 @@ class FrameDecoder:
                 payload = json.loads(body.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as error:
                 raise WireError(f"frame payload is not valid JSON: {error}") from error
+            except RecursionError as error:
+                raise WireError("frame payload nests too deep to parse") from error
             if not isinstance(payload, dict):
                 raise WireError(
                     f"frame payload must be a JSON object, got {type(payload).__name__}"
@@ -269,9 +272,12 @@ def decode_message(frame: Dict[str, Any]) -> Tuple[int, Any, str, int, float]:
         raise WireError(f"unsupported wire protocol version {frame.get('v')!r}")
     if frame.get("kind") != "msg":
         raise WireError(f"not a protocol message frame: kind={frame.get('kind')!r}")
-    decoder = _DECODERS.get(frame.get("type"))
+    name = frame.get("type")
+    if not isinstance(name, str):
+        raise WireError(f"message type must be a string, got {type(name).__name__}")
+    decoder = _DECODERS.get(name)
     if decoder is None:
-        raise WireError(f"unknown message type {frame.get('type')!r}")
+        raise WireError(f"unknown message type {name!r}")
     body = frame.get("body")
     if not isinstance(body, dict):
         raise WireError("message body must be a JSON object")
@@ -280,7 +286,7 @@ def decode_message(frame: Dict[str, Any]) -> Tuple[int, Any, str, int, float]:
     except WireError:
         raise
     except (KeyError, TypeError, ValueError) as error:
-        raise WireError(f"malformed {frame.get('type')} body: {error}") from error
+        raise WireError(f"malformed {name} body: {error}") from error
     try:
         source = int(frame["source"])
         category = str(frame["category"])

@@ -77,7 +77,6 @@ from repro.obs.monitors import (
     CoverageMonitor,
     FairnessMonitor,
     IntervalDriftMonitor,
-    LeaderFlapMonitor,
     Monitor,
     MonitorEvent,
     MonitorSuite,
@@ -188,7 +187,6 @@ __all__ = [
     "CoverageMonitor",
     "FairnessMonitor",
     "IntervalDriftMonitor",
-    "LeaderFlapMonitor",
     "Monitor",
     "MonitorEvent",
     "MonitorSuite",

@@ -245,9 +245,6 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._instruments)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._instruments
-
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-ready dump of every instrument."""
         return {

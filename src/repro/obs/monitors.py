@@ -18,8 +18,6 @@ catalogue (see DESIGN.md §9):
   from saturation.
 * **stake-concentration** — storage incentives feed stake (Section
   IV-C); runaway top-k stake share would collapse PoS to oligarchy.
-* **leader-flap** — Raft should elect rarely; rapid leader turnover
-  signals timeout/partition trouble.
 * **coverage-drop** — recent blocks are supposed to be pervasively
   stored (Section IV-C); a coverage collapse defeats offline recovery.
 * **admission-rejections** — honest traffic passes every admission
@@ -275,37 +273,6 @@ class StakeConcentrationMonitor(Monitor):
         return ("ok", f"top-k stake share {share:.2f}", share, self.cap)
 
 
-class LeaderFlapMonitor(Monitor):
-    """Warn when Raft leadership changes too often within a sliding window."""
-
-    name = "leader-flap"
-
-    def __init__(self, window_seconds: float = 60.0, max_changes: int = 3):
-        super().__init__()
-        self.window_seconds = window_seconds
-        self.max_changes = max_changes
-        self._history: List[tuple] = []  # (time, cumulative change count)
-
-    def level(self, sample: Dict[str, Any]) -> tuple:
-        changes = sample.get("raft_leader_changes")
-        if changes is None:
-            return ("ok", "no raft in this run", None, None)
-        now = sample["t"]
-        self._history.append((now, changes))
-        cutoff = now - self.window_seconds
-        while len(self._history) > 1 and self._history[1][0] <= cutoff:
-            self._history.pop(0)
-        recent = changes - self._history[0][1]
-        if recent > self.max_changes:
-            return (
-                "warning",
-                f"{recent} leader changes in {self.window_seconds:.0f}s",
-                float(recent),
-                float(self.max_changes),
-            )
-        return ("ok", f"{recent} recent leader changes", float(recent), float(self.max_changes))
-
-
 class CoverageMonitor(Monitor):
     """Recent-block coverage floor (Section IV-C pervasiveness)."""
 
@@ -435,7 +402,6 @@ class MonitorSuite:
             IntervalDriftMonitor(t0),
             FairnessMonitor(),
             StakeConcentrationMonitor(),
-            LeaderFlapMonitor(),
             CoverageMonitor(),
             AdmissionRejectionMonitor(),
             QuarantineMonitor(),

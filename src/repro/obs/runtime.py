@@ -69,9 +69,7 @@ class ObsSession:
         )
         self.metrics = MetricsRegistry()
         self.timeline: Optional[Timeline] = (
-            Timeline(timeline_interval, registry=self.metrics)
-            if timeline_interval is not None
-            else None
+            Timeline(timeline_interval) if timeline_interval is not None else None
         )
         self.monitors: Optional[MonitorSuite] = None
         self.stream: Optional[Any] = None

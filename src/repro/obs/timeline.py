@@ -14,8 +14,7 @@ the quantities the paper's own analysis turns on:
 * stake share of the top-k token holders (PoS concentration);
 * recent-block coverage — the fraction of nodes holding each of the
   newest blocks (Section IV-C's pervasiveness goal);
-* engine queue depth, plus Raft term / leader-change counts when the
-  Raft hooks have populated the metrics registry.
+* engine queue depth.
 
 Sampling is driven from :func:`repro.obs.runtime.timeline_tick` inside
 the engine's existing observability branch — **never** from events on the
@@ -251,12 +250,11 @@ class Timeline:
     exists.
     """
 
-    def __init__(self, interval: float, registry: Any = None):
+    def __init__(self, interval: float):
         if interval <= 0:
             raise ValueError("timeline interval must be positive")
         self.interval = float(interval)
         self.samples: List[Dict[str, Any]] = []
-        self._registry = registry
         self._probe: Optional[Any] = None
         self._next_at = 0.0
 
@@ -268,25 +266,10 @@ class Timeline:
     def attached(self) -> bool:
         return self._probe is not None
 
-    def _raft_fields(self) -> Dict[str, Any]:
-        registry = self._registry
-        if registry is None:
-            return {"raft_term": None, "raft_leader_changes": None}
-        term = (
-            registry.gauge("raft.term").value if "raft.term" in registry else None
-        )
-        changes = (
-            registry.counter("raft.leader_changes").value
-            if "raft.leader_changes" in registry
-            else None
-        )
-        return {"raft_term": term, "raft_leader_changes": changes}
-
     def maybe_sample(self, now: float) -> Optional[Dict[str, Any]]:
         if self._probe is None or now < self._next_at:
             return None
         sample = self._probe.sample(now)
-        sample.update(self._raft_fields())
         self.samples.append(sample)
         self._next_at = (math.floor(now / self.interval) + 1) * self.interval
         return sample

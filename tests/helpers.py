@@ -9,8 +9,6 @@ is the single home for that boilerplate:
   fields;
 * :func:`make_cluster` — a wired cluster (PoS by default, PoW via
   ``consensus="pow"`` which also tunes difficulty to the node count);
-* :func:`make_raft_cluster` — a Raft cluster over a connected geometric
-  topology;
 * :func:`fixed_seed_run` — a full seeded experiment, memoised per
   ``cache_scope`` so a module's tests can share one multi-second run the
   way module-scoped fixtures used to, without re-declaring the fixture
@@ -91,7 +89,6 @@ from repro.facility.problem import UFLProblem, UFLSolution, assign_to_open
 from repro.lifecycle.archive import ARCHIVE_NAME
 from repro.persist.chainstore import ChainStore
 from repro.persist.resume import JOURNAL_NAME, MANIFEST_NAME, STORE_NAME
-from repro.raft.cluster import RaftCluster
 from repro.sim.cluster import EdgeCluster, build_cluster
 from repro.sim.runner import (
     ChurnSpec,
@@ -99,9 +96,6 @@ from repro.sim.runner import (
     ExperimentSpec,
     run_experiment,
 )
-from repro.simnet.channel import ChannelModel
-from repro.simnet.engine import EventEngine
-from repro.simnet.topology import Topology, connected_random_positions
 from repro.simnet.transport import Network
 
 #: Hash rate matching the paper's handset (difficulty 4 at 25 s/block).
@@ -171,19 +165,6 @@ def make_cluster(
     if run_until is not None:
         cluster.engine.run_until(run_until)
     return cluster
-
-
-def make_raft_cluster(
-    size: int = 5, seed: int = 0, **raft_kwargs
-) -> Tuple[EventEngine, Network, RaftCluster]:
-    """A Raft cluster over a connected geometric radio topology."""
-    engine = EventEngine(seed=seed)
-    positions = connected_random_positions(size, engine.np_rng)
-    topology = Topology(positions)
-    # Raft over multi-hop radio: give timeouts headroom over path latency.
-    network = Network(engine, topology, ChannelModel(bandwidth=None))
-    cluster = RaftCluster(list(range(size)), network, engine, **raft_kwargs)
-    return engine, network, cluster
 
 
 def digest_run(

@@ -6,10 +6,10 @@ Two guarantees, both load-bearing:
    queue depths); they never touch RNGs or protocol state.  A seeded run
    must therefore produce bit-identical chain and ledger digests with
    observability on, off, or toggled mid-suite.
-2. **Full coverage** — one enabled session watching a simulation run, a
-   Raft scenario, and a durable (journal + SQLite) run sees spans and
-   counters from every instrumented subsystem: engine, facility, pos,
-   raft, and persist.
+2. **Full coverage** — one enabled session watching a simulation run and
+   a durable (journal + SQLite) run sees spans and counters from every
+   instrumented subsystem: the run phases, engine, facility, pos, and
+   persist.
 """
 
 import urllib.request
@@ -23,7 +23,7 @@ from repro.obs.live.stream import read_stream
 from repro.obs.runtime import METRICS_NAME, TRACE_NAME
 from repro.persist.resume import PersistConfig, run_persistent
 from repro.sim.runner import ExperimentSpec, run_experiment
-from tests.helpers import make_config, make_raft_cluster
+from tests.helpers import make_config
 
 pytestmark = pytest.mark.obs
 
@@ -124,13 +124,6 @@ class TestFiveSubsystemCoverage:
         # Simulation run: engine, facility, pos (and the run phases).
         run_experiment(SPEC)
 
-        # Raft scenario: elections + replication.
-        engine, _, cluster = make_raft_cluster(size=5, seed=2)
-        cluster.start()
-        assert cluster.wait_for_leader(timeout=30) is not None
-        index = cluster.submit_via_leader({"announce": "range"})
-        cluster.wait_for_commit(index, timeout=30)
-
         # Durable run: WAL journal fsyncs + SQLite block commits.
         run_persistent(
             ExperimentSpec(
@@ -150,10 +143,10 @@ class TestFiveSubsystemCoverage:
         # meaningful extent), every other subsystem contributes spans too.
         events = read_trace_events(target / TRACE_NAME)
         categories = {e["cat"] for e in events if e.get("ph") == "X"}
-        assert {"engine", "facility", "raft", "persist", "run"} <= categories
+        assert {"engine", "facility", "persist", "run"} <= categories
 
-        # Counters/histograms: all five instrumented subsystems.
+        # Counters/histograms: the four instrumented protocol subsystems.
         names = session.metrics.names()
-        for prefix in ("engine.", "facility.", "pos.", "raft.", "persist."):
+        for prefix in ("engine.", "facility.", "pos.", "persist."):
             assert any(n.startswith(prefix) for n in names), f"no {prefix} metrics"
         assert (target / METRICS_NAME).exists()

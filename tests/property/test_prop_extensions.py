@@ -1,5 +1,5 @@
 """Property-based tests for the extension modules (serialization,
-migration, membership state, audit)."""
+migration, audit)."""
 
 import numpy as np
 import pytest
@@ -22,8 +22,6 @@ from repro.core.serialization import (
     metadata_to_dict,
 )
 from repro.facility.problem import solution_cost_of_open_set
-from repro.membership.messages import MembershipUpdate, MemberStatus
-from repro.membership.state import MembershipTable
 from tests import spec
 from tests.helpers import integer_ufl
 
@@ -114,55 +112,6 @@ class TestMigrationProperties:
         problem, start, budget = case
         plan = plan_migration(problem, start, max_operations=budget)
         assert plan.final_drift <= plan.initial_drift
-
-
-status_strategy = st.sampled_from(list(MemberStatus))
-update_strategy = st.builds(
-    MembershipUpdate,
-    member=st.integers(min_value=0, max_value=5),
-    status=status_strategy,
-    incarnation=st.integers(min_value=0, max_value=10),
-)
-
-
-class TestMembershipTableProperties:
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(update_strategy, max_size=25))
-    def test_incarnation_never_decreases_while_alive(self, updates):
-        # DEAD overrides regardless of incarnation (SWIM's rules), so the
-        # monotonicity invariant applies to live records only.
-        table = MembershipTable(0, [0, 1, 2, 3, 4, 5])
-        seen = {m: 0 for m in table.members()}
-        for step, update in enumerate(updates):
-            table.apply(update, now=float(step))
-            record = table.record(update.member)
-            if record.status is not MemberStatus.DEAD:
-                assert record.incarnation >= seen[update.member] or update.member == 0
-                seen[update.member] = record.incarnation
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(update_strategy, max_size=25))
-    def test_dead_stays_dead(self, updates):
-        table = MembershipTable(0, [0, 1, 2, 3, 4, 5])
-        died_at = {}
-        for step, update in enumerate(updates):
-            table.apply(update, now=float(step))
-            for member in table.members():
-                if member == 0:
-                    continue  # the node always refutes its own death
-                status = table.status(member)
-                if member in died_at:
-                    assert status is MemberStatus.DEAD
-                elif status is MemberStatus.DEAD:
-                    died_at[member] = step
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(update_strategy, max_size=25))
-    def test_self_never_dead(self, updates):
-        table = MembershipTable(0, [0, 1, 2, 3, 4, 5])
-        for step, update in enumerate(updates):
-            table.apply(update, now=float(step))
-            assert table.status(0) is MemberStatus.ALIVE
 
 
 class TestAuditProperties:

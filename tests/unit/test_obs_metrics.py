@@ -114,7 +114,7 @@ class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
-        assert "a" in registry
+        assert registry.names() == ["a"]
         assert len(registry) == 1
 
     def test_type_conflict_raises(self):

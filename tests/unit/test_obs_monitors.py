@@ -10,7 +10,6 @@ from repro.obs.monitors import (
     CoverageMonitor,
     FairnessMonitor,
     IntervalDriftMonitor,
-    LeaderFlapMonitor,
     MonitorEvent,
     MonitorSuite,
     QuarantineMonitor,
@@ -117,22 +116,6 @@ class TestStakeConcentration:
         assert monitor.level(sample(0.0, stake_topk_share=None))[0] == "ok"
 
 
-class TestLeaderFlap:
-    def test_no_raft_in_run_is_ok(self):
-        monitor = LeaderFlapMonitor()
-        assert monitor.level(sample(0.0, raft_leader_changes=None))[0] == "ok"
-
-    def test_rapid_turnover_warns_then_window_expiry_recovers(self):
-        monitor = LeaderFlapMonitor(window_seconds=60.0, max_changes=3)
-        assert monitor.level(sample(0.0, raft_leader_changes=0))[0] == "ok"
-        assert monitor.level(sample(10.0, raft_leader_changes=2))[0] == "ok"
-        level, message, _, _ = monitor.level(sample(20.0, raft_leader_changes=5))
-        assert level == "warning" and "5 leader changes" in message
-        # The counter is cumulative; once the burst leaves the window the
-        # recent count falls back under the limit.
-        assert monitor.level(sample(120.0, raft_leader_changes=5))[0] == "ok"
-
-
 class TestCoverage:
     def test_floors(self):
         monitor = CoverageMonitor(warn_floor=0.5, critical_floor=0.2)
@@ -178,7 +161,7 @@ class TestMonitorSuite:
         names = {m.name for m in suite.monitors}
         assert names == {
             "chain-stall", "interval-drift", "fairness-pressure",
-            "stake-concentration", "leader-flap", "coverage-drop",
+            "stake-concentration", "coverage-drop",
             "admission-rejections", "peer-quarantine",
         }
         stall = next(m for m in suite.monitors if m.name == "chain-stall")

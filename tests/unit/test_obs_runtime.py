@@ -136,7 +136,7 @@ class TestTracedSolver:
             return FakeSolution(cost=math.inf)
 
         solve(FakeProblem())
-        assert "facility.solve_cost" not in session.metrics
+        assert "facility.solve_cost" not in session.metrics.names()
 
     def test_wraps_preserves_identity(self):
         @traced_solver("fake")

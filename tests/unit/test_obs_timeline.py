@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import (
     EWMA_ALPHA,
     TIMELINE_SCHEMA,
@@ -203,28 +202,6 @@ class TestTimeline:
         timeline._probe = FakeProbe()
         timeline.maybe_sample(5.0)
         assert timeline.last_sample()["t"] == 5.0
-
-    def test_raft_fields_absent_registry(self):
-        timeline = Timeline(10.0)
-        timeline._probe = FakeProbe()
-        sample = timeline.maybe_sample(0.0)
-        assert sample["raft_term"] is None
-        assert sample["raft_leader_changes"] is None
-
-    def test_raft_fields_read_but_never_create_instruments(self):
-        registry = MetricsRegistry()
-        timeline = Timeline(10.0, registry=registry)
-        timeline._probe = FakeProbe()
-        sample = timeline.maybe_sample(0.0)
-        # An empty registry stays empty: reads must not create gauges.
-        assert sample["raft_term"] is None
-        assert registry.names() == []
-
-        registry.gauge("raft.term").set(4)
-        registry.counter("raft.leader_changes").inc(2)
-        sample = timeline.maybe_sample(10.0)
-        assert sample["raft_term"] == 4
-        assert sample["raft_leader_changes"] == 2
 
 
 class TestTimelineRoundTrip:

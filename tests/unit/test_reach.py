@@ -145,3 +145,37 @@ def test_every_listed_function_still_exists(reach):
     assert listed, "tools/unreached.txt is empty"
     missing = sorted(set(listed) - set(reach.list_defs(reach.PACKAGE)))
     assert missing == [], "remove these from tools/unreached.txt: " + ", ".join(missing)
+
+
+class TestSourcesStayPut:
+    """The audit refuses a run during which a source under the package changed."""
+
+    @pytest.fixture
+    def package(self, reach, tmp_path, monkeypatch):
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text("def f():\n    pass\n")
+        listing = tmp_path / "unreached.txt"
+        listing.write_text(reach.render_list([], {}))
+        monkeypatch.setattr(reach, "PACKAGE", package)
+        monkeypatch.setattr(reach, "LIST_FILE", listing)
+        return package
+
+    def test_an_unchanged_tree_is_compared(self, reach, package, monkeypatch):
+        monkeypatch.setattr(reach, "run_paths", lambda work: ({("repro/mod.py", 1, "f")}, []))
+        assert reach.main([]) == 0
+
+    @pytest.mark.parametrize("argv", [[], ["--write"]])
+    def test_an_edit_during_the_run_exits_2_and_writes_nothing(
+        self, reach, package, monkeypatch, capsys, argv
+    ):
+        def edit_then_report(work):
+            source = package / "mod.py"
+            source.write_text("\n" + source.read_text())
+            return {("repro/mod.py", 1, "f")}, []
+
+        monkeypatch.setattr(reach, "run_paths", edit_then_report)
+        listed = reach.LIST_FILE.read_text()
+        assert reach.main(argv) == 2
+        assert "repro/mod.py" in capsys.readouterr().err
+        assert reach.LIST_FILE.read_text() == listed

@@ -116,15 +116,15 @@ class TestPrometheusRendering:
     def test_counters_gauges_histograms(self):
         registry = MetricsRegistry()
         registry.counter("net.messages_sent").inc(7)
-        registry.gauge("raft.term").set(3)
+        registry.gauge("engine.queue_depth").set(3)
         registry.histogram("facility.solve_cost").record(2.0)
         registry.histogram("facility.solve_cost").record(4.0)
         text = render_prometheus(registry.snapshot())
 
         assert "# TYPE repro_net_messages_sent counter" in text
         assert "repro_net_messages_sent 7" in text
-        assert "# TYPE repro_raft_term gauge" in text
-        assert "repro_raft_term 3" in text
+        assert "# TYPE repro_engine_queue_depth gauge" in text
+        assert "repro_engine_queue_depth 3" in text
         assert "# TYPE repro_facility_solve_cost summary" in text
         assert "repro_facility_solve_cost_count 2" in text
         assert "repro_facility_solve_cost_sum 6.0" in text

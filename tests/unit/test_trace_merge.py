@@ -1,5 +1,6 @@
-"""Multi-process trace stitching and `repro trace merge` over federated
-``c{k}_``-prefixed artefacts."""
+"""Multi-process trace stitching, and `repro trace merge` over obs dirs
+whose metric names differ only by a prefix (``c0_``, ``c1_``) that the
+merge must keep apart."""
 
 import json
 
@@ -108,11 +109,11 @@ class TestMergeTraceFiles:
 
 
 class TestTraceMergeCli:
-    def _federated_obs_dir(self, directory, cluster_prefixes, origin):
-        """An obs dir whose metrics carry federated c{k}_ prefixes."""
+    def _prefixed_obs_dir(self, directory, prefixes, origin):
+        """An obs dir holding one ``net.messages_sent`` counter per name prefix."""
         directory.mkdir()
         registry = MetricsRegistry()
-        for prefix in cluster_prefixes:
+        for prefix in prefixes:
             registry.counter(f"{prefix}net.messages_sent").inc(5)
             registry.counter("engine.events").inc(10)
         registry.write_json(directory / METRICS_NAME)
@@ -121,9 +122,9 @@ class TestTraceMergeCli:
             pass
         write_perfetto_jsonl(tracer.finished, directory / TRACE_NAME, origin=origin)
 
-    def test_merges_federated_metrics_and_stitches_traces(self, tmp_path, capsys):
-        self._federated_obs_dir(tmp_path / "shard_a", ["c0_", "c1_"], "n0")
-        self._federated_obs_dir(tmp_path / "shard_b", ["c0_"], "n1")
+    def test_merges_prefixed_metrics_and_stitches_traces(self, tmp_path, capsys):
+        self._prefixed_obs_dir(tmp_path / "shard_a", ["c0_", "c1_"], "n0")
+        self._prefixed_obs_dir(tmp_path / "shard_b", ["c0_"], "n1")
         out = tmp_path / "merged_metrics.json"
         trace_out = tmp_path / "merged_trace.json"
 
@@ -136,7 +137,7 @@ class TestTraceMergeCli:
 
         merged = json.loads(out.read_text(encoding="utf-8"))
         instruments = merged["instruments"]
-        # Per-cluster counters merge additively across shards.
+        # Same-named counters add across sources; prefixed names stay apart.
         assert instruments["c0_net.messages_sent"]["value"] == 10
         assert instruments["c1_net.messages_sent"]["value"] == 5
         assert instruments["engine.events"]["value"] == 30

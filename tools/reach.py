@@ -26,8 +26,14 @@ reached is printed as stale but does not fail: some branches of the live
 fabric depend on timing.  ``--write`` regenerates the file and keeps the
 ``# note`` written after each entry that stays.
 
+The audit matches what ran to its ``def`` by first line, so a source
+edited while the paths run would list reached functions as unreached:
+every ``.py`` under ``src/repro`` is stamped (mtime and size) before and
+after the run, and any change refuses the audit without writing or
+comparing.
+
 Exit status: 0 when the list holds, 1 when it does not, 2 when a path
-failed (its coverage would be incomplete).
+failed (its coverage would be incomplete) or a source changed under it.
 """
 
 from __future__ import annotations
@@ -91,6 +97,9 @@ PATHS: List[Tuple[Tuple[int, ...], List[str]]] = [
                      "--start-lead", "10", "--obs", "{t}/live-obs", "--telemetry", "47410"]),
     ((0, 1), _REPRO + ["chaos", "run", "--nodes", "5", "--minutes", "4", "--seed", "2",
                        "--adversary", "equivocator=1"]),
+    # the sim fabric's partition overlay (simnet.faults.PartitionInjector)
+    ((0, 1), _REPRO + ["chaos", "run", "--nodes", "5", "--minutes", "3", "--seed", "2",
+                       "--partition", "1:2"]),
     ((0, 1), _REPRO + ["chaos", "run", "--fabric", "live", "--nodes", "4", "--minutes", "3",
                        "--seed", "2", "--adversary", "spammer=1"]),
     ((0,), _REPRO + ["trace", "summary", "{t}/obs-a"]),
@@ -185,6 +194,15 @@ def _walk(node: ast.AST, prefix: str) -> Iterable[Tuple[str, int, str]]:
             yield from _walk(child, prefix)
 
 
+def stamp_sources(package: Path) -> Dict[str, Tuple[int, int]]:
+    """``path`` → ``(mtime_ns, size)`` of every ``.py`` under ``package``."""
+    stamps: Dict[str, Tuple[int, int]] = {}
+    for path in sorted(package.rglob("*.py")):
+        info = path.stat()
+        stamps[path.relative_to(package.parent).as_posix()] = (info.st_mtime_ns, info.st_size)
+    return stamps
+
+
 # -- the list file --------------------------------------------------------------------
 
 
@@ -275,11 +293,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--write", action="store_true", help="regenerate tools/unreached.txt")
     args = parser.parse_args(argv)
     defs = list_defs(PACKAGE)
+    before = stamp_sources(PACKAGE)
     work = Path(tempfile.mkdtemp(prefix="reach-"))
     try:
         reached, failed = run_paths(work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
+    after = stamp_sources(PACKAGE)
+    changed = sorted(p for p in before.keys() | after.keys() if before.get(p) != after.get(p))
+    if changed:
+        print(f"{len(changed)} source file(s) changed during the audit; rerun it:",
+              file=sys.stderr)  # fmt: skip
+        for path in changed:
+            print(f"  {path}", file=sys.stderr)
+        return 2
     if failed:
         print(f"{len(failed)} path(s) failed; the audit is incomplete:", file=sys.stderr)
         for shown in failed:

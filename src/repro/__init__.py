@@ -6,7 +6,8 @@ on Edge Blockchain in Pervasive Edge Computing Environments" (ICDCS 2019):
 * :mod:`repro.core` — the edge blockchain: metadata-in-block design,
   UFL-based fair/efficient storage allocation (FDC + RDC), recent-block
   caching, the new Proof-of-Stake mechanism, and the full protocol node.
-* :mod:`repro.facility` — the facility-location solver suite.
+* :mod:`repro.facility` — the UFL instance, the FDC/RDC costs and the
+  two placement solvers (the greedy and the paper's random baseline).
 * :mod:`repro.simnet` — deterministic discrete-event network simulator.
 * :mod:`repro.energy` — calibrated battery/energy model (the Fig. 6 testbed).
 * :mod:`repro.crypto` — SHA-256 / secp256k1 / Merkle substrate.

@@ -17,13 +17,6 @@ from repro.core.serialization import (
     metadata_to_dict,
 )
 from repro.core.allocation import AllocationDecision, AllocationEngine
-from repro.core.migration import (
-    MigrationMove,
-    MigrationPlan,
-    MoveKind,
-    placement_drift,
-    plan_migration,
-)
 from repro.core.block import GENESIS_PREVIOUS_HASH, Block, make_genesis
 from repro.core.blockchain import Blockchain, BlockOutcome, ChainState
 from repro.core.config import DATA_ITEM_BYTES, PAPER_CONFIG, SystemConfig
@@ -99,11 +92,6 @@ __all__ = [
     "CronyMiner",
     "allocations_verifiable",
     "verify_block_allocations",
-    "MigrationMove",
-    "MigrationPlan",
-    "MoveKind",
-    "placement_drift",
-    "plan_migration",
     "audit_chain",
     "AuditReport",
     "LedgerEvent",

@@ -1,21 +1,12 @@
-"""Facility-location solver suite for the storage-allocation problem.
+"""Facility-location placement for the storage-allocation problem.
 
 The paper maps per-item storage placement to Uncapacitated Facility
 Location (Section IV-A-3).  This package provides the instance model, the
 paper's FDC/RDC cost builders, and the two solvers a run can place with:
 
-* :func:`solve_greedy` / :class:`GreedySolver` — dual-fitting greedy, the
-  one placement solve (one-shot, and with caches that outlive a solve),
+* :class:`GreedySolver` — dual-fitting greedy, the one placement solve
+  (its caches outlive a solve),
 * :func:`solve_random` — the paper's replica-matched random baseline.
-
-Three more are library functions for the solver ablation
-(``benchmarks/bench_ablation_ufl_solvers.py``) and the quality tests,
-not run modes:
-
-* :func:`solve_local_search` — add/drop/swap refinement,
-* :func:`solve_lp_rounding` — LP relaxation + deterministic rounding (also
-  yields a certified lower bound via :func:`solve_lp_relaxation`),
-* :func:`solve_milp` — exact optimum on small instances.
 """
 
 from repro.facility.costs import (
@@ -25,10 +16,7 @@ from repro.facility.costs import (
     fairness_degree_costs,
     range_distance_costs,
 )
-from repro.facility.greedy import GreedySolver, solve_greedy
-from repro.facility.local_search import solve_local_search
-from repro.facility.lp_rounding import LPResult, solve_lp_relaxation, solve_lp_rounding
-from repro.facility.mip import solve_milp
+from repro.facility.greedy import GreedySolver
 from repro.facility.problem import (
     UFLProblem,
     UFLSolution,
@@ -48,11 +36,5 @@ __all__ = [
     "build_storage_ufl",
     "DEFAULT_FDC_WEIGHT",
     "GreedySolver",
-    "solve_greedy",
-    "solve_local_search",
-    "solve_lp_relaxation",
-    "solve_lp_rounding",
-    "LPResult",
-    "solve_milp",
     "solve_random",
 ]

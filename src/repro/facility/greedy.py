@@ -6,7 +6,7 @@ served, then reassign clients to their cheapest open facility.  This is
 *the* solver for the per-item placement problem — near-optimal in
 practice (the paper cites Li's 1.488-approximation as state of the art; the
 greedy achieves ≤1.861 in theory and is typically within a few percent of
-the MILP optimum on these geometric instances, which the test-suite checks).
+the optimum, which the test-suite checks against an exhaustive exact one).
 
 **Exactness.**  Every Eq. 1/2 input is an integer (slots, hop counts,
 whole-metre ranges, A), so a star of k clients at facility f has the
@@ -415,12 +415,3 @@ def _traced_solve(problem: UFLProblem, solver: GreedySolver) -> UFLSolution:
             problem.connection_costs, problem.opening_num, problem.opening_den
         ),
     )
-
-
-def solve_greedy(problem: UFLProblem) -> UFLSolution:
-    """Solve one UFL instance greedily, from cold caches.
-
-    For a stream of related instances keep a :class:`GreedySolver`.
-    Raises ``ValueError`` if the instance is infeasible.
-    """
-    return GreedySolver().solve(problem)

@@ -84,10 +84,6 @@ class RunMetrics:
             return self.tip_height
         return len(self.block_intervals)
 
-    def mining_distribution(self) -> List[int]:
-        """Blocks mined per measured node, in :attr:`node_ids` order."""
-        return [self.blocks_mined.get(node, 0) for node in self.node_ids]
-
 
 def collect_run_metrics(
     node_count: int,

@@ -1,4 +1,4 @@
-"""Result export: run records, their CSV writer and JSON reader.
+"""Result export: run records and their CSV writer.
 
 Turns :class:`~repro.metrics.collector.RunMetrics` into plain
 serialisable records so sweeps can be archived, diffed across runs, and
@@ -47,11 +47,6 @@ def metrics_to_record(metrics: RunMetrics, **labels) -> Dict[str, object]:
         }
     )
     return record
-
-
-def read_json(path: PathLike) -> List[Dict[str, object]]:
-    with Path(path).open("r", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def store_chain_record(store) -> Dict[str, object]:

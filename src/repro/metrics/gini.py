@@ -39,28 +39,6 @@ def gini_coefficient(values: Sequence[float]) -> float:
     return max(0.0, mean_abs_diff_sum / (2.0 * n * total))
 
 
-def jain_index(values: Sequence[float]) -> float:
-    """Jain's fairness index: (Σx)² / (n·Σx²), in (0, 1].
-
-    A complementary fairness measure to the paper's Gini: 1 means perfectly
-    equal, 1/n means one node carries everything.  Used by the marketplace
-    example to cross-check the Gini story.
-    """
-    data = np.asarray(values, dtype=float)
-    if data.size == 0:
-        raise ValueError("need at least one value")
-    if np.any(data < 0):
-        raise ValueError("Jain's index is undefined for negative values")
-    peak = float(data.max())
-    if peak == 0:
-        return 1.0  # all zeros: perfectly equal
-    # Normalise by the peak first (the index is scale-invariant) so that
-    # squaring subnormal values cannot underflow to zero.
-    scaled = data / peak
-    sum_squares = float((scaled**2).sum())
-    return float(scaled.sum()) ** 2 / (data.size * sum_squares)
-
-
 def gini_pairwise(values: Sequence[float]) -> float:
     """The literal O(n²) double-sum from the paper's footnote.
 

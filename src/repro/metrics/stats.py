@@ -8,7 +8,6 @@ implementation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,17 +58,3 @@ def mean_or_nan(values: Sequence[float]) -> float:
         return float("nan")
     return float(np.mean(data))
 
-
-def ratio(numerator: float, denominator: float) -> float:
-    """A guarded ratio (NaN when the denominator is 0 or non-finite)."""
-    if not math.isfinite(denominator) or denominator == 0:
-        return float("nan")
-    return numerator / denominator
-
-
-def percent_change(new: float, baseline: float) -> float:
-    """(new − baseline)/baseline in percent; the paper's 'X % less' numbers
-    are ``-percent_change``."""
-    if baseline == 0 or not math.isfinite(baseline):
-        return float("nan")
-    return 100.0 * (new - baseline) / baseline

@@ -15,6 +15,7 @@ is the single home for that boilerplate:
   everywhere;
 * :func:`integer_ufl` — a :class:`~repro.facility.problem.UFLProblem`
   from integer opening costs (``inf``: cannot open);
+* :func:`solve_greedy` — one greedy solve from cold caches;
 * :func:`reference_greedy` — the textbook greedy loop in floats, the
   perf guards' comparator for :mod:`repro.facility.greedy` (the
   correctness oracle is the ``Fraction`` greedy of :mod:`tests.spec`);
@@ -85,6 +86,7 @@ from repro.core.pos import compute_hit, compute_pos_hash, mining_delay
 from repro.core.pow import pow_difficulty_for
 from repro.crypto.hashing import _encode_field
 from repro.crypto.keys import INFINITY, CurvePoint, N
+from repro.facility.greedy import GreedySolver
 from repro.facility.problem import UFLProblem, UFLSolution, assign_to_open
 from repro.lifecycle.archive import ARCHIVE_NAME
 from repro.persist.chainstore import ChainStore
@@ -266,8 +268,14 @@ def integer_ufl(facility_costs, connection_costs) -> UFLProblem:
     )
 
 
+def solve_greedy(problem: UFLProblem) -> UFLSolution:
+    """One greedy solve from cold caches: a fresh :class:`GreedySolver`.
+    Raises ``ValueError`` if the instance is infeasible."""
+    return GreedySolver().solve(problem)
+
+
 def reference_greedy(problem: UFLProblem) -> UFLSolution:
-    """The textbook greedy loop: the perf guards' comparator for ``solve_greedy``.
+    """The textbook greedy loop: the perf guards' comparator for :class:`GreedySolver`.
 
     Every round re-sorts every facility's unassigned clients and scans for
     the cheapest star, each ratio ``(num + den·Σc) / (den·k)`` divided

@@ -28,7 +28,7 @@ def run_minutes(cluster, minutes):
 class TestVerifiability:
     def test_deterministic_solvers_verifiable(self):
         assert allocations_verifiable("greedy")
-        # Library solvers, not run modes: a validator has nothing to replay.
+        # A retired run mode and the random baseline: nothing to replay.
         assert not allocations_verifiable("local_search")
         assert not allocations_verifiable("random")
 

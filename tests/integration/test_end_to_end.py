@@ -26,8 +26,8 @@ class TestChainGrowth:
         assert 0.5 * 30.0 <= interval <= 2.0 * 30.0
 
     def test_multiple_miners_win(self, small_run):
-        distribution = small_run.metrics.mining_distribution()
-        assert sum(1 for count in distribution if count > 0) >= 3
+        mined = small_run.metrics.blocks_mined
+        assert sum(1 for count in mined.values() if count > 0) >= 3
 
 
 class TestConvergence:

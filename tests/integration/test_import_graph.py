@@ -1,12 +1,13 @@
 """Import-graph guards: a run loads neither scipy nor networkx, and no
-module under ``src/`` imports a deserialiser of code.
+module under ``src/`` imports either, or a deserialiser of code.
 
-A count, not a timing: each case starts a fresh interpreter, does one thing
-and reports which of the two heavy libraries ended up in ``sys.modules``.
-scipy may load only inside the two ablation solvers that call it; networkx
-is a test oracle and nothing under ``src/`` may import it.  A run directory
-crosses a trust boundary, so what it holds is plain data: a static walk of
-``src/repro`` finds no import of ``pickle``, ``marshal`` or ``shelve``.
+A count, not a timing: each run case starts a fresh interpreter, does one
+thing and reports which of the two heavy libraries ended up in
+``sys.modules``.  Neither is a runtime dependency: scipy is used nowhere
+and networkx is a test oracle, so a static walk of ``src/repro`` finds no
+import of either.  A run directory crosses a trust boundary, so what it
+holds is plain data: the same walk finds no import of ``pickle``,
+``marshal`` or ``shelve``.
 """
 
 from __future__ import annotations
@@ -29,17 +30,6 @@ import sys
 def heavy():
     return sorted({name.split(".")[0] for name in sys.modules} & {"scipy", "networkx"})
 """
-
-_SMALL_INSTANCE = """
-import numpy as np
-from repro.facility import UFLProblem, solve_lp_rounding, solve_milp
-problem = UFLProblem(
-    opening_num=np.array([4.0, 3.0, 6.0]),
-    opening_den=np.ones(3),
-    connection_costs=np.array([[1.0, 5.0, 9.0], [6.0, 2.0, 7.0], [8.0, 4.0, 2.0]]),
-)
-"""
-
 
 def _fresh_interpreter(body: str) -> dict:
     """Run ``body`` (which must set ``report``) in a new process."""
@@ -76,27 +66,9 @@ def test_run_path_loads_neither_scipy_nor_networkx(body):
     assert _fresh_interpreter(body + "\nreport = heavy()") == []
 
 
-@pytest.mark.parametrize("solver", ["solve_milp", "solve_lp_rounding"])
-def test_scipy_loads_with_the_first_ablation_solve(solver):
-    report = _fresh_interpreter(
-        _SMALL_INSTANCE
-        + "before = heavy()\n"
-        + f"solution = {solver}(problem)\n"
-        + "report = {'before': before, 'after': heavy(),\n"
-        + "          'open': solution.open_facilities, 'assignment': solution.assignment}"
-    )
-    assert report["before"] == []
-    assert report["after"] == ["scipy"]
-    # The optimum both solvers returned before the import moved.
-    assert report["open"] == [0, 2]
-    assert report["assignment"] == [0, 2, 2]
-
-
-#: Standard modules that load arbitrary objects (and so code) from bytes.
-_CODE_LOADERS = ("pickle", "marshal", "shelve")
-
-
-def test_no_module_imports_a_code_loader():
+def _imports_under_src(roots):
+    """``"<path>:<line> imports <name>"`` for every absolute import under
+    ``src/repro`` whose top-level package is in ``roots``."""
     found = []
     for path in sorted((_SRC / "repro").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -110,6 +82,18 @@ def test_no_module_imports_a_code_loader():
             found += [
                 f"{path.relative_to(_SRC)}:{node.lineno} imports {name}"
                 for name in names
-                if name.split(".")[0] in _CODE_LOADERS
+                if name.split(".")[0] in roots
             ]
-    assert found == []
+    return found
+
+
+def test_no_module_imports_scipy_or_networkx():
+    assert _imports_under_src(("scipy", "networkx")) == []
+
+
+#: Standard modules that load arbitrary objects (and so code) from bytes.
+_CODE_LOADERS = ("pickle", "marshal", "shelve")
+
+
+def test_no_module_imports_a_code_loader():
+    assert _imports_under_src(_CODE_LOADERS) == []

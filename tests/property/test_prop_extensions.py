@@ -1,7 +1,5 @@
-"""Property-based tests for the extension modules (serialization,
-migration, audit)."""
+"""Property-based tests for the extension modules (serialization, audit)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +10,6 @@ from repro.core.block import make_genesis
 from repro.core.blockchain import Blockchain
 from repro.core.config import SystemConfig
 from repro.core.metadata import create_metadata
-from repro.core.migration import plan_migration
 from repro.core.serialization import (
     block_from_bytes,
     block_from_dict,
@@ -21,9 +18,6 @@ from repro.core.serialization import (
     metadata_from_dict,
     metadata_to_dict,
 )
-from repro.facility.problem import solution_cost_of_open_set
-from tests import spec
-from tests.helpers import integer_ufl
 
 _ACCOUNT = Account.for_node(4242, 0)
 
@@ -64,54 +58,6 @@ class TestSerializationProperties:
         decoded = block_from_dict(block_to_dict(genesis))
         assert decoded.current_hash == genesis.current_hash
         assert decoded.hash_is_valid()
-
-
-class TestMigrationProperties:
-    @st.composite
-    @staticmethod
-    def instances_with_start(draw):
-        num_f = draw(st.integers(min_value=2, max_value=8))
-        num_c = draw(st.integers(min_value=1, max_value=8))
-        seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-        rng = np.random.default_rng(seed)
-        problem = integer_ufl(
-            facility_costs=rng.integers(1, 16, size=num_f),
-            connection_costs=rng.integers(0, 11, size=(num_f, num_c)),
-        )
-        start_size = draw(st.integers(min_value=1, max_value=num_f))
-        start = sorted(
-            int(i) for i in rng.choice(num_f, size=start_size, replace=False)
-        )
-        budget = draw(st.integers(min_value=0, max_value=5))
-        return problem, start, budget
-
-    @settings(max_examples=30, deadline=None)
-    @given(instances_with_start())
-    def test_migration_never_increases_cost(self, case):
-        problem, start, budget = case
-        plan = plan_migration(problem, start, max_operations=budget)
-        assert plan.final_cost <= plan.initial_cost
-        assert plan.operations <= budget
-
-    @settings(max_examples=30, deadline=None)
-    @given(instances_with_start())
-    def test_final_set_cost_consistent(self, case):
-        problem, start, budget = case
-        plan = plan_migration(problem, start, max_operations=budget)
-        final_set = plan.final_open_set(start)
-        assert solution_cost_of_open_set(problem, final_set) == plan.final_cost
-        assignment = spec.assign(problem, final_set)
-        assert spec.objective(problem, final_set, assignment) == plan.final_cost
-
-    @settings(max_examples=30, deadline=None)
-    @given(instances_with_start())
-    def test_drift_never_worsens(self, case):
-        # "Drift" is measured against the greedy reference, which a lucky
-        # start can beat (greedy is 1.861-approximate) — so the invariant
-        # is monotone improvement, not drift ≥ 1.
-        problem, start, budget = case
-        plan = plan_migration(problem, start, max_operations=budget)
-        assert plan.final_drift <= plan.initial_drift
 
 
 class TestAuditProperties:

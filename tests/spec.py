@@ -16,13 +16,17 @@ fast or clever; tests compare the production code against it:
   (cost, client) order, the shortest prefix of least average cost), the
   least such average over facilities with the lowest index on ties, and
   at the end every client to its cheapest open facility, again the
-  lowest index on ties.
+  lowest index on ties;
+* :func:`optimum` — the least Eq. 3 over every open set, each client at
+  its cheapest open facility: the exact optimum the greedy's
+  approximation bound is checked against.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from repro.simnet.topology import UNREACHABLE
@@ -151,3 +155,25 @@ def greedy(problem) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         unassigned.difference_update(clients)
     open_facilities = tuple(sorted(opened))
     return open_facilities, assign(problem, open_facilities)
+
+
+def optimum(problem) -> Cost:
+    """The least Eq. 3 over every nonempty open set of facilities that can
+    open, each with :func:`assign`'s assignment (for a fixed open set the
+    cheapest one).  Exponential: for instances of a few facilities.
+
+    Raises ``ValueError`` when some client cannot be served.
+    """
+    opening = opening_costs(problem)
+    can_open = [f for f in range(problem.num_facilities) if opening[f] != math.inf]
+    best = min(
+        (
+            objective(problem, subset, assign(problem, subset))
+            for size in range(1, len(can_open) + 1)
+            for subset in combinations(can_open, size)
+        ),
+        default=math.inf,
+    )
+    if best == math.inf:
+        raise ValueError("infeasible: a client has no reachable facility")
+    return best

@@ -1,8 +1,6 @@
-"""Unit tests for the ASCII plotting helpers."""
+"""Unit tests for the ASCII sparkline."""
 
-import pytest
-
-from repro.metrics.ascii_plot import bar_chart, sparkline
+from repro.metrics.ascii_plot import sparkline
 
 
 class TestSparkline:
@@ -43,47 +41,3 @@ class TestSparkline:
         assert line[1] == " "
         assert line[0] != " " and line[2] != " "
 
-
-class TestBarChart:
-    def test_bars_scale_to_peak(self):
-        chart = bar_chart(["a", "b"], [10.0, 5.0], width=10)
-        lines = chart.splitlines()
-        assert lines[0].count("█") == 10
-        assert lines[1].count("█") == 5
-
-    def test_labels_aligned(self):
-        chart = bar_chart(["short", "a-very-long-label"], [1.0, 2.0])
-        lines = chart.splitlines()
-        assert lines[0].index("|") == lines[1].index("|")
-
-    def test_values_shown(self):
-        chart = bar_chart(["x"], [3.25])
-        assert "3.25" in chart
-
-    def test_unit_suffix(self):
-        assert "MB" in bar_chart(["x"], [7.0], unit="MB")
-
-    def test_empty(self):
-        assert bar_chart([], []) == ""
-
-    def test_mismatched_inputs(self):
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1.0, 2.0])
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1.0], width=0)
-
-    def test_zero_values_empty_bars(self):
-        chart = bar_chart(["a", "b"], [0.0, 0.0])
-        assert "█" not in chart
-
-    def test_single_bar_fills_the_width(self):
-        chart = bar_chart(["only"], [2.5], width=8)
-        assert chart.count("█") == 8
-
-    def test_nan_value_gets_empty_bar(self):
-        chart = bar_chart(["a", "b"], [float("nan"), 4.0], width=8)
-        lines = chart.splitlines()
-        assert "█" not in lines[0] and "nan" in lines[0]
-        assert lines[1].count("█") == 8

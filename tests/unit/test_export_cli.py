@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.metrics.collector import collect_run_metrics
-from repro.metrics.export import metrics_to_record, read_json, write_csv
+from repro.metrics.export import metrics_to_record, write_csv
 from repro.obs.export import write_json
 from repro.simnet.trace import TransmissionTrace
 
@@ -41,7 +41,8 @@ class TestExport:
     def test_json_round_trip(self, sample_metrics, tmp_path):
         records = [metrics_to_record(sample_metrics, seed=1)]
         path = write_json(records, tmp_path / "out" / "run.json")
-        loaded = read_json(path)
+        with path.open(encoding="utf-8") as handle:
+            loaded = json.load(handle)
         assert loaded[0]["seed"] == 1
         assert loaded[0]["chain_height"] == 1
 

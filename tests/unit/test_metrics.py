@@ -8,7 +8,7 @@ import pytest
 from repro.metrics.collector import collect_run_metrics
 from repro.metrics.gini import gini_coefficient, gini_pairwise
 from repro.metrics.report import format_cell, render_table
-from repro.metrics.stats import Summary, mean_or_nan, percent_change, ratio
+from repro.metrics.stats import Summary, mean_or_nan
 from repro.simnet.trace import TransmissionTrace
 
 
@@ -92,14 +92,6 @@ class TestStats:
         assert mean_or_nan([2, 4]) == 3.0
         assert math.isnan(mean_or_nan([]))
 
-    def test_ratio(self):
-        assert ratio(1.0, 2.0) == 0.5
-        assert math.isnan(ratio(1.0, 0.0))
-
-    def test_percent_change(self):
-        assert percent_change(85.0, 100.0) == pytest.approx(-15.0)
-        assert math.isnan(percent_change(1.0, 0.0))
-
 
 class TestRunMetrics:
     def make_metrics(self):
@@ -141,9 +133,6 @@ class TestRunMetrics:
         assert metrics.block_intervals == [60.0, 70.0]
         assert metrics.mean_block_interval() == pytest.approx(65.0)
         assert metrics.chain_height() == 2
-
-    def test_mining_distribution(self):
-        assert self.make_metrics().mining_distribution() == [1, 0, 1]
 
     def test_recovery(self):
         assert self.make_metrics().mean_recovery_duration() == 2.0

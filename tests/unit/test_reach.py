@@ -6,6 +6,7 @@ functions that still exist, so a deletion must also update the list.
 """
 
 import importlib.util
+import socket
 import sys
 from pathlib import Path
 
@@ -147,19 +148,22 @@ def test_every_listed_function_still_exists(reach):
     assert missing == [], "remove these from tools/unreached.txt: " + ", ".join(missing)
 
 
+@pytest.fixture
+def package(reach, tmp_path, monkeypatch):
+    """A one-module package ``repro/mod.py`` with an empty list file."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text("def f():\n    pass\n")
+    listing = tmp_path / "unreached.txt"
+    listing.write_text(reach.render_list([], {}))
+    monkeypatch.setattr(reach, "ROOT", tmp_path)
+    monkeypatch.setattr(reach, "PACKAGE", package)
+    monkeypatch.setattr(reach, "LIST_FILE", listing)
+    return package
+
+
 class TestSourcesStayPut:
     """The audit refuses a run during which a source under the package changed."""
-
-    @pytest.fixture
-    def package(self, reach, tmp_path, monkeypatch):
-        package = tmp_path / "src" / "repro"
-        package.mkdir(parents=True)
-        (package / "mod.py").write_text("def f():\n    pass\n")
-        listing = tmp_path / "unreached.txt"
-        listing.write_text(reach.render_list([], {}))
-        monkeypatch.setattr(reach, "PACKAGE", package)
-        monkeypatch.setattr(reach, "LIST_FILE", listing)
-        return package
 
     def test_an_unchanged_tree_is_compared(self, reach, package, monkeypatch):
         monkeypatch.setattr(reach, "run_paths", lambda work: ({("repro/mod.py", 1, "f")}, []))
@@ -179,3 +183,32 @@ class TestSourcesStayPut:
         assert reach.main(argv) == 2
         assert "repro/mod.py" in capsys.readouterr().err
         assert reach.LIST_FILE.read_text() == listed
+
+
+class TestWrite:
+    def test_a_timing_entry_stays_while_its_function_exists(
+        self, reach, package, monkeypatch
+    ):
+        (package / "mod.py").write_text(
+            "def f():\n    pass\n\n\ndef g():\n    pass\n\n\ndef h():\n    pass\n"
+        )
+        reach.LIST_FILE.write_text(reach.render_list(
+            ["repro/mod.py::g", "repro/mod.py::h", "repro/mod.py::gone"],
+            {"repro/mod.py::g": "timing: a slow dial", "repro/mod.py::h": "an oracle",
+             "repro/mod.py::gone": "timing: deleted since"},
+        ))  # fmt: skip
+        # This run reached all three: only the timing entry that exists stays.
+        reached = {("repro/mod.py", 1, "f"), ("repro/mod.py", 5, "g"), ("repro/mod.py", 9, "h")}
+        monkeypatch.setattr(reach, "run_paths", lambda work: (reached, []))
+        assert reach.main(["--write"]) == 0
+        assert reach.read_list(reach.LIST_FILE) == {"repro/mod.py::g": "timing: a slow dial"}
+        # The kept entry is reached-but-listed: stale, not a failure.
+        assert reach.main([]) == 0
+
+
+def test_free_ports_skip_a_port_in_use(reach):
+    base = reach.free_ports(4)
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as taken:
+        taken.bind(("127.0.0.1", base))
+        taken.listen()
+        assert reach.free_ports(2, start=base) >= base + 2

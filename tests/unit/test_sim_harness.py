@@ -112,7 +112,7 @@ class TestRunExperiment:
             [cluster.nodes[4]], full.duration_seconds, cluster.network.trace
         )
         assert subset.per_node_bytes == [full.per_node_bytes[4]]
-        assert subset.mining_distribution() == [full.blocks_mined[4]]
+        assert subset.blocks_mined == {4: full.blocks_mined[4]}
 
     def test_zero_data_rate_mines_only(self, fast_config):
         from dataclasses import replace

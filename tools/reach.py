@@ -24,7 +24,9 @@ reached and ``tools/unreached.txt`` does not list fails the check, as
 does a listed name that no longer exists.  A listed function that was
 reached is printed as stale but does not fail: some branches of the live
 fabric depend on timing.  ``--write`` regenerates the file and keeps the
-``# note`` written after each entry that stays.
+``# note`` written after each entry that stays; an entry whose note starts
+``timing:`` stays while its function exists, reached this time or not.
+The live ``--procs`` path takes ports that bind when the audit starts.
 
 The audit matches what ran to its ``def`` by first line, so a source
 edited while the paths run would list reached functions as unreached:
@@ -42,6 +44,7 @@ import argparse
 import ast
 import os
 import shutil
+import socket
 import subprocess
 import sys
 import tempfile
@@ -60,9 +63,10 @@ Site = Tuple[str, int, str]
 
 _REPRO = ["{python}", "-m", "repro"]
 
-#: The user paths, in order; ``{t}`` is the temporary directory and
-#: ``{root}`` the checkout.  Each entry is (accepted exit codes, argv).
-#: Later commands read what earlier ones wrote.
+#: The user paths, in order; ``{t}`` is the temporary directory,
+#: ``{root}`` the checkout, and ``{port}`` / ``{telemetry}`` the first of
+#: two free node / telemetry ports (:func:`free_ports`).  Each entry is
+#: (accepted exit codes, argv).  Later commands read what earlier ones wrote.
 PATHS: List[Tuple[Tuple[int, ...], List[str]]] = [
     # CI's runtime-only step
     ((0,), _REPRO + ["run", "--nodes", "6", "--minutes", "2", "--seed", "1"]),
@@ -93,8 +97,8 @@ PATHS: List[Tuple[Tuple[int, ...], List[str]]] = [
     ((0,), _REPRO + ["live", "run", "--nodes", "3", "--minutes", "3", "--seed", "1",
                      "--base-port", "0"]),
     ((0,), _REPRO + ["live", "run", "--nodes", "2", "--minutes", "3", "--seed", "3",
-                     "--procs", "--base-port", "46350", "--time-scale", "0.05",
-                     "--start-lead", "10", "--obs", "{t}/live-obs", "--telemetry", "47410"]),
+                     "--procs", "--base-port", "{port}", "--time-scale", "0.05",
+                     "--start-lead", "10", "--obs", "{t}/live-obs", "--telemetry", "{telemetry}"]),
     ((0, 1), _REPRO + ["chaos", "run", "--nodes", "5", "--minutes", "4", "--seed", "2",
                        "--adversary", "equivocator=1"]),
     # the sim fabric's partition overlay (simnet.faults.PartitionInjector)
@@ -246,6 +250,24 @@ def compare(
 # -- running the paths ----------------------------------------------------------------
 
 
+def free_ports(count: int, start: int = 46350, stop: int = 65536) -> int:
+    """The first ``base >= start`` (in steps of ``count``) whose ``count``
+    ports from ``base`` on all bind on 127.0.0.1 now."""
+    for base in range(start, stop - count + 1, count):
+        probes: List[socket.socket] = []
+        try:
+            for port in range(base, base + count):
+                probes.append(socket.socket(socket.AF_INET, socket.SOCK_STREAM))
+                probes[-1].bind(("127.0.0.1", port))
+        except OSError:
+            continue
+        finally:
+            for probe in probes:
+                probe.close()
+        return base
+    raise RuntimeError(f"no {count} free ports in [{start}, {stop})")
+
+
 def run_paths(work: Path) -> Tuple[Set[Site], List[str]]:
     """Run every path under ``work``; ``(reached sites, failed commands)``."""
     site_dir, out_dir, scratch = work / "site", work / "records", work / "run"
@@ -260,11 +282,12 @@ def run_paths(work: Path) -> Tuple[Set[Site], List[str]]:
         PYTHONPATH=f"{site_dir}:{SRC.resolve()}",
         PYTHONDONTWRITEBYTECODE="1",
     )
+    # The two-node --procs run: node ports base, base + 1; telemetry base + 2, + 3.
+    port = free_ports(4)
+    fields = dict(python=sys.executable, t=scratch, root=ROOT, port=port, telemetry=port + 2)
     failed: List[str] = []
     for accepted, template in PATHS:
-        argv = [
-            part.format(python=sys.executable, t=scratch, root=ROOT) for part in template
-        ]
+        argv = [part.format(**fields) for part in template]
         shown = " ".join(argv[1:]).replace(str(scratch), "$T").replace(str(ROOT) + "/", "")
         start = time.monotonic()
         try:
@@ -317,7 +340,10 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"{len(unreached)} unreached")  # fmt: skip
     notes = read_list(LIST_FILE) if LIST_FILE.exists() else {}
     if args.write:
-        LIST_FILE.write_text(render_list(unreached, notes), encoding="utf-8")
+        # Some runs reach a ``timing:`` entry; it stays while its function does.
+        timing = {key for key, note in notes.items() if note.startswith("timing:")}
+        kept = set(unreached) | (timing & set(defs))
+        LIST_FILE.write_text(render_list(kept, notes), encoding="utf-8")
         print(f"wrote {LIST_FILE.relative_to(ROOT)}")
         return 0
     failures, stale = compare(defs, reached, notes)

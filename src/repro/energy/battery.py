@@ -3,7 +3,7 @@
 The Fig. 6 experiment reports *remaining battery percent* after each mined
 block; :class:`Battery` tracks exactly that.  Draining past empty clamps at
 zero and flips :attr:`Battery.depleted` — miners stop when their battery
-dies, which the endurance benchmarks rely on.
+dies, which the Fig. 6 sessions rely on.
 """
 
 from __future__ import annotations

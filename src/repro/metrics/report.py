@@ -1,8 +1,8 @@
-"""Plain-text tabular reports for the benchmark harness.
+"""Plain-text tabular reports for the CLI.
 
-The benchmarks print the same rows/series the paper's figures plot; this
-module renders them as aligned text tables so the numbers are readable in
-CI logs and in ``bench_output.txt``.
+``repro reproduce`` prints the same rows/series the paper's figures plot,
+and the run and observability verbs their summaries; this module renders
+them as aligned text tables so the numbers are readable in CI logs.
 """
 
 from __future__ import annotations

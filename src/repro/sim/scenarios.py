@@ -11,8 +11,10 @@ ablation scenarios default to :data:`BENCH_DURATION_MINUTES`.
 Fig. 4 and Fig. 5 sweeps (:func:`fig4_grid`, :func:`fig5_grid`) over two
 seeds, the Fig. 6 battery sessions (:func:`mining_session`) and the
 energy headline (:func:`pos_energy_saving`) — and returns one plain-data
-record whose ``claims`` (:func:`paper_claims`) hold or fail.  ``repro
-reproduce`` prints it and exits non-zero when a claim fails.
+record whose ``claims`` (:func:`paper_claims`) hold or fail, as do those
+of the design choices the paper defends in prose (:func:`mechanisms`) and
+of node counts past its sweep (:func:`scale`).  ``repro reproduce``
+prints it and exits non-zero when a claim fails.
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.adversary import DenyingNode
 from repro.core.config import PAPER_CONFIG, SystemConfig
 from repro.core.pos import compute_amendment, compute_hit, mining_delay
-from repro.core.pow import PAPER_POW_DIFFICULTY, PowMiner
+from repro.core.pow import PAPER_POW_DIFFICULTY, PowMiner, pow_difficulty_for
 from repro.energy.meter import EnergyMeter
+from repro.sim.cluster import build_cluster
 from repro.sim.runner import ChurnSpec, ExperimentSpec, run_experiment
 
 #: Node counts of the Fig. 4 / Fig. 5 sweeps.
@@ -51,6 +55,12 @@ FIG6_BLOCK_TIME = 25.0
 
 #: Fig. 6 session length in minutes (the paper's handset run).
 FIG6_MINUTES = 84.0
+
+#: Ablation A4's target block interval t0 in seconds.
+INTERVAL_T0 = 60.0
+#: The scale sweep's node counts (up to 20x the paper's 50) and its seed.
+SCALE_NODE_COUNTS: Tuple[int, ...] = (100, 400, 1000)
+SCALE_SEED = 5
 
 
 def data_amount_scenario(
@@ -151,6 +161,26 @@ def fdc_weight_scenario(
         seed=seed,
         duration_minutes=duration_minutes,
     )
+
+
+def denier_scenario(fraction: float, seed: int = 0) -> ExperimentSpec:
+    """Ablation A8: ``fraction`` of 20 nodes, drawn from
+    ``default_rng(seed + 1000)``, are :class:`DenyingNode` free-riders that
+    accept storage assignments and refuse to serve."""
+    node_count, rng = 20, np.random.default_rng(seed + 1000)
+    count = int(round(fraction * node_count))
+    malicious = sorted(int(n) for n in rng.choice(node_count, size=count, replace=False))
+    config = replace(PAPER_CONFIG, data_items_per_minute=1.0, expected_block_interval=30.0)
+    return ExperimentSpec(node_count=node_count, config=config, seed=seed, duration_minutes=45.0,
+                          node_classes={node: DenyingNode for node in malicious})
+
+
+def scale_scenario(node_count: int) -> ExperimentSpec:
+    """One scale cell at :data:`SCALE_SEED`: 2 items/min, 30 s blocks and
+    15 minutes, long enough for requests to fall due."""
+    config = replace(PAPER_CONFIG, data_items_per_minute=2.0, expected_block_interval=30.0)
+    return ExperimentSpec(node_count=node_count, config=config, seed=SCALE_SEED,
+                          duration_minutes=15.0)
 
 
 # -- Fig. 4 / Fig. 5 sweeps ---------------------------------------------------------
@@ -410,6 +440,178 @@ def paper_claims(record: Dict[str, object]) -> List[Claim]:
     ]
 
 
+# -- Mechanisms and scale ------------------------------------------------------------
+
+
+def probe(spec: ExperimentSpec) -> Dict[str, object]:
+    """Run one mechanism or scale run and keep what its claims read."""
+    result = run_experiment(spec)
+    metrics = result.metrics
+    return {
+        "gini": float(metrics.storage_gini()),
+        "delivery": float(metrics.average_delivery_time()),
+        "slots": float(np.mean(metrics.storage_used)),
+        "mb": float(metrics.average_node_megabytes()),
+        "items": metrics.data_items_produced,
+        "height": metrics.chain_height(),
+        "served": len(metrics.delivery_times),
+        "failed": int(metrics.failed_requests),
+        "intervals": [float(v) for v in metrics.block_intervals],
+        "recoveries": [float(v) for v in metrics.recovery_durations],
+        # Block recovery plus the whole-chain sync it escalates to.
+        "recovery_bytes": sum(metrics.category_bytes.get(category, 0)
+                              for category in ("block_recovery", "chain_sync")),
+        "claims": sum(node.counters.claims_broadcast for node in result.cluster.nodes.values()),
+    }
+
+
+def network_energy(consensus: str) -> Dict[str, float]:
+    """Ablation A7: 10 metered nodes mining under ``consensus`` for 20
+    minutes at seed 5 and t0 = 30 s, PoW's difficulty retuned so the
+    network (not each miner) mines one block per t0 at the handset's rate."""
+    nodes, minutes, t0 = 10, 20.0, 30.0
+    hash_rate = 16**PAPER_POW_DIFFICULTY / FIG6_BLOCK_TIME
+    config = replace(PAPER_CONFIG, consensus=consensus, data_items_per_minute=0.0,
+                     expected_block_interval=t0, pow_hash_rate=hash_rate,
+                     pow_difficulty=pow_difficulty_for(t0, nodes, hash_rate))
+    cluster = build_cluster(nodes, config, seed=5, with_energy_meters=True)
+    cluster.start()
+    cluster.engine.run_until(minutes * 60.0)
+    height = cluster.longest_chain_node().chain.height
+    joules = sum(node.meter.total_consumed() for node in cluster.nodes.values())
+    watts = joules / (minutes * 60.0)
+    return {"height": height, "network_watts": watts, "per_node_watts": watts / nodes,
+            "joules_per_block": joules / max(1, height)}
+
+
+def mechanisms() -> Dict[str, object]:
+    """Ablations A1, A3, A4, A7 and A8 at their seeds: the means their claims read."""
+
+    def runs(build, seeds=(0, 1)) -> List[Dict[str, object]]:
+        return [probe(build(seed)) for seed in seeds]
+
+    def weighted(weight: float) -> Dict[str, float]:
+        cells = runs(lambda s: fdc_weight_scenario(weight, node_count=20, seed=s))
+        keys = ("gini", "delivery", "slots", "mb")
+        return {"weight": weight, **{key: float(np.mean([c[key] for c in cells])) for key in keys}}
+
+    def recovery(cache: bool) -> Dict[str, float]:
+        arm = runs(lambda s: churn_scenario(20, seed=s, recent_cache_enabled=cache), (0, 1, 2))
+        durations = [d for run in arm for d in run["recoveries"]]
+        p95 = float(np.percentile(durations, 95)) if durations else float("nan")
+        return {"recoveries": len(durations), "mean": float(np.mean(durations)), "p95": p95,
+                "kb": float(np.mean([run["recovery_bytes"] for run in arm])) / 1e3}
+
+    def interval(nodes: int) -> Dict[str, float]:
+        gaps = [gap for run in runs(lambda s: mining_only_scenario(
+            nodes, INTERVAL_T0, duration_minutes=120.0, seed=s)) for gap in run["intervals"]]
+        return {"nodes": nodes, "mean": float(np.mean(gaps)), "std": float(np.std(gaps)),
+                "blocks": len(gaps)}
+
+    def rescaled(every: int) -> float:
+        base = mining_only_scenario(20, 30.0, duration_minutes=120.0)
+        config = replace(base.config, token_rescale_interval=every)
+        return float(np.mean(probe(replace(base, config=config))["intervals"]))
+
+    def deniers(fraction: float) -> Dict[str, float]:
+        cells = runs(lambda s: denier_scenario(fraction, seed=s))
+        asked = [c["served"] + c["failed"] for c in cells]
+        success = [c["served"] / n if n else float("nan") for c, n in zip(cells, asked)]
+        return {"fraction": fraction, "success": float(np.mean(success)),
+                "delivery": float(np.mean([c["delivery"] for c in cells])),
+                "claims": int(np.mean([c["claims"] for c in cells]))}
+
+    pos, pow_ = network_energy("pos"), network_energy("pow")
+    return {
+        # The paper fixes A = 1000 "after some tests" (Section IV-A-3).
+        "fdc_weight": [weighted(weight) for weight in (1.0, 10.0, 100.0, 1000.0, 10000.0)],
+        "recent_cache": {"on": recovery(True), "off": recovery(False)},
+        "pos_interval": [interval(nodes) for nodes in (10, 30, 50)],
+        # 10 000 blocks is past the run: S is never rescaled.
+        "rescale": {"every_10": rescaled(10), "never": rescaled(10_000)},
+        "network_energy": {"pos": pos, "pow": pow_,
+                           "saving": 100.0 * (1.0 - pos["network_watts"] / pow_["network_watts"])},
+        "deniers": [deniers(fraction) for fraction in (0.0, 0.1, 0.25, 0.4)],
+    }
+
+
+def mechanism_claims(record: Dict[str, object]) -> List[Claim]:
+    """What ablations A1, A3, A4, A7 and A8 show, on :func:`mechanisms`'
+    means.  Where a bound compares two arms the check is that comparison,
+    and ``measured`` is their ratio."""
+    m = record["mechanisms"]
+    low, chosen = (next(r for r in m["fdc_weight"] if r["weight"] == a) for a in (1.0, 1000.0))
+    on, off = m["recent_cache"]["on"], m["recent_cache"]["off"]
+    every, never = m["rescale"]["every_10"], m["rescale"]["never"]
+    pos, pow_ = m["network_energy"]["pos"], m["network_energy"]["pow"]
+    share = {row["fraction"]: row for row in m["deniers"]}
+    return [
+        _claim("A1 slots used per node, A=1000 / A=1", "< 0.5", [
+            ("A=1000", chosen["slots"] / low["slots"], chosen["slots"] < 0.5 * low["slots"])]),
+        _claim("A1 MB per node, A=1000 / A=1", "< 1", [
+            ("A=1000", chosen["mb"] / low["mb"], chosen["mb"] < low["mb"])]),
+        _claim("A1 mean delivery, A=1000 / A=1", ">= 1", [
+            ("A=1000", chosen["delivery"] / low["delivery"],
+             chosen["delivery"] >= low["delivery"])]),
+        _every("A1 mean delivery at A=1000 (s)", "< 4",
+               [("A=1000", chosen["delivery"])], lambda v: v < 4.0),
+        _every("A1 storage Gini at A=1000", "< 0.15",
+               [("A=1000", chosen["gini"])], lambda v: v < 0.15),
+        _every("A3 recoveries completed in each arm", "> 0",
+               [("cache on", on["recoveries"]), ("cache off", off["recoveries"])],
+               lambda v: v > 0, worst=min),
+        _claim("A3 recovery traffic, cache on / off", "< 1",
+               [("20 nodes", on["kb"] / off["kb"], on["kb"] < off["kb"])]),
+        _claim("A3 mean recovery time, cache on / off", "<= 2",
+               [("20 nodes", on["mean"] / off["mean"], on["mean"] <= off["mean"] * 2.0)]),
+        _every(f"A4 mean block interval at every n (s), t0 = {INTERVAL_T0:g} s",
+               f"{0.5 * INTERVAL_T0:g} <= x <= {1.5 * INTERVAL_T0:g}",
+               [(f"n={row['nodes']}", row["mean"]) for row in m["pos_interval"]],
+               lambda v: 0.5 * INTERVAL_T0 <= v <= 1.5 * INTERVAL_T0),
+        _claim("A4 |interval rescaling S every 10 blocks - never| / never", "<= 0.25", [
+            ("20 nodes", abs(every - never) / abs(never),
+             abs(every - never) <= 0.25 * abs(never))]),
+        _every("A7 PoS / PoW chain height", "0.4 < x < 2.5",
+               [("10 nodes", pos["height"] / pow_["height"])], lambda v: 0.4 < v < 2.5),
+        _every("A7 PoS network power saving vs PoW (%)", "> 50",
+               [("10 nodes", m["network_energy"]["saving"])], lambda v: v > 50.0, worst=min),
+        _every("A8 request success with no deniers", "> 0.99",
+               [("0 %", share[0.0]["success"])], lambda v: v > 0.99, worst=min),
+        _every("A8 request success with 25 % deniers", "> 0.95",
+               [("25 %", share[0.25]["success"])], lambda v: v > 0.95, worst=min),
+        _every("A8 claims broadcast with no deniers", "= 0",
+               [("0 %", share[0.0]["claims"])], lambda v: v == 0),
+        _every("A8 claims broadcast with 25 % or 40 % deniers", "> 0",
+               [("25 % or 40 %", max(share[0.25]["claims"], share[0.4]["claims"]))],
+               lambda v: v > 0, worst=min),
+    ]
+
+
+def scale() -> List[Dict[str, object]]:
+    """The scale sweep: one :func:`scale_scenario` cell per node count."""
+    keys = ("items", "height", "served", "delivery", "gini", "failed")
+    runs = {nodes: probe(scale_scenario(nodes)) for nodes in SCALE_NODE_COUNTS}
+    return [{"nodes": nodes, "seed": SCALE_SEED, **{key: run[key] for key in keys}}
+            for nodes, run in runs.items()]
+
+
+def scale_claims(record: Dict[str, object]) -> List[Claim]:
+    """In every scale cell the chain advances, work is produced and
+    served, storage stays balanced and no request fails."""
+    checks = [
+        ("chain height", "height", ">= 3", lambda v: v >= 3, min),
+        ("items produced", "items", "> 0", lambda v: v > 0, min),
+        ("deliveries", "served", "> 0", lambda v: v > 0, min),
+        ("storage Gini", "gini", "< 0.15", lambda v: v < 0.15, max),
+        ("failed requests", "failed", "= 0", lambda v: v == 0, max),
+    ]
+    return [
+        _every(f"Scale {name} in every cell", bound,
+               [(f"n={cell['nodes']}", cell[key]) for cell in record["scale"]["cells"]], ok, worst)
+        for name, key, bound, ok, worst in checks
+    ]
+
+
 def _drain(series: List[Tuple[int, float, float]]) -> Dict[str, float]:
     """A Fig. 6 session's totals after its last block."""
     blocks, _, remaining = series[-1]
@@ -460,4 +662,8 @@ def reproduce() -> Dict[str, object]:
         ],
     }
     record["claims"] = paper_claims(record)
+    record["mechanisms"] = mechanisms()
+    record["mechanisms"]["claims"] = mechanism_claims(record)
+    record["scale"] = {"cells": scale()}
+    record["scale"]["claims"] = scale_claims(record)
     return record

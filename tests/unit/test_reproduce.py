@@ -1,8 +1,9 @@
 """``reproduce``: the paper's claims, checked on plain-data cell records.
 
 The real run takes about two minutes at 500 simulated minutes per cell,
-so these tests swap :func:`repro.sim.scenarios.run_cell` for canned
-metrics and check the claim rules, the record, and the verb's exit code.
+so these tests swap its runners (:func:`repro.sim.scenarios.run_cell`,
+``probe``, ``network_energy``) for canned metrics and check the claim
+rules, the record, and the verb's exit code.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from repro.sim.scenarios import (
     PAPER_NODE_COUNTS,
     PAPER_SEED_COUNT,
     data_amount_scenario,
+    mechanism_claims,
     paper_claims,
     placement_scenario,
+    scale_claims,
 )
 
 
@@ -42,6 +45,38 @@ def canned_run(spec):
     }
 
 
+def canned_probe(spec):
+    """A healthy mechanism or scale run: A = 1000 stores and sends less than A = 1 and
+    delivers slower, the cache cuts recovery traffic, blocks come every t0."""
+    config = spec.config
+    thin, cached = config.fdc_weight >= 1000, config.recent_cache_capacity > 0
+    return {
+        "gini": 0.04, "items": 30, "height": 30, "served": 100, "failed": 0,
+        "delivery": 0.5 if thin else 0.01,
+        "slots": 26.0 if thin else 120.0,
+        "mb": 80.0 if thin else 390.0,
+        "intervals": [config.expected_block_interval] * 10,
+        "recoveries": [70.0 if cached else 50.0] * 20,
+        "recovery_bytes": 1_000_000 if cached else 1_700_000,
+        "claims": len(spec.node_classes or {}),
+    }
+
+
+def canned_energy(consensus):
+    watts = 15.0 if consensus == "pos" else 40.0
+    return {"height": 43, "network_watts": watts, "per_node_watts": watts / 10,
+            "joules_per_block": watts * 1200 / 43}
+
+
+@pytest.fixture(autouse=True)
+def probes(monkeypatch):
+    """Specs handed to the canned mechanism and scale runner (A7's is canned too)."""
+    seen = []
+    monkeypatch.setattr(scenarios, "probe", lambda spec: seen.append(spec) or canned_probe(spec))
+    monkeypatch.setattr(scenarios, "network_energy", canned_energy)
+    return seen
+
+
 @pytest.fixture
 def runs(monkeypatch):
     """Specs handed to the cell runner, which answers with canned metrics."""
@@ -61,45 +96,80 @@ def record(runs):
 
 
 def failing(record):
-    return [claim["claim"] for claim in paper_claims(record) if not claim["holds"]]
+    claims = paper_claims(record) + mechanism_claims(record) + scale_claims(record)
+    return [claim["claim"] for claim in claims if not claim["holds"]]
 
 
-def set_cell(key, value):
+def put(paths, value):
+    """Set ``value`` at each space-separated ``key/0/key`` path of the record."""
+
     def mutate(record):
-        record["fig4"][0][key] = value
+        for path in paths.split():
+            *steps, last = [int(step) if step.isdigit() else step for step in path.split("/")]
+            target = record
+            for step in steps:
+                target = target[step]
+            target[last] = value
 
     return mutate
 
 
-def random_faster(record):
-    for cell in record["fig5"]:
-        if cell["solver"] == "random":
-            cell["delivery"] = 0.4
-
-
-def energy_saving(percent):
-    def mutate(record):
-        record["energy_saving"][1]["percent"] = percent
-
-    return mutate
+#: One value moved just past its bound, and the claim that alone fails.
+#: Fig. 5's odd cells are its random arm; A1's rows run A = 1, 10, 100,
+#: 1000, 10000; A8's 0, 10, 25, 40 % (its last case moves both values its
+#: claim reads).
+CASES = [
+    pytest.param(put(paths, value), claim, id=case_id)
+    for case_id, paths, value, claim in [
+        ("gini", "fig4/0/gini", 0.16, "Fig. 4(b) storage Gini < 0.15 in every cell"),
+        ("delivery", "fig4/0/delivery", 4.1, "Fig. 4(c) mean delivery < 4 s in every cell"),
+        ("random-faster", "fig5/1/delivery fig5/3/delivery fig5/5/delivery fig5/7/delivery "
+         "fig5/9/delivery", 0.4, "Fig. 5(a) optimal placement saves delivery time vs random (%)"),
+        ("energy", "energy_saving/1/percent", 55.0, "PoS energy saving per block vs PoW (%)"),
+        ("failed", "fig4/0/failed", 3, "Fig. 4 failed requests per cell"),
+        ("a1-slots", "mechanisms/fdc_weight/3/slots", 60.5, "A1 slots used per node, A=1000 / A=1"),
+        ("a1-mb", "mechanisms/fdc_weight/3/mb", 390.0, "A1 MB per node, A=1000 / A=1"),
+        ("a1-delivery-ratio", "mechanisms/fdc_weight/0/delivery", 0.51,
+         "A1 mean delivery, A=1000 / A=1"),
+        ("a1-delivery", "mechanisms/fdc_weight/3/delivery", 4.0, "A1 mean delivery at A=1000 (s)"),
+        ("a1-gini", "mechanisms/fdc_weight/3/gini", 0.15, "A1 storage Gini at A=1000"),
+        ("a3-recoveries", "mechanisms/recent_cache/off/recoveries", 0,
+         "A3 recoveries completed in each arm"),
+        ("a3-traffic", "mechanisms/recent_cache/on/kb", 1700.0,
+         "A3 recovery traffic, cache on / off"),
+        ("a3-latency", "mechanisms/recent_cache/on/mean", 100.5,
+         "A3 mean recovery time, cache on / off"),
+        ("a4-interval", "mechanisms/pos_interval/1/mean", 90.5,
+         "A4 mean block interval at every n (s), t0 = 60 s"),
+        ("a4-rescale", "mechanisms/rescale/every_10", 37.6,
+         "A4 |interval rescaling S every 10 blocks - never| / never"),
+        ("a7-height", "mechanisms/network_energy/pos/height", 108, "A7 PoS / PoW chain height"),
+        ("a7-saving", "mechanisms/network_energy/saving", 50.0,
+         "A7 PoS network power saving vs PoW (%)"),
+        ("a8-success-0", "mechanisms/deniers/0/success", 0.99,
+         "A8 request success with no deniers"),
+        ("a8-success-25", "mechanisms/deniers/2/success", 0.95,
+         "A8 request success with 25 % deniers"),
+        ("a8-claims-0", "mechanisms/deniers/0/claims", 1, "A8 claims broadcast with no deniers"),
+        ("a8-claims-25-40", "mechanisms/deniers/2/claims mechanisms/deniers/3/claims", 0,
+         "A8 claims broadcast with 25 % or 40 % deniers"),
+        ("scale-height", "scale/cells/1/height", 2, "Scale chain height in every cell"),
+        ("scale-items", "scale/cells/0/items", 0, "Scale items produced in every cell"),
+        ("scale-served", "scale/cells/2/served", 0, "Scale deliveries in every cell"),
+        ("scale-gini", "scale/cells/1/gini", 0.15, "Scale storage Gini in every cell"),
+        ("scale-failed", "scale/cells/0/failed", 1, "Scale failed requests in every cell"),
+    ]
+]
 
 
 class TestClaimRules:
     def test_healthy_record_holds_every_claim(self, record):
         assert record["claims"] == paper_claims(record)
+        assert record["mechanisms"]["claims"] == mechanism_claims(record)
+        assert record["scale"]["claims"] == scale_claims(record)
         assert failing(record) == []
 
-    @pytest.mark.parametrize(
-        "mutate, claim",
-        [
-            (set_cell("gini", 0.16), "Fig. 4(b) storage Gini < 0.15 in every cell"),
-            (set_cell("delivery", 4.1), "Fig. 4(c) mean delivery < 4 s in every cell"),
-            (random_faster, "Fig. 5(a) optimal placement saves delivery time vs random (%)"),
-            (energy_saving(55.0), "PoS energy saving per block vs PoW (%)"),
-            (set_cell("failed", 3), "Fig. 4 failed requests per cell"),
-        ],
-        ids=["gini", "delivery", "random-faster", "energy", "failed"],
-    )
+    @pytest.mark.parametrize("mutate, claim", CASES)
     def test_one_value_past_its_bound_fails_exactly_its_claim(self, record, mutate, claim):
         broken = copy.deepcopy(record)
         mutate(broken)
@@ -142,6 +212,14 @@ class TestReproduceRecord:
         assert json.loads(json.dumps(record)) == record
         assert len(record["fig4"]) == 15 and len(record["fig5"]) == 10
 
+    def test_mechanism_and_scale_runs_are_the_ablation_specs(self, record, probes):
+        # A1 10, A3 6, A4 6 + 2, A8 8 and the 3 scale cells, each distinct.
+        assert len(probes) == len({repr(spec) for spec in probes}) == 35
+        deniers = [spec for spec in probes if spec.node_classes is not None]
+        assert [len(spec.node_classes) for spec in deniers] == [0, 0, 2, 2, 5, 5, 8, 8]
+        assert [(spec.node_count, spec.seed) for spec in probes[-3:]] == [
+            (100, 5), (400, 5), (1000, 5)]
+
 
 class TestReproduceVerb:
     def test_writes_the_record_and_exits_0(self, runs, tmp_path, capsys):
@@ -149,8 +227,11 @@ class TestReproduceVerb:
         assert main(["reproduce", "--json", str(target)]) == 0
         out = capsys.readouterr().out
         assert "Paper claims" in out and "about 120 MB" in out
+        assert all(f"Ablation A{n} —" in out for n in (1, 3, 4, 7, 8))
+        assert "Mechanism claims" in out and "Scale claims" in out and "42/42 claims hold" in out
         written = json.loads(target.read_text())
         assert written["claims"] and all(c["holds"] for c in written["claims"])
+        assert all(c["holds"] for c in written["mechanisms"]["claims"] + written["scale"]["claims"])
 
     def test_exits_1_when_one_claim_fails(self, monkeypatch, tmp_path):
         def unfair(spec):
@@ -166,3 +247,15 @@ class TestReproduceVerb:
         assert [c["claim"] for c in claims if not c["holds"]] == [
             "Fig. 4(b) storage Gini < 0.15 in every cell"
         ]
+
+    def test_exits_1_when_one_mechanism_claim_fails(self, runs, monkeypatch, tmp_path, capsys):
+        # Recovery with the cache on costs as much as with it off.
+        monkeypatch.setattr(
+            scenarios, "probe", lambda spec: {**canned_probe(spec), "recovery_bytes": 10**6})
+        target = tmp_path / "reproduction.json"
+        assert main(["reproduce", "--json", str(target)]) == 1
+        assert "41/42 claims hold" in capsys.readouterr().out
+        written = json.loads(target.read_text())
+        assert all(c["holds"] for c in written["claims"] + written["scale"]["claims"])
+        failed = [c["claim"] for c in written["mechanisms"]["claims"] if not c["holds"]]
+        assert failed == ["A3 recovery traffic, cache on / off"]

@@ -5,8 +5,8 @@
     python tools/reach.py --write   # run the paths, regenerate tools/unreached.txt
 
 The audit runs a declared list of user paths (:data:`PATHS`): every CLI
-verb, each ``examples/*.py``, ``bench/run.py --smoke --trace 1``,
-``repro reproduce`` and the ablation benches.  Each command runs in a
+verb, each ``examples/*.py``, ``bench/run.py --smoke --trace 1`` and
+``repro reproduce`` (figures, ablations, scale sweep).  Each command runs in a
 subprocess whose working directory (and every path it writes) is one
 fresh temporary directory, so nothing is written into the checkout.
 
@@ -114,17 +114,14 @@ PATHS: List[Tuple[Tuple[int, ...], List[str]]] = [
     ((0,), _REPRO + ["report", "{t}/obs-a"]),
     ((0, 1), _REPRO + ["compare", "{t}/obs-a", "{t}/obs-b"]),
     ((0,), _REPRO + ["top", "{t}/live-obs/node0"]),
-    # the examples, the benchmark smoke, the paper gate, the ablations
+    # the examples, the benchmark smoke, the paper gate
     *[((0,), ["{python}", str(path)]) for path in sorted((ROOT / "examples").glob("*.py"))],
     ((0,), ["{python}", "{root}/bench/run.py", "--smoke", "--trace", "1",
             "--workdir", "{t}/bench"]),
     ((0,), _REPRO + ["reproduce", "--json", "{t}/reproduction.json"]),
-    # The other benches rewrite BENCH_headline.json or write other files.
-    ((0,), ["{python}", "-m", "pytest", "-q", "-p", "no:cacheprovider", "--benchmark-disable",
-            *sorted(str(p) for p in (ROOT / "benchmarks").glob("bench_ablation_*.py"))]),
 ]
 
-#: Seconds one command may take (``repro reproduce`` is ≈145 s untraced).
+#: Seconds one command may take (``repro reproduce`` takes the longest).
 PATH_TIMEOUT = 900
 
 _SITECUSTOMIZE = '''\

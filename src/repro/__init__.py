@@ -17,7 +17,8 @@ on Edge Blockchain in Pervasive Edge Computing Environments" (ICDCS 2019):
 * :mod:`repro.persist`, :mod:`repro.lifecycle` — durable runs, resume by
   replay, checkpoint-anchored pruning and the cold archive.
 * :mod:`repro.obs` — spans, metrics, timeline, health monitors.
-* :mod:`repro.chaos` — seeded adversaries and admission checks.
+* :mod:`repro.chaos` — seeded Byzantine adversaries and the safety/liveness
+  verdict ``repro reproduce``'s adversary claims read.
 
 Quickstart::
 

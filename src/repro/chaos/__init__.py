@@ -1,20 +1,19 @@
-"""Seeded adversarial chaos suite: Byzantine fault injection + verdicts.
+"""Seeded Byzantine adversaries and the safety/liveness verdict they face.
 
 The paper's fault model is crash/churn (Section IV-C/D); this package
-injects the *Byzantine* faults an open edge deployment must also survive
+plants the *Byzantine* faults an open edge deployment must also survive
 — equivocating miners, forged blocks, poisoned sync responses, tampered
 metadata, request floods — and checks that the admission-hardened
 protocol (see :mod:`repro.core.admission` and DESIGN.md §11) holds its
 safety and liveness invariants under them.
 
 * :mod:`repro.chaos.adversaries` — EdgeNode subclasses implementing each
-  misbehavior, active inside a configured time window, runnable on both
-  fabrics (simnet and live sockets);
-* :mod:`repro.chaos.scenario` — the seeded :class:`ChaosSpec` describing
-  one scenario (adversary mix, window, optional churn/partition overlay);
-* :mod:`repro.chaos.runner` — drives a scenario through the simulator or
-  the live harness;
+  misbehavior, planted through either fabric's ``node_classes`` hook
+  (simnet and live sockets);
 * :mod:`repro.chaos.verdict` — the end-of-run safety/liveness verdict.
+
+``repro reproduce`` plants each adversary at f < n/3 and gates the
+verdicts as claims (:func:`repro.sim.scenarios.adversaries`).
 """
 
 from repro.chaos.adversaries import (
@@ -25,22 +24,14 @@ from repro.chaos.adversaries import (
     MetadataTampererNode,
     SyncPoisonerNode,
 )
-from repro.chaos.runner import ChaosRunResult, run_chaos
-from repro.chaos.scenario import ChaosSpec, PartitionSpec, node_classes_for
-from repro.chaos.verdict import CHAOS_VERDICT_SCHEMA, compute_verdict
+from repro.chaos.verdict import compute_verdict
 
 __all__ = [
     "ADVERSARY_TYPES",
-    "CHAOS_VERDICT_SCHEMA",
-    "ChaosRunResult",
-    "ChaosSpec",
     "EquivocatorNode",
     "FlooderNode",
     "InvalidBlockSpammerNode",
     "MetadataTampererNode",
-    "PartitionSpec",
     "SyncPoisonerNode",
     "compute_verdict",
-    "node_classes_for",
-    "run_chaos",
 ]

@@ -1,18 +1,19 @@
 """Byzantine adversary behaviors, as EdgeNode subclasses.
 
 Each adversary is an otherwise-honest :class:`~repro.core.node.EdgeNode`
-that misbehaves in exactly one way while its chaos window is open —
-isolating which hardening path each scenario exercises.  The window is
-carried as *class* attributes (``chaos_start`` / ``chaos_stop``, seconds)
-so :func:`repro.chaos.scenario.node_classes_for` can bake a window into
-a dynamic subclass and hand it to either fabric's ``node_classes`` hook
-unchanged.
+that misbehaves in exactly one way whenever it is online — isolating
+which hardening path each scenario exercises.  A class is planted as is
+through either fabric's ``node_classes`` hook
+(:attr:`~repro.sim.runner.ExperimentSpec.node_classes`,
+:attr:`~repro.net.harness.LiveSpec.node_classes`); ``repro reproduce``
+plants them for its adversary claims
+(:func:`repro.sim.scenarios.adversaries`).
 
 Determinism: adversaries draw no randomness of their own.  Every forged
 payload is a pure function of the node's chain state and a local
 counter, and every action is scheduled on the node's engine — so a
 seeded scenario replays bit-identically, which is what lets the chaos
-tests pin verdicts and honest-chain digests.
+claims pin verdicts and honest-chain digests.
 
 All of these behaviors use only surfaces present on both fabrics
 (``network.send/broadcast``, ``engine.call_at/schedule``, chain state),
@@ -23,7 +24,6 @@ sockets.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 from repro.core.block import Block
 from repro.core.messages import (
@@ -43,22 +43,14 @@ from repro.core.node import EdgeNode
 
 
 class ChaosNode(EdgeNode):
-    """Base adversary: honest protocol + an activity window."""
+    """Base adversary: the honest protocol plus a count of forged sends."""
 
-    #: Seconds into the run the misbehavior switches on / off.
-    chaos_start: float = 0.0
-    chaos_stop: float = math.inf
     #: Forged payloads sent (for tests and scenario summaries).
     chaos_actions: int = 0
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.chaos_actions = 0
-
-    def _chaos_active(self) -> bool:
-        return (
-            self.chaos_start <= self.engine.now < self.chaos_stop and self.online
-        )
 
     def _chaos_targets(self) -> list:
         return [
@@ -82,7 +74,7 @@ class EquivocatorNode(ChaosNode):
     def _try_mine(self, expected_parent_hash: str) -> None:
         mined_before = self.counters.blocks_mined
         super()._try_mine(expected_parent_hash)
-        if self.counters.blocks_mined == mined_before or not self._chaos_active():
+        if self.counters.blocks_mined == mined_before or not self.online:
             return
         original = self.chain.tip
         twin = dataclasses.replace(
@@ -98,7 +90,7 @@ class EquivocatorNode(ChaosNode):
 class InvalidBlockSpammerNode(ChaosNode):
     """Periodically broadcasts forged blocks, cycling through variants.
 
-    Variant cycle (one per block interval while active):
+    Variant cycle (one per block interval while online):
 
     0. **bad content hash** — ``current_hash`` does not commit to the
        block (structural ``bad_hash`` rejection);
@@ -114,9 +106,7 @@ class InvalidBlockSpammerNode(ChaosNode):
 
     def start(self) -> None:
         super().start()
-        self.engine.call_at(
-            max(self.chaos_start, self.engine.now), self._chaos_spam
-        )
+        self.engine.call_at(self.engine.now, self._chaos_spam)
 
     def _forged_block(self, variant: int) -> Block:
         parent = self.chain.tip
@@ -135,9 +125,7 @@ class InvalidBlockSpammerNode(ChaosNode):
         return dataclasses.replace(base, previous_hash="ff" * 32, current_hash="")
 
     def _chaos_spam(self) -> None:
-        if self.engine.now >= self.chaos_stop:
-            return
-        if self._chaos_active():
+        if self.online:
             block = self._forged_block(self.chaos_actions % 4)
             self.chaos_actions += 1
             announce = BlockAnnounce(block)
@@ -161,7 +149,7 @@ class SyncPoisonerNode(ChaosNode):
     """
 
     def _on_block_request(self, source: int, request: BlockRequest) -> None:
-        if not self._chaos_active():
+        if not self.online:
             super()._on_block_request(source, request)
             return
         poisoned = []
@@ -188,7 +176,7 @@ class SyncPoisonerNode(ChaosNode):
             )
 
     def _on_chain_request(self, source: int, request: ChainRequest) -> None:
-        if not self._chaos_active() or len(self.chain.blocks) < 2:
+        if not self.online or len(self.chain.blocks) < 2:
             super()._on_chain_request(source, request)
             return
         self.chaos_actions += 1
@@ -214,8 +202,12 @@ class MetadataTampererNode(ChaosNode):
 
     def _on_metadata(self, source: int, item: MetadataItem) -> None:
         super()._on_metadata(source, item)
-        if not self._chaos_active() or item.producer == self.node_id:
-            return
+        if (
+            not self.online
+            or item.producer == self.node_id
+            or item.producer_address != self.chain.address_of.get(item.producer)
+        ):
+            return  # its own item, or another adversary's forgery
         if self.chaos_actions % 2 == 0:
             forged = dataclasses.replace(item, producer_address="f0" * 20)
         else:
@@ -238,14 +230,10 @@ class FlooderNode(ChaosNode):
 
     def start(self) -> None:
         super().start()
-        self.engine.call_at(
-            max(self.chaos_start, self.engine.now), self._chaos_flood
-        )
+        self.engine.call_at(self.engine.now, self._chaos_flood)
 
     def _chaos_flood(self) -> None:
-        if self.engine.now >= self.chaos_stop:
-            return
-        if self._chaos_active():
+        if self.online:
             indices = tuple(range(1, 66))  # one past the honest cardinality cap
             for target in self._chaos_targets():
                 request = BlockRequest(indices=indices, origin=self.node_id)
@@ -270,7 +258,7 @@ class FlooderNode(ChaosNode):
         )
 
 
-#: Registry used by scenarios and the CLI.
+#: Registry of the planted behaviours, by the name ``repro reproduce`` reports.
 ADVERSARY_TYPES = {
     "equivocator": EquivocatorNode,
     "spammer": InvalidBlockSpammerNode,

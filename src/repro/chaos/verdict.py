@@ -1,4 +1,4 @@
-"""End-of-run chaos verdict: did safety and liveness hold under attack?
+"""End-of-run adversary verdict: did safety and liveness hold under attack?
 
 **Safety** — no honest node ever *kept* anything an admission check
 should have stopped:
@@ -22,18 +22,17 @@ adversaries: the honest common prefix grew past a floor, and gap/chain
 recovery latencies stayed bounded.
 
 The verdict is a pure function of end-of-run node state — no wall clock,
-no randomness — so a seeded scenario reproduces it bit for bit.
+no randomness — so a seeded scenario reproduces it bit for bit.  ``repro
+reproduce`` reads it for its adversary claims
+(:func:`repro.sim.scenarios.adversary_claims`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
-from repro.core.admission import CHECKPOINT_REWRITE
 from repro.core.blockchain import Blockchain
 from repro.core.errors import ValidationError
-
-CHAOS_VERDICT_SCHEMA = "repro.chaos.verdict/v1"
 
 #: Liveness warning floor: the honest common prefix should reach at
 #: least this fraction of the expected block count (duration / t0).
@@ -123,16 +122,26 @@ def _chain_replays(node: Any) -> bool:
     return True
 
 
-def compute_verdict(spec: Any, nodes: Mapping[int, Any]) -> Dict[str, Any]:
-    """Safety/liveness verdict over a finished chaos run.
+def compute_verdict(
+    nodes: Mapping[int, Any],
+    adversary_ids: Iterable[int],
+    t0: float,
+    duration_seconds: float,
+) -> Dict[str, Any]:
+    """Safety/liveness verdict over a finished run.
 
-    ``spec`` is a :class:`~repro.chaos.scenario.ChaosSpec`; ``nodes``
-    maps node id → :class:`~repro.core.node.EdgeNode` (adversaries
-    included — they are skipped for invariants, aggregated for actions).
+    ``nodes`` maps node id → :class:`~repro.core.node.EdgeNode`, the
+    planted ``adversary_ids`` included — they are skipped for
+    invariants, aggregated for actions.  ``t0`` is the expected block
+    interval and ``duration_seconds`` the run's length; together they
+    set the growth floor and the recovery bound.
     """
-    honest = {node_id: nodes[node_id] for node_id in spec.honest_ids}
-    adversary_ids = set(spec.adversary_ids)
-    t0 = spec.config.expected_block_interval
+    adversary_ids = set(adversary_ids)
+    honest = {
+        node_id: node
+        for node_id, node in sorted(nodes.items())
+        if node_id not in adversary_ids
+    }
 
     # --- safety -----------------------------------------------------------------
     invalid_chains = sorted(
@@ -155,7 +164,6 @@ def compute_verdict(spec: Any, nodes: Mapping[int, Any]) -> Dict[str, Any]:
             diverged_at = _divergence_height(node.chain, reference.chain)
             if diverged_at is not None:
                 divergences[node_id] = diverged_at
-    prefix_consistent = genesis_consistent and not divergences
     checkpoint_violations = sorted(
         node_id
         for node_id, diverged_at in divergences.items()
@@ -170,10 +178,6 @@ def compute_verdict(spec: Any, nodes: Mapping[int, Any]) -> Dict[str, Any]:
         for observer_id, node in honest.items()
         for peer in node.admission.quarantined
         if peer not in adversary_ids
-    )
-    checkpoint_rejections = sum(
-        node.admission.rejections.get(CHECKPOINT_REWRITE, 0)
-        for node in honest.values()
     )
     safety_ok = (
         not invalid_chains
@@ -194,8 +198,7 @@ def compute_verdict(spec: Any, nodes: Mapping[int, Any]) -> Dict[str, Any]:
         )
     else:
         common_prefix = 0
-    expected_blocks = spec.duration_seconds / t0
-    growth_floor = max(1, int(GROWTH_FLOOR_FRACTION * expected_blocks))
+    growth_floor = max(1, int(GROWTH_FLOOR_FRACTION * duration_seconds / t0))
     recovery_bound = RECOVERY_BOUND_INTERVALS * t0
     recoveries = [
         duration
@@ -224,12 +227,10 @@ def compute_verdict(spec: Any, nodes: Mapping[int, Any]) -> Dict[str, Any]:
 
     # --- aggregates -------------------------------------------------------------
     rejections: Dict[str, int] = {}
-    quarantine_events = 0
     quarantined_peers: set = set()
     for node in honest.values():
         for reason, count in node.admission.rejections.items():
             rejections[reason] = rejections.get(reason, 0) + count
-        quarantine_events += len(node.admission.quarantined)
         quarantined_peers.update(node.admission.quarantined)
     chaos_actions = {
         str(node_id): getattr(nodes[node_id], "chaos_actions", 0)
@@ -243,47 +244,24 @@ def compute_verdict(spec: Any, nodes: Mapping[int, Any]) -> Dict[str, Any]:
     else:
         status = "ok"
 
-    from repro.version import package_version
-
     return {
-        "schema": CHAOS_VERDICT_SCHEMA,
-        "version": package_version(),
         "status": status,
-        "fabric": spec.fabric,
-        "seed": spec.seed,
-        "nodes": spec.node_count,
-        "adversaries": {
-            behavior: sorted(node_ids)
-            for behavior, node_ids in sorted(spec.adversaries.items())
-        },
         "safety": {
             "ok": safety_ok,
             "invalid_chains": invalid_chains,
             "genesis_consistent": genesis_consistent,
-            "prefix_consistent": prefix_consistent,
             "checkpoint_violations": checkpoint_violations,
-            "forked_above_checkpoint": {
-                str(node_id): diverged_at
-                for node_id, diverged_at in sorted(divergences.items())
-                if node_id not in checkpoint_violations
-            },
             "honest_quarantined": [list(pair) for pair in honest_quarantined],
-            "checkpoint_rewrites_rejected": checkpoint_rejections,
         },
         "liveness": {
             "ok": liveness_ok,
             "common_prefix_height": common_prefix,
-            "expected_blocks": expected_blocks,
             "growth_floor": growth_floor,
-            "max_recovery_seconds": max_recovery,
-            "recovery_bound_seconds": recovery_bound,
-            "recovering_at_end": recovering_at_end,
             "issues": issues,
         },
         "admission": {
             "rejections": dict(sorted(rejections.items())),
             "total_rejections": sum(rejections.values()),
-            "quarantine_events": quarantine_events,
             "quarantined_peers": sorted(quarantined_peers),
         },
         "honest_height": reference.chain.height,

@@ -14,17 +14,14 @@ Commands:
 * ``archive inspect`` / ``archive fetch`` — verify and read the cold
   archive tier (``archive.bin``) a compaction leaves behind.
 * ``reproduce`` — run the paper's Section VI (Fig. 4/5/6) once at 500
-  minutes, the ablations A1, A3, A4, A7 and A8 and the scale sweep
-  through :func:`repro.sim.scenarios.reproduce`, print the tables and
-  every claim, and exit 1 when a claim fails.
+  minutes, the ablations A1, A3, A4, A7 and A8, the scale sweep and the
+  Byzantine adversaries through :func:`repro.sim.scenarios.reproduce`,
+  print the tables and every claim, and exit 1 when a claim fails.
 * ``live run`` — the same protocol over real TCP sockets on localhost:
   N nodes as asyncio tasks (or ``--procs`` subprocesses), the seeded
   workload, and the same metrics/obs artefacts as ``run``.
 * ``live parity`` — the sim/live parity oracle: one seeded workload on
   both runtimes must converge to the identical chain digest.
-* ``chaos run`` — a seeded Byzantine fault-injection scenario (adversary
-  mix + optional churn/partition/kill overlay) on either fabric, ending
-  in a safety/liveness verdict (``chaos_verdict.json``).
 * ``trace summary`` / ``trace export`` / ``trace merge`` / ``trace
   flame`` — inspect and convert the observability artefacts a ``run
   --obs DIR`` leaves behind (``merge --trace-out`` stitches the
@@ -118,7 +115,6 @@ def _config(args: argparse.Namespace):
             data_items_per_minute=args.rate,
             expected_block_interval=args.block_interval,
             placement_solver=getattr(args, "solver", PAPER_CONFIG.placement_solver),
-            verify_metadata_signatures=getattr(args, "verify_signatures", False),
         )
         if interval is not None:
             config = replace(config, checkpoint_interval=interval)
@@ -471,10 +467,19 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         for (solver, nodes), optimal in arms.items()
         if solver == "greedy"
     ]
-    mech, scale = record["mechanisms"], record["scale"]
+    mech, scale, attacks = record["mechanisms"], record["scale"], record["adversaries"]
     on, off = mech["recent_cache"]["on"], mech["recent_cache"]["off"]
     pos, pow_ = mech["network_energy"]["pos"], mech["network_energy"]["pow"]
-    claims = record["claims"] + mech["claims"] + scale["claims"]
+    claims = record["claims"] + mech["claims"] + scale["claims"] + attacks["claims"]
+    overlays = (("runs", ""), ("churn", " + 25 % churn"), ("partition", " + partition"),
+                ("empty", ""))
+    attack_rows = [
+        [f"{row['behavior'] or 'none'}{label}", row["seed"], row["planted"] or "-",
+         row["status"], row["violations"], f"{row['prefix']}/{row['floor']}",
+         ", ".join(f"{reason}={count}" for reason, count in row["rejections"].items()) or "-",
+         row["unquarantined"]]
+        for section, label in overlays for row in attacks[section]
+    ]
 
     def claim_table(title: str, section):
         return (title, ["claim", "bound", "measured", "at", "holds"],
@@ -522,6 +527,12 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
          [[c[k] for k in ("nodes", "items", "height", "served", "delivery", "gini", "failed")]
           for c in scale["cells"]]),
         claim_table("Scale claims", scale["claims"]),
+        ("Adversaries — 3 of 10 nodes planted (f < n/3), 20 min, 30 s blocks, "
+         "signatures verified",
+         ["adversary", "seed", "planted", "verdict", "safety violations", "prefix/floor",
+          "rejections", "acted, unquarantined"],
+         attack_rows),
+        claim_table("Adversary claims", attacks["claims"]),
     ]
     for title, headers, rows in tables:
         print()
@@ -809,139 +820,6 @@ def cmd_live_node(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_adversaries(entries: List[str]) -> dict:
-    """Parse repeated ``--adversary TYPE=ID[,ID...]`` flags."""
-    from repro.chaos import ADVERSARY_TYPES
-
-    adversaries: dict = {}
-    for entry in entries or []:
-        behavior, _, ids = entry.partition("=")
-        behavior = behavior.strip()
-        if behavior not in ADVERSARY_TYPES:
-            raise SystemExit(
-                f"error: unknown adversary {behavior!r} "
-                f"(known: {', '.join(sorted(ADVERSARY_TYPES))})"
-            )
-        try:
-            node_ids = tuple(int(part) for part in ids.split(",") if part.strip())
-        except ValueError:
-            raise SystemExit(f"error: bad node list in --adversary {entry!r}")
-        if not node_ids:
-            raise SystemExit(
-                f"error: --adversary {entry!r} names no nodes "
-                "(expected TYPE=ID[,ID...])"
-            )
-        adversaries[behavior] = adversaries.get(behavior, ()) + node_ids
-    return adversaries
-
-
-def _chaos_spec(args: argparse.Namespace):
-    from repro.chaos import ChaosSpec, PartitionSpec
-    from repro.sim.runner import ChurnSpec
-
-    with _user_input():
-        churn = ChurnSpec(node_fraction=args.churn) if args.churn is not None else None
-    partition = None
-    if args.partition:
-        try:
-            at_text, _, heal_text = args.partition.partition(":")
-            partition = PartitionSpec(
-                at_minutes=float(at_text), heal_minutes=float(heal_text)
-            )
-        except ValueError as error:
-            raise SystemExit(
-                f"error: --partition expects AT:HEAL minutes ({error})"
-            )
-    with _user_input():
-        return ChaosSpec(
-            node_count=args.nodes,
-            config=_config(args),
-            seed=args.seed,
-            duration_minutes=args.minutes,
-            adversaries=_parse_adversaries(args.adversary),
-            start_minutes=args.start,
-            stop_minutes=args.stop,
-            churn=churn,
-            partition=partition,
-            kill=_kill_spec(args),
-            fabric=args.fabric,
-            time_scale=args.time_scale,
-        )
-
-
-def _write_verdicts(result, args: argparse.Namespace) -> int:
-    """Write a chaos verdict to ``--json`` and ``--obs``; exit 1 if critical."""
-    from repro.chaos.runner import CHAOS_VERDICT_NAME
-
-    targets = [args.json] if args.json else []
-    if args.obs:
-        targets.append(Path(args.obs) / CHAOS_VERDICT_NAME)
-    for target in targets:
-        print(f"wrote {result.write_verdict(target)}")
-    return 1 if result.verdict["status"] == "critical" else 0
-
-
-def cmd_chaos_run(args: argparse.Namespace) -> int:
-    from repro.chaos import run_chaos
-
-    with _observed(args):
-        spec = _chaos_spec(args)
-        result = run_chaos(spec)
-        verdict = result.verdict
-        mix = (
-            ", ".join(
-                f"{behavior}={list(ids)}"
-                for behavior, ids in sorted(verdict["adversaries"].items())
-            )
-            or "none"
-        )
-        safety = verdict["safety"]
-        liveness = verdict["liveness"]
-        admission = verdict["admission"]
-        rejections = (
-            ", ".join(
-                f"{reason}={count}"
-                for reason, count in sorted(admission["rejections"].items())
-            )
-            or "-"
-        )
-        print()
-        print(
-            render_table(
-                f"Chaos: {spec.node_count} nodes on {spec.fabric}, "
-                f"{spec.duration_minutes:g} min, seed={spec.seed}",
-                ["field", "value"],
-                [
-                    ["verdict", verdict["status"]],
-                    ["adversaries", mix],
-                    ["safety ok", safety["ok"]],
-                    ["liveness ok", liveness["ok"]],
-                    ["honest common prefix", liveness["common_prefix_height"]],
-                    ["honest height", verdict["honest_height"]],
-                    ["honest digest", verdict["honest_digest"][:16]],
-                    ["rejections", rejections],
-                    ["quarantined peers", admission["quarantined_peers"] or "-"],
-                ],
-            )
-        )
-        for issue in liveness["issues"]:
-            print(f"liveness: {issue}")
-        if not safety["ok"]:
-            for field_name in (
-                "invalid_chains",
-                "checkpoint_violations",
-                "honest_quarantined",
-            ):
-                if safety[field_name]:
-                    print(
-                        f"SAFETY: {field_name}: {safety[field_name]}",
-                        file=sys.stderr,
-                    )
-            if not safety["genesis_consistent"]:
-                print("SAFETY: honest genesis blocks differ", file=sys.stderr)
-        return _write_verdicts(result, args)
-
-
 def _trace_file(argument: str) -> Path:
     """The trace an obs directory or a trace file path names; must exist."""
     path = Path(argument)
@@ -1131,25 +1009,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _workload_flags(
-    p: argparse.ArgumentParser,
-    nodes: int = 8,
-    minutes: float = 10.0,
-    solver: bool = True,
+    p: argparse.ArgumentParser, nodes: int = 8, minutes: float = 10.0
 ) -> None:
     """The seeded workload: size, length, seed, data rate and block time."""
     p.add_argument("--nodes", type=int, default=nodes, help="number of nodes")
     p.add_argument("--minutes", type=float, default=minutes)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rate", type=float, default=1.0, help="data items per minute")
-    if solver:
-        p.add_argument("--solver", default="greedy", choices=["greedy", "random"])
+    p.add_argument("--solver", default="greedy", choices=["greedy", "random"])
     p.add_argument("--block-interval", type=float, default=60.0)
 
 
-def _kill_flags(p: argparse.ArgumentParser, scope: str = "") -> None:
+def _kill_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--kill", type=int, default=None, metavar="NODE",
-        help=f"{scope}kill this node mid-run and restart it "
+        help="kill this node mid-run and restart it "
              "(reconnect + resync drill)",
     )
     p.add_argument(
@@ -1176,14 +1050,12 @@ def _lifecycle_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _obs_flags(
-    p: argparse.ArgumentParser, telemetry: bool = False, also: str = ""
-) -> None:
+def _obs_flags(p: argparse.ArgumentParser, telemetry: bool = False) -> None:
     """``--obs DIR`` and its knobs; ``telemetry`` adds the live plane."""
     p.add_argument(
         "--obs", metavar="DIR",
         help="enable observability: write a Perfetto trace, a metrics "
-             f"snapshot, the protocol timeline and monitor verdict{also} "
+             "snapshot, the protocol timeline and monitor verdict "
              "into DIR",
     )
     p.add_argument(
@@ -1349,57 +1221,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _obs_flags(live_node, telemetry=True)
     live_node.set_defaults(func=cmd_live_node)
-
-    chaos = sub.add_parser(
-        "chaos", help="seeded Byzantine fault-injection scenarios"
-    )
-    chaos_sub = chaos.add_subparsers(dest="chaos_command", required=True)
-    chaos_run = chaos_sub.add_parser(
-        "run",
-        help="run one adversarial scenario and emit a safety/liveness verdict",
-    )
-    _workload_flags(chaos_run, solver=False)
-    chaos_run.add_argument(
-        "--fabric", choices=["sim", "live"], default="sim",
-        help="simulator (deterministic) or real sockets on localhost",
-    )
-    chaos_run.add_argument(
-        "--adversary", action="append", metavar="TYPE=ID[,ID...]",
-        help="plant adversaries: equivocator, spammer, poisoner, tamperer, "
-             "or flooder at the given node ids (repeatable)",
-    )
-    chaos_run.add_argument(
-        "--start", type=float, default=0.0, metavar="MINUTES",
-        help="minutes into the run the misbehavior switches on (default 0)",
-    )
-    chaos_run.add_argument(
-        "--stop", type=float, default=None, metavar="MINUTES",
-        help="minutes into the run the misbehavior switches off "
-             "(default: active to the end)",
-    )
-    chaos_run.add_argument(
-        "--verify-signatures", action="store_true",
-        help="enable metadata signature verification (catches the "
-             "tamperer's signature-breaking variant)",
-    )
-    chaos_run.add_argument(
-        "--churn", type=float, default=None, metavar="FRACTION",
-        help="sim only: random churn over this fraction of nodes",
-    )
-    chaos_run.add_argument(
-        "--partition", metavar="AT:HEAL",
-        help="sim only: partition the network in half between these minutes",
-    )
-    _kill_flags(chaos_run, scope="live only: ")
-    chaos_run.add_argument(
-        "--time-scale", type=float, default=0.02,
-        help="live only: wall seconds per simulated second (default 0.02)",
-    )
-    chaos_run.add_argument(
-        "--json", metavar="PATH", help="also write the verdict to this file"
-    )
-    _obs_flags(chaos_run, also=", and chaos_verdict.json,")
-    chaos_run.set_defaults(func=cmd_chaos_run)
 
     trace = sub.add_parser(
         "trace", help="inspect/convert observability artefacts from `run --obs`"

@@ -13,6 +13,7 @@ Defaults follow the paper's evaluation setup (Section VI):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -146,12 +147,16 @@ class SystemConfig:
             raise ValueError("storage capacity must be at least 1 slot")
         if self.expected_block_interval <= 0:
             raise ValueError("expected block interval must be positive")
+        if not math.isfinite(self.expected_block_interval):
+            raise ValueError("expected block interval must be finite")
         if self.hit_modulus < 2:
             raise ValueError("hit modulus must be at least 2")
         if not (0.0 <= self.requester_fraction <= 1.0):
             raise ValueError("requester fraction must be in [0, 1]")
         if self.data_items_per_minute < 0:
             raise ValueError("data rate cannot be negative")
+        if not math.isfinite(self.data_items_per_minute):
+            raise ValueError("data rate must be finite")
         if self.placement_solver not in ("greedy", "random"):
             raise ValueError(f"unknown placement solver: {self.placement_solver}")
         if not (0 < self.token_rescale_ratio <= 1):

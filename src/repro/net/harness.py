@@ -58,6 +58,7 @@ through the normal gap-recovery path.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -132,6 +133,8 @@ class LiveSpec:
             raise ValueError("a blockchain network needs at least 2 nodes")
         if self.duration_minutes <= 0:
             raise ValueError("duration must be positive")
+        if not math.isfinite(self.duration_minutes):
+            raise ValueError("duration must be finite")
         if self.time_scale <= 0:
             raise ValueError("time scale must be positive")
         if self.kill is not None and not (

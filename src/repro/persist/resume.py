@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import sqlite3
 from collections import deque
@@ -106,6 +107,8 @@ class PersistConfig:
     def __post_init__(self) -> None:
         if self.journal_every_seconds <= 0:
             raise ValueError("journal interval must be positive")
+        if not math.isfinite(self.journal_every_seconds):
+            raise ValueError("journal interval must be finite")
         if self.fsync_every < 1:
             raise ValueError("fsync_every must be at least 1")
 

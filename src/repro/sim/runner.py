@@ -12,7 +12,7 @@ replay:
   and returns a :class:`SimRuntime`, a pure function of the spec;
 * :func:`advance` moves a simulated runtime to its duration or to a
   pause point, optionally in segments with a callback after each;
-  plain, durable and chaos runs all advance through it;
+  plain, durable and adversary runs all advance through it;
 * :func:`collect_metrics` derives the figure-level :class:`RunMetrics`
   from a finished runtime.
 
@@ -77,6 +77,8 @@ class ExperimentSpec:
             raise ValueError("a blockchain network needs at least 2 nodes")
         if self.duration_minutes is not None and self.duration_minutes < 0:
             raise ValueError("duration cannot be negative")
+        if not math.isfinite(self.duration_seconds):
+            raise ValueError("duration must be finite")
 
     @property
     def duration_seconds(self) -> float:

@@ -12,26 +12,29 @@ Fig. 4 and Fig. 5 sweeps (:func:`fig4_grid`, :func:`fig5_grid`) over two
 seeds, the Fig. 6 battery sessions (:func:`mining_session`) and the
 energy headline (:func:`pos_energy_saving`) — and returns one plain-data
 record whose ``claims`` (:func:`paper_claims`) hold or fail, as do those
-of the design choices the paper defends in prose (:func:`mechanisms`) and
-of node counts past its sweep (:func:`scale`).  ``repro reproduce``
-prints it and exits non-zero when a claim fails.
+of the design choices the paper defends in prose (:func:`mechanisms`), of
+node counts past its sweep (:func:`scale`) and of the Byzantine
+adversaries the admission checks stop (:func:`adversaries`).  ``repro
+reproduce`` prints it and exits non-zero when a claim fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from operator import itemgetter
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.chaos import ADVERSARY_TYPES, compute_verdict
 from repro.core.adversary import DenyingNode
 from repro.core.config import PAPER_CONFIG, SystemConfig
 from repro.core.pos import compute_amendment, compute_hit, mining_delay
 from repro.core.pow import PAPER_POW_DIFFICULTY, PowMiner, pow_difficulty_for
 from repro.energy.meter import EnergyMeter
 from repro.sim.cluster import build_cluster
-from repro.sim.runner import ChurnSpec, ExperimentSpec, run_experiment
+from repro.sim.runner import ChurnSpec, ExperimentSpec, advance, build_runtime, run_experiment
+from repro.simnet.faults import PartitionInjector
 
 #: Node counts of the Fig. 4 / Fig. 5 sweeps.
 PAPER_NODE_COUNTS: Tuple[int, ...] = (10, 20, 30, 40, 50)
@@ -61,6 +64,9 @@ INTERVAL_T0 = 60.0
 #: The scale sweep's node counts (up to 20x the paper's 50) and its seed.
 SCALE_NODE_COUNTS: Tuple[int, ...] = (100, 400, 1000)
 SCALE_SEED = 5
+#: Each adversary claim's run: nodes, of them planted (f < n/3), seeds.
+ADVERSARY_NODES, ADVERSARY_COUNT = 10, 3
+ADVERSARY_SEEDS: Tuple[int, ...] = (0, 1)
 
 
 def data_amount_scenario(
@@ -173,6 +179,23 @@ def denier_scenario(fraction: float, seed: int = 0) -> ExperimentSpec:
     config = replace(PAPER_CONFIG, data_items_per_minute=1.0, expected_block_interval=30.0)
     return ExperimentSpec(node_count=node_count, config=config, seed=seed, duration_minutes=45.0,
                           node_classes={node: DenyingNode for node in malicious})
+
+
+def adversary_scenario(
+    behavior: Optional[str], seed: int, churn: Optional[ChurnSpec] = None
+) -> ExperimentSpec:
+    """One adversary run: :data:`ADVERSARY_COUNT` of the
+    :data:`ADVERSARY_NODES` nodes, drawn from ``default_rng(seed + 1000)``,
+    run ``behavior`` (an :data:`~repro.chaos.ADVERSARY_TYPES` name; None
+    plants nobody).  20 minutes at 2 items/min and 30 s blocks, with
+    metadata signatures verified so the tamperer's forgeries can fail."""
+    rng = np.random.default_rng(seed + 1000)
+    planted = rng.choice(ADVERSARY_NODES, size=ADVERSARY_COUNT, replace=False) if behavior else ()
+    config = replace(PAPER_CONFIG, data_items_per_minute=2.0, expected_block_interval=30.0,
+                     verify_metadata_signatures=True)
+    return ExperimentSpec(node_count=ADVERSARY_NODES, config=config, seed=seed,
+                          duration_minutes=20.0, churn=churn,
+                          node_classes={int(node): ADVERSARY_TYPES[behavior] for node in sorted(planted)})
 
 
 def scale_scenario(node_count: int) -> ExperimentSpec:
@@ -462,6 +485,7 @@ def probe(spec: ExperimentSpec) -> Dict[str, object]:
         "recovery_bytes": sum(metrics.category_bytes.get(category, 0)
                               for category in ("block_recovery", "chain_sync")),
         "claims": sum(node.counters.claims_broadcast for node in result.cluster.nodes.values()),
+        "digest": result.cluster.longest_chain_node().chain.chain_digest(),
     }
 
 
@@ -612,6 +636,102 @@ def scale_claims(record: Dict[str, object]) -> List[Claim]:
     ]
 
 
+def attack(
+    spec: ExperimentSpec, partition: Optional[Tuple[float, float]] = None
+) -> Dict[str, object]:
+    """Run one adversary spec and keep what its claims read of its verdict
+    (:func:`~repro.chaos.verdict.compute_verdict`).
+
+    ``partition`` splits the node ids in half between its two minutes,
+    scheduled between build and advance.  ``violations`` counts invalid
+    honest chains, a forked genesis, checkpoint violations and honest
+    nodes quarantined; ``unquarantined`` the planted nodes that sent a
+    forgery and that no honest node quarantined.
+    """
+    runtime = build_runtime(spec)
+    if partition is not None:
+        half = spec.node_count // 2
+        PartitionInjector(runtime.cluster.network, runtime.engine).schedule(
+            list(range(half)), list(range(half, spec.node_count)),
+            at=partition[0] * 60.0, heal_at=partition[1] * 60.0)
+    advance(runtime)
+    planted = sorted(spec.node_classes)
+    verdict = compute_verdict(runtime.cluster.nodes, planted,
+                              spec.config.expected_block_interval, spec.duration_seconds)
+    safety, liveness, admission = verdict["safety"], verdict["liveness"], verdict["admission"]
+    return {
+        "seed": spec.seed,
+        "planted": planted,
+        "status": verdict["status"],
+        "violations": len(safety["invalid_chains"]) + (not safety["genesis_consistent"])
+        + len(safety["checkpoint_violations"]) + len(safety["honest_quarantined"]),
+        "prefix": liveness["common_prefix_height"],
+        "floor": liveness["growth_floor"],
+        "rejections": admission["rejections"],
+        "unquarantined": sum(1 for node in planted if verdict["chaos_actions"][str(node)]
+                             and node not in admission["quarantined_peers"]),
+        "digest": verdict["honest_digest"],
+    }
+
+
+def adversaries() -> Dict[str, object]:
+    """Each adversary type at :data:`ADVERSARY_SEEDS`, the spammer under
+    25 % churn and under a half/half partition from minute 1 to 2, and an
+    empty mix beside the plain run of the same spec."""
+
+    def runs(behavior: str, churn=None, partition=None) -> List[Dict[str, object]]:
+        return [{"behavior": behavior, **attack(adversary_scenario(behavior, seed, churn), partition)}
+                for seed in ADVERSARY_SEEDS]
+
+    empty = [adversary_scenario(None, seed) for seed in ADVERSARY_SEEDS]
+    return {
+        "runs": [row for behavior in ADVERSARY_TYPES for row in runs(behavior)],
+        "churn": runs("spammer", churn=ChurnSpec(node_fraction=0.25)),
+        "partition": runs("spammer", partition=(1.0, 2.0)),
+        "empty": [{"behavior": None, **attack(spec),
+                   "plain_digest": probe(replace(spec, node_classes=None))["digest"]}
+                  for spec in empty],
+    }
+
+
+def adversary_claims(record: Dict[str, object]) -> List[Claim]:
+    """What :func:`adversaries` shows: safety and liveness under each
+    adversary at f < n/3, and the rejection each adversary type draws."""
+    a = record["adversaries"]
+
+    def at(row) -> str:
+        return f"{row['behavior']}, seed {row['seed']}"
+
+    def rows(section: str, *behaviors: str):
+        return [row for row in a[section] if not behaviors or row["behavior"] in behaviors]
+
+    return [
+        _every("Adversary safety violations per run, f < n/3", "= 0",
+               [(at(row), row["violations"]) for row in rows("runs")], lambda v: v == 0),
+        _every("Adversary honest common prefix / growth floor per run, f < n/3", ">= 1",
+               [(at(row), row["prefix"] / row["floor"]) for row in rows("runs")],
+               lambda v: v >= 1.0, worst=min),
+        _every("Spammers, equivocators and flooders that acted, unquarantined", "= 0",
+               [(at(row), row["unquarantined"])
+                for row in rows("runs", "spammer", "equivocator", "flooder")], lambda v: v == 0),
+        _every("Tamperer bad_producer and bad_signature rejections", "> 0",
+               [(f"{at(row)}, {reason}", row["rejections"].get(reason, 0))
+                for row in rows("runs", "tamperer") for reason in ("bad_producer", "bad_signature")],
+               lambda v: v > 0, worst=min),
+        _claim("Spammer under 25 % churn: not critical, prefix / growth floor", ">= 1", [
+            (at(row), row["prefix"] / row["floor"],
+             row["status"] != "critical" and row["prefix"] >= row["floor"])
+            for row in rows("churn")], worst=min),
+        _every("Spammer under a 1-2 min half/half partition: safety violations", "= 0",
+               [(at(row), row["violations"]) for row in rows("partition")], lambda v: v == 0),
+        _claim("No adversary: rejections; verdict ok on the plain run's digest", "= 0", [
+            (f"seed {row['seed']}", sum(row["rejections"].values()),
+             not row["rejections"] and row["status"] == "ok"
+             and row["digest"] == row["plain_digest"])
+            for row in rows("empty")]),
+    ]
+
+
 def _drain(series: List[Tuple[int, float, float]]) -> Dict[str, float]:
     """A Fig. 6 session's totals after its last block."""
     blocks, _, remaining = series[-1]
@@ -666,4 +786,6 @@ def reproduce() -> Dict[str, object]:
     record["mechanisms"]["claims"] = mechanism_claims(record)
     record["scale"] = {"cells": scale()}
     record["scale"]["claims"] = scale_claims(record)
+    record["adversaries"] = adversaries()
+    record["adversaries"]["claims"] = adversary_claims(record)
     return record

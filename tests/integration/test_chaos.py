@@ -1,37 +1,59 @@
-"""Chaos-suite integration tests: adversaries, verdicts, determinism.
+"""Adversary integration tests: planted adversaries, verdicts, determinism.
 
-The chaos runner must be a *seeded* instrument: the same scenario run
-twice produces the identical verdict and honest-chain digest, and an
-adversary-free scenario is bit-identical to a plain experiment — the
-suite observes the protocol without perturbing it.  On top of that, the
-safety/liveness invariants must hold with a quarter of the network
-Byzantine.
+Adversaries are planted through ``ExperimentSpec.node_classes`` (and
+``LiveSpec.node_classes`` on sockets) and judged by
+:func:`repro.chaos.compute_verdict`.  A seeded run is an instrument: the
+same run twice produces the identical verdict and honest-chain digest,
+and a run with no adversary agrees with the plain experiment.  On top of
+that, the safety/liveness invariants must hold with a quarter of the
+network Byzantine.  ``repro reproduce`` gates the same verdicts as claims
+(``tests/unit/test_reproduce.py``).
 """
 
+import asyncio
 import dataclasses
-import json
 from dataclasses import replace
 
 import pytest
 
-from repro.chaos import ChaosSpec, run_chaos
-from repro.chaos.scenario import node_classes_for
+from repro.chaos import ADVERSARY_TYPES, InvalidBlockSpammerNode, compute_verdict
 from repro.core.config import PAPER_CONFIG
 from repro.core.messages import BlockRequest, BlockResponse, ChainRequest
-from repro.net.harness import KillSpec
+from repro.net.harness import KillSpec, LiveClusterHarness, LiveSpec
 from repro.sim.runner import ChurnSpec, ExperimentSpec, build_runtime, run_experiment
-from repro.version import package_version
 from tests.helpers import make_config
-
-pytestmark = pytest.mark.chaos
 
 
 def chaos_config(**overrides):
     return make_config(verify_metadata_signatures=True, **overrides)
 
 
-def run_twice(spec):
-    return run_chaos(spec), run_chaos(spec)
+def plant(adversaries):
+    """``{behavior: node ids}`` as the ``node_classes`` both fabrics take."""
+    return {
+        node: ADVERSARY_TYPES[behavior]
+        for behavior, nodes in adversaries.items()
+        for node in nodes
+    }
+
+
+def attack(node_count, seed, minutes, adversaries, config=None, churn=None):
+    """Run the planted spec on the simulator; its verdict."""
+    spec = ExperimentSpec(
+        node_count=node_count,
+        config=config or chaos_config(),
+        seed=seed,
+        duration_minutes=minutes,
+        churn=churn,
+        node_classes=plant(adversaries),
+    )
+    result = run_experiment(spec)
+    return compute_verdict(
+        result.cluster.nodes,
+        spec.node_classes,
+        spec.config.expected_block_interval,
+        spec.duration_seconds,
+    )
 
 
 class TestDeterminism:
@@ -40,120 +62,93 @@ class TestDeterminism:
         ["equivocator", "spammer", "poisoner", "tamperer", "flooder"],
     )
     def test_same_seed_same_verdict_and_digest(self, behavior):
-        spec = ChaosSpec(
-            node_count=6,
-            config=chaos_config(),
-            seed=7,
-            duration_minutes=6.0,
-            adversaries={behavior: (2,)},
-        )
-        first, second = run_twice(spec)
-        assert first.verdict == second.verdict
-        assert first.honest_digest == second.honest_digest
+        first, second = (attack(6, 7, 6.0, {behavior: (2,)}) for _ in range(2))
+        assert first == second
+        assert first["honest_digest"] == second["honest_digest"]
 
     def test_mixed_scenario_with_churn_deterministic(self):
-        spec = ChaosSpec(
-            node_count=8,
-            config=chaos_config(),
-            seed=11,
-            duration_minutes=6.0,
-            adversaries={"spammer": (3,), "flooder": (6,)},
-            churn=ChurnSpec(node_fraction=0.25),
+        first, second = (
+            attack(8, 11, 6.0, {"spammer": (3,), "flooder": (6,)},
+                   churn=ChurnSpec(node_fraction=0.25))
+            for _ in range(2)
         )
-        first, second = run_twice(spec)
-        assert first.verdict == second.verdict
+        assert first == second
 
 
 class TestAdversaryFreeNeutrality:
     def test_empty_scenario_matches_plain_experiment(self):
-        """No adversaries => the chaos runner is a pure observer."""
+        """No adversaries => planting and the verdict are pure observers."""
         config = make_config()
-        chaos = run_chaos(
-            ChaosSpec(
-                node_count=8, config=config, seed=5, duration_minutes=10.0
-            )
-        )
+        verdict = attack(8, 5, 10.0, {}, config=config)
         plain = run_experiment(
             ExperimentSpec(
                 node_count=8, config=config, seed=5, duration_minutes=10.0
             )
         )
         reference = plain.cluster.longest_chain_node().chain
-        assert chaos.verdict["honest_digest"] == reference.chain_digest()
-        assert chaos.verdict["honest_height"] == reference.height
-        assert chaos.status == "ok"
-        assert chaos.verdict["admission"]["total_rejections"] == 0
-        assert chaos.verdict["admission"]["quarantined_peers"] == []
+        assert verdict["honest_digest"] == reference.chain_digest()
+        assert verdict["honest_height"] == reference.height
+        assert verdict["status"] == "ok"
+        assert verdict["admission"]["total_rejections"] == 0
+        assert verdict["admission"]["quarantined_peers"] == []
 
 
 class TestSafetyUnderAttack:
     def test_quarter_adversarial_network_holds_invariants(self):
         """8 nodes, 2 Byzantine (spammer + equivocator): safety must hold."""
-        spec = ChaosSpec(
-            node_count=8,
-            config=chaos_config(),
-            seed=5,
-            duration_minutes=10.0,
-            adversaries={"spammer": (3,), "equivocator": (6,)},
-        )
-        result = run_chaos(spec)
-        safety = result.verdict["safety"]
-        assert safety["ok"], result.verdict
+        verdict = attack(8, 5, 10.0, {"spammer": (3,), "equivocator": (6,)})
+        safety = verdict["safety"]
+        assert safety["ok"], verdict
         assert safety["invalid_chains"] == []
         assert safety["genesis_consistent"]
         assert safety["checkpoint_violations"] == []
         assert safety["honest_quarantined"] == []
         # The spammer acts every block interval, so rejections must exist
         # and it must end up quarantined by the honest network.
-        admission = result.verdict["admission"]
+        admission = verdict["admission"]
         assert admission["rejections"].get("bad_hash", 0) > 0
         assert admission["rejections"].get("bad_pos", 0) > 0
         assert 3 in admission["quarantined_peers"]
-        assert result.status != "critical"
+        assert verdict["status"] != "critical"
 
     def test_flooder_is_quarantined_without_hurting_liveness(self):
-        spec = ChaosSpec(
-            node_count=6,
-            config=chaos_config(),
-            seed=5,
-            duration_minutes=10.0,
-            adversaries={"flooder": (2,)},
-        )
-        result = run_chaos(spec)
-        assert result.verdict["safety"]["ok"]
-        assert result.verdict["liveness"]["ok"], result.verdict["liveness"]
-        admission = result.verdict["admission"]
+        verdict = attack(6, 5, 10.0, {"flooder": (2,)})
+        assert verdict["safety"]["ok"]
+        assert verdict["liveness"]["ok"], verdict["liveness"]
+        admission = verdict["admission"]
         assert admission["rejections"].get("flood", 0) > 0
         assert 2 in admission["quarantined_peers"]
 
     def test_tamperer_caught_by_signature_verification(self):
-        spec = ChaosSpec(
-            node_count=6,
-            config=chaos_config(),
-            seed=5,
-            duration_minutes=10.0,
-            adversaries={"tamperer": (2,)},
-        )
-        result = run_chaos(spec)
-        rejections = result.verdict["admission"]["rejections"]
+        verdict = attack(6, 5, 10.0, {"tamperer": (2,)})
+        rejections = verdict["admission"]["rejections"]
         assert rejections.get("bad_producer", 0) > 0
         assert rejections.get("bad_signature", 0) > 0
-        assert result.verdict["safety"]["ok"]
+        assert verdict["safety"]["ok"]
+
+    def test_tamperers_do_not_reforge_each_others_forgeries(self):
+        """A tamperer that re-forged another tamperer's forged-producer
+        copy sent a second bad producer where a broken signature was due;
+        at this seed no honest node then saw a bad signature at all."""
+        config = replace(
+            PAPER_CONFIG,
+            data_items_per_minute=2.0,
+            expected_block_interval=30.0,
+            verify_metadata_signatures=True,
+        )
+        verdict = attack(10, 0, 5.0, {"tamperer": (1, 4, 8)}, config=config)
+        rejections = verdict["admission"]["rejections"]
+        assert rejections.get("bad_producer", 0) > 0
+        assert rejections.get("bad_signature", 0) > 0
 
 
 class TestLivenessUnderAttack:
     def test_spammer_with_churn_stays_non_critical(self):
-        spec = ChaosSpec(
-            node_count=8,
-            config=chaos_config(),
-            seed=11,
-            duration_minutes=10.0,
-            adversaries={"spammer": (3,)},
-            churn=ChurnSpec(node_fraction=0.25),
+        verdict = attack(
+            8, 11, 10.0, {"spammer": (3,)}, churn=ChurnSpec(node_fraction=0.25)
         )
-        result = run_chaos(spec)
-        assert result.status in ("ok", "warning")
-        liveness = result.verdict["liveness"]
+        assert verdict["status"] in ("ok", "warning")
+        liveness = verdict["liveness"]
         assert liveness["common_prefix_height"] > 0
         assert liveness["common_prefix_height"] >= liveness["growth_floor"]
 
@@ -171,23 +166,27 @@ class TestLiveChaos:
             data_items_per_minute=1.0,
             expected_block_interval=30.0,
         )
-        spec = ChaosSpec(
+        spec = LiveSpec(
             node_count=8,
             config=config,
             seed=5,
             duration_minutes=6.0,
-            adversaries={"spammer": (5,)},
-            kill=KillSpec(node_id=3, at_minutes=2.0, down_minutes=1.5),
-            fabric="live",
             time_scale=0.02,
+            kill=KillSpec(node_id=3, at_minutes=2.0, down_minutes=1.5),
+            node_classes={5: InvalidBlockSpammerNode},
         )
-        result = run_chaos(spec)
-        verdict = result.verdict
+        harness = LiveClusterHarness(spec)
+        result = asyncio.run(harness.run())
+        nodes = {node_id: live.node for node_id, live in harness.nodes.items()}
+        verdict = compute_verdict(
+            nodes, spec.node_classes, config.expected_block_interval,
+            spec.duration_seconds,
+        )
         assert verdict["safety"]["ok"], verdict
-        assert verdict["live"]["restarted"] == [3]
-        assert verdict["live"]["resynced"], verdict["live"]
-        assert verdict["live"]["reconnects"] > 0
-        assert result.status != "critical", verdict
+        assert list(result.restarted) == [3]
+        assert result.resynced, result.summary()
+        assert result.reconnects > 0
+        assert verdict["status"] != "critical", verdict
         # The bad-hash variant dies in the wire codec (decode re-verifies
         # the content hash), so on the live fabric the admission layer
         # sees the forged-PoS and forged-miner variants.
@@ -204,22 +203,15 @@ class TestPoisonerPaths:
 
     @pytest.fixture
     def attacked(self):
-        spec = ChaosSpec(
+        experiment = ExperimentSpec(
             node_count=6,
             config=chaos_config(),
             seed=7,
             duration_minutes=5.0,
-            adversaries={"poisoner": (2,)},
-        )
-        experiment = ExperimentSpec(
-            node_count=spec.node_count,
-            config=spec.config,
-            seed=spec.seed,
-            duration_minutes=spec.duration_minutes,
-            node_classes=node_classes_for(spec),
+            node_classes=plant({"poisoner": (2,)}),
         )
         runtime = build_runtime(experiment)
-        runtime.engine.run_until(spec.duration_seconds)
+        runtime.engine.run_until(experiment.duration_seconds)
         return runtime
 
     def test_poisoned_gap_response_charged_to_sender(self, attacked):
@@ -283,19 +275,3 @@ class TestPoisonerPaths:
         # tip meanwhile).
         assert victim.chain.block_at(0).current_hash == genesis_before
         assert victim.chain.block_at(0).is_genesis
-
-
-class TestChaosVerdictVersionStamp:
-    def test_single_cluster_chaos_verdict_carries_version(self, tmp_path):
-        """Regression: chaos_verdict.json is stamped like verdict.json."""
-        spec = ChaosSpec(
-            node_count=4,
-            config=make_config(),
-            seed=3,
-            duration_minutes=4.0,
-            adversaries={},
-        )
-        result = run_chaos(spec)
-        target = result.write_verdict(tmp_path / "chaos_verdict.json")
-        document = json.loads(target.read_text(encoding="utf-8"))
-        assert document["version"] == package_version()

@@ -1,7 +1,7 @@
 """Integration tests for the chain lifecycle subsystem: bounded hot
 storage on durable runs, compaction into the cold archive, pruned
 kill-and-resume determinism, mid-compaction crash recovery, the CLI
-verbs, and composition with chaos."""
+verbs, and composition with planted adversaries."""
 
 import dataclasses
 import json
@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.chaos import ChaosSpec, run_chaos
+from repro.chaos import SyncPoisonerNode, compute_verdict
 from repro.cli import main
 from repro.core.config import PAPER_CONFIG, LifecycleSpec
 from repro.core.admission import CHECKPOINT_REWRITE
@@ -49,6 +49,17 @@ def lifecycle_spec(seed: int = 7, minutes: float = 15.0) -> ExperimentSpec:
         **LC,
     )
     return ExperimentSpec(node_count=6, config=config, seed=seed)
+
+
+def _verdict(spec: ExperimentSpec) -> dict:
+    """The adversary verdict over one simulated run of ``spec``."""
+    result = run_experiment(spec)
+    return compute_verdict(
+        result.cluster.nodes,
+        spec.node_classes or (),
+        spec.config.expected_block_interval,
+        spec.duration_seconds,
+    )
 
 
 def record_text(metrics, seed: int) -> str:
@@ -233,15 +244,15 @@ class TestCheckpointRewriteOnPrunedChain:
 
     def test_honest_chaos_run_with_lifecycle_stays_clean(self):
         config = make_config(expected_block_interval=10.0, **LC)
-        result = run_chaos(
-            ChaosSpec(
+        verdict = _verdict(
+            ExperimentSpec(
                 node_count=6, config=config, seed=5, duration_minutes=12.0
             )
         )
-        safety = result.verdict["safety"]
-        assert safety["ok"], result.verdict
+        safety = verdict["safety"]
+        assert safety["ok"], verdict
         assert safety["checkpoint_violations"] == []
-        assert result.status == "ok"
+        assert verdict["status"] == "ok"
 
     def test_poisoned_sync_on_pruned_chains_still_detected(self):
         config = make_config(
@@ -249,16 +260,16 @@ class TestCheckpointRewriteOnPrunedChain:
             verify_metadata_signatures=True,
             **LC,
         )
-        spec = ChaosSpec(
+        spec = ExperimentSpec(
             node_count=6,
             config=config,
             seed=7,
             duration_minutes=12.0,
-            adversaries={"poisoner": (2,)},
+            node_classes={2: SyncPoisonerNode},
         )
-        first, second = run_chaos(spec), run_chaos(spec)
-        assert first.verdict == second.verdict
-        assert first.verdict["safety"]["ok"], first.verdict
+        first, second = _verdict(spec), _verdict(spec)
+        assert first == second
+        assert first["safety"]["ok"], first
 
 
 class TestLifecycleCLI:

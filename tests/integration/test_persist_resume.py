@@ -1,6 +1,7 @@
 """Integration tests: durable runs, crash recovery, CLI resume determinism."""
 
 import json
+import math
 import os
 import signal
 import subprocess
@@ -216,6 +217,35 @@ class TestManifest:
         self.rewrite(paused, persist={"journal_every_seconds": -20.0})
         with pytest.raises(PersistError, match="journal interval must be positive"):
             resume_run(paused)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("path", [
+        "spec/duration_minutes",
+        "spec/config/data_items_per_minute",
+        "spec/config/expected_block_interval",
+        "persist/journal_every_seconds",
+    ])
+    def test_non_finite_value_fails_typed_before_any_run(
+        self, paused, monkeypatch, capsys, path, value
+    ):
+        """A NaN duration would otherwise schedule productions forever."""
+        manifest_path = paused / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        *parents, last = path.split("/")
+        target = manifest
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        manifest_path.write_text(json.dumps(manifest))
+
+        def no_runtime(spec):
+            raise AssertionError("a runtime was built from a non-finite spec")
+
+        monkeypatch.setattr("repro.persist.resume.build_runtime", no_runtime)
+        with pytest.raises(PersistError, match="malformed"):
+            resume_run(paused)
+        assert main(["resume", str(paused)]) == 2
+        assert "malformed" in capsys.readouterr().err
 
     def test_version_1_is_refused_by_its_header(self, paused):
         self.rewrite(paused, schema_version=1)

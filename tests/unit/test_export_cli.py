@@ -101,10 +101,9 @@ class TestCLIRejectsBadSpecs:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["chaos", "run", "--fabric", "live", "--kill", "1", "--kill-at", "0"],
+            (["live", "run", "--kill", "1", "--kill-at", "0"],
              "kill/restart times must be positive"),
-            (["chaos", "run", "--fabric", "live", "--kill", "99"],
-             "kill target out of range"),
+            (["live", "run", "--kill", "-1"], "kill target out of range"),
             (["live", "run", "--kill", "1", "--kill-down", "0"],
              "kill/restart times must be positive"),
             (["live", "run", "--kill", "99"], "kill target out of range"),
@@ -127,9 +126,12 @@ class TestCLIRejectsBadSpecs:
              "checkpoint interval cannot be negative"),
             (["run", "--obs", "{tmp}/obs", "--obs-sample", "0"],
              "timeline interval must be positive"),
-            (["chaos", "run", "--churn", "2"], "node fraction must be in [0, 1]"),
+            (["run", "--minutes", "nan"], "duration must be finite"),
             (["prune", "{tmp}/run", "--checkpoint-every", "2", "--retain", "0"],
              "retain_blocks must be at least 1"),
+            (["run", "--rate", "inf"], "data rate must be finite"),
+            (["run", "--block-interval", "nan"], "expected block interval must be finite"),
+            (["live", "run", "--minutes", "inf"], "duration must be finite"),
         ],
     )
     def test_bad_flag_value_is_a_usage_error(self, argv, message, tmp_path):

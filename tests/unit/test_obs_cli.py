@@ -4,10 +4,9 @@ import json
 
 import pytest
 
-from repro.chaos.runner import CHAOS_VERDICT_NAME
 from repro.cli import main
 from repro.obs.export import read_trace_events
-from repro.obs.monitors import SEVERITIES, VERDICT_NAME, read_verdict
+from repro.obs.monitors import VERDICT_NAME, read_verdict
 from repro.obs.runtime import METRICS_NAME, TRACE_NAME
 from repro.obs.timeline import TIMELINE_NAME, read_timeline
 
@@ -158,28 +157,3 @@ class TestTraceVerbs:
             merged["instruments"]["engine.events"]["value"]
             == 2 * single["instruments"]["engine.events"]["value"]
         )
-
-
-class TestObservedVerbs:
-    """`--obs DIR` through `main` on the chaos verb."""
-
-    SMALL = ["--nodes", "4", "--minutes", "3", "--seed", "3",
-             "--block-interval", "30"]
-
-    def _assert_obs_artefacts(self, directory):
-        assert read_trace_events(directory / TRACE_NAME)
-        metrics = json.loads((directory / METRICS_NAME).read_text())
-        assert metrics["schema"] == "repro.obs.metrics/v1"
-        _, samples = read_timeline(directory / TIMELINE_NAME)
-        assert samples
-        verdict = read_verdict(directory / VERDICT_NAME)
-        assert verdict["status"] in {"healthy", *SEVERITIES}
-
-    def test_chaos_run_writes_obs_and_chaos_verdict(self, tmp_path, capsys):
-        target = tmp_path / "chaos-obs"
-        assert main(["chaos", "run", *self.SMALL,
-                     "--adversary", "spammer=3", "--obs", str(target)]) == 0
-        self._assert_obs_artefacts(target)
-        chaos = json.loads((target / CHAOS_VERDICT_NAME).read_text())
-        assert chaos["adversaries"] == {"spammer": [3]}
-        assert f"wrote {target / CHAOS_VERDICT_NAME}" in capsys.readouterr().out

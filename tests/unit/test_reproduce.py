@@ -1,9 +1,9 @@
 """``reproduce``: the paper's claims, checked on plain-data cell records.
 
-The real run takes about two minutes at 500 simulated minutes per cell,
-so these tests swap its runners (:func:`repro.sim.scenarios.run_cell`,
-``probe``, ``network_energy``) for canned metrics and check the claim
-rules, the record, and the verb's exit code.
+The real run takes about a minute and a half at 500 simulated minutes per
+cell, so these tests swap its runners (:func:`repro.sim.scenarios.run_cell`,
+``probe``, ``network_energy``, ``attack``) for canned metrics and check the
+claim rules, the record, and the verb's exit code.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ import pytest
 from repro.cli import main
 from repro.sim import scenarios
 from repro.sim.scenarios import (
+    ADVERSARY_NODES,
     PAPER_NODE_COUNTS,
     PAPER_SEED_COUNT,
+    adversary_claims,
     data_amount_scenario,
     mechanism_claims,
     paper_claims,
@@ -59,7 +61,21 @@ def canned_probe(spec):
         "recoveries": [70.0 if cached else 50.0] * 20,
         "recovery_bytes": 1_000_000 if cached else 1_700_000,
         "claims": len(spec.node_classes or {}),
+        "digest": "d",
     }
+
+
+def canned_attack(spec, partition=None):
+    """A healthy adversary run: safe and live, every adversary that acted
+    quarantined, and the tamperer's forgeries rejected for both reasons."""
+    planted = sorted(spec.node_classes)
+    tamperer = any(cls.__name__ == "MetadataTampererNode" for cls in spec.node_classes.values())
+    rejections = {"bad_producer": 21, "bad_signature": 21} if tamperer else {}
+    if planted and not tamperer:
+        rejections = {"bad_hash": 21}
+    return {"seed": spec.seed, "planted": planted, "status": "ok", "violations": 0,
+            "prefix": 30, "floor": 8, "rejections": rejections, "unquarantined": 0,
+            "digest": "d"}
 
 
 def canned_energy(consensus):
@@ -74,6 +90,19 @@ def probes(monkeypatch):
     seen = []
     monkeypatch.setattr(scenarios, "probe", lambda spec: seen.append(spec) or canned_probe(spec))
     monkeypatch.setattr(scenarios, "network_energy", canned_energy)
+    return seen
+
+
+@pytest.fixture(autouse=True)
+def attacks(monkeypatch):
+    """``(spec, partition)`` handed to the canned adversary runner."""
+    seen = []
+
+    def attack(spec, partition=None):
+        seen.append((spec, partition))
+        return canned_attack(spec, partition)
+
+    monkeypatch.setattr(scenarios, "attack", attack)
     return seen
 
 
@@ -96,7 +125,8 @@ def record(runs):
 
 
 def failing(record):
-    claims = paper_claims(record) + mechanism_claims(record) + scale_claims(record)
+    claims = (paper_claims(record) + mechanism_claims(record) + scale_claims(record)
+              + adversary_claims(record))
     return [claim["claim"] for claim in claims if not claim["holds"]]
 
 
@@ -117,7 +147,8 @@ def put(paths, value):
 #: One value moved just past its bound, and the claim that alone fails.
 #: Fig. 5's odd cells are its random arm; A1's rows run A = 1, 10, 100,
 #: 1000, 10000; A8's 0, 10, 25, 40 % (its last case moves both values its
-#: claim reads).
+#: claim reads); the adversary runs equivocator, spammer, poisoner,
+#: tamperer, flooder, two seeds each.
 CASES = [
     pytest.param(put(paths, value), claim, id=case_id)
     for case_id, paths, value, claim in [
@@ -158,6 +189,20 @@ CASES = [
         ("scale-served", "scale/cells/2/served", 0, "Scale deliveries in every cell"),
         ("scale-gini", "scale/cells/1/gini", 0.15, "Scale storage Gini in every cell"),
         ("scale-failed", "scale/cells/0/failed", 1, "Scale failed requests in every cell"),
+        ("adv-safety", "adversaries/runs/3/violations", 1,
+         "Adversary safety violations per run, f < n/3"),
+        ("adv-liveness", "adversaries/runs/4/prefix", 7,
+         "Adversary honest common prefix / growth floor per run, f < n/3"),
+        ("adv-quarantine", "adversaries/runs/9/unquarantined", 1,
+         "Spammers, equivocators and flooders that acted, unquarantined"),
+        ("adv-tamperer", "adversaries/runs/7/rejections/bad_signature", 0,
+         "Tamperer bad_producer and bad_signature rejections"),
+        ("adv-churn", "adversaries/churn/1/status", "critical",
+         "Spammer under 25 % churn: not critical, prefix / growth floor"),
+        ("adv-partition", "adversaries/partition/0/violations", 1,
+         "Spammer under a 1-2 min half/half partition: safety violations"),
+        ("adv-empty", "adversaries/empty/1/plain_digest", "other",
+         "No adversary: rejections; verdict ok on the plain run's digest"),
     ]
 ]
 
@@ -167,6 +212,7 @@ class TestClaimRules:
         assert record["claims"] == paper_claims(record)
         assert record["mechanisms"]["claims"] == mechanism_claims(record)
         assert record["scale"]["claims"] == scale_claims(record)
+        assert record["adversaries"]["claims"] == adversary_claims(record)
         assert failing(record) == []
 
     @pytest.mark.parametrize("mutate, claim", CASES)
@@ -213,12 +259,31 @@ class TestReproduceRecord:
         assert len(record["fig4"]) == 15 and len(record["fig5"]) == 10
 
     def test_mechanism_and_scale_runs_are_the_ablation_specs(self, record, probes):
-        # A1 10, A3 6, A4 6 + 2, A8 8 and the 3 scale cells, each distinct.
-        assert len(probes) == len({repr(spec) for spec in probes}) == 35
+        # A1 10, A3 6, A4 6 + 2, A8 8, the 3 scale cells and the empty
+        # adversary mix's 2 plain runs, each distinct.
+        assert len(probes) == len({repr(spec) for spec in probes}) == 37
         deniers = [spec for spec in probes if spec.node_classes is not None]
         assert [len(spec.node_classes) for spec in deniers] == [0, 0, 2, 2, 5, 5, 8, 8]
-        assert [(spec.node_count, spec.seed) for spec in probes[-3:]] == [
+        assert [(spec.node_count, spec.seed) for spec in probes[-5:-2]] == [
             (100, 5), (400, 5), (1000, 5)]
+        assert [(spec.node_count, spec.seed) for spec in probes[-2:]] == [
+            (ADVERSARY_NODES, 0), (ADVERSARY_NODES, 1)]
+
+    def test_adversary_runs_plant_under_a_third(self, record, attacks):
+        # 5 types, the churn and the partition overlay, the empty mix; 2 seeds each.
+        assert len(attacks) == 16
+        planted = [spec for spec, _ in attacks if spec.node_classes]
+        assert len(planted) == 14
+        for spec, _ in attacks:
+            assert spec.node_count == ADVERSARY_NODES
+            assert 3 * len(spec.node_classes) < spec.node_count
+            assert len(set(spec.node_classes.values())) <= 1
+            assert spec.config.verify_metadata_signatures
+        churned = [spec for spec, _ in attacks if spec.churn is not None]
+        assert [spec.churn.node_fraction for spec in churned] == [0.25, 0.25]
+        assert [p for _, p in attacks if p is not None] == [(1.0, 2.0), (1.0, 2.0)]
+        assert [spec.seed for spec, _ in attacks[-2:]] == [0, 1]
+        assert not any(spec.node_classes for spec, _ in attacks[-2:])
 
 
 class TestReproduceVerb:
@@ -228,10 +293,12 @@ class TestReproduceVerb:
         out = capsys.readouterr().out
         assert "Paper claims" in out and "about 120 MB" in out
         assert all(f"Ablation A{n} —" in out for n in (1, 3, 4, 7, 8))
-        assert "Mechanism claims" in out and "Scale claims" in out and "42/42 claims hold" in out
+        assert "Mechanism claims" in out and "Scale claims" in out
+        assert "Adversary claims" in out and "49/49 claims hold" in out
         written = json.loads(target.read_text())
         assert written["claims"] and all(c["holds"] for c in written["claims"])
-        assert all(c["holds"] for c in written["mechanisms"]["claims"] + written["scale"]["claims"])
+        assert all(c["holds"] for c in written["mechanisms"]["claims"] + written["scale"]["claims"]
+                   + written["adversaries"]["claims"])
 
     def test_exits_1_when_one_claim_fails(self, monkeypatch, tmp_path):
         def unfair(spec):
@@ -254,8 +321,9 @@ class TestReproduceVerb:
             scenarios, "probe", lambda spec: {**canned_probe(spec), "recovery_bytes": 10**6})
         target = tmp_path / "reproduction.json"
         assert main(["reproduce", "--json", str(target)]) == 1
-        assert "41/42 claims hold" in capsys.readouterr().out
+        assert "48/49 claims hold" in capsys.readouterr().out
         written = json.loads(target.read_text())
-        assert all(c["holds"] for c in written["claims"] + written["scale"]["claims"])
+        assert all(c["holds"] for c in written["claims"] + written["scale"]["claims"]
+                   + written["adversaries"]["claims"])
         failed = [c["claim"] for c in written["mechanisms"]["claims"] if not c["holds"]]
         assert failed == ["A3 recovery traffic, cache on / off"]

@@ -6,9 +6,11 @@
 
 The audit runs a declared list of user paths (:data:`PATHS`): every CLI
 verb, each ``examples/*.py``, ``bench/run.py --smoke --trace 1`` and
-``repro reproduce`` (figures, ablations, scale sweep).  Each command runs in a
-subprocess whose working directory (and every path it writes) is one
-fresh temporary directory, so nothing is written into the checkout.
+``repro reproduce`` (figures, ablations, scale sweep and adversaries,
+whose partition cell reaches ``simnet.faults.PartitionInjector``).  Each
+command runs in a subprocess whose working directory (and every path it
+writes) is one fresh temporary directory, so nothing is written into the
+checkout.
 
 A generated ``sitecustomize.py`` on ``PYTHONPATH`` installs a call hook
 through ``sys.settrace`` and ``threading.settrace`` in every Python
@@ -99,13 +101,6 @@ PATHS: List[Tuple[Tuple[int, ...], List[str]]] = [
     ((0,), _REPRO + ["live", "run", "--nodes", "2", "--minutes", "3", "--seed", "3",
                      "--procs", "--base-port", "{port}", "--time-scale", "0.05",
                      "--start-lead", "10", "--obs", "{t}/live-obs", "--telemetry", "{telemetry}"]),
-    ((0, 1), _REPRO + ["chaos", "run", "--nodes", "5", "--minutes", "4", "--seed", "2",
-                       "--adversary", "equivocator=1"]),
-    # the sim fabric's partition overlay (simnet.faults.PartitionInjector)
-    ((0, 1), _REPRO + ["chaos", "run", "--nodes", "5", "--minutes", "3", "--seed", "2",
-                       "--partition", "1:2"]),
-    ((0, 1), _REPRO + ["chaos", "run", "--fabric", "live", "--nodes", "4", "--minutes", "3",
-                       "--seed", "2", "--adversary", "spammer=1"]),
     ((0,), _REPRO + ["trace", "summary", "{t}/obs-a"]),
     ((0,), _REPRO + ["trace", "export", "--out", "{t}/export.json", "{t}/obs-a"]),
     ((0,), _REPRO + ["trace", "merge", "--out", "{t}/merged.json", "--trace-out",
